@@ -42,7 +42,7 @@ func (d *DBMS) ShardView(name string, cfg shard.Config) (*shard.Store, error) {
 func (d *DBMS) ShardReport() map[string][]shard.ShardInfo {
 	out := make(map[string][]shard.ShardInfo)
 	for _, v := range d.viewsSnapshot() {
-		if st := v.ShardStore(); st != nil {
+		if st, _ := v.ShardStore(); st != nil {
 			out[v.Name()] = st.Info()
 		}
 	}
@@ -54,7 +54,7 @@ func (d *DBMS) ShardReport() map[string][]shard.ShardInfo {
 // up beside the view pools.
 func (d *DBMS) shardMetrics(s *obs.Snapshot) {
 	for _, v := range d.viewsSnapshot() {
-		if st := v.ShardStore(); st != nil {
+		if st, _ := v.ShardStore(); st != nil {
 			s.Merge(st.Metrics())
 		}
 	}

@@ -26,6 +26,7 @@ import (
 	"statdb/internal/dataset"
 	"statdb/internal/exec"
 	"statdb/internal/relalg"
+	"statdb/internal/summary"
 	"statdb/internal/tape"
 )
 
@@ -144,90 +145,48 @@ const (
 	AggCount
 )
 
+// kindFn names each kind's row in the Summary Database's aggregate
+// table, which owns the finalizer.
+var kindFn = [...]string{AggSum: "sum", AggMin: "min", AggMax: "max", AggCount: "count"}
+
 // Aggregate computes the aggregate over the valid values of xs on real
 // goroutines — one per simulated processor — and returns the value with
 // the parallel cost (use 3 of Section 4.3: recomputing summary functions
-// near the data).
+// near the data). Each processor folds its partition into the engine's
+// mergeable moment state; the host merges in fixed processor order and
+// finalizes through the same table as every other execution strategy.
 func (m *Machine) Aggregate(kind AggregateKind, xs []float64, valid []bool) (float64, Stats, error) {
+	if int(kind) >= len(kindFn) {
+		return 0, Stats{}, fmt.Errorf("dbmachine: unknown aggregate %d", kind)
+	}
 	p := m.cfg.Processors
 	n := len(xs)
-	type part struct {
-		sum      float64
-		min, max float64
-		count    int64
-		any      bool
-	}
-	parts := make([]part, p)
-	// One range per simulated processor, same boundaries the dedicated
-	// goroutines used; the pool runs them on real workers and the merge
-	// below stays in fixed processor order.
+	parts := make([]exec.Moments, p)
 	ranges := make([]exec.Range, p)
 	for w := 0; w < p; w++ {
 		ranges[w] = exec.Range{Lo: n * w / p, Hi: n * (w + 1) / p}
 	}
 	if err := m.pool.RunRanges(ranges, func(c int, r exec.Range) error {
-		pt := part{}
-		for i := r.Lo; i < r.Hi; i++ {
-			if valid != nil && !valid[i] {
-				continue
-			}
-			x := xs[i]
-			if !pt.any {
-				pt.min, pt.max, pt.any = x, x, true
-			} else {
-				if x < pt.min {
-					pt.min = x
-				}
-				if x > pt.max {
-					pt.max = x
-				}
-			}
-			pt.sum += x
-			pt.count++
+		if valid == nil {
+			parts[c] = exec.FoldMoments(xs[r.Lo:r.Hi], nil)
+		} else {
+			parts[c] = exec.FoldMoments(xs[r.Lo:r.Hi], valid[r.Lo:r.Hi])
 		}
-		parts[c] = pt
 		return nil
 	}); err != nil {
 		return 0, Stats{}, err
 	}
-
-	merged := part{}
+	var merged exec.Moments
 	for _, pt := range parts {
-		if !pt.any {
-			continue
-		}
-		if !merged.any {
-			merged = pt
-			continue
-		}
-		merged.sum += pt.sum
-		merged.count += pt.count
-		if pt.min < merged.min {
-			merged.min = pt.min
-		}
-		if pt.max > merged.max {
-			merged.max = pt.max
-		}
+		merged = exec.MergeMoments(merged, pt)
 	}
 	st := Stats{
 		RowsScanned:  int64(n),
 		MachineTicks: ceilDiv(int64(n)*m.cfg.RowProcessCost, int64(p)),
 		HostTicks:    int64(p), // merging one partial per processor
 	}
-	if !merged.any && kind != AggCount {
-		return 0, st, fmt.Errorf("dbmachine: aggregate over no valid observations")
-	}
-	switch kind {
-	case AggSum:
-		return merged.sum, st, nil
-	case AggMin:
-		return merged.min, st, nil
-	case AggMax:
-		return merged.max, st, nil
-	case AggCount:
-		return float64(merged.count), st, nil
-	}
-	return 0, st, fmt.Errorf("dbmachine: unknown aggregate %d", kind)
+	v, err := summary.Finalize(kindFn[kind], summary.State{Moments: merged})
+	return v, st, err
 }
 
 // AssociativeSearch models the pseudo-associative disk of use 2: finding

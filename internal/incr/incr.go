@@ -320,17 +320,3 @@ func (m *extremumM) Rebuild(xs []float64, valid []bool) {
 		}
 	}
 }
-
-// Standard is the maintainer set the Summary Database installs per
-// attribute: count, sum, mean, variance, sd, min, max.
-func Standard(xs []float64, valid []bool) []Maintainer {
-	return []Maintainer{
-		NewCount(xs, valid),
-		NewSum(xs, valid),
-		NewMean(xs, valid),
-		NewVariance(xs, valid),
-		NewStdDev(xs, valid),
-		NewMin(xs, valid),
-		NewMax(xs, valid),
-	}
-}

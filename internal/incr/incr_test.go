@@ -179,23 +179,6 @@ func TestValidityMaskOnRebuild(t *testing.T) {
 	}
 }
 
-func TestStandardSet(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ms := Standard(xs, nil)
-	if len(ms) != 7 {
-		t.Fatalf("Standard has %d maintainers", len(ms))
-	}
-	names := map[string]bool{}
-	for _, m := range ms {
-		names[m.Name()] = true
-	}
-	for _, want := range []string{"count", "sum", "mean", "variance", "sd", "min", "max"} {
-		if !names[want] {
-			t.Errorf("missing maintainer %q", want)
-		}
-	}
-}
-
 // Property: for any update stream, maintainers that stay valid agree with
 // batch recomputation.
 func TestMaintainersAgreeWithBatchProperty(t *testing.T) {

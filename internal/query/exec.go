@@ -10,7 +10,7 @@ import (
 
 	"statdb/internal/core"
 	"statdb/internal/obs"
-	"statdb/internal/view"
+	"statdb/internal/summary"
 )
 
 // Executor runs parsed commands against a DBMS on behalf of one analyst,
@@ -140,11 +140,11 @@ func (e *Executor) Run(input string) error {
 	return nil
 }
 
-const helpText = `commands:
+var helpText = `commands:
   files                                       list raw archive files
   views                                       list views
   materialize V from FILE [where P] [project A,B] [decode A] [sort A [desc]]
-  compute FN ATTR on V                        fn: count sum mean variance sd min max median q1 q3 mode unique
+  compute FN ATTR on V                        fn: ` + strings.Join(summary.Functions(), " ") + `
   summary V                                   dump V's summary database (Figure 4)
   describe A on V                             standing summary info (Section 3.2)
   frequencies A on V                          value counts for a string attribute
@@ -435,26 +435,15 @@ func (e *Executor) exec(cmd Command) error {
 		if err != nil {
 			return err
 		}
-		// A sharded backing answers scalar aggregates by scatter-gather
-		// (bit-identical to the unsharded engine when healthy, degraded
-		// with provenance when not); fns the shards cannot fold — median,
-		// quartiles, mode — fall back to the summary path.
-		if st := v.ShardStore(); st != nil && view.ShardedFn(c.Fn) {
-			val, rep, err := v.ShardedScalar(c.Fn, c.Attr)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(e.Out, "%s(%s) = %g\n", c.Fn, c.Attr, val)
-			if rep.Degraded() {
-				fmt.Fprintf(e.Out, "degraded answer: %s\n", rep)
-			}
-			return nil
-		}
-		val, err := v.Compute(c.Fn, c.Attr)
+		val, rep, err := v.ComputeReport(c.Fn, c.Attr)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(e.Out, "%s(%s) = %g\n", c.Fn, c.Attr, val)
+		// A gather that lost shards still answers, with its provenance.
+		if rep.Degraded() {
+			fmt.Fprintf(e.Out, "degraded answer: %s\n", rep)
+		}
 		return nil
 	case SummaryDump:
 		v, err := e.Analyst.View(c.View)
@@ -512,9 +501,12 @@ func (e *Executor) exec(cmd Command) error {
 		if err != nil {
 			return err
 		}
-		st := v.ShardStore()
+		st, behind := v.ShardStore()
 		if st == nil {
 			return fmt.Errorf("query: view %s has no sharded backing", c.View)
+		}
+		if behind {
+			fmt.Fprintf(e.Out, "sharded copy is behind view %s (updated since it was built): compute reads the view's rows until it is re-sharded\n", c.View)
 		}
 		w := tabwriter.NewWriter(e.Out, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(w, "SHARD\tHEALTH\tROWS\tCHUNKS\tGEN\tFAULTS\tRETRIES\tEXHAUSTED\tTICKS")

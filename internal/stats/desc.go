@@ -132,16 +132,6 @@ func Max(xs []float64, valid []bool) (float64, error) {
 	return m, nil
 }
 
-// Range returns max - min, the axis-labelling quantity of Section 3.1.
-func Range(xs []float64, valid []bool) (float64, error) {
-	lo, err := Min(xs, valid)
-	if err != nil {
-		return 0, err
-	}
-	hi, _ := Max(xs, valid) //lint:allow error-flow Min succeeded, so Max cannot fail
-	return hi - lo, nil
-}
-
 // Mode returns the most frequent valid observation and its count; ties
 // break toward the smaller value so the result is deterministic.
 func Mode(xs []float64, valid []bool) (float64, int, error) {

@@ -77,21 +77,11 @@ func FrequenciesChunks(p *exec.Pool, xs []float64, valid []bool, chunk int) (val
 // interpolate between, and the interpolation arithmetic is identical,
 // so the result matches the serial operator bit for bit.
 func QuantileChunks(p *exec.Pool, xs []float64, valid []bool, chunk int, q float64) (float64, error) {
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile p=%g out of [0,1]", q)
-	}
 	if serialEnough(p, len(xs), chunk) {
 		return Quantile(xs, valid, q)
 	}
 	values, counts := exec.ColumnFreq(p, xs, valid, chunk).Sorted()
-	var n int64
-	for _, c := range counts {
-		n += c
-	}
-	if n == 0 {
-		return 0, ErrNoData
-	}
-	return quantileFreq(values, counts, n, q), nil
+	return QuantileFreq(values, counts, q)
 }
 
 // NewHistogramChunks is NewHistogram with the range scan and the
@@ -125,31 +115,31 @@ func NewHistogramChunks(p *exec.Pool, xs []float64, valid []bool, bins, chunk in
 	return h, nil
 }
 
-// ModeChunks is Mode from a merged frequency table — bit-identical to
-// the serial scan, including its ties-toward-smaller rule.
-func ModeChunks(p *exec.Pool, xs []float64, valid []bool, chunk int) (float64, int, error) {
-	if serialEnough(p, len(xs), chunk) {
-		return Mode(xs, valid)
+// QuantileFreq is Quantile over a sorted frequency table (distinct values
+// ascending with their multiplicities) — the finalizer every
+// frequency-state caller shares, bit-identical to the serial operator
+// over the expanded observations.
+func QuantileFreq(values []float64, counts []int64, q float64) (float64, error) {
+	if q < 0 || q > 1 {
+		return 0, fmt.Errorf("stats: quantile p=%g out of [0,1]", q)
 	}
-	values, counts := exec.ColumnFreq(p, xs, valid, chunk).Sorted()
-	if len(values) == 0 {
-		return 0, 0, ErrNoData
+	var n int64
+	for _, c := range counts {
+		n += c
 	}
-	best, bestN := values[0], counts[0]
-	for i := 1; i < len(values); i++ {
-		if counts[i] > bestN {
-			best, bestN = values[i], counts[i]
-		}
+	if n == 0 {
+		return 0, ErrNoData
 	}
-	return best, int(bestN), nil
+	return quantileFreq(values, counts, n, q), nil
 }
 
-// UniqueCountChunks is UniqueCount via the merged frequency table.
-func UniqueCountChunks(p *exec.Pool, xs []float64, valid []bool, chunk int) int {
-	if serialEnough(p, len(xs), chunk) {
-		return UniqueCount(xs, valid)
+// ModeFreq is Mode over a sorted frequency table, including its
+// ties-toward-smaller rule.
+func ModeFreq(values []float64, counts []int64) (float64, error) {
+	if len(values) == 0 {
+		return 0, ErrNoData
 	}
-	return len(exec.ColumnFreq(p, xs, valid, chunk))
+	return modeFreq(values, counts), nil
 }
 
 // quantileFreq evaluates the type-7 p-quantile over a sorted frequency

@@ -20,96 +20,13 @@ import (
 
 // runFreq tabulates the run column's valid observations as a sorted
 // frequency table, the compressed sort every order statistic reads.
-func runFreq(rc exec.RunColumn) (values []float64, counts []int64, n int64, err error) {
+func runFreq(rc exec.RunColumn) (values []float64, counts []int64, err error) {
 	f, err := exec.FoldFreqRuns(rc)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
 	values, counts = f.Sorted()
-	for _, c := range counts {
-		n += c
-	}
-	return values, counts, n, nil
-}
-
-// CountRuns is Count over a run column — bit-identical (integers).
-func CountRuns(rc exec.RunColumn) (int64, error) {
-	m, err := exec.FoldMomentsRuns(rc)
-	if err != nil {
-		return 0, err
-	}
-	return m.N, nil
-}
-
-// SumRuns is Sum over a run column: each run contributes value*count.
-func SumRuns(rc exec.RunColumn) (float64, error) {
-	m, err := exec.FoldMomentsRuns(rc)
-	if err != nil {
-		return 0, err
-	}
-	return m.Sum, nil
-}
-
-// MeanRuns is Mean over a run column — Sum/N, the serial formula.
-func MeanRuns(rc exec.RunColumn) (float64, error) {
-	m, err := exec.FoldMomentsRuns(rc)
-	if err != nil {
-		return 0, err
-	}
-	if m.N == 0 {
-		return 0, ErrNoData
-	}
-	return m.Sum / float64(m.N), nil
-}
-
-// VarianceRuns is Variance over a run column, from the merged M2 state.
-// Error semantics match the serial operator.
-func VarianceRuns(rc exec.RunColumn) (float64, error) {
-	m, err := exec.FoldMomentsRuns(rc)
-	if err != nil {
-		return 0, err
-	}
-	if m.N < 2 {
-		return 0, fmt.Errorf("stats: variance needs >= 2 observations, have %d", m.N)
-	}
-	v := m.M2 / float64(m.N-1)
-	if v < 0 {
-		v = 0
-	}
-	return v, nil
-}
-
-// StdDevRuns is StdDev over a run column.
-func StdDevRuns(rc exec.RunColumn) (float64, error) {
-	v, err := VarianceRuns(rc)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
-}
-
-// MinRuns is Min over a run column — bit-identical.
-func MinRuns(rc exec.RunColumn) (float64, error) {
-	m, err := exec.FoldMomentsRuns(rc)
-	if err != nil {
-		return 0, err
-	}
-	if m.N == 0 {
-		return 0, ErrNoData
-	}
-	return m.Min, nil
-}
-
-// MaxRuns is Max over a run column — bit-identical.
-func MaxRuns(rc exec.RunColumn) (float64, error) {
-	m, err := exec.FoldMomentsRuns(rc)
-	if err != nil {
-		return 0, err
-	}
-	if m.N == 0 {
-		return 0, ErrNoData
-	}
-	return m.Max, nil
+	return values, counts, nil
 }
 
 // SummarizeRuns computes the same Summary as Summarize from runs: the
@@ -131,7 +48,7 @@ func SummarizeRuns(rc exec.RunColumn) (Summary, error) {
 	} else {
 		s.SD = math.NaN()
 	}
-	values, counts, _, err := runFreq(rc)
+	values, counts, err := runFreq(rc)
 	if err != nil {
 		return Summary{}, err
 	}
@@ -146,7 +63,7 @@ func SummarizeRuns(rc exec.RunColumn) (Summary, error) {
 // FrequenciesRuns is Frequencies over a run column — bit-identical to
 // the serial pass (counts are order-insensitive integers).
 func FrequenciesRuns(rc exec.RunColumn) (values []float64, counts []int, err error) {
-	vs, cs, _, err := runFreq(rc)
+	vs, cs, err := runFreq(rc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -164,45 +81,11 @@ func FrequenciesRuns(rc exec.RunColumn) (values []float64, counts []int, err err
 // serial operator (same interpolation arithmetic over the same order
 // statistics).
 func QuantileRuns(rc exec.RunColumn, q float64) (float64, error) {
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile p=%g out of [0,1]", q)
-	}
-	values, counts, n, err := runFreq(rc)
+	values, counts, err := runFreq(rc)
 	if err != nil {
 		return 0, err
 	}
-	if n == 0 {
-		return 0, ErrNoData
-	}
-	return quantileFreq(values, counts, n, q), nil
-}
-
-// ModeRuns is Mode over a run column, including its ties-toward-smaller
-// rule.
-func ModeRuns(rc exec.RunColumn) (float64, int, error) {
-	values, counts, _, err := runFreq(rc)
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(values) == 0 {
-		return 0, 0, ErrNoData
-	}
-	best, bestN := values[0], counts[0]
-	for i := 1; i < len(values); i++ {
-		if counts[i] > bestN {
-			best, bestN = values[i], counts[i]
-		}
-	}
-	return best, int(bestN), nil
-}
-
-// UniqueCountRuns is UniqueCount over a run column.
-func UniqueCountRuns(rc exec.RunColumn) (int, error) {
-	values, _, _, err := runFreq(rc)
-	if err != nil {
-		return 0, err
-	}
-	return len(values), nil
+	return QuantileFreq(values, counts, q)
 }
 
 // NewHistogramRuns is NewHistogram over a run column: the edges come

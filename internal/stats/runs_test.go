@@ -35,7 +35,9 @@ func runColumn(g *runsLCG, runs int) exec.RunColumn {
 
 // TestRunOperatorsMatchSerial: every run-path operator must agree with
 // its serial twin over the expanded column — bit for bit on this
-// integer-valued data, where even the regrouped sums are exact.
+// integer-valued data, where even the regrouped sums are exact. (The
+// scalar aggregates' run form is checked by internal/view's
+// TestAggregateForms, through the one table that now computes them.)
 func TestRunOperatorsMatchSerial(t *testing.T) {
 	g := runsLCG(99)
 	for trial := 0; trial < 100; trial++ {
@@ -56,45 +58,11 @@ func TestRunOperatorsMatchSerial(t *testing.T) {
 			}
 		}
 
-		cn, err := CountRuns(rc)
-		if err != nil || int(cn) != n {
-			t.Fatalf("trial %d count: (%d, %v), want %d", trial, cn, err, n)
-		}
-		sr, err := SumRuns(rc)
-		eq("sum", sr, err, Sum(xs, valid), nil)
-		mr, err := MeanRuns(rc)
-		wm, werr := Mean(xs, valid)
-		eq("mean", mr, err, wm, werr)
-		vr, err := VarianceRuns(rc)
-		wv, werr := Variance(xs, valid)
-		if (err == nil) != (werr == nil) {
-			t.Fatalf("trial %d variance: err %v vs %v", trial, err, werr)
-		}
-		if err == nil && math.Abs(vr-wv) > 1e-9*(1+math.Abs(wv)) {
-			t.Fatalf("trial %d variance: %g != %g", trial, vr, wv)
-		}
-		minr, err := MinRuns(rc)
-		wmin, werr := Min(xs, valid)
-		eq("min", minr, err, wmin, werr)
-		maxr, err := MaxRuns(rc)
-		wmax, werr := Max(xs, valid)
-		eq("max", maxr, err, wmax, werr)
 		for _, p := range []float64{0, 0.25, 0.5, 0.75, 1} {
 			qr, err := QuantileRuns(rc, p)
 			wq, werr := Quantile(xs, valid, p)
 			eq("quantile", qr, err, wq, werr)
 		}
-		mor, morN, err := ModeRuns(rc)
-		wmo, wmoN, werr := Mode(xs, valid)
-		eq("mode", mor, err, wmo, werr)
-		if err == nil && morN != wmoN {
-			t.Fatalf("trial %d mode count: %d != %d", trial, morN, wmoN)
-		}
-		ur, err := UniqueCountRuns(rc)
-		if err == nil && ur != UniqueCount(xs, valid) {
-			t.Fatalf("trial %d unique: %d != %d", trial, ur, UniqueCount(xs, valid))
-		}
-
 		fv, fc, err := FrequenciesRuns(rc)
 		if err != nil {
 			t.Fatal(err)
@@ -158,24 +126,14 @@ func TestRunOperatorsMatchSerial(t *testing.T) {
 }
 
 // TestRunOperatorErrors: the run path keeps the serial error semantics —
-// same sentinel on empty data, same variance-N text, same quantile range
-// check.
+// same sentinel on empty data, same quantile range check.
 func TestRunOperatorErrors(t *testing.T) {
 	var empty exec.RunColumn
-	if _, err := MeanRuns(empty); err != ErrNoData {
-		t.Errorf("MeanRuns(empty) = %v, want ErrNoData", err)
-	}
-	if _, err := MinRuns(empty); err != ErrNoData {
-		t.Errorf("MinRuns(empty) = %v, want ErrNoData", err)
-	}
-	if _, err := MaxRuns(empty); err != ErrNoData {
-		t.Errorf("MaxRuns(empty) = %v, want ErrNoData", err)
-	}
 	if _, err := QuantileRuns(empty, 0.5); err != ErrNoData {
 		t.Errorf("QuantileRuns(empty) = %v, want ErrNoData", err)
 	}
-	if _, _, err := ModeRuns(empty); err != ErrNoData {
-		t.Errorf("ModeRuns(empty) = %v, want ErrNoData", err)
+	if _, err := ModeFreq(nil, nil); err != ErrNoData {
+		t.Errorf("ModeFreq(empty) = %v, want ErrNoData", err)
 	}
 	if _, err := SummarizeRuns(empty); err != ErrNoData {
 		t.Errorf("SummarizeRuns(empty) = %v, want ErrNoData", err)
@@ -185,11 +143,6 @@ func TestRunOperatorErrors(t *testing.T) {
 	}
 
 	one := exec.RunColumn{Vals: []float64{5}, Nulls: []bool{false}, Counts: []int64{1}, Rows: 1}
-	_, gerr := VarianceRuns(one)
-	_, werr := Variance([]float64{5}, []bool{true})
-	if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
-		t.Errorf("variance error text: %q vs serial %q", gerr, werr)
-	}
 	if _, err := QuantileRuns(one, 1.5); err == nil {
 		t.Error("out-of-range quantile accepted")
 	}
@@ -198,7 +151,7 @@ func TestRunOperatorErrors(t *testing.T) {
 	}
 
 	bad := exec.RunColumn{Vals: []float64{1}, Nulls: []bool{false}, Counts: []int64{2}, Rows: 1}
-	if _, err := SumRuns(bad); err == nil {
+	if _, err := QuantileRuns(bad, 0.5); err == nil {
 		t.Error("corrupt run column accepted")
 	}
 }

@@ -32,9 +32,8 @@ func TestDescriptiveBasics(t *testing.T) {
 	}
 	mn, _ := Min(xs, nil)
 	mx, _ := Max(xs, nil)
-	rg, _ := Range(xs, nil)
-	if mn != 2 || mx != 9 || rg != 7 {
-		t.Errorf("min/max/range = %g/%g/%g", mn, mx, rg)
+	if mn != 2 || mx != 9 {
+		t.Errorf("min/max = %g/%g", mn, mx)
 	}
 	mode, n, _ := Mode(xs, nil)
 	if mode != 4 || n != 3 {

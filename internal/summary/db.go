@@ -12,13 +12,29 @@ import (
 	"statdb/internal/medwin"
 	"statdb/internal/obs"
 	"statdb/internal/rules"
-	"statdb/internal/stats"
 )
 
 // Source re-reads one column of the view for (re)computation — the only
 // path by which the Summary Database touches the data, so counting calls
 // to it counts full column passes.
 type Source func() (xs []float64, valid []bool)
+
+// GatherSource returns one column's merged State from partials held
+// outside the view (the sharded copy): freq selects the frequency-table
+// family, otherwise moments. complete is false when the gather
+// substituted or lost partials; such an answer is handed to the caller
+// but never enters the cache — the rule a budget breach already follows
+// — so the next access gathers again and a healed shard needs no
+// invalidation protocol.
+type GatherSource func(freq bool) (st State, complete bool, err error)
+
+// Sources are the input forms a caller offers for one column. A miss or
+// refill takes the first that is on offer: Gather, then Runs, then Rows.
+type Sources struct {
+	Rows   Source       // required; the only form that feeds maintenance state
+	Runs   RunSource    // the column as RLE runs (runs.go)
+	Gather GatherSource // per-shard partials, already merged
+}
 
 // Policy selects how the whole cache reacts to updates (experiment E7).
 type Policy uint8
@@ -190,75 +206,22 @@ func (db *DB) Len() int {
 	return len(db.entries)
 }
 
-// builtinScalar computes one of the built-in scalar functions over a
-// column. The quantile shorthands q1/median/q3 are fixed points of the
-// general quantile machinery.
-func builtinScalar(fn string, xs []float64, valid []bool) (float64, error) {
-	switch fn {
-	case "count":
-		return float64(stats.Count(xs, valid)), nil
-	case "sum":
-		return stats.Sum(xs, valid), nil
-	case "mean":
-		return stats.Mean(xs, valid)
-	case "variance":
-		return stats.Variance(xs, valid)
-	case "sd":
-		return stats.StdDev(xs, valid)
-	case "min":
-		return stats.Min(xs, valid)
-	case "max":
-		return stats.Max(xs, valid)
-	case "median":
-		return stats.Median(xs, valid)
-	case "q1":
-		return stats.Quantile(xs, valid, 0.25)
-	case "q3":
-		return stats.Quantile(xs, valid, 0.75)
-	case "unique":
-		return float64(stats.UniqueCount(xs, valid)), nil
-	case "mode":
-		m, _, err := stats.Mode(xs, valid)
-		return m, err
-	}
-	return 0, fmt.Errorf("summary: unknown built-in function %q", fn)
-}
-
-func quantileOf(fn string) (float64, bool) {
-	switch fn {
-	case "median":
-		return 0.5, true
-	case "q1":
-		return 0.25, true
-	case "q3":
-		return 0.75, true
-	}
-	return 0, false
-}
-
-// IsBuiltin reports whether fn is one of the built-in scalar functions.
-func IsBuiltin(fn string) bool {
-	_, err := builtinScalar(fn, []float64{1, 2}, nil)
-	return err == nil
-}
-
 // Scalar returns fn(attr), serving from the cache when fresh and
 // computing (and installing maintenance state) on a miss. This is the
 // search-then-insert protocol of Section 3.2: "if the desired pair is
 // found, the corresponding result will be returned; otherwise, after the
 // function has been applied ... the new information will be inserted".
 func (db *DB) Scalar(fn, attr string, source Source) (float64, error) {
-	return db.ScalarRuns(fn, attr, source, nil)
+	return db.ScalarFrom(fn, attr, Sources{Rows: source})
 }
 
-// ScalarRuns is Scalar with an optional run-compressed source. When runs
-// is non-nil the caller has decided the column is run-eligible (RLE,
-// runs/rows under the planner threshold), and misses and refills fold
-// the run form in O(runs) through the run kernels; a run read that
-// fails falls back to the row source. Run-served entries install no
-// incremental maintainer or window: updates invalidate them, and the
-// next access refills through the run path again.
-func (db *DB) ScalarRuns(fn, attr string, source Source, runs RunSource) (float64, error) {
+// ScalarFrom is Scalar with every input form the caller can offer. A
+// non-nil Runs or Gather is a decision, not a hint: the view layer has
+// already judged the column run-eligible, or its sharded copy current.
+// Entries served from runs or a gather install no incremental maintainer
+// or window (no rows were read): updates invalidate them, and the next
+// access refills. A run read that fails falls back to the row source.
+func (db *DB) ScalarFrom(fn, attr string, src Sources) (float64, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	sp := db.tracer.Begin("summary.scalar", obs.A("fn", fn), obs.A("attr", attr))
@@ -276,13 +239,13 @@ func (db *DB) ScalarRuns(fn, attr string, source Source, runs RunSource) (float6
 		// carry no maintenance state and no source (persist.go); adopt the
 		// caller's source so recovered entries recompute like misses.
 		if e.source == nil && e.recompute == nil {
-			e.source = source
+			e.source = src.Rows
 		}
 		if e.runs == nil {
-			e.runs = runs
+			e.runs = src.Runs
 		}
 		sp.SetAttr("outcome", "stale-refill")
-		v, err := db.refreshScalar(e)
+		v, err := db.refreshScalar(e, src.Gather)
 		if err != nil {
 			return 0, err
 		}
@@ -293,43 +256,82 @@ func (db *DB) ScalarRuns(fn, attr string, source Source, runs RunSource) (float6
 	db.counters.Misses++
 	db.met.misses.Inc()
 	sp.SetAttr("outcome", "miss")
-	e := &entry{fn: fn, attrs: []string{attr}, source: source, runs: runs}
-	if runs != nil {
-		if rc, ok := db.readRunSource(runs); ok {
-			if err := db.tracer.BudgetErr(); err != nil {
-				return 0, err
-			}
-			v, err := db.computeScalarRuns(fn, rc)
-			if err != nil {
-				return 0, err
-			}
-			if err := db.tracer.BudgetErr(); err != nil {
-				return 0, err
-			}
-			e.result = ScalarOf(v)
-			e.fresh = true
-			db.insert(e)
-			return v, nil
-		}
-	}
-	xs, valid := db.readSource(source)
-	// Sources cannot return errors, so a budget breached during the scan
-	// surfaces here — before the fold spends more, and before a partial
-	// result is installed in the cache.
-	if err := db.tracer.BudgetErr(); err != nil {
-		return 0, err
-	}
-	v, err := db.computeScalar(fn, xs, valid)
+	e := &entry{fn: fn, attrs: []string{attr}, source: src.Rows, runs: src.Runs}
+	v, err := db.fill(e, src.Gather)
 	if err != nil {
 		return 0, err
 	}
+	if e.fresh {
+		db.insert(e)
+	}
+	return v, nil
+}
+
+// fill computes built-in entry e from the first input form on offer —
+// gather (the caller's, never stored: an attachment can fall behind
+// between calls), e.runs, e.source — and records the result on e as
+// fresh. Sources cannot return errors, so a budget breached during the
+// scan surfaces between scan and fold, before the fold spends more; and
+// neither a breach nor an incomplete gather leaves anything in the
+// cache. The caller holds db.mu.
+func (db *DB) fill(e *entry, gather GatherSource) (float64, error) {
+	a, err := lookup(e.fn)
+	if err != nil {
+		return 0, err
+	}
+	if gather != nil {
+		st, complete, err := db.readGather(gather, a.freq != nil)
+		if err != nil {
+			return 0, err
+		}
+		// Finalizing merged partials is free: the shards already paid for
+		// the fold, so per-shard totals still sum exactly to the query root.
+		v, err := a.finalize(st)
+		if err != nil || !complete {
+			return v, err
+		}
+		return db.install(e, v)
+	}
+	if e.runs != nil {
+		if rc, ok := db.readRunSource(e.runs); ok {
+			if err := db.tracer.BudgetErr(); err != nil {
+				return 0, err
+			}
+			v, err := db.foldRuns(a, rc)
+			if err != nil {
+				return 0, err
+			}
+			return db.install(e, v)
+		}
+	}
+	if e.source == nil {
+		// A loaded entry whose source has not been re-adopted yet (a lookup
+		// path that cannot supply one). Degrade explicitly instead of
+		// dereferencing nil.
+		return 0, fmt.Errorf("summary: stale entry %s(%s) has no source to recompute from",
+			e.fn, strings.Join(e.attrs, ","))
+	}
+	xs, valid := db.readSource(e.source)
 	if err := db.tracer.BudgetErr(); err != nil {
 		return 0, err
 	}
-	e.result = ScalarOf(v)
-	e.fresh = true
-	db.installMaintenance(e, xs, valid)
-	db.insert(e)
+	v, err := db.foldRows(a, xs, valid)
+	if err != nil {
+		return 0, err
+	}
+	if v, err = db.install(e, v); err == nil {
+		db.installMaintenance(a, e, xs, valid)
+	}
+	return v, err
+}
+
+// install records v on e as its fresh result, unless the fold that
+// produced it ran the query over budget.
+func (db *DB) install(e *entry, v float64) (float64, error) {
+	if err := db.tracer.BudgetErr(); err != nil {
+		return 0, err
+	}
+	e.result, e.fresh = ScalarOf(v), true
 	return v, nil
 }
 
@@ -350,33 +352,33 @@ func (db *DB) readSource(source Source) ([]float64, []bool) {
 	return xs, valid
 }
 
+// readGather runs one scatter-gather pass under a "scan" span; the
+// per-shard spans the gather stitches in carry the device charges.
+// Counts the pass. The caller holds db.mu.
+func (db *DB) readGather(gather GatherSource, freq bool) (State, bool, error) {
+	sp := db.tracer.Begin("scan")
+	st, complete, err := gather(freq)
+	sp.SetAttr("strategy", "gather")
+	sp.End()
+	db.counters.Passes++
+	db.met.passes.Inc()
+	return st, complete, err
+}
+
 // installMaintenance attaches the maintainer or window dictated by the
 // function's strategy, reusing the already-read column.
-func (db *DB) installMaintenance(e *entry, xs []float64, valid []bool) {
+func (db *DB) installMaintenance(a *aggregate, e *entry, xs []float64, valid []bool) {
 	if db.policy != PolicyStrategies {
 		return // policy benches manage freshness, not per-function state
 	}
 	switch db.mdb.StrategyFor(e.fn) {
 	case rules.StrategyIncremental:
-		switch e.fn {
-		case "count":
-			e.maint = incr.NewCount(xs, valid)
-		case "sum":
-			e.maint = incr.NewSum(xs, valid)
-		case "mean":
-			e.maint = incr.NewMean(xs, valid)
-		case "variance":
-			e.maint = incr.NewVariance(xs, valid)
-		case "sd":
-			e.maint = incr.NewStdDev(xs, valid)
-		case "min":
-			e.maint = incr.NewMin(xs, valid)
-		case "max":
-			e.maint = incr.NewMax(xs, valid)
+		if a.maintain != nil {
+			e.maint = a.maintain(xs, valid)
 		}
 	case rules.StrategyWindow:
-		if p, ok := quantileOf(e.fn); ok {
-			if w, err := medwin.NewQuantile(xs, valid, p, db.WindowCapacity); err == nil {
+		if a.windowed {
+			if w, err := medwin.NewQuantile(xs, valid, a.quantile, db.WindowCapacity); err == nil {
 				w.SetCounters(db.met.medSlides, db.met.medRebuilds)
 				e.win = w
 			}
@@ -384,55 +386,25 @@ func (db *DB) installMaintenance(e *entry, xs []float64, valid []bool) {
 	}
 }
 
-// refreshScalar regenerates a stale scalar entry from its source.
-func (db *DB) refreshScalar(e *entry) (float64, error) {
+// refreshScalar regenerates a stale scalar entry: custom entries through
+// their closure, built-ins through fill.
+func (db *DB) refreshScalar(e *entry, gather GatherSource) (float64, error) {
+	var v float64
 	if e.recompute != nil {
 		r, err := e.recompute()
 		if err != nil {
 			return 0, err
 		}
-		e.result = r
-		e.fresh = true
-		db.counters.Recomputes++
-		db.met.recomputes.Inc()
-		return r.Scalar, nil
-	}
-	if e.runs != nil {
-		if rc, ok := db.readRunSource(e.runs); ok {
-			if err := db.tracer.BudgetErr(); err != nil {
-				return 0, err
-			}
-			v, err := db.computeScalarRuns(e.fn, rc)
-			if err != nil {
-				return 0, err
-			}
-			e.result = ScalarOf(v)
-			e.fresh = true
-			db.counters.Recomputes++
-			db.met.recomputes.Inc()
-			return v, nil
+		e.result, e.fresh = r, true
+		v = r.Scalar
+	} else {
+		var err error
+		if v, err = db.fill(e, gather); err != nil {
+			return 0, err
 		}
 	}
-	if e.source == nil {
-		// A loaded entry whose source has not been re-adopted yet (custom
-		// result restored from disk, or a lookup path that cannot supply
-		// one). Degrade explicitly instead of dereferencing nil.
-		return 0, fmt.Errorf("summary: stale entry %s(%s) has no source to recompute from",
-			e.fn, strings.Join(e.attrs, ","))
-	}
-	xs, valid := db.readSource(e.source)
-	if err := db.tracer.BudgetErr(); err != nil {
-		return 0, err
-	}
-	v, err := db.computeScalar(e.fn, xs, valid)
-	if err != nil {
-		return 0, err
-	}
-	e.result = ScalarOf(v)
-	e.fresh = true
 	db.counters.Recomputes++
 	db.met.recomputes.Inc()
-	db.installMaintenance(e, xs, valid)
 	return v, nil
 }
 
@@ -459,7 +431,7 @@ func (db *DB) Register(fn string, attrs []string, compute func() (Result, error)
 		if e.recompute == nil {
 			// The key belongs to a built-in scalar entry; refresh it
 			// through the scalar path.
-			v, err := db.refreshScalar(e)
+			v, err := db.refreshScalar(e, nil)
 			if err != nil {
 				return Result{}, err
 			}
@@ -580,7 +552,7 @@ func (db *DB) applyUpdate(e *entry, deltas []incr.Delta) {
 		}
 		e.fresh = false
 		if e.source != nil {
-			if _, err := db.refreshScalar(e); err != nil {
+			if _, err := db.refreshScalar(e, nil); err != nil {
 				e.fresh = false
 			}
 		}

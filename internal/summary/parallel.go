@@ -3,7 +3,6 @@ package summary
 import (
 	"statdb/internal/exec"
 	"statdb/internal/obs"
-	"statdb/internal/stats"
 )
 
 // ParallelThreshold is the column length below which Summary Database
@@ -14,7 +13,7 @@ const ParallelThreshold = 2 * exec.DefaultChunk
 
 // SetExec attaches an execution pool so whole-column recomputations
 // (cache misses, stale refills, maintainer rebuild passes feeding
-// computeScalar) run chunk-parallel. A nil or single-worker pool — or
+// foldRows) run chunk-parallel. A nil or single-worker pool — or
 // chunk <= 0 with short columns — keeps today's serial behavior.
 // Results are deterministic for any worker count; order-insensitive
 // functions (count, min, max, median, quartiles, mode, unique) are
@@ -30,23 +29,24 @@ func (db *DB) SetExec(p *exec.Pool, chunk int) {
 	db.chunk = chunk
 }
 
-// computeScalar evaluates a built-in function, routing long columns
-// through the pool and everything else through builtinScalar. The fold
-// is profiled as a span charged with the engine cost model's ticks for
-// the chosen route (never wall time), so EXPLAIN output is deterministic
-// and the serial-vs-parallel decision is visible in both the span attrs
-// and the summary.recompute.{serial,parallel} counters.
-func (db *DB) computeScalar(fn string, xs []float64, valid []bool) (float64, error) {
+// foldRows evaluates a over a row slice: long columns fold into a's
+// state family through the pool and finalize, everything else takes the
+// serial reference operator. The fold is profiled as a span charged with
+// the engine cost model's ticks for the chosen route (never wall time),
+// so EXPLAIN output is deterministic and the serial-vs-parallel decision
+// is visible in both the span attrs and the
+// summary.recompute.{serial,parallel} counters.
+func (db *DB) foldRows(a *aggregate, xs []float64, valid []bool) (float64, error) {
 	cost := exec.DefaultCost()
 	p := db.pool
 	if p == nil || p.Workers() <= 1 || len(xs) < ParallelThreshold {
 		ticks := cost.SerialTicks(len(xs))
-		sp := db.tracer.Begin("fold", obs.A("fn", fn), obs.A("engine", "serial"))
+		sp := db.tracer.Begin("fold", obs.A("fn", a.name), obs.A("engine", "serial"))
 		sp.Charge(ticks)
 		defer sp.End()
 		db.met.recomputeSerial.Inc()
 		db.met.passTicks.Observe(ticks)
-		return builtinScalar(fn, xs, valid)
+		return a.serial(xs, valid)
 	}
 	chunks := len(exec.Chunks(len(xs), db.chunk))
 	workers := p.Workers()
@@ -54,50 +54,14 @@ func (db *DB) computeScalar(fn string, xs []float64, valid []bool) (float64, err
 		workers = chunks
 	}
 	ticks := cost.ParallelTicks(len(xs), db.chunk, p.Workers())
-	sp := db.tracer.Begin("fold", obs.A("fn", fn), obs.A("engine", "parallel"),
+	sp := db.tracer.Begin("fold", obs.A("fn", a.name), obs.A("engine", "parallel"),
 		obs.AI("chunks", int64(chunks)), obs.AI("workers", int64(workers)))
 	sp.Charge(ticks)
 	defer sp.End()
 	db.met.recomputeParallel.Inc()
 	db.met.passTicks.Observe(ticks)
-	switch fn {
-	case "count", "sum", "mean", "variance", "sd", "min", "max":
-		m := exec.ColumnMoments(p, xs, valid, db.chunk)
-		if fn == "count" {
-			return float64(m.N), nil
-		}
-		if m.N < 2 {
-			// Degenerate columns take the serial path so error text and
-			// empty-column semantics match builtinScalar exactly.
-			return builtinScalar(fn, xs, valid)
-		}
-		switch fn {
-		case "sum":
-			return m.Sum, nil
-		case "mean":
-			return m.MeanValue()
-		case "variance":
-			return m.Variance()
-		case "sd":
-			return m.SD()
-		case "min":
-			lo, _, err := m.Extremes()
-			return lo, err
-		case "max":
-			_, hi, err := m.Extremes()
-			return hi, err
-		}
-	case "median":
-		return stats.QuantileChunks(p, xs, valid, db.chunk, 0.5)
-	case "q1":
-		return stats.QuantileChunks(p, xs, valid, db.chunk, 0.25)
-	case "q3":
-		return stats.QuantileChunks(p, xs, valid, db.chunk, 0.75)
-	case "unique":
-		return float64(stats.UniqueCountChunks(p, xs, valid, db.chunk)), nil
-	case "mode":
-		m, _, err := stats.ModeChunks(p, xs, valid, db.chunk)
-		return m, err
+	if a.moments != nil {
+		return a.finalize(State{Moments: exec.ColumnMoments(p, xs, valid, db.chunk)})
 	}
-	return builtinScalar(fn, xs, valid)
+	return a.finalize(State{Freq: exec.ColumnFreq(p, xs, valid, db.chunk)})
 }

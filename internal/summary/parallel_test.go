@@ -8,10 +8,7 @@ import (
 	"statdb/internal/stats"
 )
 
-var builtinFns = []string{
-	"count", "sum", "mean", "variance", "sd", "min", "max",
-	"median", "q1", "q3", "unique", "mode",
-}
+var builtinFns = Functions()
 
 // TestParallelScalarMatchesSerial: a pool-backed Summary Database must
 // answer every built-in over a long column with the serial value —
@@ -49,7 +46,7 @@ func TestParallelScalarMatchesSerial(t *testing.T) {
 }
 
 // TestParallelThresholdKeepsShortColumnsSerial: below the threshold the
-// pool is ignored and results equal builtinScalar bit for bit.
+// pool is ignored and results equal the serial operators bit for bit.
 func TestParallelThresholdKeepsShortColumnsSerial(t *testing.T) {
 	c := newColumn(ParallelThreshold/4, 5)
 	db, _ := newDB()
@@ -59,7 +56,7 @@ func TestParallelThresholdKeepsShortColumnsSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := builtinScalar(fn, c.xs, nil)
+		want, err := aggregateByName[fn].serial(c.xs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

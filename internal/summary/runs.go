@@ -5,7 +5,6 @@ import (
 
 	"statdb/internal/exec"
 	"statdb/internal/obs"
-	"statdb/internal/stats"
 )
 
 // RunSource re-reads one column of the view as a run column. The second
@@ -40,50 +39,30 @@ func (db *DB) readRunSource(runs RunSource) (exec.RunColumn, bool) {
 	return rc, true
 }
 
-// computeScalarRuns evaluates a built-in function over the run column
-// through the run-native kernels, charging one cell cost per run — the
-// compression dividend. The fold span carries engine=runs so EXPLAIN
-// shows which strategy won, mirroring the serial/parallel split of
-// computeScalar.
-func (db *DB) computeScalarRuns(fn string, rc exec.RunColumn) (float64, error) {
+// foldRuns evaluates a over the run column through the run-native
+// kernels, charging one cell cost per run — the compression dividend.
+// The fold span carries engine=runs so EXPLAIN shows which strategy won,
+// mirroring the serial/parallel split of foldRows.
+func (db *DB) foldRuns(a *aggregate, rc exec.RunColumn) (float64, error) {
 	cost := exec.DefaultCost()
 	nruns := len(rc.Vals)
 	ticks := cost.RunTicks(nruns)
-	sp := db.tracer.Begin("fold", obs.A("fn", fn), obs.A("engine", "runs"),
+	sp := db.tracer.Begin("fold", obs.A("fn", a.name), obs.A("engine", "runs"),
 		obs.AI("runs", int64(nruns)))
 	sp.Charge(ticks)
 	defer sp.End()
 	db.met.runStrategyHits.Inc()
 	db.met.runsFolded.Add(int64(nruns))
 	db.met.passTicks.Observe(ticks)
-	switch fn {
-	case "count":
-		n, err := stats.CountRuns(rc)
-		return float64(n), err
-	case "sum":
-		return stats.SumRuns(rc)
-	case "mean":
-		return stats.MeanRuns(rc)
-	case "variance":
-		return stats.VarianceRuns(rc)
-	case "sd":
-		return stats.StdDevRuns(rc)
-	case "min":
-		return stats.MinRuns(rc)
-	case "max":
-		return stats.MaxRuns(rc)
-	case "median":
-		return stats.QuantileRuns(rc, 0.5)
-	case "q1":
-		return stats.QuantileRuns(rc, 0.25)
-	case "q3":
-		return stats.QuantileRuns(rc, 0.75)
-	case "unique":
-		n, err := stats.UniqueCountRuns(rc)
-		return float64(n), err
-	case "mode":
-		m, _, err := stats.ModeRuns(rc)
-		return m, err
+	var st State
+	var err error
+	if a.moments != nil {
+		st.Moments, err = exec.FoldMomentsRuns(rc)
+	} else {
+		st.Freq, err = exec.FoldFreqRuns(rc)
 	}
-	return 0, fmt.Errorf("summary: unknown built-in function %q", fn)
+	if err != nil {
+		return 0, err
+	}
+	return a.finalize(st)
 }

@@ -70,15 +70,12 @@ func TestComputeRunStrategyMatchesRowPath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("row path %s: %v", fn, err)
 		}
-		switch fn {
-		case "variance", "sd":
+		if fn == "variance" || fn == "sd" {
 			if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
 				t.Errorf("%s: run %g != row %g", fn, got, want)
 			}
-		default:
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%s: run %g != row %g", fn, got, want)
-			}
+		} else if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: run %g != row %g", fn, got, want)
 		}
 	}
 

@@ -1,18 +1,20 @@
 package view
 
 // Sharded backing: a view may carry a shard.Store holding a partitioned
-// copy of its rows across independent devices. Scalar aggregates then
-// run as scatter-gather with graceful degradation — the answer comes
-// back with provenance instead of an error when shards are lost. The
-// sharded copy is a read path: view updates do not write through to the
-// shards (re-shard after bulk updates), which mirrors the transposed
-// store's copy-of-record semantics.
+// copy of its rows across independent devices. The copy is a third input
+// form the view offers its Summary Database beside rows and runs: a
+// miss scatters, the gather's merged partials are finalized by the same
+// aggregate table as every other form, and the result is cached like
+// any other — so a repeat is a hit, not a second scatter. Losing a shard
+// degrades the answer (returned with its provenance, never cached)
+// instead of failing it. Unlike the transposed store, which receives
+// every update write-through, the sharded copy is read-only: the first
+// update marks it behind and the view stops offering it — the rows of
+// record answer — until ShardView/AttachShards installs a fresh copy.
 
 import (
-	"fmt"
-
-	"statdb/internal/obs"
 	"statdb/internal/shard"
+	"statdb/internal/summary"
 )
 
 // AttachShards attaches a sharded scatter-gather backing built from st.
@@ -21,79 +23,35 @@ import (
 func (v *View) AttachShards(st *shard.Store) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.shards = st
+	v.shards, v.shardsBehind = st, false
 	if v.tracer != nil {
 		st.SetTracer(v.tracer)
 	}
 }
 
-// ShardStore returns the attached sharded backing, nil when none.
-func (v *View) ShardStore() *shard.Store {
+// ShardStore returns the attached sharded backing (nil when none) and
+// whether the view has been updated since it was built — a copy that is
+// behind is kept for inspection but answers nothing.
+func (v *View) ShardStore() (st *shard.Store, behind bool) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return v.shards
+	return v.shards, v.shardsBehind
 }
 
-// ShardedScalar computes fn over attr by scatter-gather across the
-// sharded backing. Supported fns are the moment family (count, total,
-// mean, variance, sd, min, max, range) plus unique; the report carries
-// the answer's provenance (shards answered, stale generations, rows
-// missing). Healthy-path answers are bit-identical to the parallel
-// unsharded engine at the store's chunk size.
-func (v *View) ShardedScalar(fn, attr string) (float64, shard.Report, error) {
-	st := v.ShardStore()
-	if st == nil {
-		return 0, shard.Report{}, fmt.Errorf("view %s: no sharded backing attached", v.name)
-	}
-	sp := v.tracer.Begin("view.sharded_scalar", obs.A("fn", fn), obs.A("attr", attr))
-	defer sp.End()
-	v.countScan(attr)
-	switch fn {
-	case "unique":
-		f, rep, err := st.Freq(attr)
-		if err != nil {
-			return 0, rep, err
+// gatherSource binds attr as a summary.GatherSource over the sharded
+// copy (attached and current — computeReport checked), writing each
+// gather's provenance to rep. Healthy-path states are bit-identical to
+// the parallel unsharded engine's at the store's chunk size. Called with
+// v.mu held, like columnSource.
+func (v *View) gatherSource(attr string, rep *shard.Report) summary.GatherSource {
+	st := v.shards
+	return func(freq bool) (s summary.State, complete bool, err error) {
+		v.countScan(attr)
+		if freq {
+			s.Freq, *rep, err = st.Freq(attr)
+		} else {
+			s.Moments, *rep, err = st.Moments(attr)
 		}
-		return float64(len(f)), rep, nil
+		return s, !rep.Degraded(), err
 	}
-	m, rep, err := st.Moments(attr)
-	if err != nil {
-		return 0, rep, err
-	}
-	switch fn {
-	case "count":
-		return float64(m.N), rep, nil
-	case "total":
-		return m.Sum, rep, nil
-	case "mean":
-		val, err := m.MeanValue()
-		return val, rep, err
-	case "variance":
-		val, err := m.Variance()
-		return val, rep, err
-	case "sd":
-		val, err := m.SD()
-		return val, rep, err
-	case "min":
-		lo, _, err := m.Extremes()
-		return lo, rep, err
-	case "max":
-		_, hi, err := m.Extremes()
-		return hi, rep, err
-	case "range":
-		lo, hi, err := m.Extremes()
-		return hi - lo, rep, err
-	}
-	return 0, rep, fmt.Errorf("view %s: sharded scalar %q not supported", v.name, fn)
-}
-
-// ShardedFn reports whether ShardedScalar supports fn — the query layer
-// routes these to the sharded backing when one is attached and falls
-// back to the summary path (median, quartiles, mode) otherwise.
-func ShardedFn(fn string) bool {
-	switch fn {
-	case "count", "total", "mean", "variance", "sd", "min", "max", "range", "unique":
-		return true
-	}
-	return false
 }

@@ -80,9 +80,11 @@ type View struct {
 	// cost-accounted storage structure and receives write-through
 	// updates (Sections 2.6-2.7).
 	store *store // guarded by mu
-	// shards, when attached, is the scatter-gather partitioned backing
-	// (see sharded.go); a read-path copy like the transposed store.
-	shards *shard.Store // guarded by mu
+	// shards, when attached, is the scatter-gather partitioned copy (see
+	// sharded.go). It receives no updates: shardsBehind is set by the
+	// first one and withdraws the copy from every read path.
+	shards       *shard.Store // guarded by mu
+	shardsBehind bool         // guarded by mu
 	// runThreshold is the planner's runs/rows ceiling for the run-native
 	// fold strategy (negative disables it; see Options.RunThreshold).
 	runThreshold float64
@@ -258,43 +260,65 @@ func (v *View) runSource(attr string) summary.RunSource {
 // the schema meta-data, as Section 3.2 requires (the median of AGE_GROUP
 // does not make sense).
 func (v *View) Compute(fn, attr string) (float64, error) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.compute(fn, attr)
+	val, _, err := v.computeReport(fn, attr, false)
+	return val, err
 }
 
-func (v *View) compute(fn, attr string) (float64, error) {
-	sp := v.tracer.Begin("view.compute", obs.A("fn", fn), obs.A("attr", attr))
-	defer sp.End()
-	a, ok := v.data.Schema().Lookup(attr)
-	if !ok {
-		return 0, fmt.Errorf("view %s: no attribute %q", v.name, attr)
-	}
-	if !a.Summarizable {
-		return 0, fmt.Errorf("view %s: attribute %q is not summarizable (category or coded attribute)", v.name, attr)
-	}
-	if a.Kind == dataset.KindString {
-		return 0, fmt.Errorf("view %s: attribute %q is a string; use StringFrequencies", v.name, attr)
-	}
-	return v.sdb.ScalarRuns(fn, attr, v.columnSource(attr), v.runSource(attr))
+// ComputeReport is Compute plus the answer's provenance. The report is
+// zero unless this call gathered from a sharded copy; when it says
+// Degraded, the value merged stale or partial shards and was not cached.
+func (v *View) ComputeReport(fn, attr string) (float64, shard.Report, error) {
+	return v.computeReport(fn, attr, false)
 }
 
 // ComputeRaw is Compute without the summarizable guard, for data-checking
 // operations that legitimately scan category attributes (range checks on
 // codes, counts). The attribute must still be numeric.
 func (v *View) ComputeRaw(fn, attr string) (float64, error) {
+	val, _, err := v.computeReport(fn, attr, true)
+	return val, err
+}
+
+func (v *View) computeReport(fn, attr string, raw bool) (float64, shard.Report, error) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	sp := v.tracer.Begin("view.compute", obs.A("fn", fn), obs.A("attr", attr), obs.A("raw", "true"))
+	// rep escapes into the gather closure; declaring it only past this
+	// branch keeps cache hits on unsharded views free of that allocation.
+	if v.shards == nil || v.shardsBehind {
+		val, err := v.compute(fn, attr, raw, nil)
+		return val, shard.Report{}, err
+	}
+	var rep shard.Report
+	val, err := v.compute(fn, attr, raw, &rep)
+	return val, rep, err
+}
+
+// compute is the one read path: meta-data guards, then the Summary
+// Database with every input form the backings offer. A non-nil rep
+// offers the sharded copy too and receives the gather's provenance.
+func (v *View) compute(fn, attr string, raw bool, rep *shard.Report) (float64, error) {
+	var sp *obs.Span
+	if raw {
+		sp = v.tracer.Begin("view.compute", obs.A("fn", fn), obs.A("attr", attr), obs.A("raw", "true"))
+	} else {
+		sp = v.tracer.Begin("view.compute", obs.A("fn", fn), obs.A("attr", attr))
+	}
 	defer sp.End()
 	a, ok := v.data.Schema().Lookup(attr)
 	if !ok {
 		return 0, fmt.Errorf("view %s: no attribute %q", v.name, attr)
 	}
+	if !raw && !a.Summarizable {
+		return 0, fmt.Errorf("view %s: attribute %q is not summarizable (category or coded attribute)", v.name, attr)
+	}
 	if a.Kind == dataset.KindString {
 		return 0, fmt.Errorf("view %s: attribute %q is a string; use StringFrequencies", v.name, attr)
 	}
-	return v.sdb.ScalarRuns(fn, attr, v.columnSource(attr), v.runSource(attr))
+	src := summary.Sources{Rows: v.columnSource(attr), Runs: v.runSource(attr)}
+	if rep != nil {
+		src.Gather = v.gatherSource(attr, rep)
+	}
+	return v.sdb.ScalarFrom(fn, attr, src)
 }
 
 // Describe returns the standing descriptive summary of Section 3.2 —
@@ -305,7 +329,10 @@ func (v *View) Describe(attr string) (stats.Summary, error) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	var s stats.Summary
-	get := func(fn string) (float64, error) { return v.compute(fn, attr) }
+	// The ten values must describe one column state, and Missing below is
+	// counted from the rows of record: no sharded gather, which may
+	// degrade between one value and the next.
+	get := func(fn string) (float64, error) { return v.compute(fn, attr, false, nil) }
 	n, err := get("count")
 	if err != nil {
 		return s, err
@@ -524,6 +551,7 @@ func (v *View) updateWhere(attr string, pred relalg.Predicate, value dataset.Val
 	if len(changes) == 0 {
 		return 0, nil
 	}
+	v.shardsBehind = true
 	desc := fmt.Sprintf("set %s = %s where %s", attr, value, pred)
 	v.history.Append(rules.UpdateRecord{
 		Seq: v.mdb.NextSeq(), Analyst: v.analyst, Description: desc, Changes: changes,
@@ -650,8 +678,9 @@ func (v *View) AddDerived(attr dataset.Attribute, rule rules.DerivedRule) error 
 	}
 	// The stored image no longer matches the widened schema; drop it.
 	// The caller re-attaches if it wants storage backing for the new
-	// shape.
+	// shape. The sharded copy lacks the column too.
 	v.store = nil
+	v.shardsBehind = true
 	if v.undoMode == UndoReplay {
 		// Derived columns are regenerable; fold them into the base so
 		// replays start from the extended schema.
@@ -678,6 +707,7 @@ func (v *View) undo() error {
 	if err != nil {
 		return err
 	}
+	v.shardsBehind = true
 	switch v.undoMode {
 	case UndoPhysical:
 		// Restore before-images and push the inverse deltas.
