@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"statdb/internal/obs"
 	"statdb/internal/rules"
 	"statdb/internal/storage"
 	"statdb/internal/summary"
@@ -127,9 +128,9 @@ func E14RecoveryCost() (*Table, error) {
 			}
 
 			counts := fd.Faults()
-			retries := pool.RetryStats()
-			retries.Add(pool2.RetryStats())
-			t.AddRow(entries, fmt.Sprintf("%.3f", rate), counts.Injected(), retries.Recovered,
+			recovered := pool.Metrics().Counter(obs.MStorageRetryRecovered).Value() +
+				pool2.Metrics().Counter(obs.MStorageRetryRecovered).Value()
+			t.AddRow(entries, fmt.Sprintf("%.3f", rate), counts.Injected(), recovered,
 				rep.CorruptPages, rep.Loaded, rep.StaleMarked, rep.Dropped,
 				recomputePasses, rebuildPasses, match)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"statdb/internal/dataset"
+	"statdb/internal/obs"
 	"statdb/internal/relalg"
 	"statdb/internal/workload"
 )
@@ -183,6 +184,25 @@ func TestSharedViewConcurrentReadersAndWriter(t *testing.T) {
 	want /= float64(n)
 	if diff := got - want; diff > 1e-6 || diff < -1e-6 {
 		t.Errorf("final mean %g vs batch %g", got, want)
+	}
+
+	// The shared cache counted each event once, into the one registry the
+	// system snapshot merges: Counters() and Metrics() are the same
+	// numbers, and no lookup was lost between the goroutines.
+	c := v.Summary().Counters()
+	snap := d.Metrics().Counters
+	for name, got := range map[string]int64{
+		obs.MSummaryHits: c.Hits, obs.MSummaryMisses: c.Misses, obs.MSummaryStaleRefill: c.StaleRefill,
+		obs.MSummaryIncremental: c.Incremental, obs.MSummarySlides: c.Slides, obs.MSummaryRebuilds: c.Rebuilds,
+		obs.MSummaryRecomputes: c.Recomputes, obs.MSummaryPasses: c.Passes,
+	} {
+		if snap[name] != got {
+			t.Errorf("%s: Counters() = %d, merged snapshot = %d", name, got, snap[name])
+		}
+	}
+	const lookups = 6*30*(1+1+10) + 1 // per reader pass: mean, median, Describe's ten; then the final mean
+	if got := c.Hits + c.Misses + c.StaleRefill; got != lookups {
+		t.Errorf("hits+misses+stale refills = %d, want one per lookup = %d", got, lookups)
 	}
 }
 

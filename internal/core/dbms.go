@@ -33,8 +33,9 @@ type DBMS struct {
 	// DBMS: materialization pipelines and Summary Database recomputes.
 	parallelism int // guarded by mu
 	// metrics is the system-wide registry every view built through this
-	// DBMS reports into; tracer collects per-query span trees. Storage
-	// counters live in per-pool registries and are merged by Metrics().
+	// DBMS reports into; tracer collects per-query span trees. Summary
+	// Database and storage counters live in per-view and per-pool
+	// registries and are merged by Metrics().
 	metrics *obs.Registry
 	tracer  *obs.Tracer
 	// profiles is the continuous-profile ring: the last N folded query
@@ -44,10 +45,6 @@ type DBMS struct {
 	// apply when they open a statement budget (0 = unlimited).
 	maxTicks int64 // guarded by mu
 	maxPages int64 // guarded by mu
-	// runThreshold is the runs/rows planner ceiling views built through
-	// this DBMS inherit for run-aware compressed execution (0 = the view
-	// default, negative = disabled).
-	runThreshold float64 // guarded by mu
 	// gate is the admission layer executors pass every statement
 	// through; nil (the default) admits everything immediately.
 	gate *Gate // guarded by mu
@@ -89,11 +86,14 @@ func (d *DBMS) Tracer() *obs.Tracer { return d.tracer }
 func (d *DBMS) Profiles() *obs.ProfileRing { return d.profiles }
 
 // Metrics returns the system-wide snapshot: the DBMS registry merged
-// with every stored view's buffer-pool registry, so storage.* families
-// aggregate across pools while each pool keeps exact local accounting.
+// with every view's Summary Database registry and every stored view's
+// buffer-pool registry, so the summary.* and storage.* families
+// aggregate across views while each cache and pool keeps exact local
+// accounting.
 func (d *DBMS) Metrics() obs.Snapshot {
 	s := d.metrics.Snapshot()
 	for _, v := range d.viewsSnapshot() {
+		s.Merge(v.Summary().Metrics().Snapshot())
 		if reg := v.StoreMetrics(); reg != nil {
 			s.Merge(reg.Snapshot())
 		}
@@ -161,23 +161,6 @@ func (d *DBMS) Parallelism() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.parallelism
-}
-
-// SetRunThreshold sets the runs/rows ratio ceiling below which views
-// built from here on fold RLE columns run-by-run instead of decoding
-// rows. 0 restores the view-layer default; a negative value disables the
-// run strategy system-wide.
-func (d *DBMS) SetRunThreshold(t float64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.runThreshold = t
-}
-
-// RunThreshold returns the configured planner ceiling (0 = view default).
-func (d *DBMS) RunThreshold() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.runThreshold
 }
 
 // Archive exposes the raw database.
@@ -285,7 +268,9 @@ func (d *DBMS) Recover() (RecoverReport, error) {
 type ViewStorage struct {
 	Backing view.Backing
 	Stats   storage.Stats
-	Retries storage.RetryStats
+	// Pool is the buffer pool's registry snapshot (storage.* families):
+	// hit/miss, checksum failures and the storage.retry.* ledger.
+	Pool obs.Snapshot
 	// Faults is set when the view's device is fault-wrapped: the
 	// injected-fault counters by kind.
 	Faults *storage.FaultCounts
@@ -304,8 +289,8 @@ func (d *DBMS) StorageReport() map[string]ViewStorage {
 		if st, err := v.StoreStats(); err == nil {
 			vs.Stats = st
 		}
-		if rs, err := v.StoreRetryStats(); err == nil {
-			vs.Retries = rs
+		if reg := v.StoreMetrics(); reg != nil {
+			vs.Pool = reg.Snapshot()
 		}
 		if fd, ok := v.StoreDevice().(*storage.FaultDevice); ok {
 			c := fd.Faults()
@@ -355,9 +340,6 @@ func (m *MaterializeBuilder) BuildWithOptions(name string, opts view.Options) (*
 	if opts.Parallelism == 0 {
 		opts.Parallelism = m.analyst.dbms.Parallelism()
 	}
-	if opts.RunThreshold == 0 {
-		opts.RunThreshold = m.analyst.dbms.RunThreshold()
-	}
 	if opts.Metrics == nil {
 		opts.Metrics = m.analyst.dbms.metrics
 	}
@@ -379,10 +361,9 @@ func (a *Analyst) AdoptDataset(name string, ds *dataset.Dataset, source string, 
 	v, err := view.New(ds, a.dbms.mdb, rules.ViewDef{
 		Name: name, Analyst: a.name, Source: source, Ops: ops,
 	}, view.Options{
-		Parallelism:  a.dbms.Parallelism(),
-		Metrics:      a.dbms.metrics,
-		Tracer:       a.dbms.tracer,
-		RunThreshold: a.dbms.RunThreshold(),
+		Parallelism: a.dbms.Parallelism(),
+		Metrics:     a.dbms.metrics,
+		Tracer:      a.dbms.tracer,
 	})
 	if err != nil {
 		return nil, err

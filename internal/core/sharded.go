@@ -37,18 +37,6 @@ func (d *DBMS) ShardView(name string, cfg shard.Config) (*shard.Store, error) {
 	return st, nil
 }
 
-// ShardReport snapshots per-shard health, placement, and fault/retry
-// ledgers for every view with a sharded backing, keyed by view name.
-func (d *DBMS) ShardReport() map[string][]shard.ShardInfo {
-	out := make(map[string][]shard.ShardInfo)
-	for _, v := range d.viewsSnapshot() {
-		if st, _ := v.ShardStore(); st != nil {
-			out[v.Name()] = st.Info()
-		}
-	}
-	return out
-}
-
 // shardMetrics merges every sharded backing's pool registries into s —
 // Metrics() calls this so the labeled per-shard storage families roll
 // up beside the view pools.

@@ -117,15 +117,22 @@ func (p *Pool) Run(n, chunk int, fn func(c int, r Range) error) error {
 	return p.RunRanges(ranges, fn)
 }
 
+// Fanout is the number of goroutines a run over nranges ranges uses: the
+// pool width capped by the range count. 1 is the serial path (every
+// range inline on the caller), 0 means there is nothing to run.
+func (p *Pool) Fanout(nranges int) int {
+	if p.workers < nranges {
+		return p.workers
+	}
+	return nranges
+}
+
 // RunRanges is Run over pre-computed (e.g. page-aligned) ranges.
 func (p *Pool) RunRanges(ranges []Range, fn func(c int, r Range) error) error {
 	if len(ranges) == 0 {
 		return nil
 	}
-	workers := p.workers
-	if workers > len(ranges) {
-		workers = len(ranges)
-	}
+	workers := p.Fanout(len(ranges))
 	p.met.chunks.Add(int64(len(ranges)))
 	if workers <= 1 {
 		p.met.runSerial.Inc()

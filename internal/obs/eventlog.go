@@ -18,7 +18,10 @@ const (
 // QueryRecord is the per-query payload of an event: what ran, what it
 // cost in the cost model's own units, and which execution strategies
 // the system chose — the operational counterpart of the paper's update
-// history (§3.3), kept per statement instead of per file.
+// history (§3.3), kept per statement instead of per file. Everything in
+// it is read from state the statement owns — its span tree, the profile
+// folded from it, its budget — never from a system-wide counter, so what
+// other statements do meanwhile cannot leak into it.
 type QueryRecord struct {
 	Query      string `json:"query"`                 // statement text as typed
 	Session    string `json:"session,omitempty"`     // originating simulated session, when one is attached
@@ -26,8 +29,8 @@ type QueryRecord struct {
 	TotalTicks int64  `json:"total_ticks"`           // root span total
 	Rows       int64  `json:"rows,omitempty"`        // rows scanned (sum over scan spans)
 	Pages      int64  `json:"pages,omitempty"`       // buffer-pool page reads charged to the budget
-	CacheHits  int64  `json:"cache_hits,omitempty"`  // summary-db hit delta
-	CacheMiss  int64  `json:"cache_miss,omitempty"`  // summary-db miss delta
+	CacheHits  int64  `json:"cache_hits,omitempty"`  // summary-db lookups served fresh
+	CacheMiss  int64  `json:"cache_miss,omitempty"`  // summary-db lookups that computed (misses and stale refills)
 	Strategy   string `json:"strategy,omitempty"`    // incremental | recompute | cached
 	Engine     string `json:"engine,omitempty"`      // serial | parallel
 	Budget     string `json:"budget,omitempty"`      // budget breach description, if any
@@ -38,6 +41,74 @@ type QueryRecord struct {
 	// ticks go" without rerunning the query.
 	Profile string `json:"profile,omitempty"`
 	Explain string `json:"explain,omitempty"`
+}
+
+// ReadSpan fills the cache and strategy fields from the statement's
+// finished span tree. Layers state each fact as an attribute on the span
+// that did the work, at the moment they count it:
+//
+//	outcome=hit                 a lookup served fresh            CacheHits
+//	outcome=miss|stale-refill   a lookup that computed           CacheMiss, Strategy recompute
+//	incremental=N, slides=N     deltas an update folded or slid  Strategy incremental
+//	recomputes=N                entries an update recomputed     Strategy recompute
+//	engine=serial|parallel      how a fold or pool step ran      Engine
+//
+// A statement may do several of these: Strategy reports incremental over
+// recompute over cached, Engine parallel over serial.
+func (r *QueryRecord) ReadSpan(root *Span) {
+	if root == nil {
+		return
+	}
+	var f spanFacts
+	root.t.mu.Lock()
+	f.read(root)
+	root.t.mu.Unlock()
+	r.CacheHits, r.CacheMiss = f.hits, f.misses
+	switch {
+	case f.incremental:
+		r.Strategy = "incremental"
+	case f.recompute:
+		r.Strategy = "recompute"
+	case f.hits > 0:
+		r.Strategy = "cached"
+	}
+	switch {
+	case f.parallel:
+		r.Engine = "parallel"
+	case f.serial:
+		r.Engine = "serial"
+	}
+}
+
+// spanFacts accumulates what ReadSpan's walk finds.
+type spanFacts struct {
+	hits, misses                             int64
+	incremental, recompute, serial, parallel bool
+}
+
+// read visits s and its subtree; called under the tracer lock.
+func (f *spanFacts) read(s *Span) {
+	for _, a := range s.attrs {
+		switch a.Key {
+		case "outcome":
+			if a.Value == "hit" {
+				f.hits++
+			} else {
+				f.misses++
+				f.recompute = true
+			}
+		case "incremental", "slides":
+			f.incremental = true
+		case "recomputes":
+			f.recompute = true
+		case "engine":
+			f.serial = f.serial || a.Value == "serial"
+			f.parallel = f.parallel || a.Value == "parallel"
+		}
+	}
+	for _, c := range s.children {
+		f.read(c)
+	}
 }
 
 // Event is one JSONL record. Tick is virtual time (the statement's

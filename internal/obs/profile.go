@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"text/tabwriter"
 )
@@ -85,6 +86,19 @@ func foldSite(p *Profile, s *Span, prefix string) {
 	for _, c := range s.children {
 		foldSite(p, c, path)
 	}
+}
+
+// RowsAt sums the rows recorded at every site whose innermost span is
+// named leaf, wherever in the tree it sits.
+func (p *Profile) RowsAt(leaf string) int64 {
+	var n int64
+	nested := ";" + leaf
+	for path, st := range p.Sites {
+		if path == leaf || strings.HasSuffix(path, nested) {
+			n += st.Rows
+		}
+	}
+	return n
 }
 
 // Merge folds o into p. Sums of integers commute, so any merge order

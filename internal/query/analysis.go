@@ -103,6 +103,11 @@ func (SampleCmd) cmd()    {}
 func (RollbackCmd) cmd()  {}
 func (AdviceCmd) cmd()    {}
 
+// maxHistogramBins bounds what one statement may ask the histogram to
+// allocate and print: the bin count arrives from outside the program
+// (the REPL, POST /query), and every bin is an edge, a count and a line.
+const maxHistogramBins = 10000
+
 // histogram ATTR on VIEW [bins N]
 func (p *parser) parseHistogram() (Command, error) {
 	attr, err := p.expectWord("attribute")
@@ -120,8 +125,8 @@ func (p *parser) parseHistogram() (Command, error) {
 	if _, ok := p.keyword("bins"); ok {
 		t := p.next()
 		n, err := strconv.Atoi(t.text)
-		if t.kind != tokNumber || err != nil || n < 1 {
-			return nil, fmt.Errorf("query: bad bin count %s", t)
+		if t.kind != tokNumber || err != nil || n < 1 || n > maxHistogramBins {
+			return nil, fmt.Errorf("query: bad bin count %s (1..%d)", t, maxHistogramBins)
 		}
 		c.Bins = n
 	}

@@ -62,6 +62,7 @@ func TestParseAnalysisErrors(t *testing.T) {
 	for _, bad := range []string{
 		"histogram on v",
 		"histogram A on v bins 0",
+		"histogram A on v bins 10001", // above maxHistogramBins
 		"crosstab A on v",
 		"correlate A on v",
 		"regress Y over v",

@@ -92,10 +92,9 @@ type Measured struct {
 	Pages int64
 }
 
-// RunMeasured is Run plus measurement: it parses and executes one
-// statement and reports what it cost. A shed or failed statement
-// reports the error alongside whatever was measured before the abort
-// (zero ticks when admission refused it).
+// RunMeasured parses and executes one statement and reports what it
+// cost. A shed or failed statement reports the error alongside whatever
+// was measured before the abort (zero ticks when admission refused it).
 func (e *Executor) RunMeasured(input string) (Measured, error) {
 	input = strings.TrimSpace(input)
 	if input == "" {
@@ -123,21 +122,8 @@ func (e *Executor) RunMeasured(input string) (Measured, error) {
 // Run parses and executes one statement, counting it (and any failure)
 // in the query.* metric family.
 func (e *Executor) Run(input string) error {
-	input = strings.TrimSpace(input)
-	if input == "" {
-		return nil
-	}
-	cmd, err := Parse(input)
-	if err != nil {
-		e.cErrors.Inc()
-		return err
-	}
-	e.cStatements.Inc()
-	if err := e.dispatch(cmd, input); err != nil {
-		e.cErrors.Inc()
-		return err
-	}
-	return nil
+	_, err := e.RunMeasured(input)
+	return err
 }
 
 var helpText = `commands:
@@ -221,10 +207,6 @@ func (e *Executor) runProfiled(cmd Command, text string) (*obs.Span, error) {
 	defer release()
 	maxTicks, maxPages := e.DBMS.QueryBudget()
 	budget := obs.NewBudget(maxTicks, maxPages)
-	var before obs.Snapshot
-	if e.events != nil {
-		before = e.DBMS.Metrics()
-	}
 	e.tracer.SetBudget(budget)
 	root := e.tracer.Begin("query")
 	err = e.exec(cmd)
@@ -236,7 +218,7 @@ func (e *Executor) runProfiled(cmd Command, text string) (*obs.Span, error) {
 	prof := e.observeVerb(cmd, root, err)
 	e.lastProfile = prof
 	_, e.lastPages = budget.Used()
-	e.logQuery(text, cmd, root, prof, budget, before, err)
+	e.logQuery(text, cmd, root, prof, e.lastPages, err)
 	return root, err
 }
 
@@ -320,12 +302,14 @@ func verbOf(cmd Command) string {
 	return "other"
 }
 
-// logQuery emits one structured record for a finished statement,
-// attaching the rendered profile and explain tree when the statement
-// was slow (met the log's slow-ticks threshold) or breached its budget
-// — the slow-query capture.
-func (e *Executor) logQuery(text string, cmd Command, root *obs.Span, prof *obs.Profile, budget *obs.Budget, before obs.Snapshot, err error) {
-	total := root.Total()
+// logQuery emits one structured record for a finished statement, read
+// from what the statement itself owns — its span tree, the profile
+// folded from it, the pages its budget metered — and attaches the
+// rendered profile and explain tree when the statement was slow (met the
+// log's slow-ticks threshold) or breached its budget: the slow-query
+// capture.
+func (e *Executor) logQuery(text string, cmd Command, root *obs.Span, prof *obs.Profile, pages int64, err error) {
+	total := prof.Ticks
 	e.clock += total
 	e.sessionSeq++
 	if e.events == nil {
@@ -334,34 +318,16 @@ func (e *Executor) logQuery(text string, cmd Command, root *obs.Span, prof *obs.
 	if text == "" {
 		text = fmt.Sprintf("%T", cmd)
 	}
-	_, pages := budget.Used()
 	rec := &obs.QueryRecord{
 		Query:      text,
 		TotalTicks: total,
-		Rows:       scanRows(root),
+		Rows:       prof.RowsAt("scan"),
 		Pages:      pages,
 	}
+	rec.ReadSpan(root)
 	if e.session != "" {
 		rec.Session = e.session
 		rec.SessionSeq = e.sessionSeq
-	}
-	after := e.DBMS.Metrics()
-	delta := func(name string) int64 { return after.Counters[name] - before.Counters[name] }
-	rec.CacheHits = delta(obs.MSummaryHits)
-	rec.CacheMiss = delta(obs.MSummaryMisses) + delta(obs.MSummaryStaleRefill)
-	switch {
-	case delta(obs.MSummaryIncremental) > 0 || delta(obs.MSummarySlides) > 0:
-		rec.Strategy = "incremental"
-	case delta(obs.MSummaryRecomputes) > 0 || delta(obs.MSummaryMisses) > 0:
-		rec.Strategy = "recompute"
-	case rec.CacheHits > 0:
-		rec.Strategy = "cached"
-	}
-	switch {
-	case delta(obs.MSummaryRecomputeParallel) > 0 || delta(obs.MExecRunsParallel) > 0:
-		rec.Engine = "parallel"
-	case delta(obs.MSummaryRecomputeSerial) > 0 || delta(obs.MExecRunsSerial) > 0:
-		rec.Engine = "serial"
 	}
 	var be *obs.BudgetError
 	if errors.As(err, &be) {
@@ -379,28 +345,6 @@ func (e *Executor) logQuery(text string, cmd Command, root *obs.Span, prof *obs.
 		e.cSlow.Inc()
 	}
 	e.events.Log(obs.Event{Tick: e.clock, Kind: "query", Query: rec})
-}
-
-// scanRows sums the rows attribute over every "scan" span in the tree —
-// the statement's data touched, as the profile saw it.
-func scanRows(s *obs.Span) int64 {
-	if s == nil {
-		return 0
-	}
-	var n int64
-	if s.Name() == "scan" {
-		for _, a := range s.Attrs() {
-			if a.Key == "rows" {
-				var v int64
-				fmt.Sscanf(a.Value, "%d", &v)
-				n += v
-			}
-		}
-	}
-	for _, c := range s.Children() {
-		n += scanRows(c)
-	}
-	return n
 }
 
 // exec dispatches one parsed command inside the caller's span.
@@ -510,10 +454,12 @@ func (e *Executor) exec(cmd Command) error {
 		}
 		w := tabwriter.NewWriter(e.Out, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(w, "SHARD\tHEALTH\tROWS\tCHUNKS\tGEN\tFAULTS\tRETRIES\tEXHAUSTED\tTICKS")
+		retry := st.Metrics().Counters
 		for _, si := range st.Info() {
 			fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
-				si.Label, si.Health, si.Rows, si.Chunks, si.CkptGen,
-				si.Faults.Injected(), si.Retries.Retries, si.Retries.Exhausted, si.DevTicks)
+				si.Label, si.Health, si.Rows, si.Chunks, si.CkptGen, si.Faults.Injected(),
+				retry[obs.LabeledName(obs.MStorageRetryAttempts, si.Label)],
+				retry[obs.LabeledName(obs.MStorageRetryExhausted, si.Label)], si.DevTicks)
 		}
 		return w.Flush()
 	case Show:

@@ -382,11 +382,11 @@ type ShardInfo struct {
 	Fails    int
 	CkptGen  uint64
 	Faults   storage.FaultCounts
-	Retries  storage.RetryStats
 	DevTicks int64
 }
 
-// Info snapshots every shard's health and fault/retry ledgers.
+// Info snapshots every shard's health and fault ledger; the retry ledger
+// is in Metrics, label-twinned per shard.
 func (s *Store) Info() []ShardInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -400,7 +400,6 @@ func (s *Store) Info() []ShardInfo {
 			Health:   sh.health,
 			Fails:    sh.fails,
 			CkptGen:  sh.ckptGen,
-			Retries:  sh.pool.RetryStats(),
 			DevTicks: sh.dev.Stats().Ticks,
 		}
 		if sh.fault != nil {

@@ -21,8 +21,8 @@ import (
 //   - pages read on a Fetch miss are checksum-verified (VerifyPageBuf),
 //     so device corruption surfaces as a CorruptError at the fetch, not
 //     as garbage decoded downstream;
-//   - dirty version-2 pages are sealed (checksummed) before every write
-//     back to the device;
+//   - dirty pages are sealed (checksummed) before every write back to
+//     the device;
 //   - transient device errors (errors.Is ErrTransient) are retried with
 //     bounded doubling backoff, charged as virtual ticks through the
 //     device's TickCharger so recovery cost lands in the same ledger as
@@ -42,7 +42,7 @@ type BufferPool struct {
 	// Metrics live in a per-pool obs registry under the canonical
 	// storage.* names, so per-pool accounting stays exact and pools roll
 	// up into a system-wide snapshot via Snapshot.Merge (core.DBMS does
-	// this). RetryStats() and HitRate() read the same counters.
+	// this).
 	reg *obs.Registry
 	met poolMetrics
 	lab labeledRetry
@@ -102,31 +102,6 @@ type RetryPolicy struct {
 // with backoff 8, 16, 32 ticks — bounded, and cheap next to a seek.
 func DefaultRetryPolicy() RetryPolicy { return RetryPolicy{MaxAttempts: 4, BackoffTicks: 8} }
 
-// RetryStats counts transient-error recovery activity.
-//
-// Deprecated for accumulation: the counts live in the pool's metrics
-// registry (storage.retry.* — see Metrics); this struct remains as the
-// snapshot type returned by the RetryStats compatibility accessor.
-type RetryStats struct {
-	Retries      int64 // individual retry attempts made
-	Recovered    int64 // operations that succeeded after >=1 retry
-	Exhausted    int64 // operations that failed every attempt
-	BackoffTicks int64 // virtual time spent backing off
-}
-
-// Add accumulates o into s.
-func (s *RetryStats) Add(o RetryStats) {
-	s.Retries += o.Retries
-	s.Recovered += o.Recovered
-	s.Exhausted += o.Exhausted
-	s.BackoffTicks += o.BackoffTicks
-}
-
-func (s RetryStats) String() string {
-	return fmt.Sprintf("retries=%d recovered=%d exhausted=%d backoff=%d",
-		s.Retries, s.Recovered, s.Exhausted, s.BackoffTicks)
-}
-
 // NewBufferPool creates a pool of capacity pages over dev. Every pool
 // carries its own metrics registry (see Metrics).
 func NewBufferPool(dev Device, capacity int) *BufferPool {
@@ -172,30 +147,8 @@ func (bp *BufferPool) SetRetryPolicy(p RetryPolicy) {
 	bp.retry = p
 }
 
-// RetryStats returns the accumulated transient-error recovery counters.
-// Compatibility accessor: the counts are read from the pool's metrics
-// registry, where withRetry now records them.
-func (bp *BufferPool) RetryStats() RetryStats {
-	return RetryStats{
-		Retries:      bp.met.retries.Value(),
-		Recovered:    bp.met.recovered.Value(),
-		Exhausted:    bp.met.exhausted.Value(),
-		BackoffTicks: bp.met.backoffTicks.Value(),
-	}
-}
-
 // Device returns the device the pool is caching.
 func (bp *BufferPool) Device() Device { return bp.dev }
-
-// HitRate returns the fraction of Fetch calls served from memory.
-func (bp *BufferPool) HitRate() float64 {
-	hits, misses := bp.met.hits.Value(), bp.met.misses.Value()
-	total := hits + misses
-	if total == 0 {
-		return 0
-	}
-	return float64(hits) / float64(total)
-}
 
 // withRetry runs op, retrying while it fails with ErrTransient, up to
 // the policy's attempt budget, charging doubling backoff through the
@@ -249,7 +202,7 @@ func (bp *BufferPool) readPage(id PageID, buf []byte) error {
 	return nil
 }
 
-// writePage seals (version-2 images only) and writes buf with retry.
+// writePage seals and writes buf with retry.
 func (bp *BufferPool) writePage(id PageID, buf []byte) error {
 	SealPage(buf)
 	if err := bp.withRetry(func() error { return bp.dev.WritePage(id, buf) }); err != nil {
@@ -352,20 +305,6 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) error {
 	if dirty {
 		f.dirty = true
 	}
-	return nil
-}
-
-// MarkDirty flags a buffered page dirty without a pin cycle — used after
-// an in-place image transform (legacy page upgrade) so the converted
-// bytes reach the device.
-func (bp *BufferPool) MarkDirty(id PageID) error {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	e, ok := bp.frames[id]
-	if !ok {
-		return fmt.Errorf("storage: mark-dirty of unbuffered page %d", id)
-	}
-	e.Value.(*frame).dirty = true
 	return nil
 }
 

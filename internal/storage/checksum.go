@@ -5,8 +5,8 @@ import (
 	"hash/crc32"
 )
 
-// Page envelope (layout version 2). Every page written through the
-// buffer pool carries an 8-byte envelope ahead of its payload:
+// Page envelope. Every page written through the buffer pool carries an
+// 8-byte envelope ahead of its payload:
 //
 //	offset 0: uint16 magic 0x5350 ("PS" little endian)
 //	offset 2: uint8  layout version (2)
@@ -16,14 +16,9 @@ import (
 // The checksum is computed when the page is flushed to a device (Seal)
 // and verified when it is read back (VerifyPageBuf), so a torn write or
 // bit flip on the device surfaces as a CorruptError at the next fetch
-// instead of as garbage decoded downstream.
-//
-// Version 1 is the pre-envelope layout: no magic, payload starts at
-// byte 0. A version-1 page cannot carry a checksum and is passed through
-// unverified; the slotted-page reader upgrades version-1 heap pages in
-// place on first fetch (see Page.UpgradeLegacy). The magic cannot alias
-// a version-1 slotted page: its first two bytes are the slot count,
-// which is at most PageSize/slotSize = 1024, far below 0x5350.
+// instead of as garbage decoded downstream. There is one layout: an
+// image whose magic, version or flags are anything else is corrupt, so
+// damage to the envelope itself cannot route around the checksum.
 const (
 	// PageEnvelopeSize is the bytes reserved at the front of every page
 	// for the magic, version and checksum.
@@ -33,50 +28,37 @@ const (
 	PagePayloadSize = PageSize - PageEnvelopeSize
 
 	pageMagic     = 0x5350
-	pageVersion2  = 2
+	pageVersion   = 2
 	envelopeCRCOf = 4 // offset of the CRC field
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// PageVersion reports the layout version of a page image: 2 when the
-// envelope magic is present, 1 (legacy, unverifiable) otherwise.
-func PageVersion(buf []byte) int {
-	if len(buf) == PageSize &&
-		binary.LittleEndian.Uint16(buf[0:2]) == pageMagic &&
-		buf[2] == pageVersion2 {
-		return 2
-	}
-	return 1
-}
-
 // initEnvelope stamps the magic and version with a zero checksum; the
 // real checksum is written by SealPage at flush time.
 func initEnvelope(buf []byte) {
 	binary.LittleEndian.PutUint16(buf[0:2], pageMagic)
-	buf[2] = pageVersion2
+	buf[2] = pageVersion
 	buf[3] = 0
 	binary.LittleEndian.PutUint32(buf[envelopeCRCOf:envelopeCRCOf+4], 0)
 }
 
-// SealPage recomputes and stores the payload checksum of a version-2
-// page image. Sealing a legacy (version-1) image is a no-op: writing the
-// envelope over it would destroy its first payload bytes.
+// SealPage recomputes and stores the payload checksum of a page image.
 func SealPage(buf []byte) {
-	if PageVersion(buf) != 2 {
-		return
-	}
 	crc := crc32.Checksum(buf[PageEnvelopeSize:], castagnoli)
 	binary.LittleEndian.PutUint32(buf[envelopeCRCOf:envelopeCRCOf+4], crc)
 }
 
-// VerifyPageBuf checks a page image read from a device: version-2 pages
-// must carry a matching payload checksum; version-1 pages pass
-// unverified (nothing to check against). On mismatch it returns a
-// CorruptError for page id wrapping ErrCorrupt.
+// VerifyPageBuf checks a page image read from a device: the envelope
+// must be exactly the one initEnvelope stamps and the payload must match
+// its checksum. Anything else is a CorruptError for page id wrapping
+// ErrCorrupt — including an image that was allocated but never written.
 func VerifyPageBuf(buf []byte, id PageID) error {
-	if PageVersion(buf) != 2 {
-		return nil
+	if len(buf) != PageSize ||
+		binary.LittleEndian.Uint16(buf[0:2]) != pageMagic ||
+		buf[2] != pageVersion || buf[3] != 0 {
+		return &CorruptError{Page: id, Slot: -1, Off: -1,
+			Detail: "bad page envelope"}
 	}
 	want := binary.LittleEndian.Uint32(buf[envelopeCRCOf : envelopeCRCOf+4])
 	got := crc32.Checksum(buf[PageEnvelopeSize:], castagnoli)

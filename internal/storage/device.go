@@ -52,9 +52,6 @@ func (s *Stats) Add(o Stats) {
 	s.Ticks += o.Ticks
 }
 
-// IO returns total page transfers.
-func (s Stats) IO() int64 { return s.Reads + s.Writes }
-
 func (s Stats) String() string {
 	return fmt.Sprintf("reads=%d writes=%d seeks=%d ticks=%d", s.Reads, s.Writes, s.Seeks, s.Ticks)
 }

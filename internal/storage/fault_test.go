@@ -41,19 +41,6 @@ func TestSealVerifyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestVerifyLegacyPagePasses(t *testing.T) {
-	// A version-1 image (no magic) carries no checksum; it must pass
-	// unverified rather than be rejected.
-	buf := make([]byte, PageSize)
-	buf[0], buf[1] = 3, 0 // slot count 3: below the magic
-	if err := VerifyPageBuf(buf, 0); err != nil {
-		t.Fatalf("legacy page rejected: %v", err)
-	}
-	if PageVersion(buf) != 1 {
-		t.Fatalf("version = %d, want 1", PageVersion(buf))
-	}
-}
-
 func TestFaultDeviceDeterminism(t *testing.T) {
 	cfg := FaultConfig{Seed: 99, ReadTransientRate: 0.5}
 	run := func() []bool {
@@ -102,15 +89,16 @@ func TestPoolRetryRecoversTransientRead(t *testing.T) {
 	if row[0].AsInt() != 1 {
 		t.Fatalf("row = %v", row)
 	}
-	rs := fresh.RetryStats()
-	if rs.Retries != 2 || rs.Recovered != 1 || rs.Exhausted != 0 {
-		t.Fatalf("retry stats = %+v, want 2 retries, 1 recovered", rs)
+	if r, rec, ex := counter(t, fresh, obs.MStorageRetryAttempts), counter(t, fresh, obs.MStorageRetryRecovered),
+		counter(t, fresh, obs.MStorageRetryExhausted); r != 2 || rec != 1 || ex != 0 {
+		t.Fatalf("retries=%d recovered=%d exhausted=%d, want 2 retries, 1 recovered", r, rec, ex)
 	}
-	if rs.BackoffTicks != 8+16 {
-		t.Fatalf("backoff ticks = %d, want 24 (8 then 16)", rs.BackoffTicks)
+	backoff := counter(t, fresh, obs.MStorageRetryBackoff)
+	if backoff != 8+16 {
+		t.Fatalf("backoff ticks = %d, want 24 (8 then 16)", backoff)
 	}
-	if got := inner.Stats().Ticks - before; got < rs.BackoffTicks {
-		t.Fatalf("device ledger gained %d ticks, want at least the %d backoff", got, rs.BackoffTicks)
+	if got := inner.Stats().Ticks - before; got < backoff {
+		t.Fatalf("device ledger gained %d ticks, want at least the %d backoff", got, backoff)
 	}
 }
 
@@ -122,9 +110,8 @@ func TestPoolRetryExhausts(t *testing.T) {
 	if !errors.Is(err, ErrTransient) {
 		t.Fatalf("fetch error = %v, want ErrTransient", err)
 	}
-	rs := pool.RetryStats()
-	if rs.Exhausted != 1 || rs.Retries != 3 {
-		t.Fatalf("retry stats = %+v, want 3 retries and 1 exhausted", rs)
+	if r, ex := counter(t, pool, obs.MStorageRetryAttempts), counter(t, pool, obs.MStorageRetryExhausted); ex != 1 || r != 3 {
+		t.Fatalf("retries=%d exhausted=%d, want 3 retries and 1 exhausted", r, ex)
 	}
 	if faults := dev.Faults(); faults.ReadTransient != 4 {
 		t.Fatalf("injected %d read faults, want 4 (one per attempt)", faults.ReadTransient)
@@ -155,9 +142,8 @@ func TestTornWriteCaughtByChecksum(t *testing.T) {
 }
 
 func TestBitFlipCaughtByChecksum(t *testing.T) {
-	// Seed chosen so the flipped bit lands in the payload (a flip inside
-	// the 8-byte envelope could demote the page to "legacy" instead —
-	// the known blind spot documented in checksum.go).
+	// Wherever the flipped bit lands — payload or envelope — the fetch
+	// must fail: every seed, no exceptions.
 	for seed := uint64(1); seed <= 64; seed++ {
 		inner := NewMemDevice(DefaultDiskCost())
 		dev := NewFaultDevice(inner, FaultConfig{Seed: seed, BitFlipRate: 1, MaxFaults: 1})
@@ -172,21 +158,52 @@ func TestBitFlipCaughtByChecksum(t *testing.T) {
 		if f := dev.Faults(); f.BitFlips != 1 {
 			t.Fatalf("seed %d: faults = %+v, want one bit flip", seed, f)
 		}
-		// Read the raw image to see where the flip landed.
-		raw := make([]byte, PageSize)
-		if err := inner.ReadPage(h.Pages()[0], raw); err != nil {
-			t.Fatal(err)
-		}
-		if PageVersion(raw) != 2 {
-			continue // flip hit the envelope; try another seed
-		}
 		fresh := NewBufferPool(dev, 4)
 		if _, err := fresh.Fetch(h.Pages()[0]); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("seed %d: fetch of bit-flipped page = %v, want ErrCorrupt", seed, err)
+			t.Errorf("seed %d: fetch of bit-flipped page = %v, want ErrCorrupt", seed, err)
 		}
-		return
+		if got := counter(t, fresh, obs.MStorageChecksumFailed); got != 1 {
+			t.Errorf("seed %d: checksum.failed = %d, want 1", seed, got)
+		}
 	}
-	t.Fatal("no seed in 1..64 flipped a payload bit")
+}
+
+// TestEnvelopeBitFlipsAreCorrupt closes the hole a second layout version
+// used to open: damage to the envelope itself (magic, version, flags or
+// the stored CRC) cannot demote a page to "unverifiable" — each of its
+// 64 bits, flipped alone, fails the fetch.
+func TestEnvelopeBitFlipsAreCorrupt(t *testing.T) {
+	dev := NewMemDevice(DefaultDiskCost())
+	pool := NewBufferPool(dev, 4)
+	h := NewHeapFile(pool, testSchema(t))
+	if _, err := h.Insert(dataset.Row{dataset.Int(7), dataset.Float(7)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	id := h.Pages()[0]
+	sealed := make([]byte, PageSize)
+	if err := dev.ReadPage(id, sealed); err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyPageBuf(sealed, id); err != nil {
+		t.Fatalf("sealed page fails verification: %v", err)
+	}
+	for bit := 0; bit < 8*PageEnvelopeSize; bit++ {
+		img := append([]byte(nil), sealed...)
+		img[bit/8] ^= 1 << (bit % 8)
+		if err := dev.WritePage(id, img); err != nil {
+			t.Fatal(err)
+		}
+		fresh := NewBufferPool(dev, 4)
+		if _, err := fresh.Fetch(id); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("envelope bit %d flipped: fetch = %v, want ErrCorrupt", bit, err)
+		}
+		if got := counter(t, fresh, obs.MStorageChecksumFailed); got != 1 {
+			t.Errorf("envelope bit %d flipped: checksum.failed = %d, want 1", bit, got)
+		}
+	}
 }
 
 func TestStuckPageDetectedOnReload(t *testing.T) {
@@ -203,9 +220,8 @@ func TestStuckPageDetectedOnReload(t *testing.T) {
 	if f := dev.Faults(); f.StuckPages != 1 {
 		t.Fatalf("faults = %+v, want one stuck page", f)
 	}
-	// The device still holds the all-zero image, which reads as a legacy
-	// page with an impossible header: the heap file reports corruption
-	// rather than decoding garbage.
+	// The device still holds the all-zero image, which carries no
+	// envelope: the fetch reports corruption rather than decoding garbage.
 	fresh := NewBufferPool(dev, 4)
 	h2 := OpenHeapFile(fresh, testSchema(t), h.Pages(), h.Count())
 	if _, err := h2.Get(RID{h.Pages()[0], 0}); !errors.Is(err, ErrCorrupt) {
@@ -274,71 +290,6 @@ func contains(s, sub string) bool {
 	return false
 }
 
-func TestLegacyPageUpgradedOnFetch(t *testing.T) {
-	schema := testSchema(t)
-	// Build a version-1 page image by hand: records encoded at offset 4,
-	// slot directory at the tail.
-	buf := make([]byte, PageSize)
-	recs := [][]byte{
-		EncodeRow(nil, dataset.Row{dataset.Int(10), dataset.Float(0.5)}),
-		EncodeRow(nil, dataset.Row{dataset.Int(20), dataset.Float(1.5)}),
-	}
-	off := legacyHeaderSize
-	for s, rec := range recs {
-		copy(buf[off:], rec)
-		pos := PageSize - (s+1)*slotSize
-		buf[pos] = byte(off)
-		buf[pos+1] = byte(off >> 8)
-		buf[pos+2] = byte(len(rec))
-		buf[pos+3] = byte(len(rec) >> 8)
-		off += len(rec)
-	}
-	buf[0] = byte(len(recs))
-	buf[2] = byte(off)
-	buf[3] = byte(off >> 8)
-
-	dev := NewMemDevice(DefaultDiskCost())
-	id, _ := dev.Allocate()
-	if err := dev.WritePage(id, buf); err != nil {
-		t.Fatal(err)
-	}
-	pool := NewBufferPool(dev, 4)
-	h := OpenHeapFile(pool, schema, []PageID{id}, len(recs))
-	row, err := h.Get(RID{id, 1})
-	if err != nil {
-		t.Fatalf("get from legacy page: %v", err)
-	}
-	if row[0].AsInt() != 20 {
-		t.Fatalf("row = %v", row)
-	}
-	// The upgrade marked the page dirty; after a flush the on-device
-	// image is version 2 with a valid checksum.
-	if err := pool.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]byte, PageSize)
-	if err := dev.ReadPage(id, out); err != nil {
-		t.Fatal(err)
-	}
-	if PageVersion(out) != 2 {
-		t.Fatalf("on-device version = %d after upgrade, want 2", PageVersion(out))
-	}
-	if err := VerifyPageBuf(out, id); err != nil {
-		t.Fatalf("upgraded page fails verification: %v", err)
-	}
-}
-
-func TestUpgradeLegacyRejectsGarbage(t *testing.T) {
-	buf := make([]byte, PageSize)
-	for i := range buf {
-		buf[i] = 0x5A // slot count 0x5A5A = 23130 > max
-	}
-	p := NewPage(buf)
-	if err := p.UpgradeLegacy(3); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("garbage upgrade = %v, want ErrCorrupt", err)
-	}
-}
-
 func TestFaultDeviceLabeledMetrics(t *testing.T) {
 	// Two fault devices sharing one registry must stay attributable:
 	// only the faulting shard's labeled counters move.
@@ -377,16 +328,8 @@ func TestBufferPoolLabeledRetryCounters(t *testing.T) {
 		FaultConfig{Seed: 1, ReadTransientRate: 1, MaxFaults: 2})
 	pool := NewBufferPool(dev, 4)
 	pool.SetLabel("shard2")
-	id, _ := dev.Allocate()
 	dev.SetDisabled(true)
-	p, err := pool.Fetch(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Init()
-	if err := pool.Unpin(id, true); err != nil {
-		t.Fatal(err)
-	}
+	id := dirtyPage(t, pool)
 	if err := pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +348,7 @@ func TestBufferPoolLabeledRetryCounters(t *testing.T) {
 		t.Fatalf("labeled recovered = %d, want 1", v)
 	}
 	// The global families moved in lockstep.
-	if g := fresh.RetryStats(); g.Retries != 2 || g.Recovered != 1 {
-		t.Fatalf("global retry stats = %+v, want 2 retries 1 recovered", g)
+	if r, rec := counter(t, fresh, obs.MStorageRetryAttempts), counter(t, fresh, obs.MStorageRetryRecovered); r != 2 || rec != 1 {
+		t.Fatalf("global retries=%d recovered=%d, want 2 retries 1 recovered", r, rec)
 	}
 }

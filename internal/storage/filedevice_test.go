@@ -102,13 +102,21 @@ func TestFileDeviceCostAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dev.Close()
+	// A page that was allocated but never written has no envelope and
+	// reads back corrupt, so write sealed images first.
+	buf := make([]byte, PageSize)
+	NewPage(buf).Init()
+	SealPage(buf)
 	for i := 0; i < 3; i++ {
-		if _, err := dev.Allocate(); err != nil {
+		id, err := dev.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.WritePage(id, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
 	dev.ResetStats()
-	buf := make([]byte, PageSize)
 	for i := 0; i < 3; i++ {
 		if err := dev.ReadPage(PageID(i), buf); err != nil {
 			t.Fatal(err)

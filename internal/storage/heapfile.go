@@ -41,27 +41,6 @@ func OpenHeapFile(pool *BufferPool, schema *dataset.Schema, pages []PageID, coun
 // Pages returns the file's page list in insertion order (a copy).
 func (h *HeapFile) Pages() []PageID { return append([]PageID(nil), h.pages...) }
 
-// fetchSlotted fetches a page and transparently upgrades a legacy
-// (version-1, pre-checksum) image to the enveloped layout, marking it
-// dirty so the upgrade is persisted with a checksum at next flush.
-func (h *HeapFile) fetchSlotted(id PageID) (*Page, error) {
-	p, err := h.pool.Fetch(id)
-	if err != nil {
-		return nil, err
-	}
-	if p.Version() == 1 {
-		if err := p.UpgradeLegacy(id); err != nil {
-			_ = h.pool.Unpin(id, false) //lint:allow error-flow unpin on the error path; the original error wins
-			return nil, err
-		}
-		if err := h.pool.MarkDirty(id); err != nil {
-			_ = h.pool.Unpin(id, false) //lint:allow error-flow unpin on the error path; the original error wins
-			return nil, err
-		}
-	}
-	return p, nil
-}
-
 // Schema returns the file's row schema.
 func (h *HeapFile) Schema() *dataset.Schema { return h.schema }
 
@@ -77,7 +56,7 @@ func (h *HeapFile) Insert(row dataset.Row) (RID, error) {
 	rec := EncodeRow(nil, row)
 	if len(h.pages) > 0 {
 		last := h.pages[len(h.pages)-1]
-		p, err := h.fetchSlotted(last)
+		p, err := h.pool.Fetch(last)
 		if err != nil {
 			return RID{}, err
 		}
@@ -110,7 +89,7 @@ func (h *HeapFile) Insert(row dataset.Row) (RID, error) {
 // Get returns the record at rid. A record whose bytes fail to decode is
 // reported as a CorruptError locating the page and slot.
 func (h *HeapFile) Get(rid RID) (dataset.Row, error) {
-	p, err := h.fetchSlotted(rid.Page)
+	p, err := h.pool.Fetch(rid.Page)
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +113,7 @@ func (h *HeapFile) Get(rid RID) (dataset.Row, error) {
 // in the page even after compaction, Update fails; the caller relocates.
 func (h *HeapFile) Update(rid RID, row dataset.Row) error {
 	rec := EncodeRow(nil, row)
-	p, err := h.fetchSlotted(rid.Page)
+	p, err := h.pool.Fetch(rid.Page)
 	if err != nil {
 		return err
 	}
@@ -152,7 +131,7 @@ func (h *HeapFile) Update(rid RID, row dataset.Row) error {
 
 // Delete removes the record at rid.
 func (h *HeapFile) Delete(rid RID) error {
-	p, err := h.fetchSlotted(rid.Page)
+	p, err := h.pool.Fetch(rid.Page)
 	if err != nil {
 		return err
 	}
@@ -172,7 +151,7 @@ func (h *HeapFile) Delete(rid RID) error {
 // that dominates statistical operations (Section 2.2).
 func (h *HeapFile) Scan(fn func(rid RID, row dataset.Row) bool) error {
 	for _, id := range h.pages {
-		p, err := h.fetchSlotted(id)
+		p, err := h.pool.Fetch(id)
 		if err != nil {
 			return err
 		}
@@ -229,7 +208,7 @@ func (h *HeapFile) ScanTolerant(fn func(rid RID, row dataset.Row) bool, bad func
 		}
 	}
 	for _, id := range h.pages {
-		p, err := h.fetchSlotted(id)
+		p, err := h.pool.Fetch(id)
 		if err != nil {
 			if errors.Is(err, ErrCorrupt) {
 				report(Corruption{Page: id, Slot: -1, Err: err})

@@ -133,28 +133,3 @@ func TestEvictionCountersMatchOutcomes(t *testing.T) {
 		t.Errorf("evict_dirty = %d, want 2 (every dirty victim attempt)", got)
 	}
 }
-
-// TestRetryStatsCompatMatchesRegistry pins the satellite contract: the
-// legacy RetryStats accessor and the storage.retry.* counters are two
-// views of the same numbers.
-func TestRetryStatsCompatMatchesRegistry(t *testing.T) {
-	dev := NewFaultDevice(NewMemDevice(DefaultDiskCost()), FaultConfig{Seed: 11, WriteTransientRate: 1, MaxFaults: 1})
-	pool := NewBufferPool(dev, 2)
-	dirtyPage(t, pool)
-	if err := pool.FlushAll(); err != nil {
-		t.Fatalf("FlushAll (one transient fault, retried): %v", err)
-	}
-	rs := pool.RetryStats()
-	if rs.Retries == 0 || rs.Recovered != 1 {
-		t.Fatalf("expected a recovered retry, got %+v", rs)
-	}
-	if got := counter(t, pool, obs.MStorageRetryAttempts); got != rs.Retries {
-		t.Errorf("retry.attempts = %d, RetryStats.Retries = %d", got, rs.Retries)
-	}
-	if got := counter(t, pool, obs.MStorageRetryRecovered); got != rs.Recovered {
-		t.Errorf("retry.recovered = %d, RetryStats.Recovered = %d", got, rs.Recovered)
-	}
-	if got := counter(t, pool, obs.MStorageRetryBackoff); got != rs.BackoffTicks {
-		t.Errorf("retry.backoff_ticks = %d, RetryStats.BackoffTicks = %d", got, rs.BackoffTicks)
-	}
-}

@@ -5,7 +5,7 @@ import (
 	"fmt"
 )
 
-// Slotted page layout (little endian), version 2:
+// Slotted page layout (little endian):
 //
 //	offset 0:  8-byte page envelope (magic, version, CRC — checksum.go)
 //	offset 8:  uint16 slot count
@@ -15,19 +15,12 @@ import (
 //	           uint16 offset, uint16 length. offset == 0xFFFF marks a
 //	           deleted slot (offset 0 is never a record start).
 //
-// Version 1 (legacy, pre-checksum) had no envelope: slot count at 0,
-// free pointer at 2, records from 4. UpgradeLegacy converts a v1 image
-// in place; the heap file applies it transparently on first fetch.
-//
 // Records are at most PageSize-16 bytes, so any record that fits in a
 // page fits with its slot.
 const (
 	pageHeaderSize = PageEnvelopeSize + 4
 	slotSize       = 4
 	deletedOffset  = 0xFFFF
-
-	// legacy (version 1) layout constants, used only by UpgradeLegacy.
-	legacyHeaderSize = 4
 )
 
 // MaxRecordSize is the largest record a page can hold.
@@ -49,8 +42,8 @@ func NewPage(buf []byte) *Page {
 	return &Page{buf: buf}
 }
 
-// Init formats the page as empty, stamping the version-2 envelope (the
-// checksum itself is written when the page is flushed).
+// Init formats the page as empty, stamping the envelope (the checksum
+// itself is written when the page is flushed).
 func (p *Page) Init() {
 	for i := range p.buf {
 		p.buf[i] = 0
@@ -60,16 +53,10 @@ func (p *Page) Init() {
 	p.setFreePtr(pageHeaderSize)
 }
 
-// Buf returns the underlying buffer, envelope included.
-func (p *Page) Buf() []byte { return p.buf }
-
 // Payload returns the page bytes behind the envelope — the region page
 // formats (column segments, index nodes) may use freely; the envelope
 // stays under the buffer pool's control.
 func (p *Page) Payload() []byte { return p.buf[PageEnvelopeSize:] }
-
-// Version reports the page's layout version (see PageVersion).
-func (p *Page) Version() int { return PageVersion(p.buf) }
 
 const (
 	slotCountOff = PageEnvelopeSize
@@ -90,61 +77,6 @@ func (p *Page) setFreePtr(off int) {
 }
 
 func (p *Page) slotPos(slot int) int { return PageSize - (slot+1)*slotSize }
-
-// UpgradeLegacy converts a version-1 slotted page image to version 2 in
-// place: the record area shifts up by the envelope size and every live
-// slot offset is rebased. It validates the v1 header and slot directory
-// first and returns a CorruptError when they are implausible, so a
-// garbled page is reported rather than silently reinterpreted. A page
-// already at version 2 is left untouched.
-//
-// The caller (the heap file) must mark the page dirty so the upgraded
-// image is flushed back with a checksum.
-func (p *Page) UpgradeLegacy(id PageID) error {
-	if p.Version() == 2 {
-		return nil
-	}
-	slots := int(binary.LittleEndian.Uint16(p.buf[0:2]))
-	free := int(binary.LittleEndian.Uint16(p.buf[2:4]))
-	maxSlots := (PageSize - legacyHeaderSize) / slotSize
-	if slots > maxSlots || free < legacyHeaderSize || free > PageSize-slots*slotSize {
-		return &CorruptError{Page: id, Slot: -1, Off: -1,
-			Detail: "implausible legacy slotted header"}
-	}
-	type slotEntry struct{ off, length int }
-	dir := make([]slotEntry, slots)
-	for s := 0; s < slots; s++ {
-		pos := p.slotPos(s)
-		off := int(binary.LittleEndian.Uint16(p.buf[pos : pos+2]))
-		length := int(binary.LittleEndian.Uint16(p.buf[pos+2 : pos+4]))
-		if off != deletedOffset && (off < legacyHeaderSize || off+length > free) {
-			return &CorruptError{Page: id, Slot: s, Off: off,
-				Detail: "legacy slot outside record area"}
-		}
-		dir[s] = slotEntry{off, length}
-	}
-	shift := pageHeaderSize - legacyHeaderSize
-	if free+shift > PageSize-slots*slotSize {
-		// The page was packed so tightly the envelope cannot fit even
-		// though the directory validated; compacting is the caller's
-		// recourse, but a full v1 page cannot become a valid v2 page.
-		return &CorruptError{Page: id, Slot: -1, Off: -1,
-			Detail: "legacy page too full to carry a checksum envelope"}
-	}
-	// copy is memmove-safe for the overlapping shift.
-	copy(p.buf[legacyHeaderSize+shift:free+shift], p.buf[legacyHeaderSize:free])
-	initEnvelope(p.buf)
-	p.setSlotCount(slots)
-	p.setFreePtr(free + shift)
-	for s, e := range dir {
-		if e.off == deletedOffset {
-			p.setSlot(s, deletedOffset, 0)
-		} else {
-			p.setSlot(s, e.off+shift, e.length)
-		}
-	}
-	return nil
-}
 
 func (p *Page) slot(slot int) (off, length int) {
 	pos := p.slotPos(slot)

@@ -3,6 +3,7 @@ package summary
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -62,7 +63,8 @@ func (p Policy) String() string {
 	}
 }
 
-// Counters instrument the cache for the experiments.
+// Counters is a point-in-time copy of the cache's summary.* counts, read
+// from the registry handles that count them (Metrics).
 type Counters struct {
 	Hits        int64 // lookups answered from a fresh entry
 	Misses      int64 // lookups that computed from the data
@@ -108,15 +110,17 @@ func entryKey(fn string, attrs []string) []byte {
 // cache serves several analysts at once. Sources are invoked while the
 // lock is held, so a Source must never call back into the same DB.
 type DB struct {
-	mu       sync.Mutex
-	mdb      *rules.ManagementDB
-	policy   Policy       // guarded by mu
-	idx      *index.BTree // guarded by mu; (attr..., fn) -> slot
-	entries  []*entry     // guarded by mu
-	counters Counters     // guarded by mu
-	// System-wide observability: met mirrors counters into a shared
-	// registry (summary.* families) and tracer carries the per-query
-	// span tree. Both no-op until SetMetrics/SetTracer wire them.
+	mu      sync.Mutex
+	mdb     *rules.ManagementDB
+	policy  Policy       // guarded by mu
+	idx     *index.BTree // guarded by mu; (attr..., fn) -> slot
+	entries []*entry     // guarded by mu
+	// Every count lives once, in the DB's own registry (the pattern of
+	// storage.BufferPool): met caches its handles, Counters reads them and
+	// core.DBMS.Metrics merges the registry into the system snapshot. What
+	// one statement did is stated on its span tree instead, through tracer
+	// (nil until SetTracer: no spans).
+	reg    *obs.Registry
 	met    dbMetrics
 	tracer *obs.Tracer
 	// Execution engine for whole-column recomputations (SetExec); nil
@@ -129,7 +133,8 @@ type DB struct {
 
 // NewDB creates an empty Summary Database driven by mdb's strategies.
 func NewDB(mdb *rules.ManagementDB) *DB {
-	return &DB{mdb: mdb, idx: index.New(), WindowCapacity: 100}
+	reg := obs.NewRegistry()
+	return &DB{mdb: mdb, idx: index.New(), WindowCapacity: 100, reg: reg, met: newDBMetrics(reg)}
 }
 
 // SetPolicy switches the cache-wide update policy.
@@ -139,8 +144,8 @@ func (db *DB) SetPolicy(p Policy) {
 	db.policy = p
 }
 
-// dbMetrics caches registry handles mirroring Counters plus the engine
-// routing and pass-cost instruments. Nil handles (no SetMetrics) no-op.
+// dbMetrics caches the registry handles: the Counters families plus the
+// engine routing and pass-cost instruments.
 type dbMetrics struct {
 	hits, misses, staleRefill          *obs.Counter
 	incremental, slides, rebuilds      *obs.Counter
@@ -152,13 +157,8 @@ type dbMetrics struct {
 	runsFolded, rowsDecoded, runStrategyHits *obs.Counter
 }
 
-// SetMetrics mirrors the cache's instrumentation into reg under the
-// summary.* (and medwin.*) canonical names. The local Counters struct
-// keeps working unchanged; the registry is the roll-up view.
-func (db *DB) SetMetrics(reg *obs.Registry) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.met = dbMetrics{
+func newDBMetrics(reg *obs.Registry) dbMetrics {
+	return dbMetrics{
 		hits:              reg.Counter(obs.MSummaryHits),
 		misses:            reg.Counter(obs.MSummaryMisses),
 		staleRefill:       reg.Counter(obs.MSummaryStaleRefill),
@@ -185,18 +185,23 @@ func (db *DB) SetTracer(tr *obs.Tracer) {
 	db.tracer = tr
 }
 
-// Counters returns a copy of the instrumentation counters.
-func (db *DB) Counters() Counters {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.counters
-}
+// Metrics exposes the DB's registry: the summary.* and medwin.* families
+// and the run-strategy exec.* counters. Callers aggregating several
+// caches merge the snapshots.
+func (db *DB) Metrics() *obs.Registry { return db.reg }
 
-// ResetCounters zeroes the instrumentation.
-func (db *DB) ResetCounters() {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.counters = Counters{}
+// Counters returns the current summary.* counts.
+func (db *DB) Counters() Counters {
+	return Counters{
+		Hits:        db.met.hits.Value(),
+		Misses:      db.met.misses.Value(),
+		StaleRefill: db.met.staleRefill.Value(),
+		Incremental: db.met.incremental.Value(),
+		Slides:      db.met.slides.Value(),
+		Rebuilds:    db.met.rebuilds.Value(),
+		Recomputes:  db.met.recomputes.Value(),
+		Passes:      db.met.passes.Value(),
+	}
 }
 
 // Len returns the number of cached entries.
@@ -230,7 +235,6 @@ func (db *DB) ScalarFrom(fn, attr string, src Sources) (float64, error) {
 	if slot, ok := db.idx.Get(key); ok {
 		e := db.entries[slot]
 		if e.fresh {
-			db.counters.Hits++
 			db.met.hits.Inc()
 			sp.SetAttr("outcome", "hit")
 			return e.result.Scalar, nil
@@ -244,16 +248,18 @@ func (db *DB) ScalarFrom(fn, attr string, src Sources) (float64, error) {
 		if e.runs == nil {
 			e.runs = src.Runs
 		}
-		sp.SetAttr("outcome", "stale-refill")
 		v, err := db.refreshScalar(e, src.Gather)
 		if err != nil {
 			return 0, err
 		}
-		db.counters.StaleRefill++
+		// The counters and the span's outcome are written together, once the
+		// refill has answered: one that failed (a budget breach mid-scan) is
+		// neither counted nor given an outcome, and the entry stays stale.
 		db.met.staleRefill.Inc()
+		db.met.recomputes.Inc()
+		sp.SetAttr("outcome", "stale-refill")
 		return v, nil
 	}
-	db.counters.Misses++
 	db.met.misses.Inc()
 	sp.SetAttr("outcome", "miss")
 	e := &entry{fn: fn, attrs: []string{attr}, source: src.Rows, runs: src.Runs}
@@ -346,7 +352,6 @@ func (db *DB) readSource(source Source) ([]float64, []bool) {
 	sp.SetAttr("rows", fmt.Sprintf("%d", len(xs)))
 	sp.SetAttr("strategy", "rows")
 	sp.End()
-	db.counters.Passes++
 	db.met.passes.Inc()
 	db.met.rowsDecoded.Add(int64(len(xs)))
 	return xs, valid
@@ -360,7 +365,6 @@ func (db *DB) readGather(gather GatherSource, freq bool) (State, bool, error) {
 	st, complete, err := gather(freq)
 	sp.SetAttr("strategy", "gather")
 	sp.End()
-	db.counters.Passes++
 	db.met.passes.Inc()
 	return st, complete, err
 }
@@ -387,25 +391,17 @@ func (db *DB) installMaintenance(a *aggregate, e *entry, xs []float64, valid []b
 }
 
 // refreshScalar regenerates a stale scalar entry: custom entries through
-// their closure, built-ins through fill.
+// their closure, built-ins through fill. The caller counts the recompute.
 func (db *DB) refreshScalar(e *entry, gather GatherSource) (float64, error) {
-	var v float64
-	if e.recompute != nil {
-		r, err := e.recompute()
-		if err != nil {
-			return 0, err
-		}
-		e.result, e.fresh = r, true
-		v = r.Scalar
-	} else {
-		var err error
-		if v, err = db.fill(e, gather); err != nil {
-			return 0, err
-		}
+	if e.recompute == nil {
+		return db.fill(e, gather)
 	}
-	db.counters.Recomputes++
-	db.met.recomputes.Inc()
-	return v, nil
+	r, err := e.recompute()
+	if err != nil {
+		return 0, err
+	}
+	e.result, e.fresh = r, true
+	return r.Scalar, nil
 }
 
 func (db *DB) insert(e *entry) {
@@ -424,7 +420,6 @@ func (db *DB) Register(fn string, attrs []string, compute func() (Result, error)
 	if slot, ok := db.idx.Get(key); ok {
 		e := db.entries[slot]
 		if e.fresh {
-			db.counters.Hits++
 			db.met.hits.Inc()
 			return e.result, nil
 		}
@@ -435,8 +430,8 @@ func (db *DB) Register(fn string, attrs []string, compute func() (Result, error)
 			if err != nil {
 				return Result{}, err
 			}
-			db.counters.StaleRefill++
 			db.met.staleRefill.Inc()
+			db.met.recomputes.Inc()
 			return ScalarOf(v), nil
 		}
 		r, err := e.recompute()
@@ -445,13 +440,10 @@ func (db *DB) Register(fn string, attrs []string, compute func() (Result, error)
 		}
 		e.result = r
 		e.fresh = true
-		db.counters.StaleRefill++
 		db.met.staleRefill.Inc()
-		db.counters.Recomputes++
 		db.met.recomputes.Inc()
 		return r, nil
 	}
-	db.counters.Misses++
 	db.met.misses.Inc()
 	r, err := compute()
 	if err != nil {
@@ -477,7 +469,6 @@ func (db *DB) Lookup(fn string, attrs ...string) (Result, bool) {
 	if !e.fresh {
 		return Result{}, false
 	}
-	db.counters.Hits++
 	db.met.hits.Inc()
 	return e.result, true
 }
@@ -491,7 +482,6 @@ func (db *DB) Lookup(fn string, attrs ...string) (Result, bool) {
 func (db *DB) StoreCustom(fn string, attrs []string, r Result) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.counters.Misses++
 	db.met.misses.Inc()
 	if slot, ok := db.idx.Get(entryKey(fn, attrs)); ok {
 		e := db.entries[slot]
@@ -524,17 +514,40 @@ func (db *DB) Invalidate(attr string) int {
 // into the cache. Each affected entry reacts per the active policy and
 // its function's strategy, exactly the flow of Section 4.1: retrieve all
 // values clustered on the attribute, then apply each function's rules.
+//
+// The pass runs under a "summary.update" span: rebuild scans nest (and
+// charge) under it, and what the pass did is published once it is over —
+// added to the registry and stated on the span, which is where the
+// statement's event record reads its strategy from.
 func (db *DB) OnUpdate(attr string, deltas []incr.Delta) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	sp := db.tracer.Begin("summary.update", obs.A("attr", attr))
+	defer sp.End()
+	var t updateTally
 	db.idx.ScanPrefix(index.Key(attr), func(_ []byte, slot int64) bool {
-		e := db.entries[slot]
-		db.applyUpdate(e, deltas)
+		db.applyUpdate(db.entries[slot], deltas, &t)
 		return true
 	})
+	publish := func(c *obs.Counter, key string, n int64) {
+		if n > 0 {
+			c.Add(n)
+			sp.SetAttr(key, strconv.FormatInt(n, 10))
+		}
+	}
+	publish(db.met.incremental, "incremental", t.incremental)
+	publish(db.met.slides, "slides", t.slides)
+	publish(db.met.rebuilds, "rebuilds", t.rebuilds)
+	publish(db.met.recomputes, "recomputes", t.recomputes)
 }
 
-func (db *DB) applyUpdate(e *entry, deltas []incr.Delta) {
+// updateTally is what one OnUpdate pass did across the entries it
+// touched: deltas folded into maintainers, deltas slid through windows,
+// maintenance state rebuilt from the column, entries recomputed by
+// policy.
+type updateTally struct{ incremental, slides, rebuilds, recomputes int64 }
+
+func (db *DB) applyUpdate(e *entry, deltas []incr.Delta, t *updateTally) {
 	switch db.policy {
 	case PolicyInvalidateAll:
 		e.fresh = false
@@ -543,8 +556,7 @@ func (db *DB) applyUpdate(e *entry, deltas []incr.Delta) {
 		if e.recompute != nil {
 			if r, err := e.recompute(); err == nil {
 				e.result, e.fresh = r, true
-				db.counters.Recomputes++
-				db.met.recomputes.Inc()
+				t.recomputes++
 			} else {
 				e.fresh = false
 			}
@@ -552,8 +564,8 @@ func (db *DB) applyUpdate(e *entry, deltas []incr.Delta) {
 		}
 		e.fresh = false
 		if e.source != nil {
-			if _, err := db.refreshScalar(e, nil); err != nil {
-				e.fresh = false
+			if _, err := db.refreshScalar(e, nil); err == nil {
+				t.recomputes++
 			}
 		}
 		return
@@ -572,12 +584,10 @@ func (db *DB) applyUpdate(e *entry, deltas []incr.Delta) {
 		if !ok {
 			// Defeated (e.g. min's last copy deleted): rebuild from data.
 			xs, valid := db.readSource(e.source)
-			db.counters.Rebuilds++
-			db.met.rebuilds.Inc()
+			t.rebuilds++
 			e.maint.Rebuild(xs, valid)
 		} else {
-			db.counters.Incremental += int64(len(deltas))
-			db.met.incremental.Add(int64(len(deltas)))
+			t.incremental += int64(len(deltas))
 		}
 		if v, err := e.maint.Value(); err == nil {
 			e.result, e.fresh = ScalarOf(v), true
@@ -595,14 +605,12 @@ func (db *DB) applyUpdate(e *entry, deltas []incr.Delta) {
 			if d.Insert {
 				e.win.Insert(d.New)
 			}
-			db.counters.Slides++
-			db.met.slides.Inc()
+			t.slides++
 		}
 		if e.win.NeedsRebuild() {
 			// The pointer ran off: regenerate with one pass (Section 4.2).
 			xs, valid := db.readSource(e.source)
-			db.counters.Rebuilds++
-			db.met.rebuilds.Inc()
+			t.rebuilds++
 			e.win.Rebuild(xs, valid)
 		}
 		if v, err := e.win.Value(); err == nil {

@@ -190,9 +190,8 @@ func TestAggregateForms(t *testing.T) {
 		want := all(func(fn string) (float64, error) { return serial.Scalar(fn, "X", s.source()) })
 		forms := map[string]map[string]answer{}
 
-		reg := obs.NewRegistry()
 		pool := summary.NewDB(rules.NewManagementDB())
-		pool.SetMetrics(reg)
+		reg := pool.Metrics()
 		pool.SetExec(exec.New(4), 0)
 		forms["pool"] = all(func(fn string) (float64, error) { return pool.Scalar(fn, "X", s.source()) })
 		if got := reg.Counter(obs.MSummaryRecomputeParallel).Value(); len(s.xs) > 0 && got != int64(len(want)) {

@@ -170,18 +170,6 @@ func (v *View) StoreMetrics() *obs.Registry {
 	return v.store.pool.Metrics()
 }
 
-// StoreRetryStats returns the attached buffer pool's retry accounting —
-// how many transient device errors were absorbed, recovered, or given
-// up on while servicing this view.
-func (v *View) StoreRetryStats() (storage.RetryStats, error) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	if v.store == nil {
-		return storage.RetryStats{}, fmt.Errorf("view %s: no store attached", v.name)
-	}
-	return v.store.pool.RetryStats(), nil
-}
-
 // StoreDevice exposes the attached device (nil when memory-backed), so
 // callers can reach wrapper-specific state such as fault counters.
 func (v *View) StoreDevice() storage.Device {

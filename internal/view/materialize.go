@@ -6,6 +6,7 @@ import (
 
 	"statdb/internal/dataset"
 	"statdb/internal/exec"
+	"statdb/internal/obs"
 	"statdb/internal/relalg"
 	"statdb/internal/rules"
 	"statdb/internal/tape"
@@ -58,6 +59,23 @@ func (b *Builder) execPool() *exec.Pool {
 		return exec.New(b.opts.Parallelism).WithMetrics(b.opts.Metrics)
 	}
 	return nil
+}
+
+// poolEngine names how p evaluates a default-chunked step over rows rows
+// — the run exec.Pool counts as exec.runs.serial or exec.runs.parallel —
+// or "" when no pool run happens: without a pool relalg takes the serial
+// operator, and an empty input has nothing to run.
+func poolEngine(p *exec.Pool, rows int) string {
+	if p == nil {
+		return ""
+	}
+	switch n := p.Fanout(len(exec.Chunks(rows, 0))); {
+	case n > 1:
+		return "parallel"
+	case n == 1:
+		return "serial"
+	}
+	return ""
 }
 
 // Select keeps rows satisfying pred. With Parallelism > 1 the rows of
@@ -144,7 +162,12 @@ func (b *Builder) Build(name, analyst string) (*View, error) {
 	return New(ds, b.mdb, def, b.opts)
 }
 
+// materialize runs the pipeline under a "view.materialize" span. The only
+// pool-evaluated step the materialize verb can express is a Select on its
+// own, so that is the step whose engine the span states.
 func (b *Builder) materialize(def rules.ViewDef) (*dataset.Dataset, error) {
+	sp := b.opts.Tracer.Begin("view.materialize", obs.A("source", b.source))
+	defer sp.End()
 	// Probe for duplicates first using a dry registration: RegisterView
 	// both checks and records, so check manually via the fingerprint of
 	// existing registered views.
@@ -177,9 +200,15 @@ func (b *Builder) materialize(def rules.ViewDef) (*dataset.Dataset, error) {
 			i++
 			continue
 		}
+		in := ds.Rows()
 		ds, err = st.run(ds)
 		if err != nil {
 			return nil, fmt.Errorf("view: materialization step %d (%s): %w", i, b.ops[i], err)
+		}
+		if st.isSelect {
+			if eng := poolEngine(b.execPool(), in); eng != "" {
+				sp.SetAttr("engine", eng)
+			}
 		}
 	}
 	return ds, nil

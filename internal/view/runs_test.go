@@ -54,9 +54,9 @@ func newRunsView(t testing.TB, n int, opts Options) *View {
 // view took the path it was configured for.
 func TestComputeRunStrategyMatchesRowPath(t *testing.T) {
 	const n = 4000
-	regRun, regRow := obs.NewRegistry(), obs.NewRegistry()
-	vRun := newRunsView(t, n, Options{Metrics: regRun})
-	vRow := newRunsView(t, n, Options{Metrics: regRow, RunThreshold: -1})
+	vRun := newRunsView(t, n, Options{})
+	vRow := newRunsView(t, n, Options{RunThreshold: -1})
+	regRun, regRow := vRun.Summary().Metrics(), vRow.Summary().Metrics()
 	attach(t, vRun, BackingTransposed)
 	attach(t, vRow, BackingTransposed)
 
@@ -97,8 +97,8 @@ func TestComputeRunStrategyMatchesRowPath(t *testing.T) {
 // stored Plain, so even the run-enabled view must serve it off the row
 // path.
 func TestComputeRunStrategySkipsPlainColumns(t *testing.T) {
-	reg := obs.NewRegistry()
-	v := newRunsView(t, 4000, Options{Metrics: reg})
+	v := newRunsView(t, 4000, Options{})
+	reg := v.Summary().Metrics()
 	attach(t, v, BackingTransposed)
 	if _, err := v.Compute("mean", "NOISE"); err != nil {
 		t.Fatal(err)
@@ -115,10 +115,10 @@ func TestComputeRunStrategySkipsPlainColumns(t *testing.T) {
 // runs/rows keeps the planner on the row path; without an attached store
 // the run source never exists at all.
 func TestComputeRunStrategyThreshold(t *testing.T) {
-	reg := obs.NewRegistry()
 	// GRADE has ~30 runs over 4000 rows (ratio ~0.008); a ceiling of
 	// 0.001 is under that, so the strategy must not fire.
-	v := newRunsView(t, 4000, Options{Metrics: reg, RunThreshold: 0.001})
+	v := newRunsView(t, 4000, Options{RunThreshold: 0.001})
+	reg := v.Summary().Metrics()
 	attach(t, v, BackingTransposed)
 	if _, err := v.Compute("mean", "GRADE"); err != nil {
 		t.Fatal(err)
@@ -127,8 +127,8 @@ func TestComputeRunStrategyThreshold(t *testing.T) {
 		t.Errorf("over-threshold column routed to run kernels %d times", hits)
 	}
 
-	reg2 := obs.NewRegistry()
-	mem := newRunsView(t, 1000, Options{Metrics: reg2}) // no store attached
+	mem := newRunsView(t, 1000, Options{}) // no store attached
+	reg2 := mem.Summary().Metrics()
 	if _, err := mem.Compute("mean", "GRADE"); err != nil {
 		t.Fatal(err)
 	}

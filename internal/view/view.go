@@ -8,6 +8,7 @@ package view
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 
 	"statdb/internal/colstore"
@@ -100,8 +101,10 @@ type Options struct {
 	// Summary Database recomputations. 0 or 1 keeps everything serial
 	// (the pre-engine behavior); core.DBMS defaults it to GOMAXPROCS.
 	Parallelism int
-	// Metrics, when set, wires the view, its Summary Database, and its
-	// execution pool into a shared registry (core.DBMS passes its own).
+	// Metrics, when set, receives the view's access-pattern counters and
+	// its execution pool's scheduling counters (core.DBMS passes its own
+	// registry). The Summary Database counts into a registry of its own:
+	// Summary().Metrics().
 	Metrics *obs.Registry
 	// Tracer, when set, collects per-query span trees across the view
 	// and summary layers.
@@ -149,7 +152,6 @@ func New(data *dataset.Dataset, mdb *rules.ManagementDB, def rules.ViewDef, opts
 	v.tracer = opts.Tracer
 	v.cColScans = opts.Metrics.Counter(obs.MViewColumnScans)
 	v.cRowReads = opts.Metrics.Counter(obs.MViewRowReads)
-	v.sdb.SetMetrics(opts.Metrics)
 	v.sdb.SetTracer(opts.Tracer)
 	if opts.Parallelism > 1 {
 		v.sdb.SetExec(exec.New(opts.Parallelism).WithMetrics(opts.Metrics), 0)
@@ -385,9 +387,14 @@ func (v *View) Describe(attr string) (stats.Summary, error) {
 // runs with no view or cache lock held, so it may freely use Column,
 // RowAt and Dataset; if the entry was invalidated by an update, the next
 // Cached call recomputes and refreshes it. Two racing misses may both
-// compute; the cache keeps one result.
+// compute; the cache keeps one result. The "view.cached" span states the
+// outcome the way summary.scalar does for built-ins, and carries what
+// compute's column reads charge.
 func (v *View) Cached(fn string, attrs []string, compute func() (summary.Result, error)) (summary.Result, error) {
+	sp := v.tracer.Begin("view.cached", obs.A("fn", fn), obs.A("attrs", strings.Join(attrs, ",")))
+	defer sp.End()
 	if r, ok := v.sdb.Lookup(fn, attrs...); ok {
+		sp.SetAttr("outcome", "hit")
 		return r, nil
 	}
 	r, err := compute()
@@ -395,6 +402,7 @@ func (v *View) Cached(fn string, attrs []string, compute func() (summary.Result,
 		return summary.Result{}, err
 	}
 	v.sdb.StoreCustom(fn, attrs, r)
+	sp.SetAttr("outcome", "miss")
 	return r, nil
 }
 
