@@ -20,7 +20,7 @@ func fixture(name string) string {
 // TestFixturesExitNonzero is the acceptance check: the driver exits 1
 // with a deterministic finding on every fixture package.
 func TestFixturesExitNonzero(t *testing.T) {
-	for _, name := range []string{"obsconfine", "nopanic", "determinism", "sentinel", "goroutine", "metricnames", "suppress", "lockconfine", "chargetrack", "errorflow"} {
+	for _, name := range []string{"obsconfine", "nopanic", "determinism", "sentinel", "goroutine", "metricnames", "suppress", "lockconfine", "chargetrack", "errorflow", "testonly"} {
 		var out, errOut bytes.Buffer
 		code := realMain([]string{"-root", fixture(name), "./..."}, &out, &errOut)
 		if code != 1 {

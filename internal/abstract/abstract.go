@@ -131,6 +131,8 @@ func (a *Abstract) modeFromHistogram() (float64, float64) {
 // inference a Database Abstract uses to answer range queries without
 // touching the data. The bound is the mass of the two partially-covered
 // edge bins.
+//
+//lint:allow test-only leaf inference of the Rowe-style abstract (§5.1 baseline): range selectivity from the stored histogram
 func (a *Abstract) EstimateCountInRange(lo, hi float64) (Estimate, error) {
 	if lo > hi {
 		return Estimate{}, fmt.Errorf("abstract: range [%g, %g] inverted", lo, hi)
@@ -154,10 +156,4 @@ func (a *Abstract) EstimateCountInRange(lo, hi float64) (Estimate, error) {
 		}
 	}
 	return Estimate{Value: est, Bound: bound, Rule: "histogram mass interpolation"}, nil
-}
-
-// CanAnswer reports whether fn has an inference rule.
-func (a *Abstract) CanAnswer(fn string) bool {
-	_, err := a.Estimate(fn)
-	return err == nil
 }

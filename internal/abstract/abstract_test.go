@@ -130,11 +130,11 @@ func TestUnknownFunction(t *testing.T) {
 	if _, err := a.Estimate("chisq"); err == nil {
 		t.Error("unknown function estimated")
 	}
-	if a.CanAnswer("chisq") {
-		t.Error("CanAnswer(chisq) = true")
+	if _, err := a.Estimate("chisq"); err == nil {
+		t.Error("Estimate(chisq) has no rule and should error")
 	}
-	if !a.CanAnswer("median") {
-		t.Error("CanAnswer(median) = false")
+	if _, err := a.Estimate("median"); err != nil {
+		t.Errorf("Estimate(median): %v", err)
 	}
 }
 

@@ -156,9 +156,6 @@ func (t *Tree) Graph() *Graph {
 // SiteFor returns the call-site record for a call expression, or nil.
 func (g *Graph) SiteFor(call *ast.CallExpr) *CallSite { return g.sites[call] }
 
-// Callers returns the call sites that resolve to key.
-func (g *Graph) Callers(key FuncKey) []*CallSite { return g.callers[key] }
-
 // SortedFuncs returns the function keys in deterministic order.
 func (g *Graph) SortedFuncs() []FuncKey {
 	keys := make([]FuncKey, 0, len(g.Funcs))

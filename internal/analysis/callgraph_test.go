@@ -87,7 +87,7 @@ func TestCallGraphResolution(t *testing.T) {
 
 	// go/defer edges carry their flags.
 	var goEdge, deferEdge bool
-	for _, cs := range g.Callers(helperKey) {
+	for _, cs := range g.callers[helperKey] {
 		if cs.Go {
 			goEdge = true
 		}

@@ -28,19 +28,16 @@ var chargeReadPkgs = map[string]bool{
 // packages. Metadata accessors (Rows, Schema, ColumnRuns) stay free:
 // they read cached headers, not pages.
 var chargeReadNames = map[string]bool{
-	"ScanChunks":        true,
-	"ScanNumericChunks": true,
-	"ScanRunChunks":     true,
-	"ScanColumn":        true,
-	"NumericColumn":     true,
-	"NumericRunColumn":  true,
-	"RowAt":             true,
-	"Materialize":       true,
-	"Dict":              true,
-	"Get":               true,
-	"Scan":              true,
-	"ScanTolerant":      true,
-	"ReadPage":          true,
+	"ScanRunChunks":    true,
+	"ScanColumn":       true,
+	"NumericColumn":    true,
+	"NumericRunColumn": true,
+	"RowAt":            true,
+	"Materialize":      true,
+	"Get":              true,
+	"Scan":             true,
+	"ScanTolerant":     true,
+	"ReadPage":         true,
 }
 
 // ID implements Rule.

@@ -26,5 +26,6 @@ func DefaultRules() []Rule {
 		LockConfine{},
 		ChargeTrack{},
 		ErrorFlow{},
+		TestOnly{},
 	}
 }

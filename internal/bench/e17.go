@@ -90,7 +90,7 @@ func E17ShardedScatterGather() (*Table, error) {
 	// partial aggregates; then the shard "fails" and stays failed. Small
 	// pool so scans really hit the device.
 	fd := storage.NewFaultDevice(storage.NewMemDevice(storage.DefaultDiskCost()),
-		storage.FaultConfig{Seed: 17, ReadTransientRate: 1, Label: "shard1"})
+		storage.FaultConfig{Seed: 17, ReadTransientRate: 1})
 	fd.SetDisabled(true)
 	st, err := shard.New("census", census, shard.Config{
 		Shards:    4,

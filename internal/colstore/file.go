@@ -172,7 +172,7 @@ func decodePlainPage(buf []byte) (vals []int64, nulls []bool) {
 
 // decodePlainPageInto is decodePlainPage reusing the caller's scratch
 // slices (grown as needed) — the per-page allocation is the dominant
-// cost of a chunked scan over a hot buffer pool (BenchmarkScanChunks).
+// cost of a column read over a hot buffer pool (BenchmarkNumericColumn).
 func decodePlainPageInto(buf []byte, vals []int64, nulls []bool) ([]int64, []bool) {
 	n := int(buf[0]) | int(buf[1])<<8
 	bitmap := buf[2 : 2+plainCap/8]
@@ -260,11 +260,8 @@ func writeRLEPages(pool *storage.BufferPool, meta *columnMeta, vals []int64, nul
 	return nil
 }
 
-func decodeRLEPage(buf []byte) (vals []int64, nulls []bool, err error) {
-	return decodeRLEPageInto(buf, nil, nil)
-}
-
-// decodeRLEPageInto is decodeRLEPage reusing the caller's scratch slices.
+// decodeRLEPageInto expands an RLE page's runs to one value per row,
+// reusing the caller's scratch slices.
 func decodeRLEPageInto(buf []byte, vals []int64, nulls []bool) ([]int64, []bool, error) {
 	logical := int(buf[0]) | int(buf[1])<<8
 	nruns := int(buf[2]) | int(buf[3])<<8

@@ -17,7 +17,7 @@ import (
 
 // RunChunk is one batch of decoded runs: parallel slices of payload,
 // null flag and repetition count, plus the first logical row the batch
-// covers. Payloads follow the ScanChunks convention (raw int64 for int
+// covers. Payloads are the stored form (raw int64 for int
 // columns, Float64bits for float, dictionary ids for string). The slices
 // are scratch owned by the scan — valid only during the callback.
 type RunChunk struct {

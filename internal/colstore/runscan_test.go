@@ -287,9 +287,9 @@ func TestSuggestEncodings(t *testing.T) {
 	}
 }
 
-// BenchmarkScanChunks measures the vectorized row scan; the scratch
+// BenchmarkNumericColumn measures the bulk row read; the per-page scratch
 // buffers must hold allocations flat regardless of page count.
-func BenchmarkScanChunks(b *testing.B) {
+func BenchmarkNumericColumn(b *testing.B) {
 	ds := censusLike(b, 20000)
 	_, pool := newPool()
 	f, err := Load(pool, ds, Options{Encode: map[string]Encoding{"POPULATION": RLE}})
@@ -300,13 +300,9 @@ func BenchmarkScanChunks(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				var rows int
-				err := f.ScanChunks(name, func(c Chunk) error {
-					rows += len(c.Vals)
-					return nil
-				})
-				if err != nil || rows != ds.Rows() {
-					b.Fatalf("scanned %d rows, err %v", rows, err)
+				xs, _, err := f.NumericColumn(name)
+				if err != nil || len(xs) != ds.Rows() {
+					b.Fatalf("read %d rows, err %v", len(xs), err)
 				}
 			}
 		})

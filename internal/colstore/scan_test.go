@@ -1,7 +1,6 @@
 package colstore
 
 import (
-	"math"
 	"testing"
 
 	"statdb/internal/dataset"
@@ -20,6 +19,16 @@ func intOnly(t testing.TB, vals []dataset.Value) *dataset.Dataset {
 	return ds
 }
 
+// pageStarts returns the first logical row of each page of column name.
+func pageStarts(t *testing.T, f *File, name string) []int {
+	t.Helper()
+	m, err := f.meta(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.rowStart
+}
+
 // TestRLEEmptyColumn: a zero-row RLE column writes one sentinel page
 // (logical count 0, no runs) that every read path must skip cleanly.
 func TestRLEEmptyColumn(t *testing.T) {
@@ -35,12 +44,12 @@ func TestRLEEmptyColumn(t *testing.T) {
 	if pages != 1 {
 		t.Errorf("empty column has %d pages, want 1 sentinel", pages)
 	}
-	chunks := 0
-	if err := f.ScanChunks("X", func(c Chunk) error { chunks++; return nil }); err != nil {
+	vals, _, _, err := f.NumericRunColumn("X")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if chunks != 0 {
-		t.Errorf("empty column yielded %d chunks, want 0", chunks)
+	if len(vals) != 0 {
+		t.Errorf("empty column yielded %d runs, want 0", len(vals))
 	}
 	xs, valid, err := f.NumericColumn("X")
 	if err != nil {
@@ -71,25 +80,26 @@ func TestRLEAllNullRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := 0
-	err = f.ScanChunks("X", func(c Chunk) error {
-		for i := range c.Vals {
-			if !c.Nulls[i] {
-				t.Fatalf("row %d decoded non-null", c.Start+i)
-			}
-		}
-		seen += len(c.Vals)
-		return nil
-	})
+	_, nulls, counts, err := f.NumericRunColumn("X")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var seen int64
+	for i, c := range counts {
+		if !nulls[i] {
+			t.Fatalf("run %d decoded non-null", i)
+		}
+		seen += c
+	}
 	if seen != n {
-		t.Fatalf("scanned %d of %d rows", seen, n)
+		t.Fatalf("runs cover %d of %d rows", seen, n)
 	}
 	_, valid, err := f.NumericColumn("X")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(valid) != n {
+		t.Fatalf("column has %d of %d rows", len(valid), n)
 	}
 	for i, ok := range valid {
 		if ok {
@@ -122,27 +132,20 @@ func TestRLERunEndsExactlyAtPageBoundary(t *testing.T) {
 	if pages != 2 {
 		t.Fatalf("column spans %d pages, want exactly 2", pages)
 	}
-	var starts []int
-	total := 0
-	err = f.ScanChunks("X", func(c Chunk) error {
-		starts = append(starts, c.Start)
-		for i, v := range c.Vals {
-			row := c.Start + i
-			if c.Nulls[i] || v != int64(row%2) {
-				t.Fatalf("row %d decoded (%d, null=%v)", row, v, c.Nulls[i])
-			}
-		}
-		total += len(c.Vals)
-		return nil
-	})
+	xs, valid, err := f.NumericColumn("X")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != n {
-		t.Fatalf("scanned %d of %d rows", total, n)
+	if len(xs) != n {
+		t.Fatalf("read %d of %d rows", len(xs), n)
 	}
-	if len(starts) != 2 || starts[0] != 0 || starts[1] != perPage {
-		t.Fatalf("chunk starts %v, want [0 %d]", starts, perPage)
+	for row, x := range xs {
+		if !valid[row] || x != float64(row%2) {
+			t.Fatalf("row %d decoded (%g, valid=%v)", row, x, valid[row])
+		}
+	}
+	if starts := pageStarts(t, f, "X"); len(starts) != 2 || starts[0] != 0 || starts[1] != perPage {
+		t.Fatalf("page starts %v, want [0 %d]", starts, perPage)
 	}
 }
 
@@ -165,16 +168,8 @@ func TestRLEOversizeRunMovesWholeToNextPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var starts []int
-	err = f.ScanChunks("X", func(c Chunk) error {
-		starts = append(starts, c.Start)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(starts) != 2 || starts[1] != fill {
-		t.Fatalf("chunk starts %v, want second page to begin at %d", starts, fill)
+	if starts := pageStarts(t, f, "X"); len(starts) != 2 || starts[1] != fill {
+		t.Fatalf("page starts %v, want second page to begin at %d", starts, fill)
 	}
 	xs, valid, err := f.NumericColumn("X")
 	if err != nil {
@@ -187,9 +182,11 @@ func TestRLEOversizeRunMovesWholeToNextPage(t *testing.T) {
 	}
 }
 
-// TestScanChunksMatchesScanColumn: the vectorized path must visit the
-// same rows with the same values as the per-value path, both encodings.
-func TestScanChunksMatchesScanColumn(t *testing.T) {
+// TestNumericColumnMatchesScanColumn: the bulk path must decode the same
+// rows with the same values as the per-value path — both encodings,
+// columns spanning several pages, int and float payloads. (The run path
+// is held to this column by TestNumericRunColumnMatchesNumericColumn.)
+func TestNumericColumnMatchesScanColumn(t *testing.T) {
 	ds := censusLike(t, 2000)
 	for _, enc := range []Encoding{Plain, RLE} {
 		_, pool := newPool()
@@ -201,6 +198,15 @@ func TestScanChunksMatchesScanColumn(t *testing.T) {
 		}
 		for c := 0; c < ds.Schema().Len(); c++ {
 			name := ds.Schema().At(c).Name
+			if ds.Schema().At(c).Kind == dataset.KindString {
+				if _, _, err := f.NumericColumn(name); err == nil {
+					t.Errorf("%s/%s: numeric read of a string column should error", enc, name)
+				}
+				continue
+			}
+			if pages, err := f.ColumnPages(name); err != nil || (enc == Plain && pages < 2) {
+				t.Fatalf("%s/%s: %d pages (err %v), want a page boundary", enc, name, pages, err)
+			}
 			var ref []dataset.Value
 			if err := f.ScanColumn(name, func(row int, v dataset.Value) bool {
 				ref = append(ref, v)
@@ -208,96 +214,18 @@ func TestScanChunksMatchesScanColumn(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			row := 0
-			err := f.ScanChunks(name, func(ch Chunk) error {
-				if ch.Start != row {
-					t.Fatalf("%s/%s: chunk starts at %d, expected %d", enc, name, ch.Start, row)
-				}
-				for i := range ch.Vals {
-					var got dataset.Value
-					if ch.Nulls[i] {
-						got = dataset.Null
-					} else {
-						switch ds.Schema().At(c).Kind {
-						case dataset.KindInt:
-							got = dataset.Int(ch.Vals[i])
-						case dataset.KindFloat:
-							got = dataset.Float(math.Float64frombits(uint64(ch.Vals[i])))
-						case dataset.KindString:
-							s, err := f.Dict(name, ch.Vals[i])
-							if err != nil {
-								t.Fatal(err)
-							}
-							got = dataset.String(s)
-						}
-					}
-					if !got.Equal(ref[row]) {
-						t.Fatalf("%s/%s row %d: chunk %v != scan %v", enc, name, row, got, ref[row])
-					}
-					row++
-				}
-				return nil
-			})
+			xs, valid, err := f.NumericColumn(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if row != len(ref) {
-				t.Fatalf("%s/%s: chunks covered %d rows, scan saw %d", enc, name, row, len(ref))
+			if len(xs) != len(ref) {
+				t.Fatalf("%s/%s: column has %d rows, scan saw %d", enc, name, len(xs), len(ref))
+			}
+			for row, v := range ref {
+				if valid[row] == v.IsNull() || (valid[row] && xs[row] != v.AsFloat()) {
+					t.Fatalf("%s/%s row %d: column (%g,%v) != scan %v", enc, name, row, xs[row], valid[row], v)
+				}
 			}
 		}
-	}
-}
-
-// TestScanNumericChunksMatchesNumericColumn: chunked numeric reads stitch
-// back into exactly the bulk column.
-func TestScanNumericChunksMatchesNumericColumn(t *testing.T) {
-	ds := censusLike(t, 1800)
-	_, pool := newPool()
-	f, err := Load(pool, ds, Options{Encode: map[string]Encoding{"POPULATION": RLE}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"POPULATION", "AVE_SALARY"} {
-		want, wantValid, err := f.NumericColumn(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]float64, len(want))
-		gotValid := make([]bool, len(want))
-		err = f.ScanNumericChunks(name, func(start int, xs []float64, valid []bool) error {
-			copy(got[start:], xs)
-			copy(gotValid[start:], valid)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] || gotValid[i] != wantValid[i] {
-				t.Fatalf("%s row %d: chunked (%g,%v) != bulk (%g,%v)",
-					name, i, got[i], gotValid[i], want[i], wantValid[i])
-			}
-		}
-	}
-	if err := f.ScanNumericChunks("SEX", func(int, []float64, []bool) error { return nil }); err == nil {
-		t.Error("numeric scan of a string column should error")
-	}
-}
-
-func TestDictErrors(t *testing.T) {
-	ds := censusLike(t, 10)
-	_, pool := newPool()
-	f, err := Load(pool, ds, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s, err := f.Dict("SEX", 0); err != nil || s == "" {
-		t.Errorf("Dict(SEX, 0) = (%q, %v)", s, err)
-	}
-	if _, err := f.Dict("SEX", 99); err == nil {
-		t.Error("out-of-range dictionary id should error")
-	}
-	if _, err := f.Dict("POPULATION", 0); err == nil {
-		t.Error("Dict on a non-string column should error")
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"statdb/internal/meta"
 	"statdb/internal/obs"
 	"statdb/internal/rules"
-	"statdb/internal/storage"
 	"statdb/internal/tape"
 	"statdb/internal/view"
 )
@@ -189,18 +188,6 @@ func (d *DBMS) Analyst(name string) *Analyst {
 	return a
 }
 
-// ViewNames lists all registered views.
-func (d *DBMS) ViewNames() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.views))
-	for n := range d.views {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func (d *DBMS) registerView(v *view.View) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -243,6 +230,8 @@ func (r RecoverReport) String() string {
 // in-memory view (the copy of record). Views without stores are
 // skipped. Per-view failures are joined, not short-circuited, so one
 // broken device does not block recovery of the rest.
+//
+//lint:allow test-only safety: the operator's verify-and-rebuild entry point over every stored view; no REPL verb drives it yet
 func (d *DBMS) Recover() (RecoverReport, error) {
 	rep := RecoverReport{Views: make(map[string]view.RecoverReport)}
 	var errs []error
@@ -262,43 +251,6 @@ func (d *DBMS) Recover() (RecoverReport, error) {
 		}
 	}
 	return rep, errors.Join(errs...)
-}
-
-// ViewStorage is one view's storage health snapshot.
-type ViewStorage struct {
-	Backing view.Backing
-	Stats   storage.Stats
-	// Pool is the buffer pool's registry snapshot (storage.* families):
-	// hit/miss, checksum failures and the storage.retry.* ledger.
-	Pool obs.Snapshot
-	// Faults is set when the view's device is fault-wrapped: the
-	// injected-fault counters by kind.
-	Faults *storage.FaultCounts
-}
-
-// StorageReport collects device I/O statistics, retry accounting, and —
-// where a fault-injecting device is attached — injected-fault counters
-// for every stored view.
-func (d *DBMS) StorageReport() map[string]ViewStorage {
-	out := make(map[string]ViewStorage)
-	for _, v := range d.viewsSnapshot() {
-		if v.StoreBacking() == view.BackingMemory {
-			continue
-		}
-		vs := ViewStorage{Backing: v.StoreBacking()}
-		if st, err := v.StoreStats(); err == nil {
-			vs.Stats = st
-		}
-		if reg := v.StoreMetrics(); reg != nil {
-			vs.Pool = reg.Snapshot()
-		}
-		if fd, ok := v.StoreDevice().(*storage.FaultDevice); ok {
-			c := fd.Faults()
-			vs.Faults = &c
-		}
-		out[v.Name()] = vs
-	}
-	return out
 }
 
 // Analyst is one user of the system; views are private per analyst

@@ -52,15 +52,8 @@ func TestRowAtAndTypedAccessors(t *testing.T) {
 	if strs[0] != "M" {
 		t.Errorf("Strings = %v", strs)
 	}
-	fd := New(MustSchema(Attribute{Name: "F", Kind: KindFloat}))
-	_ = fd.Append(Row{Float(2.5)})
-	flts, _ := fd.Floats(0)
-	if flts[0] != 2.5 {
-		t.Errorf("Floats = %v", flts)
-	}
 	// Typed accessors panic on kind mismatch.
 	assertPanics(t, func() { d.Ints(0) }, "Ints on string column")
-	assertPanics(t, func() { d.Floats(2) }, "Floats on int column")
 	assertPanics(t, func() { d.Strings(2) }, "Strings on int column")
 }
 

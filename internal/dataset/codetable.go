@@ -103,6 +103,8 @@ func (t *CodeTable) Dataset() *Dataset {
 // Diff reports labels that differ between two code tables for the same
 // code — the cross-vintage inconsistency check the paper motivates with
 // the 1970-vs-1980 census example.
+//
+//lint:allow test-only paper-named: the 1970-vs-1980 code-table inconsistency check
 func (t *CodeTable) Diff(o *CodeTable) []CodeConflict {
 	var out []CodeConflict
 	for _, c := range t.Codes() {

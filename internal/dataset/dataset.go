@@ -239,17 +239,6 @@ func (d *Dataset) Ints(col int) ([]int64, []bool) {
 	return c.ints, c.valid
 }
 
-// Floats returns the raw float vector and validity mask of column col.
-// The column must be KindFloat.
-func (d *Dataset) Floats(col int) ([]float64, []bool) {
-	c := d.cols[col]
-	if c.kind != KindFloat {
-		//lint:allow no-panic documented bulk-accessor contract: kind mismatch is a caller bug
-		panic(fmt.Sprintf("dataset: Floats on %s column %q", c.kind, d.schema.At(col).Name))
-	}
-	return c.flts, c.valid
-}
-
 // Strings returns the raw string vector and validity mask of column col.
 // The column must be KindString.
 func (d *Dataset) Strings(col int) ([]string, []bool) {
@@ -314,6 +303,8 @@ func (d *Dataset) AddColumn(attr Attribute, values []Value) error {
 
 // MarkMissing nulls the cell at (row, named column) — invalidating a
 // suspicious value found during data checking (Section 2.2).
+//
+//lint:allow test-only paper-named: invalidating a suspicious measurement during data checking (§2.2)
 func (d *Dataset) MarkMissing(row int, name string) error {
 	i := d.schema.Index(name)
 	if i < 0 {

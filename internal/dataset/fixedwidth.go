@@ -54,6 +54,8 @@ func (l FixedWidthLayout) validate(sch *Schema) error {
 // ReadFixedWidth parses card-image records (one per line) against the
 // layout. Fields are trimmed; blank fields are missing values. Short
 // lines are an error: a truncated card is a damaged record.
+//
+//lint:allow test-only paper-named: card-image fixed-width input, the raw format of 1980s statistical files
 func ReadFixedWidth(r io.Reader, sch *Schema, layout FixedWidthLayout) (*Dataset, error) {
 	if err := layout.validate(sch); err != nil {
 		return nil, err
@@ -92,6 +94,8 @@ func ReadFixedWidth(r io.Reader, sch *Schema, layout FixedWidthLayout) (*Dataset
 // Values that do not fit their field are an error (code books fix
 // widths; silent truncation corrupts data). Numbers are right-aligned,
 // strings left-aligned, missing values blank.
+//
+//lint:allow test-only paper-named: card-image fixed-width output, the twin of ReadFixedWidth
 func (d *Dataset) WriteFixedWidth(w io.Writer, layout FixedWidthLayout) error {
 	if err := layout.validate(d.schema); err != nil {
 		return err

@@ -43,11 +43,6 @@ type Config struct {
 	RowShipCost int64
 }
 
-// Default returns a modest 8-processor machine.
-func Default() Config {
-	return Config{Processors: 8, RowProcessCost: 2, RowShipCost: 1}
-}
-
 func (c Config) validate() error {
 	if c.Processors < 1 {
 		return fmt.Errorf("dbmachine: need >= 1 processor, have %d", c.Processors)

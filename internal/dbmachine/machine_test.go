@@ -11,6 +11,11 @@ import (
 	"statdb/internal/workload"
 )
 
+// Default is the modest 8-processor machine the tests share.
+func Default() Config {
+	return Config{Processors: 8, RowProcessCost: 2, RowShipCost: 1}
+}
+
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Processors: 0}); err == nil {
 		t.Error("zero processors accepted")

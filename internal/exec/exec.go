@@ -82,9 +82,6 @@ func New(workers int) *Pool {
 	return &Pool{workers: workers}
 }
 
-// Serial returns the one-worker pool: every Run executes inline.
-func Serial() *Pool { return &Pool{workers: 1} }
-
 // Workers returns the pool width.
 func (p *Pool) Workers() int { return p.workers }
 

@@ -45,7 +45,7 @@ func TestChunksIndependentOfWorkers(t *testing.T) {
 
 func TestSerialRunsInlineInOrder(t *testing.T) {
 	var order []int
-	err := Serial().Run(10, 3, func(c int, r Range) error {
+	err := New(1).Run(10, 3, func(c int, r Range) error {
 		order = append(order, c) // safe: serial path is inline
 		return nil
 	})

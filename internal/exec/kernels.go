@@ -115,14 +115,6 @@ func (m Moments) MeanValue() (float64, error) {
 	return m.Mean, nil
 }
 
-// Extremes returns min and max, erroring on an empty state.
-func (m Moments) Extremes() (lo, hi float64, err error) {
-	if m.N == 0 {
-		return 0, 0, ErrEmpty
-	}
-	return m.Min, m.Max, nil
-}
-
 // ColumnMoments folds a whole column through the pool: chunk-parallel
 // FoldMoments, then an ordered MergeMoments reduction.
 func ColumnMoments(p *Pool, xs []float64, valid []bool, chunk int) Moments {
@@ -209,75 +201,6 @@ func ColumnFreq(p *Pool, xs []float64, valid []bool, chunk int) Freq {
 	out := parts[0]
 	for _, pt := range parts[1:] {
 		out = out.Merge(pt)
-	}
-	return out
-}
-
-// FoldHist bins one chunk against fixed edges (ascending, len >= 2;
-// final bin closed on the right, matching stats.Histogram). The counts
-// vector is the partial state; MergeHist adds them.
-func FoldHist(xs []float64, valid []bool, edges []float64) []int64 {
-	counts := make([]int64, len(edges)-1)
-	for i, x := range xs {
-		if valid != nil && !valid[i] {
-			continue
-		}
-		if b := histBin(edges, x); b >= 0 {
-			counts[b]++
-		}
-	}
-	return counts
-}
-
-// MergeHist adds src into dst element-wise. Exact: bin counts are
-// order-insensitive integers.
-func MergeHist(dst, src []int64) {
-	for i := range src {
-		dst[i] += src[i]
-	}
-}
-
-// histBin returns the bin index for x, or -1 outside the edges — the
-// same rightmost-edge-<=-x rule as stats.Histogram.Bin so parallel and
-// serial histograms agree bin for bin.
-func histBin(edges []float64, x float64) int {
-	if len(edges) < 2 || x < edges[0] || x > edges[len(edges)-1] {
-		return -1
-	}
-	lo, hi := 0, len(edges)-1
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if edges[mid] <= x {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(edges)-1 { // x == last edge: closed right bin
-		lo--
-	}
-	return lo
-}
-
-// ColumnHist bins a whole column through the pool.
-func ColumnHist(p *Pool, xs []float64, valid []bool, edges []float64, chunk int) []int64 {
-	ranges := Chunks(len(xs), chunk)
-	if len(ranges) <= 1 || p.Workers() <= 1 {
-		return FoldHist(xs, valid, edges)
-	}
-	parts := make([][]int64, len(ranges))
-	//lint:allow error-flow the range kernel below never returns an error
-	_ = p.RunRanges(ranges, func(c int, r Range) error {
-		if valid == nil {
-			parts[c] = FoldHist(xs[r.Lo:r.Hi], nil, edges)
-		} else {
-			parts[c] = FoldHist(xs[r.Lo:r.Hi], valid[r.Lo:r.Hi], edges)
-		}
-		return nil
-	})
-	out := parts[0]
-	for _, pt := range parts[1:] {
-		MergeHist(out, pt)
 	}
 	return out
 }

@@ -80,7 +80,7 @@ func TestPoolMetricsUnderRace(t *testing.T) {
 // workers, and leaves the inflight gauge untouched.
 func TestSerialRunCountsSerial(t *testing.T) {
 	reg := obs.NewRegistry()
-	p := Serial().WithMetrics(reg)
+	p := New(1).WithMetrics(reg)
 	if err := p.Run(100, 10, func(int, Range) error { return nil }); err != nil {
 		t.Fatal(err)
 	}

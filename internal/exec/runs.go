@@ -11,7 +11,7 @@ import (
 // Each kernel folds one run into the same partial state its row twin
 // uses, so the merge algebra — and therefore the engine's determinism
 // contract — is shared: order-insensitive aggregates (count, min, max,
-// frequencies, histograms) are bit-identical to expand-then-fold;
+// frequencies) are bit-identical to expand-then-fold;
 // sum-based moments regroup float additions (x added c times vs x*c) and
 // agree to ulps, exactly as the parallel row path does vs serial.
 
@@ -58,29 +58,6 @@ func (rc RunColumn) Validate() error {
 	return nil
 }
 
-// Expand decompresses the column to the row form the row kernels
-// consume — the reference implementation the property tests fold both
-// ways through.
-func (rc RunColumn) Expand() (xs []float64, valid []bool, err error) {
-	if err := rc.Validate(); err != nil {
-		return nil, nil, err
-	}
-	xs = make([]float64, 0, rc.Rows)
-	valid = make([]bool, 0, rc.Rows)
-	for i, v := range rc.Vals {
-		for j := int64(0); j < rc.Counts[i]; j++ {
-			if rc.Nulls[i] {
-				xs = append(xs, 0)
-				valid = append(valid, false)
-			} else {
-				xs = append(xs, v)
-				valid = append(valid, true)
-			}
-		}
-	}
-	return xs, valid, nil
-}
-
 // FoldMomentsRuns folds a run column into a Moments state in O(runs).
 // A constant-value run of length c contributes the exact closed-form
 // state {N: c, Sum: x*c, Mean: x, M2: 0, Min: x, Max: x}; runs merge in
@@ -119,25 +96,6 @@ func FoldFreqRuns(rc RunColumn) (Freq, error) {
 		f[x] += rc.Counts[i]
 	}
 	return f, nil
-}
-
-// FoldHistRuns bins a run column against fixed edges in O(runs): one
-// histBin lookup per run, the whole count added to the bin. Bit-identical
-// to FoldHist over the expansion.
-func FoldHistRuns(rc RunColumn, edges []float64) ([]int64, error) {
-	if err := rc.Validate(); err != nil {
-		return nil, err
-	}
-	counts := make([]int64, len(edges)-1)
-	for i, x := range rc.Vals {
-		if rc.Nulls[i] {
-			continue
-		}
-		if b := histBin(edges, x); b >= 0 {
-			counts[b] += rc.Counts[i]
-		}
-	}
-	return counts, nil
 }
 
 // RunTicks is the virtual cost of a run-native fold: one cell cost per

@@ -34,9 +34,31 @@ func randomRunColumn(g *lcg, runs int) RunColumn {
 	return rc
 }
 
+// Expand decompresses the column to the row form the row kernels
+// consume — the oracle the property tests fold both ways through.
+func (rc RunColumn) Expand() (xs []float64, valid []bool, err error) {
+	if err := rc.Validate(); err != nil {
+		return nil, nil, err
+	}
+	xs = make([]float64, 0, rc.Rows)
+	valid = make([]bool, 0, rc.Rows)
+	for i, v := range rc.Vals {
+		for j := int64(0); j < rc.Counts[i]; j++ {
+			if rc.Nulls[i] {
+				xs = append(xs, 0)
+				valid = append(valid, false)
+			} else {
+				xs = append(xs, v)
+				valid = append(valid, true)
+			}
+		}
+	}
+	return xs, valid, nil
+}
+
 // TestFoldRunsMatchesExpandThenFold: over many pseudo-random columns the
 // run kernels must agree with their row twins on the expansion — count,
-// min, max, frequencies and histograms bit for bit; sum-based moments to
+// min, max and frequencies bit for bit; sum-based moments to
 // ulps (the run path multiplies where the row path repeatedly adds).
 func TestFoldRunsMatchesExpandThenFold(t *testing.T) {
 	g := lcg(12345)
@@ -81,18 +103,6 @@ func TestFoldRunsMatchesExpandThenFold(t *testing.T) {
 				t.Fatalf("trial %d: freq[%g] = %d, want %d", trial, v, gf[v], c)
 			}
 		}
-
-		edges := []float64{-10, -5, 0, 5, 10}
-		gh, err := FoldHistRuns(rc, edges)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wh := FoldHist(xs, valid, edges)
-		for b := range wh {
-			if gh[b] != wh[b] {
-				t.Fatalf("trial %d: bin %d = %d, want %d", trial, b, gh[b], wh[b])
-			}
-		}
 	}
 }
 
@@ -120,9 +130,6 @@ func TestRunColumnValidate(t *testing.T) {
 		if _, err := FoldFreqRuns(tc.rc); !errors.Is(err, storage.ErrCorrupt) {
 			t.Errorf("%s: FoldFreqRuns = %v, want storage.ErrCorrupt via ErrCorruptRuns", tc.name, err)
 		}
-		if _, err := FoldHistRuns(tc.rc, []float64{0, 1}); !errors.Is(err, ErrCorruptRuns) {
-			t.Errorf("%s: FoldHistRuns = %v, want ErrCorruptRuns", tc.name, err)
-		}
 		if _, _, err := tc.rc.Expand(); !errors.Is(err, ErrCorruptRuns) {
 			t.Errorf("%s: Expand = %v, want ErrCorruptRuns", tc.name, err)
 		}
@@ -134,43 +141,6 @@ func TestRunColumnValidate(t *testing.T) {
 	var empty RunColumn
 	if err := empty.Validate(); err != nil {
 		t.Errorf("empty column rejected: %v", err)
-	}
-}
-
-// TestSelectionFromMask: adjacent selected rows coalesce into single
-// ranges, row accounting is exact, and the edges (empty, full,
-// boundaries) behave.
-func TestSelectionFromMask(t *testing.T) {
-	sel := FromMask([]bool{true, true, false, true, false, false, true, true})
-	want := []Range{{0, 2}, {3, 4}, {6, 8}}
-	got := sel.Ranges()
-	if len(got) != len(want) {
-		t.Fatalf("ranges = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("range %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if sel.Rows() != 5 {
-		t.Errorf("rows = %d, want 5", sel.Rows())
-	}
-	if s := FromMask(nil); len(s.Ranges()) != 0 || s.Rows() != 0 {
-		t.Errorf("empty mask: %v", s.Ranges())
-	}
-	if s := FromMask([]bool{false, false}); len(s.Ranges()) != 0 {
-		t.Errorf("all-false mask: %v", s.Ranges())
-	}
-	full := FromMask([]bool{true, true, true})
-	if len(full.Ranges()) != 1 || full.Ranges()[0] != (Range{0, 3}) || full.Rows() != 3 {
-		t.Errorf("all-true mask: %v", full.Ranges())
-	}
-	all := SelectAll(10)
-	if len(all.Ranges()) != 1 || all.Ranges()[0] != (Range{0, 10}) || all.Rows() != 10 {
-		t.Errorf("SelectAll: %v", all.Ranges())
-	}
-	if s := SelectAll(0); len(s.Ranges()) != 0 || s.Rows() != 0 {
-		t.Errorf("SelectAll(0): %v", s.Ranges())
 	}
 }
 

@@ -29,9 +29,13 @@ type Delta struct {
 }
 
 // InsertOf returns a Delta adding x.
+//
+//lint:allow test-only delta algebra leaf: §4.2's update model has inserts and deletes too; the update verb only issues UpdateOf today
 func InsertOf(x float64) Delta { return Delta{Insert: true, New: x} }
 
 // DeleteOf returns a Delta removing x.
+//
+//lint:allow test-only delta algebra leaf: §4.2's update model has inserts and deletes too; the update verb only issues UpdateOf today
 func DeleteOf(x float64) Delta { return Delta{Delete: true, Old: x} }
 
 // UpdateOf returns a Delta replacing old with new.

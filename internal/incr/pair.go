@@ -21,9 +21,13 @@ type PairDelta struct {
 func PairInsertOf(x, y float64) PairDelta { return PairDelta{Insert: true, NewX: x, NewY: y} }
 
 // PairDeleteOf returns a PairDelta removing (x, y).
+//
+//lint:allow test-only delta algebra leaf for attribute pairs, beside PairInsertOf
 func PairDeleteOf(x, y float64) PairDelta { return PairDelta{Delete: true, OldX: x, OldY: y} }
 
 // PairUpdateOf returns a PairDelta replacing (ox, oy) with (nx, ny).
+//
+//lint:allow test-only delta algebra leaf for attribute pairs, beside PairInsertOf
 func PairUpdateOf(ox, oy, nx, ny float64) PairDelta {
 	return PairDelta{Insert: true, Delete: true, OldX: ox, OldY: oy, NewX: nx, NewY: ny}
 }
@@ -38,6 +42,8 @@ type CovarianceM struct {
 
 // NewCovariance builds the maintainer over the complete pairs of two
 // columns (valid masks may be nil).
+//
+//lint:allow test-only leaf maintainer: Koenig–Paige finite differencing over attribute pairs (§4.2); no Summary DB entry installs it yet
 func NewCovariance(xs, ys []float64, xvalid, yvalid []bool) (*CovarianceM, error) {
 	if len(xs) != len(ys) {
 		return nil, fmt.Errorf("incr: covariance over %d vs %d observations", len(xs), len(ys))

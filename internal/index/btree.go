@@ -254,12 +254,3 @@ func (t *BTree) ScanPrefix(prefix []byte, fn func(key []byte, value int64) bool)
 		return fn(k, v)
 	})
 }
-
-// Height returns the tree height (1 for a lone leaf), for diagnostics.
-func (t *BTree) Height() int {
-	h := 1
-	for n := t.root; !n.leaf; n = n.children[0] {
-		h++
-	}
-	return h
-}

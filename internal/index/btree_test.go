@@ -40,6 +40,15 @@ func TestPutReplaces(t *testing.T) {
 	}
 }
 
+// Height returns the tree height (1 for a lone leaf).
+func (t *BTree) Height() int {
+	h := 1
+	for n := t.root; !n.leaf; n = n.children[0] {
+		h++
+	}
+	return h
+}
+
 func TestManyKeysSplitsAndOrder(t *testing.T) {
 	tr := New()
 	const n = 5000

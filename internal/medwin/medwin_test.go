@@ -256,47 +256,3 @@ func TestRandomStreamAgainstBatch(t *testing.T) {
 	}
 	t.Logf("rebuilds=%d slides=%d", w.Rebuilds(), w.Slides())
 }
-
-func TestTracker(t *testing.T) {
-	cur := seq(501)
-	source := func() ([]float64, []bool) { return cur, nil }
-	tr, err := NewTracker(source, 51, 0.25, 0.5, 0.75)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Passes() != 1 {
-		t.Errorf("initial passes = %d", tr.Passes())
-	}
-	med, err := tr.Median()
-	if err != nil || med != 250 {
-		t.Errorf("median = %g, %v", med, err)
-	}
-	q1, err := tr.Quantile(0.25)
-	if err != nil || q1 != 125 {
-		t.Errorf("q1 = %g, %v", q1, err)
-	}
-	if _, err := tr.Quantile(0.99); err == nil {
-		t.Error("untracked quantile accepted")
-	}
-	// Drive the median off its window; Quantile must transparently
-	// regenerate with one extra pass.
-	for i := 0; i < 200; i++ {
-		old := cur[i]
-		nv := old + 10000
-		if err := tr.Update(old, nv); err != nil {
-			t.Fatal(err)
-		}
-		cur[i] = nv
-	}
-	med, err = tr.Median()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := stats.Median(cur, nil)
-	if med != want {
-		t.Errorf("median after updates = %g, want %g", med, want)
-	}
-	if tr.Passes() < 2 {
-		t.Errorf("passes = %d; expected a regeneration", tr.Passes())
-	}
-}

@@ -90,13 +90,3 @@ func (b *Budget) Used() (ticks, pages int64) {
 	defer b.mu.Unlock()
 	return b.ticks, b.pages
 }
-
-// Limits returns the configured ceilings (0 = unlimited).
-func (b *Budget) Limits() (maxTicks, maxPages int64) {
-	if b == nil {
-		return 0, 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.maxTicks, b.maxPages
-}

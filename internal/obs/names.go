@@ -94,8 +94,7 @@ const (
 
 	// Sharded scatter-gather backend (internal/shard). Counters are
 	// engine-wide; per-shard attribution comes from the labeled
-	// storage.fault.* / storage.retry.* families (LabeledName) and the
-	// shard health report.
+	// storage.retry.* families (LabeledName) and the shard health report.
 	MShardScatters      = "shard.scatters"       // scatter-gather operations run
 	MShardDegraded      = "shard.degraded"       // operations answered degraded
 	MShardStalePartials = "shard.stale_partials" // stale checkpointed partials merged
@@ -131,17 +130,6 @@ func LabeledName(family, label string) string {
 	}
 	return family + "." + string(b)
 }
-
-// Labeled per-device families (see LabeledName): injected-fault classes
-// of a labeled FaultDevice and the retry ledger of a labeled BufferPool.
-const (
-	MFaultReadTransient  = "storage.fault.read_transient"
-	MFaultWriteTransient = "storage.fault.write_transient"
-	MFaultTornWrites     = "storage.fault.torn_writes"
-	MFaultBitFlips       = "storage.fault.bit_flips"
-	MFaultStuckPages     = "storage.fault.stuck_pages"
-	MFaultStuckDrops     = "storage.fault.stuck_drops"
-)
 
 // PassTicksBounds are the fixed bucket bounds of the summary.pass_ticks
 // histogram (virtual ticks per whole-column recompute).

@@ -181,29 +181,6 @@ func (p *Profile) WriteTop(w io.Writer, n int) error {
 	return err
 }
 
-// WriteFolded renders the profile in collapsed-stack form — one
-// "path;path self_ticks" line per site with a nonzero self charge,
-// sorted by path — the flamegraph interchange format, cumulative over
-// every folded query.
-func (p *Profile) WriteFolded(w io.Writer) error {
-	if p == nil {
-		return nil
-	}
-	paths := make([]string, 0, len(p.Sites))
-	for path := range p.Sites {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		if st := p.Sites[path]; st.Self != 0 {
-			if _, err := fmt.Fprintf(w, "%s %d\n", path, st.Self); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // ProfileRing is the continuous profiler's store: per query verb, the
 // last N single-query profiles. Merged folds a verb's retained window
 // into one cumulative profile — what /profilez serves. The ring is

@@ -107,15 +107,6 @@ func TestProfileRenderings(t *testing.T) {
 		t.Errorf("top footer missing:\n%s", got)
 	}
 
-	var folded strings.Builder
-	if err := p.WriteFolded(&folded); err != nil {
-		t.Fatal(err)
-	}
-	want := "query 3\nquery;fold 7\nquery;fold;merge 2\nquery;scan 40\n"
-	if folded.String() != want {
-		t.Errorf("folded form:\n%s\nwant:\n%s", folded.String(), want)
-	}
-
 	var empty strings.Builder
 	if err := NewProfile().WriteTop(&empty, 0); err != nil {
 		t.Fatal(err)

@@ -1,12 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"io"
-	"sort"
-	"strings"
-	"sync"
-)
+import "sync"
 
 // HistDelta summarizes what one histogram did during one sample
 // interval: how many observations landed, their sum, and the
@@ -22,8 +16,8 @@ type HistDelta struct {
 	// Bounds/Counts carry the interval's own bucket deltas so windowed
 	// consumers (the SLO layer) can re-aggregate quantiles across many
 	// samples instead of averaging per-sample percentiles (which is
-	// statistically wrong). Excluded from JSON: /statz payloads and the
-	// series golden keep their shape.
+	// statistically wrong). Excluded from JSON: /statz payloads keep
+	// their shape.
 	Bounds []int64 `json:"-"`
 	Counts []int64 `json:"-"`
 }
@@ -152,116 +146,4 @@ func (s *Sampler) Samples() []Sample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]Sample(nil), s.window()...)
-}
-
-// Rate returns the named counter's increase per time unit over the
-// retained window (total delta / total duration). ok is false when the
-// window is empty or has zero duration.
-func (s *Sampler) Rate(name string) (perTick float64, ok bool) {
-	if s == nil {
-		return 0, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total, dur int64
-	for _, sm := range s.window() {
-		total += sm.Counters[name]
-		dur += sm.Dur
-	}
-	if dur == 0 {
-		return 0, false
-	}
-	return float64(total) / float64(dur), true
-}
-
-// WriteSeries renders the retained window in a stable line-oriented
-// format — one instrument per line, sorted by kind then name, each
-// carrying its per-sample points as tick:value pairs. Instruments quiet
-// across the whole window are skipped. Counter lines end with the
-// window rate:
-//
-//	series 3 samples window=30 ticks
-//	counter query.statements 10:2 20:1 30:2 rate=0.167/tick
-//	gauge exec.inflight 20:3
-//	histogram summary.pass_ticks 10:count=1,sum=694,p50=750 30:count=2,sum=1400,p50=775
-func (s *Sampler) WriteSeries(w io.Writer) error {
-	if s == nil {
-		_, err := fmt.Fprintln(w, "series 0 samples window=0 ticks")
-		return err
-	}
-	s.mu.Lock()
-	samples := append([]Sample(nil), s.window()...)
-	s.mu.Unlock()
-	var window int64
-	for _, sm := range samples {
-		window += sm.Dur
-	}
-	if _, err := fmt.Fprintf(w, "series %d samples window=%d ticks\n", len(samples), window); err != nil {
-		return err
-	}
-	counterNames := map[string]bool{}
-	gaugeNames := map[string]bool{}
-	histNames := map[string]bool{}
-	for _, sm := range samples {
-		for n := range sm.Counters {
-			counterNames[n] = true
-		}
-		for n := range sm.Gauges {
-			gaugeNames[n] = true
-		}
-		for n := range sm.Hists {
-			histNames[n] = true
-		}
-	}
-	for _, name := range sortedKeys(counterNames) {
-		var b strings.Builder
-		fmt.Fprintf(&b, "counter %s", name)
-		var total int64
-		for _, sm := range samples {
-			if d, ok := sm.Counters[name]; ok {
-				fmt.Fprintf(&b, " %d:%d", sm.Tick, d)
-				total += d
-			}
-		}
-		if window > 0 {
-			fmt.Fprintf(&b, " rate=%.3f/tick", float64(total)/float64(window))
-		}
-		if _, err := fmt.Fprintln(w, b.String()); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(gaugeNames) {
-		var b strings.Builder
-		fmt.Fprintf(&b, "gauge %s", name)
-		for _, sm := range samples {
-			if v, ok := sm.Gauges[name]; ok {
-				fmt.Fprintf(&b, " %d:%d", sm.Tick, v)
-			}
-		}
-		if _, err := fmt.Fprintln(w, b.String()); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(histNames) {
-		var b strings.Builder
-		fmt.Fprintf(&b, "histogram %s", name)
-		for _, sm := range samples {
-			if hd, ok := sm.Hists[name]; ok {
-				fmt.Fprintf(&b, " %d:count=%d,sum=%d,p50=%g", sm.Tick, hd.Count, hd.Sum, hd.P50)
-			}
-		}
-		if _, err := fmt.Fprintln(w, b.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -177,18 +177,3 @@ func TestQuantileDegenerate(t *testing.T) {
 		t.Errorf("zero-bucket quantile = %g/%v, want max bound 100", v, ok)
 	}
 }
-
-// TestSamplerRateZeroDur pins Rate's refusal on an empty or
-// zero-duration window.
-func TestSamplerRateZeroDur(t *testing.T) {
-	reg := NewRegistry()
-	smp := NewSampler(reg.Snapshot, 4, 0)
-	if _, ok := smp.Rate(MQueryStatements); ok {
-		t.Error("empty window produced a rate")
-	}
-	reg.Counter(MQueryStatements).Inc()
-	smp.Tick(0) // same instant as the baseline: Dur 0
-	if _, ok := smp.Rate(MQueryStatements); ok {
-		t.Error("zero-duration window produced a rate")
-	}
-}

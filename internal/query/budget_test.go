@@ -98,27 +98,3 @@ func TestEventLogGolden(t *testing.T) {
 	}
 	checkGolden(t, "events.golden", logBuf.String())
 }
-
-// TestSeriesGolden pins the sampler's WriteSeries rendering, ticking on
-// the executor's virtual clock so the time axis is cost-model ticks.
-func TestSeriesGolden(t *testing.T) {
-	d, e, _ := obsFixture(t)
-	smp := obs.NewSampler(d.Metrics, 16, e.clock)
-	// Three cache misses so every statement burns ticks and the sample
-	// instants are distinct points on the virtual-time axis.
-	for _, stmt := range []string{
-		"compute mean SALARY on mv",
-		"compute sd SALARY on mv",
-		"compute min SALARY on mv",
-	} {
-		if err := e.Run(stmt); err != nil {
-			t.Fatal(err)
-		}
-		smp.Tick(e.clock)
-	}
-	var out bytes.Buffer
-	if err := smp.WriteSeries(&out); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "series.golden", out.String())
-}

@@ -214,8 +214,7 @@ type aggCol struct {
 }
 
 // groupPlan validates keys and aggregates against ds and returns the
-// resolved key indices, aggregate columns, and output schema — shared
-// by the serial GroupBy and the chunk-parallel GroupByWith.
+// resolved key indices, aggregate columns, and output schema.
 func groupPlan(ds *dataset.Dataset, keys []string, aggs []Agg) ([]int, []aggCol, *dataset.Schema, error) {
 	keyIdx := make([]int, len(keys))
 	for i, k := range keys {
@@ -275,36 +274,18 @@ func groupPlan(ds *dataset.Dataset, keys []string, aggs []Agg) ([]int, []aggCol,
 	return keyIdx, cols, sch, nil
 }
 
-// groupPartition is the per-chunk partial state of a grouped
-// aggregation: one aggState per aggregate per group, plus the key row
-// of each group.
+// groupPartition is the state of a grouped aggregation: one aggState per
+// aggregate per group, plus the key row of each group.
 type groupPartition struct {
-	groups    map[string][]*aggState
+	groups    map[string][]aggState
 	groupKeys map[string]dataset.Row
 }
 
-// newGroupPartition returns an empty partition.
-func newGroupPartition() groupPartition {
-	return groupPartition{
-		groups:    make(map[string][]*aggState),
-		groupKeys: make(map[string]dataset.Row),
-	}
-}
-
-// newAggStates allocates one zero state per aggregate column.
-func newAggStates(cols []aggCol) []*aggState {
-	states := make([]*aggState, len(cols))
-	for i := range states {
-		states[i] = &aggState{}
-	}
-	return states
-}
-
 // updateAggStates folds row r of ds into states, one entry per aggregate
-// column — the single row step every group-by strategy shares.
-func updateAggStates(ds *dataset.Dataset, r int, cols []aggCol, states []*aggState) {
+// column.
+func updateAggStates(ds *dataset.Dataset, r int, cols []aggCol, states []aggState) {
 	for i, c := range cols {
-		st := states[i]
+		st := &states[i]
 		if c.agg.Func == AggCount {
 			st.n++
 			continue
@@ -337,17 +318,13 @@ func updateAggStates(ds *dataset.Dataset, r int, cols []aggCol, states []*aggSta
 	}
 }
 
-// foldGroups aggregates rows [lo, hi) of ds into a fresh partition.
-func foldGroups(ds *dataset.Dataset, keyIdx []int, cols []aggCol, lo, hi int) groupPartition {
-	part := newGroupPartition()
-	foldGroupsInto(part, ds, keyIdx, cols, lo, hi)
-	return part
-}
-
-// foldGroupsInto aggregates rows [lo, hi) of ds into part, so several
-// disjoint row ranges can fold sequentially into one partition.
-func foldGroupsInto(part groupPartition, ds *dataset.Dataset, keyIdx []int, cols []aggCol, lo, hi int) {
-	for r := lo; r < hi; r++ {
+// foldGroups aggregates the rows of ds into a fresh partition.
+func foldGroups(ds *dataset.Dataset, keyIdx []int, cols []aggCol) groupPartition {
+	part := groupPartition{
+		groups:    make(map[string][]aggState),
+		groupKeys: make(map[string]dataset.Row),
+	}
+	for r := 0; r < ds.Rows(); r++ {
 		var kb strings.Builder
 		keyVals := make(dataset.Row, len(keyIdx))
 		for i, ki := range keyIdx {
@@ -359,12 +336,13 @@ func foldGroupsInto(part groupPartition, ds *dataset.Dataset, keyIdx []int, cols
 		gk := kb.String()
 		states, ok := part.groups[gk]
 		if !ok {
-			states = newAggStates(cols)
+			states = make([]aggState, len(cols))
 			part.groups[gk] = states
 			part.groupKeys[gk] = keyVals
 		}
 		updateAggStates(ds, r, cols, states)
 	}
+	return part
 }
 
 // emitGroups renders a partition as the ordered output data set.
@@ -420,12 +398,14 @@ func GroupBy(ds *dataset.Dataset, keys []string, aggs []Agg) (*dataset.Dataset, 
 	if err != nil {
 		return nil, err
 	}
-	return emitGroups(sch, cols, foldGroups(ds, keyIdx, cols, 0, ds.Rows()))
+	return emitGroups(sch, cols, foldGroups(ds, keyIdx, cols))
 }
 
 // Union appends the rows of b to those of a. Schemas must match in
 // names, kinds and order (the category flags may differ: unions of
 // extracts lose key-ness).
+//
+//lint:allow test-only paper-named: one of the traditional relational operations of §2.3; serial reference operator
 func Union(a, b *dataset.Dataset) (*dataset.Dataset, error) {
 	if !a.Schema().Equal(b.Schema()) {
 		return nil, fmt.Errorf("relalg: union of incompatible schemas [%s] and [%s]", a.Schema(), b.Schema())
@@ -445,6 +425,8 @@ func Union(a, b *dataset.Dataset) (*dataset.Dataset, error) {
 }
 
 // Distinct removes duplicate rows, keeping first occurrences in order.
+//
+//lint:allow test-only paper-named: one of the traditional relational operations of §2.3; serial reference operator
 func Distinct(ds *dataset.Dataset) (*dataset.Dataset, error) {
 	out := dataset.New(ds.Schema())
 	seen := make(map[string]bool, ds.Rows())

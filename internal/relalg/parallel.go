@@ -5,15 +5,6 @@ import (
 	"statdb/internal/exec"
 )
 
-// This file holds the chunk-parallel forms of the scan-shaped
-// relational operators: partition the row range on the fixed exec
-// chunk grid, fold each chunk independently, then merge the partial
-// results in ascending chunk order. Row order (Select) and group order
-// (GroupBy) are identical to the serial operators; count/min/max
-// aggregates are bit-identical, while sum-based aggregates are
-// deterministic for any worker count but may differ from the serial
-// row-at-a-time sums in the last units of precision.
-
 // SelectWith is Select evaluated through the pool: each chunk of rows
 // marks its slice of a shared match mask (disjoint writes), and the
 // matching rows are emitted serially in row order — the same output,
@@ -47,71 +38,4 @@ func SelectWith(p *exec.Pool, ds *dataset.Dataset, pred Predicate, chunk int) (*
 		}
 	}
 	return out, nil
-}
-
-// GroupByWith is GroupBy as a partition-then-merge aggregation: each
-// chunk folds its rows into a private hash of partial aggregate states
-// (the same mergeable sufficient statistics the execution engine's
-// kernels use), and the partials merge in chunk order before the
-// ordered emit. A nil or single-worker pool falls back to GroupBy.
-func GroupByWith(p *exec.Pool, ds *dataset.Dataset, keys []string, aggs []Agg, chunk int) (*dataset.Dataset, error) {
-	keyIdx, cols, sch, err := groupPlan(ds, keys, aggs)
-	if err != nil {
-		return nil, err
-	}
-	// A single dictionary-coded key groups by array index on the code
-	// value — no key rendering, no hashing — which beats the hashed
-	// partition-and-merge even against the pool, so it is routed first.
-	if len(keys) == 1 {
-		if a := ds.Schema().At(keyIdx[0]); a.Kind == dataset.KindInt && a.Code != nil {
-			return GroupByDict(ds, keys[0], aggs)
-		}
-	}
-	n := ds.Rows()
-	ranges := exec.Chunks(n, chunk)
-	if p == nil || p.Workers() <= 1 || len(ranges) <= 1 {
-		return emitGroups(sch, cols, foldGroups(ds, keyIdx, cols, 0, n))
-	}
-	parts := make([]groupPartition, len(ranges))
-	//lint:allow error-flow the fold below never returns an error
-	_ = p.RunRanges(ranges, func(c int, r exec.Range) error {
-		parts[c] = foldGroups(ds, keyIdx, cols, r.Lo, r.Hi)
-		return nil
-	})
-	merged := parts[0]
-	for _, part := range parts[1:] {
-		mergePartitions(merged, part, cols)
-	}
-	return emitGroups(sch, cols, merged)
-}
-
-// mergePartitions folds src into dst group by group.
-func mergePartitions(dst, src groupPartition, cols []aggCol) {
-	for gk, states := range src.groups {
-		base, ok := dst.groups[gk]
-		if !ok {
-			dst.groups[gk] = states
-			dst.groupKeys[gk] = src.groupKeys[gk]
-			continue
-		}
-		for i := range cols {
-			mergeAggState(base[i], states[i])
-		}
-	}
-}
-
-// mergeAggState combines two partial aggregate states for one group.
-// Counts and sums add; extrema compare with ties keeping the earlier
-// (lower-chunk) side, the same first-wins rule as the serial scan.
-func mergeAggState(dst, src *aggState) {
-	dst.n += src.n
-	dst.sum += src.sum
-	dst.wsum += src.wsum
-	dst.wtot += src.wtot
-	if !src.min.IsNull() && (dst.min.IsNull() || src.min.Compare(dst.min) < 0) {
-		dst.min = src.min
-	}
-	if !src.max.IsNull() && (dst.max.IsNull() || src.max.Compare(dst.max) > 0) {
-		dst.max = src.max
-	}
 }

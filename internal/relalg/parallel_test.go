@@ -1,7 +1,6 @@
 package relalg
 
 import (
-	"math"
 	"testing"
 
 	"statdb/internal/dataset"
@@ -19,8 +18,8 @@ func (g *testLCG) next() uint64 {
 
 func (g *testLCG) intn(n int) int { return int(g.next() % uint64(n)) }
 
-// groupedFixture builds a deterministic data set with a few group keys,
-// numeric measures (some missing), and a weight column.
+// groupedFixture builds a deterministic data set with a few category
+// keys and numeric measures (some missing).
 func groupedFixture(t testing.TB, n int) *dataset.Dataset {
 	t.Helper()
 	sch := dataset.MustSchema(
@@ -52,7 +51,7 @@ func groupedFixture(t testing.TB, n int) *dataset.Dataset {
 	return ds
 }
 
-func sameDataset(t *testing.T, label string, got, want *dataset.Dataset, floatTol float64) {
+func sameDataset(t *testing.T, label string, got, want *dataset.Dataset) {
 	t.Helper()
 	if !got.Schema().Equal(want.Schema()) {
 		t.Fatalf("%s: schema [%s] != [%s]", label, got.Schema(), want.Schema())
@@ -65,13 +64,6 @@ func sameDataset(t *testing.T, label string, got, want *dataset.Dataset, floatTo
 			g, w := got.Cell(r, c), want.Cell(r, c)
 			if g.Equal(w) {
 				continue
-			}
-			if floatTol > 0 && !g.IsNull() && !w.IsNull() && want.Schema().At(c).Kind == dataset.KindFloat {
-				a, b := g.AsFloat(), w.AsFloat()
-				scale := math.Max(math.Abs(a), math.Abs(b))
-				if math.Abs(a-b) <= floatTol*scale {
-					continue
-				}
 			}
 			t.Fatalf("%s: cell (%d,%s) = %v, want %v", label, r, want.Schema().At(c).Name, g, w)
 		}
@@ -102,66 +94,9 @@ func TestSelectWithMatchesSelect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameDataset(t, "select", got, want, 0) // bit-identical: rows are copied, not recomputed
+		sameDataset(t, "select", got, want) // bit-identical: rows are copied, not recomputed
 	}
 	if _, err := SelectWith(exec.New(4), ds, Cmp{Attr: "NOPE", Op: Eq, Val: dataset.Int(1)}, 512); err == nil {
 		t.Error("bad predicate should error through the parallel path too")
-	}
-}
-
-// TestGroupByWithMatchesGroupBy: group order, counts and extrema are
-// bit-identical; sum-based aggregates agree to relative 1e-12.
-func TestGroupByWithMatchesGroupBy(t *testing.T) {
-	ds := groupedFixture(t, 10009)
-	keys := []string{"REGION", "GROUP"}
-	aggs := []Agg{
-		{Func: AggCount},
-		{Func: AggSum, Attr: "VALUE"},
-		{Func: AggMean, Attr: "VALUE"},
-		{Func: AggMin, Attr: "VALUE"},
-		{Func: AggMax, Attr: "VALUE"},
-		{Func: AggWMean, Attr: "VALUE", Weight: "WEIGHT"},
-	}
-	want, err := GroupBy(ds, keys, aggs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		got, err := GroupByWith(exec.New(workers), ds, keys, aggs, 512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameDataset(t, "groupby", got, want, 1e-12)
-	}
-}
-
-// TestGroupByWithDeterministic: the same chunk grid merges in the same
-// order whatever the worker count, so outputs are bit-identical across
-// worker counts and repeat runs.
-func TestGroupByWithDeterministic(t *testing.T) {
-	ds := groupedFixture(t, 8009)
-	keys := []string{"REGION"}
-	aggs := []Agg{{Func: AggSum, Attr: "VALUE"}, {Func: AggWMean, Attr: "VALUE", Weight: "WEIGHT"}}
-	base, err := GroupByWith(exec.New(2), ds, keys, aggs, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{3, 4, 8, 4} { // repeat 4 to catch run-to-run drift
-		got, err := GroupByWith(exec.New(workers), ds, keys, aggs, 256)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameDataset(t, "determinism", got, base, 0)
-	}
-}
-
-// TestGroupByWithErrors: plan validation fires before any fan-out.
-func TestGroupByWithErrors(t *testing.T) {
-	ds := groupedFixture(t, 100)
-	if _, err := GroupByWith(exec.New(4), ds, []string{"NOPE"}, nil, 64); err == nil {
-		t.Error("missing key should error")
-	}
-	if _, err := GroupByWith(exec.New(4), ds, []string{"REGION"}, []Agg{{Func: AggSum, Attr: "REGION"}}, 64); err == nil {
-		t.Error("sum over string attribute should error")
 	}
 }

@@ -157,13 +157,6 @@ func NewManagementDB() *ManagementDB {
 	return m
 }
 
-// SetStrategy binds function name fn to strategy s.
-func (m *ManagementDB) SetStrategy(fn string, s Strategy) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.strategies[fn] = s
-}
-
 // StrategyFor returns the maintenance strategy for function fn,
 // defaulting to StrategyInvalidate for unknown functions — an unknown
 // function's cached value can always be safely invalidated.

@@ -24,10 +24,6 @@ func TestDefaultStrategies(t *testing.T) {
 			t.Errorf("StrategyFor(%q) = %v, want %v", fn, got, want)
 		}
 	}
-	m.SetStrategy("sum", StrategyRecompute)
-	if got := m.StrategyFor("sum"); got != StrategyRecompute {
-		t.Errorf("after SetStrategy: %v", got)
-	}
 }
 
 func TestStrategyAndScopeStrings(t *testing.T) {

@@ -174,6 +174,8 @@ func (s *Store) stalePartial(fn, col string, i int) ([]float64, uint64, bool) {
 // crash-recovery path. It returns the tolerant-load report (PR 2's
 // LoadReport semantics: corrupt pages are skipped, damaged records
 // dropped or marked stale, never a panic).
+//
+//lint:allow test-only safety: the crash-recovery path that reopens checkpointed partials
 func RestorePartials(dev storage.Device, poolPages int) (*summary.DB, summary.LoadReport, uint64, error) {
 	if poolPages <= 0 {
 		poolPages = 64

@@ -71,6 +71,8 @@ func NewCrossTab(ds *dataset.Dataset, rowAttr, colAttr string) (*CrossTab, error
 // WeightedCrossTab tabulates summed weights instead of row counts — the
 // natural form for pre-aggregated census data where each record carries a
 // POPULATION weight.
+//
+//lint:allow test-only leaf statistical operator: cross-tabulation of pre-aggregated (weighted) census records
 func WeightedCrossTab(ds *dataset.Dataset, rowAttr, colAttr, weightAttr string) (*CrossTab, error) {
 	ct, err := NewCrossTab(ds, rowAttr, colAttr)
 	if err != nil {
@@ -170,6 +172,8 @@ func (ct *CrossTab) ChiSquare() (ChiSquareResult, error) {
 // that sum to 1 — "a goodness-of-fit test may be applied to see if a
 // particular attribute does indeed follow a hypothesized distribution"
 // (Section 2.2).
+//
+//lint:allow test-only paper-named: the goodness-of-fit test of §2.2
 func GoodnessOfFit(observed []int, expectedProp []float64) (ChiSquareResult, error) {
 	if len(observed) != len(expectedProp) {
 		return ChiSquareResult{}, fmt.Errorf("stats: %d observed bins vs %d expected", len(observed), len(expectedProp))

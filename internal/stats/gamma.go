@@ -11,21 +11,7 @@ const (
 	gammaItMax = 300
 )
 
-// gammaP returns P(a,x), the lower regularized incomplete gamma function.
-func gammaP(a, x float64) float64 {
-	switch {
-	case x < 0 || a <= 0:
-		return math.NaN()
-	case x == 0:
-		return 0
-	case x < a+1:
-		return gser(a, x)
-	default:
-		return 1 - gcf(a, x)
-	}
-}
-
-// gammaQ returns Q(a,x) = 1 - P(a,x), the upper tail.
+// gammaQ returns Q(a,x), the upper regularized incomplete gamma function.
 func gammaQ(a, x float64) float64 {
 	switch {
 	case x < 0 || a <= 0:

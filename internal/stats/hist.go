@@ -105,6 +105,8 @@ func RangeCheck(xs []float64, valid []bool, lo, hi float64) []int {
 // OutsideKSigma returns the indices of valid observations outside
 // mean ± k·sd — the Section 3.1 example of a later query reusing the
 // cached mean and standard deviation.
+//
+//lint:allow test-only paper-named: the §3.1 outlier example; serial reference for OutsideKSigmaWith
 func OutsideKSigma(xs []float64, valid []bool, k float64) ([]int, error) {
 	m, err := Mean(xs, valid)
 	if err != nil {

@@ -118,6 +118,8 @@ func FitMultiple(ys []float64, yvalid []bool, predictors [][]float64, pvalid [][
 }
 
 // Predict evaluates the fitted model at the predictor values.
+//
+//lint:allow test-only leaf statistical operator: evaluating the fitted model
 func (r *MultipleRegression) Predict(xs ...float64) (float64, error) {
 	if len(xs) != len(r.Coef)-1 {
 		return 0, fmt.Errorf("stats: model has %d predictors, got %d values", len(r.Coef)-1, len(xs))

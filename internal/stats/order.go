@@ -35,6 +35,8 @@ func Quantile(xs []float64, valid []bool, p float64) (float64, error) {
 }
 
 // Quantiles returns the quantiles at each of ps with a single sort.
+//
+//lint:allow test-only leaf statistical operator: several quantiles from one sort
 func Quantiles(xs []float64, valid []bool, ps []float64) ([]float64, error) {
 	vals := collect(xs, valid)
 	if len(vals) == 0 {
@@ -59,6 +61,8 @@ func Median(xs []float64, valid []bool) (float64, error) {
 // OrderStatistic returns the k-th smallest valid observation (1-based),
 // e.g. k=10 is "the 10th largest value" counted from below. It uses
 // quickselect, so it is O(n) expected rather than a full sort.
+//
+//lint:allow test-only paper-named: "the 10th largest value" order statistic (§3.1)
 func OrderStatistic(xs []float64, valid []bool, k int) (float64, error) {
 	vals := collect(xs, valid)
 	if len(vals) == 0 {
@@ -116,6 +120,8 @@ func quickselect(vals []float64, k int) float64 {
 // and hi quantiles inclusive — e.g. TrimmedMean(xs, valid, 0.05, 0.95) is
 // the paper's "trimmed mean bounded by the 5th and 95th quantile values"
 // (Section 3.1).
+//
+//lint:allow test-only paper-named: the trimmed mean of §3.1
 func TrimmedMean(xs []float64, valid []bool, lo, hi float64) (float64, error) {
 	if lo < 0 || hi > 1 || lo >= hi {
 		return 0, fmt.Errorf("stats: trimmed mean bounds [%g,%g] invalid", lo, hi)

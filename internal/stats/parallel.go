@@ -8,14 +8,13 @@ import (
 )
 
 // This file is the chunked/parallel face of the package: the same
-// operators as desc.go and hist.go, computed by folding fixed-size
-// chunks through an exec.Pool and merging partial states in chunk
-// order. Order-insensitive results (count, min, max, frequencies,
-// histograms, mode, unique, quantiles) are bit-identical to the serial
-// operators; mean and standard deviation are deterministic for any
-// worker count but may differ from the serial two-pass formulas in the
-// last units of precision, since the parallel form groups the sums
-// differently.
+// operators as desc.go, computed by folding fixed-size chunks through an
+// exec.Pool and merging partial states in chunk order. Order-insensitive
+// results (count, min, max, mode, unique, quantiles) are bit-identical
+// to the serial operators; mean and standard deviation are deterministic
+// for any worker count but may differ from the serial two-pass formulas
+// in the last units of precision, since the parallel form groups the
+// sums differently.
 
 // serialEnough reports whether the column is too small (or the pool too
 // narrow) for fan-out to pay; callers then take the exact serial path.
@@ -54,24 +53,6 @@ func SummarizeChunks(p *exec.Pool, xs []float64, valid []bool, chunk int) (Summa
 	return s, nil
 }
 
-// FrequenciesChunks is Frequencies via chunk-parallel tabulation.
-// Frequency counts are order-insensitive integers, so the result is
-// bit-identical to the serial sort-and-run-length pass.
-func FrequenciesChunks(p *exec.Pool, xs []float64, valid []bool, chunk int) (values []float64, counts []int) {
-	if serialEnough(p, len(xs), chunk) {
-		return Frequencies(xs, valid)
-	}
-	vs, cs := exec.ColumnFreq(p, xs, valid, chunk).Sorted()
-	if len(vs) == 0 {
-		return nil, nil
-	}
-	counts = make([]int, len(cs))
-	for i, c := range cs {
-		counts[i] = int(c)
-	}
-	return vs, counts
-}
-
 // QuantileChunks is Quantile from a merged frequency table: cumulative
 // counts locate the two order statistics quantileSorted would
 // interpolate between, and the interpolation arithmetic is identical,
@@ -82,37 +63,6 @@ func QuantileChunks(p *exec.Pool, xs []float64, valid []bool, chunk int, q float
 	}
 	values, counts := exec.ColumnFreq(p, xs, valid, chunk).Sorted()
 	return QuantileFreq(values, counts, q)
-}
-
-// NewHistogramChunks is NewHistogram with the range scan and the
-// binning both run through the pool. The edges come out of the same
-// arithmetic as the serial constructor and bin counts are
-// order-insensitive integers, so the histogram is bit-identical.
-func NewHistogramChunks(p *exec.Pool, xs []float64, valid []bool, bins, chunk int) (*Histogram, error) {
-	if serialEnough(p, len(xs), chunk) {
-		return NewHistogram(xs, valid, bins)
-	}
-	if bins < 1 {
-		return nil, fmt.Errorf("stats: histogram needs >= 1 bin, got %d", bins)
-	}
-	m := exec.ColumnMoments(p, xs, valid, chunk)
-	if m.N == 0 {
-		return nil, ErrNoData
-	}
-	lo, hi := m.Min, m.Max
-	if lo == hi {
-		hi = lo + 1 // degenerate range: one unit-wide bin
-	}
-	h := &Histogram{Edges: make([]float64, bins+1), Counts: make([]int, bins)}
-	width := (hi - lo) / float64(bins)
-	for i := 0; i <= bins; i++ {
-		h.Edges[i] = lo + width*float64(i)
-	}
-	h.Edges[bins] = hi
-	for i, c := range exec.ColumnHist(p, xs, valid, h.Edges, chunk) {
-		h.Counts[i] = int(c)
-	}
-	return h, nil
 }
 
 // QuantileFreq is Quantile over a sorted frequency table (distinct values

@@ -100,7 +100,7 @@ func TestSummarizeChunksSerialFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := SummarizeChunks(exec.Serial(), xs, valid, 512)
+	one, err := SummarizeChunks(exec.New(1), xs, valid, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,20 +116,6 @@ func TestSummarizeChunksSerialFallback(t *testing.T) {
 	}
 	if _, err := SummarizeChunks(exec.New(4), make([]float64, 9000), make([]bool, 9000), 512); err != ErrNoData {
 		t.Fatalf("all-missing column: err = %v, want ErrNoData", err)
-	}
-}
-
-func TestFrequenciesChunksBitExact(t *testing.T) {
-	xs, valid := parallelColumn(25013, 17)
-	sv, sc := Frequencies(xs, valid)
-	pv, pc := FrequenciesChunks(exec.New(4), xs, valid, 777)
-	if len(pv) != len(sv) {
-		t.Fatalf("distinct %d != %d", len(pv), len(sv))
-	}
-	for i := range sv {
-		if pv[i] != sv[i] || pc[i] != sc[i] {
-			t.Fatalf("entry %d: (%g,%d) != serial (%g,%d)", i, pv[i], pc[i], sv[i], sc[i])
-		}
 	}
 }
 
@@ -150,30 +136,5 @@ func TestQuantileChunksBitExact(t *testing.T) {
 	}
 	if _, err := QuantileChunks(exec.New(4), xs, valid, 512, 1.5); err == nil {
 		t.Error("out-of-range p should error")
-	}
-}
-
-func TestHistogramChunksBitExact(t *testing.T) {
-	xs, valid := parallelColumn(15013, 31)
-	serial, err := NewHistogram(xs, valid, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := NewHistogramChunks(exec.New(4), xs, valid, 12, 640)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial.Edges {
-		if par.Edges[i] != serial.Edges[i] {
-			t.Errorf("edge %d: %v != %v", i, par.Edges[i], serial.Edges[i])
-		}
-	}
-	for i := range serial.Counts {
-		if par.Counts[i] != serial.Counts[i] {
-			t.Errorf("bin %d: %d != %d", i, par.Counts[i], serial.Counts[i])
-		}
-	}
-	if par.Total() != serial.Total() {
-		t.Errorf("total %d != %d", par.Total(), serial.Total())
 	}
 }

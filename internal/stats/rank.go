@@ -8,6 +8,8 @@ import (
 
 // Covariance returns the sample covariance (divisor n-1) of complete
 // pairs.
+//
+//lint:allow test-only leaf statistical operator; serial reference for incr.CovarianceM
 func Covariance(xs, ys []float64, xvalid, yvalid []bool) (float64, error) {
 	if len(xs) != len(ys) {
 		return 0, fmt.Errorf("stats: covariance over %d vs %d observations", len(xs), len(ys))
@@ -87,6 +89,8 @@ func SpearmanCorrelation(xs, ys []float64, xvalid, yvalid []bool) (float64, erro
 // asymptotic p-value — the distribution-check of exploratory analysis
 // ("do the data values in a given attribute conform to a particular
 // distribution?", Section 2.2).
+//
+//lint:allow test-only paper-named: the distribution check of §2.2
 func KolmogorovSmirnov(xs []float64, valid []bool, cdf func(float64) float64) (d, pvalue float64, err error) {
 	vals := collect(xs, valid)
 	if len(vals) == 0 {
@@ -133,6 +137,8 @@ func ksPValue(d float64, n int) float64 {
 
 // NormalCDF is the standard normal CDF shifted to (mu, sigma), for use
 // with KolmogorovSmirnov.
+//
+//lint:allow test-only hypothesis CDF for KolmogorovSmirnov
 func NormalCDF(mu, sigma float64) func(float64) float64 {
 	return func(x float64) float64 {
 		return 0.5 * math.Erfc(-(x-mu)/(sigma*math.Sqrt2))
@@ -140,6 +146,8 @@ func NormalCDF(mu, sigma float64) func(float64) float64 {
 }
 
 // UniformCDF is the uniform CDF on [a, b].
+//
+//lint:allow test-only hypothesis CDF for KolmogorovSmirnov
 func UniformCDF(a, b float64) func(float64) float64 {
 	return func(x float64) float64 {
 		switch {

@@ -112,4 +112,6 @@ func LinearRegression(xs, ys []float64, xvalid, yvalid []bool) (*Regression, err
 }
 
 // Predict evaluates the fitted model at x.
+//
+//lint:allow test-only leaf statistical operator: evaluating the fitted model
 func (r *Regression) Predict(x float64) float64 { return r.Intercept + r.Slope*x }

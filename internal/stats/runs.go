@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 
 	"statdb/internal/exec"
@@ -11,8 +10,8 @@ import (
 // operators evaluated over an exec.RunColumn in O(runs) instead of
 // O(rows), without ever expanding the column. The determinism contract
 // matches the chunked/parallel face: order-insensitive results (count,
-// min, max, frequencies, histograms, quantiles, mode, unique) are
-// bit-identical to the serial operators over the expanded column, while
+// min, max, frequencies, quantiles, mode, unique) are bit-identical to
+// the serial operators over the expanded column, while
 // mean and standard deviation regroup float additions (a run of c equal
 // values sums as x*c) and agree to ulps. On integer-valued data within
 // float64's exact range — census codes and whole-dollar measures — the
@@ -75,49 +74,4 @@ func FrequenciesRuns(rc exec.RunColumn) (values []float64, counts []int, err err
 		counts[i] = int(c)
 	}
 	return vs, counts, nil
-}
-
-// QuantileRuns is Quantile over a run column, bit-identical to the
-// serial operator (same interpolation arithmetic over the same order
-// statistics).
-func QuantileRuns(rc exec.RunColumn, q float64) (float64, error) {
-	values, counts, err := runFreq(rc)
-	if err != nil {
-		return 0, err
-	}
-	return QuantileFreq(values, counts, q)
-}
-
-// NewHistogramRuns is NewHistogram over a run column: the edges come
-// from the run-folded extrema via the serial constructor's arithmetic,
-// and bin counts add whole runs — bit-identical to the serial histogram.
-func NewHistogramRuns(rc exec.RunColumn, bins int) (*Histogram, error) {
-	if bins < 1 {
-		return nil, fmt.Errorf("stats: histogram needs >= 1 bin, got %d", bins)
-	}
-	m, err := exec.FoldMomentsRuns(rc)
-	if err != nil {
-		return nil, err
-	}
-	if m.N == 0 {
-		return nil, ErrNoData
-	}
-	lo, hi := m.Min, m.Max
-	if lo == hi {
-		hi = lo + 1 // degenerate range: one unit-wide bin
-	}
-	h := &Histogram{Edges: make([]float64, bins+1), Counts: make([]int, bins)}
-	width := (hi - lo) / float64(bins)
-	for i := 0; i <= bins; i++ {
-		h.Edges[i] = lo + width*float64(i)
-	}
-	h.Edges[bins] = hi
-	cs, err := exec.FoldHistRuns(rc, h.Edges)
-	if err != nil {
-		return nil, err
-	}
-	for i, c := range cs {
-		h.Counts[i] = int(c)
-	}
-	return h, nil
 }

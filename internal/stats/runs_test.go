@@ -33,6 +33,25 @@ func runColumn(g *runsLCG, runs int) exec.RunColumn {
 	return rc
 }
 
+// expandRuns decompresses rc to the row form the serial operators
+// consume — the oracle side of the comparison.
+func expandRuns(t *testing.T, rc exec.RunColumn) (xs []float64, valid []bool) {
+	t.Helper()
+	if err := rc.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range rc.Vals {
+		for j := int64(0); j < rc.Counts[i]; j++ {
+			if rc.Nulls[i] {
+				v = 0
+			}
+			xs = append(xs, v)
+			valid = append(valid, !rc.Nulls[i])
+		}
+	}
+	return xs, valid
+}
+
 // TestRunOperatorsMatchSerial: every run-path operator must agree with
 // its serial twin over the expanded column — bit for bit on this
 // integer-valued data, where even the regrouped sums are exact. (The
@@ -42,27 +61,9 @@ func TestRunOperatorsMatchSerial(t *testing.T) {
 	g := runsLCG(99)
 	for trial := 0; trial < 100; trial++ {
 		rc := runColumn(&g, 1+g.intn(40))
-		xs, valid, err := rc.Expand()
-		if err != nil {
-			t.Fatal(err)
-		}
+		xs, valid := expandRuns(t, rc)
 		n := Count(xs, valid)
 
-		eq := func(name string, got float64, gerr error, want float64, werr error) {
-			t.Helper()
-			if (gerr == nil) != (werr == nil) {
-				t.Fatalf("trial %d %s: err %v vs %v", trial, name, gerr, werr)
-			}
-			if gerr == nil && math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("trial %d %s: %g != %g", trial, name, got, want)
-			}
-		}
-
-		for _, p := range []float64{0, 0.25, 0.5, 0.75, 1} {
-			qr, err := QuantileRuns(rc, p)
-			wq, werr := Quantile(xs, valid, p)
-			eq("quantile", qr, err, wq, werr)
-		}
 		fv, fc, err := FrequenciesRuns(rc)
 		if err != nil {
 			t.Fatal(err)
@@ -102,25 +103,6 @@ func TestRunOperatorsMatchSerial(t *testing.T) {
 			if !sdOK {
 				t.Fatalf("trial %d summary sd: %g != %g", trial, gs.SD, ws.SD)
 			}
-
-			gh, err := NewHistogramRuns(rc, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wh, err := NewHistogram(xs, valid, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range wh.Edges {
-				if math.Float64bits(gh.Edges[i]) != math.Float64bits(wh.Edges[i]) {
-					t.Fatalf("trial %d hist edge %d: %g != %g", trial, i, gh.Edges[i], wh.Edges[i])
-				}
-			}
-			for i := range wh.Counts {
-				if gh.Counts[i] != wh.Counts[i] {
-					t.Fatalf("trial %d hist bin %d: %d != %d", trial, i, gh.Counts[i], wh.Counts[i])
-				}
-			}
 		}
 	}
 }
@@ -129,29 +111,24 @@ func TestRunOperatorsMatchSerial(t *testing.T) {
 // same sentinel on empty data, same quantile range check.
 func TestRunOperatorErrors(t *testing.T) {
 	var empty exec.RunColumn
-	if _, err := QuantileRuns(empty, 0.5); err != ErrNoData {
-		t.Errorf("QuantileRuns(empty) = %v, want ErrNoData", err)
-	}
 	if _, err := ModeFreq(nil, nil); err != ErrNoData {
 		t.Errorf("ModeFreq(empty) = %v, want ErrNoData", err)
+	}
+	if _, err := QuantileFreq(nil, nil, 0.5); err != ErrNoData {
+		t.Errorf("QuantileFreq(empty) = %v, want ErrNoData", err)
 	}
 	if _, err := SummarizeRuns(empty); err != ErrNoData {
 		t.Errorf("SummarizeRuns(empty) = %v, want ErrNoData", err)
 	}
-	if _, err := NewHistogramRuns(empty, 3); err != ErrNoData {
-		t.Errorf("NewHistogramRuns(empty) = %v, want ErrNoData", err)
-	}
-
-	one := exec.RunColumn{Vals: []float64{5}, Nulls: []bool{false}, Counts: []int64{1}, Rows: 1}
-	if _, err := QuantileRuns(one, 1.5); err == nil {
+	if _, err := QuantileFreq([]float64{5}, []int64{1}, 1.5); err == nil {
 		t.Error("out-of-range quantile accepted")
-	}
-	if _, err := NewHistogramRuns(one, 0); err == nil {
-		t.Error("zero-bin histogram accepted")
 	}
 
 	bad := exec.RunColumn{Vals: []float64{1}, Nulls: []bool{false}, Counts: []int64{2}, Rows: 1}
-	if _, err := QuantileRuns(bad, 0.5); err == nil {
-		t.Error("corrupt run column accepted")
+	if _, _, err := FrequenciesRuns(bad); err == nil {
+		t.Error("FrequenciesRuns accepted a corrupt run column")
+	}
+	if _, err := SummarizeRuns(bad); err == nil {
+		t.Error("SummarizeRuns accepted a corrupt run column")
 	}
 }

@@ -140,13 +140,6 @@ func (bp *BufferPool) SetLabel(label string) {
 	}
 }
 
-// SetRetryPolicy replaces the pool's transient-error retry policy.
-func (bp *BufferPool) SetRetryPolicy(p RetryPolicy) {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	bp.retry = p
-}
-
 // Device returns the device the pool is caching.
 func (bp *BufferPool) Device() Device { return bp.dev }
 
@@ -200,6 +193,16 @@ func (bp *BufferPool) readPage(id PageID, buf []byte) error {
 		return err
 	}
 	return nil
+}
+
+// ReadDevicePage reads the device image of page id into buf, bypassing
+// the frames — a cached frame would mask on-device damage — but not the
+// pool's ledger: the read is retried, verified and counted like a Fetch
+// miss. Store verification scans use it.
+func (bp *BufferPool) ReadDevicePage(id PageID, buf []byte) error {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	return bp.readPage(id, buf)
 }
 
 // writePage seals and writes buf with retry.

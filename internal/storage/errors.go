@@ -16,9 +16,9 @@ import (
 var ErrCorrupt = errors.New("storage: corrupt data")
 
 // ErrTransient is the sentinel wrapped by device errors that may succeed
-// on retry: an injected fault-device hiccup, an interrupted system call.
-// The buffer pool and file device retry these with bounded backoff,
-// charging the wait through the cost model.
+// on retry, such as an injected fault-device hiccup. The buffer pool
+// retries these with bounded backoff, charging the wait through the
+// cost model.
 var ErrTransient = errors.New("storage: transient device error")
 
 // CorruptError locates corruption: which page, and where within it. It

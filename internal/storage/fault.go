@@ -3,8 +3,6 @@ package storage
 import (
 	"fmt"
 	"sync"
-
-	"statdb/internal/obs"
 )
 
 // FaultDevice wraps a Device and injects deterministic, seed-driven
@@ -41,30 +39,12 @@ type FaultDevice struct {
 	stuck    map[PageID]bool
 	counts   FaultCounts
 	disabled bool
-	met      faultMetrics
-}
-
-// faultMetrics are the per-label registry twins of FaultCounts (see
-// WithMetrics). Nil handles no-op, so an unwired device pays nothing.
-type faultMetrics struct {
-	readTransient  *obs.Counter
-	writeTransient *obs.Counter
-	torn           *obs.Counter
-	bitFlips       *obs.Counter
-	stuckPages     *obs.Counter
-	stuckDrops     *obs.Counter
 }
 
 // FaultConfig sets per-operation fault probabilities in [0,1] and the
 // deterministic seed. The zero config injects nothing.
 type FaultConfig struct {
 	Seed uint64
-	// Label names the device in shared metric registries ("shard3",
-	// "summary-store"). Several fault devices feeding one registry stay
-	// attributable because WithMetrics registers each under
-	// storage.fault.<class>.<label> instead of one engine-global family.
-	// Empty labels register as "dev".
-	Label string
 	// Read-side faults.
 	ReadTransientRate float64
 	// Write-side faults.
@@ -107,33 +87,6 @@ func NewFaultDevice(inner Device, cfg FaultConfig) *FaultDevice {
 		state: cfg.Seed,
 		stuck: make(map[PageID]bool),
 	}
-}
-
-// Label returns the device's metric label ("dev" when unset).
-func (d *FaultDevice) Label() string {
-	if d.cfg.Label == "" {
-		return "dev"
-	}
-	return d.cfg.Label
-}
-
-// WithMetrics mirrors the injected-fault counters into reg under the
-// label-namespaced names storage.fault.<class>.<label>, so several
-// fault devices (one per shard) sharing one merged registry remain
-// individually attributable. Returns the device for chaining.
-func (d *FaultDevice) WithMetrics(reg *obs.Registry) *FaultDevice {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	label := d.cfg.Label
-	d.met = faultMetrics{
-		readTransient:  reg.Counter(obs.LabeledName(obs.MFaultReadTransient, label)),
-		writeTransient: reg.Counter(obs.LabeledName(obs.MFaultWriteTransient, label)),
-		torn:           reg.Counter(obs.LabeledName(obs.MFaultTornWrites, label)),
-		bitFlips:       reg.Counter(obs.LabeledName(obs.MFaultBitFlips, label)),
-		stuckPages:     reg.Counter(obs.LabeledName(obs.MFaultStuckPages, label)),
-		stuckDrops:     reg.Counter(obs.LabeledName(obs.MFaultStuckDrops, label)),
-	}
-	return d
 }
 
 // Faults returns the injected-fault counters.
@@ -182,7 +135,6 @@ func (d *FaultDevice) ReadPage(id PageID, buf []byte) error {
 	d.mu.Lock()
 	if d.budget() && d.draw() < d.cfg.ReadTransientRate {
 		d.counts.ReadTransient++
-		d.met.readTransient.Inc()
 		d.mu.Unlock()
 		return &TransientError{Op: "read", Page: id}
 	}
@@ -197,25 +149,20 @@ func (d *FaultDevice) WritePage(id PageID, buf []byte) error {
 	switch {
 	case d.stuck[id]:
 		d.counts.StuckDrops++
-		d.met.stuckDrops.Inc()
 		d.mu.Unlock()
 		return nil // silently dropped; the old image survives
 	case d.budget() && d.draw() < d.cfg.WriteTransientRate:
 		d.counts.WriteTransient++
-		d.met.writeTransient.Inc()
 		d.mu.Unlock()
 		return &TransientError{Op: "write", Page: id}
 	case d.budget() && d.draw() < d.cfg.StuckPageRate:
 		d.counts.StuckPages++
 		d.stuck[id] = true
 		d.counts.StuckDrops++
-		d.met.stuckPages.Inc()
-		d.met.stuckDrops.Inc()
 		d.mu.Unlock()
 		return nil
 	case d.budget() && d.draw() < d.cfg.TornWriteRate:
 		d.counts.TornWrites++
-		d.met.torn.Inc()
 		torn := make([]byte, PageSize)
 		// Second half keeps the previous on-device image (zeros when the
 		// page is being written for the first time). The read to fetch it
@@ -228,7 +175,6 @@ func (d *FaultDevice) WritePage(id PageID, buf []byte) error {
 		return d.inner.WritePage(id, torn)
 	case d.budget() && d.draw() < d.cfg.BitFlipRate:
 		d.counts.BitFlips++
-		d.met.bitFlips.Inc()
 		bit := int(d.next() % (PageSize * 8))
 		flipped := make([]byte, PageSize)
 		copy(flipped, buf)

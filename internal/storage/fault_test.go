@@ -290,39 +290,6 @@ func contains(s, sub string) bool {
 	return false
 }
 
-func TestFaultDeviceLabeledMetrics(t *testing.T) {
-	// Two fault devices sharing one registry must stay attributable:
-	// only the faulting shard's labeled counters move.
-	reg := obs.NewRegistry()
-	faulty := NewFaultDevice(NewMemDevice(DefaultDiskCost()),
-		FaultConfig{Seed: 1, ReadTransientRate: 1, MaxFaults: 3, Label: "shard1"}).WithMetrics(reg)
-	healthy := NewFaultDevice(NewMemDevice(DefaultDiskCost()),
-		FaultConfig{Seed: 2, Label: "shard0"}).WithMetrics(reg)
-
-	buf := make([]byte, PageSize)
-	id, _ := faulty.Allocate()
-	for i := 0; i < 3; i++ {
-		if err := faulty.ReadPage(id, buf); !errors.Is(err, ErrTransient) {
-			t.Fatalf("read %d error = %v, want ErrTransient", i, err)
-		}
-	}
-	id2, _ := healthy.Allocate()
-	if err := healthy.ReadPage(id2, buf); err != nil {
-		t.Fatalf("healthy read: %v", err)
-	}
-
-	got := reg.Counter(obs.LabeledName(obs.MFaultReadTransient, "shard1")).Value()
-	if got != 3 {
-		t.Fatalf("shard1 labeled read_transient = %d, want 3", got)
-	}
-	if v := reg.Counter(obs.LabeledName(obs.MFaultReadTransient, "shard0")).Value(); v != 0 {
-		t.Fatalf("shard0 labeled read_transient = %d, want 0", v)
-	}
-	if c := faulty.Faults(); c.ReadTransient != got {
-		t.Fatalf("FaultCounts (%d) and labeled counter (%d) disagree", c.ReadTransient, got)
-	}
-}
-
 func TestBufferPoolLabeledRetryCounters(t *testing.T) {
 	dev := NewFaultDevice(NewMemDevice(DefaultDiskCost()),
 		FaultConfig{Seed: 1, ReadTransientRate: 1, MaxFaults: 2})

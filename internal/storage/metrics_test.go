@@ -36,7 +36,7 @@ func TestFlushAllCountersMatchErrorReport(t *testing.T) {
 	dev := NewFaultDevice(NewMemDevice(DefaultDiskCost()), FaultConfig{Seed: 7, WriteTransientRate: 1})
 	pool := NewBufferPool(dev, 8)
 	// Exhaust retries fast; every write attempt fails while injection is on.
-	pool.SetRetryPolicy(RetryPolicy{MaxAttempts: 2, BackoffTicks: 1})
+	pool.retry = RetryPolicy{MaxAttempts: 2, BackoffTicks: 1}
 
 	const pages = 4
 	for i := 0; i < pages; i++ {
@@ -93,7 +93,7 @@ func TestEvictionCountersMatchOutcomes(t *testing.T) {
 	dev := NewFaultDevice(inner, FaultConfig{Seed: 3, WriteTransientRate: 1})
 	dev.SetDisabled(true)
 	pool := NewBufferPool(dev, 1)
-	pool.SetRetryPolicy(RetryPolicy{MaxAttempts: 2, BackoffTicks: 1})
+	pool.retry = RetryPolicy{MaxAttempts: 2, BackoffTicks: 1}
 
 	// Two dirty pages: allocating the second evicts the first (dirty →
 	// write-back, succeeds while faults are off).

@@ -2,7 +2,6 @@ package summary
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -91,8 +90,6 @@ type entry struct {
 	// prefer it over source (runs.go). Run-served entries carry no
 	// maintainer or window — updates invalidate, the next access refills.
 	runs RunSource
-	// recompute regenerates custom results (Register entries).
-	recompute func() (Result, error)
 }
 
 func (e *entry) key() []byte {
@@ -242,13 +239,13 @@ func (db *DB) ScalarFrom(fn, attr string, src Sources) (float64, error) {
 		// Stale entry: regenerate in place. Entries restored from disk
 		// carry no maintenance state and no source (persist.go); adopt the
 		// caller's source so recovered entries recompute like misses.
-		if e.source == nil && e.recompute == nil {
+		if e.source == nil {
 			e.source = src.Rows
 		}
 		if e.runs == nil {
 			e.runs = src.Runs
 		}
-		v, err := db.refreshScalar(e, src.Gather)
+		v, err := db.fill(e, src.Gather)
 		if err != nil {
 			return 0, err
 		}
@@ -390,70 +387,10 @@ func (db *DB) installMaintenance(a *aggregate, e *entry, xs []float64, valid []b
 	}
 }
 
-// refreshScalar regenerates a stale scalar entry: custom entries through
-// their closure, built-ins through fill. The caller counts the recompute.
-func (db *DB) refreshScalar(e *entry, gather GatherSource) (float64, error) {
-	if e.recompute == nil {
-		return db.fill(e, gather)
-	}
-	r, err := e.recompute()
-	if err != nil {
-		return 0, err
-	}
-	e.result, e.fresh = r, true
-	return r.Scalar, nil
-}
-
 func (db *DB) insert(e *entry) {
 	slot := int64(len(db.entries))
 	db.entries = append(db.entries, e)
 	db.idx.Put(e.key(), slot)
-}
-
-// Register caches a custom function result computed by compute. Custom
-// entries are maintained by the invalidate strategy (or the cache-wide
-// policy) and regenerate through compute.
-func (db *DB) Register(fn string, attrs []string, compute func() (Result, error)) (Result, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	key := entryKey(fn, attrs)
-	if slot, ok := db.idx.Get(key); ok {
-		e := db.entries[slot]
-		if e.fresh {
-			db.met.hits.Inc()
-			return e.result, nil
-		}
-		if e.recompute == nil {
-			// The key belongs to a built-in scalar entry; refresh it
-			// through the scalar path.
-			v, err := db.refreshScalar(e, nil)
-			if err != nil {
-				return Result{}, err
-			}
-			db.met.staleRefill.Inc()
-			db.met.recomputes.Inc()
-			return ScalarOf(v), nil
-		}
-		r, err := e.recompute()
-		if err != nil {
-			return Result{}, err
-		}
-		e.result = r
-		e.fresh = true
-		db.met.staleRefill.Inc()
-		db.met.recomputes.Inc()
-		return r, nil
-	}
-	db.met.misses.Inc()
-	r, err := compute()
-	if err != nil {
-		return Result{}, err
-	}
-	db.entries = append(db.entries, &entry{
-		fn: fn, attrs: attrs, result: r, fresh: true, recompute: compute,
-	})
-	db.idx.Put(key, int64(len(db.entries)-1))
-	return r, nil
 }
 
 // Lookup returns the cached result for (fn, attrs) without computing.
@@ -474,11 +411,11 @@ func (db *DB) Lookup(fn string, attrs ...string) (Result, bool) {
 }
 
 // StoreCustom inserts or overwrites a custom result computed by the
-// caller, marking it fresh. Unlike Register it stores no recompute
-// closure: after invalidation the entry stays stale until the caller
-// recomputes and stores again. This is the cache protocol for callers
-// that must not have their closures invoked under the cache lock (the
-// view layer, whose closures take the view lock).
+// caller, marking it fresh. Lookup then StoreCustom is the protocol for
+// every result that is not a built-in scalar: the cache never calls back
+// into the caller (the view layer's computations take the view lock), so
+// after invalidation the entry stays stale until the caller recomputes
+// and stores again.
 func (db *DB) StoreCustom(fn string, attrs []string, r Result) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -553,18 +490,9 @@ func (db *DB) applyUpdate(e *entry, deltas []incr.Delta, t *updateTally) {
 		e.fresh = false
 		return
 	case PolicyRecomputeAll:
-		if e.recompute != nil {
-			if r, err := e.recompute(); err == nil {
-				e.result, e.fresh = r, true
-				t.recomputes++
-			} else {
-				e.fresh = false
-			}
-			return
-		}
 		e.fresh = false
 		if e.source != nil {
-			if _, err := db.refreshScalar(e, nil); err == nil {
+			if _, err := db.fill(e, nil); err == nil {
 				t.recomputes++
 			}
 		}
@@ -650,20 +578,4 @@ func (db *DB) Dump() []Row {
 		return true
 	})
 	return rows
-}
-
-// AttributesCached lists the attributes with at least one cached entry.
-func (db *DB) AttributesCached() []string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	set := map[string]bool{}
-	for _, e := range db.entries {
-		set[strings.Join(e.attrs, ",")] = true
-	}
-	out := make([]string, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
 }

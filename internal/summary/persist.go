@@ -7,18 +7,17 @@ import (
 	"strings"
 
 	"statdb/internal/dataset"
-	"statdb/internal/index"
 	"statdb/internal/stats"
 	"statdb/internal/storage"
 )
 
 // Persistence: the Summary Database "may itself become relatively large"
 // (Section 3.2), so it is storable: entries go to a heap file of
-// (function, attributes, freshness, result) records with a DiskTree
-// secondary index on (attributes..., function) — the paper's clustering
-// and index choice, durable. Maintenance state (maintainers, windows,
-// recompute closures) is rebuilt lazily after Load, exactly like the
-// invalidate-fallback of Section 4.3.
+// (function, attributes, freshness, result) records; Load rebuilds the
+// in-memory (attributes..., function) index — the paper's clustering and
+// index choice — by scanning it. Maintenance state (maintainers, windows)
+// is rebuilt lazily after Load, exactly like the invalidate-fallback of
+// Section 4.3.
 
 // resultSchema is the stored row layout.
 func resultSchema() *dataset.Schema {
@@ -143,12 +142,9 @@ func decodeResult(buf []byte) (Result, error) {
 	return Result{}, fmt.Errorf("summary: unknown result kind %d", kind)
 }
 
-// Save writes every entry to the heap file and indexes it in tree, which
-// must be empty. A nil tree skips indexing (the crash-consistent Store
-// checkpoints without one: Restore scans). The caller persists the heap
-// file's device and the tree's root page elsewhere (a catalog or the
-// Store's commit record).
-func (db *DB) Save(h *storage.HeapFile, tree *index.DiskTree) error {
+// Save writes every entry to the heap file. The caller records the heap
+// file's pages elsewhere (the Store's commit record).
+func (db *DB) Save(h *storage.HeapFile) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if !h.Schema().Equal(resultSchema()) {
@@ -159,7 +155,7 @@ func (db *DB) Save(h *storage.HeapFile, tree *index.DiskTree) error {
 		if e.fresh {
 			fresh = 1
 		}
-		rid, err := h.Insert(dataset.Row{
+		_, err := h.Insert(dataset.Row{
 			dataset.String(strings.Join(e.attrs, "\x1f")),
 			dataset.String(e.fn),
 			dataset.Int(fresh),
@@ -167,12 +163,6 @@ func (db *DB) Save(h *storage.HeapFile, tree *index.DiskTree) error {
 		})
 		if err != nil {
 			return err
-		}
-		if tree != nil {
-			key := entryKey(e.fn, e.attrs)
-			if err := tree.Put(key, int64(rid.Page)<<16|int64(rid.Slot)); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

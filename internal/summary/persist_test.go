@@ -1,11 +1,9 @@
 package summary
 
 import (
-	"path/filepath"
 	"testing"
 
 	"statdb/internal/incr"
-	"statdb/internal/index"
 	"statdb/internal/rules"
 	"statdb/internal/stats"
 	"statdb/internal/storage"
@@ -57,11 +55,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := db.Register("note", []string{"SALARY"}, func() (Result, error) {
-		return TextOf("checked 1982-02-01"), nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	db.StoreCustom("note", []string{"SALARY"}, TextOf("checked 1982-02-01"))
 	// Make one entry stale so freshness persists too.
 	db.OnUpdate("SALARY", []incr.Delta{incr.UpdateOf(c.xs[0], c.xs[0]+1)})
 	c.xs[0]++
@@ -69,11 +63,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	dev := storage.NewMemDevice(storage.DefaultDiskCost())
 	pool := storage.NewBufferPool(dev, 16)
 	heap := NewSummaryHeapFile(pool)
-	tree, err := index.NewDiskTree(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Save(heap, tree); err != nil {
+	if err := db.Save(heap); err != nil {
 		t.Fatal(err)
 	}
 
@@ -133,57 +123,5 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if freshCount != wantFresh {
 		t.Errorf("fresh entries = %d, want %d", freshCount, wantFresh)
-	}
-	// The disk index locates entries by the clustered key.
-	_, found, err := tree.Get(entryKey("mean", []string{"SALARY"}))
-	if err != nil || !found {
-		t.Errorf("index lookup: %v, %v", found, err)
-	}
-}
-
-func TestSaveLoadAcrossFileDevice(t *testing.T) {
-	mdb := rules.NewManagementDB()
-	db := NewDB(mdb)
-	c := newColumn(100, 42)
-	if _, err := db.Scalar("mean", "X", c.source()); err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), "summary.pages")
-	dev, err := storage.OpenFileDevice(path, storage.DefaultDiskCost())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := storage.NewBufferPool(dev, 8)
-	heap := NewSummaryHeapFile(pool)
-	tree, err := index.NewDiskTree(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Save(heap, tree); err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen: the heap file pages enumerate from a fresh scan of the
-	// device through a rebuilt HeapFile... heap files track their pages
-	// in memory, so reload goes through Load's scan over a file handle
-	// built on the same page run. For this test, reopen and re-scan via
-	// a new pool wrapping the same pages: page 0.. belong to heap/tree
-	// interleaved, so we reuse the saved tree root instead.
-	dev2, err := storage.OpenFileDevice(path, storage.DefaultDiskCost())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dev2.Close()
-	tree2 := index.OpenDiskTree(storage.NewBufferPool(dev2, 8), tree.Root())
-	_, found, err := tree2.Get(entryKey("mean", []string{"X"}))
-	if err != nil || !found {
-		t.Errorf("reopened index lookup: %v, %v", found, err)
 	}
 }

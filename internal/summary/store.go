@@ -144,7 +144,7 @@ func (s *Store) bestCommit() (commitRec, bool) {
 // previous generation remains the committed one.
 func (s *Store) Checkpoint(db *DB) error {
 	heap := NewSummaryHeapFile(s.pool)
-	if err := db.Save(heap, nil); err != nil {
+	if err := db.Save(heap); err != nil {
 		return err
 	}
 	if err := s.pool.FlushAll(); err != nil {

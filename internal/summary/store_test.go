@@ -222,11 +222,8 @@ func TestRestoreDegradesOnCorruptHeapPage(t *testing.T) {
 	// entries on more attributes.
 	for i := 0; i < 40; i++ {
 		attr := "A" + string(rune('0'+i%10)) + string(rune('a'+i/10))
-		if _, err := db.Register("note", []string{attr}, func() (Result, error) {
-			return TextOf("attr note with some padding text to fill pages ............................................." + attr), nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+		db.StoreCustom("note", []string{attr},
+			TextOf("attr note with some padding text to fill pages ............................................."+attr))
 	}
 	dev := storage.NewMemDevice(storage.DefaultDiskCost())
 	pool := storage.NewBufferPool(dev, 32)

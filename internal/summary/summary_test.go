@@ -226,38 +226,44 @@ func TestInvalidateStrategyIsLazy(t *testing.T) {
 	}
 }
 
-func TestRegisterCustomResult(t *testing.T) {
+// TestCustomResultProtocol is Lookup-then-StoreCustom, the one way a
+// result that is not a built-in scalar enters the cache: a fresh entry
+// answers Lookup, an update invalidates it, and it stays stale until the
+// caller stores again.
+func TestCustomResultProtocol(t *testing.T) {
 	db, _ := newDB()
 	c := newColumn(100, 6)
 	calls := 0
-	compute := func() (Result, error) {
+	cached := func() Result {
+		if r, ok := db.Lookup("histogram10", "X"); ok {
+			return r
+		}
 		calls++
 		h, err := stats.NewHistogram(c.xs, nil, 10)
 		if err != nil {
-			return Result{}, err
+			t.Fatal(err)
 		}
-		return HistogramOf(h), nil
+		r := HistogramOf(h)
+		db.StoreCustom("histogram10", []string{"X"}, r)
+		return r
 	}
-	r1, err := db.Register("histogram10", []string{"X"}, compute)
-	if err != nil || r1.Kind != HistogramResult {
-		t.Fatalf("Register: %v %v", r1, err)
+	if r1 := cached(); r1.Kind != HistogramResult {
+		t.Fatalf("first read: %v", r1)
 	}
-	r2, err := db.Register("histogram10", []string{"X"}, compute)
-	if err != nil || calls != 1 {
-		t.Errorf("second Register recomputed (calls=%d, err=%v)", calls, err)
+	r2 := cached()
+	if calls != 1 {
+		t.Errorf("second read recomputed (calls=%d)", calls)
 	}
 	if r2.Hist.Total() != 100 {
 		t.Errorf("histogram total = %d", r2.Hist.Total())
 	}
-	// Updates invalidate custom entries; next Register recomputes.
+	// Updates invalidate custom entries; the next read recomputes.
 	db.OnUpdate("X", []incr.Delta{incr.UpdateOf(c.xs[0], 5)})
 	c.xs[0] = 5
 	if _, ok := db.Lookup("histogram10", "X"); ok {
 		t.Error("stale custom entry served")
 	}
-	if _, err := db.Register("histogram10", []string{"X"}, compute); err != nil {
-		t.Fatal(err)
-	}
+	cached()
 	if calls != 2 {
 		t.Errorf("calls = %d", calls)
 	}
@@ -265,11 +271,9 @@ func TestRegisterCustomResult(t *testing.T) {
 
 func TestMultiAttributeEntries(t *testing.T) {
 	db, _ := newDB()
-	r, err := db.Register("correlation", []string{"X", "Y"}, func() (Result, error) {
-		return ScalarOf(0.9), nil
-	})
-	if err != nil || r.Scalar != 0.9 {
-		t.Fatal(err)
+	db.StoreCustom("correlation", []string{"X", "Y"}, ScalarOf(0.9))
+	if r, ok := db.Lookup("correlation", "X", "Y"); !ok || r.Scalar != 0.9 {
+		t.Fatalf("pair entry = %v, %v", r, ok)
 	}
 	// Updates to either attribute invalidate the pair entry.
 	db.OnUpdate("X", []incr.Delta{incr.InsertOf(1)})
@@ -364,10 +368,6 @@ func TestDumpFigure4Shape(t *testing.T) {
 	}
 	if rows[1].Function > rows[2].Function {
 		t.Errorf("functions not ordered within attribute: %+v", rows)
-	}
-	attrs := db.AttributesCached()
-	if len(attrs) != 2 || attrs[0] != "AVE_SALARY" {
-		t.Errorf("AttributesCached = %v", attrs)
 	}
 }
 

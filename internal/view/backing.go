@@ -69,7 +69,7 @@ func (v *View) AttachStore(b Backing, cost storage.CostModel, poolFrames int) er
 }
 
 // AttachStoreDevice is AttachStore over a caller-supplied device — the
-// injection point for fault-wrapped or file-backed devices. The device
+// injection point for fault-wrapped devices. The device
 // should be empty; the view's structure is written from page zero up.
 func (v *View) AttachStoreDevice(b Backing, dev storage.Device, poolFrames int) error {
 	v.mu.Lock()
@@ -123,6 +123,8 @@ func (v *View) attachLocked(b Backing, dev storage.Device, poolFrames int) error
 // view and dynamically reorganize the storage structures". It returns
 // the backing now in effect; if the view is already stored that way,
 // nothing is rebuilt.
+//
+//lint:allow test-only paper-named: §2.7 dynamic reorganization from observed access patterns
 func (v *View) Reorganize(cost storage.CostModel, poolFrames int) (Backing, error) {
 	want := BackingRow
 	if v.Advice().Transpose {
@@ -170,17 +172,6 @@ func (v *View) StoreMetrics() *obs.Registry {
 	return v.store.pool.Metrics()
 }
 
-// StoreDevice exposes the attached device (nil when memory-backed), so
-// callers can reach wrapper-specific state such as fault counters.
-func (v *View) StoreDevice() storage.Device {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	if v.store == nil {
-		return nil
-	}
-	return v.store.dev
-}
-
 // RecoverReport accounts for one store verification or recovery pass.
 type RecoverReport struct {
 	Backing      Backing
@@ -196,8 +187,11 @@ func (r RecoverReport) String() string {
 
 // VerifyStore checks every on-device page of the attached store against
 // its checksum without modifying anything. Transient read errors are
-// retried; corrupt pages are counted, not fatal. Note the device image
-// is what is verified: pages still dirty in the pool may be newer.
+// retried on the pool's ledger (storage.retry.*); corrupt pages are
+// counted, there and in the report, not fatal. Note the device image is
+// what is verified: pages still dirty in the pool may be newer.
+//
+//lint:allow test-only safety: read-only store verification, the non-mutating half of RecoverStore
 func (v *View) VerifyStore() (RecoverReport, error) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
@@ -237,7 +231,7 @@ func (st *store) verify() (RecoverReport, error) {
 	buf := make([]byte, storage.PageSize)
 	for _, id := range st.pageIDs() {
 		rep.PagesChecked++
-		if err := st.readVerified(id, buf); err != nil {
+		if err := st.pool.ReadDevicePage(id, buf); err != nil {
 			if errors.Is(err, storage.ErrCorrupt) {
 				rep.CorruptPages++
 				continue
@@ -246,22 +240,6 @@ func (st *store) verify() (RecoverReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// readVerified reads one raw page image and checks its checksum,
-// retrying transient device errors a few times. It bypasses the pool on
-// purpose: a cached frame would mask on-device damage.
-func (st *store) readVerified(id storage.PageID, buf []byte) error {
-	var err error
-	for attempt := 0; attempt < 4; attempt++ {
-		if err = st.dev.ReadPage(id, buf); err == nil {
-			return storage.VerifyPageBuf(buf, id)
-		}
-		if !errors.Is(err, storage.ErrTransient) {
-			return err
-		}
-	}
-	return err
 }
 
 // readStoreColumn services a column read through the store, charging its

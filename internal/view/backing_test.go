@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"statdb/internal/dataset"
+	"statdb/internal/obs"
 	"statdb/internal/relalg"
 	"statdb/internal/rules"
 	"statdb/internal/storage"
@@ -181,6 +182,60 @@ func TestReorganizeFollowsAdvice(t *testing.T) {
 	xs, _, err := v.Column("SALARY")
 	if err != nil || len(xs) != 2000 {
 		t.Fatalf("post-migration column: %d, %v", len(xs), err)
+	}
+}
+
+// TestVerifyStoreCountsOnPoolLedger: a verification scan bypasses the
+// pool's frames but not its ledger — transient device reads are retried
+// and charged under storage.retry.*, and a damaged page lands in
+// storage.page.checksum_failed as well as in the report.
+func TestVerifyStoreCountsOnPoolLedger(t *testing.T) {
+	v := newView(t, 3000, Options{})
+	inner := storage.NewMemDevice(storage.DefaultDiskCost())
+	dev := storage.NewFaultDevice(inner, storage.FaultConfig{Seed: 11, ReadTransientRate: 0.3})
+	dev.SetDisabled(true)
+	if err := v.AttachStoreDevice(BackingTransposed, dev, 4); err != nil {
+		t.Fatal(err)
+	}
+	// Damage one stored page behind the pool's back.
+	buf := make([]byte, storage.PageSize)
+	if err := inner.ReadPage(2, buf); err != nil {
+		t.Fatal(err)
+	}
+	buf[storage.PageSize/2] ^= 0x40
+	if err := inner.WritePage(2, buf); err != nil {
+		t.Fatal(err)
+	}
+	dev.SetDisabled(false)
+	reg := v.StoreMetrics()
+	before := reg.Snapshot()
+	ticks := inner.Stats().Ticks
+
+	rep, err := v.VerifyStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CorruptPages != 1 || rep.PagesChecked < 3 {
+		t.Fatalf("report = %v, want one corrupt page among several", rep)
+	}
+	after := reg.Snapshot()
+	delta := func(name string) int64 { return after.Counters[name] - before.Counters[name] }
+	injected := dev.Faults().ReadTransient
+	if injected == 0 {
+		t.Fatal("fault device injected no transient reads; pick another seed")
+	}
+	if got := delta(obs.MStorageRetryAttempts); got != injected {
+		t.Errorf("storage.retry.attempts moved by %d, want %d (one per injected fault)", got, injected)
+	}
+	if got := delta(obs.MStorageRetryBackoff); got == 0 || inner.Stats().Ticks-ticks < got {
+		t.Errorf("backoff ticks = %d, device ticks moved by %d: backoff not charged to the device",
+			got, inner.Stats().Ticks-ticks)
+	}
+	if got := delta(obs.MStorageChecksumFailed); got != 1 {
+		t.Errorf("storage.page.checksum_failed moved by %d, want 1", got)
+	}
+	if got := delta(obs.MStoragePageReads); got != int64(rep.PagesChecked) {
+		t.Errorf("storage.page.reads moved by %d, want %d", got, rep.PagesChecked)
 	}
 }
 

@@ -25,18 +25,11 @@ type Builder struct {
 	opts    Options
 }
 
-// pipeStep is one pipeline stage. Select and GroupBy stages also carry
-// their typed arguments so Build can fuse a Select feeding a GroupBy
-// into a selection-vector chain; every other stage only has run. The
-// recorded ops strings are the same either way, so view fingerprints do
-// not depend on whether fusion fired.
+// pipeStep is one pipeline stage. isSelect marks the one stage the pool
+// evaluates, so materialize can state its engine on the span.
 type pipeStep struct {
 	run      func(*dataset.Dataset) (*dataset.Dataset, error)
 	isSelect bool
-	pred     relalg.Predicate
-	isGroup  bool
-	keys     []string
-	aggs     []relalg.Agg
 }
 
 // NewBuilder starts a materialization from the named raw file.
@@ -87,7 +80,7 @@ func (b *Builder) Select(pred relalg.Predicate) *Builder {
 		run: func(ds *dataset.Dataset) (*dataset.Dataset, error) {
 			return relalg.SelectWith(b.execPool(), ds, pred, 0)
 		},
-		isSelect: true, pred: pred,
+		isSelect: true,
 	})
 	b.ops = append(b.ops, "select "+pred.String())
 	return b
@@ -111,15 +104,11 @@ func (b *Builder) Decode(attr string) *Builder {
 	return b
 }
 
-// GroupBy aggregates over the key attributes. With Parallelism > 1 the
-// partitions are aggregated through the pool and merged in chunk order.
+// GroupBy aggregates over the key attributes.
 func (b *Builder) GroupBy(keys []string, aggs []relalg.Agg) *Builder {
-	b.steps = append(b.steps, pipeStep{
-		run: func(ds *dataset.Dataset) (*dataset.Dataset, error) {
-			return relalg.GroupByWith(b.execPool(), ds, keys, aggs, 0)
-		},
-		isGroup: true, keys: keys, aggs: aggs,
-	})
+	b.steps = append(b.steps, pipeStep{run: func(ds *dataset.Dataset) (*dataset.Dataset, error) {
+		return relalg.GroupBy(ds, keys, aggs)
+	}})
 	desc := "group by " + strings.Join(keys, ",")
 	for _, a := range aggs {
 		desc += fmt.Sprintf(" %s(%s)", a.Func, a.Attr)
@@ -162,9 +151,9 @@ func (b *Builder) Build(name, analyst string) (*View, error) {
 	return New(ds, b.mdb, def, b.opts)
 }
 
-// materialize runs the pipeline under a "view.materialize" span. The only
-// pool-evaluated step the materialize verb can express is a Select on its
-// own, so that is the step whose engine the span states.
+// materialize runs the pipeline under a "view.materialize" span. Select
+// is the only step evaluated through the pool, so that is the step whose
+// engine the span states.
 func (b *Builder) materialize(def rules.ViewDef) (*dataset.Dataset, error) {
 	sp := b.opts.Tracer.Begin("view.materialize", obs.A("source", b.source))
 	defer sp.End()
@@ -181,25 +170,7 @@ func (b *Builder) materialize(def rules.ViewDef) (*dataset.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < len(b.steps); i++ {
-		st := b.steps[i]
-		// A Select feeding a GroupBy fuses into a selection-vector chain:
-		// the predicate's survivors pass downstream as row ranges and the
-		// intermediate data set is never materialized. The fold visits the
-		// selected rows in the same ascending order, so the fused result
-		// is identical to running the two steps apart.
-		if st.isSelect && i+1 < len(b.steps) && b.steps[i+1].isGroup {
-			g := b.steps[i+1]
-			sel, serr := relalg.SelectVectorWith(b.execPool(), ds, st.pred, 0)
-			if serr == nil {
-				ds, serr = relalg.GroupBySelection(ds, sel, g.keys, g.aggs)
-			}
-			if serr != nil {
-				return nil, fmt.Errorf("view: materialization step %d (%s): %w", i, b.ops[i], serr)
-			}
-			i++
-			continue
-		}
+	for i, st := range b.steps {
 		in := ds.Rows()
 		ds, err = st.run(ds)
 		if err != nil {

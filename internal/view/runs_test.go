@@ -36,11 +36,11 @@ func runsData(t testing.TB, n int) *dataset.Dataset {
 	return ds
 }
 
-func newRunsView(t testing.TB, n int, opts Options) *View {
+func newRunsView(t testing.TB, n int) *View {
 	mdb := rules.NewManagementDB()
 	v, err := New(runsData(t, n), mdb, rules.ViewDef{
 		Name: "runs", Analyst: "a", Source: "raw", Ops: []string{"all"},
-	}, opts)
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,8 +54,9 @@ func newRunsView(t testing.TB, n int, opts Options) *View {
 // view took the path it was configured for.
 func TestComputeRunStrategyMatchesRowPath(t *testing.T) {
 	const n = 4000
-	vRun := newRunsView(t, n, Options{})
-	vRow := newRunsView(t, n, Options{RunThreshold: -1})
+	vRun := newRunsView(t, n)
+	vRow := newRunsView(t, n)
+	vRow.runThreshold = -1 // below any runs/rows ratio: the run strategy never fires
 	regRun, regRow := vRun.Summary().Metrics(), vRow.Summary().Metrics()
 	attach(t, vRun, BackingTransposed)
 	attach(t, vRow, BackingTransposed)
@@ -97,7 +98,7 @@ func TestComputeRunStrategyMatchesRowPath(t *testing.T) {
 // stored Plain, so even the run-enabled view must serve it off the row
 // path.
 func TestComputeRunStrategySkipsPlainColumns(t *testing.T) {
-	v := newRunsView(t, 4000, Options{})
+	v := newRunsView(t, 4000)
 	reg := v.Summary().Metrics()
 	attach(t, v, BackingTransposed)
 	if _, err := v.Compute("mean", "NOISE"); err != nil {
@@ -117,7 +118,8 @@ func TestComputeRunStrategySkipsPlainColumns(t *testing.T) {
 func TestComputeRunStrategyThreshold(t *testing.T) {
 	// GRADE has ~30 runs over 4000 rows (ratio ~0.008); a ceiling of
 	// 0.001 is under that, so the strategy must not fire.
-	v := newRunsView(t, 4000, Options{RunThreshold: 0.001})
+	v := newRunsView(t, 4000)
+	v.runThreshold = 0.001
 	reg := v.Summary().Metrics()
 	attach(t, v, BackingTransposed)
 	if _, err := v.Compute("mean", "GRADE"); err != nil {
@@ -127,7 +129,7 @@ func TestComputeRunStrategyThreshold(t *testing.T) {
 		t.Errorf("over-threshold column routed to run kernels %d times", hits)
 	}
 
-	mem := newRunsView(t, 1000, Options{}) // no store attached
+	mem := newRunsView(t, 1000) // no store attached
 	reg2 := mem.Summary().Metrics()
 	if _, err := mem.Compute("mean", "GRADE"); err != nil {
 		t.Fatal(err)

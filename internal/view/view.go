@@ -87,16 +87,13 @@ type View struct {
 	shards       *shard.Store // guarded by mu
 	shardsBehind bool         // guarded by mu
 	// runThreshold is the planner's runs/rows ceiling for the run-native
-	// fold strategy (negative disables it; see Options.RunThreshold).
+	// fold strategy: defaultRunThreshold, a field so tests can move it.
 	runThreshold float64
 }
 
 // Options configure view construction.
 type Options struct {
 	UndoMode UndoMode
-	// WindowCapacity overrides the Summary Database quantile-window width
-	// when > 0.
-	WindowCapacity int
 	// Parallelism sizes the execution pool for materialization steps and
 	// Summary Database recomputations. 0 or 1 keeps everything serial
 	// (the pre-engine behavior); core.DBMS defaults it to GOMAXPROCS.
@@ -109,15 +106,12 @@ type Options struct {
 	// Tracer, when set, collects per-query span trees across the view
 	// and summary layers.
 	Tracer *obs.Tracer
-	// RunThreshold is the planner's runs/rows ratio ceiling for routing a
-	// whole-column fold to the run-native kernels instead of decoding
-	// rows. 0 uses the default (0.5); negative disables the run strategy
-	// entirely. Only RLE columns of a transposed store are ever eligible.
-	RunThreshold float64
 }
 
-// defaultRunThreshold is the runs/rows ceiling when Options.RunThreshold
-// is unset. At 0.5 a column must compress at least 2:1 before the run
+// defaultRunThreshold is the planner's runs/rows ratio ceiling for
+// routing a whole-column fold to the run-native kernels instead of
+// decoding rows (only RLE columns of a transposed store are ever
+// eligible). At 0.5 a column must compress at least 2:1 before the run
 // kernels are worth the strategy switch; SuggestEncodings only picks RLE
 // at 4:1 or better, so freshly attached RLE columns always qualify.
 const defaultRunThreshold = 0.5
@@ -133,21 +127,15 @@ func New(data *dataset.Dataset, mdb *rules.ManagementDB, def rules.ViewDef, opts
 		return nil, err
 	}
 	v := &View{
-		name:        def.Name,
-		analyst:     def.Analyst,
-		data:        data,
-		mdb:         mdb,
-		sdb:         summary.NewDB(mdb),
-		history:     h,
-		undoMode:    opts.UndoMode,
-		columnScans: make(map[string]int64),
-	}
-	v.runThreshold = opts.RunThreshold
-	if v.runThreshold == 0 {
-		v.runThreshold = defaultRunThreshold
-	}
-	if opts.WindowCapacity > 0 {
-		v.sdb.WindowCapacity = opts.WindowCapacity
+		name:         def.Name,
+		analyst:      def.Analyst,
+		data:         data,
+		mdb:          mdb,
+		sdb:          summary.NewDB(mdb),
+		history:      h,
+		undoMode:     opts.UndoMode,
+		columnScans:  make(map[string]int64),
+		runThreshold: defaultRunThreshold,
 	}
 	v.tracer = opts.Tracer
 	v.cColScans = opts.Metrics.Counter(obs.MViewColumnScans)
@@ -226,7 +214,7 @@ func (v *View) columnSource(attr string) summary.Source {
 // Summary Database stays on the row path — so the strategy decision is
 // made here, where the storage metadata lives, not in the cache layer.
 func (v *View) runSource(attr string) summary.RunSource {
-	if v.runThreshold < 0 || v.store == nil || v.store.backing != BackingTransposed {
+	if v.store == nil || v.store.backing != BackingTransposed {
 		return nil
 	}
 	enc, err := v.store.col.ColumnEncoding(attr)
@@ -262,7 +250,7 @@ func (v *View) runSource(attr string) summary.RunSource {
 // the schema meta-data, as Section 3.2 requires (the median of AGE_GROUP
 // does not make sense).
 func (v *View) Compute(fn, attr string) (float64, error) {
-	val, _, err := v.computeReport(fn, attr, false)
+	val, _, err := v.ComputeReport(fn, attr)
 	return val, err
 }
 
@@ -270,47 +258,30 @@ func (v *View) Compute(fn, attr string) (float64, error) {
 // zero unless this call gathered from a sharded copy; when it says
 // Degraded, the value merged stale or partial shards and was not cached.
 func (v *View) ComputeReport(fn, attr string) (float64, shard.Report, error) {
-	return v.computeReport(fn, attr, false)
-}
-
-// ComputeRaw is Compute without the summarizable guard, for data-checking
-// operations that legitimately scan category attributes (range checks on
-// codes, counts). The attribute must still be numeric.
-func (v *View) ComputeRaw(fn, attr string) (float64, error) {
-	val, _, err := v.computeReport(fn, attr, true)
-	return val, err
-}
-
-func (v *View) computeReport(fn, attr string, raw bool) (float64, shard.Report, error) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	// rep escapes into the gather closure; declaring it only past this
 	// branch keeps cache hits on unsharded views free of that allocation.
 	if v.shards == nil || v.shardsBehind {
-		val, err := v.compute(fn, attr, raw, nil)
+		val, err := v.compute(fn, attr, nil)
 		return val, shard.Report{}, err
 	}
 	var rep shard.Report
-	val, err := v.compute(fn, attr, raw, &rep)
+	val, err := v.compute(fn, attr, &rep)
 	return val, rep, err
 }
 
 // compute is the one read path: meta-data guards, then the Summary
 // Database with every input form the backings offer. A non-nil rep
 // offers the sharded copy too and receives the gather's provenance.
-func (v *View) compute(fn, attr string, raw bool, rep *shard.Report) (float64, error) {
-	var sp *obs.Span
-	if raw {
-		sp = v.tracer.Begin("view.compute", obs.A("fn", fn), obs.A("attr", attr), obs.A("raw", "true"))
-	} else {
-		sp = v.tracer.Begin("view.compute", obs.A("fn", fn), obs.A("attr", attr))
-	}
+func (v *View) compute(fn, attr string, rep *shard.Report) (float64, error) {
+	sp := v.tracer.Begin("view.compute", obs.A("fn", fn), obs.A("attr", attr))
 	defer sp.End()
 	a, ok := v.data.Schema().Lookup(attr)
 	if !ok {
 		return 0, fmt.Errorf("view %s: no attribute %q", v.name, attr)
 	}
-	if !raw && !a.Summarizable {
+	if !a.Summarizable {
 		return 0, fmt.Errorf("view %s: attribute %q is not summarizable (category or coded attribute)", v.name, attr)
 	}
 	if a.Kind == dataset.KindString {
@@ -334,7 +305,7 @@ func (v *View) Describe(attr string) (stats.Summary, error) {
 	// The ten values must describe one column state, and Missing below is
 	// counted from the rows of record: no sharded gather, which may
 	// degrade between one value and the next.
-	get := func(fn string) (float64, error) { return v.compute(fn, attr, false, nil) }
+	get := func(fn string) (float64, error) { return v.compute(fn, attr, nil) }
 	n, err := get("count")
 	if err != nil {
 		return s, err
@@ -431,6 +402,8 @@ func (v *View) StringFrequencies(attr string) (values []string, counts []int, er
 // Section 2.2 ("for those cases in which a known relationship exists
 // between pairs of values, the data checker must also examine all pairs
 // of values"). Rows with a missing value in either attribute are skipped.
+//
+//lint:allow test-only paper-named: the pairwise data checking of §2.2
 func (v *View) InconsistentPairs(attrA, attrB string, holds func(a, b dataset.Value) bool) ([]int, error) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()

@@ -63,9 +63,6 @@ func TestComputeAndCacheIntegration(t *testing.T) {
 	if _, err := v.Compute("median", "ID"); err == nil {
 		t.Error("summary over category attribute accepted")
 	}
-	if _, err := v.ComputeRaw("count", "ID"); err != nil {
-		t.Errorf("ComputeRaw over category attribute rejected: %v", err)
-	}
 	// Cache hit.
 	if _, err := v.Compute("mean", "SALARY"); err != nil {
 		t.Fatal(err)
