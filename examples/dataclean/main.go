@@ -83,7 +83,7 @@ func main() {
 	// operations they can examine what actions were taken").
 	fmt.Println("\nupdate history:")
 	for _, rec := range v.History().Records() {
-		fmt.Printf("  #%d %s: %s (%d cells)\n", rec.Seq, rec.Analyst, rec.Description, len(rec.Changes))
+		fmt.Printf("  #%d %s: %s (%d cells)\n", rec.Seq, rec.Analyst, rec.Description, len(rec.Rows))
 	}
 
 	// Verify the cleaning caught the injected corruption.

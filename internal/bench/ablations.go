@@ -318,7 +318,7 @@ func AblationUndo() (*Table, error) {
 		var touched int
 		last, _ := v.History().Last()
 		if mode == view.UndoPhysical {
-			touched = len(last.Changes)
+			touched = len(last.Rows)
 		} else {
 			touched = n // full rebuild
 		}

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -409,4 +410,228 @@ func TestColumnScanCheaperThanRowScanOnDevice(t *testing.T) {
 		t.Errorf("column scan read %d of %d pages; want ~1/4", colReads, total)
 	}
 	fmt.Printf("column scan: %d of %d pages\n", colReads, total)
+}
+
+// encodePlainPageBytewise is the codec's original byte-at-a-time loop,
+// kept as the oracle for the page image.
+func encodePlainPageBytewise(buf []byte, vals []int64, nulls []bool) {
+	for i := range buf {
+		buf[i] = 0
+	}
+	buf[0] = byte(len(vals))
+	buf[1] = byte(len(vals) >> 8)
+	bitmap := buf[2 : 2+plainCap/8]
+	data := buf[2+plainCap/8:]
+	for i, v := range vals {
+		if !nulls[i] {
+			bitmap[i/8] |= 1 << (i % 8)
+		}
+		for b := 0; b < 8; b++ {
+			data[i*8+b] = byte(uint64(v) >> (8 * b))
+		}
+	}
+}
+
+func TestPlainPageImageUnchanged(t *testing.T) {
+	g := uint64(99)
+	next := func() uint64 {
+		g = g*6364136223846793005 + 1442695040888963407
+		return g
+	}
+	for _, n := range []int{0, 1, 7, 8, 9, plainCap - 1, plainCap} {
+		vals := make([]int64, n)
+		nulls := make([]bool, n)
+		for i := range vals {
+			vals[i] = int64(next())
+			nulls[i] = next()%5 == 0
+		}
+		want := make([]byte, storage.PagePayloadSize)
+		got := make([]byte, storage.PagePayloadSize)
+		for i := range got {
+			got[i] = 0xAA // encode must clear what it does not write
+		}
+		encodePlainPageBytewise(want, vals, nulls)
+		encodePlainPage(got, vals, nulls)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: page image differs from the byte-loop encoding", n)
+		}
+		dv, dn := decodePlainPageInto(got, nil, nil)
+		if len(dv) != n || len(dn) != n {
+			t.Fatalf("n=%d: decoded %d values, %d nulls", n, len(dv), len(dn))
+		}
+		for i := range vals {
+			if dv[i] != vals[i] || dn[i] != nulls[i] {
+				t.Fatalf("n=%d: cell %d decodes to (%d,%v), want (%d,%v)", n, i, dv[i], dn[i], vals[i], nulls[i])
+			}
+		}
+	}
+}
+
+// A batch update leaves exactly the file a cell-at-a-time update leaves:
+// same values back, and for Plain columns the same page images.
+func TestUpdateRowsMatchesUpdateValue(t *testing.T) {
+	for _, enc := range []Encoding{Plain, RLE} {
+		ds := censusLike(t, 1500)
+		opts := Options{Encode: map[string]Encoding{"AGE_GROUP": enc, "SEX": enc, "AVE_SALARY": enc}}
+		devA, poolA := newPool()
+		devB, poolB := newPool()
+		a, err := Load(poolA, ds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Load(poolB, ds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := []int{0, 1, 479, 480, 481, 959, 1200, 1499} // both sides of two page boundaries
+		updates := map[string]func(k int) dataset.Value{
+			"AGE_GROUP":  func(int) dataset.Value { return dataset.Int(9) },
+			"SEX":        func(int) dataset.Value { return dataset.Null },
+			"AVE_SALARY": func(k int) dataset.Value { return dataset.Float(float64(k) + 0.5) },
+		}
+		for name, at := range updates {
+			if err := a.UpdateRows(name, rows, at); err != nil {
+				t.Fatalf("%s %s: UpdateRows: %v", enc, name, err)
+			}
+			for k, r := range rows {
+				if err := b.UpdateValue(name, r, at(k)); err != nil {
+					t.Fatalf("%s %s: UpdateValue: %v", enc, name, err)
+				}
+			}
+		}
+		ma, err := a.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mb, err := b.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < ds.Rows(); r++ {
+			for c := 0; c < ds.Schema().Len(); c++ {
+				if !ma.Cell(r, c).Equal(mb.Cell(r, c)) {
+					t.Fatalf("%s: cell (%d,%d): batch %v, cell-at-a-time %v", enc, r, c, ma.Cell(r, c), mb.Cell(r, c))
+				}
+			}
+		}
+		if err := poolA.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		if err := poolB.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		if devA.NumPages() != devB.NumPages() {
+			t.Fatalf("%s: batch file has %d pages, cell-at-a-time %d", enc, devA.NumPages(), devB.NumPages())
+		}
+		pa, pb := make([]byte, storage.PageSize), make([]byte, storage.PageSize)
+		for id := 0; id < devA.NumPages(); id++ {
+			if err := devA.ReadPage(storage.PageID(id), pa); err != nil {
+				t.Fatal(err)
+			}
+			if err := devB.ReadPage(storage.PageID(id), pb); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(pa, pb) {
+				t.Fatalf("%s: page %d image differs between batch and cell-at-a-time", enc, id)
+			}
+		}
+	}
+}
+
+func TestUpdateRowsRejectsBadBatches(t *testing.T) {
+	ds := censusLike(t, 600)
+	_, pool := newPool()
+	f, err := Load(pool, ds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := func(int) dataset.Value { return dataset.Int(1) }
+	if err := f.UpdateRows("POPULATION", []int{5, 5}, one); err == nil {
+		t.Error("repeated row accepted")
+	}
+	if err := f.UpdateRows("POPULATION", []int{7, 3}, one); err == nil {
+		t.Error("descending rows accepted")
+	}
+	if err := f.UpdateRows("POPULATION", []int{3, 600}, one); err == nil {
+		t.Error("out-of-range row accepted")
+	}
+	if err := f.UpdateRows("NOPE", []int{3}, one); err == nil {
+		t.Error("unknown column accepted")
+	}
+	// A value the column cannot hold fails before any page is touched.
+	mixed := func(k int) dataset.Value {
+		if k == 1 {
+			return dataset.String("x")
+		}
+		return dataset.Int(-7)
+	}
+	if err := f.UpdateRows("POPULATION", []int{3, 4}, mixed); err == nil {
+		t.Error("type-mismatched batch accepted")
+	}
+	row, err := f.RowAt(3)
+	if err != nil || !row[2].Equal(ds.Cell(3, 2)) {
+		t.Errorf("rejected batch changed row 3: %v, %v", row, err)
+	}
+}
+
+// RLE rewrites used to abandon the column's pages and allocate a fresh
+// run each time: the device grew by the column's size per updated cell
+// while TotalPages went on reporting the live run only.
+func TestRLERewritesReuseTheirPages(t *testing.T) {
+	n := 3000
+	vals := make([]dataset.Value, n)
+	for i := range vals {
+		vals[i] = dataset.Int(int64(i % 700)) // ~2 bytes a run: several pages
+	}
+	ds := intOnly(t, vals)
+	dev, pool := newPool()
+	f, err := Load(pool, ds, Options{Encode: map[string]Encoding{"X": RLE}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := dev.NumPages()
+	if start < 2 {
+		t.Fatalf("fixture column occupies %d pages, want several", start)
+	}
+	for i := 0; i < 50; i++ {
+		if err := f.UpdateValue("X", (i*61)%n, dataset.Int(int64(100000+i))); err != nil {
+			t.Fatal(err)
+		}
+		want := dataset.Int(int64(100000 + i))
+		if row, err := f.RowAt((i * 61) % n); err != nil || !row[0].Equal(want) {
+			t.Fatalf("rewrite %d: row reads %v, %v", i, row, err)
+		}
+	}
+	if got := dev.NumPages(); got > start+1 {
+		t.Errorf("50 single-cell rewrites grew the device from %d to %d pages", start, got)
+	}
+	if got, held := dev.NumPages(), len(f.PageIDs()); got != held {
+		t.Errorf("device holds %d pages, the file accounts for %d", got, held)
+	}
+	// A denser rewrite keeps its surplus pages for the next one.
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	if err := f.UpdateRows("X", all, func(int) dataset.Value { return dataset.Int(1) }); err != nil {
+		t.Fatal(err)
+	}
+	if pages, _ := f.ColumnPages("X"); pages != 1 {
+		t.Errorf("constant column occupies %d live pages, want 1", pages)
+	}
+	if err := f.UpdateRows("X", all, func(k int) dataset.Value { return vals[k] }); err != nil {
+		t.Fatal(err)
+	}
+	if got := dev.NumPages(); got > start+1 {
+		t.Errorf("shrink-then-grow rewrites grew the device from %d to %d pages", start, got)
+	}
+	m, err := f.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range vals {
+		if !m.Cell(i, 0).Equal(vals[i]) {
+			t.Fatalf("row %d reads %v after the rewrites, want %v", i, m.Cell(i, 0), vals[i])
+		}
+	}
 }

@@ -1,8 +1,10 @@
 package colstore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"statdb/internal/dataset"
@@ -42,7 +44,8 @@ type columnMeta struct {
 	kind     dataset.Kind
 	enc      Encoding
 	pages    []storage.PageID
-	rowStart []int // first logical row of each page
+	spare    []storage.PageID // RLE: pages a denser rewrite left over, reused by the next
+	rowStart []int            // first logical row of each page
 	rows     int
 	runs     int              // RLE: coalesced logical runs (maintained by writeRLEPages)
 	dict     []string         // string columns: id -> label
@@ -160,17 +163,11 @@ func encodePlainPage(buf []byte, vals []int64, nulls []bool) {
 		if !nulls[i] {
 			bitmap[i/8] |= 1 << (i % 8)
 		}
-		for b := 0; b < 8; b++ {
-			data[i*8+b] = byte(uint64(v) >> (8 * b))
-		}
+		binary.LittleEndian.PutUint64(data[i*8:], uint64(v))
 	}
 }
 
-func decodePlainPage(buf []byte) (vals []int64, nulls []bool) {
-	return decodePlainPageInto(buf, nil, nil)
-}
-
-// decodePlainPageInto is decodePlainPage reusing the caller's scratch
+// decodePlainPageInto decodes a Plain page into the caller's scratch
 // slices (grown as needed) — the per-page allocation is the dominant
 // cost of a column read over a hot buffer pool (BenchmarkNumericColumn).
 func decodePlainPageInto(buf []byte, vals []int64, nulls []bool) ([]int64, []bool) {
@@ -180,17 +177,20 @@ func decodePlainPageInto(buf []byte, vals []int64, nulls []bool) ([]int64, []boo
 	vals = growInt64(vals, n)
 	nulls = growBool(nulls, n)
 	for i := 0; i < n; i++ {
-		var u uint64
-		for b := 0; b < 8; b++ {
-			u |= uint64(data[i*8+b]) << (8 * b)
-		}
-		vals[i] = int64(u)
+		vals[i] = int64(binary.LittleEndian.Uint64(data[i*8:]))
 		nulls[i] = bitmap[i/8]&(1<<(i%8)) == 0
 	}
 	return vals, nulls
 }
 
+// writeRLEPages encodes the column into meta's own page run, in order —
+// live pages first, then spares — and allocates only past its end; pages
+// the new encoding does not need stay on the column as spares. A failed
+// write leaves the column torn between the two encodings.
 func writeRLEPages(pool *storage.BufferPool, meta *columnMeta, vals []int64, nulls []bool) error {
+	reuse := slices.Concat(meta.pages, meta.spare)
+	meta.pages, meta.rowStart = nil, nil
+	defer func() { meta.spare = reuse }()
 	var runs []run
 	for i := range vals {
 		runs = appendRuns(runs, vals[i], nulls[i])
@@ -203,11 +203,24 @@ func writeRLEPages(pool *storage.BufferPool, meta *columnMeta, vals []int64, nul
 	const header = 4
 	const maxPageLogical = 0xFFFF
 	flush := func(pageRuns []run, logical, firstRow int) error {
-		id, page, err := pool.NewPage()
+		var id storage.PageID
+		var page *storage.Page
+		var err error
+		if len(reuse) > 0 {
+			id = reuse[0]
+			if page, err = pool.Fetch(id); err == nil {
+				reuse = reuse[1:]
+			}
+		} else {
+			id, page, err = pool.NewPage()
+		}
 		if err != nil {
 			return err
 		}
 		buf := page.Payload()
+		for i := range buf {
+			buf[i] = 0
+		}
 		buf[0] = byte(logical)
 		buf[1] = byte(logical >> 8)
 		buf[2] = byte(len(pageRuns))
@@ -334,6 +347,7 @@ func (f *File) PageIDs() []storage.PageID {
 	var ids []storage.PageID
 	for _, m := range f.cols {
 		ids = append(ids, m.pages...)
+		ids = append(ids, m.spare...)
 	}
 	return ids
 }
@@ -497,49 +511,87 @@ func (f *File) RowAt(i int) (dataset.Row, error) {
 	return row, nil
 }
 
-// UpdateValue overwrites (row, named column). Plain columns update the
-// one affected page in place. RLE columns rewrite the whole column — the
-// update-hostility of compression the paper warns about; callers choosing
-// RLE accept it.
+// UpdateValue overwrites (row, named column): UpdateRows of one row.
 func (f *File) UpdateValue(name string, rowIdx int, v dataset.Value) error {
+	return f.UpdateRows(name, []int{rowIdx}, func(int) dataset.Value { return v })
+}
+
+// UpdateRows overwrites the named column at rows, which must be strictly
+// ascending: rows[k] receives at(k). A Plain column fetches each touched
+// page once and patches the cells' payload bytes and validity bits in
+// place. An RLE column is decoded once, changed, and re-encoded once over
+// its own pages — the update-hostility of compression the paper warns
+// about; callers choosing RLE accept it. A value the column cannot hold
+// fails before any page is touched.
+func (f *File) UpdateRows(name string, rows []int, at func(k int) dataset.Value) error {
 	m, err := f.meta(name)
 	if err != nil {
 		return err
 	}
-	if rowIdx < 0 || rowIdx >= f.rows {
-		return fmt.Errorf("colstore: row %d out of range [0,%d)", rowIdx, f.rows)
-	}
-	payload, null, err := m.fromValue(v)
-	if err != nil {
-		return err
+	payloads := make([]int64, len(rows))
+	nulls := make([]bool, len(rows))
+	for k, r := range rows {
+		if r < 0 || r >= f.rows {
+			return fmt.Errorf("colstore: row %d out of range [0,%d)", r, f.rows)
+		}
+		if k > 0 && r <= rows[k-1] {
+			return fmt.Errorf("colstore: update rows not ascending: %d after %d", r, rows[k-1])
+		}
+		if payloads[k], nulls[k], err = m.fromValue(at(k)); err != nil {
+			return err
+		}
 	}
 	if m.enc == Plain {
-		p := rowIdx / plainCap
+		return f.patchPlain(m, rows, payloads, nulls)
+	}
+	vals := make([]int64, 0, f.rows)
+	colNulls := make([]bool, 0, f.rows)
+	var pv []int64
+	var pn []bool
+	for p := range m.pages {
+		if pv, pn, err = f.pageValuesInto(m, p, pv, pn); err != nil {
+			return err
+		}
+		vals = append(vals, pv...)
+		colNulls = append(colNulls, pn...)
+	}
+	if len(vals) != f.rows {
+		return fmt.Errorf("colstore: column %q has %d values, want %d: %w", m.name, len(vals), f.rows, storage.ErrCorrupt)
+	}
+	for k, r := range rows {
+		vals[r], colNulls[r] = payloads[k], nulls[k]
+	}
+	return writeRLEPages(f.pool, m, vals, colNulls)
+}
+
+// patchPlain writes the cells into their Plain pages, one Fetch and one
+// dirty Unpin per touched page; the bytes are those encodePlainPage
+// would produce for the changed page.
+func (f *File) patchPlain(m *columnMeta, rows []int, payloads []int64, nulls []bool) error {
+	for k := 0; k < len(rows); {
+		p := rows[k] / plainCap
 		id := m.pages[p]
 		page, err := f.pool.Fetch(id)
 		if err != nil {
 			return err
 		}
-		vals, nulls := decodePlainPage(page.Payload())
-		off := rowIdx - m.rowStart[p]
-		vals[off], nulls[off] = payload, null
-		encodePlainPage(page.Payload(), vals, nulls)
-		return f.pool.Unpin(id, true)
-	}
-	// RLE: read the whole column, apply, rewrite into fresh pages.
-	vals := make([]int64, 0, f.rows)
-	nulls := make([]bool, 0, f.rows)
-	for p := range m.pages {
-		pv, pn, err := f.pageValues(m, p)
-		if err != nil {
+		buf := page.Payload()
+		bitmap := buf[2 : 2+plainCap/8]
+		data := buf[2+plainCap/8:]
+		for ; k < len(rows) && rows[k]/plainCap == p; k++ {
+			off := rows[k] - m.rowStart[p]
+			binary.LittleEndian.PutUint64(data[off*8:], uint64(payloads[k]))
+			if nulls[k] {
+				bitmap[off/8] &^= 1 << (off % 8)
+			} else {
+				bitmap[off/8] |= 1 << (off % 8)
+			}
+		}
+		if err := f.pool.Unpin(id, true); err != nil {
 			return err
 		}
-		vals = append(vals, pv...)
-		nulls = append(nulls, pn...)
 	}
-	vals[rowIdx], nulls[rowIdx] = payload, null
-	m.pages, m.rowStart = nil, nil
-	return writeRLEPages(f.pool, m, vals, nulls)
+	return nil
 }
 
 // Materialize reads the whole file back into an in-memory data set.

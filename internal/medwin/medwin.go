@@ -6,12 +6,14 @@
 // When the pointer runs off the stored window, a new window is generated
 // with a single pass over the data.
 //
-// The window generalizes to any quantile; Tracker maintains one window
-// per tracked quantile.
+// The window generalizes to any quantile; the Summary Database keeps one
+// per cached median, q1 or q3.
 package medwin
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"statdb/internal/obs"
@@ -216,8 +218,10 @@ func (w *Window) trim() {
 }
 
 // Rebuild regenerates the window from the full column in one pass over
-// the data (plus a sort of the retained values): the Section 4.2
-// regeneration. The new window is centered on the quantile pointer.
+// the data: the Section 4.2 regeneration. The new window is centered on
+// the quantile pointer. Only the window's own order statistics are put in
+// place and sorted (selectRange); the values outside it are counted, not
+// ordered, so a regeneration is linear in the column.
 func (w *Window) Rebuild(xs []float64, valid []bool) {
 	vals := make([]float64, 0, len(xs))
 	for i, x := range xs {
@@ -225,7 +229,6 @@ func (w *Window) Rebuild(xs []float64, valid []bool) {
 			vals = append(vals, x)
 		}
 	}
-	sort.Float64s(vals)
 	n := len(vals)
 	w.degenerate = false
 	if n == 0 {
@@ -249,9 +252,68 @@ func (w *Window) Rebuild(xs []float64, valid []bool) {
 			start = 0
 		}
 	}
+	selectRange(vals, start, end)
 	w.below = start
 	w.above = n - end
 	w.window = append([]float64(nil), vals[start:end]...)
 	w.rebuilds++
 	w.cRebuilds.Inc()
+}
+
+// selectRange rearranges a so that a[start:end] holds, in ascending
+// order, exactly the values a full sort would leave there. It is
+// quicksort that only descends into partitions overlapping the range:
+// expected O(len(a) + (end-start) log(end-start)). Three-way partitioning
+// around a median-of-three pivot makes constant and sorted input the
+// best cases, and after 2·log2(n) splits whatever partition is left is
+// handed to the library sort, which bounds the worst case at O(n log n).
+// Values compare by cmp.Less — ascending, NaNs first — as sort.Float64s
+// orders them.
+func selectRange(a []float64, start, end int) {
+	selectWithin(a, start, end, 2*bits.Len(uint(len(a))))
+}
+
+func selectWithin(a []float64, start, end, depth int) {
+	lo, hi := 0, len(a) // the partition still to be ordered; it contains [start, end)
+	for ; hi-lo > 16 && depth > 0; depth-- {
+		pivot := a[lo+(hi-lo)/2]
+		if x, z := a[lo], a[hi-1]; cmp.Less(x, pivot) != cmp.Less(x, z) {
+			pivot = x
+		} else if cmp.Less(z, pivot) != cmp.Less(z, x) {
+			pivot = z
+		}
+		// Invariant: [lo,lt) < pivot, [lt,i) == pivot, (gt,hi) > pivot.
+		lt, i, gt := lo, lo, hi-1
+		for i <= gt {
+			switch x := a[i]; {
+			case cmp.Less(x, pivot):
+				a[lt], a[i] = x, a[lt]
+				lt++
+				i++
+			case cmp.Less(pivot, x):
+				a[gt], a[i] = x, a[gt]
+				gt--
+			default:
+				i++
+			}
+		}
+		gt++ // now [gt,hi) > pivot
+		switch {
+		case end <= lt:
+			hi = lt
+		case start >= gt:
+			lo = gt
+		default:
+			// The range reaches the pivot's copies, which are in place:
+			// order what it takes of each side.
+			if start < lt {
+				selectWithin(a[lo:lt], start-lo, lt-lo, depth-1)
+			}
+			if end > gt {
+				selectWithin(a[gt:hi], 0, end-gt, depth-1)
+			}
+			return
+		}
+	}
+	sort.Float64s(a[lo:hi])
 }

@@ -3,7 +3,9 @@ package medwin
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
+	"time"
 
 	"statdb/internal/stats"
 )
@@ -255,4 +257,147 @@ func TestRandomStreamAgainstBatch(t *testing.T) {
 		}
 	}
 	t.Logf("rebuilds=%d slides=%d", w.Rebuilds(), w.Slides())
+}
+
+// sortRebuild is the regeneration Rebuild replaced: sort every valid
+// value, then cut the window out. Kept as the reference.
+func sortRebuild(xs []float64, valid []bool, p float64, capacity int) (below, above int, window []float64) {
+	var vals []float64
+	for i, x := range xs {
+		if valid == nil || valid[i] {
+			vals = append(vals, x)
+		}
+	}
+	sort.Float64s(vals)
+	n := len(vals)
+	if n == 0 {
+		return 0, 0, nil
+	}
+	w := &Window{p: p, capacity: capacity}
+	lo, hi := w.targetIdx(n)
+	start := lo - (capacity-(hi-lo+1))/2
+	if start < 0 {
+		start = 0
+	}
+	end := start + capacity
+	if end > n {
+		end = n
+		if start > end-capacity && end-capacity >= 0 {
+			start = end - capacity
+		}
+		if start < 0 {
+			start = 0
+		}
+	}
+	return start, n - end, vals[start:end]
+}
+
+func checkRebuild(t *testing.T, label string, xs []float64, valid []bool, p float64, capacity int) {
+	t.Helper()
+	w, err := NewQuantile(xs, valid, p, capacity)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	below, above, window := sortRebuild(xs, valid, p, capacity)
+	if w.below != below || w.above != above || len(w.window) != len(window) {
+		t.Fatalf("%s p=%g cap=%d: below/above/len = %d/%d/%d, sorted reference %d/%d/%d",
+			label, p, capacity, w.below, w.above, len(w.window), below, above, len(window))
+	}
+	for i := range window {
+		same := w.window[i] == window[i] || (math.IsNaN(w.window[i]) && math.IsNaN(window[i]))
+		if !same {
+			t.Fatalf("%s p=%g cap=%d: window[%d] = %g, sorted reference %g", label, p, capacity, i, w.window[i], window[i])
+		}
+	}
+}
+
+func TestRebuildMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	shapes := map[string]func(n int) []float64{
+		"uniform":    func(n int) []float64 { return randFloats(rng, n, 1e6) },
+		"duplicates": func(n int) []float64 { return randFloats(rng, n, 5) },
+		"all-equal": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = 7
+			}
+			return xs
+		},
+		"sorted": seq,
+		"reversed": func(n int) []float64 {
+			xs := seq(n)
+			for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
+				xs[i], xs[j] = xs[j], xs[i]
+			}
+			return xs
+		},
+		"organ-pipe": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(min(i, n-1-i))
+			}
+			return xs
+		},
+		"with-nan": func(n int) []float64 {
+			xs := randFloats(rng, n, 50)
+			for i := 0; i < n; i += 7 {
+				xs[i] = math.NaN()
+			}
+			return xs
+		},
+	}
+	for label, gen := range shapes {
+		for _, n := range []int{1, 2, 5, 16, 17, 99, 100, 101, 1000, 5003} {
+			for _, p := range []float64{0.01, 0.25, 0.5, 0.75, 0.99} {
+				for _, capacity := range []int{3, 10, 100} {
+					xs := gen(n)
+					checkRebuild(t, label, xs, nil, p, capacity)
+					valid := make([]bool, n)
+					for i := range valid {
+						valid[i] = rng.Intn(5) != 0
+					}
+					checkRebuild(t, label+"+nulls", xs, valid, p, capacity)
+				}
+			}
+		}
+	}
+	checkRebuild(t, "empty", nil, nil, 0.5, 100)
+	checkRebuild(t, "all-null", []float64{1, 2, 3}, make([]bool, 3), 0.5, 100)
+}
+
+func randFloats(rng *rand.Rand, n int, distinct float64) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = math.Floor(rng.Float64() * distinct)
+	}
+	return xs
+}
+
+// Selection must not go quadratic on the inputs that defeat a naive
+// pivot: a million sorted, or constant values regenerate well under
+// the cap (a quadratic pass would take hours).
+func TestRebuildLinearOnSortedAndConstant(t *testing.T) {
+	const n = 1_000_000
+	constant := make([]float64, n)
+	for name, xs := range map[string][]float64{"sorted": seq(n), "constant": constant} {
+		start := time.Now()
+		checkRebuild(t, name, xs, nil, 0.5, 100)
+		if d := time.Since(start); d > 20*time.Second {
+			t.Errorf("%s: rebuild + sorted reference over %d values took %v", name, n, d)
+		}
+	}
+}
+
+func BenchmarkWindowRebuild(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	xs := randFloats(rng, 200_000, 1e5)
+	w, err := NewQuantile(xs, nil, 0.5, 100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Rebuild(xs, nil)
+	}
 }

@@ -431,7 +431,7 @@ func (e *Executor) exec(cmd Command) error {
 			return err
 		}
 		for _, rec := range v.History().Records() {
-			fmt.Fprintf(e.Out, "#%d\t%s\t%s\t(%d cells)\n", rec.Seq, rec.Analyst, rec.Description, len(rec.Changes))
+			fmt.Fprintf(e.Out, "#%d\t%s\t%s\t(%d cells)\n", rec.Seq, rec.Analyst, rec.Description, len(rec.Rows))
 		}
 		return nil
 	case Publish:

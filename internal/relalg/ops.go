@@ -10,17 +10,25 @@ import (
 
 // Select returns the rows of ds satisfying p.
 func Select(ds *dataset.Dataset, p Predicate) (*dataset.Dataset, error) {
-	eval, err := p.Compile(ds.Schema())
+	eval, err := p.Bind(ds)
 	if err != nil {
 		return nil, err
 	}
+	mask := make([]bool, ds.Rows())
+	eval(0, len(mask), mask)
+	return matched(ds, mask)
+}
+
+// matched copies the masked rows of ds, in row order, into a new data
+// set.
+func matched(ds *dataset.Dataset, mask []bool) (*dataset.Dataset, error) {
 	out := dataset.New(ds.Schema())
-	for i := 0; i < ds.Rows(); i++ {
-		row := ds.RowAt(i)
-		if eval(row) {
-			if err := out.Append(row); err != nil {
-				return nil, err
-			}
+	for i, ok := range mask {
+		if !ok {
+			continue
+		}
+		if err := out.Append(ds.RowAt(i)); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil

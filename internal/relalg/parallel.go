@@ -14,28 +14,17 @@ func SelectWith(p *exec.Pool, ds *dataset.Dataset, pred Predicate, chunk int) (*
 	if p == nil || p.Workers() <= 1 {
 		return Select(ds, pred)
 	}
-	eval, err := pred.Compile(ds.Schema())
+	eval, err := pred.Bind(ds)
 	if err != nil {
 		return nil, err
 	}
 	n := ds.Rows()
 	mask := make([]bool, n)
 	if err := p.Run(n, chunk, func(_ int, r exec.Range) error {
-		for i := r.Lo; i < r.Hi; i++ {
-			mask[i] = eval(ds.RowAt(i))
-		}
+		eval(r.Lo, r.Hi, mask[r.Lo:r.Hi])
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	out := dataset.New(ds.Schema())
-	for i, ok := range mask {
-		if !ok {
-			continue
-		}
-		if err := out.Append(ds.RowAt(i)); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return matched(ds, mask)
 }

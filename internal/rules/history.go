@@ -7,24 +7,23 @@ import (
 	"statdb/internal/dataset"
 )
 
-// CellChange is a physical before-image of one modified cell.
-type CellChange struct {
-	Row  int
-	Attr string
-	Old  dataset.Value
-	New  dataset.Value
-}
-
 // UpdateRecord is one entry of a view's update history. It carries both a
-// logical description (what the analyst asked for) and physical
-// before-images (what changed), so the history serves the two purposes
+// logical description (what the analyst asked for) and a physical
+// before-image (what changed), so the history serves the two purposes
 // Section 3.2 gives it: rolling a view back, and letting other analysts
 // audit what data-cleaning actions their predecessors took.
+//
+// An update is set-at-a-time — one attribute, one new value, a set of
+// records — and so is its image: the attribute and value once, the
+// changed records' indexes, and their old values as one typed vector.
 type UpdateRecord struct {
 	Seq         int64
 	Analyst     string
-	Description string // e.g. `set AVE_SALARY = null where AVE_SALARY > 1000000`
-	Changes     []CellChange
+	Description string          // e.g. `set AVE_SALARY = null where AVE_SALARY > 1000000`
+	Attr        string          // the attribute that was set
+	New         dataset.Value   // the value every changed cell received
+	Rows        []int           // the changed records, ascending
+	Old         *dataset.Vector // Old.At(k) is what record Rows[k] held before
 }
 
 // History is an append-only update log for one view with undo support.

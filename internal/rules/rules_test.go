@@ -177,7 +177,7 @@ func TestHistory(t *testing.T) {
 		t.Error("pop from empty history accepted")
 	}
 	h.Append(UpdateRecord{Seq: m.NextSeq(), Analyst: "x", Description: "set A = 1 where B = 2",
-		Changes: []CellChange{{Row: 3, Attr: "A", Old: dataset.Int(0), New: dataset.Int(1)}}})
+		Attr: "A", New: dataset.Int(1), Rows: []int{3}})
 	h.Append(UpdateRecord{Seq: m.NextSeq(), Analyst: "x", Description: "second"})
 	if h.Len() != 2 {
 		t.Fatalf("Len = %d", h.Len())
@@ -194,7 +194,7 @@ func TestHistory(t *testing.T) {
 		t.Errorf("Len after pop = %d", h.Len())
 	}
 	recs := h.Records()
-	if len(recs) != 1 || recs[0].Changes[0].Attr != "A" {
+	if len(recs) != 1 || recs[0].Attr != "A" || recs[0].Rows[0] != 3 {
 		t.Errorf("Records = %+v", recs)
 	}
 	if m.NextSeq() <= 2 {

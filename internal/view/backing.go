@@ -288,16 +288,23 @@ func (st *store) readRow(i int) (dataset.Row, error) {
 	return nil, fmt.Errorf("view: memory backing has no store")
 }
 
-// writeCell mirrors one cell update into the store.
-func (st *store) writeCell(data *dataset.Dataset, row int, attr string, v dataset.Value) error {
+// writeRows mirrors a column update into the store: at(k) for record
+// rows[k], rows ascending. Transposed files take it as one batch; a row
+// file rewrites each changed record from data, which already holds the
+// new cells.
+func (st *store) writeRows(data *dataset.Dataset, attr string, rows []int, at func(k int) dataset.Value) error {
 	switch st.backing {
 	case BackingTransposed:
-		return st.col.UpdateValue(attr, row, v)
+		return st.col.UpdateRows(attr, rows, at)
 	case BackingRow:
-		if row < 0 || row >= len(st.rids) {
-			return fmt.Errorf("view: row %d out of store range", row)
+		for _, r := range rows {
+			if r < 0 || r >= len(st.rids) {
+				return fmt.Errorf("view: row %d out of store range", r)
+			}
+			if err := st.heap.Update(st.rids[r], data.RowAt(r)); err != nil {
+				return err
+			}
 		}
-		return st.heap.Update(st.rids[row], data.RowAt(row))
 	}
 	return nil
 }

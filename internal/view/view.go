@@ -491,57 +491,69 @@ func (v *View) updateWhere(attr string, pred relalg.Predicate, value dataset.Val
 	if ci < 0 {
 		return 0, fmt.Errorf("view %s: no attribute %q", v.name, attr)
 	}
-	eval, err := pred.Compile(v.data.Schema())
+	eval, err := pred.Bind(v.data)
 	if err != nil {
 		return 0, err
 	}
-	var changes []rules.CellChange
-	var deltas []incr.Delta
-	// revert undoes already-applied cells so a mid-batch failure never
-	// leaves a torn, unrecorded update.
-	revert := func() {
-		for _, ch := range changes {
-			_ = v.data.SetCell(ch.Row, ci, ch.Old) //lint:allow error-flow revert restores cells that held these values
-			if v.store != nil {
-				_ = v.store.writeCell(v.data, ch.Row, attr, ch.Old) //lint:allow error-flow revert is best-effort; the batch error wins
-			}
+	// The selection vector: the predicate over the column vectors it
+	// names, then only the matched cells of the target column. It is
+	// sized by a count first because it lives on in the history.
+	mask := make([]bool, v.data.Rows())
+	eval(0, len(mask), mask)
+	matched := 0
+	for _, ok := range mask {
+		if ok {
+			matched++
 		}
 	}
-	for r := 0; r < v.data.Rows(); r++ {
-		row := v.data.RowAt(r)
-		if !eval(row) {
-			continue
+	rows := make([]int, 0, matched)
+	for r, ok := range mask {
+		if ok && !v.data.Cell(r, ci).Equal(value) {
+			rows = append(rows, r)
 		}
-		old := row[ci]
-		if old.Equal(value) {
-			continue
-		}
-		if err := v.data.SetCell(r, ci, value); err != nil {
-			revert()
-			return 0, err
-		}
-		if v.store != nil {
-			if err := v.store.writeCell(v.data, r, attr, value); err != nil {
-				revert()
-				return 0, fmt.Errorf("view %s: store write-through: %w", v.name, err)
-			}
-		}
-		changes = append(changes, rules.CellChange{Row: r, Attr: attr, Old: old, New: value})
-		deltas = append(deltas, deltaFor(old, value))
 	}
-	if len(changes) == 0 {
+	if len(rows) == 0 {
 		return 0, nil
+	}
+	old := v.data.Gather(ci, rows)
+	if err := v.writeRows(ci, attr, rows, func(int) dataset.Value { return value }); err != nil {
+		// Put the before-image back so a failure part-way never leaves a
+		// torn, unrecorded update.
+		_ = v.writeRows(ci, attr, rows, old.At) //lint:allow error-flow revert is best-effort; the batch error wins
+		return 0, err
+	}
+	deltas := make([]incr.Delta, len(rows))
+	for k := range rows {
+		deltas[k] = deltaFor(old.At(k), value)
 	}
 	v.shardsBehind = true
 	desc := fmt.Sprintf("set %s = %s where %s", attr, value, pred)
 	v.history.Append(rules.UpdateRecord{
-		Seq: v.mdb.NextSeq(), Analyst: v.analyst, Description: desc, Changes: changes,
+		Seq: v.mdb.NextSeq(), Analyst: v.analyst, Description: desc,
+		Attr: attr, New: value, Rows: rows, Old: old,
 	})
 	if v.undoMode == UndoReplay {
 		v.replay = append(v.replay, replayOp{attr: attr, pred: pred, value: value})
 	}
-	v.propagate(attr, changes, deltas)
-	return len(changes), nil
+	v.propagate(attr, rows, deltas)
+	return len(rows), nil
+}
+
+// writeRows stores at(k) in column ci (attr) of record rows[k], rows
+// ascending, in the data set and through the attached store.
+func (v *View) writeRows(ci int, attr string, rows []int, at func(k int) dataset.Value) error {
+	for k, r := range rows {
+		if err := v.data.SetCell(r, ci, at(k)); err != nil {
+			return err
+		}
+	}
+	if v.store == nil {
+		return nil
+	}
+	if err := v.store.writeRows(v.data, attr, rows, at); err != nil {
+		return fmt.Errorf("view %s: store write-through: %w", v.name, err)
+	}
+	return nil
 }
 
 // InvalidateWhere marks attr missing on every matching row — the
@@ -568,9 +580,10 @@ func deltaFor(old, new dataset.Value) incr.Delta {
 	return d
 }
 
-// propagate pushes an applied change set into the Summary Database and
-// the derived-attribute rules.
-func (v *View) propagate(attr string, changes []rules.CellChange, deltas []incr.Delta) {
+// propagate pushes an applied change set — the changed records of attr
+// and their deltas — into the Summary Database and the derived-attribute
+// rules.
+func (v *View) propagate(attr string, rows []int, deltas []incr.Delta) {
 	v.sdb.OnUpdate(attr, deltas)
 	for _, rule := range v.mdb.DerivedRulesFor(v.name, attr) {
 		di := v.data.Schema().Index(rule.Attr)
@@ -580,21 +593,25 @@ func (v *View) propagate(attr string, changes []rules.CellChange, deltas []incr.
 		switch rule.Scope {
 		case rules.ScopeLocal:
 			// Recompute only the changed rows' derived cells.
-			var derivedDeltas []incr.Delta
-			for _, ch := range changes {
-				old := v.data.Cell(ch.Row, di)
-				nv := rule.Row(v.data.Schema(), v.data.RowAt(ch.Row))
+			var (
+				derivedRows   []int
+				derived       []dataset.Value
+				derivedDeltas []incr.Delta
+			)
+			for _, r := range rows {
+				old := v.data.Cell(r, di)
+				nv := rule.Row(v.data.Schema(), v.data.RowAt(r))
 				if old.Equal(nv) {
 					continue
 				}
-				if err := v.data.SetCell(ch.Row, di, nv); err != nil {
+				if err := v.data.SetCell(r, di, nv); err != nil {
 					continue
 				}
-				if v.store != nil {
-					_ = v.store.writeCell(v.data, ch.Row, rule.Attr, nv) //lint:allow error-flow derived write-behind; summaries are invalidated regardless
-				}
+				derivedRows = append(derivedRows, r)
+				derived = append(derived, nv)
 				derivedDeltas = append(derivedDeltas, deltaFor(old, nv))
 			}
+			v.writeBehind(rule.Attr, derivedRows, derived)
 			if len(derivedDeltas) > 0 {
 				// Cascade into the derived attribute's own summaries and
 				// rules.
@@ -608,15 +625,24 @@ func (v *View) propagate(attr string, changes []rules.CellChange, deltas []incr.
 				v.sdb.Invalidate(rule.Attr)
 				continue
 			}
+			all := make([]int, len(vals))
 			for r, nv := range vals {
+				all[r] = r
 				_ = v.data.SetCell(r, di, nv) //lint:allow error-flow regenerate length was checked above
-				if v.store != nil {
-					_ = v.store.writeCell(v.data, r, rule.Attr, nv) //lint:allow error-flow derived write-behind; summaries are invalidated regardless
-				}
 			}
+			v.writeBehind(rule.Attr, all, vals)
 			v.sdb.Invalidate(rule.Attr)
 		}
 	}
+}
+
+// writeBehind mirrors derived cells the data set already holds into the
+// attached store, vals[k] for record rows[k].
+func (v *View) writeBehind(attr string, rows []int, vals []dataset.Value) {
+	if v.store == nil || len(rows) == 0 {
+		return
+	}
+	_ = v.store.writeRows(v.data, attr, rows, func(k int) dataset.Value { return vals[k] }) //lint:allow error-flow derived write-behind; summaries are invalidated regardless
 }
 
 // AddDerived appends a derived attribute computed by rule and registers
@@ -691,34 +717,22 @@ func (v *View) undo() error {
 	v.shardsBehind = true
 	switch v.undoMode {
 	case UndoPhysical:
-		// Restore before-images and push the inverse deltas.
-		byAttr := map[string][]incr.Delta{}
-		for i := len(rec.Changes) - 1; i >= 0; i-- {
-			ch := rec.Changes[i]
-			ci := v.data.Schema().Index(ch.Attr)
-			if ci < 0 {
-				return fmt.Errorf("view %s: undo references missing attribute %q", v.name, ch.Attr)
-			}
-			if err := v.data.SetCell(ch.Row, ci, ch.Old); err != nil {
-				return err
-			}
-			if v.store != nil {
-				if err := v.store.writeCell(v.data, ch.Row, ch.Attr, ch.Old); err != nil {
-					return err
-				}
-			}
-			byAttr[ch.Attr] = append(byAttr[ch.Attr], deltaFor(ch.New, ch.Old))
+		// Restore the before-image and push the inverse deltas — last
+		// changed record first, the order a cell-at-a-time undo gave
+		// them: the maintainers' floating-point sums depend on it.
+		ci := v.data.Schema().Index(rec.Attr)
+		if ci < 0 {
+			return fmt.Errorf("view %s: undo references missing attribute %q", v.name, rec.Attr)
 		}
-		for attr, deltas := range byAttr {
-			// Reuse the rule-firing path so derived attributes follow.
-			fakeChanges := make([]rules.CellChange, 0, len(rec.Changes))
-			for _, ch := range rec.Changes {
-				if ch.Attr == attr {
-					fakeChanges = append(fakeChanges, rules.CellChange{Row: ch.Row, Attr: attr, Old: ch.New, New: ch.Old})
-				}
-			}
-			v.propagate(attr, fakeChanges, deltas)
+		if err := v.writeRows(ci, rec.Attr, rec.Rows, rec.Old.At); err != nil {
+			return err
 		}
+		deltas := make([]incr.Delta, len(rec.Rows))
+		for k := range rec.Rows {
+			deltas[len(deltas)-1-k] = deltaFor(rec.New, rec.Old.At(k))
+		}
+		// Reuse the rule-firing path so derived attributes follow.
+		v.propagate(rec.Attr, rec.Rows, deltas)
 		return nil
 	case UndoReplay:
 		if v.base == nil {

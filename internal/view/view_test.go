@@ -103,8 +103,8 @@ func TestUpdateWherePropagates(t *testing.T) {
 		t.Errorf("history len = %d", v.History().Len())
 	}
 	rec, _ := v.History().Last()
-	if len(rec.Changes) != n {
-		t.Errorf("history records %d changes for %d rows", len(rec.Changes), n)
+	if len(rec.Rows) != n || rec.Old.Len() != n {
+		t.Errorf("history records %d rows, %d before-images for %d changed", len(rec.Rows), rec.Old.Len(), n)
 	}
 }
 
