@@ -483,7 +483,7 @@ func TestUpdateRowsMatchesUpdateValue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := []int{0, 1, 479, 480, 481, 959, 1200, 1499} // both sides of two page boundaries
+		rows := []int32{0, 1, 479, 480, 481, 959, 1200, 1499} // both sides of two page boundaries
 		updates := map[string]func(k int) dataset.Value{
 			"AGE_GROUP":  func(int) dataset.Value { return dataset.Int(9) },
 			"SEX":        func(int) dataset.Value { return dataset.Null },
@@ -494,7 +494,7 @@ func TestUpdateRowsMatchesUpdateValue(t *testing.T) {
 				t.Fatalf("%s %s: UpdateRows: %v", enc, name, err)
 			}
 			for k, r := range rows {
-				if err := b.UpdateValue(name, r, at(k)); err != nil {
+				if err := b.UpdateValue(name, int(r), at(k)); err != nil {
 					t.Fatalf("%s %s: UpdateValue: %v", enc, name, err)
 				}
 			}
@@ -546,16 +546,16 @@ func TestUpdateRowsRejectsBadBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	one := func(int) dataset.Value { return dataset.Int(1) }
-	if err := f.UpdateRows("POPULATION", []int{5, 5}, one); err == nil {
+	if err := f.UpdateRows("POPULATION", []int32{5, 5}, one); err == nil {
 		t.Error("repeated row accepted")
 	}
-	if err := f.UpdateRows("POPULATION", []int{7, 3}, one); err == nil {
+	if err := f.UpdateRows("POPULATION", []int32{7, 3}, one); err == nil {
 		t.Error("descending rows accepted")
 	}
-	if err := f.UpdateRows("POPULATION", []int{3, 600}, one); err == nil {
+	if err := f.UpdateRows("POPULATION", []int32{3, 600}, one); err == nil {
 		t.Error("out-of-range row accepted")
 	}
-	if err := f.UpdateRows("NOPE", []int{3}, one); err == nil {
+	if err := f.UpdateRows("NOPE", []int32{3}, one); err == nil {
 		t.Error("unknown column accepted")
 	}
 	// A value the column cannot hold fails before any page is touched.
@@ -565,7 +565,7 @@ func TestUpdateRowsRejectsBadBatches(t *testing.T) {
 		}
 		return dataset.Int(-7)
 	}
-	if err := f.UpdateRows("POPULATION", []int{3, 4}, mixed); err == nil {
+	if err := f.UpdateRows("POPULATION", []int32{3, 4}, mixed); err == nil {
 		t.Error("type-mismatched batch accepted")
 	}
 	row, err := f.RowAt(3)
@@ -609,9 +609,9 @@ func TestRLERewritesReuseTheirPages(t *testing.T) {
 		t.Errorf("device holds %d pages, the file accounts for %d", got, held)
 	}
 	// A denser rewrite keeps its surplus pages for the next one.
-	all := make([]int, n)
+	all := make([]int32, n)
 	for i := range all {
-		all[i] = i
+		all[i] = int32(i)
 	}
 	if err := f.UpdateRows("X", all, func(int) dataset.Value { return dataset.Int(1) }); err != nil {
 		t.Fatal(err)

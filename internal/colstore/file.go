@@ -71,6 +71,10 @@ type Options struct {
 // Load writes ds into a new transposed file on pool's device, column by
 // column so each column's pages are physically contiguous.
 func Load(pool *storage.BufferPool, ds *dataset.Dataset, opts Options) (*File, error) {
+	if ds.Rows() > math.MaxInt32 {
+		// UpdateRows addresses rows as int32.
+		return nil, fmt.Errorf("colstore: %d rows, more than the %d a file holds", ds.Rows(), math.MaxInt32)
+	}
 	f := &File{pool: pool, schema: ds.Schema(), rows: ds.Rows()}
 	for c := 0; c < ds.Schema().Len(); c++ {
 		attr := ds.Schema().At(c)
@@ -513,7 +517,10 @@ func (f *File) RowAt(i int) (dataset.Row, error) {
 
 // UpdateValue overwrites (row, named column): UpdateRows of one row.
 func (f *File) UpdateValue(name string, rowIdx int, v dataset.Value) error {
-	return f.UpdateRows(name, []int{rowIdx}, func(int) dataset.Value { return v })
+	if rowIdx < 0 || rowIdx >= f.rows {
+		return fmt.Errorf("colstore: row %d out of range [0,%d)", rowIdx, f.rows)
+	}
+	return f.UpdateRows(name, []int32{int32(rowIdx)}, func(int) dataset.Value { return v })
 }
 
 // UpdateRows overwrites the named column at rows, which must be strictly
@@ -523,7 +530,7 @@ func (f *File) UpdateValue(name string, rowIdx int, v dataset.Value) error {
 // its own pages — the update-hostility of compression the paper warns
 // about; callers choosing RLE accept it. A value the column cannot hold
 // fails before any page is touched.
-func (f *File) UpdateRows(name string, rows []int, at func(k int) dataset.Value) error {
+func (f *File) UpdateRows(name string, rows []int32, at func(k int) dataset.Value) error {
 	m, err := f.meta(name)
 	if err != nil {
 		return err
@@ -531,7 +538,7 @@ func (f *File) UpdateRows(name string, rows []int, at func(k int) dataset.Value)
 	payloads := make([]int64, len(rows))
 	nulls := make([]bool, len(rows))
 	for k, r := range rows {
-		if r < 0 || r >= f.rows {
+		if r < 0 || int(r) >= f.rows {
 			return fmt.Errorf("colstore: row %d out of range [0,%d)", r, f.rows)
 		}
 		if k > 0 && r <= rows[k-1] {
@@ -567,9 +574,9 @@ func (f *File) UpdateRows(name string, rows []int, at func(k int) dataset.Value)
 // patchPlain writes the cells into their Plain pages, one Fetch and one
 // dirty Unpin per touched page; the bytes are those encodePlainPage
 // would produce for the changed page.
-func (f *File) patchPlain(m *columnMeta, rows []int, payloads []int64, nulls []bool) error {
+func (f *File) patchPlain(m *columnMeta, rows []int32, payloads []int64, nulls []bool) error {
 	for k := 0; k < len(rows); {
-		p := rows[k] / plainCap
+		p := int(rows[k]) / plainCap
 		id := m.pages[p]
 		page, err := f.pool.Fetch(id)
 		if err != nil {
@@ -578,8 +585,8 @@ func (f *File) patchPlain(m *columnMeta, rows []int, payloads []int64, nulls []b
 		buf := page.Payload()
 		bitmap := buf[2 : 2+plainCap/8]
 		data := buf[2+plainCap/8:]
-		for ; k < len(rows) && rows[k]/plainCap == p; k++ {
-			off := rows[k] - m.rowStart[p]
+		for ; k < len(rows) && int(rows[k])/plainCap == p; k++ {
+			off := int(rows[k]) - m.rowStart[p]
 			binary.LittleEndian.PutUint64(data[off*8:], uint64(payloads[k]))
 			if nulls[k] {
 				bitmap[off/8] &^= 1 << (off % 8)

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -25,12 +26,38 @@ type Vector struct {
 	flts  []float64
 	strs  []string
 	valid []bool
+	// missing stands in for valid in a before-image, which is never
+	// written again: nil when every cell is present, else bit k set marks
+	// cell k missing — an eighth of a byte a cell where valid takes one.
+	missing []uint64
 }
 
 func newVector(k Kind) *Vector { return &Vector{kind: k} }
 
 // Len returns the number of cells.
-func (c *Vector) Len() int { return len(c.valid) }
+func (c *Vector) Len() int {
+	switch c.kind {
+	case KindInt:
+		return len(c.ints)
+	case KindFloat:
+		return len(c.flts)
+	default:
+		return len(c.strs)
+	}
+}
+
+// grow reserves room for n more cells.
+func (c *Vector) grow(n int) {
+	c.valid = slices.Grow(c.valid, n)
+	switch c.kind {
+	case KindInt:
+		c.ints = slices.Grow(c.ints, n)
+	case KindFloat:
+		c.flts = slices.Grow(c.flts, n)
+	case KindString:
+		c.strs = slices.Grow(c.strs, n)
+	}
+}
 
 func (c *Vector) append(v Value) error {
 	if v.IsNull() {
@@ -68,7 +95,11 @@ func (c *Vector) append(v Value) error {
 
 // At returns cell i, Null when it is missing.
 func (c *Vector) At(i int) Value {
-	if !c.valid[i] {
+	if c.valid != nil {
+		if !c.valid[i] {
+			return Null
+		}
+	} else if c.missing != nil && c.missing[i/64]&(1<<(i%64)) != 0 {
 		return Null
 	}
 	switch c.kind {
@@ -143,6 +174,14 @@ func (d *Dataset) SetName(n string) { d.name = n }
 
 // Schema returns the data set's schema.
 func (d *Dataset) Schema() *Schema { return d.schema }
+
+// Grow reserves room for n more records, so a data set whose size is
+// known before it is filled is allocated once, at that size.
+func (d *Dataset) Grow(n int) {
+	for _, c := range d.cols {
+		c.grow(n)
+	}
+}
 
 // Rows returns the number of records.
 func (d *Dataset) Rows() int {
@@ -258,12 +297,19 @@ func (d *Dataset) Floats(col int) ([]float64, []bool) {
 
 // Gather copies the cells of column col at the given rows into a new
 // Vector, cell k from rows[k] — the columnar before-image a set-at-a-time
-// update records: 9 bytes a numeric cell where a Value takes 40.
-func (d *Dataset) Gather(col int, rows []int) *Vector {
+// update records: 8 bytes a numeric cell (and a bit, if any is missing)
+// where a Value takes 40.
+func (d *Dataset) Gather(col int, rows []int32) *Vector {
 	c := d.cols[col]
-	out := &Vector{kind: c.kind, valid: make([]bool, len(rows))}
+	out := &Vector{kind: c.kind}
 	for k, r := range rows {
-		out.valid[k] = c.valid[r]
+		if c.valid[r] {
+			continue
+		}
+		if out.missing == nil {
+			out.missing = make([]uint64, (len(rows)+63)/64)
+		}
+		out.missing[k/64] |= 1 << (k % 64)
 	}
 	switch c.kind {
 	case KindInt:

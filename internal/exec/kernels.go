@@ -1,9 +1,10 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // The kernels below are the parallel form of the finite-differencing
@@ -166,18 +167,158 @@ func (f Freq) Merge(src Freq) Freq {
 	return f
 }
 
-// Sorted returns the distinct values ascending with their counts.
-func (f Freq) Sorted() (values []float64, counts []int64) {
-	values = make([]float64, 0, len(f))
+// Cardinality is the number of distinct values — len(f.Table().Values)
+// without the sort: every NaN key after the first is the same value.
+func (f Freq) Cardinality() int {
+	n, nans := len(f), 0
 	for v := range f {
+		if v != v {
+			nans++
+		}
+	}
+	if nans > 1 {
+		n -= nans - 1
+	}
+	return n
+}
+
+// FreqTable is a frequency table in sorted form — the compressed sort
+// the freq-family finalizers read, and the state the Summary Database
+// keeps current under updates: the distinct values ascending in
+// cmp.Compare order, so a NaN is one value (before every number), and
+// the positive multiplicity of each.
+type FreqTable struct {
+	Values []float64
+	Counts []int64
+}
+
+// Change is one value's signed multiplicity change: N copies gained, or
+// lost when negative.
+type Change struct {
+	Value float64
+	N     int64
+}
+
+// Table sorts f. A map stores every NaN apart, under a key no lookup
+// can find again, so ranging sums them into the one value the table
+// holds (slices.Sort puts it first, where cmp.Compare does); every other
+// count is read back by key.
+func (f Freq) Table() FreqTable {
+	values := make([]float64, 0, len(f))
+	var nans int64
+	for v, c := range f {
+		if v != v {
+			if nans == 0 {
+				values = append(values, v)
+			}
+			nans += c
+			continue
+		}
 		values = append(values, v)
 	}
-	sort.Float64s(values)
-	counts = make([]int64, len(values))
+	slices.Sort(values)
+	counts := make([]int64, len(values))
 	for i, v := range values {
 		counts[i] = f[v]
 	}
-	return values, counts
+	if nans > 0 {
+		counts[0] = nans
+	}
+	return FreqTable{Values: values, Counts: counts}
+}
+
+// coalesce sorts batch by value in place and sums the changes of equal
+// values, dropping those that cancel.
+func coalesce(batch []Change) []Change {
+	slices.SortFunc(batch, func(a, b Change) int { return cmp.Compare(a.Value, b.Value) })
+	out := batch[:0]
+	for i := 0; i < len(batch); {
+		ch := batch[i]
+		for i++; i < len(batch) && cmp.Compare(batch[i].Value, ch.Value) == 0; i++ {
+			ch.N += batch[i].N
+		}
+		if ch.N != 0 {
+			out = append(out, ch)
+		}
+	}
+	return out
+}
+
+// Apply merges an update batch into t in place — O(d log d + distinct),
+// the delta form of FoldFreq — sorting batch in place. It reports false,
+// leaving t as it was, when the batch takes away a copy t does not hold:
+// the table no longer describes the column, and the caller drops it.
+func (t *FreqTable) Apply(batch []Change) bool {
+	batch = coalesce(batch)
+	// Locate every change before anything moves: at[k] is where the value
+	// sits in t.Values, or ^(where it would go), and batch[k].N becomes the
+	// multiplicity it ends with.
+	at := make([]int, len(batch))
+	i := 0
+	for k := range batch {
+		ch := &batch[k]
+		// The changes ascend: gallop on from the last one's place.
+		step := 1
+		for ; i+step < len(t.Values) && cmp.Compare(t.Values[i+step], ch.Value) < 0; step *= 2 {
+			i += step
+		}
+		below, held := slices.BinarySearchFunc(t.Values[i:min(i+step+1, len(t.Values))], ch.Value, cmp.Compare[float64])
+		i += below
+		at[k] = ^i
+		if held {
+			at[k] = i
+			ch.N += t.Counts[i]
+		}
+		if ch.N < 0 {
+			return false
+		}
+	}
+	// Forward: a held value takes its new count or, left with none, is
+	// closed over; a new value's place is restated in the closed-up table
+	// and the value queued at the front of batch.
+	r, w := 0, 0
+	keep := func(to int) {
+		if w != r {
+			copy(t.Values[w:], t.Values[r:to])
+			copy(t.Counts[w:], t.Counts[r:to])
+		}
+		w, r = w+to-r, to
+	}
+	fresh := 0
+	for k, ch := range batch {
+		if at[k] < 0 {
+			keep(^at[k])
+			batch[fresh], at[fresh] = ch, w
+			fresh++
+			continue
+		}
+		keep(at[k])
+		if ch.N > 0 {
+			t.Values[w], t.Counts[w] = t.Values[r], ch.N
+			w++
+		}
+		r++
+	}
+	keep(len(t.Values))
+	// The table lives as long as its view: it is re-made at its size when
+	// it outgrows its room, or when a column that keeps losing values has
+	// left a quarter of it unused.
+	end := w + fresh
+	if room := min(cap(t.Values), cap(t.Counts)) - end; room < 0 || room > end/4 {
+		t.Values = append(make([]float64, 0, end), t.Values[:w]...)
+		t.Counts = append(make([]int64, 0, end), t.Counts[:w]...)
+	}
+	t.Values, t.Counts = t.Values[:end], t.Counts[:end]
+	// Backward: open a gap for each new value, the last one first.
+	for j, src := fresh-1, w; j >= 0; j-- {
+		end -= src - at[j]
+		copy(t.Values[end:], t.Values[at[j]:src])
+		copy(t.Counts[end:], t.Counts[at[j]:src])
+		src = at[j]
+		end--
+		t.Values[end], t.Counts[end] = batch[j].Value, batch[j].N
+	}
+	return true
 }
 
 // ColumnFreq tabulates a whole column through the pool: chunk-parallel

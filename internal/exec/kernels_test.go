@@ -3,6 +3,7 @@ package exec
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"statdb/internal/incr"
@@ -114,11 +115,69 @@ func TestFreqParallelBitExact(t *testing.T) {
 			t.Errorf("value %g: parallel %d != serial %d", v, par[v], c)
 		}
 	}
-	sv, sc := serial.Sorted()
-	pv, pc := par.Sorted()
-	for i := range sv {
-		if sv[i] != pv[i] || sc[i] != pc[i] {
-			t.Fatalf("sorted mismatch at %d", i)
+	st, pt := serial.Table(), par.Table()
+	if !slices.Equal(st.Values, pt.Values) || !slices.Equal(st.Counts, pt.Counts) {
+		t.Fatal("sorted tables differ")
+	}
+}
+
+// TestFreqTableNaN: a map gives every NaN its own key; the sorted table
+// counts them as one value, first in order, and merges changes to it like
+// any other. A batch that takes away a copy the table does not hold is
+// refused and leaves the table as it was.
+func TestFreqTableNaN(t *testing.T) {
+	nan := math.NaN()
+	same := func(tab FreqTable, values []float64, counts []int64) bool {
+		return slices.EqualFunc(tab.Values, values, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) &&
+			slices.Equal(tab.Counts, counts)
+	}
+	f := FoldFreq([]float64{2, nan, 2, nan, nan, -1}, nil)
+	tab := f.Table()
+	if !same(tab, []float64{nan, -1, 2}, []int64{3, 1, 2}) {
+		t.Fatalf("table = %v %v, want [NaN -1 2] [3 1 2]", tab.Values, tab.Counts)
+	}
+	if f.Cardinality() != 3 || FoldFreq([]float64{2, 2, -1}, nil).Cardinality() != 2 {
+		t.Errorf("Cardinality = %d with NaNs, want 3", f.Cardinality())
+	}
+	if !tab.Apply([]Change{{nan, -1}, {5, 1}, {2, -1}, {nan, -2}, {2, 1}, {-1, -1}}) || !same(tab, []float64{2, 5}, []int64{2, 1}) {
+		t.Fatalf("after the batch: %v %v, want [2 5] [2 1]", tab.Values, tab.Counts)
+	}
+	if tab.Apply([]Change{{5, 1}, {nan, -1}}) || !same(tab, []float64{2, 5}, []int64{2, 1}) {
+		t.Errorf("a delete of an absent NaN: table now %v %v, want it refused and unchanged", tab.Values, tab.Counts)
+	}
+}
+
+// TestFreqTableSizedToItsValues: the table is kept for as long as a view,
+// so Apply gives back the room of values that are gone for good and grows
+// by what it needs — never holding more than a quarter beyond its size.
+func TestFreqTableSizedToItsValues(t *testing.T) {
+	xs := make([]float64, 400)
+	for i := range xs {
+		xs[i] = float64(i % 200)
+	}
+	tab := FoldFreq(xs, nil).Table()
+	check := func(step string) {
+		t.Helper()
+		want := FoldFreq(xs, nil).Table()
+		if !slices.Equal(tab.Values, want.Values) || !slices.Equal(tab.Counts, want.Counts) {
+			t.Fatalf("%s: merged table differs from the rebuilt one", step)
+		}
+		if n := len(tab.Values); cap(tab.Values) > n+n/4 || cap(tab.Counts) > n+n/4 {
+			t.Errorf("%s: %d values held in room for %d and %d", step, n, cap(tab.Values), cap(tab.Counts))
 		}
 	}
+	set := func(lo, hi int, to func(i int) float64) {
+		var batch []Change
+		for i := lo; i < hi; i++ {
+			batch = append(batch, Change{xs[i], -1}, Change{to(i), 1})
+			xs[i] = to(i)
+		}
+		if !tab.Apply(batch) {
+			t.Fatal("batch refused")
+		}
+	}
+	set(0, 400, func(i int) float64 { return float64(i % 50) }) // 200 values become 50
+	check("shrunk")
+	set(0, 300, func(i int) float64 { return float64(i) + 0.5 }) // 300 new ones
+	check("grown")
 }

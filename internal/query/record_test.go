@@ -168,6 +168,7 @@ func TestRecordMatchesRegistryDiff(t *testing.T) {
 	for _, situation := range []string{
 		"miss", "hit", "stale refill", "incremental", "slide", "rebuild", "policy recompute",
 		"budget breach", "error", "engine serial", "engine parallel", "gather", "degraded", "runs",
+		"maintained mode",
 	} {
 		if !seen[situation] {
 			t.Errorf("no statement on any backing exercised %q", situation)
@@ -194,6 +195,7 @@ func runRecordSession(t *testing.T, b recordBacking, seen map[string]bool) {
 	e.SetSession("s1")
 
 	var seq int64
+	var last obs.QueryRecord // the latest statement's record
 	// run executes one statement and checks its record against the
 	// oracle.
 	run := func(stmt string) error {
@@ -212,6 +214,7 @@ func runRecordSession(t *testing.T, b recordBacking, seen map[string]bool) {
 		if *ev.Query != want {
 			t.Errorf("%s:\n record %+v\n oracle %+v", stmt, *ev.Query, want)
 		}
+		last = *ev.Query
 		delta := func(name string) int64 { return after.Counters[name] - before.Counters[name] }
 		for situation, hit := range map[string]bool{
 			"miss":             delta(obs.MSummaryMisses) > 0,
@@ -280,11 +283,42 @@ func runRecordSession(t *testing.T, b recordBacking, seen map[string]bool) {
 		"correlate AGE " + x + " on mv", "correlate AGE " + x + " on mv", "correlate AGE " + x + " on mv rank",
 		"crosstab SEX RACE on mv", "frequencies SEX on mv",
 		"ttest " + x + " by SEX on mv", "regress " + x + " on AGE over mv",
-		// Updates: maintainers fold the deltas in, windows slide, mode and
-		// unique go stale and refill on the next access.
+		// The first update: maintainers fold the deltas in, windows slide,
+		// mode and unique — no table is retained yet — go stale.
 		"update mv set " + x + " = 4321 where AGE = 30",
-		"compute mode " + x + " on mv", "compute mean " + x + " on mv", "compute median " + x + " on mv",
-		"update mv set " + x + " = 1234 where AGE = 31",
+	} {
+		ok(stmt)
+	}
+
+	// A ceiling below any column pass: a miss and a stale refill — the
+	// first after an update still scans — both breach, a hit still fits,
+	// and nothing the breach touched is cached.
+	d.SetQueryBudget(40, 0)
+	fails("compute variance AGE on mv")
+	fails("compute mode " + x + " on mv")
+	ok("compute mean AGE on mv")
+	_ = run("histogram AGE on mv bins 4") // breaches only where the column read is charged
+	d.SetQueryBudget(0, 0)
+	ok("compute variance AGE on mv")
+
+	// The refill within budget retains the frequency table (a run-served
+	// one has none to retain), so after the second update mode is a hit
+	// the update itself kept current.
+	tabled := b.attr != "GRADE"
+	ok("compute mode " + x + " on mv")
+	ok("update mv set " + x + " = 1234 where AGE = 31")
+	if tabled && last.Strategy != "incremental" {
+		t.Errorf("second update: strategy %q, want incremental", last.Strategy)
+	}
+	ok("compute mode " + x + " on mv")
+	if maintained := last.CacheHits == 1 && last.CacheMiss == 0; maintained != tabled {
+		t.Errorf("mode re-asked after the second update: %d hits, %d misses", last.CacheHits, last.CacheMiss)
+	} else if maintained {
+		seen["maintained mode"] = true
+	}
+
+	for _, stmt := range []string{
+		"compute mean " + x + " on mv", "compute median " + x + " on mv",
 		"histogram " + x + " on mv bins 8",
 		// Deleting every copy of the extremes defeats min and max.
 		fmt.Sprintf("update mv set %s = %d where %s < %d", x, b.lo, x, b.lo),
@@ -309,19 +343,6 @@ func runRecordSession(t *testing.T, b recordBacking, seen map[string]bool) {
 	fails("compute mean " + x + " on nosuch")
 	fails("compute mean SEX on mv")
 	fails("undo small")
-
-	// A ceiling below any column pass: a miss and a stale refill both
-	// breach, a hit still fits, and nothing the breach touched is cached.
-	ok("compute sd " + x + " on mv")
-	ok("update mv set " + x + " = 777 where AGE = 40")
-	d.SetQueryBudget(40, 0)
-	fails("compute variance AGE on mv")
-	fails("compute mode " + x + " on mv")
-	ok("compute mean AGE on mv")
-	_ = run("histogram AGE on mv bins 4") // breaches only where the column read is charged
-	d.SetQueryBudget(0, 0)
-	ok("compute variance AGE on mv")
-	ok("compute mode " + x + " on mv")
 
 	// The recompute-everything policy: an update recomputes each cached
 	// entry on the spot.

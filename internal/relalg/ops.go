@@ -22,7 +22,14 @@ func Select(ds *dataset.Dataset, p Predicate) (*dataset.Dataset, error) {
 // matched copies the masked rows of ds, in row order, into a new data
 // set.
 func matched(ds *dataset.Dataset, mask []bool) (*dataset.Dataset, error) {
+	n := 0
+	for _, ok := range mask {
+		if ok {
+			n++
+		}
+	}
 	out := dataset.New(ds.Schema())
+	out.Grow(n)
 	for i, ok := range mask {
 		if !ok {
 			continue
@@ -45,6 +52,7 @@ func Project(ds *dataset.Dataset, names ...string) (*dataset.Dataset, error) {
 		idx[i] = ds.Schema().Index(n)
 	}
 	out := dataset.New(sch)
+	out.Grow(ds.Rows())
 	for r := 0; r < ds.Rows(); r++ {
 		row := make(dataset.Row, len(idx))
 		for i, c := range idx {
@@ -520,6 +528,7 @@ func Sort(ds *dataset.Dataset, keys ...SortKey) (*dataset.Dataset, error) {
 		return false
 	})
 	out := dataset.New(ds.Schema())
+	out.Grow(len(order))
 	for _, r := range order {
 		if err := out.Append(ds.RowAt(r)); err != nil {
 			return nil, err

@@ -22,7 +22,7 @@ type UpdateRecord struct {
 	Description string          // e.g. `set AVE_SALARY = null where AVE_SALARY > 1000000`
 	Attr        string          // the attribute that was set
 	New         dataset.Value   // the value every changed cell received
-	Rows        []int           // the changed records, ascending
+	Rows        []int32         // the changed records, ascending (a view holds at most 2³¹−1)
 	Old         *dataset.Vector // Old.At(k) is what record Rows[k] held before
 }
 

@@ -21,7 +21,9 @@ const (
 	// StrategyRecompute always recomputes from the data on update — the
 	// no-cache-maintenance baseline.
 	StrategyRecompute Strategy = iota
-	// StrategyIncremental applies a finite-differenced f′ (Section 4.2).
+	// StrategyIncremental applies a finite-differenced f′ (Section 4.2):
+	// a maintainer folds each delta in, or the deltas are merged into the
+	// attribute's frequency table and the value re-read from it.
 	StrategyIncremental
 	// StrategyWindow maintains the value through a sliding order-statistic
 	// window (the median technique of Section 4.2).
@@ -135,9 +137,9 @@ type ManagementDB struct {
 }
 
 // NewManagementDB creates an empty Management Database with the default
-// strategy table: the aggregates Koenig–Paige can difference run
-// incrementally, order statistics run through windows, and everything
-// else invalidates.
+// strategy table: the aggregates Koenig–Paige can difference and the
+// two read off a maintained frequency table run incrementally, order
+// statistics run through windows, and everything else invalidates.
 func NewManagementDB() *ManagementDB {
 	m := &ManagementDB{
 		strategies: make(map[string]Strategy),
@@ -145,13 +147,13 @@ func NewManagementDB() *ManagementDB {
 		views:      make(map[string]*ViewDef),
 		histories:  make(map[string]*History),
 	}
-	for _, fn := range []string{"count", "sum", "mean", "variance", "sd", "min", "max"} {
+	for _, fn := range []string{"count", "sum", "mean", "variance", "sd", "min", "max", "mode", "unique"} {
 		m.strategies[fn] = StrategyIncremental
 	}
 	for _, fn := range []string{"median", "q1", "q3", "quantile"} {
 		m.strategies[fn] = StrategyWindow
 	}
-	for _, fn := range []string{"mode", "unique", "histogram", "frequencies"} {
+	for _, fn := range []string{"histogram", "frequencies"} {
 		m.strategies[fn] = StrategyInvalidate
 	}
 	return m

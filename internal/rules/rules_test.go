@@ -15,7 +15,8 @@ func TestDefaultStrategies(t *testing.T) {
 		"min":       StrategyIncremental,
 		"median":    StrategyWindow,
 		"q1":        StrategyWindow,
-		"mode":      StrategyInvalidate,
+		"mode":      StrategyIncremental,
+		"unique":    StrategyIncremental,
 		"histogram": StrategyInvalidate,
 		"unknown":   StrategyInvalidate, // safe default
 	}
@@ -177,7 +178,7 @@ func TestHistory(t *testing.T) {
 		t.Error("pop from empty history accepted")
 	}
 	h.Append(UpdateRecord{Seq: m.NextSeq(), Analyst: "x", Description: "set A = 1 where B = 2",
-		Attr: "A", New: dataset.Int(1), Rows: []int{3}})
+		Attr: "A", New: dataset.Int(1), Rows: []int32{3}})
 	h.Append(UpdateRecord{Seq: m.NextSeq(), Analyst: "x", Description: "second"})
 	if h.Len() != 2 {
 		t.Fatalf("Len = %d", h.Len())

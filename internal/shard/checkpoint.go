@@ -42,10 +42,10 @@ func decodeMoments(v []float64) (exec.Moments, error) {
 // encodeFreq flattens a frequency table as [v1, c1, v2, c2, ...] in
 // ascending value order (deterministic bytes for a deterministic table).
 func encodeFreq(f exec.Freq) []float64 {
-	values, counts := f.Sorted()
-	out := make([]float64, 0, 2*len(values))
-	for i, v := range values {
-		out = append(out, v, float64(counts[i]))
+	t := f.Table()
+	out := make([]float64, 0, 2*len(t.Values))
+	for i, v := range t.Values {
+		out = append(out, v, float64(t.Counts[i]))
 	}
 	return out
 }

@@ -10,6 +10,7 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -174,12 +175,14 @@ func UniqueCount(xs []float64, valid []bool) int {
 
 // Frequencies returns the distinct valid observations in ascending order
 // with their counts — the "measure of frequency of values" of Section 3.2.
+// A NaN (which sorts first) is one value: runs are delimited by
+// cmp.Compare, under which it equals itself.
 func Frequencies(xs []float64, valid []bool) (values []float64, counts []int) {
 	vals := collect(xs, valid)
 	sort.Float64s(vals)
 	for i := 0; i < len(vals); {
 		j := i
-		for j < len(vals) && vals[j] == vals[i] {
+		for j < len(vals) && cmp.Compare(vals[j], vals[i]) == 0 {
 			j++
 		}
 		values = append(values, vals[i])

@@ -44,12 +44,12 @@ func SummarizeChunks(p *exec.Pool, xs []float64, valid []bool, chunk int) (Summa
 	} else {
 		s.SD = math.NaN()
 	}
-	values, counts := exec.ColumnFreq(p, xs, valid, chunk).Sorted()
-	s.Median = quantileFreq(values, counts, m.N, 0.5)
-	s.Q1 = quantileFreq(values, counts, m.N, 0.25)
-	s.Q3 = quantileFreq(values, counts, m.N, 0.75)
-	s.Mode = modeFreq(values, counts)
-	s.Unique = len(values)
+	t := exec.ColumnFreq(p, xs, valid, chunk).Table()
+	s.Median = quantileFreq(t.Values, t.Counts, m.N, 0.5)
+	s.Q1 = quantileFreq(t.Values, t.Counts, m.N, 0.25)
+	s.Q3 = quantileFreq(t.Values, t.Counts, m.N, 0.75)
+	s.Mode = modeFreq(t.Values, t.Counts)
+	s.Unique = len(t.Values)
 	return s, nil
 }
 
@@ -61,8 +61,8 @@ func QuantileChunks(p *exec.Pool, xs []float64, valid []bool, chunk int, q float
 	if serialEnough(p, len(xs), chunk) {
 		return Quantile(xs, valid, q)
 	}
-	values, counts := exec.ColumnFreq(p, xs, valid, chunk).Sorted()
-	return QuantileFreq(values, counts, q)
+	t := exec.ColumnFreq(p, xs, valid, chunk).Table()
+	return QuantileFreq(t.Values, t.Counts, q)
 }
 
 // QuantileFreq is Quantile over a sorted frequency table (distinct values

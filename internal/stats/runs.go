@@ -24,8 +24,8 @@ func runFreq(rc exec.RunColumn) (values []float64, counts []int64, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	values, counts = f.Sorted()
-	return values, counts, nil
+	t := f.Table()
+	return t.Values, t.Counts, nil
 }
 
 // SummarizeRuns computes the same Summary as Summarize from runs: the

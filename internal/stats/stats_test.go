@@ -90,6 +90,11 @@ func TestFrequencies(t *testing.T) {
 			t.Errorf("bucket %d = (%g,%d)", i, vals[i], counts[i])
 		}
 	}
+	// A NaN (import parses one) is one value, counted once, sorted first.
+	vals, counts = Frequencies([]float64{2, math.NaN(), 2, math.NaN(), math.NaN()}, nil)
+	if len(vals) != 2 || !math.IsNaN(vals[0]) || counts[0] != 3 || vals[1] != 2 || counts[1] != 2 {
+		t.Errorf("Frequencies with NaNs = %v %v, want [NaN 2] [3 2]", vals, counts)
+	}
 }
 
 func TestQuantilesAndMedian(t *testing.T) {

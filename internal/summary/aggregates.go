@@ -29,16 +29,23 @@ type aggregate struct {
 	// short columns and poolless databases answer through it.
 	serial func(xs []float64, valid []bool) (float64, error)
 	// Exactly one finalizer is set, and it names the state family: moments
-	// over exec.Moments, freq over the frequency table (which the order
-	// statistics sort; unique only counts it).
-	moments func(m exec.Moments) (float64, error)
-	freq    func(f exec.Freq) (float64, error)
-	// maintain builds the finite-differenced f′ (nil: none exists).
+	// over exec.Moments, freq over the sorted frequency table. A freq row
+	// that does not need the order may also set unsorted, which answers
+	// from the map a fold leaves and spares a miss the sort.
+	moments  func(m exec.Moments) (float64, error)
+	freq     func(t exec.FreqTable) (float64, error)
+	unsorted func(f exec.Freq) (float64, error)
+	// Each family has its delta form. maintain builds a moments row's
+	// finite-differenced f′. A freq row is either windowed — a quantile
+	// (p) that a medwin.Window slides — or tabled: re-finalized from the
+	// attribute's retained frequency table (DB.tables).
 	maintain func(xs []float64, valid []bool) incr.Maintainer
-	// windowed marks a quantile a medwin.Window can slide; quantile is p.
 	windowed bool
 	quantile float64
 }
+
+// tabled reports whether the row's delta form is the retained table.
+func (a *aggregate) tabled() bool { return a.freq != nil && !a.windowed }
 
 // aggregates is the table, in the order help text and error messages
 // list it. A thirteenth built-in is one more row.
@@ -99,12 +106,13 @@ var aggregates = []aggregate{
 			m, _, err := stats.Mode(xs, valid)
 			return m, err
 		},
-		freq: func(f exec.Freq) (float64, error) { return stats.ModeFreq(f.Sorted()) },
+		freq: func(t exec.FreqTable) (float64, error) { return stats.ModeFreq(t.Values, t.Counts) },
 	},
 	{
-		name:   "unique",
-		serial: func(xs []float64, valid []bool) (float64, error) { return float64(stats.UniqueCount(xs, valid)), nil },
-		freq:   func(f exec.Freq) (float64, error) { return float64(len(f)), nil },
+		name:     "unique",
+		serial:   func(xs []float64, valid []bool) (float64, error) { return float64(stats.UniqueCount(xs, valid)), nil },
+		freq:     func(t exec.FreqTable) (float64, error) { return float64(len(t.Values)), nil },
+		unsorted: func(f exec.Freq) (float64, error) { return float64(f.Cardinality()), nil },
 	},
 }
 
@@ -112,12 +120,9 @@ var aggregates = []aggregate{
 // over the sorted observations, maintained by a sliding window.
 func quantileRow(name string, p float64) aggregate {
 	return aggregate{
-		name:   name,
-		serial: func(xs []float64, valid []bool) (float64, error) { return stats.Quantile(xs, valid, p) },
-		freq: func(f exec.Freq) (float64, error) {
-			values, counts := f.Sorted()
-			return stats.QuantileFreq(values, counts, p)
-		},
+		name:     name,
+		serial:   func(xs []float64, valid []bool) (float64, error) { return stats.Quantile(xs, valid, p) },
+		freq:     func(t exec.FreqTable) (float64, error) { return stats.QuantileFreq(t.Values, t.Counts, p) },
 		windowed: true,
 		quantile: p,
 	}
@@ -171,7 +176,10 @@ func (a *aggregate) finalize(st State) (float64, error) {
 	if a.moments != nil {
 		return a.moments(st.Moments)
 	}
-	return a.freq(st.Freq)
+	if a.unsorted != nil {
+		return a.unsorted(st.Freq)
+	}
+	return a.freq(st.Freq.Table())
 }
 
 // Finalize evaluates built-in fn over an already merged state — the

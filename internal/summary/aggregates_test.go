@@ -12,8 +12,9 @@ import (
 // TestAggregateTableMatchesManagementDB: the Management Database's
 // default strategy table and the aggregate table must name the same
 // things — a function the rules maintain incrementally has a maintainer
-// constructor, one they maintain by window has a quantile to slide, and
-// no row carries maintenance the rules would never install.
+// constructor or is re-finalized from the retained frequency table, one
+// they maintain by window has a quantile to slide, and no row carries
+// maintenance the rules would never install.
 func TestAggregateTableMatchesManagementDB(t *testing.T) {
 	mdb := rules.NewManagementDB()
 	for _, a := range aggregates {
@@ -24,8 +25,14 @@ func TestAggregateTableMatchesManagementDB(t *testing.T) {
 			t.Errorf("%s: no serial reference operator", a.name)
 		}
 		st := mdb.StrategyFor(a.name)
-		if got, want := a.maintain != nil, st == rules.StrategyIncremental; got != want {
-			t.Errorf("%s: strategy %s but maintainer constructor present = %v", a.name, st, got)
+		if got, want := a.maintain != nil || a.tabled(), st == rules.StrategyIncremental; got != want {
+			t.Errorf("%s: strategy %s but maintainer constructor or retained table present = %v", a.name, st, got)
+		}
+		if a.maintain != nil && a.moments == nil {
+			t.Errorf("%s: a maintainer constructor on a freq row", a.name)
+		}
+		if a.unsorted != nil && a.freq == nil {
+			t.Errorf("%s: an unsorted finalizer without the table one it shortcuts", a.name)
 		}
 		if got, want := a.windowed, st == rules.StrategyWindow; got != want {
 			t.Errorf("%s: strategy %s but windowed = %v", a.name, st, got)

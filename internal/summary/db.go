@@ -112,6 +112,14 @@ type DB struct {
 	policy  Policy       // guarded by mu
 	idx     *index.BTree // guarded by mu; (attr..., fn) -> slot
 	entries []*entry     // guarded by mu
+	// tables is the freq family's maintained state: per attribute, the
+	// sorted frequency table every tabled row (mode, unique) finalizes
+	// from. The refill of an entry an update left stale retains the table
+	// its fold produced — a first miss retains nothing, so only attributes
+	// updated and then re-asked pay the 16 B × distinct — OnUpdate merges
+	// each batch into it, and Invalidate, SetPolicy or a delete it cannot
+	// account for drops it.
+	tables map[string]*exec.FreqTable // guarded by mu
 	// Every count lives once, in the DB's own registry (the pattern of
 	// storage.BufferPool): met caches its handles, Counters reads them and
 	// core.DBMS.Metrics merges the registry into the system snapshot. What
@@ -131,14 +139,16 @@ type DB struct {
 // NewDB creates an empty Summary Database driven by mdb's strategies.
 func NewDB(mdb *rules.ManagementDB) *DB {
 	reg := obs.NewRegistry()
-	return &DB{mdb: mdb, idx: index.New(), WindowCapacity: 100, reg: reg, met: newDBMetrics(reg)}
+	return &DB{mdb: mdb, idx: index.New(), tables: map[string]*exec.FreqTable{}, WindowCapacity: 100, reg: reg, met: newDBMetrics(reg)}
 }
 
-// SetPolicy switches the cache-wide update policy.
+// SetPolicy switches the cache-wide update policy. Retained tables are
+// per-function state only PolicyStrategies maintains: none outlives it.
 func (db *DB) SetPolicy(p Policy) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.policy = p
+	clear(db.tables)
 }
 
 // dbMetrics caches the registry handles: the Counters families plus the
@@ -245,7 +255,7 @@ func (db *DB) ScalarFrom(fn, attr string, src Sources) (float64, error) {
 		if e.runs == nil {
 			e.runs = src.Runs
 		}
-		v, err := db.fill(e, src.Gather)
+		v, err := db.fill(e, src.Gather, true)
 		if err != nil {
 			return 0, err
 		}
@@ -260,7 +270,7 @@ func (db *DB) ScalarFrom(fn, attr string, src Sources) (float64, error) {
 	db.met.misses.Inc()
 	sp.SetAttr("outcome", "miss")
 	e := &entry{fn: fn, attrs: []string{attr}, source: src.Rows, runs: src.Runs}
-	v, err := db.fill(e, src.Gather)
+	v, err := db.fill(e, src.Gather, false)
 	if err != nil {
 		return 0, err
 	}
@@ -271,16 +281,26 @@ func (db *DB) ScalarFrom(fn, attr string, src Sources) (float64, error) {
 }
 
 // fill computes built-in entry e from the first input form on offer —
-// gather (the caller's, never stored: an attachment can fall behind
-// between calls), e.runs, e.source — and records the result on e as
-// fresh. Sources cannot return errors, so a budget breached during the
-// scan surfaces between scan and fold, before the fold spends more; and
-// neither a breach nor an incomplete gather leaves anything in the
+// the attribute's retained table (no column is read), gather (the
+// caller's, never stored: an attachment can fall behind between calls),
+// e.runs, e.source — and records the result on e as fresh. retain asks a
+// tabled row's fold over the rows to leave its table behind for OnUpdate
+// to maintain. Sources cannot return errors, so a budget breached during
+// the scan surfaces between scan and fold, before the fold spends more;
+// and neither a breach nor an incomplete gather leaves anything in the
 // cache. The caller holds db.mu.
-func (db *DB) fill(e *entry, gather GatherSource) (float64, error) {
+func (db *DB) fill(e *entry, gather GatherSource, retain bool) (float64, error) {
 	a, err := lookup(e.fn)
 	if err != nil {
 		return 0, err
+	}
+	attr := e.attrs[0]
+	if t := db.tables[attr]; t != nil && a.tabled() {
+		v, err := a.freq(*t)
+		if err != nil {
+			return 0, err
+		}
+		return db.install(e, v)
 	}
 	if gather != nil {
 		st, complete, err := db.readGather(gather, a.freq != nil)
@@ -318,14 +338,28 @@ func (db *DB) fill(e *entry, gather GatherSource) (float64, error) {
 	if err := db.tracer.BudgetErr(); err != nil {
 		return 0, err
 	}
-	v, err := db.foldRows(a, xs, valid)
+	var keep *exec.FreqTable
+	if retain && db.maintainsTable(a) {
+		keep = new(exec.FreqTable)
+	}
+	v, err := db.foldRows(a, xs, valid, keep)
 	if err != nil {
 		return 0, err
 	}
 	if v, err = db.install(e, v); err == nil {
 		db.installMaintenance(a, e, xs, valid)
+		if keep != nil {
+			db.tables[attr] = keep
+		}
 	}
 	return v, err
+}
+
+// maintainsTable reports whether a's entries are kept current from a
+// retained table: a tabled row whose strategy, under the per-function
+// policy, is incremental.
+func (db *DB) maintainsTable(a *aggregate) bool {
+	return a.tabled() && db.policy == PolicyStrategies && db.mdb.StrategyFor(a.name) == rules.StrategyIncremental
 }
 
 // install records v on e as its fresh result, unless the fold that
@@ -430,11 +464,13 @@ func (db *DB) StoreCustom(fn string, attrs []string, r Result) {
 }
 
 // Invalidate marks every entry touching attr stale — the bulk
-// invalidation of Section 4.3. It uses the attribute-clustered index
-// scan, which experiment "ablation: clustering" measures.
+// invalidation of Section 4.3 — and drops attr's retained table. It uses
+// the attribute-clustered index scan, which experiment "ablation:
+// clustering" measures.
 func (db *DB) Invalidate(attr string) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	delete(db.tables, attr)
 	n := 0
 	db.idx.ScanPrefix(index.Key(attr), func(_ []byte, slot int64) bool {
 		e := db.entries[slot]
@@ -462,8 +498,15 @@ func (db *DB) OnUpdate(attr string, deltas []incr.Delta) {
 	sp := db.tracer.Begin("summary.update", obs.A("attr", attr))
 	defer sp.End()
 	var t updateTally
+	table := db.tables[attr]
+	if table != nil && !table.Apply(changes(deltas)) {
+		// A delete of a value the table does not hold — the defeated-min/max
+		// rule: its entries go stale and the next access refills.
+		delete(db.tables, attr)
+		table = nil
+	}
 	db.idx.ScanPrefix(index.Key(attr), func(_ []byte, slot int64) bool {
-		db.applyUpdate(db.entries[slot], deltas, &t)
+		db.applyUpdate(db.entries[slot], deltas, table, &t)
 		return true
 	})
 	publish := func(c *obs.Counter, key string, n int64) {
@@ -484,7 +527,24 @@ func (db *DB) OnUpdate(attr string, deltas []incr.Delta) {
 // policy.
 type updateTally struct{ incremental, slides, rebuilds, recomputes int64 }
 
-func (db *DB) applyUpdate(e *entry, deltas []incr.Delta, t *updateTally) {
+// changes restates a delta batch as the signed multiplicity changes the
+// frequency table merges.
+func changes(deltas []incr.Delta) []exec.Change {
+	out := make([]exec.Change, 0, 2*len(deltas))
+	for _, d := range deltas {
+		if d.Delete {
+			out = append(out, exec.Change{Value: d.Old, N: -1})
+		}
+		if d.Insert {
+			out = append(out, exec.Change{Value: d.New, N: 1})
+		}
+	}
+	return out
+}
+
+// applyUpdate is one entry's reaction; table is the attribute's retained
+// frequency table with the batch already merged in, nil when none lives.
+func (db *DB) applyUpdate(e *entry, deltas []incr.Delta, table *exec.FreqTable, t *updateTally) {
 	switch db.policy {
 	case PolicyInvalidateAll:
 		e.fresh = false
@@ -492,7 +552,7 @@ func (db *DB) applyUpdate(e *entry, deltas []incr.Delta, t *updateTally) {
 	case PolicyRecomputeAll:
 		e.fresh = false
 		if e.source != nil {
-			if _, err := db.fill(e, nil); err == nil {
+			if _, err := db.fill(e, nil, false); err == nil {
 				t.recomputes++
 			}
 		}
@@ -547,8 +607,16 @@ func (db *DB) applyUpdate(e *entry, deltas []incr.Delta, t *updateTally) {
 			e.fresh = false
 		}
 	default:
-		// StrategyInvalidate (and custom entries).
+		// A tabled row re-finalizes from the merged table. Everything else
+		// goes stale: StrategyInvalidate, custom entries, a tabled row whose
+		// table is gone.
 		e.fresh = false
+		if a := aggregateByName[e.fn]; table != nil && a != nil && a.tabled() {
+			if v, err := a.freq(*table); err == nil {
+				e.result, e.fresh = ScalarOf(v), true
+				t.incremental += int64(len(deltas))
+			}
+		}
 	}
 }
 

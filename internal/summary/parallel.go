@@ -31,12 +31,14 @@ func (db *DB) SetExec(p *exec.Pool, chunk int) {
 
 // foldRows evaluates a over a row slice: long columns fold into a's
 // state family through the pool and finalize, everything else takes the
-// serial reference operator. The fold is profiled as a span charged with
-// the engine cost model's ticks for the chosen route (never wall time),
-// so EXPLAIN output is deterministic and the serial-vs-parallel decision
-// is visible in both the span attrs and the
-// summary.recompute.{serial,parallel} counters.
-func (db *DB) foldRows(a *aggregate, xs []float64, valid []bool) (float64, error) {
+// serial reference operator. A non-nil keep (freq rows only) receives
+// the sorted frequency table, which the answer is then finalized from on
+// either route. The fold is profiled as a span charged with the engine
+// cost model's ticks for the chosen route (never wall time), so EXPLAIN
+// output is deterministic and the serial-vs-parallel decision is visible
+// in both the span attrs and the summary.recompute.{serial,parallel}
+// counters.
+func (db *DB) foldRows(a *aggregate, xs []float64, valid []bool, keep *exec.FreqTable) (float64, error) {
 	cost := exec.DefaultCost()
 	p := db.pool
 	if p == nil || p.Workers() <= 1 || len(xs) < ParallelThreshold {
@@ -46,6 +48,10 @@ func (db *DB) foldRows(a *aggregate, xs []float64, valid []bool) (float64, error
 		defer sp.End()
 		db.met.recomputeSerial.Inc()
 		db.met.passTicks.Observe(ticks)
+		if keep != nil {
+			*keep = exec.FoldFreq(xs, valid).Table()
+			return a.freq(*keep)
+		}
 		return a.serial(xs, valid)
 	}
 	chunks := len(exec.Chunks(len(xs), db.chunk))
@@ -63,5 +69,10 @@ func (db *DB) foldRows(a *aggregate, xs []float64, valid []bool) (float64, error
 	if a.moments != nil {
 		return a.finalize(State{Moments: exec.ColumnMoments(p, xs, valid, db.chunk)})
 	}
-	return a.finalize(State{Freq: exec.ColumnFreq(p, xs, valid, db.chunk)})
+	f := exec.ColumnFreq(p, xs, valid, db.chunk)
+	if keep == nil {
+		return a.finalize(State{Freq: f})
+	}
+	*keep = f.Table()
+	return a.freq(*keep)
 }

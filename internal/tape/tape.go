@@ -215,7 +215,12 @@ func (a *Archive) Materialize(name string) (*dataset.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
+	rows, err := a.Rows(name)
+	if err != nil {
+		return nil, err
+	}
 	out := dataset.New(sch)
+	out.Grow(rows)
 	out.SetName(name)
 	var appendErr error
 	if err := a.Read(name, func(r dataset.Row) bool {

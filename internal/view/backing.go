@@ -292,16 +292,16 @@ func (st *store) readRow(i int) (dataset.Row, error) {
 // rows[k], rows ascending. Transposed files take it as one batch; a row
 // file rewrites each changed record from data, which already holds the
 // new cells.
-func (st *store) writeRows(data *dataset.Dataset, attr string, rows []int, at func(k int) dataset.Value) error {
+func (st *store) writeRows(data *dataset.Dataset, attr string, rows []int32, at func(k int) dataset.Value) error {
 	switch st.backing {
 	case BackingTransposed:
 		return st.col.UpdateRows(attr, rows, at)
 	case BackingRow:
 		for _, r := range rows {
-			if r < 0 || r >= len(st.rids) {
+			if r < 0 || int(r) >= len(st.rids) {
 				return fmt.Errorf("view: row %d out of store range", r)
 			}
-			if err := st.heap.Update(st.rids[r], data.RowAt(r)); err != nil {
+			if err := st.heap.Update(st.rids[r], data.RowAt(int(r))); err != nil {
 				return err
 			}
 		}

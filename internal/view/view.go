@@ -119,6 +119,10 @@ const defaultRunThreshold = 0.5
 // New wraps data as a concrete view registered in mdb under def. The
 // data set is owned by the view from here on.
 func New(data *dataset.Dataset, mdb *rules.ManagementDB, def rules.ViewDef, opts Options) (*View, error) {
+	if data.Rows() > math.MaxInt32 {
+		// Selection vectors and history records index records as int32.
+		return nil, fmt.Errorf("view %s: %d records, more than the %d a view holds", def.Name, data.Rows(), math.MaxInt32)
+	}
 	if err := mdb.RegisterView(def); err != nil {
 		return nil, err
 	}
@@ -496,20 +500,23 @@ func (v *View) updateWhere(attr string, pred relalg.Predicate, value dataset.Val
 		return 0, err
 	}
 	// The selection vector: the predicate over the column vectors it
-	// names, then only the matched cells of the target column. It is
-	// sized by a count first because it lives on in the history.
+	// names, then only the matched cells of the target column that would
+	// change. It is sized by a count first because it lives on in the
+	// history.
 	mask := make([]bool, v.data.Rows())
 	eval(0, len(mask), mask)
-	matched := 0
-	for _, ok := range mask {
-		if ok {
-			matched++
+	changed := 0
+	for r, ok := range mask {
+		if ok && v.data.Cell(r, ci).Equal(value) {
+			mask[r] = false
+		} else if ok {
+			changed++
 		}
 	}
-	rows := make([]int, 0, matched)
+	rows := make([]int32, 0, changed)
 	for r, ok := range mask {
-		if ok && !v.data.Cell(r, ci).Equal(value) {
-			rows = append(rows, r)
+		if ok {
+			rows = append(rows, int32(r))
 		}
 	}
 	if len(rows) == 0 {
@@ -541,9 +548,9 @@ func (v *View) updateWhere(attr string, pred relalg.Predicate, value dataset.Val
 
 // writeRows stores at(k) in column ci (attr) of record rows[k], rows
 // ascending, in the data set and through the attached store.
-func (v *View) writeRows(ci int, attr string, rows []int, at func(k int) dataset.Value) error {
+func (v *View) writeRows(ci int, attr string, rows []int32, at func(k int) dataset.Value) error {
 	for k, r := range rows {
-		if err := v.data.SetCell(r, ci, at(k)); err != nil {
+		if err := v.data.SetCell(int(r), ci, at(k)); err != nil {
 			return err
 		}
 	}
@@ -583,7 +590,7 @@ func deltaFor(old, new dataset.Value) incr.Delta {
 // propagate pushes an applied change set — the changed records of attr
 // and their deltas — into the Summary Database and the derived-attribute
 // rules.
-func (v *View) propagate(attr string, rows []int, deltas []incr.Delta) {
+func (v *View) propagate(attr string, rows []int32, deltas []incr.Delta) {
 	v.sdb.OnUpdate(attr, deltas)
 	for _, rule := range v.mdb.DerivedRulesFor(v.name, attr) {
 		di := v.data.Schema().Index(rule.Attr)
@@ -594,11 +601,12 @@ func (v *View) propagate(attr string, rows []int, deltas []incr.Delta) {
 		case rules.ScopeLocal:
 			// Recompute only the changed rows' derived cells.
 			var (
-				derivedRows   []int
+				derivedRows   []int32
 				derived       []dataset.Value
 				derivedDeltas []incr.Delta
 			)
-			for _, r := range rows {
+			for _, r32 := range rows {
+				r := int(r32)
 				old := v.data.Cell(r, di)
 				nv := rule.Row(v.data.Schema(), v.data.RowAt(r))
 				if old.Equal(nv) {
@@ -607,7 +615,7 @@ func (v *View) propagate(attr string, rows []int, deltas []incr.Delta) {
 				if err := v.data.SetCell(r, di, nv); err != nil {
 					continue
 				}
-				derivedRows = append(derivedRows, r)
+				derivedRows = append(derivedRows, r32)
 				derived = append(derived, nv)
 				derivedDeltas = append(derivedDeltas, deltaFor(old, nv))
 			}
@@ -625,9 +633,9 @@ func (v *View) propagate(attr string, rows []int, deltas []incr.Delta) {
 				v.sdb.Invalidate(rule.Attr)
 				continue
 			}
-			all := make([]int, len(vals))
+			all := make([]int32, len(vals))
 			for r, nv := range vals {
-				all[r] = r
+				all[r] = int32(r)
 				_ = v.data.SetCell(r, di, nv) //lint:allow error-flow regenerate length was checked above
 			}
 			v.writeBehind(rule.Attr, all, vals)
@@ -638,7 +646,7 @@ func (v *View) propagate(attr string, rows []int, deltas []incr.Delta) {
 
 // writeBehind mirrors derived cells the data set already holds into the
 // attached store, vals[k] for record rows[k].
-func (v *View) writeBehind(attr string, rows []int, vals []dataset.Value) {
+func (v *View) writeBehind(attr string, rows []int32, vals []dataset.Value) {
 	if v.store == nil || len(rows) == 0 {
 		return
 	}
