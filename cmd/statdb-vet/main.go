@@ -1,8 +1,8 @@
-// statdb-vet is the build-time contract checker: it parses every
-// non-test package with the stdlib AST tooling and enforces the
-// engine's determinism, error and confinement invariants (see
-// internal/analysis for the rule set and DESIGN.md "Static analysis"
-// for the contract each rule encodes).
+// statdb-vet is the build-time contract checker: it parses and
+// type-checks every non-test package with the stdlib go/ast and go/types
+// tooling and enforces the engine's determinism, error and confinement
+// invariants (see internal/analysis for the rule set and DESIGN.md
+// "Static analysis" for the contract each rule encodes).
 //
 // Usage:
 //

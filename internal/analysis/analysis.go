@@ -1,7 +1,7 @@
 // Package analysis is statdb's built-in static checker: a small,
-// dependency-free framework (stdlib go/parser, go/ast and go/token
-// only) that parses the module's non-test sources and enforces the
-// engine's cross-package contracts at build time.
+// dependency-free framework (stdlib go/parser, go/ast and go/types only)
+// that parses and type-checks the module's non-test sources and enforces
+// the engine's cross-package contracts at build time.
 //
 // The paper's framework (Section 5) argues that the Management Database
 // must guarantee consistency rules mechanically rather than trusting
@@ -11,8 +11,8 @@
 // the reproduction itself: the invariants PRs 1-4 established — cost is
 // virtual ticks, corruption is a sentinel error, fan-out lives in the
 // audited worker pool, every metric flows through internal/obs — are
-// encoded as AST rules so a violation fails `make lint` instead of
-// surfacing in review.
+// encoded as rules over the typed AST so a violation fails `make lint`
+// instead of surfacing in review.
 //
 // Findings print one per line as
 //

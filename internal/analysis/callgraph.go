@@ -3,21 +3,19 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"path"
+	"slices"
 	"sort"
-	"strings"
-	"sync"
 )
 
 // This file is the interprocedural layer under the contract rules: a
-// package-level call graph over the parsed tree, built with the same
-// stdlib-only discipline as the rest of the checker. There is no
-// go/types pass — method calls are resolved syntactically through the
-// tree's own concrete types (receiver idents, locals bound to composite
-// literals or constructor results, struct field chains), which covers
-// the engine's dominant idioms exactly: a call the resolver cannot
-// attribute simply produces no edge, so every interprocedural rule
-// degrades toward not flagging rather than toward false positives.
+// package-level call graph built from the type checker's records
+// (types.Info Uses, Selections and Defs). A call resolves to its static
+// callee; a call through an interface resolves to every tree method
+// that implements the interface (class-hierarchy analysis); a call
+// through a function value, a builtin, a conversion, or any expression
+// with a type error stays unresolved and produces no edge.
 
 // TypeRef names a concrete named type declared somewhere in the tree.
 // The zero value means "unknown".
@@ -26,15 +24,7 @@ type TypeRef struct {
 	Name string
 }
 
-// Known reports whether the reference resolved.
-func (t TypeRef) Known() bool { return t.Name != "" }
-
-func (t TypeRef) String() string {
-	if !t.Known() {
-		return "?"
-	}
-	return path.Base(t.Pkg) + "." + t.Name
-}
+func (t TypeRef) String() string { return path.Base(t.Pkg) + "." + t.Name }
 
 // FuncKey identifies one function or method declaration.
 type FuncKey struct {
@@ -59,19 +49,25 @@ type LockKey struct {
 
 func (l LockKey) String() string { return l.Type.Name + "." + l.Field }
 
-// CallSite is one call expression inside a function body, with the
-// callee resolved where the syntactic type information allows.
+// CallSite is one call expression inside a function body.
 type CallSite struct {
-	Caller   FuncKey
-	Call     *ast.CallExpr
+	Caller FuncKey
+	Call   *ast.CallExpr
+	// Callee is the static callee when the tree declares it: a function,
+	// a method, or a method of a named interface. Sig is its signature.
 	Callee   FuncKey
 	Resolved bool
+	Sig      *types.Signature
+	// Targets are the tree functions the call can run: Callee, or every
+	// tree method implementing an interface callee (whichever package
+	// declares the interface).
+	Targets  []FuncKey
 	Go       bool // lexically inside a go statement (runs on a new goroutine)
 	Deferred bool
 }
 
-// LockOp is a call to Lock/RLock/Unlock/RUnlock on a resolved
-// `<base>.<field>` mutex chain.
+// LockOp is a call to Lock/RLock/Unlock/RUnlock on a `<base>.<field>`
+// chain whose field a tree struct declares.
 type LockOp struct {
 	Lock LockKey
 	Op   string
@@ -79,9 +75,9 @@ type LockOp struct {
 	Pos  token.Pos
 }
 
-// FieldAccess is a read or write of a resolved struct field.
+// FieldAccess is a read or write of a tree struct's field.
 type FieldAccess struct {
-	Type  TypeRef
+	Type  TypeRef // the struct declaring the field
 	Field string
 	Pos   token.Pos
 	Go    ast.Node // enclosing go statement, nil on the main path
@@ -95,13 +91,12 @@ type FieldAccess struct {
 type FuncInfo struct {
 	Key      FuncKey
 	Decl     *ast.FuncDecl
-	FileRel  string
 	Calls    []*CallSite
 	Locks    []LockOp
 	Accesses []FieldAccess
 	// Charges are syntactic Charge/ChargeTicks/ChargePages call
 	// positions — the cost-accounting fact, matched by selector name so
-	// a failed receiver resolution can never hide a charge.
+	// no receiver, however it is reached, can hide a charge.
 	Charges []token.Pos
 	// RecvName/ParamNames are the flattened parameter identifiers:
 	// slot 0 is the receiver (empty for plain functions), slots 1..n
@@ -110,47 +105,25 @@ type FuncInfo struct {
 	ParamNames []string
 }
 
-// structInfo records a struct declaration and its field type
-// expressions, kept with their declaring file so imports resolve in the
-// right context.
-type structInfo struct {
-	ref    TypeRef
-	file   *fileCtx
-	fields map[string]ast.Expr
-}
-
-// fileCtx caches a file's import table: local name -> package dir.
-type fileCtx struct {
-	file    *File
-	pkg     *Package
-	imports map[string]string
-}
-
-// Graph is the package-level call graph plus the type and declaration
-// indexes the interprocedural rules share. Build once per tree via
-// Tree.Graph.
+// Graph is the package-level call graph plus the declaration indexes
+// the interprocedural rules share. Build once per tree via Tree.Graph.
 type Graph struct {
-	tree    *Tree
 	Funcs   map[FuncKey]*FuncInfo
-	structs map[TypeRef]*structInfo
-	types   map[TypeRef]bool // every named type declared in the tree
 	callers map[FuncKey][]*CallSite
 	sites   map[*ast.CallExpr]*CallSite
-	pkgDirs map[string]bool
+	pkgs    map[*types.Package]string // tree package -> Rel
+	keys    map[*types.Func]FuncKey   // declared tree functions
+	fields  map[*types.Var]TypeRef    // tree struct field -> declaring type
+	named   []*types.Named            // concrete non-generic tree types, in tree order
+	impls   map[*types.Func][]FuncKey // interface method -> tree implementations
 }
 
-var graphCache sync.Map // *Tree -> *Graph
-
 // Graph returns the tree's call graph, building it on first use. The
-// result is cached per tree and safe for concurrent readers, so
-// parallel rules share one build.
+// result is safe for concurrent readers, so parallel rules share one
+// build.
 func (t *Tree) Graph() *Graph {
-	if g, ok := graphCache.Load(t); ok {
-		return g.(*Graph)
-	}
-	g := buildGraph(t)
-	actual, _ := graphCache.LoadOrStore(t, g)
-	return actual.(*Graph)
+	t.graphOnce.Do(func() { t.graph = buildGraph(t) })
+	return t.graph
 }
 
 // SiteFor returns the call-site record for a call expression, or nil.
@@ -177,86 +150,79 @@ func (g *Graph) SortedFuncs() []FuncKey {
 
 func buildGraph(t *Tree) *Graph {
 	g := &Graph{
-		tree:    t,
 		Funcs:   map[FuncKey]*FuncInfo{},
-		structs: map[TypeRef]*structInfo{},
-		types:   map[TypeRef]bool{},
 		callers: map[FuncKey][]*CallSite{},
 		sites:   map[*ast.CallExpr]*CallSite{},
-		pkgDirs: map[string]bool{},
+		pkgs:    map[*types.Package]string{},
+		keys:    map[*types.Func]FuncKey{},
+		fields:  map[*types.Var]TypeRef{},
+		impls:   map[*types.Func][]FuncKey{},
 	}
+	// Pass 1: index every function declaration, struct field and
+	// concrete named type.
 	for _, pkg := range t.Pkgs {
-		g.pkgDirs[pkg.Rel] = true
-	}
-	ctxs := map[*File]*fileCtx{}
-	// Pass 1: index every named type, struct layout and function decl.
-	for _, pkg := range t.Pkgs {
+		g.pkgs[pkg.Types] = pkg.Rel
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named := tn.Type().(*types.Named)
+			if st, ok := named.Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					g.fields[st.Field(i)] = TypeRef{Pkg: pkg.Rel, Name: name}
+				}
+			}
+			if !types.IsInterface(named) && named.TypeParams().Len() == 0 {
+				g.named = append(g.named, named)
+			}
+		}
 		for _, f := range pkg.Files {
-			fc := &fileCtx{file: f, pkg: pkg, imports: g.importTable(f.Ast)}
-			ctxs[f] = fc
 			for _, decl := range f.Ast.Decls {
-				switch d := decl.(type) {
-				case *ast.GenDecl:
-					for _, spec := range d.Specs {
-						ts, ok := spec.(*ast.TypeSpec)
-						if !ok {
-							continue
-						}
-						ref := TypeRef{Pkg: pkg.Rel, Name: ts.Name.Name}
-						g.types[ref] = true
-						if st, ok := ts.Type.(*ast.StructType); ok {
-							si := &structInfo{ref: ref, file: fc, fields: map[string]ast.Expr{}}
-							for _, fld := range st.Fields.List {
-								for _, name := range fld.Names {
-									si.fields[name.Name] = fld.Type
-								}
-							}
-							g.structs[ref] = si
-						}
+				d, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				key := funcKey(pkg, d)
+				fi := &FuncInfo{Key: key, Decl: d}
+				if d.Recv != nil && len(d.Recv.List) == 1 && len(d.Recv.List[0].Names) == 1 {
+					fi.RecvName = d.Recv.List[0].Names[0].Name
+				}
+				for _, p := range d.Type.Params.List {
+					for _, n := range p.Names {
+						fi.ParamNames = append(fi.ParamNames, n.Name)
 					}
-				case *ast.FuncDecl:
-					key := g.funcKey(pkg, d)
-					fi := &FuncInfo{Key: key, Decl: d, FileRel: f.Rel}
-					if d.Recv != nil && len(d.Recv.List) == 1 && len(d.Recv.List[0].Names) == 1 {
-						fi.RecvName = d.Recv.List[0].Names[0].Name
-					}
-					if d.Type.Params != nil {
-						for _, p := range d.Type.Params.List {
-							for _, n := range p.Names {
-								fi.ParamNames = append(fi.ParamNames, n.Name)
-							}
-						}
-					}
-					g.Funcs[key] = fi
+				}
+				g.Funcs[key] = fi
+				if fn, ok := pkg.Info.Defs[d.Name].(*types.Func); ok {
+					g.keys[fn] = key
 				}
 			}
 		}
 	}
-	// Pass 2: per-function environments, call sites and access facts.
+	// Pass 2: call sites and access facts.
 	for _, pkg := range t.Pkgs {
 		for _, f := range pkg.Files {
-			fc := ctxs[f]
 			for _, decl := range f.Ast.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
+				if d, ok := decl.(*ast.FuncDecl); ok && d.Body != nil {
+					w := &funcWalk{g: g, info: pkg.Info, fi: g.Funcs[funcKey(pkg, d)], fresh: freshLocals(pkg.Info, d.Body)}
+					w.walk(d.Body, nil, false)
 				}
-				fi := g.Funcs[g.funcKey(pkg, fn)]
-				g.analyzeFunc(fc, fi, fn)
 			}
 		}
 	}
 	for _, fi := range g.Funcs {
 		for _, cs := range fi.Calls {
-			if cs.Resolved {
-				g.callers[cs.Callee] = append(g.callers[cs.Callee], cs)
+			for _, k := range cs.Targets {
+				g.callers[k] = append(g.callers[k], cs)
 			}
 		}
 	}
 	return g
 }
 
-func (g *Graph) funcKey(pkg *Package, d *ast.FuncDecl) FuncKey {
+func funcKey(pkg *Package, d *ast.FuncDecl) FuncKey {
 	key := FuncKey{Pkg: pkg.Rel, Name: d.Name.Name}
 	if d.Recv != nil && len(d.Recv.List) == 1 {
 		key.Recv = baseTypeName(d.Recv.List[0].Type)
@@ -282,206 +248,118 @@ func baseTypeName(e ast.Expr) string {
 	return ""
 }
 
-// importTable maps each import's local name to the loaded package dir
-// it denotes, matching import paths against the tree's package
-// directories by path suffix (the module prefix is irrelevant, which
-// keeps fixture trees and the real module on the same footing).
-func (g *Graph) importTable(f *ast.File) map[string]string {
-	out := map[string]string{}
-	for _, imp := range f.Imports {
-		p := strings.Trim(imp.Path.Value, `"`)
-		rel := ""
-		for dir := range g.pkgDirs {
-			if p == dir || strings.HasSuffix(p, "/"+dir) {
-				if len(dir) > len(rel) {
-					rel = dir
-				}
-			}
-		}
-		if rel == "" {
+// key returns the FuncKey of a function, method or named-interface
+// method the tree declares.
+func (g *Graph) key(fn *types.Func) (FuncKey, bool) {
+	fn = fn.Origin()
+	if k, ok := g.keys[fn]; ok {
+		return k, true
+	}
+	rel, inTree := g.pkgs[fn.Pkg()]
+	recv := fn.Type().(*types.Signature).Recv()
+	if !inTree || recv == nil {
+		return FuncKey{}, false
+	}
+	named, ok := types.Unalias(recv.Type()).(*types.Named)
+	if !ok {
+		return FuncKey{}, false
+	}
+	return FuncKey{Pkg: rel, Recv: named.Obj().Name(), Name: fn.Name()}, true
+}
+
+// implementations returns every tree method a call of interface method
+// m can run: m of each concrete tree type whose value or pointer
+// implements m's interface. Generic types are skipped (go/types leaves
+// Implements unspecified for them).
+func (g *Graph) implementations(m *types.Func) []FuncKey {
+	if out, ok := g.impls[m]; ok {
+		return out
+	}
+	iface := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+	var out []FuncKey
+	for _, named := range g.named {
+		ptr := types.NewPointer(named)
+		if !types.Implements(named, iface) && !types.Implements(ptr, iface) {
 			continue
 		}
-		name := path.Base(p)
-		if imp.Name != nil {
-			if imp.Name.Name == "_" || imp.Name.Name == "." {
-				continue
+		// A method promoted from an embedded type is found once per
+		// embedder; it is one target.
+		obj, _, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name())
+		if fn, ok := obj.(*types.Func); ok {
+			if k, ok := g.key(fn); ok && g.Funcs[k] != nil && !slices.Contains(out, k) {
+				out = append(out, k)
 			}
-			name = imp.Name.Name
 		}
-		out[name] = rel
 	}
+	g.impls[m] = out
 	return out
 }
 
-// resolveTypeExpr maps a type expression to a TypeRef in fc's import
-// context. Pointers, parens, slices and arrays collapse to the element
-// type — precise enough for field-chain and method resolution, which is
-// all the rules need.
-func (g *Graph) resolveTypeExpr(fc *fileCtx, e ast.Expr) TypeRef {
-	switch x := e.(type) {
+// callee returns the static callee of a call: a declared function, a
+// concrete method, or an interface method. Generic instantiation is
+// seen through.
+func callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch x := fun.(type) {
+	case *ast.IndexExpr:
+		fun = x.X
+	case *ast.IndexListExpr:
+		fun = x.X
+	}
+	var obj types.Object
+	switch x := fun.(type) {
 	case *ast.Ident:
-		ref := TypeRef{Pkg: fc.pkg.Rel, Name: x.Name}
-		if g.types[ref] {
-			return ref
-		}
-	case *ast.StarExpr:
-		return g.resolveTypeExpr(fc, x.X)
-	case *ast.ParenExpr:
-		return g.resolveTypeExpr(fc, x.X)
-	case *ast.ArrayType:
-		return g.resolveTypeExpr(fc, x.Elt)
+		obj = info.Uses[x]
 	case *ast.SelectorExpr:
-		if id, ok := x.X.(*ast.Ident); ok {
-			if rel, ok := fc.imports[id.Name]; ok {
-				ref := TypeRef{Pkg: rel, Name: x.Sel.Name}
-				if g.types[ref] {
-					return ref
-				}
+		if sel, ok := info.Selections[x]; ok {
+			if sel.Kind() != types.MethodVal {
+				return nil // a func-typed field or a method expression
 			}
+			obj = sel.Obj()
+		} else {
+			obj = info.Uses[x.Sel] // package-qualified
 		}
 	}
-	return TypeRef{}
+	fn, _ := obj.(*types.Func)
+	return fn
 }
 
-// env is the per-function syntactic typing environment.
-type env struct {
-	vars  map[string]TypeRef
-	fresh map[string]bool
-}
-
-// analyzeFunc builds fn's environment, then records call sites, lock
-// operations, guarded-field accesses and charge calls.
-func (g *Graph) analyzeFunc(fc *fileCtx, fi *FuncInfo, fn *ast.FuncDecl) {
-	e := &env{vars: map[string]TypeRef{}, fresh: map[string]bool{}}
-	if fn.Recv != nil && len(fn.Recv.List) == 1 && len(fn.Recv.List[0].Names) == 1 {
-		e.vars[fn.Recv.List[0].Names[0].Name] = g.resolveTypeExpr(fc, fn.Recv.List[0].Type)
+// fieldOwner returns the tree struct declaring the field sel selects.
+func (g *Graph) fieldOwner(info *types.Info, sel *ast.SelectorExpr) (TypeRef, bool) {
+	s, ok := info.Selections[sel]
+	if !ok || s.Kind() != types.FieldVal {
+		return TypeRef{}, false
 	}
-	bindFieldList := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, p := range fl.List {
-			t := g.resolveTypeExpr(fc, p.Type)
-			for _, n := range p.Names {
-				if t.Known() {
-					e.vars[n.Name] = t
-				}
-			}
+	owner, ok := g.fields[s.Obj().(*types.Var).Origin()]
+	return owner, ok
+}
+
+// freshLocals returns the locals body binds to a composite literal.
+func freshLocals(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
+	fresh := map[types.Object]bool{}
+	mark := func(id *ast.Ident, rhs ast.Expr) {
+		if obj := info.ObjectOf(id); obj != nil && isCompositeLit(rhs) {
+			fresh[obj] = true
 		}
 	}
-	bindFieldList(fn.Type.Params)
-	bindFieldList(fn.Type.Results)
-	// Two environment passes let a binding reference one made later in
-	// the body (rare, but free to support at this scale).
-	for i := 0; i < 2; i++ {
-		g.bindLocals(fc, e, fn.Body)
-	}
-	g.walkFacts(fc, fi, e, fn.Body, nil, false)
-}
-
-// bindLocals populates e from declarations and assignments in body,
-// including nested function literals (closures share the enclosing
-// function's facts, matching how the rules attribute their bodies).
-func (g *Graph) bindLocals(fc *fileCtx, e *env, body ast.Node) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch st := n.(type) {
-		case *ast.ValueSpec:
-			t := TypeRef{}
-			if st.Type != nil {
-				t = g.resolveTypeExpr(fc, st.Type)
-			}
-			for i, name := range st.Names {
-				vt := t
-				if !vt.Known() && i < len(st.Values) {
-					vt = g.typeOf(fc, e, st.Values[i])
-				}
-				if vt.Known() {
-					e.vars[name.Name] = vt
-				}
-			}
 		case *ast.AssignStmt:
-			g.bindAssign(fc, e, st)
-		case *ast.RangeStmt:
-			if v, ok := st.Value.(*ast.Ident); ok && v.Name != "_" {
-				// Slice element types collapse through typeOf; map and
-				// channel ranges resolve to unknown, which is correct
-				// enough (their element types are rarely tree structs).
-				if t := g.typeOf(fc, e, st.X); t.Known() {
-					e.vars[v.Name] = t
+			for i, lhs := range st.Lhs {
+				if id, ok := lhs.(*ast.Ident); ok && i < len(st.Rhs) {
+					mark(id, st.Rhs[i])
 				}
 			}
-			if k, ok := st.Key.(*ast.Ident); ok && k.Name != "_" {
-				delete(e.vars, k.Name) // index/key vars are never tree types
-			}
-		case *ast.FuncLit:
-			for _, p := range st.Type.Params.List {
-				t := g.resolveTypeExpr(fc, p.Type)
-				for _, nm := range p.Names {
-					if t.Known() {
-						e.vars[nm.Name] = t
-					}
+		case *ast.ValueSpec:
+			for i, id := range st.Names {
+				if i < len(st.Values) {
+					mark(id, st.Values[i])
 				}
 			}
 		}
 		return true
 	})
-}
-
-func (g *Graph) bindAssign(fc *fileCtx, e *env, st *ast.AssignStmt) {
-	if len(st.Rhs) == 1 && len(st.Lhs) > 1 {
-		// Multi-value: a call's result tuple or a comma-ok form.
-		switch rhs := st.Rhs[0].(type) {
-		case *ast.CallExpr:
-			callee, resolved := g.resolveCall(fc, e, rhs)
-			if !resolved {
-				return
-			}
-			fi := g.Funcs[callee]
-			if fi == nil || fi.Decl.Type.Results == nil {
-				return
-			}
-			var results []ast.Expr
-			for _, r := range fi.Decl.Type.Results.List {
-				n := len(r.Names)
-				if n == 0 {
-					n = 1
-				}
-				for i := 0; i < n; i++ {
-					results = append(results, r.Type)
-				}
-			}
-			calleeCtx := g.fileCtxOf(callee)
-			for i, lhs := range st.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok || id.Name == "_" || i >= len(results) || calleeCtx == nil {
-					continue
-				}
-				if t := g.resolveTypeExpr(calleeCtx, results[i]); t.Known() {
-					e.vars[id.Name] = t
-				}
-			}
-		case *ast.TypeAssertExpr:
-			if id, ok := st.Lhs[0].(*ast.Ident); ok && id.Name != "_" && rhs.Type != nil {
-				if t := g.resolveTypeExpr(fc, rhs.Type); t.Known() {
-					e.vars[id.Name] = t
-				}
-			}
-		}
-		return
-	}
-	for i, lhs := range st.Lhs {
-		id, ok := lhs.(*ast.Ident)
-		if !ok || id.Name == "_" || i >= len(st.Rhs) {
-			continue
-		}
-		rhs := st.Rhs[i]
-		if t := g.typeOf(fc, e, rhs); t.Known() {
-			e.vars[id.Name] = t
-		}
-		if isCompositeLit(rhs) {
-			e.fresh[id.Name] = true
-		}
-	}
+	return fresh
 }
 
 func isCompositeLit(e ast.Expr) bool {
@@ -497,116 +375,6 @@ func isCompositeLit(e ast.Expr) bool {
 	return false
 }
 
-// fileCtxOf rebuilds the declaring file context for a function key.
-func (g *Graph) fileCtxOf(key FuncKey) *fileCtx {
-	fi := g.Funcs[key]
-	if fi == nil {
-		return nil
-	}
-	for _, pkg := range g.tree.Pkgs {
-		if pkg.Rel != key.Pkg {
-			continue
-		}
-		for _, f := range pkg.Files {
-			if f.Rel == fi.FileRel {
-				return &fileCtx{file: f, pkg: pkg, imports: g.importTable(f.Ast)}
-			}
-		}
-	}
-	return nil
-}
-
-// typeOf resolves an expression's concrete type syntactically; the zero
-// TypeRef means unknown.
-func (g *Graph) typeOf(fc *fileCtx, e *env, x ast.Expr) TypeRef {
-	switch v := x.(type) {
-	case *ast.Ident:
-		return e.vars[v.Name]
-	case *ast.ParenExpr:
-		return g.typeOf(fc, e, v.X)
-	case *ast.StarExpr:
-		return g.typeOf(fc, e, v.X)
-	case *ast.UnaryExpr:
-		if v.Op == token.AND || v.Op == token.MUL {
-			return g.typeOf(fc, e, v.X)
-		}
-	case *ast.IndexExpr:
-		return g.typeOf(fc, e, v.X)
-	case *ast.CompositeLit:
-		if v.Type != nil {
-			return g.resolveTypeExpr(fc, v.Type)
-		}
-	case *ast.TypeAssertExpr:
-		if v.Type != nil {
-			return g.resolveTypeExpr(fc, v.Type)
-		}
-	case *ast.SelectorExpr:
-		base := g.typeOf(fc, e, v.X)
-		if !base.Known() {
-			return TypeRef{}
-		}
-		si := g.structs[base]
-		if si == nil {
-			return TypeRef{}
-		}
-		ft, ok := si.fields[v.Sel.Name]
-		if !ok {
-			return TypeRef{}
-		}
-		return g.resolveTypeExpr(si.file, ft)
-	case *ast.CallExpr:
-		callee, resolved := g.resolveCall(fc, e, v)
-		if !resolved {
-			return TypeRef{}
-		}
-		fi := g.Funcs[callee]
-		if fi == nil || fi.Decl.Type.Results == nil || len(fi.Decl.Type.Results.List) == 0 {
-			return TypeRef{}
-		}
-		calleeCtx := g.fileCtxOf(callee)
-		if calleeCtx == nil {
-			return TypeRef{}
-		}
-		return g.resolveTypeExpr(calleeCtx, fi.Decl.Type.Results.List[0].Type)
-	}
-	return TypeRef{}
-}
-
-// resolveCall resolves a call expression to a declared function or
-// method in the tree.
-func (g *Graph) resolveCall(fc *fileCtx, e *env, call *ast.CallExpr) (FuncKey, bool) {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		key := FuncKey{Pkg: fc.pkg.Rel, Name: fun.Name}
-		if _, ok := g.Funcs[key]; ok {
-			// A local variable of the same name shadows the package
-			// function; a typed local is visible in the environment.
-			if _, shadowed := e.vars[fun.Name]; !shadowed {
-				return key, true
-			}
-		}
-	case *ast.SelectorExpr:
-		if id, ok := fun.X.(*ast.Ident); ok {
-			if _, isVar := e.vars[id.Name]; !isVar {
-				if rel, ok := fc.imports[id.Name]; ok {
-					key := FuncKey{Pkg: rel, Name: fun.Sel.Name}
-					if _, ok := g.Funcs[key]; ok {
-						return key, true
-					}
-					return FuncKey{}, false
-				}
-			}
-		}
-		if recv := g.typeOf(fc, e, fun.X); recv.Known() {
-			key := FuncKey{Pkg: recv.Pkg, Recv: recv.Name, Name: fun.Sel.Name}
-			if _, ok := g.Funcs[key]; ok {
-				return key, true
-			}
-		}
-	}
-	return FuncKey{}, false
-}
-
 // chargeNames are the cost-accounting methods of obs.Tracer, obs.Span
 // and obs.Budget: a call to any of them, however the receiver was
 // reached, counts as charging the active budget.
@@ -616,28 +384,45 @@ var chargeNames = map[string]bool{
 	"ChargePages": true,
 }
 
-// walkFacts records call sites, lock ops, field accesses and charges,
+// funcWalk records one function's facts.
+type funcWalk struct {
+	g     *Graph
+	info  *types.Info
+	fi    *FuncInfo
+	fresh map[types.Object]bool
+}
+
+// walk records call sites, lock ops, field accesses and charges,
 // carrying the enclosing go statement (if any) so rules can tell
-// goroutine-spawned execution from the main path.
-func (g *Graph) walkFacts(fc *fileCtx, fi *FuncInfo, e *env, n ast.Node, goStmt ast.Node, deferred bool) {
+// goroutine-spawned execution from the main path. Nested function
+// literals belong to the enclosing function.
+func (w *funcWalk) walk(n ast.Node, goStmt ast.Node, deferred bool) {
 	if n == nil {
 		return
 	}
 	switch st := n.(type) {
 	case *ast.GoStmt:
-		g.walkFacts(fc, fi, e, st.Call, st, deferred)
+		w.walk(st.Call, st, deferred)
 		return
 	case *ast.DeferStmt:
-		g.walkFacts(fc, fi, e, st.Call, goStmt, true)
+		w.walk(st.Call, goStmt, true)
 		return
 	case *ast.CallExpr:
-		g.recordCall(fc, fi, e, st, goStmt, deferred)
+		w.recordCall(st, goStmt, deferred)
 		// Children (args, nested calls, func literals) keep walking.
 	case *ast.SelectorExpr:
-		g.recordAccess(fc, fi, e, st, goStmt)
+		if owner, ok := w.g.fieldOwner(w.info, st); ok {
+			w.fi.Accesses = append(w.fi.Accesses, FieldAccess{
+				Type:  owner,
+				Field: st.Sel.Name,
+				Pos:   st.Sel.Pos(),
+				Go:    goStmt,
+				Fresh: w.fresh[w.info.Uses[rootIdent(st.X)]],
+			})
+		}
 	}
 	for _, child := range childNodes(n) {
-		g.walkFacts(fc, fi, e, child, goStmt, deferred)
+		w.walk(child, goStmt, deferred)
 	}
 }
 
@@ -658,18 +443,18 @@ func childNodes(n ast.Node) []ast.Node {
 	return out
 }
 
-func (g *Graph) recordCall(fc *fileCtx, fi *FuncInfo, e *env, call *ast.CallExpr, goStmt ast.Node, deferred bool) {
+func (w *funcWalk) recordCall(call *ast.CallExpr, goStmt ast.Node, deferred bool) {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if chargeNames[sel.Sel.Name] {
-			fi.Charges = append(fi.Charges, call.Pos())
+			w.fi.Charges = append(w.fi.Charges, call.Pos())
 		}
-		// Lock operation: <base>.<field>.Lock() with a resolvable base.
+		// Lock operation: <base>.<field>.Lock() on a tree struct field.
 		switch sel.Sel.Name {
 		case "Lock", "RLock", "Unlock", "RUnlock":
 			if inner, ok := sel.X.(*ast.SelectorExpr); ok {
-				if base := g.typeOf(fc, e, inner.X); base.Known() {
-					fi.Locks = append(fi.Locks, LockOp{
-						Lock: LockKey{Type: base, Field: inner.Sel.Name},
+				if owner, ok := w.g.fieldOwner(w.info, inner); ok {
+					w.fi.Locks = append(w.fi.Locks, LockOp{
+						Lock: LockKey{Type: owner, Field: inner.Sel.Name},
 						Op:   sel.Sel.Name,
 						Go:   goStmt,
 						Pos:  call.Pos(),
@@ -678,47 +463,30 @@ func (g *Graph) recordCall(fc *fileCtx, fi *FuncInfo, e *env, call *ast.CallExpr
 			}
 		}
 	}
-	callee, resolved := g.resolveCall(fc, e, call)
-	cs := &CallSite{
-		Caller:   fi.Key,
-		Call:     call,
-		Callee:   callee,
-		Resolved: resolved,
-		Go:       goStmt != nil,
-		Deferred: deferred,
+	cs := &CallSite{Caller: w.fi.Key, Call: call, Go: goStmt != nil, Deferred: deferred}
+	if fn := callee(w.info, call); fn != nil {
+		sig := fn.Type().(*types.Signature)
+		if sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
+			cs.Targets = w.g.implementations(fn)
+		}
+		if k, ok := w.g.key(fn); ok {
+			cs.Callee, cs.Resolved, cs.Sig = k, true, sig
+			if cs.Targets == nil && w.g.Funcs[k] != nil {
+				cs.Targets = []FuncKey{k}
+			}
+		}
 	}
-	fi.Calls = append(fi.Calls, cs)
-	g.sites[call] = cs
-}
-
-func (g *Graph) recordAccess(fc *fileCtx, fi *FuncInfo, e *env, sel *ast.SelectorExpr, goStmt ast.Node) {
-	base := g.typeOf(fc, e, sel.X)
-	if !base.Known() {
-		return
-	}
-	si := g.structs[base]
-	if si == nil {
-		return
-	}
-	if _, ok := si.fields[sel.Sel.Name]; !ok {
-		return
-	}
-	fi.Accesses = append(fi.Accesses, FieldAccess{
-		Type:  base,
-		Field: sel.Sel.Name,
-		Pos:   sel.Sel.Pos(),
-		Go:    goStmt,
-		Fresh: e.fresh[rootIdent(sel.X)],
-	})
+	w.fi.Calls = append(w.fi.Calls, cs)
+	w.g.sites[call] = cs
 }
 
 // rootIdent returns the identifier at the base of a selector/index
-// chain, or "" when the chain roots elsewhere.
-func rootIdent(x ast.Expr) string {
+// chain, or nil when the chain roots elsewhere.
+func rootIdent(x ast.Expr) *ast.Ident {
 	for {
 		switch v := x.(type) {
 		case *ast.Ident:
-			return v.Name
+			return v
 		case *ast.SelectorExpr:
 			x = v.X
 		case *ast.IndexExpr:
@@ -730,7 +498,7 @@ func rootIdent(x ast.Expr) string {
 		case *ast.UnaryExpr:
 			x = v.X
 		default:
-			return ""
+			return nil
 		}
 	}
 }

@@ -2,14 +2,17 @@ package analysis
 
 import (
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 )
 
 // graphTree is a two-package fixture exercising the resolution forms
 // the interprocedural rules lean on: same-package calls, method calls
-// through receivers and locals, cross-package calls through the import
-// table, and go/defer edge marking.
+// through receivers and locals, cross-package calls, go/defer edge
+// marking, interface dispatch (a named slice of the interface ranged
+// over in its own method included), promoted methods, an explicitly
+// instantiated generic function, and a call through a func-typed field.
 func graphTree(t *testing.T) *Tree {
 	t.Helper()
 	return writeTree(t, map[string]string{
@@ -39,6 +42,53 @@ func top() {
 		return
 	}
 }
+
+// Pred has two implementations. All is a named slice of Pred whose
+// Match ranges over its parts; it lacks Name, so it is not a Pred and
+// the inner p.Match() cannot run All.Match itself.
+type Pred interface {
+	Match(x int) bool
+	Name() string
+}
+
+type Even struct{}
+
+func (Even) Match(x int) bool { return x%2 == 0 }
+func (Even) Name() string     { return "even" }
+
+type Small struct{}
+
+func (Small) Match(x int) bool { return x < 10 }
+func (Small) Name() string     { return "small" }
+
+type All []Pred
+
+func (a All) Match(x int) bool {
+	for _, p := range a {
+		if !p.Match(x) {
+			return false
+		}
+	}
+	return true
+}
+
+func named(p Pred) string { return p.Name() }
+
+type base struct{}
+
+func (base) Ping() {}
+
+type Outer struct{ base }
+
+func promoted(o *Outer) { o.Ping() }
+
+func first[T any](xs []T) T { return xs[0] }
+
+func generic() int { return first[int]([]int{1}) }
+
+type hooks struct{ Ping func() }
+
+func (h *hooks) fire() { h.Ping() }
 `,
 		"internal/colstore/file.go": `package colstore
 
@@ -83,6 +133,35 @@ func TestCallGraphResolution(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("top -> Store.Read edge not resolved through the local binding")
+	}
+
+	// Interface dispatch reaches every implementation; ranging over a
+	// named slice of the interface inside its own method adds no
+	// self-edge.
+	shard := func(recv, name string) FuncKey { return FuncKey{Pkg: "internal/shard", Recv: recv, Name: name} }
+	targets := func(fn FuncKey) []FuncKey {
+		var out []FuncKey
+		for _, cs := range g.Funcs[fn].Calls {
+			out = append(out, cs.Targets...)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		fn   FuncKey
+		want []FuncKey
+	}{
+		{shard("All", "Match"), []FuncKey{shard("Even", "Match"), shard("Small", "Match")}},
+		{shard("", "named"), []FuncKey{shard("Even", "Name"), shard("Small", "Name")}},
+		{shard("", "promoted"), []FuncKey{shard("base", "Ping")}},
+		{shard("", "generic"), []FuncKey{shard("", "first")}},
+		{shard("hooks", "fire"), nil},
+	} {
+		if got := targets(c.fn); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s calls %v, want %v", c.fn, got, c.want)
+		}
+	}
+	if cs := g.Funcs[shard("hooks", "fire")].Calls[0]; cs.Resolved {
+		t.Errorf("call through a func-typed field resolved to %s", cs.Callee)
 	}
 
 	// go/defer edges carry their flags.

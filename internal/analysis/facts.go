@@ -98,9 +98,11 @@ func (g *Graph) Reachable(roots []FuncKey) map[FuncKey]bool {
 			continue
 		}
 		for _, cs := range fi.Calls {
-			if cs.Resolved && !seen[cs.Callee] {
-				seen[cs.Callee] = true
-				stack = append(stack, cs.Callee)
+			for _, k := range cs.Targets {
+				if !seen[k] {
+					seen[k] = true
+					stack = append(stack, k)
+				}
 			}
 		}
 	}

@@ -3,8 +3,11 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,20 +21,26 @@ type File struct {
 	Ast *ast.File
 }
 
-// Package groups the files of one directory.
+// Package groups the files of one directory with their type-checked
+// form. Types' path is Rel.
 type Package struct {
 	Rel   string // root-relative directory, forward slashes ("." for root)
 	Files []*File
+	Types *types.Package
+	Info  *types.Info
 }
 
-// Tree is a parsed source tree rooted at a module (or fixture) root.
-// Rules see the tree exactly as the build does, minus _test.go files:
-// testdata, vendor, hidden and underscore-prefixed directories are
-// skipped.
+// Tree is a parsed and type-checked source tree rooted at a module (or
+// fixture) root. Rules see the tree exactly as the build does, minus
+// _test.go files: testdata, vendor, hidden and underscore-prefixed
+// directories are skipped.
 type Tree struct {
 	Root string
 	Fset *token.FileSet
 	Pkgs []*Package
+
+	graphOnce sync.Once
+	graph     *Graph
 }
 
 // relPath converts an absolute file name from the FileSet back to the
@@ -140,7 +149,94 @@ func Load(root string, patterns ...string) (*Tree, error) {
 		}
 	}
 	t.Pkgs = pkgs
+	t.check()
 	return t, nil
+}
+
+// check type-checks the packages in import order (phase 3, serial).
+// Type errors are tolerated: the checker records everything it could
+// resolve and an expression with an error simply has no object, so it
+// yields no fact. The real tree is what `go build ./...` compiled; the
+// fixtures import packages they do not contain.
+func (t *Tree) check() {
+	done := map[*Package]bool{}
+	var visit func(p *Package)
+	visit = func(p *Package) {
+		if done[p] {
+			return
+		}
+		done[p] = true
+		files := make([]*ast.File, len(p.Files))
+		for i, f := range p.Files {
+			files[i] = f.Ast
+			for _, imp := range f.Ast.Imports {
+				if dep := t.lookup(importPath(imp)); dep != nil {
+					visit(dep)
+				}
+			}
+		}
+		p.Info = &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}
+		conf := types.Config{Importer: treeImporter{t}, Error: func(error) {}}
+		p.Types, _ = conf.Check(p.Rel, t.Fset, files, p.Info)
+	}
+	for _, p := range t.Pkgs {
+		visit(p)
+	}
+}
+
+// lookup returns the tree package an import path denotes: the one whose
+// directory is the longest suffix of the path. The module prefix is
+// irrelevant, which keeps fixture trees and the real module on the same
+// footing.
+func (t *Tree) lookup(path string) *Package {
+	var best *Package
+	for _, p := range t.Pkgs {
+		if (path == p.Rel || strings.HasSuffix(path, "/"+p.Rel)) && (best == nil || len(p.Rel) > len(best.Rel)) {
+			best = p
+		}
+	}
+	return best
+}
+
+func importPath(imp *ast.ImportSpec) string { return strings.Trim(imp.Path.Value, `"`) }
+
+// treeImporter resolves a tree package to its checked form and anything
+// else to the standard library.
+type treeImporter struct{ t *Tree }
+
+func (i treeImporter) Import(path string) (*types.Package, error) {
+	if p := i.t.lookup(path); p != nil {
+		if p.Types == nil {
+			return nil, fmt.Errorf("import cycle through %s", p.Rel)
+		}
+		return p.Types, nil
+	}
+	return importStdlib(path)
+}
+
+// stdlib is the process's one standard-library importer. It type-checks
+// GOROOT sources on first use of each package and keeps the result, so
+// the cost (about two seconds, most of it net/http) is paid once per
+// process however many trees are loaded.
+var stdlib struct {
+	sync.Mutex
+	imp types.Importer
+}
+
+func importStdlib(path string) (*types.Package, error) {
+	if fi, err := os.Stat(filepath.Join(build.Default.GOROOT, "src", filepath.FromSlash(path))); err != nil || !fi.IsDir() {
+		return nil, fmt.Errorf("package %s is neither in the tree nor in the standard library", path)
+	}
+	stdlib.Lock()
+	defer stdlib.Unlock()
+	if stdlib.imp == nil {
+		stdlib.imp = importer.ForCompiler(token.NewFileSet(), "source", nil)
+	}
+	return stdlib.imp.Import(path)
 }
 
 // skipDir reports whether a directory is outside the checked tree,
@@ -184,7 +280,7 @@ func underDir(rel, dir string) bool {
 // importsPath returns the ImportSpec of f importing path, or nil.
 func importsPath(f *ast.File, path string) *ast.ImportSpec {
 	for _, imp := range f.Imports {
-		if imp.Path.Value == `"`+path+`"` {
+		if importPath(imp) == path {
 			return imp
 		}
 	}

@@ -67,27 +67,25 @@ func (ChargeTrack) Check(t *Tree, rep *Reporter) {
 	}
 	seen := map[dedupKey]bool{}
 	for _, key := range g.SortedFuncs() {
-		if !reachable[key] || charged[key] {
+		// Reads issued by the storage layers themselves are charged by
+		// whoever drove them across the package boundary.
+		if !reachable[key] || charged[key] || chargeReadPkgs[key.Pkg] {
 			continue
 		}
-		fi := g.Funcs[key]
-		for _, cs := range fi.Calls {
-			if !cs.Resolved || !chargeReadPkgs[cs.Callee.Pkg] || !chargeReadNames[cs.Callee.Name] {
-				continue
+		for _, cs := range g.Funcs[key].Calls {
+			for _, api := range cs.Targets {
+				if !chargeReadPkgs[api.Pkg] || !chargeReadNames[api.Name] {
+					continue
+				}
+				dk := dedupKey{key, api.String()}
+				if seen[dk] {
+					continue
+				}
+				seen[dk] = true
+				rep.Reportf("charge-tracking", cs.Call.Pos(),
+					"%s reads %s on a query-verb path but neither it nor its callers charge the tracer/budget",
+					key, api)
 			}
-			// Reads issued by the storage layers themselves are charged
-			// by whoever drove them across the package boundary.
-			if chargeReadPkgs[key.Pkg] {
-				continue
-			}
-			dk := dedupKey{key, cs.Callee.String()}
-			if seen[dk] {
-				continue
-			}
-			seen[dk] = true
-			rep.Reportf("charge-tracking", cs.Call.Pos(),
-				"%s reads %s on a query-verb path but neither it nor its callers charge the tracer/budget",
-				key, cs.Callee)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 // ErrorFlow (R10) closes the gap sentinel-errors (R4) leaves open:
@@ -12,8 +13,10 @@ import (
 // interprocedural through the call graph — a callee's signature is
 // resolved across files and packages, so `rows, _ := decode(...)`
 // is flagged wherever decode's last result is an error, and a bare
-// `flush()` statement whose resolved callee returns an error is a
-// dropped error even though no variable ever existed.
+// `flush()` statement whose callee returns an error is a dropped error
+// even though no variable ever existed. Only callees the tree declares
+// are checked (an interface method of a tree interface included); the
+// standard library's are not.
 type ErrorFlow struct{}
 
 // ID implements Rule.
@@ -39,28 +42,15 @@ func (ErrorFlow) Check(t *Tree, rep *Reporter) {
 	}
 }
 
+var errorType = types.Universe.Lookup("error").Type()
+
 // errResultIndexes returns the positions of `error`-typed results in a
-// resolved callee's signature (syntactic: the predeclared identifier).
-func errResultIndexes(fi *FuncInfo) []int {
-	if fi == nil || fi.Decl.Type.Results == nil {
-		return nil
-	}
+// callee's signature.
+func errResultIndexes(sig *types.Signature) []int {
 	var out []int
-	idx := 0
-	for _, r := range fi.Decl.Type.Results.List {
-		n := len(r.Names)
-		if n == 0 {
-			n = 1
-		}
-		isErr := false
-		if id, ok := r.Type.(*ast.Ident); ok && id.Name == "error" {
-			isErr = true
-		}
-		for i := 0; i < n; i++ {
-			if isErr {
-				out = append(out, idx)
-			}
-			idx++
+	for i := 0; i < sig.Results().Len(); i++ {
+		if types.Identical(sig.Results().At(i).Type(), errorType) {
+			out = append(out, i)
 		}
 	}
 	return out
@@ -87,7 +77,7 @@ func checkErrorFlow(g *Graph, fi *FuncInfo, rep *Reporter) {
 			if site == nil || !site.Resolved {
 				return true
 			}
-			if len(errResultIndexes(g.Funcs[site.Callee])) > 0 {
+			if len(errResultIndexes(site.Sig)) > 0 {
 				rep.Reportf("error-flow", call.Pos(),
 					"error result of %s dropped; handle it, return it, or annotate a //lint:allow", site.Callee)
 			}
@@ -108,8 +98,7 @@ func checkErrorFlow(g *Graph, fi *FuncInfo, rep *Reporter) {
 			if site == nil || !site.Resolved {
 				return true
 			}
-			errIdx := errResultIndexes(g.Funcs[site.Callee])
-			for _, i := range errIdx {
+			for _, i := range errResultIndexes(site.Sig) {
 				if i >= len(st.Lhs) {
 					continue
 				}

@@ -10,4 +10,6 @@ import (
 
 func main() {
 	fmt.Println(stats.Mean([]float64{1, 2}), stats.Summary{N: 2})
+	var s stats.Shape = stats.Circle{}
+	fmt.Println(stats.Window{Lo: 1, Hi: 3}.Width(), s)
 }

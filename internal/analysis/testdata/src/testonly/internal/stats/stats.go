@@ -45,3 +45,23 @@ func TrimmedMean(xs []float64) float64 { return Mean(xs) }
 //
 //lint:allow test-only
 func KolmogorovSmirnov(xs []float64) float64 { return 0 }
+
+// Window is built by cmd/tool, which calls its Width.
+type Window struct{ Lo, Hi int }
+
+// Width is called by cmd/tool: referenced, no finding.
+func (w Window) Width() int { return w.Hi - w.Lo }
+
+// Width on Summary shares its name with Window.Width, which cmd/tool
+// calls; nothing calls this one, so it is a finding.
+func (s Summary) Width() int { return s.N }
+
+// Shape is a sealed interface: only this package's types satisfy it.
+type Shape interface{ shape() }
+
+// Circle is a Shape, built by cmd/tool.
+type Circle struct{}
+
+// shape is the seal. Nothing calls it by name, but Circle satisfies the
+// tree interface that declares it: no finding.
+func (Circle) shape() {}

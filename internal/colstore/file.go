@@ -320,12 +320,6 @@ func growBool(s []bool, n int) []bool {
 	return s[:n]
 }
 
-// Schema returns the file's schema.
-func (f *File) Schema() *dataset.Schema { return f.schema }
-
-// Rows returns the number of logical records.
-func (f *File) Rows() int { return f.rows }
-
 // ColumnPages returns the page count of the named column (for the
 // compression-ratio experiment).
 func (f *File) ColumnPages(name string) (int, error) {

@@ -27,15 +27,6 @@ type RunChunk struct {
 	Counts []int
 }
 
-// Rows returns the number of logical rows the chunk spans.
-func (c RunChunk) Rows() int {
-	n := 0
-	for _, k := range c.Counts {
-		n += k
-	}
-	return n
-}
-
 // runChunkCap bounds the runs buffered per callback. Big enough that the
 // per-callback overhead vanishes, small enough to stay cache-resident.
 const runChunkCap = 1024

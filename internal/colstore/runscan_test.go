@@ -330,3 +330,12 @@ func BenchmarkScanRunChunks(b *testing.B) {
 		}
 	}
 }
+
+// Rows returns the number of logical rows the chunk spans.
+func (c RunChunk) Rows() int {
+	n := 0
+	for _, k := range c.Counts {
+		n += k
+	}
+	return n
+}

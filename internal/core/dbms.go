@@ -260,9 +260,6 @@ type Analyst struct {
 	dbms *DBMS
 }
 
-// Name returns the analyst's name.
-func (a *Analyst) Name() string { return a.name }
-
 // Materialize starts a view materialization from the named raw file.
 func (a *Analyst) Materialize(source string) *MaterializeBuilder {
 	return &MaterializeBuilder{
@@ -351,11 +348,6 @@ func (a *Analyst) Publish(name string) error {
 		return fmt.Errorf("core: view %q belongs to analyst %s", name, def.Analyst)
 	}
 	return a.dbms.mdb.Publish(name)
-}
-
-// PublicViews lists definitions other analysts have published.
-func (a *Analyst) PublicViews() []rules.ViewDef {
-	return a.dbms.mdb.PublicViews()
 }
 
 // MaterializeFromMeta turns a metadata navigation request into a view:

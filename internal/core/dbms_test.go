@@ -76,9 +76,8 @@ func TestFigure3Architecture(t *testing.T) {
 	if err != nil || m2 != m1 {
 		t.Errorf("shared median = %g vs %g, %v", m2, m1, err)
 	}
-	pubs := dewitt.PublicViews()
-	if len(pubs) != 1 || pubs[0].Name != "males" {
-		t.Errorf("PublicViews = %+v", pubs)
+	if def, ok := d.mdb.View("males"); !ok || !def.Public {
+		t.Errorf("males not published: %+v", def)
 	}
 
 	// The Management Database records both the definition and the history.
@@ -171,8 +170,8 @@ func TestMetaDrivenMaterialization(t *testing.T) {
 func TestAdoptDatasetAndAnyView(t *testing.T) {
 	d := newDBMS(t)
 	a := d.Analyst("sampler")
-	if a.Name() != "sampler" {
-		t.Errorf("Name = %q", a.Name())
+	if a.name != "sampler" {
+		t.Errorf("name = %q", a.name)
 	}
 	ds := workload.Figure1()
 	v, err := a.AdoptDataset("adopted", ds, "census80", []string{"sample 9"})

@@ -118,22 +118,6 @@ func NewGate(cfg GateConfig) *Gate {
 	return g
 }
 
-// Slots returns the configured concurrency width (0 for a nil gate).
-func (g *Gate) Slots() int {
-	if g == nil {
-		return 0
-	}
-	return g.slots
-}
-
-// Queue returns the configured queue bound (0 for a nil gate).
-func (g *Gate) Queue() int {
-	if g == nil {
-		return 0
-	}
-	return g.queue
-}
-
 func (g *Gate) now() (ticks, wall int64) {
 	if g.ticks != nil {
 		ticks = g.ticks()

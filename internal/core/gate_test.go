@@ -18,9 +18,6 @@ func TestGateNilAdmitsEverything(t *testing.T) {
 	}
 	release()
 	release() // extra calls no-op
-	if g.Slots() != 0 || g.Queue() != 0 {
-		t.Error("nil gate reported nonzero config")
-	}
 }
 
 func TestGateSerializesAndCounts(t *testing.T) {

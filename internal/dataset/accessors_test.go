@@ -16,12 +16,12 @@ func TestRowClone(t *testing.T) {
 
 func TestDatasetNameAndString(t *testing.T) {
 	d := New(exampleSchema(t))
-	if d.Name() != "" {
-		t.Errorf("fresh name = %q", d.Name())
+	if d.name != "" {
+		t.Errorf("fresh name = %q", d.name)
 	}
 	d.SetName("census")
-	if d.Name() != "census" {
-		t.Errorf("name = %q", d.Name())
+	if d.name != "census" {
+		t.Errorf("name = %q", d.name)
 	}
 	_ = d.Append(Row{String("M"), String("W"), Int(1), Int(10), Int(20)})
 	s := d.String()

@@ -63,12 +63,6 @@ func (t *CodeTable) Decode(code int64) (string, bool) {
 	return l, ok
 }
 
-// Encode returns the code for label.
-func (t *CodeTable) Encode(label string) (int64, bool) {
-	c, ok := t.codes[label]
-	return c, ok
-}
-
 // Len returns the number of defined codes.
 func (t *CodeTable) Len() int { return len(t.labels) }
 
@@ -80,24 +74,6 @@ func (t *CodeTable) Codes() []int64 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Dataset materializes the code table as a two-column data set
-// (CATEGORY, VALUE) exactly as Figure 2 shows, so the relational join
-// operator can decode encoded attributes (Section 2.4).
-func (t *CodeTable) Dataset() *Dataset {
-	sch := MustSchema(
-		Attribute{Name: "CATEGORY", Kind: KindInt, Category: true},
-		Attribute{Name: "VALUE", Kind: KindString},
-	)
-	ds := New(sch)
-	for _, c := range t.Codes() {
-		if err := ds.Append(Row{Int(c), String(t.labels[c])}); err != nil {
-			//lint:allow no-panic Codes() only returns defined codes, so the append cannot fail
-			panic(err)
-		}
-	}
-	return ds
 }
 
 // Diff reports labels that differ between two code tables for the same

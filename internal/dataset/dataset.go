@@ -166,9 +166,6 @@ func New(schema *Schema) *Dataset {
 	return &Dataset{schema: schema, cols: cols}
 }
 
-// Name returns the data set's name (may be empty).
-func (d *Dataset) Name() string { return d.name }
-
 // SetName names the data set; names identify views and raw files.
 func (d *Dataset) SetName(n string) { d.name = n }
 

@@ -79,37 +79,58 @@ func New(cfg Config) (*Machine, error) {
 	return &Machine{cfg: cfg, pool: exec.New(cfg.Processors)}, nil
 }
 
-// Processors returns the array width.
-func (m *Machine) Processors() int { return m.cfg.Processors }
-
 // FilterScan streams the named archive file through the machine,
 // evaluating pred in the array and shipping only qualifying rows to the
 // host (use 1 of Section 4.3). Tape transfer costs accrue on the
 // archive's clock; processing is divided across the processors.
+//
+// The array evaluates one tape block at a time: each block's rows are
+// gathered into a data set and pred is bound to it column-wise, the
+// same evaluator Select runs. pred is first bound to an empty data set
+// of the file's schema, so a bad attribute fails before the tape moves.
 func (m *Machine) FilterScan(a *tape.Archive, file string, pred relalg.Predicate) (*dataset.Dataset, Stats, error) {
 	sch, err := a.Schema(file)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	eval, err := pred.Compile(sch)
-	if err != nil {
+	if _, err := pred.Bind(dataset.New(sch)); err != nil {
 		return nil, Stats{}, err
 	}
 	out := dataset.New(sch)
 	var st Stats
-	var appendErr error
-	err = a.Read(file, func(row dataset.Row) bool {
-		st.RowsScanned++
-		if eval(row) {
-			st.RowsShipped++
-			if appendErr = out.Append(row); appendErr != nil {
-				return false
+	block := dataset.New(sch)
+	mask := make([]bool, tape.BlockRows)
+	ship := func() error {
+		eval, err := pred.Bind(block)
+		if err != nil {
+			return err
+		}
+		n := block.Rows()
+		eval(0, n, mask)
+		for i, ok := range mask[:n] {
+			if ok {
+				st.RowsShipped++
+				if err := out.Append(block.RowAt(i)); err != nil {
+					return err
+				}
 			}
 		}
-		return true
+		block = dataset.New(sch)
+		return nil
+	}
+	var blockErr error
+	err = a.Read(file, func(row dataset.Row) bool {
+		st.RowsScanned++
+		if blockErr = block.Append(row); blockErr == nil && block.Rows() == tape.BlockRows {
+			blockErr = ship()
+		}
+		return blockErr == nil
 	})
 	if err == nil {
-		err = appendErr
+		err = blockErr
+	}
+	if err == nil {
+		err = ship()
 	}
 	if err != nil {
 		return nil, Stats{}, err

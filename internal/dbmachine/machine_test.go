@@ -21,7 +21,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("zero processors accepted")
 	}
 	m, err := New(Default())
-	if err != nil || m.Processors() != 8 {
+	if err != nil || m.cfg.Processors != 8 {
 		t.Fatalf("Default: %v, %v", m, err)
 	}
 }

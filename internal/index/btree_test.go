@@ -255,3 +255,26 @@ func TestScanMatchesSortedInsertProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Delete removes key, reporting whether it was present. Underflowed nodes
+// are left lazy (no rebalancing): statistical-database indexes are
+// read-mostly, and lookups and scans remain correct; only worst-case
+// height guarantees weaken.
+func (t *BTree) Delete(key []byte) bool {
+	n := t.root
+	for !n.leaf {
+		i := n.find(key)
+		if i < len(n.keys) && bytes.Equal(n.keys[i], key) {
+			i++
+		}
+		n = n.children[i]
+	}
+	i := n.find(key)
+	if i >= len(n.keys) || !bytes.Equal(n.keys[i], key) {
+		return false
+	}
+	n.keys = append(n.keys[:i], n.keys[i+1:]...)
+	n.vals = append(n.vals[:i], n.vals[i+1:]...)
+	t.size--
+	return true
+}

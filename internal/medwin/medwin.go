@@ -66,9 +66,6 @@ func (w *Window) N() int { return w.below + len(w.window) + w.above }
 // Rebuilds returns how many regeneration passes have run.
 func (w *Window) Rebuilds() int { return w.rebuilds }
 
-// Slides returns how many updates were absorbed without regeneration.
-func (w *Window) Slides() int { return w.slides }
-
 // targetIdx returns the order-statistic indices (lo, hi) the quantile
 // interpolates between for n values (type-7).
 func (w *Window) targetIdx(n int) (int, int) {

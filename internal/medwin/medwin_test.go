@@ -256,7 +256,7 @@ func TestRandomStreamAgainstBatch(t *testing.T) {
 			t.Fatalf("step %d: window %g, batch %g", step, got, want)
 		}
 	}
-	t.Logf("rebuilds=%d slides=%d", w.Rebuilds(), w.Slides())
+	t.Logf("rebuilds=%d slides=%d", w.Rebuilds(), w.slides)
 }
 
 // sortRebuild is the regeneration Rebuild replaced: sort every valid

@@ -132,22 +132,6 @@ func (g *Graph) reaches(from, to *Node) bool {
 	return false
 }
 
-// Node returns the named node.
-func (g *Graph) Node(name string) (*Node, bool) {
-	n, ok := g.nodes[name]
-	return n, ok
-}
-
-// Roots lists nodes without parents — the session entry points.
-func (g *Graph) Roots() []string {
-	out := make([]string, 0, len(g.roots))
-	for n := range g.roots {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Children lists the refinements of a node.
 //
 //lint:allow test-only paper-named: meta-data navigation (SUBJECT-style descent lists a node's refinements)

@@ -1,6 +1,7 @@
 package meta
 
 import (
+	"sort"
 	"strings"
 	"testing"
 )
@@ -221,4 +222,14 @@ func TestMarkDeduplicates(t *testing.T) {
 	if got := len(req.Attributes["census80"]); got != 2 {
 		t.Errorf("deduped attrs = %d", got)
 	}
+}
+
+// Roots lists nodes without parents — the session entry points.
+func (g *Graph) Roots() []string {
+	out := make([]string, 0, len(g.roots))
+	for n := range g.roots {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -133,7 +133,7 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = snap().WritePrometheus(w)
+		_ = snap().WritePrometheus(w) //lint:allow error-flow best-effort write to an HTTP client
 	})
 	mux.HandleFunc("/statz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

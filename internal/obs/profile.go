@@ -126,19 +126,6 @@ func (p *Profile) Merge(o *Profile) {
 	}
 }
 
-// Clone returns a deep copy, so a merged snapshot can leave the ring.
-func (p *Profile) Clone() *Profile {
-	if p == nil {
-		return nil
-	}
-	out := &Profile{Queries: p.Queries, Ticks: p.Ticks, Sites: make(map[string]*SiteStats, len(p.Sites))}
-	for path, st := range p.Sites {
-		c := *st
-		out.Sites[path] = &c
-	}
-	return out
-}
-
 // sitePaths returns the site paths ordered by self ticks descending,
 // ties broken by path — the top-N ranking.
 func (p *Profile) sitePaths() []string {

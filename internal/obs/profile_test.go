@@ -76,9 +76,10 @@ func TestProfileMergeCommutes(t *testing.T) {
 	q.End()
 	b := FoldSpan(q)
 
-	ab := a.Clone()
+	ab, ba := NewProfile(), NewProfile()
+	ab.Merge(a)
 	ab.Merge(b)
-	ba := b.Clone()
+	ba.Merge(b)
 	ba.Merge(a)
 	if !reflect.DeepEqual(ab, ba) {
 		t.Errorf("merge not commutative:\nab=%+v\nba=%+v", ab, ba)

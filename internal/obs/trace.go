@@ -36,14 +36,6 @@ type Span struct {
 	end      int64 // tracer sequence number at End (0 while open)
 }
 
-// Name returns the span name.
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // SetAttr sets an attribute: an existing key keeps its position but
 // takes the new value (last write wins), a new key appends. Layers that
 // update the same key per attempt — retry counts, health — therefore
@@ -63,16 +55,6 @@ func (s *Span) SetAttr(key, value string) {
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 }
 
-// Attrs returns a copy of the span's attributes.
-func (s *Span) Attrs() []Attr {
-	if s == nil {
-		return nil
-	}
-	s.t.mu.Lock()
-	defer s.t.mu.Unlock()
-	return append([]Attr(nil), s.attrs...)
-}
-
 // Charge adds n virtual ticks to the span's own cost.
 func (s *Span) Charge(n int64) {
 	if s == nil || n == 0 {
@@ -85,26 +67,29 @@ func (s *Span) Charge(n int64) {
 	b.ChargeTicks(n)
 }
 
-// Self returns the ticks charged directly to this span.
-func (s *Span) Self() int64 {
-	if s == nil {
-		return 0
-	}
-	s.t.mu.Lock()
-	defer s.t.mu.Unlock()
-	return s.self
+// SpanNode is one span's own state, copied under the tracer's lock.
+type SpanNode struct {
+	Name     string
+	Attrs    []Attr
+	Self     int64 // ticks charged directly to the span
+	Children []*Span
 }
 
-// Children returns a copy of the child list.
+// Node returns a copy of the span's state (the zero SpanNode for nil).
 //
-//lint:allow test-only test inspection surface: the query and shard suites assert span-tree structure through it
-func (s *Span) Children() []*Span {
+//lint:allow test-only test inspection surface: the obs, query and shard suites assert span-tree structure through it
+func (s *Span) Node() SpanNode {
 	if s == nil {
-		return nil
+		return SpanNode{}
 	}
 	s.t.mu.Lock()
 	defer s.t.mu.Unlock()
-	return append([]*Span(nil), s.children...)
+	return SpanNode{
+		Name:     s.name,
+		Attrs:    append([]Attr(nil), s.attrs...),
+		Self:     s.self,
+		Children: append([]*Span(nil), s.children...),
+	}
 }
 
 // Total returns the span's own charge plus every descendant's — the

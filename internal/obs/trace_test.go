@@ -29,8 +29,8 @@ func TestSpanTreeChargesSum(t *testing.T) {
 	var sum int64
 	var walk func(s *Span)
 	walk = func(s *Span) {
-		sum += s.Self()
-		for _, c := range s.Children() {
+		sum += s.Node().Self
+		for _, c := range s.Node().Children {
 			walk(c)
 		}
 	}
@@ -77,10 +77,10 @@ func TestTracerChargeInnermost(t *testing.T) {
 	b.End()
 	tr.Charge(2)
 	a.End()
-	if got := b.Self(); got != 5 {
+	if got := b.Node().Self; got != 5 {
 		t.Errorf("b self = %d, want 5", got)
 	}
-	if got := a.Self(); got != 2 {
+	if got := a.Node().Self; got != 2 {
 		t.Errorf("a self = %d, want 2", got)
 	}
 }
@@ -94,7 +94,7 @@ func TestEndPopsAbandonedChildren(t *testing.T) {
 	next := tr.Begin("next")
 	next.End()
 	roots := tr.Recent()
-	if len(roots) != 2 || roots[1].Name() != "next" {
+	if len(roots) != 2 || roots[1].Node().Name != "next" {
 		t.Fatalf("roots = %d", len(roots))
 	}
 }
@@ -112,8 +112,8 @@ func TestSinksReceiveRoots(t *testing.T) {
 	if len(roots) != 2 {
 		t.Fatalf("ring kept %d roots, want 2", len(roots))
 	}
-	if roots[0].Self() != 1 || roots[1].Self() != 2 {
-		t.Errorf("ring kept wrong roots: %d %d", roots[0].Self(), roots[1].Self())
+	if roots[0].Node().Self != 1 || roots[1].Node().Self != 2 {
+		t.Errorf("ring kept wrong roots: %d %d", roots[0].Node().Self, roots[1].Node().Self)
 	}
 	var b strings.Builder
 	ts := TextSink{W: &b}
@@ -143,8 +143,8 @@ func TestRingSinkWraparound(t *testing.T) {
 		t.Fatalf("ring kept %d, want 3", len(roots))
 	}
 	for i, want := range []int64{7, 8, 9} {
-		if roots[i].Self() != want {
-			t.Errorf("root %d self = %d, want %d", i, roots[i].Self(), want)
+		if roots[i].Node().Self != want {
+			t.Errorf("root %d self = %d, want %d", i, roots[i].Node().Self, want)
 		}
 	}
 	// Roots() returns a copy: mutating it must not corrupt the ring.
@@ -157,7 +157,7 @@ func TestRingSinkWraparound(t *testing.T) {
 	for i := int64(0); i < 4; i++ {
 		one.Emit(mk(100 + i))
 	}
-	if rs := one.Roots(); len(rs) != 1 || rs[0].Self() != 103 {
+	if rs := one.Roots(); len(rs) != 1 || rs[0].Node().Self != 103 {
 		t.Errorf("cap-1 ring kept wrong root")
 	}
 }
@@ -234,8 +234,8 @@ func TestAdoptJoinEmptyAndNil(t *testing.T) {
 	ad.Join()
 	ad.Join() // drained: second join adds nothing
 	root.End()
-	if root.Total() != 4 || len(root.Children()) != 1 {
-		t.Errorf("root total=%d children=%d", root.Total(), len(root.Children()))
+	if root.Total() != 4 || len(root.Node().Children) != 1 {
+		t.Errorf("root total=%d children=%d", root.Total(), len(root.Node().Children))
 	}
 	if tr.Adopt(nil) != nil {
 		t.Error("Adopt(nil parent) != nil")
@@ -254,7 +254,7 @@ func TestBeginDedupesAttrs(t *testing.T) {
 	tr := NewTracer()
 	sp := tr.Begin("q", A("engine", "serial"), A("rows", "5"), A("engine", "parallel"))
 	sp.End()
-	attrs := sp.Attrs()
+	attrs := sp.Node().Attrs
 	if len(attrs) != 2 {
 		t.Fatalf("attrs = %v, want 2 deduped", attrs)
 	}
@@ -263,7 +263,7 @@ func TestBeginDedupesAttrs(t *testing.T) {
 	}
 	// SetAttr replaces in place, same contract.
 	sp.SetAttr("rows", "9")
-	if got := sp.Attrs(); len(got) != 2 || got[1].Value != "9" {
+	if got := sp.Node().Attrs; len(got) != 2 || got[1].Value != "9" {
 		t.Errorf("after SetAttr: %v", got)
 	}
 }

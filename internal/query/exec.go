@@ -156,16 +156,8 @@ var helpText = `commands:
   help
 `
 
-// Exec executes a parsed command. Every command other than stats/explain
-// runs under a "query" root span, so its profile lands in the tracer's
-// ring; `explain` renders that tree instead of discarding it.
-func (e *Executor) Exec(cmd Command) error {
-	return e.dispatch(cmd, "")
-}
-
-// dispatch routes one parsed command; text is the statement as typed
-// (empty when the caller went through Exec directly), carried into the
-// event-log record.
+// dispatch routes one parsed command; text is the statement as typed,
+// carried into the event-log record.
 func (e *Executor) dispatch(cmd Command, text string) error {
 	switch c := cmd.(type) {
 	case StatsCmd:
@@ -218,7 +210,7 @@ func (e *Executor) runProfiled(cmd Command, text string) (*obs.Span, error) {
 	prof := e.observeVerb(cmd, root, err)
 	e.lastProfile = prof
 	_, e.lastPages = budget.Used()
-	e.logQuery(text, cmd, root, prof, e.lastPages, err)
+	e.logQuery(text, root, prof, e.lastPages, err)
 	return root, err
 }
 
@@ -308,15 +300,12 @@ func verbOf(cmd Command) string {
 // rendered profile and explain tree when the statement was slow (met the
 // log's slow-ticks threshold) or breached its budget: the slow-query
 // capture.
-func (e *Executor) logQuery(text string, cmd Command, root *obs.Span, prof *obs.Profile, pages int64, err error) {
+func (e *Executor) logQuery(text string, root *obs.Span, prof *obs.Profile, pages int64, err error) {
 	total := prof.Ticks
 	e.clock += total
 	e.sessionSeq++
 	if e.events == nil {
 		return
-	}
-	if text == "" {
-		text = fmt.Sprintf("%T", cmd)
 	}
 	rec := &obs.QueryRecord{
 		Query:      text,

@@ -152,8 +152,8 @@ func TestExplainChargesSumToTotal(t *testing.T) {
 	var sum int64
 	var walk func(s *obs.Span)
 	walk = func(s *obs.Span) {
-		sum += s.Self()
-		for _, c := range s.Children() {
+		sum += s.Node().Self
+		for _, c := range s.Node().Children {
 			walk(c)
 		}
 	}

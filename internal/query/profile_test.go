@@ -66,16 +66,16 @@ func TestProfileShardedTickSum(t *testing.T) {
 		t.Fatal("no trace roots recorded")
 	}
 	root := roots[len(roots)-1]
-	if root.Name() != "query" {
-		t.Fatalf("root = %s", root.Name())
+	if root.Node().Name != "query" {
+		t.Fatalf("root = %s", root.Node().Name)
 	}
 	var scatter *obs.Span
 	var walk func(s *obs.Span)
 	walk = func(s *obs.Span) {
-		if s.Name() == "shard.scatter" {
+		if s.Node().Name == "shard.scatter" {
 			scatter = s
 		}
-		for _, c := range s.Children() {
+		for _, c := range s.Node().Children {
 			walk(c)
 		}
 	}
@@ -83,7 +83,7 @@ func TestProfileShardedTickSum(t *testing.T) {
 	if scatter == nil {
 		t.Fatalf("no shard.scatter span; compute did not route through the sharded backing:\n%s", out.String())
 	}
-	kids := scatter.Children()
+	kids := scatter.Node().Children
 	if len(kids) != 4 {
 		t.Fatalf("scatter has %d children, want 4 shards", len(kids))
 	}

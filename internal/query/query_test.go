@@ -282,7 +282,7 @@ func TestDecodeThroughLanguage(t *testing.T) {
 	}
 }
 
-// Parsed predicates must compile against real schemas.
+// Parsed predicates must bind against real data sets.
 func TestParsedPredicateCompiles(t *testing.T) {
 	cmd, err := Parse("update v set AVE_SALARY = 1 where SEX = 'M' and AVE_SALARY >= 20000")
 	if err != nil {
@@ -290,13 +290,15 @@ func TestParsedPredicateCompiles(t *testing.T) {
 	}
 	u := cmd.(Update)
 	ds := workload.Figure1()
-	eval, err := u.Where.Compile(ds.Schema())
+	eval, err := u.Where.Bind(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mask := make([]bool, ds.Rows())
+	eval(0, ds.Rows(), mask)
 	n := 0
-	for i := 0; i < ds.Rows(); i++ {
-		if eval(ds.RowAt(i)) {
+	for _, ok := range mask {
+		if ok {
 			n++
 		}
 	}

@@ -30,8 +30,8 @@ func referenceRecord(text, session string, seq int64, root *obs.Span, pages int6
 	var scanRows func(s *obs.Span) int64
 	scanRows = func(s *obs.Span) int64 {
 		var n int64
-		if s.Name() == "scan" {
-			for _, a := range s.Attrs() {
+		if s.Node().Name == "scan" {
+			for _, a := range s.Node().Attrs {
 				if a.Key == "rows" {
 					var v int64
 					fmt.Sscanf(a.Value, "%d", &v)
@@ -39,7 +39,7 @@ func referenceRecord(text, session string, seq int64, root *obs.Span, pages int6
 				}
 			}
 		}
-		for _, c := range s.Children() {
+		for _, c := range s.Node().Children {
 			n += scanRows(c)
 		}
 		return n

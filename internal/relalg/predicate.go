@@ -40,18 +40,13 @@ func (o Op) String() string {
 	return "?"
 }
 
-// Predicate selects rows. It has two evaluators with the same null and
-// int↔float widening semantics: Bind, column-wise over an in-memory data
-// set's typed vectors — what Select, a view's `materialize … where` and
-// its `update … where` run — and Compile, row by row, for records that
-// exist only as they stream past (dbmachine.FilterScan over tape).
+// Predicate selects rows. Its one evaluator is column-wise over an
+// in-memory data set's typed vectors: Select, a view's `materialize …
+// where` and its `update … where` bind it to the whole data set, and
+// dbmachine.FilterScan binds it to each tape block as it streams past.
 type Predicate interface {
-	// Compile resolves attribute references against sch and returns the
-	// row evaluator.
-	Compile(sch *dataset.Schema) (func(row dataset.Row) bool, error)
-	// Bind resolves attribute references against ds, failing exactly as
-	// Compile does against its schema, and returns the range evaluator
-	// over ds's column vectors.
+	// Bind resolves attribute references against ds's schema and returns
+	// the range evaluator over ds's column vectors.
 	Bind(ds *dataset.Dataset) (RangeEval, error)
 	// String renders the predicate for logging and update histories.
 	String() string
@@ -94,38 +89,6 @@ func (c Cmp) column(sch *dataset.Schema) (int, dataset.Kind, error) {
 		return 0, 0, fmt.Errorf("relalg: comparing %s attribute %q with %s constant", kind, c.Attr, vk)
 	}
 	return i, kind, nil
-}
-
-// Compile implements Predicate.
-func (c Cmp) Compile(sch *dataset.Schema) (func(dataset.Row) bool, error) {
-	i, _, err := c.column(sch)
-	if err != nil {
-		return nil, err
-	}
-	op := c.Op
-	val := c.Val
-	return func(row dataset.Row) bool {
-		cell := row[i]
-		if cell.IsNull() {
-			return false
-		}
-		cmp := cell.Compare(val)
-		switch op {
-		case Eq:
-			return cmp == 0
-		case Ne:
-			return cmp != 0
-		case Lt:
-			return cmp < 0
-		case Le:
-			return cmp <= 0
-		case Gt:
-			return cmp > 0
-		case Ge:
-			return cmp >= 0
-		}
-		return false
-	}, nil
 }
 
 // Bind implements Predicate. Like Value.Compare, a mixed int/float
@@ -189,15 +152,6 @@ func (c Cmp) String() string { return fmt.Sprintf("%s %s %s", c.Attr, c.Op, c.Va
 // IsNull selects rows whose attribute is missing.
 type IsNull struct{ Attr string }
 
-// Compile implements Predicate.
-func (p IsNull) Compile(sch *dataset.Schema) (func(dataset.Row) bool, error) {
-	i, err := attrIndex(sch, p.Attr)
-	if err != nil {
-		return nil, err
-	}
-	return func(row dataset.Row) bool { return row[i].IsNull() }, nil
-}
-
 // Bind implements Predicate.
 func (p IsNull) Bind(ds *dataset.Dataset) (RangeEval, error) {
 	present, err := NotNull(p).Bind(ds)
@@ -211,15 +165,6 @@ func (p IsNull) String() string { return p.Attr + " is null" }
 
 // NotNull selects rows whose attribute is present.
 type NotNull struct{ Attr string }
-
-// Compile implements Predicate.
-func (p NotNull) Compile(sch *dataset.Schema) (func(dataset.Row) bool, error) {
-	i, err := attrIndex(sch, p.Attr)
-	if err != nil {
-		return nil, err
-	}
-	return func(row dataset.Row) bool { return !row[i].IsNull() }, nil
-}
 
 // Bind implements Predicate.
 func (p NotNull) Bind(ds *dataset.Dataset) (RangeEval, error) {
@@ -235,26 +180,6 @@ func (p NotNull) String() string { return p.Attr + " is not null" }
 
 // And is the conjunction of its parts.
 type And []Predicate
-
-// Compile implements Predicate.
-func (a And) Compile(sch *dataset.Schema) (func(dataset.Row) bool, error) {
-	fns := make([]func(dataset.Row) bool, len(a))
-	for i, p := range a {
-		f, err := p.Compile(sch)
-		if err != nil {
-			return nil, err
-		}
-		fns[i] = f
-	}
-	return func(row dataset.Row) bool {
-		for _, f := range fns {
-			if !f(row) {
-				return false
-			}
-		}
-		return true
-	}, nil
-}
 
 // Bind implements Predicate.
 func (a And) Bind(ds *dataset.Dataset) (RangeEval, error) { return bindAll(a, ds, true) }
@@ -302,26 +227,6 @@ func (a And) String() string {
 // Or is the disjunction of its parts.
 type Or []Predicate
 
-// Compile implements Predicate.
-func (o Or) Compile(sch *dataset.Schema) (func(dataset.Row) bool, error) {
-	fns := make([]func(dataset.Row) bool, len(o))
-	for i, p := range o {
-		f, err := p.Compile(sch)
-		if err != nil {
-			return nil, err
-		}
-		fns[i] = f
-	}
-	return func(row dataset.Row) bool {
-		for _, f := range fns {
-			if f(row) {
-				return true
-			}
-		}
-		return false
-	}, nil
-}
-
 // Bind implements Predicate.
 func (o Or) Bind(ds *dataset.Dataset) (RangeEval, error) { return bindAll(o, ds, false) }
 
@@ -338,15 +243,6 @@ func (o Or) String() string {
 
 // Not negates a predicate.
 type Not struct{ P Predicate }
-
-// Compile implements Predicate.
-func (n Not) Compile(sch *dataset.Schema) (func(dataset.Row) bool, error) {
-	f, err := n.P.Compile(sch)
-	if err != nil {
-		return nil, err
-	}
-	return func(row dataset.Row) bool { return !f(row) }, nil
-}
 
 // Bind implements Predicate.
 func (n Not) Bind(ds *dataset.Dataset) (RangeEval, error) {
@@ -370,11 +266,6 @@ func (n Not) String() string { return "not (" + n.P.String() + ")" }
 
 // All matches every row.
 type All struct{}
-
-// Compile implements Predicate.
-func (All) Compile(*dataset.Schema) (func(dataset.Row) bool, error) {
-	return func(dataset.Row) bool { return true }, nil
-}
 
 // Bind implements Predicate.
 func (All) Bind(*dataset.Dataset) (RangeEval, error) {

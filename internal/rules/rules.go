@@ -209,14 +209,6 @@ func (m *ManagementDB) DerivedRulesFor(view, attr string) []DerivedRule {
 	return out
 }
 
-// DerivedRule returns the rule for one derived attribute.
-func (m *ManagementDB) DerivedRule(view, attr string) (DerivedRule, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	r, ok := m.derived[derivedKey(view, attr)]
-	return r, ok
-}
-
 // RegisterView records a view definition and creates its history. If an
 // existing view (public, or owned by the same analyst) has the same
 // fingerprint, RegisterView fails with ErrDuplicateView naming it — the
@@ -287,20 +279,6 @@ func (m *ManagementDB) Publish(name string) error {
 	}
 	v.Public = true
 	return nil
-}
-
-// PublicViews lists the published view definitions.
-func (m *ManagementDB) PublicViews() []ViewDef {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var out []ViewDef
-	for _, v := range m.views {
-		if v.Public {
-			out = append(out, *v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // HistoryOf returns the update history of a registered view.

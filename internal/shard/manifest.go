@@ -15,9 +15,8 @@ import (
 // shadow-generation protocol, so a torn manifest write leaves the
 // previous generation readable.
 //
-// The wire format is length-prefixed and CRC32C-sealed; DecodeManifest
-// treats every malformed input as storage.ErrCorrupt (never a panic) —
-// the FuzzDecodeShardManifest target enforces this.
+// The wire format is length-prefixed and CRC32C-sealed. Nothing reads
+// it back yet; the tests' DecodeManifest is its reference reader.
 
 // fnManifest and fnMoments/fnFreq are the partials DB function names.
 const (
@@ -77,128 +76,4 @@ func EncodeManifest(m *Manifest) []byte {
 // corruptf wraps storage.ErrCorrupt with a description.
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("shard: manifest: "+format+": %w", append(args, storage.ErrCorrupt)...)
-}
-
-// takeUvarint decodes one uvarint, bounding it by limit so a damaged
-// length can never drive an oversized allocation.
-func takeUvarint(buf []byte, limit uint64, what string) (uint64, []byte, error) {
-	v, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return 0, nil, corruptf("truncated %s", what)
-	}
-	if v > limit {
-		return 0, nil, corruptf("%s %d out of range", what, v)
-	}
-	return v, buf[n:], nil
-}
-
-// DecodeManifest parses EncodeManifest's output, verifying the CRC and
-// every structural invariant. All failures wrap storage.ErrCorrupt.
-func DecodeManifest(buf []byte) (*Manifest, error) {
-	if len(buf) < 4+1+4 {
-		return nil, corruptf("short input (%d bytes)", len(buf))
-	}
-	body, tail := buf[:len(buf)-4], buf[len(buf)-4:]
-	if crc32.Checksum(body, manifestTable) != binary.LittleEndian.Uint32(tail) {
-		return nil, corruptf("checksum mismatch")
-	}
-	if binary.LittleEndian.Uint32(body[:4]) != manifestMagic {
-		return nil, corruptf("bad magic")
-	}
-	if body[4] != manifestVersion {
-		return nil, corruptf("unsupported version %d", body[4])
-	}
-	rest := body[5:]
-	nameLen, rest, err := takeUvarint(rest, uint64(len(rest)), "view name length")
-	if err != nil {
-		return nil, err
-	}
-	m := &Manifest{View: string(rest[:nameLen])}
-	rest = rest[nameLen:]
-	rows, rest, err := takeUvarint(rest, 1<<40, "row count")
-	if err != nil {
-		return nil, err
-	}
-	m.Rows = int(rows)
-	chunk, rest, err := takeUvarint(rest, 1<<32, "chunk size")
-	if err != nil {
-		return nil, err
-	}
-	if chunk == 0 {
-		return nil, corruptf("zero chunk size")
-	}
-	m.Chunk = int(chunk)
-	if len(rest) == 0 {
-		return nil, corruptf("truncated policy")
-	}
-	m.Policy = Policy(rest[0])
-	if m.Policy != PlaceRoundRobin && m.Policy != PlaceRange {
-		return nil, corruptf("unknown policy %d", rest[0])
-	}
-	rest = rest[1:]
-	numChunks := (m.Rows + m.Chunk - 1) / m.Chunk
-	nShards, rest, err := takeUvarint(rest, uint64(len(rest))+1, "shard count")
-	if err != nil {
-		return nil, err
-	}
-	if nShards == 0 {
-		return nil, corruptf("zero shards")
-	}
-	seen := 0
-	for i := uint64(0); i < nShards; i++ {
-		var sh ManifestShard
-		var v uint64
-		if v, rest, err = takeUvarint(rest, uint64(m.Rows), "shard rows"); err != nil {
-			return nil, err
-		}
-		sh.Rows = int(v)
-		if sh.Gen, rest, err = takeUvarint(rest, 1<<62, "generation"); err != nil {
-			return nil, err
-		}
-		var nc uint64
-		if nc, rest, err = takeUvarint(rest, uint64(numChunks), "chunk count"); err != nil {
-			return nil, err
-		}
-		prev, first := 0, true
-		for j := uint64(0); j < nc; j++ {
-			var d uint64
-			if d, rest, err = takeUvarint(rest, uint64(numChunks), "chunk delta"); err != nil {
-				return nil, err
-			}
-			c := prev + int(d)
-			if !first && d == 0 {
-				return nil, corruptf("non-ascending chunk index %d", c)
-			}
-			if c >= numChunks {
-				return nil, corruptf("chunk index %d beyond %d chunks", c, numChunks)
-			}
-			sh.Chunks = append(sh.Chunks, c)
-			prev, first = c, false
-		}
-		seen += len(sh.Chunks)
-		m.Shards = append(m.Shards, sh)
-	}
-	if len(rest) != 0 {
-		return nil, corruptf("%d trailing bytes", len(rest))
-	}
-	if seen != numChunks {
-		return nil, corruptf("%d chunks placed, want %d", seen, numChunks)
-	}
-	return m, nil
-}
-
-// Manifest returns the store's current manifest (decoded from the
-// partials DB, so it reflects the last checkpointed generation set).
-func (s *Store) Manifest() (*Manifest, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.manifestLocked()
-}
-
-func (s *Store) manifestLocked() (*Manifest, error) {
-	r, ok := s.partials.Lookup(fnManifest, s.name)
-	if !ok {
-		return nil, corruptf("no manifest entry for view %q", s.name)
-	}
-	return DecodeManifest([]byte(r.Text))
 }

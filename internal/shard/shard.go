@@ -329,8 +329,8 @@ func New(name string, ds *dataset.Dataset, cfg Config) (*Store, error) {
 	if err := s.manStore.Checkpoint(s.partials); err != nil {
 		return nil, fmt.Errorf("shard: manifest checkpoint: %w", err)
 	}
-	for _, sh := range s.shards {
-		sh.ckptGen = s.manStore.Generation()
+	for i := range s.shards {
+		s.shards[i].ckptGen = s.manStore.Generation()
 	}
 	return s, nil
 }
@@ -355,18 +355,6 @@ func (s *Store) Metrics() obs.Snapshot {
 	snap.Merge(s.manPool.Metrics().Snapshot())
 	return snap
 }
-
-// Name returns the view name the store backs.
-func (s *Store) Name() string { return s.name }
-
-// Rows returns the total row count across shards.
-func (s *Store) Rows() int { return s.rows }
-
-// Shards returns the shard count.
-func (s *Store) Shards() int { return len(s.shards) }
-
-// Chunk returns the global chunk size.
-func (s *Store) Chunk() int { return s.chunk }
 
 // ShardInfo is one shard's externally visible state.
 type ShardInfo struct {

@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"strings"
 	"sync"
 	"testing"
@@ -376,24 +378,24 @@ func TestScatterStitchesShardSpans(t *testing.T) {
 		return roots[0], b.String()
 	}
 	root, tree := run()
-	if root.Name() != "shard.scatter" {
-		t.Fatalf("root = %s, want shard.scatter", root.Name())
+	if root.Node().Name != "shard.scatter" {
+		t.Fatalf("root = %s, want shard.scatter", root.Node().Name)
 	}
-	kids := root.Children()
+	kids := root.Node().Children
 	if len(kids) != 4 {
 		t.Fatalf("root has %d children, want one per shard:\n%s", len(kids), tree)
 	}
 	var sum int64
 	for i, k := range kids {
-		if want := fmt.Sprintf("shard%d", i); k.Name() != want {
-			t.Errorf("child %d = %s, want %s (join order = shard order)", i, k.Name(), want)
+		if want := fmt.Sprintf("shard%d", i); k.Node().Name != want {
+			t.Errorf("child %d = %s, want %s (join order = shard order)", i, k.Node().Name, want)
 		}
 		if k.Total() <= 0 {
 			t.Errorf("shard %d charged %d ticks, want > 0 (cold pool)", i, k.Total())
 		}
 		sum += k.Total()
 		attrs := map[string]string{}
-		for _, a := range k.Attrs() {
+		for _, a := range k.Node().Attrs {
 			attrs[a.Key] = a.Value
 		}
 		if attrs["health"] != "healthy" {
@@ -402,7 +404,7 @@ func TestScatterStitchesShardSpans(t *testing.T) {
 		if attrs["ticks"] == "" || attrs["pages"] == "" {
 			t.Errorf("shard %d missing ticks/pages attrs: %v", i, attrs)
 		}
-		if len(k.Children()) == 0 {
+		if len(k.Node().Children) == 0 {
 			t.Errorf("shard %d has no per-range spans", i)
 		}
 	}
@@ -434,7 +436,7 @@ func TestScatterSpansUnderFaults(t *testing.T) {
 
 	attrsOf := func(root *obs.Span, i int) map[string]string {
 		m := map[string]string{}
-		for _, a := range root.Children()[i].Attrs() {
+		for _, a := range root.Node().Children[i].Node().Attrs {
 			m[a.Key] = a.Value
 		}
 		return m
@@ -454,15 +456,15 @@ func TestScatterSpansUnderFaults(t *testing.T) {
 	}
 	roots = tr.Recent()
 	second := roots[len(roots)-1]
-	if len(second.Children()) != 4 {
-		t.Fatalf("down-shard tree has %d children, want the fast-fail recorded", len(second.Children()))
+	if len(second.Node().Children) != 4 {
+		t.Fatalf("down-shard tree has %d children, want the fast-fail recorded", len(second.Node().Children))
 	}
 	a2 := attrsOf(second, 1)
 	if a2["ticks"] != "0" || a2["health"] != "down" || a2["err"] == "" {
 		t.Errorf("down shard attrs = %v, want zero-tick down fast-fail", a2)
 	}
 	var sum int64
-	for _, k := range second.Children() {
+	for _, k := range second.Node().Children {
 		sum += k.Total()
 	}
 	if sum != second.Total() {
@@ -552,4 +554,124 @@ func TestManifestRoundTrip(t *testing.T) {
 			t.Fatalf("truncation to %d: %v", i, err)
 		}
 	}
+}
+
+// Manifest returns the store's current manifest (decoded from the
+// partials DB, so it reflects the last checkpointed generation set).
+func (s *Store) Manifest() (*Manifest, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, ok := s.partials.Lookup(fnManifest, s.name)
+	if !ok {
+		return nil, corruptf("no manifest entry for view %q", s.name)
+	}
+	return DecodeManifest([]byte(r.Text))
+}
+
+// takeUvarint decodes one uvarint, bounding it by limit so a damaged
+// length can never drive an oversized allocation.
+func takeUvarint(buf []byte, limit uint64, what string) (uint64, []byte, error) {
+	v, n := binary.Uvarint(buf)
+	if n <= 0 {
+		return 0, nil, corruptf("truncated %s", what)
+	}
+	if v > limit {
+		return 0, nil, corruptf("%s %d out of range", what, v)
+	}
+	return v, buf[n:], nil
+}
+
+// DecodeManifest parses EncodeManifest's output, verifying the CRC and
+// every structural invariant. All failures wrap storage.ErrCorrupt.
+func DecodeManifest(buf []byte) (*Manifest, error) {
+	if len(buf) < 4+1+4 {
+		return nil, corruptf("short input (%d bytes)", len(buf))
+	}
+	body, tail := buf[:len(buf)-4], buf[len(buf)-4:]
+	if crc32.Checksum(body, manifestTable) != binary.LittleEndian.Uint32(tail) {
+		return nil, corruptf("checksum mismatch")
+	}
+	if binary.LittleEndian.Uint32(body[:4]) != manifestMagic {
+		return nil, corruptf("bad magic")
+	}
+	if body[4] != manifestVersion {
+		return nil, corruptf("unsupported version %d", body[4])
+	}
+	rest := body[5:]
+	nameLen, rest, err := takeUvarint(rest, uint64(len(rest)), "view name length")
+	if err != nil {
+		return nil, err
+	}
+	m := &Manifest{View: string(rest[:nameLen])}
+	rest = rest[nameLen:]
+	rows, rest, err := takeUvarint(rest, 1<<40, "row count")
+	if err != nil {
+		return nil, err
+	}
+	m.Rows = int(rows)
+	chunk, rest, err := takeUvarint(rest, 1<<32, "chunk size")
+	if err != nil {
+		return nil, err
+	}
+	if chunk == 0 {
+		return nil, corruptf("zero chunk size")
+	}
+	m.Chunk = int(chunk)
+	if len(rest) == 0 {
+		return nil, corruptf("truncated policy")
+	}
+	m.Policy = Policy(rest[0])
+	if m.Policy != PlaceRoundRobin && m.Policy != PlaceRange {
+		return nil, corruptf("unknown policy %d", rest[0])
+	}
+	rest = rest[1:]
+	numChunks := (m.Rows + m.Chunk - 1) / m.Chunk
+	nShards, rest, err := takeUvarint(rest, uint64(len(rest))+1, "shard count")
+	if err != nil {
+		return nil, err
+	}
+	if nShards == 0 {
+		return nil, corruptf("zero shards")
+	}
+	seen := 0
+	for i := uint64(0); i < nShards; i++ {
+		var sh ManifestShard
+		var v uint64
+		if v, rest, err = takeUvarint(rest, uint64(m.Rows), "shard rows"); err != nil {
+			return nil, err
+		}
+		sh.Rows = int(v)
+		if sh.Gen, rest, err = takeUvarint(rest, 1<<62, "generation"); err != nil {
+			return nil, err
+		}
+		var nc uint64
+		if nc, rest, err = takeUvarint(rest, uint64(numChunks), "chunk count"); err != nil {
+			return nil, err
+		}
+		prev, first := 0, true
+		for j := uint64(0); j < nc; j++ {
+			var d uint64
+			if d, rest, err = takeUvarint(rest, uint64(numChunks), "chunk delta"); err != nil {
+				return nil, err
+			}
+			c := prev + int(d)
+			if !first && d == 0 {
+				return nil, corruptf("non-ascending chunk index %d", c)
+			}
+			if c >= numChunks {
+				return nil, corruptf("chunk index %d beyond %d chunks", c, numChunks)
+			}
+			sh.Chunks = append(sh.Chunks, c)
+			prev, first = c, false
+		}
+		seen += len(sh.Chunks)
+		m.Shards = append(m.Shards, sh)
+	}
+	if len(rest) != 0 {
+		return nil, corruptf("%d trailing bytes", len(rest))
+	}
+	if seen != numChunks {
+		return nil, corruptf("%d chunks placed, want %d", seen, numChunks)
+	}
+	return m, nil
 }

@@ -44,14 +44,6 @@ type Stats struct {
 	Ticks  int64 // virtual time consumed
 }
 
-// Add accumulates o into s.
-func (s *Stats) Add(o Stats) {
-	s.Reads += o.Reads
-	s.Writes += o.Writes
-	s.Seeks += o.Seeks
-	s.Ticks += o.Ticks
-}
-
 func (s Stats) String() string {
 	return fmt.Sprintf("reads=%d writes=%d seeks=%d ticks=%d", s.Reads, s.Writes, s.Seeks, s.Ticks)
 }

@@ -162,14 +162,19 @@ func (d *FaultDevice) WritePage(id PageID, buf []byte) error {
 		d.mu.Unlock()
 		return nil
 	case d.budget() && d.draw() < d.cfg.TornWriteRate:
-		d.counts.TornWrites++
 		torn := make([]byte, PageSize)
 		// Second half keeps the previous on-device image (zeros when the
-		// page is being written for the first time). The read to fetch it
-		// is part of the simulation, not charged as a user read: it goes
-		// to the inner device but its cost is legitimate fault-modeling
+		// write grows the device by this page). The read to fetch it is
+		// part of the simulation, not charged as a user read: it goes to
+		// the inner device but its cost is legitimate fault-modeling
 		// overhead either way.
-		_ = d.inner.ReadPage(id, torn)
+		if int(id) < d.inner.NumPages() {
+			if err := d.inner.ReadPage(id, torn); err != nil {
+				d.mu.Unlock()
+				return err
+			}
+		}
+		d.counts.TornWrites++
 		copy(torn[:PageSize/2], buf[:PageSize/2])
 		d.mu.Unlock()
 		return d.inner.WritePage(id, torn)

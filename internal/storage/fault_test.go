@@ -80,7 +80,7 @@ func TestPoolRetryRecoversTransientRead(t *testing.T) {
 
 	// Evict the page so the next access is a device read.
 	fresh := NewBufferPool(dev, 4)
-	h2 := OpenHeapFile(fresh, testSchema(t), h.Pages(), h.Count())
+	h2 := OpenHeapFile(fresh, testSchema(t), h.Pages(), h.count)
 	before := inner.Stats().Ticks
 	row, err := h2.Get(rid)
 	if err != nil {
@@ -223,7 +223,7 @@ func TestStuckPageDetectedOnReload(t *testing.T) {
 	// The device still holds the all-zero image, which carries no
 	// envelope: the fetch reports corruption rather than decoding garbage.
 	fresh := NewBufferPool(dev, 4)
-	h2 := OpenHeapFile(fresh, testSchema(t), h.Pages(), h.Count())
+	h2 := OpenHeapFile(fresh, testSchema(t), h.Pages(), h.count)
 	if _, err := h2.Get(RID{h.Pages()[0], 0}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("get from stuck page = %v, want ErrCorrupt", err)
 	}
@@ -271,7 +271,7 @@ func TestFlushAllReportsPageAndStaysRetryable(t *testing.T) {
 		t.Fatalf("retry flush: %v", err)
 	}
 	fresh := NewBufferPool(fd, 8)
-	h3 := OpenHeapFile(fresh, testSchema(t), h2.Pages(), h2.Count())
+	h3 := OpenHeapFile(fresh, testSchema(t), h2.Pages(), h2.count)
 	n := 0
 	if err := h3.Scan(func(_ RID, row dataset.Row) bool { n++; return true }); err != nil {
 		t.Fatal(err)

@@ -44,9 +44,6 @@ func (h *HeapFile) Pages() []PageID { return append([]PageID(nil), h.pages...) }
 // Schema returns the file's row schema.
 func (h *HeapFile) Schema() *dataset.Schema { return h.schema }
 
-// Count returns the number of live records.
-func (h *HeapFile) Count() int { return h.count }
-
 // NumPages returns the number of pages the file occupies.
 func (h *HeapFile) NumPages() int { return len(h.pages) }
 
@@ -125,23 +122,6 @@ func (h *HeapFile) Update(rid RID, row dataset.Row) error {
 	dirty := err == nil
 	if uerr := h.pool.Unpin(rid.Page, dirty); uerr != nil && err == nil {
 		err = uerr
-	}
-	return err
-}
-
-// Delete removes the record at rid.
-func (h *HeapFile) Delete(rid RID) error {
-	p, err := h.pool.Fetch(rid.Page)
-	if err != nil {
-		return err
-	}
-	err = p.Delete(rid.Slot)
-	dirty := err == nil
-	if uerr := h.pool.Unpin(rid.Page, dirty); uerr != nil && err == nil {
-		err = uerr
-	}
-	if err == nil {
-		h.count--
 	}
 	return err
 }
@@ -258,24 +238,4 @@ func (h *HeapFile) Load(ds *dataset.Dataset) ([]RID, error) {
 		rids = append(rids, rid)
 	}
 	return rids, nil
-}
-
-// Materialize reads the whole file back into an in-memory data set in
-// file order. A decoded row the schema rejects means the stored bytes
-// were wrong despite decoding — reported as corruption, not a panic.
-func (h *HeapFile) Materialize() (*dataset.Dataset, error) {
-	out := dataset.New(h.schema)
-	var appendErr error
-	err := h.Scan(func(rid RID, row dataset.Row) bool {
-		if err := out.Append(row); err != nil {
-			appendErr = &CorruptError{Page: rid.Page, Slot: rid.Slot, Off: -1,
-				Detail: "decoded row rejected by schema", Cause: err}
-			return false
-		}
-		return true
-	})
-	if err == nil {
-		err = appendErr
-	}
-	return out, err
 }

@@ -141,19 +141,6 @@ func (p *Page) Get(slot int) ([]byte, error) {
 // ErrRecordDeleted reports access to a deleted slot.
 var ErrRecordDeleted = fmt.Errorf("storage: record deleted")
 
-// Delete marks slot deleted. Its space is reclaimed by Compact.
-func (p *Page) Delete(slot int) error {
-	if slot < 0 || slot >= p.slotCount() {
-		return fmt.Errorf("storage: slot %d out of range [0,%d)", slot, p.slotCount())
-	}
-	off, _ := p.slot(slot)
-	if off == deletedOffset {
-		return ErrRecordDeleted
-	}
-	p.setSlot(slot, deletedOffset, 0)
-	return nil
-}
-
 // Update replaces the record in slot. If the new record fits in the old
 // space it is updated in place; otherwise it is re-inserted at the free
 // pointer (the slot number is stable either way, which keeps RIDs valid —

@@ -334,8 +334,8 @@ func TestHeapFileInsertScan(t *testing.T) {
 		}
 		rids = append(rids, rid)
 	}
-	if h.Count() != n {
-		t.Fatalf("Count = %d", h.Count())
+	if h.count != n {
+		t.Fatalf("Count = %d", h.count)
 	}
 	if h.NumPages() < 2 {
 		t.Fatalf("expected multiple pages, got %d", h.NumPages())
@@ -378,8 +378,8 @@ func TestHeapFileUpdateDelete(t *testing.T) {
 	if _, err := h.Get(rid); err == nil {
 		t.Error("Get after Delete succeeded")
 	}
-	if h.Count() != 0 {
-		t.Errorf("Count = %d after delete", h.Count())
+	if h.count != 0 {
+		t.Errorf("Count = %d after delete", h.count)
 	}
 }
 
@@ -429,4 +429,54 @@ func TestHeapFileLoadMaterializeRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Delete removes the record at rid.
+func (h *HeapFile) Delete(rid RID) error {
+	p, err := h.pool.Fetch(rid.Page)
+	if err != nil {
+		return err
+	}
+	err = p.Delete(rid.Slot)
+	dirty := err == nil
+	if uerr := h.pool.Unpin(rid.Page, dirty); uerr != nil && err == nil {
+		err = uerr
+	}
+	if err == nil {
+		h.count--
+	}
+	return err
+}
+
+// Materialize reads the whole file back into an in-memory data set in
+// file order. A decoded row the schema rejects means the stored bytes
+// were wrong despite decoding — reported as corruption, not a panic.
+func (h *HeapFile) Materialize() (*dataset.Dataset, error) {
+	out := dataset.New(h.schema)
+	var appendErr error
+	err := h.Scan(func(rid RID, row dataset.Row) bool {
+		if err := out.Append(row); err != nil {
+			appendErr = &CorruptError{Page: rid.Page, Slot: rid.Slot, Off: -1,
+				Detail: "decoded row rejected by schema", Cause: err}
+			return false
+		}
+		return true
+	})
+	if err == nil {
+		err = appendErr
+	}
+	return out, err
+}
+
+// Delete marks slot deleted. Its space is reclaimed by Compact.
+func (p *Page) Delete(slot int) error {
+	if slot < 0 || slot >= p.slotCount() {
+		return fmt.Errorf("storage: slot %d out of range [0,%d)", slot, p.slotCount())
+	}
+	off, _ := p.slot(slot)
+	if off == deletedOffset {
+		return ErrRecordDeleted
+	}
+	p.setSlot(slot, deletedOffset, 0)
+	return nil
 }

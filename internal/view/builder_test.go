@@ -1,7 +1,6 @@
 package view
 
 import (
-	"fmt"
 	"testing"
 
 	"statdb/internal/dataset"
@@ -11,7 +10,7 @@ import (
 	"statdb/internal/workload"
 )
 
-func TestBuilderDecodeAndGroupBy(t *testing.T) {
+func TestBuilderDecode(t *testing.T) {
 	archive := tape.NewArchive(tape.DefaultCost())
 	if err := archive.Write("fig1", workload.Figure1()); err != nil {
 		t.Fatal(err)
@@ -20,19 +19,15 @@ func TestBuilderDecodeAndGroupBy(t *testing.T) {
 	v, err := NewBuilder(archive, mdb, "fig1").
 		WithOptions(Options{UndoMode: UndoReplay}).
 		Decode("AGE_GROUP").
-		GroupBy([]string{"RACE", "AGE_GROUP"}, []relalg.Agg{
-			{Func: relalg.AggSum, Attr: "POPULATION", As: "POPULATION"},
-			{Func: relalg.AggWMean, Attr: "AVE_SALARY", Weight: "POPULATION", As: "AVE_SALARY"},
-		}).
-		Build("collapsed", "boral")
+		Sort(relalg.SortKey{Attr: "AGE_GROUP"}).
+		Build("decoded", "boral")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Figure 1 has W x {4 ages} + B x {1 age} = 5 groups.
-	if v.Rows() != 5 {
+	if v.Rows() != 9 {
 		t.Fatalf("rows = %d", v.Rows())
 	}
-	// Decoded labels flowed through the group-by key.
+	// Decoded labels replaced the codes and flowed through the sort.
 	found := false
 	for i := 0; i < v.Rows(); i++ {
 		cell, err := v.Dataset().CellByName(i, "AGE_GROUP")
@@ -44,62 +39,15 @@ func TestBuilderDecodeAndGroupBy(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Error("decoded age label missing from groups")
+		t.Error("decoded age label missing")
 	}
 	// Ops recorded for the fingerprint.
-	def, ok := mdb.View("collapsed")
+	def, ok := mdb.View("decoded")
 	if !ok || len(def.Ops) != 2 {
 		t.Fatalf("ops = %v", def.Ops)
 	}
-	if v.Name() != "collapsed" || v.Analyst() != "boral" {
-		t.Errorf("identity = %s/%s", v.Name(), v.Analyst())
-	}
-}
-
-// TestBuilderSelectThenGroupBy: a Select feeding a GroupBy runs as two
-// steps. The expected rows were recorded from the Select→GroupBy fusion
-// (selection vector, no intermediate data set) this replaced, on this
-// fixture; Value.String renders floats round-trip exactly, so equal
-// strings are equal bits.
-func TestBuilderSelectThenGroupBy(t *testing.T) {
-	census, err := workload.Census(workload.DefaultCensusSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	archive := tape.NewArchive(tape.DefaultCost())
-	if err := archive.Write("census", census); err != nil {
-		t.Fatal(err)
-	}
-	v, err := NewBuilder(archive, rules.NewManagementDB(), "census").
-		Select(relalg.Cmp{Attr: "EDUCATION", Op: relalg.Ge, Val: dataset.Int(5)}).
-		GroupBy([]string{"SEX", "AGE_GROUP"}, []relalg.Agg{
-			{Func: relalg.AggCount},
-			{Func: relalg.AggSum, Attr: "POPULATION", As: "POPULATION"},
-			{Func: relalg.AggWMean, Attr: "AVE_SALARY", Weight: "POPULATION", As: "AVE_SALARY"},
-			{Func: relalg.AggMin, Attr: "AVE_SALARY"},
-			{Func: relalg.AggMax, Attr: "AVE_SALARY"},
-		}).
-		Build("educated", "boral")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{
-		"[F 1 90 1.499265e+06 33359.82972723301 24372 40644]",
-		"[F 2 90 1.89367e+06 35140.2260721245 29493 42695]",
-		"[F 3 90 1.331254e+06 30619.60712756544 23489 37426]",
-		"[F 4 90 1.399425e+06 32849.68398878111 26811 40328]",
-		"[M 1 90 1.759202e+06 32716.022441425146 24583 40188]",
-		"[M 2 90 1.432099e+06 35691.105902594725 27632 42066]",
-		"[M 3 90 1.466903e+06 31328.834668004634 22260 39490]",
-		"[M 4 90 1.526318e+06 33339.48273688707 26109 40976]",
-	}
-	if v.Rows() != len(want) {
-		t.Fatalf("rows = %d, want %d", v.Rows(), len(want))
-	}
-	for i, w := range want {
-		if got := fmt.Sprint(v.Dataset().RowAt(i)); got != w {
-			t.Errorf("row %d = %s, want %s", i, got, w)
-		}
+	if v.Name() != "decoded" || v.analyst != "boral" {
+		t.Errorf("identity = %s/%s", v.Name(), v.analyst)
 	}
 }
 

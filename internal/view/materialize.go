@@ -104,19 +104,6 @@ func (b *Builder) Decode(attr string) *Builder {
 	return b
 }
 
-// GroupBy aggregates over the key attributes.
-func (b *Builder) GroupBy(keys []string, aggs []relalg.Agg) *Builder {
-	b.steps = append(b.steps, pipeStep{run: func(ds *dataset.Dataset) (*dataset.Dataset, error) {
-		return relalg.GroupBy(ds, keys, aggs)
-	}})
-	desc := "group by " + strings.Join(keys, ",")
-	for _, a := range aggs {
-		desc += fmt.Sprintf(" %s(%s)", a.Func, a.Attr)
-	}
-	b.ops = append(b.ops, desc)
-	return b
-}
-
 // Sort orders the rows.
 func (b *Builder) Sort(keys ...relalg.SortKey) *Builder {
 	b.steps = append(b.steps, pipeStep{run: func(ds *dataset.Dataset) (*dataset.Dataset, error) {

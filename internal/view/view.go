@@ -158,9 +158,6 @@ func New(data *dataset.Dataset, mdb *rules.ManagementDB, def rules.ViewDef, opts
 // Name returns the view name.
 func (v *View) Name() string { return v.name }
 
-// Analyst returns the owning analyst.
-func (v *View) Analyst() string { return v.analyst }
-
 // Dataset exposes the working data (callers must not mutate it directly;
 // use the update operations so summaries and history stay consistent).
 func (v *View) Dataset() *dataset.Dataset { return v.data }

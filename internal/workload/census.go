@@ -83,11 +83,6 @@ func DefaultCensusSpec() CensusSpec {
 	return CensusSpec{Regions: 9, Races: 5, AgeGroups: 4, Educations: 6, Seed: 1980}
 }
 
-// Rows returns the record count the spec generates.
-func (s CensusSpec) Rows() int {
-	return 2 * s.Regions * s.Races * s.AgeGroups * s.Educations
-}
-
 // Census generates an aggregated census data set: one record per
 // category-attribute combination carrying POPULATION and AVE_SALARY
 // measures. Records are emitted in category order, giving the long

@@ -235,3 +235,8 @@ func TestSessionTraceValidation(t *testing.T) {
 		t.Error("bias 1 accepted")
 	}
 }
+
+// Rows returns the record count the spec generates.
+func (s CensusSpec) Rows() int {
+	return 2 * s.Regions * s.Races * s.AgeGroups * s.Educations
+}
