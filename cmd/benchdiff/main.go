@@ -3,22 +3,18 @@
 // process, through the same internal/bench registry cmd/experiments
 // uses) and diffs the new table against the committed one.
 //
-// The diff distinguishes what can be held exactly from what cannot.
 // Structure — ID, title, header, row count, row labels — must match
-// exactly: a changed shape means the committed snapshot is stale.
-// Deterministic numeric cells (virtual ticks, row counts, tick-derived
-// speedups) must agree within -tol. Noisy cells — wall-clock ns/op,
-// throughput, latency percentiles, scheduling-dependent shed counts —
-// are checked structurally only (numeric stays numeric, text matches),
-// because their values differ across machines by design. A "CLAIM
-// FAILED" marker in either the fresh or the committed finding fails the
-// run regardless; a "CLAIM NOISY" marker (an experiment's own
-// annotation that a wall-clock claim missed on this machine) is
-// printed as a warning but never fails the run.
+// exactly: a changed shape means the committed snapshot is stale. Every
+// experiment cell is a function of the seed, so numeric cells must agree
+// within 1% and text cells exactly. The one exception is E19's load
+// driver, whose shed count, throughput and latency percentiles are wall
+// clock: those columns are checked structurally only (a number stays a
+// number, a marker stays itself). A "CLAIM FAILED" marker in either the
+// fresh or the committed finding fails the run regardless.
 //
 // Usage:
 //
-//	benchdiff [-dir DIR] [-tol FRAC] [ID...]
+//	benchdiff [-dir DIR] [ID...]
 //
 // With no IDs every BENCH_*.json under -dir is checked. Exits nonzero
 // on any mismatch, naming each offending cell.
@@ -29,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -46,7 +43,6 @@ func realMain(args []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	dir := fs.String("dir", ".", "directory holding the committed BENCH_*.json snapshots")
-	tol := fs.Float64("tol", 0.01, "relative tolerance for deterministic numeric cells")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -83,14 +79,9 @@ func realMain(args []string, out, errw io.Writer) int {
 			failed++
 			continue
 		}
-		problems := diffTables(committed, fresh, *tol)
+		problems := diffTables(committed, fresh)
 		if len(problems) == 0 {
-			if strings.Contains(fresh.Finding, "CLAIM NOISY") {
-				fmt.Fprintf(out, "benchdiff: %s warning (non-gating): %s\n", id, fresh.Finding)
-			}
-			strict, noisy := countCells(committed)
-			fmt.Fprintf(out, "benchdiff: %s ok (%d cells held to %.0f%%, %d noisy cells structural)\n",
-				id, strict, *tol*100, noisy)
+			fmt.Fprintf(out, "benchdiff: %s ok (%s)\n", id, cellSummary(committed))
 			continue
 		}
 		failed++
@@ -126,13 +117,16 @@ func runExperiment(id string) (*bench.Table, error) {
 	return nil, fmt.Errorf("no experiment %q in the registry (stale snapshot?)", id)
 }
 
-// noisyColumn reports whether a header names a measurement that varies
-// across machines or schedules: wall clock, rates, latency
-// percentiles, and shed counts (a scheduling outcome, not a
-// deterministic one).
+// tol is the relative tolerance for numeric cells.
+const tol = 0.01
+
+// noisyColumn reports whether a header names one of E19's wall-clock
+// load-driver columns: throughput, latency percentiles, and shed counts
+// (a scheduling outcome). Any other column is held to tol, so a wall-clock
+// column added anywhere else fails the diff rather than passing it.
 func noisyColumn(header string) bool {
 	h := strings.ToLower(header)
-	for _, frag := range []string{"ns/op", "overhead", "wall", "throughput", "_us", "elapsed", "shed"} {
+	for _, frag := range []string{"shed", "throughput", "_us"} {
 		if strings.Contains(h, frag) {
 			return true
 		}
@@ -149,7 +143,7 @@ func numeric(cell string) (float64, bool) {
 }
 
 // diffTables returns every way fresh diverges from committed.
-func diffTables(committed, fresh *bench.Table, tol float64) []string {
+func diffTables(committed, fresh *bench.Table) []string {
 	var problems []string
 	if strings.Contains(fresh.Finding, "CLAIM FAILED") {
 		problems = append(problems, "fresh run reports: "+fresh.Finding)
@@ -175,70 +169,50 @@ func diffTables(committed, fresh *bench.Table, tol float64) []string {
 			continue
 		}
 		for c := range committed.Rows[r] {
-			problems = append(problems, diffCell(committed, fresh, r, c, tol)...)
+			problems = append(problems, diffCell(committed, fresh, r, c)...)
 		}
 	}
 	return problems
 }
 
-func diffCell(committed, fresh *bench.Table, r, c int, tol float64) []string {
-	header := committed.Header[c]
-	want, haveWant := numeric(committed.Rows[r][c])
-	got, haveGot := numeric(fresh.Rows[r][c])
-	loc := fmt.Sprintf("row %d %q", r, header)
-	if noisyColumn(header) {
-		// Structural agreement only: a number stayed a number, a marker
-		// ("baseline", "n/a", "-") stayed itself.
-		switch {
-		case haveWant != haveGot:
-			return []string{fmt.Sprintf("%s: %q vs committed %q (numeric/text shape changed)",
-				loc, fresh.Rows[r][c], committed.Rows[r][c])}
-		case !haveWant && fresh.Rows[r][c] != committed.Rows[r][c]:
-			return []string{fmt.Sprintf("%s: %q vs committed %q", loc, fresh.Rows[r][c], committed.Rows[r][c])}
-		}
-		return nil
-	}
+// diffCell compares one cell. Every column must keep a number a number
+// and a text marker ("yes", "stale merge", "n/a") itself; numbers outside
+// a noisy column must also agree within tol, and a committed zero must
+// stay zero.
+func diffCell(committed, fresh *bench.Table, r, c int) []string {
+	was, is := committed.Rows[r][c], fresh.Rows[r][c]
+	want, haveWant := numeric(was)
+	got, haveGot := numeric(is)
+	loc := fmt.Sprintf("row %d %q", r, committed.Header[c])
 	switch {
 	case haveWant != haveGot:
-		return []string{fmt.Sprintf("%s: %q vs committed %q (numeric/text shape changed)",
-			loc, fresh.Rows[r][c], committed.Rows[r][c])}
+		return []string{fmt.Sprintf("%s: %q vs committed %q (numeric/text shape changed)", loc, is, was)}
 	case !haveWant:
-		if fresh.Rows[r][c] != committed.Rows[r][c] {
-			return []string{fmt.Sprintf("%s: %q vs committed %q", loc, fresh.Rows[r][c], committed.Rows[r][c])}
+		if is != was {
+			return []string{fmt.Sprintf("%s: %q vs committed %q", loc, is, was)}
 		}
-	default:
-		diff := got - want
-		if diff < 0 {
-			diff = -diff
-		}
-		limit := tol * abs(want)
-		if abs(want) == 0 {
-			limit = 0 // a committed zero must stay zero
-		}
-		if diff > limit {
-			return []string{fmt.Sprintf("%s: %g vs committed %g (beyond %.0f%% tolerance)",
-				loc, got, want, tol*100)}
-		}
+	case !noisyColumn(committed.Header[c]) && math.Abs(got-want) > tol*math.Abs(want):
+		return []string{fmt.Sprintf("%s: %g vs committed %g (beyond %.0f%% tolerance)", loc, got, want, tol*100)}
 	}
 	return nil
 }
 
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-func countCells(t *bench.Table) (strict, noisy int) {
-	for _, row := range t.Rows {
-		for c := range row {
-			if c < len(t.Header) && noisyColumn(t.Header[c]) {
-				noisy++
-			} else {
-				strict++
-			}
+// cellSummary says how many of t's cells are held to tol and names the
+// columns checked structurally only.
+func cellSummary(t *bench.Table) string {
+	var noisy []string
+	for _, h := range t.Header {
+		if noisyColumn(h) {
+			noisy = append(noisy, h)
 		}
 	}
-	return strict, noisy
+	strict := 0
+	for _, row := range t.Rows {
+		strict += len(row) - len(noisy)
+	}
+	s := fmt.Sprintf("%d cells held to %.0f%%", strict, tol*100)
+	if len(noisy) > 0 {
+		s += fmt.Sprintf(", %d structural only: %s", len(t.Rows)*len(noisy), strings.Join(noisy, ", "))
+	}
+	return s
 }

@@ -14,7 +14,7 @@ func table() *bench.Table {
 	return &bench.Table{
 		ID:     "EX",
 		Title:  "example",
-		Header: []string{"config", "ticks", "ns/op", "shed", "answers"},
+		Header: []string{"config", "ticks", "p50_us", "shed", "answers"},
 		Rows: [][]string{
 			{"base", "1024", "55123", "0", "yes"},
 			{"wide", "2048", "83999", "12", "yes"},
@@ -28,10 +28,7 @@ func TestDiffTablesClean(t *testing.T) {
 	// Noisy columns may move arbitrarily without a finding.
 	fresh.Rows[0][2] = "99999999"
 	fresh.Rows[1][3] = "3"
-	// A NOISY marker is an experiment self-reporting a wall-clock miss
-	// on this machine; it warns but must not diverge the snapshot.
-	fresh.Finding = "all good [CLAIM NOISY: wall 4.0x < 10x]"
-	if problems := diffTables(committed, fresh, 0.01); len(problems) != 0 {
+	if problems := diffTables(committed, fresh); len(problems) != 0 {
 		t.Errorf("clean diff reported: %v", problems)
 	}
 }
@@ -51,7 +48,7 @@ func TestDiffTablesCatches(t *testing.T) {
 	} {
 		fresh := table()
 		tc.mut(fresh)
-		problems := diffTables(table(), fresh, 0.01)
+		problems := diffTables(table(), fresh)
 		if len(problems) == 0 {
 			t.Errorf("%s: not caught", name)
 			continue
@@ -65,34 +62,45 @@ func TestDiffTablesCatches(t *testing.T) {
 func TestDiffTablesToleranceHolds(t *testing.T) {
 	fresh := table()
 	fresh.Rows[0][1] = "1030" // +0.6% on 1024
-	if problems := diffTables(table(), fresh, 0.01); len(problems) != 0 {
+	if problems := diffTables(table(), fresh); len(problems) != 0 {
 		t.Errorf("within-tolerance drift reported: %v", problems)
 	}
-	// A committed zero must stay zero regardless of tolerance.
+	// A committed zero must stay zero: no tolerance scales from it.
 	fresh = table()
 	fresh.Rows[0][1] = "0"
 	committed := table()
 	committed.Rows[0][1] = "0"
 	fresh2 := table()
 	fresh2.Rows[0][1] = "1"
-	if problems := diffTables(committed, fresh, 0.5); len(problems) != 0 {
+	if problems := diffTables(committed, fresh); len(problems) != 0 {
 		t.Errorf("zero==zero reported: %v", problems)
 	}
-	if problems := diffTables(committed, fresh2, 0.5); len(problems) == 0 {
+	if problems := diffTables(committed, fresh2); len(problems) == 0 {
 		t.Error("zero -> nonzero not caught")
 	}
 }
 
+// TestNoisyColumn pins the structural-only set to E19's load-driver
+// columns: a wall-clock column anywhere else is held to tolerance, so it
+// fails the diff instead of passing structurally.
 func TestNoisyColumn(t *testing.T) {
-	for _, h := range []string{"ns/op", "row ns/op", "overhead", "wall speedup", "throughput/s", "p99_us", "shed", "elapsed_us"} {
+	for _, h := range []string{"shed", "throughput/s", "p50_us", "p99_us"} {
 		if !noisyColumn(h) {
 			t.Errorf("%q not classified noisy", h)
 		}
 	}
-	for _, h := range []string{"ticks", "rows", "speedup", "tick speedup", "sessions", "answers match"} {
+	for _, h := range []string{"ticks", "rows", "speedup", "tick speedup", "sessions", "answers match",
+		"ns/op", "row ns/op", "overhead", "wall speedup", "elapsed"} {
 		if noisyColumn(h) {
 			t.Errorf("%q wrongly classified noisy", h)
 		}
+	}
+}
+
+func TestCellSummary(t *testing.T) {
+	want := "6 cells held to 1%, 4 structural only: p50_us, shed"
+	if got := cellSummary(table()); got != want {
+		t.Errorf("summary %q, want %q", got, want)
 	}
 }
 

@@ -1,7 +1,9 @@
 // Command experiments runs the complete reproduction suite — every paper
 // figure and every quantitative claim (see DESIGN.md's per-experiment
-// index) — and prints each result table. Output is deterministic: all
-// costs are virtual ticks, passes or cells, never wall time.
+// index) — and prints each result table. Output is deterministic: every
+// cell is a virtual tick, pass, cell or count fixed by the seed, never
+// wall time — except E19's throughput, latency and shed columns, which
+// measure the load driver's own wall-clock queueing.
 //
 // Usage:
 //

@@ -2,119 +2,72 @@ package bench
 
 import (
 	"fmt"
-	"testing"
 
 	"statdb/internal/exec"
 	"statdb/internal/obs"
 	"statdb/internal/stats"
 )
 
-// E15ObsOverhead measures what the observability layer costs on the hot
-// path. The workload is E13's whole-column Summarize over the
-// 102400-row SALARY column with 4 workers — the case where per-chunk
-// instrumentation (counter bumps on dispatch, the inflight gauge in
-// every worker) would show up if it cost anything. The baseline pool
-// carries no registry, which makes every instrument a nil no-op; the
-// instrumented pool carries a live registry. Two microbenchmark rows
-// pin the per-event costs that explain the pool-level result.
-//
-// Unlike the tick-based experiments this one is wall clock, so the
-// exact numbers vary by machine; the claim is the ratio, not the
-// absolute times.
+// E15ObsOverhead counts what the observability layer records on the hot
+// path. The workload is E13's whole-column Summarize over the SALARY
+// column with 4 workers — the case where per-row instrumentation would
+// show up — run once per column size on a pool wired to a live
+// registry. Every counter event the fold records is tallied and checked
+// against the engine's own schedule: per pool run, one event per chunk
+// (exec.Chunks), one for the run, and one per worker spawned
+// (Pool.Fanout). The events therefore grow with chunks, never with rows.
 func E15ObsOverhead() (*Table, error) {
 	t := &Table{
 		ID:     "E15",
-		Title:  "Observability overhead: live registry vs no-op on an E13-style column fold (wall clock)",
-		Claim:  "instrumentation charges per chunk and per run, never per row, so a live registry adds <5% to a whole-column fold",
-		Header: []string{"configuration", "ns/op", "counter events/op", "overhead"},
+		Title:  "Observability cost: counter events per whole-column fold with a live registry (engine schedule counts)",
+		Claim:  "instrumentation charges per chunk and per run, never per row, so a live registry's work on a whole-column fold tracks chunks, not rows",
+		Header: []string{"rows", "chunks", "workers", "pool runs", "counter events", "per run", "chunks + run + workers"},
 	}
-	const n, workers = 102400, 4
-	xs, valid, err := salaryColumn(n)
-	if err != nil {
-		return nil, err
-	}
-	fold := func(p *exec.Pool) func(b *testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := stats.SummarizeChunks(p, xs, valid, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
+	const workers = 4
+	sizes := []int{8192, 25600, 102400}
+	events := make([]int64, len(sizes))
+	broken := 0
+	for i, n := range sizes {
+		xs, valid, err := salaryColumn(n)
+		if err != nil {
+			return nil, err
 		}
-	}
-
-	base := testing.Benchmark(fold(exec.New(workers)))
-
-	reg := obs.NewRegistry()
-	instr := testing.Benchmark(fold(exec.New(workers).WithMetrics(reg)))
-	// Counter events per op are deterministic: one per chunk dispatched,
-	// one per run, one per worker spawned. The registry accumulates
-	// across the benchmark's calibration rounds too, so divide by the
-	// runs counter rather than the final round's iteration count.
-	snap := reg.Snapshot()
-	var events int64
-	for _, v := range snap.Counters {
-		events += v
-	}
-	eventsPerOp := events / snap.Counters[obs.MExecRunsParallel]
-
-	overhead := 0.0
-	if b := base.NsPerOp(); b > 0 {
-		overhead = 100 * float64(instr.NsPerOp()-b) / float64(b)
-	}
-
-	t.AddRow("fold, no registry (no-op instruments)", base.NsPerOp(), 0, "baseline")
-	t.AddRow("fold, live registry", instr.NsPerOp(), eventsPerOp,
-		fmt.Sprintf("%+.1f%%", overhead))
-
-	// Registry plus an attached time-series sampler ticking every 8th op
-	// — the `statdb serve` configuration at a scrape rate orders of
-	// magnitude above reality (a real sampler ticks per second, not per
-	// handful of queries). Each tick is one snapshot plus a map diff, off
-	// the fold's critical path except for the registry's atomics.
-	reg2 := obs.NewRegistry()
-	p2 := exec.New(workers).WithMetrics(reg2)
-	smp := obs.NewSampler(reg2.Snapshot, 120, 0)
-	sampled := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := stats.SummarizeChunks(p2, xs, valid, 0); err != nil {
-				b.Fatal(err)
-			}
-			if i%8 == 0 {
-				smp.Tick(int64(i))
-			}
+		reg := obs.NewRegistry()
+		p := exec.New(workers).WithMetrics(reg)
+		if _, err := stats.SummarizeChunks(p, xs, valid, 0); err != nil {
+			return nil, err
 		}
-	})
-	samplerOverhead := 0.0
-	if b := base.NsPerOp(); b > 0 {
-		samplerOverhead = 100 * float64(sampled.NsPerOp()-b) / float64(b)
+		snap := reg.Snapshot()
+		for _, v := range snap.Counters {
+			events[i] += v
+		}
+		runs := snap.Counters[obs.MExecRunsParallel] + snap.Counters[obs.MExecRunsSerial]
+		chunks := len(exec.Chunks(n, exec.DefaultChunk))
+		spawned := p.Fanout(chunks)
+		if spawned <= 1 {
+			spawned = 0 // the serial path runs inline and spawns nothing
+		}
+		schedule := int64(chunks + 1 + spawned)
+		if runs == 0 || events[i] != runs*schedule {
+			broken++
+		}
+		perRun := int64(0)
+		if runs > 0 {
+			perRun = events[i] / runs
+		}
+		t.AddRow(n, chunks, spawned, runs, events[i], perRun, schedule)
 	}
-	t.AddRow("fold, live registry + ticking sampler", sampled.NsPerOp(), eventsPerOp,
-		fmt.Sprintf("%+.1f%%", samplerOverhead))
 
-	// Per-event costs: a live Counter.Inc is one atomic add; a nil
-	// Counter.Inc is a predicted branch. Both are nanoseconds, which is
-	// why the pool-level overhead above is noise-level.
-	live := reg.Counter("e15.micro")
-	liveBench := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			live.Inc()
-		}
-	})
-	var nilCounter *obs.Counter
-	nilBench := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			nilCounter.Inc()
-		}
-	})
-	t.AddRow("Counter.Inc, live", liveBench.NsPerOp(), 1, "-")
-	t.AddRow("Counter.Inc, nil no-op", nilBench.NsPerOp(), 0, "-")
-
+	last := len(sizes) - 1
 	t.Finding = fmt.Sprintf(
-		"the live registry adds %+.1f%% to the 102400-row fold (%d counter events per run against %d rows of fold work) "+
-			"and %+.1f%% with a sampler ticking every 8th op; "+
-			"a live Counter.Inc costs ~%dns and a nil one ~%dns, so instrumentation stays per-chunk noise and the "+
-			"<5%% budget holds — which is why the registry is always on rather than build-tagged",
-		overhead, eventsPerOp, n, samplerOverhead, liveBench.NsPerOp(), nilBench.NsPerOp())
+		"a live registry records %d counter events on the %d-row fold and %d on the %d-row fold: rows grew %s and "+
+			"events %s, because every pool run records exactly one event per chunk, one for the run and one per worker "+
+			"spawned — instrumentation tracks chunks, never rows, which is why the registry is always on rather than build-tagged",
+		events[0], sizes[0], events[last], sizes[last],
+		ratio(float64(sizes[last]), float64(sizes[0])), ratio(float64(events[last]), float64(events[0])))
+	if broken > 0 {
+		t.Finding += fmt.Sprintf(" [CLAIM FAILED: %d of %d sizes recorded events off the engine's chunk + run + worker schedule]",
+			broken, len(sizes))
+	}
 	return t, nil
 }

@@ -11,7 +11,7 @@ import (
 	"statdb/internal/workload"
 )
 
-// e19Ladder is the closed-loop session ladder for the full experiment.
+// e19Ladder is the closed-loop session ladder, in ascending order.
 var e19Ladder = []int{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 const (
@@ -72,10 +72,6 @@ func e19Cfg(d *core.DBMS, sessions int) load.Config {
 // a 4-deep admission queue with 64 ungated-arrival sessions to show the
 // queueing-dominated regime ending in shed, not collapse.
 func E19LoadSaturation() (*Table, error) {
-	return e19Saturation(e19Ladder)
-}
-
-func e19Saturation(ladder []int) (*Table, error) {
 	t := &Table{
 		ID:     "E19",
 		Title:  "Load saturation: closed-loop session ladder through the admission gate (wall clock; digests exact)",
@@ -87,12 +83,8 @@ func e19Saturation(ladder []int) (*Table, error) {
 	// engine replays every stream back-to-back. Cache state differs from
 	// any concurrent run, which is exactly the point — answers must not
 	// depend on it.
-	maxN := 0
-	for _, n := range ladder {
-		if n > maxN {
-			maxN = n
-		}
-	}
+	ladder := e19Ladder
+	maxN := ladder[len(ladder)-1] // the ladder ascends
 	ref := make([]uint64, maxN)
 	{
 		d, err := e19Fixture()

@@ -1,12 +1,16 @@
 // Package bench implements the experiment harness: one function per
 // paper figure or quantitative claim (see DESIGN.md's per-experiment
 // index), each returning a rendered table. cmd/experiments prints all of
-// them; bench_test.go wraps them as Go benchmarks; EXPERIMENTS.md records
-// the measured shapes against the paper's predictions.
+// them, cmd/benchdiff reruns them against the committed BENCH_*.json
+// snapshots, and EXPERIMENTS.md records the measured shapes against the
+// paper's predictions.
 //
-// Wherever possible the measured quantity is deterministic — virtual
-// device ticks, column passes, cells touched — so the tables are stable
-// across machines and runs.
+// The harness has one clock: every cell is a function of the seed —
+// virtual device ticks, column passes, cells touched, counts — so the
+// tables are identical across machines and runs. The one exception is
+// E19, whose subject is the load driver's own wall-clock queueing
+// (throughput, latency percentiles, the open loop's shed count). Wall
+// time of the database's layers is the benchmark/ ladder's to measure.
 package bench
 
 import (
