@@ -59,15 +59,15 @@ func Figure5FiniteDifferencing() (*Table, error) {
 			full += int64(n)
 		}
 		// Finite-differenced path: one delta per iteration.
-		m := incr.NewMean(c.xs, nil)
+		f := incr.NewVariance(c.xs, nil)
 		diff := int64(n) // initial build reads the column once
 		for i := 0; i < iters; i++ {
 			old := c.xs[i%n]
 			c.xs[i%n] = float64(i * 2)
-			m.Apply(incr.UpdateOf(old, float64(i*2)))
+			f.Apply(incr.UpdateOf(old, float64(i*2)))
 			diff++
 		}
-		got, err := m.Value()
+		got, err := f.Moments().MeanValue()
 		if err != nil {
 			return nil, err
 		}
@@ -140,32 +140,35 @@ func E2Incremental() (*Table, error) {
 	const updates = 200
 	for _, n := range []int{1000, 10000, 100000} {
 		c := randomColumn(n, int64(n)*3)
-		maints := []incr.Maintainer{
-			incr.NewSum(c.xs, nil), incr.NewMean(c.xs, nil), incr.NewVariance(c.xs, nil),
+		db := summary.NewDB(rules.NewManagementDB())
+		fns := []string{"sum", "mean", "variance"}
+		for _, fn := range fns {
+			if _, err := db.Scalar(fn, "X", c.source()); err != nil {
+				return nil, err
+			}
 		}
 		fullTouched := int64(0)
-		incrTouched := int64(len(maints) * n) // initial builds
 		rng := rand.New(rand.NewSource(7))
 		for u := 0; u < updates; u++ {
 			i := rng.Intn(n)
 			old := c.xs[i]
 			nv := float64(rng.Intn(100000))
 			c.xs[i] = nv
-			for _, m := range maints {
-				m.Apply(incr.UpdateOf(old, nv))
-				incrTouched++
-			}
+			db.OnUpdate("X", []incr.Delta{incr.UpdateOf(old, nv)})
 			// Full path recomputes each function over the column.
-			fullTouched += int64(len(maints) * n)
+			fullTouched += int64(len(fns) * n)
 		}
+		// Incremental path: each function's first fill read the column, and
+		// each update re-finalized every function from the one changed value.
+		incrTouched := int64(c.passes*n) + db.Counters().Incremental
 		// Verify correctness of the incremental values.
 		wantMean, _ := stats.Mean(c.xs, nil) //lint:allow error-flow synthetic column is non-empty by construction
-		gotMean, err := maints[1].Value()
-		if err != nil {
-			return nil, err
+		gotMean, fresh := db.Lookup("mean", "X")
+		if !fresh {
+			return nil, fmt.Errorf("incremental mean went stale")
 		}
-		if d := gotMean - wantMean; d > 1e-6 || d < -1e-6 {
-			return nil, fmt.Errorf("incremental mean diverged: %g vs %g", gotMean, wantMean)
+		if d := gotMean.Scalar - wantMean; d > 1e-6 || d < -1e-6 {
+			return nil, fmt.Errorf("incremental mean diverged: %g vs %g", gotMean.Scalar, wantMean)
 		}
 		t.AddRow(n, updates, fullTouched, incrTouched, ratio(float64(fullTouched), float64(incrTouched)))
 	}

@@ -278,28 +278,16 @@ type MaterializeBuilder struct {
 // steps.
 func (m *MaterializeBuilder) Builder() *view.Builder { return m.builder }
 
-// Build materializes and registers the view.
+// Build materializes and registers the view, with the DBMS-wide engine
+// width, metrics registry and tracer.
 func (m *MaterializeBuilder) Build(name string) (*view.View, error) {
-	return m.BuildWithOptions(name, view.Options{})
-}
-
-// BuildWithOptions materializes with explicit view options. An unset
-// Parallelism inherits the DBMS-wide engine width.
-func (m *MaterializeBuilder) BuildWithOptions(name string, opts view.Options) (*view.View, error) {
-	if opts.Parallelism == 0 {
-		opts.Parallelism = m.analyst.dbms.Parallelism()
-	}
-	if opts.Metrics == nil {
-		opts.Metrics = m.analyst.dbms.metrics
-	}
-	if opts.Tracer == nil {
-		opts.Tracer = m.analyst.dbms.tracer
-	}
+	d := m.analyst.dbms
+	opts := view.Options{Parallelism: d.Parallelism(), Metrics: d.metrics, Tracer: d.tracer}
 	v, err := m.builder.WithOptions(opts).Build(name, m.analyst.name)
 	if err != nil {
 		return nil, err
 	}
-	m.analyst.dbms.registerView(v)
+	d.registerView(v)
 	return v, nil
 }
 

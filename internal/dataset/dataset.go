@@ -137,15 +137,6 @@ func (c *Vector) set(i int, v Value) error {
 	return nil
 }
 
-func (c *Vector) clone() *Vector {
-	out := &Vector{kind: c.kind}
-	out.valid = append([]bool(nil), c.valid...)
-	out.ints = append([]int64(nil), c.ints...)
-	out.flts = append([]float64(nil), c.flts...)
-	out.strs = append([]string(nil), c.strs...)
-	return out
-}
-
 // Dataset is an in-memory flat-file data set: the unit of analysis in the
 // paper's model. Storage is columnar (one typed vector per attribute),
 // matching the access pattern Section 2.2 identifies — "access to a few
@@ -253,16 +244,6 @@ func (d *Dataset) RowAt(i int) Row {
 		r[c] = d.cols[c].At(i)
 	}
 	return r
-}
-
-// Clone returns a deep copy of the data set — the basis of concrete view
-// snapshots and undo before-images.
-func (d *Dataset) Clone() *Dataset {
-	out := &Dataset{schema: d.schema, name: d.name, cols: make([]*Vector, len(d.cols))}
-	for i, c := range d.cols {
-		out.cols[i] = c.clone()
-	}
-	return out
 }
 
 // Ints returns the raw integer vector and validity mask of column col.

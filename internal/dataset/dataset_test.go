@@ -182,20 +182,6 @@ func TestIntWideningIntoFloatColumn(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	d := New(exampleSchema(t))
-	if err := d.Append(Row{String("M"), String("W"), Int(1), Int(10), Int(20)}); err != nil {
-		t.Fatal(err)
-	}
-	c := d.Clone()
-	if err := c.SetCell(0, 3, Int(777)); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Cell(0, 3); !got.Equal(Int(10)) {
-		t.Errorf("mutating clone changed original: %v", got)
-	}
-}
-
 func TestAddColumn(t *testing.T) {
 	d := New(exampleSchema(t))
 	for i := 0; i < 3; i++ {
@@ -343,29 +329,6 @@ func TestAppendReadbackProperty(t *testing.T) {
 func TestCompareAntisymmetryProperty(t *testing.T) {
 	f := func(a, b int64) bool {
 		return Int(a).Compare(Int(b)) == -Int(b).Compare(Int(a))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Clone then mutate never changes the original.
-func TestCloneIsolationProperty(t *testing.T) {
-	f := func(vals []int64, replace int64) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		d := New(MustSchema(Attribute{Name: "X", Kind: KindInt}))
-		for _, v := range vals {
-			if err := d.Append(Row{Int(v)}); err != nil {
-				return false
-			}
-		}
-		c := d.Clone()
-		if err := c.SetCell(0, 0, Int(replace)); err != nil {
-			return false
-		}
-		return d.Cell(0, 0).Equal(Int(vals[0]))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

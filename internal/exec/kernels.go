@@ -7,13 +7,14 @@ import (
 	"slices"
 )
 
-// The kernels below are the parallel form of the finite-differencing
-// algebra of internal/incr: each partial state is a set of sufficient
-// statistics over one chunk, and Merge is the associative combination
-// across chunks — Koenig–Paige's f′ lifted from single-observation
-// deltas to whole-partition partial states. Folding is serial within a
-// chunk; merging happens in ascending chunk order so results are
-// deterministic for any worker count.
+// The kernels below are the finite-differencing algebra of Section 4.2
+// in its three directions: each partial state is a set of sufficient
+// statistics over one chunk, Merge is the associative combination across
+// chunks — Koenig–Paige's f′ lifted from single-observation deltas to
+// whole-partition partial states — and Apply takes an update batch into
+// a state kept for the life of a view. Folding is serial within a chunk;
+// merging happens in ascending chunk order so results are deterministic
+// for any worker count.
 
 // ErrEmpty reports an aggregate over zero valid observations.
 var ErrEmpty = fmt.Errorf("exec: no valid observations")
@@ -21,8 +22,8 @@ var ErrEmpty = fmt.Errorf("exec: no valid observations")
 // Moments is the mergeable partial-aggregate state for the moment and
 // extremum kernels: count, missing count, sum, mean and M2 (Welford's
 // running second moment), and min/max. The merge follows Chan, Golub &
-// LeVeque's pairwise update, the parallel analogue of incr.VarianceM's
-// (n, Σx, Σx²) algebra with better cancellation behavior.
+// LeVeque's pairwise update; KeptMoments.Apply is the same recurrence
+// run forward for an insert and backward for a delete.
 type Moments struct {
 	N       int64 // valid observations
 	Missing int64 // invalid observations
@@ -85,6 +86,123 @@ func MergeMoments(a, b Moments) Moments {
 		out.Max = b.Max
 	}
 	return out
+}
+
+// Delta is one change to a column — the update model of Section 4.2:
+// Insert adds New, Delete removes Old, and an update is the two composed.
+// A view's write of one cell is one Delta: it deletes the value the cell
+// held, if any, and inserts the one it gets, if any.
+type Delta struct {
+	Insert, Delete bool
+	Old, New       float64
+}
+
+// KeptMoments is the delta form of FoldMoments, as FreqTable.Apply is of
+// FoldFreq: Moments kept current under updates for as long as a view
+// lives — the one moments state the Summary Database holds per
+// attribute. It counts the copies of Min and Max, so deleting a copy
+// leaves the extremum standing; deleting the last copy while other
+// observations remain loses it (Lost), and a caller that must answer it
+// refolds the column — Section 4.2's defeated-extremum rule. Missing
+// follows the cell model of Delta: a delete empties a cell, an insert
+// fills one.
+type KeptMoments struct {
+	Moments
+	MinCopies, MaxCopies int64
+}
+
+// KeepMoments folds xs like FoldMoments and counts, over the same
+// column, the copies of its extremes.
+func KeepMoments(xs []float64, valid []bool) KeptMoments {
+	k := KeptMoments{Moments: FoldMoments(xs, valid)}
+	for i, x := range xs {
+		if valid != nil && !valid[i] {
+			continue
+		}
+		if same(x, k.Min) {
+			k.MinCopies++
+		}
+		if same(x, k.Max) {
+			k.MaxCopies++
+		}
+	}
+	return k
+}
+
+// same is == holding a NaN equal to itself, so the copies of a NaN
+// extremum (a column whose first observation is NaN) count like others.
+func same(a, b float64) bool { return a == b || a != a && b != b }
+
+// Apply merges an update batch into k in place, in batch order, each
+// delta's delete before its insert: an insert is one Welford step, a
+// delete the same step run backward. It reports false — k then no longer
+// describes the column, and the caller refolds it — at a delete the state
+// cannot retract: of a value outside its extremes, or of one that is not
+// finite (a NaN or an infinity makes Sum, Mean and M2 what they are until
+// it leaves).
+func (k *KeptMoments) Apply(batch []Delta) bool {
+	for _, d := range batch {
+		if d.Delete && !k.retract(d.Old) {
+			return false
+		}
+		if d.Insert {
+			k.insert(d.New)
+		}
+	}
+	return true
+}
+
+// Lost reports which extremes went with their last copy while other
+// observations remained. A lost extremum is still a strict bound on what
+// is left, so an insert at or beyond it restores it.
+func (k *KeptMoments) Lost() (min, max bool) {
+	return k.N > 0 && k.MinCopies == 0, k.N > 0 && k.MaxCopies == 0
+}
+
+func (k *KeptMoments) insert(x float64) {
+	k.N++
+	k.Missing--
+	k.Sum += x
+	d := x - k.Mean
+	k.Mean += d / float64(k.N)
+	k.M2 += d * (x - k.Mean)
+	switch {
+	case k.N == 1 || x < k.Min:
+		k.Min, k.MinCopies = x, 1
+	case same(x, k.Min):
+		k.MinCopies++
+	}
+	switch {
+	case k.N == 1 || x > k.Max:
+		k.Max, k.MaxCopies = x, 1
+	case same(x, k.Max):
+		k.MaxCopies++
+	}
+}
+
+func (k *KeptMoments) retract(x float64) bool {
+	if k.N == 0 || x-x != 0 || x < k.Min || x > k.Max ||
+		x == k.Min && k.MinCopies == 0 || x == k.Max && k.MaxCopies == 0 {
+		return false
+	}
+	if x == k.Min {
+		k.MinCopies--
+	}
+	if x == k.Max {
+		k.MaxCopies--
+	}
+	if k.N == 1 {
+		// The last observation leaves no rounding residue behind.
+		*k = KeptMoments{Moments: Moments{Missing: k.Missing + 1}}
+		return true
+	}
+	k.N--
+	k.Missing++
+	k.Sum -= x
+	d := x - k.Mean
+	k.Mean -= d / float64(k.N)
+	k.M2 -= d * (x - k.Mean)
+	return true
 }
 
 // Variance returns the sample variance (divisor n-1).

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"statdb/internal/incr"
 )
 
 // testColumn builds a deterministic column with ~5% missing values.
@@ -19,51 +17,6 @@ func testColumn(n int, seed int64) ([]float64, []bool) {
 		valid[i] = rng.Intn(20) != 0
 	}
 	return xs, valid
-}
-
-func approx(a, b, rel float64) bool {
-	if a == b {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return math.Abs(a-b) <= rel*scale
-}
-
-// TestMomentsMatchIncr checks the chunk-merged moments against the
-// finite-differencing maintainers of internal/incr rebuilt over the same
-// column — the two forms of the same sufficient-statistics algebra.
-func TestMomentsMatchIncr(t *testing.T) {
-	xs, valid := testColumn(25013, 7)
-	m := ColumnMoments(New(4), xs, valid, 512)
-
-	count := incr.NewCount(xs, valid)
-	if c, _ := count.Value(); int64(c) != m.N {
-		t.Errorf("N = %d, incr count = %g", m.N, c)
-	}
-	sum := incr.NewSum(xs, valid)
-	if s, _ := sum.Value(); !approx(s, m.Sum, 1e-12) {
-		t.Errorf("Sum = %g, incr sum = %g", m.Sum, s)
-	}
-	mean := incr.NewMean(xs, valid)
-	if v, _ := mean.Value(); !approx(v, m.Mean, 1e-12) {
-		t.Errorf("Mean = %g, incr mean = %g", m.Mean, v)
-	}
-	vr := incr.NewVariance(xs, valid)
-	got, err := m.Variance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := vr.Value(); !approx(v, got, 1e-10) {
-		t.Errorf("Variance = %g, incr variance = %g", got, v)
-	}
-	mn := incr.NewMin(xs, valid)
-	mx := incr.NewMax(xs, valid)
-	if v, _ := mn.Value(); v != m.Min {
-		t.Errorf("Min = %g, incr min = %g (must be bit-identical)", m.Min, v)
-	}
-	if v, _ := mx.Value(); v != m.Max {
-		t.Errorf("Max = %g, incr max = %g (must be bit-identical)", m.Max, v)
-	}
 }
 
 // TestMomentsDeterministicAcrossWorkerCounts: fixed chunks + ordered

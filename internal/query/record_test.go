@@ -283,7 +283,7 @@ func runRecordSession(t *testing.T, b recordBacking, seen map[string]bool) {
 		"correlate AGE " + x + " on mv", "correlate AGE " + x + " on mv", "correlate AGE " + x + " on mv rank",
 		"crosstab SEX RACE on mv", "frequencies SEX on mv",
 		"ttest " + x + " by SEX on mv", "regress " + x + " on AGE over mv",
-		// The first update: maintainers fold the deltas in, windows slide,
+		// The first update: the kept moments fold the deltas in, windows slide,
 		// mode and unique — no table is retained yet — go stale.
 		"update mv set " + x + " = 4321 where AGE = 30",
 	} {

@@ -636,7 +636,12 @@ func Rename(ds *dataset.Dataset, old, new string) (*dataset.Dataset, error) {
 // cell from its row. The derivation string is recorded in the schema so
 // the Management Database can reason about it (Section 3.2).
 func Extend(ds *dataset.Dataset, attr dataset.Attribute, fn func(row dataset.Row) dataset.Value) (*dataset.Dataset, error) {
-	out := ds.Clone()
+	out := dataset.New(ds.Schema())
+	for i := 0; i < ds.Rows(); i++ {
+		if err := out.Append(ds.RowAt(i)); err != nil {
+			return nil, err
+		}
+	}
 	vals := make([]dataset.Value, ds.Rows())
 	for i := 0; i < ds.Rows(); i++ {
 		vals[i] = fn(ds.RowAt(i))

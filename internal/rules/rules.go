@@ -22,8 +22,8 @@ const (
 	// no-cache-maintenance baseline.
 	StrategyRecompute Strategy = iota
 	// StrategyIncremental applies a finite-differenced f′ (Section 4.2):
-	// a maintainer folds each delta in, or the deltas are merged into the
-	// attribute's frequency table and the value re-read from it.
+	// the deltas are merged into the attribute's kept moments or
+	// frequency table and the value re-read from it.
 	StrategyIncremental
 	// StrategyWindow maintains the value through a sliding order-statistic
 	// window (the median technique of Section 4.2).

@@ -9,7 +9,7 @@ import (
 // Covariance returns the sample covariance (divisor n-1) of complete
 // pairs.
 //
-//lint:allow test-only leaf statistical operator; serial reference for incr.CovarianceM
+//lint:allow test-only leaf statistical operator; serial reference for the CovarianceM pair maintainer in incr/pair_test.go
 func Covariance(xs, ys []float64, xvalid, yvalid []bool) (float64, error) {
 	if len(xs) != len(ys) {
 		return 0, fmt.Errorf("stats: covariance over %d vs %d observations", len(xs), len(ys))

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"statdb/internal/exec"
-	"statdb/internal/incr"
 	"statdb/internal/stats"
 )
 
@@ -35,11 +34,11 @@ type aggregate struct {
 	moments  func(m exec.Moments) (float64, error)
 	freq     func(t exec.FreqTable) (float64, error)
 	unsorted func(f exec.Freq) (float64, error)
-	// Each family has its delta form. maintain builds a moments row's
-	// finite-differenced f′. A freq row is either windowed — a quantile
-	// (p) that a medwin.Window slides — or tabled: re-finalized from the
-	// attribute's retained frequency table (DB.tables).
-	maintain func(xs []float64, valid []bool) incr.Maintainer
+	// Each family has its delta form. A moments row re-finalizes from the
+	// attribute's kept moments (DB.moments). A freq row is either windowed
+	// — a quantile (p) that a medwin.Window slides — or tabled:
+	// re-finalized from the attribute's retained frequency table
+	// (DB.tables).
 	windowed bool
 	quantile float64
 }
@@ -51,30 +50,26 @@ func (a *aggregate) tabled() bool { return a.freq != nil && !a.windowed }
 // list it. A thirteenth built-in is one more row.
 var aggregates = []aggregate{
 	{
-		name:     "count",
-		serial:   func(xs []float64, valid []bool) (float64, error) { return float64(stats.Count(xs, valid)), nil },
-		moments:  func(m exec.Moments) (float64, error) { return float64(m.N), nil },
-		maintain: func(xs []float64, valid []bool) incr.Maintainer { return incr.NewCount(xs, valid) },
+		name:    "count",
+		serial:  func(xs []float64, valid []bool) (float64, error) { return float64(stats.Count(xs, valid)), nil },
+		moments: func(m exec.Moments) (float64, error) { return float64(m.N), nil },
 	},
 	{
-		name:     "sum",
-		serial:   func(xs []float64, valid []bool) (float64, error) { return stats.Sum(xs, valid), nil },
-		moments:  func(m exec.Moments) (float64, error) { return m.Sum, nil },
-		maintain: func(xs []float64, valid []bool) incr.Maintainer { return incr.NewSum(xs, valid) },
+		name:    "sum",
+		serial:  func(xs []float64, valid []bool) (float64, error) { return stats.Sum(xs, valid), nil },
+		moments: func(m exec.Moments) (float64, error) { return m.Sum, nil },
 	},
 	{
 		// Sum/N is the serial formula, so the mean is bit-identical to
 		// stats.Mean whenever the sum is (integer-coded data, always).
-		name:     "mean",
-		serial:   stats.Mean,
-		moments:  func(m exec.Moments) (float64, error) { return observed(m, m.Sum/float64(m.N)) },
-		maintain: func(xs []float64, valid []bool) incr.Maintainer { return incr.NewMean(xs, valid) },
+		name:    "mean",
+		serial:  stats.Mean,
+		moments: func(m exec.Moments) (float64, error) { return observed(m, m.Sum/float64(m.N)) },
 	},
 	{
-		name:     "variance",
-		serial:   stats.Variance,
-		moments:  sampleVariance,
-		maintain: func(xs []float64, valid []bool) incr.Maintainer { return incr.NewVariance(xs, valid) },
+		name:    "variance",
+		serial:  stats.Variance,
+		moments: sampleVariance,
 	},
 	{
 		name:   "sd",
@@ -83,19 +78,16 @@ var aggregates = []aggregate{
 			v, err := sampleVariance(m)
 			return math.Sqrt(v), err
 		},
-		maintain: func(xs []float64, valid []bool) incr.Maintainer { return incr.NewStdDev(xs, valid) },
 	},
 	{
-		name:     "min",
-		serial:   stats.Min,
-		moments:  func(m exec.Moments) (float64, error) { return observed(m, m.Min) },
-		maintain: incr.NewMin,
+		name:    "min",
+		serial:  stats.Min,
+		moments: func(m exec.Moments) (float64, error) { return observed(m, m.Min) },
 	},
 	{
-		name:     "max",
-		serial:   stats.Max,
-		moments:  func(m exec.Moments) (float64, error) { return observed(m, m.Max) },
-		maintain: incr.NewMax,
+		name:    "max",
+		serial:  stats.Max,
+		moments: func(m exec.Moments) (float64, error) { return observed(m, m.Max) },
 	},
 	quantileRow("median", 0.5),
 	quantileRow("q1", 0.25),

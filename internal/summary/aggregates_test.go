@@ -11,9 +11,9 @@ import (
 
 // TestAggregateTableMatchesManagementDB: the Management Database's
 // default strategy table and the aggregate table must name the same
-// things — a function the rules maintain incrementally has a maintainer
-// constructor or is re-finalized from the retained frequency table, one
-// they maintain by window has a quantile to slide, and no row carries
+// things — a function the rules maintain incrementally is re-finalized
+// from its attribute's kept moments or frequency table, one they
+// maintain by window has a quantile to slide, and no row carries
 // maintenance the rules would never install.
 func TestAggregateTableMatchesManagementDB(t *testing.T) {
 	mdb := rules.NewManagementDB()
@@ -25,22 +25,14 @@ func TestAggregateTableMatchesManagementDB(t *testing.T) {
 			t.Errorf("%s: no serial reference operator", a.name)
 		}
 		st := mdb.StrategyFor(a.name)
-		if got, want := a.maintain != nil || a.tabled(), st == rules.StrategyIncremental; got != want {
-			t.Errorf("%s: strategy %s but maintainer constructor or retained table present = %v", a.name, st, got)
-		}
-		if a.maintain != nil && a.moments == nil {
-			t.Errorf("%s: a maintainer constructor on a freq row", a.name)
+		if got, want := a.moments != nil || a.tabled(), st == rules.StrategyIncremental; got != want {
+			t.Errorf("%s: strategy %s but re-finalized from a kept state = %v", a.name, st, got)
 		}
 		if a.unsorted != nil && a.freq == nil {
 			t.Errorf("%s: an unsorted finalizer without the table one it shortcuts", a.name)
 		}
 		if got, want := a.windowed, st == rules.StrategyWindow; got != want {
 			t.Errorf("%s: strategy %s but windowed = %v", a.name, st, got)
-		}
-		if a.maintain != nil {
-			if name := a.maintain(nil, nil).Name(); name != a.name {
-				t.Errorf("%s: constructor builds the %q maintainer", a.name, name)
-			}
 		}
 	}
 	if len(aggregateByName) != len(aggregates) {

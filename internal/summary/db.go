@@ -68,9 +68,9 @@ type Counters struct {
 	Hits        int64 // lookups answered from a fresh entry
 	Misses      int64 // lookups that computed from the data
 	StaleRefill int64 // lookups that found a stale entry and recomputed
-	Incremental int64 // deltas folded into maintainers
+	Incremental int64 // deltas folded into kept states, once per entry re-finalized
 	Slides      int64 // deltas absorbed by quantile windows
-	Rebuilds    int64 // maintainer/window rebuilds (full column passes)
+	Rebuilds    int64 // kept-state/window rebuilds (full column passes)
 	Recomputes  int64 // strategy- or policy-forced recomputations
 	Passes      int64 // total full column passes through Sources
 }
@@ -81,14 +81,14 @@ type entry struct {
 	attrs  []string
 	result Result
 	fresh  bool
-	// Maintenance state, populated according to the function's strategy.
-	maint incr.Maintainer // StrategyIncremental
-	win   *medwin.Window  // StrategyWindow
+	// win is a windowed row's maintenance state (StrategyWindow); moments
+	// and tabled rows re-finalize from their attribute's kept state.
+	win *medwin.Window
 	// source re-reads the column for rebuilds (built-in functions).
 	source Source
 	// runs, when set, re-reads the column as a run column; refreshes
-	// prefer it over source (runs.go). Run-served entries carry no
-	// maintainer or window — updates invalidate, the next access refills.
+	// prefer it over source (runs.go). A run-served fill keeps no state:
+	// its entry is maintained only from a state a row fill kept.
 	runs RunSource
 }
 
@@ -120,6 +120,13 @@ type DB struct {
 	// each batch into it, and Invalidate, SetPolicy or a delete it cannot
 	// account for drops it.
 	tables map[string]*exec.FreqTable // guarded by mu
+	// moments is the moments family's kept state: per attribute, the
+	// KeptMoments every moments row (count … max) re-finalizes from once
+	// an update has merged in. The first row fill of a moments row keeps
+	// it, folded from the column that fill read; OnUpdate merges each
+	// batch into it once, refolding it when the batch leaves it unable to
+	// answer; Invalidate and SetPolicy drop it.
+	moments map[string]*keptMoments // guarded by mu
 	// Every count lives once, in the DB's own registry (the pattern of
 	// storage.BufferPool): met caches its handles, Counters reads them and
 	// core.DBMS.Metrics merges the registry into the system snapshot. What
@@ -139,16 +146,25 @@ type DB struct {
 // NewDB creates an empty Summary Database driven by mdb's strategies.
 func NewDB(mdb *rules.ManagementDB) *DB {
 	reg := obs.NewRegistry()
-	return &DB{mdb: mdb, idx: index.New(), tables: map[string]*exec.FreqTable{}, WindowCapacity: 100, reg: reg, met: newDBMetrics(reg)}
+	return &DB{mdb: mdb, idx: index.New(), tables: map[string]*exec.FreqTable{}, moments: map[string]*keptMoments{},
+		WindowCapacity: 100, reg: reg, met: newDBMetrics(reg)}
 }
 
-// SetPolicy switches the cache-wide update policy. Retained tables are
+// keptMoments is one attribute's kept moments state and the source that
+// refolds it.
+type keptMoments struct {
+	exec.KeptMoments
+	source Source
+}
+
+// SetPolicy switches the cache-wide update policy. Kept states are
 // per-function state only PolicyStrategies maintains: none outlives it.
 func (db *DB) SetPolicy(p Policy) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.policy = p
 	clear(db.tables)
+	clear(db.moments)
 }
 
 // dbMetrics caches the registry handles: the Counters families plus the
@@ -230,9 +246,10 @@ func (db *DB) Scalar(fn, attr string, source Source) (float64, error) {
 // ScalarFrom is Scalar with every input form the caller can offer. A
 // non-nil Runs or Gather is a decision, not a hint: the view layer has
 // already judged the column run-eligible, or its sharded copy current.
-// Entries served from runs or a gather install no incremental maintainer
-// or window (no rows were read): updates invalidate them, and the next
-// access refills. A run read that fails falls back to the row source.
+// Fills served from runs or a gather keep no state and install no window
+// (no rows were read): updates invalidate their entries unless a row
+// fill kept the attribute's state, and the next access refills. A run
+// read that fails falls back to the row source.
 func (db *DB) ScalarFrom(fn, attr string, src Sources) (float64, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -283,9 +300,10 @@ func (db *DB) ScalarFrom(fn, attr string, src Sources) (float64, error) {
 // fill computes built-in entry e from the first input form on offer —
 // the attribute's retained table (no column is read), gather (the
 // caller's, never stored: an attachment can fall behind between calls),
-// e.runs, e.source — and records the result on e as fresh. retain asks a
-// tabled row's fold over the rows to leave its table behind for OnUpdate
-// to maintain. Sources cannot return errors, so a budget breached during
+// e.runs, e.source — and records the result on e as fresh. A fold over
+// the rows leaves behind the state OnUpdate maintains: a window, the
+// attribute's kept moments, and — when retain asks — a tabled row's
+// table. Sources cannot return errors, so a budget breached during
 // the scan surfaces between scan and fold, before the fold spends more;
 // and neither a breach nor an incomplete gather leaves anything in the
 // cache. The caller holds db.mu.
@@ -339,7 +357,7 @@ func (db *DB) fill(e *entry, gather GatherSource, retain bool) (float64, error) 
 		return 0, err
 	}
 	var keep *exec.FreqTable
-	if retain && db.maintainsTable(a) {
+	if retain && a.tabled() && db.maintained(a) {
 		keep = new(exec.FreqTable)
 	}
 	v, err := db.foldRows(a, xs, valid, keep)
@@ -347,19 +365,35 @@ func (db *DB) fill(e *entry, gather GatherSource, retain bool) (float64, error) 
 		return 0, err
 	}
 	if v, err = db.install(e, v); err == nil {
-		db.installMaintenance(a, e, xs, valid)
+		db.installWindow(a, e, xs, valid)
 		if keep != nil {
 			db.tables[attr] = keep
+		}
+		if a.moments != nil && db.maintained(a) {
+			db.keepMoments(attr, e.source, xs, valid)
 		}
 	}
 	return v, err
 }
 
-// maintainsTable reports whether a's entries are kept current from a
-// retained table: a tabled row whose strategy, under the per-function
+// maintained reports whether a moments or tabled row a is kept current
+// from its attribute's kept state: its strategy, under the per-function
 // policy, is incremental.
-func (db *DB) maintainsTable(a *aggregate) bool {
-	return a.tabled() && db.policy == PolicyStrategies && db.mdb.StrategyFor(a.name) == rules.StrategyIncremental
+func (db *DB) maintained(a *aggregate) bool {
+	return db.policy == PolicyStrategies && db.mdb.StrategyFor(a.name) == rules.StrategyIncremental
+}
+
+// keepMoments keeps attr's moments state, folded from the column a fill
+// has just read. A kept state is current — every update merges into it —
+// so it is refolded only when it has lost an extremum, which the column
+// in hand restores for free.
+func (db *DB) keepMoments(attr string, source Source, xs []float64, valid []bool) {
+	if k := db.moments[attr]; k != nil {
+		if lostMin, lostMax := k.Lost(); !lostMin && !lostMax {
+			return
+		}
+	}
+	db.moments[attr] = &keptMoments{KeptMoments: exec.KeepMoments(xs, valid), source: source}
 }
 
 // install records v on e as its fresh result, unless the fold that
@@ -400,24 +434,16 @@ func (db *DB) readGather(gather GatherSource, freq bool) (State, bool, error) {
 	return st, complete, err
 }
 
-// installMaintenance attaches the maintainer or window dictated by the
-// function's strategy, reusing the already-read column.
-func (db *DB) installMaintenance(a *aggregate, e *entry, xs []float64, valid []bool) {
-	if db.policy != PolicyStrategies {
-		return // policy benches manage freshness, not per-function state
+// installWindow attaches a windowed row's sliding window when the
+// function's strategy asks for one, reusing the already-read column.
+// Policy benches manage freshness, not per-function state.
+func (db *DB) installWindow(a *aggregate, e *entry, xs []float64, valid []bool) {
+	if !a.windowed || db.policy != PolicyStrategies || db.mdb.StrategyFor(e.fn) != rules.StrategyWindow {
+		return
 	}
-	switch db.mdb.StrategyFor(e.fn) {
-	case rules.StrategyIncremental:
-		if a.maintain != nil {
-			e.maint = a.maintain(xs, valid)
-		}
-	case rules.StrategyWindow:
-		if a.windowed {
-			if w, err := medwin.NewQuantile(xs, valid, a.quantile, db.WindowCapacity); err == nil {
-				w.SetCounters(db.met.medSlides, db.met.medRebuilds)
-				e.win = w
-			}
-		}
+	if w, err := medwin.NewQuantile(xs, valid, a.quantile, db.WindowCapacity); err == nil {
+		w.SetCounters(db.met.medSlides, db.met.medRebuilds)
+		e.win = w
 	}
 }
 
@@ -464,13 +490,14 @@ func (db *DB) StoreCustom(fn string, attrs []string, r Result) {
 }
 
 // Invalidate marks every entry touching attr stale — the bulk
-// invalidation of Section 4.3 — and drops attr's retained table. It uses
+// invalidation of Section 4.3 — and drops attr's kept states. It uses
 // the attribute-clustered index scan, which experiment "ablation:
 // clustering" measures.
 func (db *DB) Invalidate(attr string) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	delete(db.tables, attr)
+	delete(db.moments, attr)
 	n := 0
 	db.idx.ScanPrefix(index.Key(attr), func(_ []byte, slot int64) bool {
 		e := db.entries[slot]
@@ -497,16 +524,27 @@ func (db *DB) OnUpdate(attr string, deltas []incr.Delta) {
 	defer db.mu.Unlock()
 	sp := db.tracer.Begin("summary.update", obs.A("attr", attr))
 	defer sp.End()
-	var t updateTally
-	table := db.tables[attr]
-	if table != nil && !table.Apply(changes(deltas)) {
-		// A delete of a value the table does not hold — the defeated-min/max
-		// rule: its entries go stale and the next access refills.
+	u := batchUpdate{deltas: deltas, table: db.tables[attr]}
+	if kept := db.moments[attr]; kept != nil {
+		u.absorbed = int64(len(deltas))
+		if !kept.Apply(deltas) || db.lostAnswer(attr, &kept.KeptMoments) {
+			// A delete the state cannot retract, or the last copy of an
+			// extremum a cached entry reads: refold from the data (Section 4.3).
+			xs, valid := db.readSource(kept.source)
+			kept.KeptMoments = exec.KeepMoments(xs, valid)
+			u.rebuilds++
+			u.absorbed = 0
+		}
+		u.moments = &kept.Moments
+	}
+	if u.table != nil && !u.table.Apply(changes(deltas)) {
+		// A delete of a value the table does not hold: its entries go stale
+		// and the next access refills.
 		delete(db.tables, attr)
-		table = nil
+		u.table = nil
 	}
 	db.idx.ScanPrefix(index.Key(attr), func(_ []byte, slot int64) bool {
-		db.applyUpdate(db.entries[slot], deltas, table, &t)
+		db.applyUpdate(db.entries[slot], &u)
 		return true
 	})
 	publish := func(c *obs.Counter, key string, n int64) {
@@ -515,17 +553,36 @@ func (db *DB) OnUpdate(attr string, deltas []incr.Delta) {
 			sp.SetAttr(key, strconv.FormatInt(n, 10))
 		}
 	}
-	publish(db.met.incremental, "incremental", t.incremental)
-	publish(db.met.slides, "slides", t.slides)
-	publish(db.met.rebuilds, "rebuilds", t.rebuilds)
-	publish(db.met.recomputes, "recomputes", t.recomputes)
+	publish(db.met.incremental, "incremental", u.incremental)
+	publish(db.met.slides, "slides", u.slides)
+	publish(db.met.rebuilds, "rebuilds", u.rebuilds)
+	publish(db.met.recomputes, "recomputes", u.recomputes)
 }
 
-// updateTally is what one OnUpdate pass did across the entries it
-// touched: deltas folded into maintainers, deltas slid through windows,
-// maintenance state rebuilt from the column, entries recomputed by
+// lostAnswer reports whether attr caches an extremum k has lost.
+func (db *DB) lostAnswer(attr string, k *exec.KeptMoments) bool {
+	cached := func(fn string) bool {
+		_, ok := db.idx.Get(entryKey(fn, []string{attr}))
+		return ok
+	}
+	lostMin, lostMax := k.Lost()
+	return lostMin && cached("min") || lostMax && cached("max")
+}
+
+// batchUpdate is one OnUpdate pass: the batch, the attribute's kept
+// states with it merged in (nil where none lives), the deltas the moments
+// state absorbed without a refold, and what the pass did across the
+// entries it touched — deltas folded into kept states, deltas slid
+// through windows, state rebuilt from the column, entries recomputed by
 // policy.
-type updateTally struct{ incremental, slides, rebuilds, recomputes int64 }
+type batchUpdate struct {
+	deltas   []incr.Delta
+	moments  *exec.Moments
+	table    *exec.FreqTable
+	absorbed int64
+
+	incremental, slides, rebuilds, recomputes int64
+}
 
 // changes restates a delta batch as the signed multiplicity changes the
 // frequency table merges.
@@ -542,9 +599,8 @@ func changes(deltas []incr.Delta) []exec.Change {
 	return out
 }
 
-// applyUpdate is one entry's reaction; table is the attribute's retained
-// frequency table with the batch already merged in, nil when none lives.
-func (db *DB) applyUpdate(e *entry, deltas []incr.Delta, table *exec.FreqTable, t *updateTally) {
+// applyUpdate is one entry's reaction to the batch u carries.
+func (db *DB) applyUpdate(e *entry, u *batchUpdate) {
 	switch db.policy {
 	case PolicyInvalidateAll:
 		e.fresh = false
@@ -553,37 +609,15 @@ func (db *DB) applyUpdate(e *entry, deltas []incr.Delta, table *exec.FreqTable, 
 		e.fresh = false
 		if e.source != nil {
 			if _, err := db.fill(e, nil, false); err == nil {
-				t.recomputes++
+				u.recomputes++
 			}
 		}
 		return
 	}
 
 	// PolicyStrategies.
-	switch {
-	case e.maint != nil:
-		ok := true
-		for _, d := range deltas {
-			if !e.maint.Apply(d) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			// Defeated (e.g. min's last copy deleted): rebuild from data.
-			xs, valid := db.readSource(e.source)
-			t.rebuilds++
-			e.maint.Rebuild(xs, valid)
-		} else {
-			t.incremental += int64(len(deltas))
-		}
-		if v, err := e.maint.Value(); err == nil {
-			e.result, e.fresh = ScalarOf(v), true
-		} else {
-			e.fresh = false
-		}
-	case e.win != nil:
-		for _, d := range deltas {
+	if e.win != nil {
+		for _, d := range u.deltas {
 			if d.Delete {
 				if err := e.win.Delete(d.Old); err != nil {
 					e.fresh = false
@@ -593,12 +627,12 @@ func (db *DB) applyUpdate(e *entry, deltas []incr.Delta, table *exec.FreqTable, 
 			if d.Insert {
 				e.win.Insert(d.New)
 			}
-			t.slides++
+			u.slides++
 		}
 		if e.win.NeedsRebuild() {
 			// The pointer ran off: regenerate with one pass (Section 4.2).
 			xs, valid := db.readSource(e.source)
-			t.rebuilds++
+			u.rebuilds++
 			e.win.Rebuild(xs, valid)
 		}
 		if v, err := e.win.Value(); err == nil {
@@ -606,17 +640,30 @@ func (db *DB) applyUpdate(e *entry, deltas []incr.Delta, table *exec.FreqTable, 
 		} else {
 			e.fresh = false
 		}
-	default:
-		// A tabled row re-finalizes from the merged table. Everything else
-		// goes stale: StrategyInvalidate, custom entries, a tabled row whose
-		// table is gone.
-		e.fresh = false
-		if a := aggregateByName[e.fn]; table != nil && a != nil && a.tabled() {
-			if v, err := a.freq(*table); err == nil {
-				e.result, e.fresh = ScalarOf(v), true
-				t.incremental += int64(len(deltas))
-			}
+		return
+	}
+	// A moments or tabled row re-finalizes from its attribute's kept state.
+	// Everything else goes stale: StrategyInvalidate, custom entries, a row
+	// whose state is gone.
+	e.fresh = false
+	a := aggregateByName[e.fn]
+	var v float64
+	var err error
+	switch {
+	case a == nil:
+		return
+	case a.moments != nil && u.moments != nil:
+		u.incremental += u.absorbed
+		v, err = a.moments(*u.moments)
+	case a.tabled() && u.table != nil:
+		if v, err = a.freq(*u.table); err == nil {
+			u.incremental += int64(len(u.deltas))
 		}
+	default:
+		return
+	}
+	if err == nil {
+		e.result, e.fresh = ScalarOf(v), true
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 const ParallelThreshold = 2 * exec.DefaultChunk
 
 // SetExec attaches an execution pool so whole-column recomputations
-// (cache misses, stale refills, maintainer rebuild passes feeding
-// foldRows) run chunk-parallel. A nil or single-worker pool — or
-// chunk <= 0 with short columns — keeps today's serial behavior.
+// (cache misses and stale refills) run chunk-parallel. A nil or
+// single-worker pool — or chunk <= 0 with short columns — keeps today's
+// serial behavior.
 // Results are deterministic for any worker count; order-insensitive
 // functions (count, min, max, median, quartiles, mode, unique) are
 // bit-identical to serial, while sum, mean, variance and sd may differ

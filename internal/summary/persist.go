@@ -15,7 +15,7 @@ import (
 // (Section 3.2), so it is storable: entries go to a heap file of
 // (function, attributes, freshness, result) records; Load rebuilds the
 // in-memory (attributes..., function) index — the paper's clustering and
-// index choice — by scanning it. Maintenance state (maintainers, windows)
+// index choice — by scanning it. Maintenance state (kept states, windows)
 // is rebuilt lazily after Load, exactly like the invalidate-fallback of
 // Section 4.3.
 

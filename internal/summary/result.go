@@ -8,10 +8,10 @@
 // cached functions with one clustered scan (Section 4.1).
 //
 // Updates to the view propagate into the cache according to the
-// Management Database's per-function strategy: finite-differenced
-// maintainers for the Koenig–Paige aggregates, sliding order-statistic
-// windows for quantiles, and invalidate-lazily for everything else
-// (Sections 4.2–4.3).
+// Management Database's per-function strategy: the Koenig–Paige
+// aggregates and mode and unique re-finalized from a state kept per
+// attribute, sliding order-statistic windows for quantiles, and
+// invalidate-lazily for everything else (Sections 4.2–4.3).
 package summary
 
 import (

@@ -131,7 +131,7 @@ func TestMinDefeatTriggersRebuild(t *testing.T) {
 	if _, err := db.Scalar("min", "X", c.source()); err != nil {
 		t.Fatal(err)
 	}
-	// Raise the unique minimum: defeats the maintainer, forcing a rebuild
+	// Raise the unique minimum: the kept state loses it, forcing a rebuild
 	// pass.
 	d := c.update(1, 100)
 	db.OnUpdate("X", []incr.Delta{d})
@@ -276,7 +276,7 @@ func TestMultiAttributeEntries(t *testing.T) {
 		t.Fatalf("pair entry = %v, %v", r, ok)
 	}
 	// Updates to either attribute invalidate the pair entry.
-	db.OnUpdate("X", []incr.Delta{incr.InsertOf(1)})
+	db.OnUpdate("X", []incr.Delta{{Insert: true, New: 1}})
 	if _, ok := db.Lookup("correlation", "X", "Y"); ok {
 		t.Error("pair entry survived update of first attribute")
 	}

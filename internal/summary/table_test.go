@@ -132,7 +132,7 @@ func TestTableMergeMatchesRebuild(t *testing.T) {
 func TestTableDeleteOfAbsent(t *testing.T) {
 	db, c := retained(t, 60, rand.New(rand.NewSource(1)))
 	ask(t, db, c, "unique")
-	db.OnUpdate("X", []incr.Delta{incr.DeleteOf(12345)})
+	db.OnUpdate("X", []incr.Delta{{Delete: true, Old: 12345}})
 	if db.tables["X"] != nil {
 		t.Error("a delete of an absent value left the table in place")
 	}
@@ -247,10 +247,13 @@ func TestTableNotRetainedOverBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkOnUpdateFreq is one update's maintenance of mode and unique
-// at the statement benchmark's shape: 200 000 rows of 3-decimal floats
-// (≈70 000 distinct), a 2 000-delta batch applied forward, then back.
-func BenchmarkOnUpdateFreq(b *testing.B) {
+// benchOnUpdate times one update's maintenance of fns at the statement
+// benchmark's shape: 200 000 rows of 3-decimal floats (≈70 000
+// distinct), a 2 000-delta batch applied forward, then back. The set-up
+// asks each function, updates forth and back, and asks again, so every
+// state fns are maintained from is in place before the clock starts; the
+// timed updates must then leave every entry fresh without a column pass.
+func benchOnUpdate(b *testing.B, fns ...string) {
 	rng := rand.New(rand.NewSource(1))
 	c := &nullable{xs: make([]float64, 200_000), valid: make([]bool, 200_000)}
 	for i := range c.xs {
@@ -263,21 +266,18 @@ func BenchmarkOnUpdateFreq(b *testing.B) {
 		i := k * 100
 		fwd[k], back[len(back)-1-k] = incr.UpdateOf(c.xs[i], 42.5), incr.UpdateOf(42.5, c.xs[i])
 	}
-	for _, fn := range []string{"mode", "unique"} {
-		if _, err := db.Scalar(fn, "X", c.source()); err != nil {
-			b.Fatal(err)
+	ask := func() {
+		for _, fn := range fns {
+			if _, err := db.Scalar(fn, "X", c.source()); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+	ask()
 	db.OnUpdate("X", fwd)
 	db.OnUpdate("X", back)
-	for _, fn := range []string{"mode", "unique"} {
-		if _, err := db.Scalar(fn, "X", c.source()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if db.tables["X"] == nil || c.passes != 3 {
-		b.Fatalf("set-up: table %v after %d passes, want one retained by the third", db.tables["X"], c.passes)
-	}
+	ask()
+	passes := c.passes
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -285,7 +285,19 @@ func BenchmarkOnUpdateFreq(b *testing.B) {
 		db.OnUpdate("X", back)
 	}
 	b.StopTimer()
-	if _, ok := db.Lookup("mode", "X"); !ok || c.passes != 3 {
-		b.Fatalf("mode fresh = %v after %d passes: maintenance fell back to the column", ok, c.passes)
+	for _, fn := range fns {
+		if _, ok := db.Lookup(fn, "X"); !ok || c.passes != passes {
+			b.Fatalf("%s fresh = %v after %d more passes: maintenance fell back to the column", fn, ok, c.passes-passes)
+		}
 	}
+}
+
+// BenchmarkOnUpdateFreq maintains mode and unique from the retained
+// frequency table.
+func BenchmarkOnUpdateFreq(b *testing.B) { benchOnUpdate(b, "mode", "unique") }
+
+// BenchmarkOnUpdateMoments maintains the seven moments rows from the
+// kept moments.
+func BenchmarkOnUpdateMoments(b *testing.B) {
+	benchOnUpdate(b, "count", "sum", "mean", "variance", "sd", "min", "max")
 }

@@ -17,7 +17,6 @@ func TestBuilderDecode(t *testing.T) {
 	}
 	mdb := rules.NewManagementDB()
 	v, err := NewBuilder(archive, mdb, "fig1").
-		WithOptions(Options{UndoMode: UndoReplay}).
 		Decode("AGE_GROUP").
 		Sort(relalg.SortKey{Attr: "AGE_GROUP"}).
 		Build("decoded", "boral")
@@ -51,10 +50,7 @@ func TestBuilderDecode(t *testing.T) {
 	}
 }
 
-func TestUndoModeStrings(t *testing.T) {
-	if UndoPhysical.String() != "physical" || UndoReplay.String() != "replay" {
-		t.Error("undo mode strings wrong")
-	}
+func TestBackingStrings(t *testing.T) {
 	if BackingMemory.String() != "memory" || BackingRow.String() != "row" || BackingTransposed.String() != "transposed" {
 		t.Error("backing strings wrong")
 	}

@@ -82,12 +82,6 @@ func storeMatchesData(t *testing.T, v *View, step string) {
 // update, undo or rollback returns — except on the RLE column, whose
 // fills are run-served, retain nothing, and go stale as they always did.
 func TestUpdateSequenceMatchesRecompute(t *testing.T) {
-	// The step that leaves nothing (on the row backing: one constant)
-	// behind. The moment maintainers' running sums keep the rounding
-	// residue of everything deleted (incr's algebra, ROADMAP 1b), which no
-	// bound relative to what remains admits; the order-insensitive
-	// functions have no such excuse and are still checked there.
-	const degenerate = "update 7"
 	backings := []struct {
 		name    string
 		backing Backing
@@ -110,7 +104,7 @@ func TestUpdateSequenceMatchesRecompute(t *testing.T) {
 					t.Fatalf("column %s is stored %v (%v), want %v", b.attr, enc, err, b.enc)
 				}
 			}
-			original := v.Dataset().Clone()
+			original := updateFixture(t, 2500, b.backing != BackingRow).Dataset()
 			verify := func(step string) {
 				t.Helper()
 				xs, valid, err := v.Dataset().NumericByName(b.attr)
@@ -120,9 +114,6 @@ func TestUpdateSequenceMatchesRecompute(t *testing.T) {
 				cur := shape{name: b.name, xs: xs, valid: valid}
 				ref := summary.NewDB(rules.NewManagementDB())
 				for _, fn := range summary.Functions() {
-					if step == degenerate && !exactFns[fn] {
-						continue
-					}
 					got, gerr := v.Compute(fn, b.attr)
 					want, werr := ref.Scalar(fn, b.attr, cur.source())
 					cur.check(t, step, fn, answer{got, gerr}, answer{want, werr}, incrRel)
@@ -157,7 +148,7 @@ func TestUpdateSequenceMatchesRecompute(t *testing.T) {
 				verify(step)
 			}
 
-			verify("initial") // installs every maintainer and window
+			verify("initial") // installs every kept state and window
 			update("update 1", group(), dataset.Float(41.5))
 			if err := v.Undo(); err != nil {
 				t.Fatal(err)
@@ -185,7 +176,7 @@ func TestUpdateSequenceMatchesRecompute(t *testing.T) {
 				t.Fatal(err)
 			}
 			update("update 6", relalg.Cmp{Attr: b.attr, Op: relalg.Eq, Val: dataset.Float(mode)}, hole)
-			update(degenerate, relalg.All{}, hole)
+			update("update 7", relalg.All{}, hole)
 			if err := v.RollbackTo(mark.Seq); err != nil {
 				t.Fatal(err)
 			}
@@ -288,7 +279,7 @@ func TestUpdateRevertsOnWriteThroughFault(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				data := v.Dataset().Clone()
+				data := updateFixture(t, 3000, backing != BackingRow).Dataset()
 				cache := v.Summary().Dump()
 				counters := v.Summary().Counters()
 

@@ -23,51 +23,20 @@ import (
 	"statdb/internal/summary"
 )
 
-// UndoMode selects how updates are made reversible (the undo-granularity
-// ablation of DESIGN.md).
-type UndoMode uint8
-
-const (
-	// UndoPhysical stores per-cell before-images; undo restores them
-	// directly. More log space, O(changed cells) undo.
-	UndoPhysical UndoMode = iota
-	// UndoReplay stores only the logical operation; undo rebuilds the
-	// view from its base snapshot and replays all but the last update.
-	// Minimal log space, O(view) undo.
-	UndoReplay
-)
-
-func (m UndoMode) String() string {
-	if m == UndoReplay {
-		return "replay"
-	}
-	return "physical"
-}
-
-// replayOp is a logical update that can be re-executed.
-type replayOp struct {
-	attr  string
-	pred  relalg.Predicate
-	value dataset.Value
-}
-
 // View is one analyst's concrete view. It is safe for concurrent use:
 // readers (Compute, Column, RowAt, Describe, Cached) share the view while
 // updates (UpdateWhere, Undo, AddDerived) exclude everyone — the "group
 // of users" sharing of Section 3.2. Lock order is view before Summary
 // Database; Dataset() escapes the lock and must not be mutated.
 type View struct {
-	mu       sync.RWMutex
-	scanMu   sync.Mutex // guards columnScans and rowReads (leaf lock)
-	name     string
-	analyst  string
-	data     *dataset.Dataset
-	mdb      *rules.ManagementDB
-	sdb      *summary.DB
-	history  *rules.History
-	undoMode UndoMode         // guarded by mu
-	base     *dataset.Dataset // guarded by mu; snapshot for UndoReplay
-	replay   []replayOp       // guarded by mu; parallel to history records
+	mu      sync.RWMutex
+	scanMu  sync.Mutex // guards columnScans and rowReads (leaf lock)
+	name    string
+	analyst string
+	data    *dataset.Dataset
+	mdb     *rules.ManagementDB
+	sdb     *summary.DB
+	history *rules.History
 	// Access-pattern tracking for dynamic reorganization (Section 2.7).
 	columnScans map[string]int64 // guarded by scanMu
 	rowReads    int64            // guarded by scanMu
@@ -93,7 +62,6 @@ type View struct {
 
 // Options configure view construction.
 type Options struct {
-	UndoMode UndoMode
 	// Parallelism sizes the execution pool for materialization steps and
 	// Summary Database recomputations. 0 or 1 keeps everything serial
 	// (the pre-engine behavior); core.DBMS defaults it to GOMAXPROCS.
@@ -137,7 +105,6 @@ func New(data *dataset.Dataset, mdb *rules.ManagementDB, def rules.ViewDef, opts
 		mdb:          mdb,
 		sdb:          summary.NewDB(mdb),
 		history:      h,
-		undoMode:     opts.UndoMode,
 		columnScans:  make(map[string]int64),
 		runThreshold: defaultRunThreshold,
 	}
@@ -147,9 +114,6 @@ func New(data *dataset.Dataset, mdb *rules.ManagementDB, def rules.ViewDef, opts
 	v.sdb.SetTracer(opts.Tracer)
 	if opts.Parallelism > 1 {
 		v.sdb.SetExec(exec.New(opts.Parallelism).WithMetrics(opts.Metrics), 0)
-	}
-	if v.undoMode == UndoReplay {
-		v.base = data.Clone()
 	}
 	v.data.SetName(def.Name)
 	return v, nil
@@ -536,9 +500,6 @@ func (v *View) updateWhere(attr string, pred relalg.Predicate, value dataset.Val
 		Seq: v.mdb.NextSeq(), Analyst: v.analyst, Description: desc,
 		Attr: attr, New: value, Rows: rows, Old: old,
 	})
-	if v.undoMode == UndoReplay {
-		v.replay = append(v.replay, replayOp{attr: attr, pred: pred, value: value})
-	}
 	v.propagate(attr, rows, deltas)
 	return len(rows), nil
 }
@@ -693,15 +654,6 @@ func (v *View) AddDerived(attr dataset.Attribute, rule rules.DerivedRule) error 
 	// shape. The sharded copy lacks the column too.
 	v.store = nil
 	v.shardsBehind = true
-	if v.undoMode == UndoReplay {
-		// Derived columns are regenerable; fold them into the base so
-		// replays start from the extended schema.
-		v.base = v.data.Clone()
-		v.replay = nil
-		// History before this point can no longer be replayed; undo of
-		// pre-derivation updates requires physical images, which remain
-		// in the history records.
-	}
 	return nil
 }
 
@@ -720,57 +672,23 @@ func (v *View) undo() error {
 		return err
 	}
 	v.shardsBehind = true
-	switch v.undoMode {
-	case UndoPhysical:
-		// Restore the before-image and push the inverse deltas — last
-		// changed record first, the order a cell-at-a-time undo gave
-		// them: the maintainers' floating-point sums depend on it.
-		ci := v.data.Schema().Index(rec.Attr)
-		if ci < 0 {
-			return fmt.Errorf("view %s: undo references missing attribute %q", v.name, rec.Attr)
-		}
-		if err := v.writeRows(ci, rec.Attr, rec.Rows, rec.Old.At); err != nil {
-			return err
-		}
-		deltas := make([]incr.Delta, len(rec.Rows))
-		for k := range rec.Rows {
-			deltas[len(deltas)-1-k] = deltaFor(rec.New, rec.Old.At(k))
-		}
-		// Reuse the rule-firing path so derived attributes follow.
-		v.propagate(rec.Attr, rec.Rows, deltas)
-		return nil
-	case UndoReplay:
-		if v.base == nil {
-			return fmt.Errorf("view %s: replay undo without base snapshot", v.name)
-		}
-		if len(v.replay) == 0 {
-			return fmt.Errorf("view %s: replay log empty", v.name)
-		}
-		ops := v.replay[:len(v.replay)-1]
-		v.data = v.base.Clone()
-		v.data.SetName(v.name)
-		v.replay = nil
-		v.store = nil // replay rebuilt the data; stored image is stale
-		// Rebuild by replaying; replayed ops re-append to history, so
-		// drain the remaining records first.
-		for v.history.Len() > 0 {
-			if _, err := v.history.PopLast(); err != nil {
-				return err
-			}
-		}
-		for _, op := range ops {
-			if _, err := v.updateWhere(op.attr, op.pred, op.value); err != nil {
-				return err
-			}
-		}
-		// Summaries may be arbitrarily stale after the rebuild: drop
-		// freshness wholesale.
-		for _, attr := range v.data.Schema().Names() {
-			v.sdb.Invalidate(attr)
-		}
-		return nil
+	// Restore the before-image and push the inverse deltas — last changed
+	// record first, the order a cell-at-a-time undo gave them: the kept
+	// moments' floating-point sums depend on it.
+	ci := v.data.Schema().Index(rec.Attr)
+	if ci < 0 {
+		return fmt.Errorf("view %s: undo references missing attribute %q", v.name, rec.Attr)
 	}
-	return fmt.Errorf("view %s: unknown undo mode %d", v.name, v.undoMode)
+	if err := v.writeRows(ci, rec.Attr, rec.Rows, rec.Old.At); err != nil {
+		return err
+	}
+	deltas := make([]incr.Delta, len(rec.Rows))
+	for k := range rec.Rows {
+		deltas[len(deltas)-1-k] = deltaFor(rec.New, rec.Old.At(k))
+	}
+	// Reuse the rule-firing path so derived attributes follow.
+	v.propagate(rec.Attr, rec.Rows, deltas)
+	return nil
 }
 
 // RollbackTo undoes updates until the most recent history record has

@@ -128,8 +128,8 @@ func TestInvalidateWhereMarksMissing(t *testing.T) {
 }
 
 func TestUndoPhysical(t *testing.T) {
-	v := newView(t, 100, Options{UndoMode: UndoPhysical})
-	orig := v.Dataset().Clone()
+	v := newView(t, 100, Options{})
+	orig := salaryData(t, 100)
 	if _, err := v.Compute("mean", "SALARY"); err != nil {
 		t.Fatal(err)
 	}
@@ -168,39 +168,9 @@ func TestUndoPhysical(t *testing.T) {
 	}
 }
 
-func TestUndoReplay(t *testing.T) {
-	v := newView(t, 100, Options{UndoMode: UndoReplay})
-	orig := v.Dataset().Clone()
-	if _, err := v.UpdateWhere("SALARY", relalg.Cmp{Attr: "ID", Op: relalg.Lt, Val: dataset.Int(50)}, dataset.Float(111)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v.UpdateWhere("AGE", relalg.All{}, dataset.Int(30)); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Undo(); err != nil { // undo the AGE update
-		t.Fatal(err)
-	}
-	// First update survives, second is gone.
-	got, _ := v.Dataset().CellByName(0, "SALARY")
-	if !got.Equal(dataset.Float(111)) {
-		t.Errorf("first update lost: %v", got)
-	}
-	got, _ = v.Dataset().CellByName(1, "AGE")
-	if !got.Equal(orig.Cell(1, 2)) {
-		t.Errorf("AGE not rolled back: %v", got)
-	}
-	if err := v.Undo(); err != nil { // undo the SALARY update
-		t.Fatal(err)
-	}
-	got, _ = v.Dataset().CellByName(0, "SALARY")
-	if !got.Equal(orig.Cell(0, 1)) {
-		t.Errorf("SALARY not rolled back: %v", got)
-	}
-}
-
 func TestRollbackTo(t *testing.T) {
 	v := newView(t, 50, Options{})
-	orig := v.Dataset().Clone()
+	orig := salaryData(t, 50)
 	var seqs []int64
 	for i := 0; i < 4; i++ {
 		if _, err := v.UpdateWhere("SALARY",
