@@ -137,7 +137,8 @@ func E14RecoveryCost() (*Table, error) {
 	}
 	t.Finding = "at fault rate 0 recovery costs zero source passes (every entry restores fresh); " +
 		"when flips land, damage is page-granular — the 512-entry store at rate 0.2 loses 3 of its " +
-		"~19 pages and recomputes 141 entries instead of rebuilding 512, while transient errors are " +
+		"~19 pages, and its 141 lost entries cost 37 source passes (one per column they span) instead " +
+		"of the 128 a full rebuild reads, while transient errors are " +
 		"absorbed by the retry layer; a flip that reaches the commit record costs a full rebuild, " +
 		"never a wrong answer — every recovered answer was bit-identical to the clean run"
 	return t, nil

@@ -75,7 +75,7 @@ func E7Policies() (*Table, error) {
 			passes[summary.PolicyRecomputeAll],
 			best)
 	}
-	t.Finding = "per-function strategies dominate query-heavy mixes (maintainers answer without passes); invalidate-all converges to it under update floods; recompute-all pays a pass per update"
+	t.Finding = "per-function strategies pay one or two passes in every mix: the first read keeps the states every function finalizes from, and a second is paid only when an update comes before median's first fill and drops the table no cached row read; invalidate-all pays a pass per refill after each update, recompute-all a pass per cached function per update"
 	return t, nil
 }
 

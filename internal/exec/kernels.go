@@ -114,7 +114,13 @@ type KeptMoments struct {
 // KeepMoments folds xs like FoldMoments and counts, over the same
 // column, the copies of its extremes.
 func KeepMoments(xs []float64, valid []bool) KeptMoments {
-	k := KeptMoments{Moments: FoldMoments(xs, valid)}
+	return Keep(FoldMoments(xs, valid), xs, valid)
+}
+
+// Keep counts the copies of m's extremes over xs, the column m was
+// folded from by whichever route.
+func Keep(m Moments, xs []float64, valid []bool) KeptMoments {
+	k := KeptMoments{Moments: m}
 	for i, x := range xs {
 		if valid != nil && !valid[i] {
 			continue
@@ -124,6 +130,24 @@ func KeepMoments(xs []float64, valid []bool) KeptMoments {
 		}
 		if same(x, k.Max) {
 			k.MaxCopies++
+		}
+	}
+	return k
+}
+
+// KeepRuns is Keep over the run column m was folded from: a run holds
+// its count copies of its value.
+func KeepRuns(m Moments, rc RunColumn) KeptMoments {
+	k := KeptMoments{Moments: m}
+	for i, x := range rc.Vals {
+		if rc.Nulls[i] {
+			continue
+		}
+		if same(x, k.Min) {
+			k.MinCopies += rc.Counts[i]
+		}
+		if same(x, k.Max) {
+			k.MaxCopies += rc.Counts[i]
 		}
 	}
 	return k
@@ -237,26 +261,47 @@ func (m Moments) MeanValue() (float64, error) {
 // ColumnMoments folds a whole column through the pool: chunk-parallel
 // FoldMoments, then an ordered MergeMoments reduction.
 func ColumnMoments(p *Pool, xs []float64, valid []bool, chunk int) Moments {
+	m, _ := ColumnFold(p, xs, valid, chunk, true, false)
+	return m
+}
+
+// ColumnFold folds a whole column into the state families asked for —
+// moments, a frequency table, or both — in one pass through the pool:
+// each chunk folds every family asked, and the partials merge in chunk
+// order. A family not asked comes back zero (a nil Freq).
+func ColumnFold(p *Pool, xs []float64, valid []bool, chunk int, moments, freq bool) (Moments, Freq) {
+	fold := func(xs []float64, valid []bool) (m Moments, f Freq) {
+		if moments {
+			m = FoldMoments(xs, valid)
+		}
+		if freq {
+			f = FoldFreq(xs, valid)
+		}
+		return m, f
+	}
 	ranges := Chunks(len(xs), chunk)
 	if len(ranges) <= 1 || p.Workers() <= 1 {
-		return FoldMoments(xs, valid)
+		return fold(xs, valid)
 	}
-	parts := make([]Moments, len(ranges))
+	ms, fs := make([]Moments, len(ranges)), make([]Freq, len(ranges))
 	// Slicing can't fail; Run's error path is unused here.
 	//lint:allow error-flow the range kernel below never returns an error
 	_ = p.RunRanges(ranges, func(c int, r Range) error {
 		if valid == nil {
-			parts[c] = FoldMoments(xs[r.Lo:r.Hi], nil)
+			ms[c], fs[c] = fold(xs[r.Lo:r.Hi], nil)
 		} else {
-			parts[c] = FoldMoments(xs[r.Lo:r.Hi], valid[r.Lo:r.Hi])
+			ms[c], fs[c] = fold(xs[r.Lo:r.Hi], valid[r.Lo:r.Hi])
 		}
 		return nil
 	})
-	out := parts[0]
-	for _, pt := range parts[1:] {
-		out = MergeMoments(out, pt)
+	m, f := ms[0], fs[0]
+	for c := 1; c < len(ranges); c++ {
+		m = MergeMoments(m, ms[c])
+		if freq {
+			f = f.Merge(fs[c])
+		}
 	}
-	return out
+	return m, f
 }
 
 // Freq is the mergeable frequency-table state: value -> multiplicity of
@@ -443,23 +488,6 @@ func (t *FreqTable) Apply(batch []Change) bool {
 // FoldFreq, merged in chunk order (the merged multiset is identical for
 // any chunking, so this kernel is bit-exact vs the serial path).
 func ColumnFreq(p *Pool, xs []float64, valid []bool, chunk int) Freq {
-	ranges := Chunks(len(xs), chunk)
-	if len(ranges) <= 1 || p.Workers() <= 1 {
-		return FoldFreq(xs, valid)
-	}
-	parts := make([]Freq, len(ranges))
-	//lint:allow error-flow the range kernel below never returns an error
-	_ = p.RunRanges(ranges, func(c int, r Range) error {
-		if valid == nil {
-			parts[c] = FoldFreq(xs[r.Lo:r.Hi], nil)
-		} else {
-			parts[c] = FoldFreq(xs[r.Lo:r.Hi], valid[r.Lo:r.Hi])
-		}
-		return nil
-	})
-	out := parts[0]
-	for _, pt := range parts[1:] {
-		out = out.Merge(pt)
-	}
-	return out
+	_, f := ColumnFold(p, xs, valid, chunk, false, true)
+	return f
 }

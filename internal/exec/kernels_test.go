@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"statdb/internal/obs"
 )
 
 // testColumn builds a deterministic column with ~5% missing values.
@@ -133,4 +135,29 @@ func TestFreqTableSizedToItsValues(t *testing.T) {
 	check("shrunk")
 	set(0, 300, func(i int) float64 { return float64(i) + 0.5 }) // 300 new ones
 	check("grown")
+}
+
+// TestColumnFoldOnePass: asked for both families, ColumnFold returns what
+// ColumnMoments and ColumnFreq return apart, in one pass over the chunks;
+// a family not asked comes back zero.
+func TestColumnFoldOnePass(t *testing.T) {
+	xs, valid := testColumn(30011, 5)
+	for _, workers := range []int{1, 4} {
+		reg := obs.NewRegistry()
+		p := New(workers).WithMetrics(reg)
+		m, f := ColumnFold(p, xs, valid, 777, true, true)
+		if chunks := reg.Counter(obs.MExecChunks).Value(); workers > 1 && chunks != int64(len(Chunks(len(xs), 777))) {
+			t.Errorf("workers=%d: %d chunks run for one fold of %d", workers, chunks, len(Chunks(len(xs), 777)))
+		}
+		if want := ColumnMoments(p, xs, valid, 777); m != want {
+			t.Errorf("workers=%d: moments %+v, ColumnMoments %+v", workers, m, want)
+		}
+		st, wt := f.Table(), ColumnFreq(p, xs, valid, 777).Table()
+		if !slices.Equal(st.Values, wt.Values) || !slices.Equal(st.Counts, wt.Counts) {
+			t.Errorf("workers=%d: frequency table differs from ColumnFreq's", workers)
+		}
+		if m, f := ColumnFold(p, xs, valid, 777, false, false); m != (Moments{}) || f != nil {
+			t.Errorf("workers=%d: no family asked, got %+v and %d values", workers, m, len(f))
+		}
+	}
 }

@@ -185,3 +185,29 @@ func BenchmarkFoldRunsVsRows(b *testing.B) {
 		}
 	})
 }
+
+// TestKeepRunsCountsCopies: the copies of the extremes counted over runs
+// are the copies KeepMoments counts over the expansion, and Keep over a
+// column is KeepMoments.
+func TestKeepRunsCountsCopies(t *testing.T) {
+	g := lcg(777)
+	for trial := 0; trial < 200; trial++ {
+		rc := randomRunColumn(&g, 1+g.intn(60))
+		xs, valid, err := rc.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := FoldMomentsRuns(rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := KeepRuns(m, rc), KeepMoments(xs, valid)
+		if got.MinCopies != want.MinCopies || got.MaxCopies != want.MaxCopies {
+			t.Fatalf("trial %d: copies (%d, %d) over runs, (%d, %d) over rows",
+				trial, got.MinCopies, got.MaxCopies, want.MinCopies, want.MaxCopies)
+		}
+		if k := Keep(FoldMoments(xs, valid), xs, valid); k != want {
+			t.Fatalf("trial %d: Keep %+v, KeepMoments %+v", trial, k, want)
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"statdb/internal/obs"
@@ -140,12 +141,12 @@ func (w *Window) Insert(x float64) {
 		return
 	}
 	switch {
-	case x < w.window[0]:
+	case cmp.Less(x, w.window[0]):
 		w.below++
-	case x > w.window[len(w.window)-1]:
+	case cmp.Less(w.window[len(w.window)-1], x):
 		w.above++
 	default:
-		i := sort.SearchFloat64s(w.window, x)
+		i, _ := slices.BinarySearch(w.window, x)
 		w.window = append(w.window, 0)
 		copy(w.window[i+1:], w.window[i:])
 		w.window[i] = x
@@ -163,22 +164,21 @@ func (w *Window) Delete(x float64) error {
 	w.slides++
 	w.cSlides.Inc()
 	if !w.degenerate && len(w.window) > 0 {
-		i := sort.SearchFloat64s(w.window, x)
-		if i < len(w.window) && w.window[i] == x {
+		if i, found := slices.BinarySearch(w.window, x); found {
 			w.window = append(w.window[:i], w.window[i+1:]...)
 			if len(w.window) == 0 && w.below+w.above > 0 {
 				w.degenerate = true
 			}
 			return nil
 		}
-		if x < w.window[0] {
+		if cmp.Less(x, w.window[0]) {
 			if w.below == 0 {
 				return fmt.Errorf("medwin: delete of untracked value %g", x)
 			}
 			w.below--
 			return nil
 		}
-		if x > w.window[len(w.window)-1] {
+		if cmp.Less(w.window[len(w.window)-1], x) {
 			if w.above == 0 {
 				return fmt.Errorf("medwin: delete of untracked value %g", x)
 			}
@@ -226,20 +226,56 @@ func (w *Window) Rebuild(xs []float64, valid []bool) {
 			vals = append(vals, x)
 		}
 	}
-	n := len(vals)
+	start, end := w.place(len(vals))
+	selectRange(vals, start, end)
+	w.window = append([]float64(nil), vals[start:end]...)
+	w.rebuilds++
+	w.cRebuilds.Inc()
+}
+
+// NewQuantileFreq builds a p-quantile window from a sorted frequency
+// table — distinct values ascending, NaNs first, with their positive
+// multiplicities — the window NewQuantile would build from the column
+// the table describes, read off the table with no column pass.
+func NewQuantileFreq(values []float64, counts []int64, p float64, capacity int) (*Window, error) {
+	w, err := NewQuantile(nil, nil, p, capacity)
+	if err != nil {
+		return nil, err
+	}
+	var n int64
+	for _, c := range counts {
+		n += c
+	}
+	start, end := w.place(int(n))
+	w.window = make([]float64, 0, end-start)
+	at := 0 // order-statistic index of values[i]'s first copy
+	for i, v := range values {
+		if at >= end {
+			break
+		}
+		for k := max(at, start); k < min(at+int(counts[i]), end); k++ {
+			w.window = append(w.window, v)
+		}
+		at += int(counts[i])
+	}
+	return w, nil
+}
+
+// place centres a window of capacity on the quantile pointer over n
+// values: it sets below and above and returns the window's order-statistic
+// range [start, end).
+func (w *Window) place(n int) (start, end int) {
 	w.degenerate = false
 	if n == 0 {
 		w.below, w.above, w.window = 0, 0, nil
-		w.rebuilds++
-		w.cRebuilds.Inc()
-		return
+		return 0, 0
 	}
 	lo, hi := w.targetIdx(n)
-	start := lo - (w.capacity-(hi-lo+1))/2
+	start = lo - (w.capacity-(hi-lo+1))/2
 	if start < 0 {
 		start = 0
 	}
-	end := start + w.capacity
+	end = start + w.capacity
 	if end > n {
 		end = n
 		if start > end-w.capacity && end-w.capacity >= 0 {
@@ -249,12 +285,8 @@ func (w *Window) Rebuild(xs []float64, valid []bool) {
 			start = 0
 		}
 	}
-	selectRange(vals, start, end)
-	w.below = start
-	w.above = n - end
-	w.window = append([]float64(nil), vals[start:end]...)
-	w.rebuilds++
-	w.cRebuilds.Inc()
+	w.below, w.above = start, n-end
+	return start, end
 }
 
 // selectRange rearranges a so that a[start:end] holds, in ascending

@@ -401,3 +401,97 @@ func BenchmarkWindowRebuild(b *testing.B) {
 		w.Rebuild(xs, nil)
 	}
 }
+
+// table tabulates xs as a sorted frequency table: distinct values
+// ascending, NaNs first and counted as one value.
+func table(xs []float64) (values []float64, counts []int64) {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	for i, x := range sorted {
+		if i > 0 && (x == sorted[i-1] || x != x && sorted[i-1] != sorted[i-1]) {
+			counts[len(counts)-1]++
+			continue
+		}
+		values, counts = append(values, x), append(counts, 1)
+	}
+	return values, counts
+}
+
+// TestNewQuantileFreqMatchesColumn: a window seeded from the column's
+// frequency table is the window NewQuantile builds from the column —
+// the same counts either side, the same order statistics, the same value.
+func TestNewQuantileFreqMatchesColumn(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for label, distinct := range map[string]float64{"uniform": 1e6, "duplicates": 5, "all-equal": 1} {
+		for _, n := range []int{0, 1, 2, 17, 100, 1001} {
+			xs := randFloats(rng, n, distinct)
+			if label == "duplicates" && n > 0 {
+				xs[0] = math.NaN()
+			}
+			for _, p := range []float64{0.01, 0.25, 0.5, 0.99} {
+				for _, capacity := range []int{3, 10, 100} {
+					want, err := NewQuantile(xs, nil, p, capacity)
+					if err != nil {
+						t.Fatal(err)
+					}
+					values, counts := table(xs)
+					got, err := NewQuantileFreq(values, counts, p, capacity)
+					if err != nil {
+						t.Fatal(err)
+					}
+					same := got.below == want.below && got.above == want.above && len(got.window) == len(want.window)
+					for i := 0; same && i < len(got.window); i++ {
+						same = math.Float64bits(got.window[i]) == math.Float64bits(want.window[i]) ||
+							got.window[i] != got.window[i] && want.window[i] != want.window[i]
+					}
+					gv, gerr := got.Value()
+					wv, werr := want.Value()
+					if !same || (gerr == nil) != (werr == nil) || gerr == nil && gv != wv && gv == gv {
+						t.Fatalf("%s n=%d p=%g cap=%d: from the table %d|%v|%d = %v, from the column %d|%v|%d = %v",
+							label, n, p, capacity, got.below, got.window, got.above, gv, want.below, want.window, want.above, wv)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNaNSlidesInOrder: a NaN inserted or deleted slides like any value,
+// ordered first — where Rebuild and stats.Quantile put it — so the
+// maintained quantile stays the rebuilt one.
+func TestNaNSlidesInOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	draw := func() float64 {
+		if rng.Intn(6) == 0 {
+			return math.NaN()
+		}
+		return float64(rng.Intn(12)) / 4
+	}
+	for trial := 0; trial < 100; trial++ {
+		xs := make([]float64, 40+rng.Intn(40))
+		for i := range xs {
+			xs[i] = draw()
+		}
+		p := []float64{0.25, 0.5, 0.75}[trial%3]
+		w, err := NewQuantile(xs, nil, p, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 30; step++ {
+			i, x := rng.Intn(len(xs)), draw()
+			if err := w.Delete(xs[i]); err != nil {
+				t.Fatalf("trial %d step %d: delete %v: %v", trial, step, xs[i], err)
+			}
+			w.Insert(x)
+			xs[i] = x
+			if w.NeedsRebuild() {
+				w.Rebuild(xs, nil)
+			}
+			got, err := w.Value()
+			want, werr := stats.Quantile(xs, nil, p)
+			if err != nil || werr != nil || got != want && !(got != got && want != want) {
+				t.Fatalf("trial %d step %d: window %v (%v), stats %v (%v)", trial, step, got, err, want, werr)
+			}
+		}
+	}
+}

@@ -99,11 +99,7 @@ func (e *Executor) execHistogram(c HistogramCmd) error {
 	}
 	fn := fmt.Sprintf("histogram%d", c.Bins)
 	res, err := v.Cached(fn, []string{c.Attr}, func() (summary.Result, error) {
-		xs, valid, err := v.Column(c.Attr)
-		if err != nil {
-			return summary.Result{}, err
-		}
-		h, err := stats.NewHistogram(xs, valid, c.Bins)
+		h, err := v.Histogram(c.Attr, c.Bins)
 		if err != nil {
 			return summary.Result{}, err
 		}

@@ -168,7 +168,7 @@ func TestRecordMatchesRegistryDiff(t *testing.T) {
 	for _, situation := range []string{
 		"miss", "hit", "stale refill", "incremental", "slide", "rebuild", "policy recompute",
 		"budget breach", "error", "engine serial", "engine parallel", "gather", "degraded", "runs",
-		"maintained mode",
+		"maintained mode", "kept",
 	} {
 		if !seen[situation] {
 			t.Errorf("no statement on any backing exercised %q", situation)
@@ -231,6 +231,7 @@ func runRecordSession(t *testing.T, b recordBacking, seen map[string]bool) {
 			"gather":           delta(obs.MShardScatters) > 0,
 			"degraded":         delta(obs.MShardDegraded) > 0,
 			"runs":             delta(obs.MExecRunStrategyHits) > 0,
+			"kept":             delta(obs.MSummaryMisses) > 0 && delta(obs.MSummaryPasses) == 0,
 		} {
 			if hit {
 				seen[situation] = true
@@ -290,30 +291,47 @@ func runRecordSession(t *testing.T, b recordBacking, seen map[string]bool) {
 		ok(stmt)
 	}
 
-	// A ceiling below any column pass: a miss and a stale refill — the
-	// first after an update still scans — both breach, a hit still fits,
-	// and nothing the breach touched is cached.
+	// A ceiling below any column pass: a miss on a column no read has kept
+	// states for and a stale refill — the first after an update still
+	// scans — both breach, a hit still fits, and nothing the breach touched
+	// is cached.
 	d.SetQueryBudget(40, 0)
-	fails("compute variance AGE on mv")
+	fails("compute variance AGE on small")
 	fails("compute mode " + x + " on mv")
 	ok("compute mean AGE on mv")
 	_ = run("histogram AGE on mv bins 4") // breaches only where the column read is charged
 	d.SetQueryBudget(0, 0)
+	ok("compute variance AGE on small")
+	// describe read AGE once; variance, never asked, finalizes from the
+	// moments that read kept — on every backing, sharded ones included.
 	ok("compute variance AGE on mv")
+	roots := d.Tracer().Recent()
+	var scans func(s obs.SpanNode) int
+	scans = func(s obs.SpanNode) int {
+		n := 0
+		if s.Name == "scan" {
+			n++
+		}
+		for _, c := range s.Children {
+			n += scans(c.Node())
+		}
+		return n
+	}
+	if n := scans(roots[len(roots)-1].Node()); n != 0 || last.CacheMiss != 1 {
+		t.Errorf("variance beside AGE's kept moments: %d scans, %d misses; want a miss with no scan", n, last.CacheMiss)
+	}
 
-	// The refill within budget retains the frequency table (a run-served
-	// one has none to retain), so after the second update mode is a hit
-	// the update itself kept current.
-	tabled := b.attr != "GRADE"
+	// The refill within budget retains the frequency table, so after the
+	// second update mode is a hit the update itself kept current.
 	ok("compute mode " + x + " on mv")
 	ok("update mv set " + x + " = 1234 where AGE = 31")
-	if tabled && last.Strategy != "incremental" {
+	if last.Strategy != "incremental" {
 		t.Errorf("second update: strategy %q, want incremental", last.Strategy)
 	}
 	ok("compute mode " + x + " on mv")
-	if maintained := last.CacheHits == 1 && last.CacheMiss == 0; maintained != tabled {
+	if last.CacheHits != 1 || last.CacheMiss != 0 {
 		t.Errorf("mode re-asked after the second update: %d hits, %d misses", last.CacheHits, last.CacheMiss)
-	} else if maintained {
+	} else {
 		seen["maintained mode"] = true
 	}
 

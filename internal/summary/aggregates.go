@@ -24,9 +24,6 @@ type State struct {
 // row's state family and calls the same finalizer.
 type aggregate struct {
 	name string
-	// serial is the reference operator over a row slice (stats/desc.go);
-	// short columns and poolless databases answer through it.
-	serial func(xs []float64, valid []bool) (float64, error)
 	// Exactly one finalizer is set, and it names the state family: moments
 	// over exec.Moments, freq over the sorted frequency table. A freq row
 	// that does not need the order may also set unsorted, which answers
@@ -34,16 +31,17 @@ type aggregate struct {
 	moments  func(m exec.Moments) (float64, error)
 	freq     func(t exec.FreqTable) (float64, error)
 	unsorted func(f exec.Freq) (float64, error)
-	// Each family has its delta form. A moments row re-finalizes from the
-	// attribute's kept moments (DB.moments). A freq row is either windowed
-	// — a quantile (p) that a medwin.Window slides — or tabled:
-	// re-finalized from the attribute's retained frequency table
-	// (DB.tables).
+	// A fill finalizes from the attribute's kept state of the row's family
+	// (DB.moments, DB.tables) whenever one is kept. Each family has its
+	// delta form too: a moments row re-finalizes from the kept moments
+	// after an update, and a freq row is either windowed — a quantile (p)
+	// that a medwin.Window slides — or tabled: re-finalized from the
+	// attribute's maintained frequency table.
 	windowed bool
 	quantile float64
 }
 
-// tabled reports whether the row's delta form is the retained table.
+// tabled reports whether the row's delta form is the kept table.
 func (a *aggregate) tabled() bool { return a.freq != nil && !a.windowed }
 
 // aggregates is the table, in the order help text and error messages
@@ -51,29 +49,24 @@ func (a *aggregate) tabled() bool { return a.freq != nil && !a.windowed }
 var aggregates = []aggregate{
 	{
 		name:    "count",
-		serial:  func(xs []float64, valid []bool) (float64, error) { return float64(stats.Count(xs, valid)), nil },
 		moments: func(m exec.Moments) (float64, error) { return float64(m.N), nil },
 	},
 	{
 		name:    "sum",
-		serial:  func(xs []float64, valid []bool) (float64, error) { return stats.Sum(xs, valid), nil },
 		moments: func(m exec.Moments) (float64, error) { return m.Sum, nil },
 	},
 	{
 		// Sum/N is the serial formula, so the mean is bit-identical to
 		// stats.Mean whenever the sum is (integer-coded data, always).
 		name:    "mean",
-		serial:  stats.Mean,
 		moments: func(m exec.Moments) (float64, error) { return observed(m, m.Sum/float64(m.N)) },
 	},
 	{
 		name:    "variance",
-		serial:  stats.Variance,
 		moments: sampleVariance,
 	},
 	{
-		name:   "sd",
-		serial: stats.StdDev,
+		name: "sd",
 		moments: func(m exec.Moments) (float64, error) {
 			v, err := sampleVariance(m)
 			return math.Sqrt(v), err
@@ -81,12 +74,10 @@ var aggregates = []aggregate{
 	},
 	{
 		name:    "min",
-		serial:  stats.Min,
 		moments: func(m exec.Moments) (float64, error) { return observed(m, m.Min) },
 	},
 	{
 		name:    "max",
-		serial:  stats.Max,
 		moments: func(m exec.Moments) (float64, error) { return observed(m, m.Max) },
 	},
 	quantileRow("median", 0.5),
@@ -94,15 +85,10 @@ var aggregates = []aggregate{
 	quantileRow("q3", 0.75),
 	{
 		name: "mode",
-		serial: func(xs []float64, valid []bool) (float64, error) {
-			m, _, err := stats.Mode(xs, valid)
-			return m, err
-		},
 		freq: func(t exec.FreqTable) (float64, error) { return stats.ModeFreq(t.Values, t.Counts) },
 	},
 	{
 		name:     "unique",
-		serial:   func(xs []float64, valid []bool) (float64, error) { return float64(stats.UniqueCount(xs, valid)), nil },
 		freq:     func(t exec.FreqTable) (float64, error) { return float64(len(t.Values)), nil },
 		unsorted: func(f exec.Freq) (float64, error) { return float64(f.Cardinality()), nil },
 	},
@@ -113,7 +99,6 @@ var aggregates = []aggregate{
 func quantileRow(name string, p float64) aggregate {
 	return aggregate{
 		name:     name,
-		serial:   func(xs []float64, valid []bool) (float64, error) { return stats.Quantile(xs, valid, p) },
 		freq:     func(t exec.FreqTable) (float64, error) { return stats.QuantileFreq(t.Values, t.Counts, p) },
 		windowed: true,
 		quantile: p,

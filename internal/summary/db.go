@@ -12,6 +12,7 @@ import (
 	"statdb/internal/medwin"
 	"statdb/internal/obs"
 	"statdb/internal/rules"
+	"statdb/internal/stats"
 )
 
 // Source re-reads one column of the view for (re)computation — the only
@@ -31,9 +32,9 @@ type GatherSource func(freq bool) (st State, complete bool, err error)
 // Sources are the input forms a caller offers for one column. A miss or
 // refill takes the first that is on offer: Gather, then Runs, then Rows.
 type Sources struct {
-	Rows   Source       // required; the only form that feeds maintenance state
+	Rows   Source       // required; it refolds kept moments and rebuilds windows
 	Runs   RunSource    // the column as RLE runs (runs.go)
-	Gather GatherSource // per-shard partials, already merged
+	Gather GatherSource // per-shard partials, already merged; keeps no state
 }
 
 // Policy selects how the whole cache reacts to updates (experiment E7).
@@ -87,8 +88,7 @@ type entry struct {
 	// source re-reads the column for rebuilds (built-in functions).
 	source Source
 	// runs, when set, re-reads the column as a run column; refreshes
-	// prefer it over source (runs.go). A run-served fill keeps no state:
-	// its entry is maintained only from a state a row fill kept.
+	// prefer it over source (runs.go).
 	runs RunSource
 }
 
@@ -112,21 +112,30 @@ type DB struct {
 	policy  Policy       // guarded by mu
 	idx     *index.BTree // guarded by mu; (attr..., fn) -> slot
 	entries []*entry     // guarded by mu
-	// tables is the freq family's maintained state: per attribute, the
-	// sorted frequency table every tabled row (mode, unique) finalizes
-	// from. The refill of an entry an update left stale retains the table
-	// its fold produced — a first miss retains nothing, so only attributes
-	// updated and then re-asked pay the 16 B × distinct — OnUpdate merges
-	// each batch into it, and Invalidate, SetPolicy or a delete it cannot
-	// account for drops it.
-	tables map[string]*exec.FreqTable // guarded by mu
-	// moments is the moments family's kept state: per attribute, the
-	// KeptMoments every moments row (count … max) re-finalizes from once
-	// an update has merged in. The first row fill of a moments row keeps
-	// it, folded from the column that fill read; OnUpdate merges each
-	// batch into it once, refolding it when the batch leaves it unable to
-	// answer; Invalidate and SetPolicy drop it.
+	// An attribute's kept states are what one read of its column folded,
+	// kept so that every later fill of the attribute finalizes from them
+	// and every update merges into them. A read under the per-function
+	// policy folds each family the attribute lacks, so a cold attribute
+	// costs one column pass however many functions are asked of it.
+	// Invalidate, SetPolicy and the cache-wide policies keep none.
+	//
+	// moments holds the KeptMoments every moments row (count … max)
+	// finalizes from. It is 80 B, so every read keeps it; OnUpdate merges
+	// each batch into it once, refolding it when the batch leaves it unable
+	// to answer a cached row.
 	moments map[string]*keptMoments // guarded by mu
+	// tables holds the sorted frequency table every freq row (mode, unique
+	// and the quantiles) finalizes from — 16 B a distinct value. A table is
+	// cold while it only serves fills to come: it lives until every freq
+	// row of its attribute is cached, within coldTableBudget, least
+	// recently used out first. An update while a tabled row of the
+	// attribute is cached, or the refill of an entry an update left stale,
+	// makes it maintained: the delta form of the attribute's tabled rows,
+	// outside the budget, until Invalidate, SetPolicy or a delete it cannot
+	// account for drops it. An update drops a cold table no cached row reads.
+	tables    map[string]*keptTable // guarded by mu
+	coldBytes int64                 // guarded by mu; the cold tables' size
+	clock     uint64                // guarded by mu; orders the cold tables' uses
 	// Every count lives once, in the DB's own registry (the pattern of
 	// storage.BufferPool): met caches its handles, Counters reads them and
 	// core.DBMS.Metrics merges the registry into the system snapshot. What
@@ -146,9 +155,15 @@ type DB struct {
 // NewDB creates an empty Summary Database driven by mdb's strategies.
 func NewDB(mdb *rules.ManagementDB) *DB {
 	reg := obs.NewRegistry()
-	return &DB{mdb: mdb, idx: index.New(), tables: map[string]*exec.FreqTable{}, moments: map[string]*keptMoments{},
+	return &DB{mdb: mdb, idx: index.New(), tables: map[string]*keptTable{}, moments: map[string]*keptMoments{},
 		WindowCapacity: 100, reg: reg, met: newDBMetrics(reg)}
 }
+
+// coldTableBudget bounds the bytes of a view's cold tables: room for the
+// table of one high-cardinality column of a few hundred thousand rows
+// beside the low-cardinality ones an analyst works through with it. A
+// cold table larger than the budget is not kept.
+const coldTableBudget = 2 << 20
 
 // keptMoments is one attribute's kept moments state and the source that
 // refolds it.
@@ -157,14 +172,24 @@ type keptMoments struct {
 	source Source
 }
 
+// keptTable is one attribute's kept frequency table.
+type keptTable struct {
+	exec.FreqTable
+	maintained bool   // outside the budget, kept until dropped
+	used       uint64 // the clock at its last use
+}
+
+func (t *keptTable) bytes() int64 { return 16 * int64(len(t.Values)) }
+
 // SetPolicy switches the cache-wide update policy. Kept states are
-// per-function state only PolicyStrategies maintains: none outlives it.
+// per-function state only PolicyStrategies keeps: none outlives it.
 func (db *DB) SetPolicy(p Policy) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.policy = p
 	clear(db.tables)
 	clear(db.moments)
+	db.coldBytes = 0
 }
 
 // dbMetrics caches the registry handles: the Counters families plus the
@@ -246,10 +271,10 @@ func (db *DB) Scalar(fn, attr string, source Source) (float64, error) {
 // ScalarFrom is Scalar with every input form the caller can offer. A
 // non-nil Runs or Gather is a decision, not a hint: the view layer has
 // already judged the column run-eligible, or its sharded copy current.
-// Fills served from runs or a gather keep no state and install no window
-// (no rows were read): updates invalidate their entries unless a row
-// fill kept the attribute's state, and the next access refills. A run
-// read that fails falls back to the row source.
+// A fill served from a gather keeps no state and installs no window:
+// updates invalidate its entry unless a read kept the attribute's
+// states, and the next access refills. A fill from runs keeps what a row
+// read keeps. A run read that fails falls back to the row source.
 func (db *DB) ScalarFrom(fn, attr string, src Sources) (float64, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -272,7 +297,7 @@ func (db *DB) ScalarFrom(fn, attr string, src Sources) (float64, error) {
 		if e.runs == nil {
 			e.runs = src.Runs
 		}
-		v, err := db.fill(e, src.Gather, true)
+		v, err := db.fill(e, src.Gather, true, sp)
 		if err != nil {
 			return 0, err
 		}
@@ -282,43 +307,49 @@ func (db *DB) ScalarFrom(fn, attr string, src Sources) (float64, error) {
 		db.met.staleRefill.Inc()
 		db.met.recomputes.Inc()
 		sp.SetAttr("outcome", "stale-refill")
+		db.settle(attr)
 		return v, nil
 	}
 	db.met.misses.Inc()
 	sp.SetAttr("outcome", "miss")
 	e := &entry{fn: fn, attrs: []string{attr}, source: src.Rows, runs: src.Runs}
-	v, err := db.fill(e, src.Gather, false)
+	v, err := db.fill(e, src.Gather, false, sp)
 	if err != nil {
 		return 0, err
 	}
 	if e.fresh {
 		db.insert(e)
+		db.settle(attr)
 	}
 	return v, nil
 }
 
 // fill computes built-in entry e from the first input form on offer —
-// the attribute's retained table (no column is read), gather (the
-// caller's, never stored: an attachment can fall behind between calls),
-// e.runs, e.source — and records the result on e as fresh. A fold over
-// the rows leaves behind the state OnUpdate maintains: a window, the
-// attribute's kept moments, and — when retain asks — a tabled row's
-// table. Sources cannot return errors, so a budget breached during
-// the scan surfaces between scan and fold, before the fold spends more;
-// and neither a breach nor an incomplete gather leaves anything in the
-// cache. The caller holds db.mu.
-func (db *DB) fill(e *entry, gather GatherSource, retain bool) (float64, error) {
+// the attribute's kept state of e's family (no column is read; sp says
+// strategy=kept), gather (the caller's, never stored: an attachment can
+// fall behind between calls), e.runs, e.source — and records the result
+// on e as fresh. A read of runs or rows folds, besides e's own family,
+// each one the attribute lacks, and leaves behind what OnUpdate
+// maintains: the kept states and a window. A refill (retain) keeps its
+// table as maintained. Sources cannot return errors, so a budget breached
+// during the scan surfaces between scan and fold, before the fold spends
+// more; and neither a breach nor an incomplete gather leaves anything in
+// the cache. The caller holds db.mu.
+func (db *DB) fill(e *entry, gather GatherSource, retain bool, sp *obs.Span) (float64, error) {
 	a, err := lookup(e.fn)
 	if err != nil {
 		return 0, err
 	}
 	attr := e.attrs[0]
-	if t := db.tables[attr]; t != nil && a.tabled() {
-		v, err := a.freq(*t)
+	if v, ok, err := db.fromKept(a, attr); ok {
 		if err != nil {
 			return 0, err
 		}
-		return db.install(e, v)
+		sp.SetAttr("strategy", "kept")
+		if v, err = db.install(e, v); err == nil && a.freq != nil {
+			db.installWindow(a, e, nil, nil, &db.tables[attr].FreqTable)
+		}
+		return v, err
 	}
 	if gather != nil {
 		st, complete, err := db.readGather(gather, a.freq != nil)
@@ -333,16 +364,17 @@ func (db *DB) fill(e *entry, gather GatherSource, retain bool) (float64, error) 
 		}
 		return db.install(e, v)
 	}
+	f := db.families(a, e)
 	if e.runs != nil {
 		if rc, ok := db.readRunSource(e.runs); ok {
 			if err := db.tracer.BudgetErr(); err != nil {
 				return 0, err
 			}
-			v, err := db.foldRuns(a, rc)
+			st, err := db.foldRuns(a, rc, f)
 			if err != nil {
 				return 0, err
 			}
-			return db.install(e, v)
+			return db.answer(a, e, st, f, retain, func(m exec.Moments) exec.KeptMoments { return exec.KeepRuns(m, rc) }, nil, nil)
 		}
 	}
 	if e.source == nil {
@@ -356,44 +388,148 @@ func (db *DB) fill(e *entry, gather GatherSource, retain bool) (float64, error) 
 	if err := db.tracer.BudgetErr(); err != nil {
 		return 0, err
 	}
-	var keep *exec.FreqTable
-	if retain && a.tabled() && db.maintained(a) {
-		keep = new(exec.FreqTable)
+	st := db.foldRows(a, xs, valid, f)
+	return db.answer(a, e, st, f, retain, func(m exec.Moments) exec.KeptMoments { return exec.Keep(m, xs, valid) }, xs, valid)
+}
+
+// fromKept finalizes a from attr's kept state of a's family; ok is false
+// when none is kept, or the kept moments lost the extremum a answers.
+// The caller holds db.mu.
+func (db *DB) fromKept(a *aggregate, attr string) (v float64, ok bool, err error) {
+	if a.moments != nil {
+		k := db.moments[attr]
+		if k == nil {
+			return 0, false, nil
+		}
+		if lostMin, lostMax := k.Lost(); a.name == "min" && lostMin || a.name == "max" && lostMax {
+			return 0, false, nil
+		}
+		v, err = a.moments(k.Moments)
+		return v, true, err
 	}
-	v, err := db.foldRows(a, xs, valid, keep)
+	t := db.tables[attr]
+	if t == nil {
+		return 0, false, nil
+	}
+	db.touch(t)
+	v, err = a.freq(t.FreqTable)
+	return v, true, err
+}
+
+// families is which state families a read for entry e folds: e's own
+// and, under the per-function policy, each the attribute lacks — its
+// moments always, a table while some other freq row of it is uncached.
+type families struct{ moments, freq bool }
+
+func (db *DB) families(a *aggregate, e *entry) families {
+	f := families{moments: a.moments != nil, freq: a.freq != nil}
+	if db.policy == PolicyStrategies {
+		attr := e.attrs[0]
+		f.moments = f.moments || db.moments[attr] == nil
+		f.freq = f.freq || db.tables[attr] == nil && db.coldFreq(attr, e.fn)
+	}
+	return f
+}
+
+// answer finalizes a from the states one read folded, installs the
+// answer on e, and keeps what the read folded for its attribute: the
+// moments (count counts their extremes' copies over the read), a table
+// the refill of a stale entry built as maintained, any other table cold
+// while a freq row of the attribute is still uncached. xs is the column
+// read, nil when the read was of runs. The caller holds db.mu.
+func (db *DB) answer(a *aggregate, e *entry, st State, f families, retain bool, count func(exec.Moments) exec.KeptMoments, xs []float64, valid []bool) (float64, error) {
+	attr := e.attrs[0]
+	keep := db.policy == PolicyStrategies
+	keepTable := f.freq && keep && (retain || db.coldFreq(attr, e.fn))
+	var t *exec.FreqTable
+	if keepTable || a.freq != nil && a.unsorted == nil {
+		t = &exec.FreqTable{}
+		*t = st.Freq.Table()
+	}
+	var v float64
+	var err error
+	if t != nil && a.freq != nil {
+		v, err = a.freq(*t)
+	} else {
+		v, err = a.finalize(st)
+	}
 	if err != nil {
 		return 0, err
 	}
-	if v, err = db.install(e, v); err == nil {
-		db.installWindow(a, e, xs, valid)
-		if keep != nil {
-			db.tables[attr] = keep
+	if v, err = db.install(e, v); err != nil {
+		return 0, err
+	}
+	if keep && f.moments {
+		db.moments[attr] = &keptMoments{KeptMoments: count(st.Moments), source: e.source}
+	}
+	if keepTable {
+		db.keepTable(attr, *t, retain)
+	}
+	db.installWindow(a, e, xs, valid, t)
+	return v, nil
+}
+
+// coldFreq reports whether a freq row of attr other than except has no
+// fresh entry — a fill a kept table would still serve.
+func (db *DB) coldFreq(attr, except string) bool {
+	for i := range aggregates {
+		a := &aggregates[i]
+		if a.freq == nil || a.name == except {
+			continue
 		}
-		if a.moments != nil && db.maintained(a) {
-			db.keepMoments(attr, e.source, xs, valid)
+		slot, ok := db.idx.Get(entryKey(a.name, []string{attr}))
+		if !ok || !db.entries[slot].fresh {
+			return true
 		}
 	}
-	return v, err
+	return false
 }
 
-// maintained reports whether a moments or tabled row a is kept current
-// from its attribute's kept state: its strategy, under the per-function
-// policy, is incremental.
-func (db *DB) maintained(a *aggregate) bool {
-	return db.policy == PolicyStrategies && db.mdb.StrategyFor(a.name) == rules.StrategyIncremental
-}
-
-// keepMoments keeps attr's moments state, folded from the column a fill
-// has just read. A kept state is current — every update merges into it —
-// so it is refolded only when it has lost an extremum, which the column
-// in hand restores for free.
-func (db *DB) keepMoments(attr string, source Source, xs []float64, valid []bool) {
-	if k := db.moments[attr]; k != nil {
-		if lostMin, lostMax := k.Lost(); !lostMin && !lostMax {
+// keepTable keeps t as attr's table, maintained or cold; a cold table
+// makes room for itself by dropping the least recently used cold tables.
+func (db *DB) keepTable(attr string, t exec.FreqTable, maintained bool) {
+	db.dropTable(attr)
+	k := &keptTable{FreqTable: t, maintained: maintained}
+	db.touch(k)
+	if !maintained {
+		if k.bytes() > coldTableBudget {
 			return
 		}
+		for db.coldBytes+k.bytes() > coldTableBudget {
+			var lru *keptTable
+			victim := ""
+			for a, c := range db.tables {
+				if !c.maintained && (lru == nil || c.used < lru.used) {
+					lru, victim = c, a
+				}
+			}
+			db.dropTable(victim)
+		}
+		db.coldBytes += k.bytes()
 	}
-	db.moments[attr] = &keptMoments{KeptMoments: exec.KeepMoments(xs, valid), source: source}
+	db.tables[attr] = k
+}
+
+// touch marks t as used now.
+func (db *DB) touch(t *keptTable) {
+	db.clock++
+	t.used = db.clock
+}
+
+// dropTable forgets attr's table, if any.
+func (db *DB) dropTable(attr string) {
+	if t := db.tables[attr]; t != nil && !t.maintained {
+		db.coldBytes -= t.bytes()
+	}
+	delete(db.tables, attr)
+}
+
+// settle drops attr's cold table once every freq row it would serve is
+// cached. The caller holds db.mu.
+func (db *DB) settle(attr string) {
+	if t := db.tables[attr]; t != nil && !t.maintained && !db.coldFreq(attr, "") {
+		db.dropTable(attr)
+	}
 }
 
 // install records v on e as its fresh result, unless the fold that
@@ -435,13 +571,25 @@ func (db *DB) readGather(gather GatherSource, freq bool) (State, bool, error) {
 }
 
 // installWindow attaches a windowed row's sliding window when the
-// function's strategy asks for one, reusing the already-read column.
-// Policy benches manage freshness, not per-function state.
-func (db *DB) installWindow(a *aggregate, e *entry, xs []float64, valid []bool) {
+// function's strategy asks for one, seeded from the frequency table its
+// fill finalized from, or else from the column the fill read (xs; nil
+// when it read none). Policy benches manage freshness, not per-function
+// state.
+func (db *DB) installWindow(a *aggregate, e *entry, xs []float64, valid []bool, t *exec.FreqTable) {
 	if !a.windowed || db.policy != PolicyStrategies || db.mdb.StrategyFor(e.fn) != rules.StrategyWindow {
 		return
 	}
-	if w, err := medwin.NewQuantile(xs, valid, a.quantile, db.WindowCapacity); err == nil {
+	var w *medwin.Window
+	var err error
+	switch {
+	case t != nil:
+		w, err = medwin.NewQuantileFreq(t.Values, t.Counts, a.quantile, db.WindowCapacity)
+	case xs != nil:
+		w, err = medwin.NewQuantile(xs, valid, a.quantile, db.WindowCapacity)
+	default:
+		return
+	}
+	if err == nil {
 		w.SetCounters(db.met.medSlides, db.met.medRebuilds)
 		e.win = w
 	}
@@ -451,6 +599,22 @@ func (db *DB) insert(e *entry) {
 	slot := int64(len(db.entries))
 	db.entries = append(db.entries, e)
 	db.idx.Put(e.key(), slot)
+}
+
+// Histogram bins attr's kept table into bins equal-width bins between
+// its extremes: what stats.NewHistogram makes of the column, with no
+// pass over it. ok is false when no table is kept, or the kept one holds
+// a NaN, which the column's own order decides the binning of.
+func (db *DB) Histogram(attr string, bins int) (h *stats.Histogram, ok bool, err error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	t := db.tables[attr]
+	if t == nil || len(t.Values) > 0 && t.Values[0] != t.Values[0] {
+		return nil, false, nil
+	}
+	db.touch(t)
+	h, err = stats.HistogramFreq(t.Values, t.Counts, bins)
+	return h, true, err
 }
 
 // Lookup returns the cached result for (fn, attrs) without computing.
@@ -496,7 +660,7 @@ func (db *DB) StoreCustom(fn string, attrs []string, r Result) {
 func (db *DB) Invalidate(attr string) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	delete(db.tables, attr)
+	db.dropTable(attr)
 	delete(db.moments, attr)
 	n := 0
 	db.idx.ScanPrefix(index.Key(attr), func(_ []byte, slot int64) bool {
@@ -524,26 +688,41 @@ func (db *DB) OnUpdate(attr string, deltas []incr.Delta) {
 	defer db.mu.Unlock()
 	sp := db.tracer.Begin("summary.update", obs.A("attr", attr))
 	defer sp.End()
-	u := batchUpdate{deltas: deltas, table: db.tables[attr]}
+	u := batchUpdate{deltas: deltas}
+	prefix := index.Key(attr)
+	readsMoments, readsTable := db.readers(prefix)
 	if kept := db.moments[attr]; kept != nil {
 		u.absorbed = int64(len(deltas))
-		if !kept.Apply(deltas) || db.lostAnswer(attr, &kept.KeptMoments) {
+		u.moments = &kept.Moments
+		switch {
+		case kept.Apply(deltas) && !db.lostAnswer(attr, &kept.KeptMoments):
+		case readsMoments:
 			// A delete the state cannot retract, or the last copy of an
 			// extremum a cached entry reads: refold from the data (Section 4.3).
 			xs, valid := db.readSource(kept.source)
 			kept.KeptMoments = exec.KeepMoments(xs, valid)
 			u.rebuilds++
 			u.absorbed = 0
+		default:
+			// No cached row reads it: the next read keeps a new one.
+			delete(db.moments, attr)
+			u.moments = nil
 		}
-		u.moments = &kept.Moments
 	}
-	if u.table != nil && !u.table.Apply(changes(deltas)) {
-		// A delete of a value the table does not hold: its entries go stale
-		// and the next access refills.
-		delete(db.tables, attr)
-		u.table = nil
+	if t := db.tables[attr]; t != nil {
+		// An updated attribute's table becomes the delta form of its tabled
+		// rows and leaves the cold budget — if it has tabled rows to keep
+		// current: a cold table none reads is dropped, not maintained. A
+		// delete of a value it does not hold drops it too; its entries go
+		// stale and the next access refills.
+		db.dropTable(attr)
+		if readsTable && t.Apply(changes(deltas)) {
+			t.maintained = true
+			db.tables[attr] = t
+			u.table = &t.FreqTable
+		}
 	}
-	db.idx.ScanPrefix(index.Key(attr), func(_ []byte, slot int64) bool {
+	db.idx.ScanPrefix(prefix, func(_ []byte, slot int64) bool {
 		db.applyUpdate(db.entries[slot], &u)
 		return true
 	})
@@ -567,6 +746,20 @@ func (db *DB) lostAnswer(attr string, k *exec.KeptMoments) bool {
 	}
 	lostMin, lostMax := k.Lost()
 	return lostMin && cached("min") || lostMax && cached("max")
+}
+
+// readers reports which kept states the cached entries under an
+// attribute's prefix, fresh or stale, are re-finalized from: the
+// moments, the table.
+func (db *DB) readers(prefix []byte) (moments, table bool) {
+	db.idx.ScanPrefix(prefix, func(_ []byte, slot int64) bool {
+		if a := aggregateByName[db.entries[slot].fn]; a != nil {
+			moments = moments || a.moments != nil
+			table = table || a.tabled()
+		}
+		return true
+	})
+	return moments, table
 }
 
 // batchUpdate is one OnUpdate pass: the batch, the attribute's kept
@@ -608,7 +801,7 @@ func (db *DB) applyUpdate(e *entry, u *batchUpdate) {
 	case PolicyRecomputeAll:
 		e.fresh = false
 		if e.source != nil {
-			if _, err := db.fill(e, nil, false); err == nil {
+			if _, err := db.fill(e, nil, false, nil); err == nil {
 				u.recomputes++
 			}
 		}

@@ -6,9 +6,8 @@ import (
 )
 
 // ParallelThreshold is the column length below which Summary Database
-// recomputations stay on the exact serial operators even when a pool is
-// attached: fan-out overhead loses on short columns, and keeping small
-// data sets serial preserves the pre-engine results bit for bit.
+// folds run inline even when a pool is attached: fan-out overhead loses
+// on short columns.
 const ParallelThreshold = 2 * exec.DefaultChunk
 
 // SetExec attaches an execution pool so whole-column recomputations
@@ -29,18 +28,18 @@ func (db *DB) SetExec(p *exec.Pool, chunk int) {
 	db.chunk = chunk
 }
 
-// foldRows evaluates a over a row slice: long columns fold into a's
-// state family through the pool and finalize, everything else takes the
-// serial reference operator. A non-nil keep (freq rows only) receives
-// the sorted frequency table, which the answer is then finalized from on
-// either route. The fold is profiled as a span charged with the engine
-// cost model's ticks for the chosen route (never wall time), so EXPLAIN
-// output is deterministic and the serial-vs-parallel decision is visible
-// in both the span attrs and the summary.recompute.{serial,parallel}
-// counters.
-func (db *DB) foldRows(a *aggregate, xs []float64, valid []bool, keep *exec.FreqTable) (float64, error) {
+// foldRows folds a row slice into the state families f names — long
+// columns chunk-parallel through the pool, short ones (or any, without a
+// pool) inline — in one pass for a, the function that asked. The fold is
+// profiled as one span charged with the engine cost model's ticks for
+// the chosen route (never wall time) however many families it folds, so
+// EXPLAIN output is deterministic and the serial-vs-parallel decision is
+// visible in both the span attrs and the
+// summary.recompute.{serial,parallel} counters.
+func (db *DB) foldRows(a *aggregate, xs []float64, valid []bool, f families) State {
 	cost := exec.DefaultCost()
 	p := db.pool
+	var st State
 	if p == nil || p.Workers() <= 1 || len(xs) < ParallelThreshold {
 		ticks := cost.SerialTicks(len(xs))
 		sp := db.tracer.Begin("fold", obs.A("fn", a.name), obs.A("engine", "serial"))
@@ -48,11 +47,13 @@ func (db *DB) foldRows(a *aggregate, xs []float64, valid []bool, keep *exec.Freq
 		defer sp.End()
 		db.met.recomputeSerial.Inc()
 		db.met.passTicks.Observe(ticks)
-		if keep != nil {
-			*keep = exec.FoldFreq(xs, valid).Table()
-			return a.freq(*keep)
+		if f.moments {
+			st.Moments = exec.FoldMoments(xs, valid)
 		}
-		return a.serial(xs, valid)
+		if f.freq {
+			st.Freq = exec.FoldFreq(xs, valid)
+		}
+		return st
 	}
 	chunks := len(exec.Chunks(len(xs), db.chunk))
 	workers := p.Workers()
@@ -66,13 +67,6 @@ func (db *DB) foldRows(a *aggregate, xs []float64, valid []bool, keep *exec.Freq
 	defer sp.End()
 	db.met.recomputeParallel.Inc()
 	db.met.passTicks.Observe(ticks)
-	if a.moments != nil {
-		return a.finalize(State{Moments: exec.ColumnMoments(p, xs, valid, db.chunk)})
-	}
-	f := exec.ColumnFreq(p, xs, valid, db.chunk)
-	if keep == nil {
-		return a.finalize(State{Freq: f})
-	}
-	*keep = f.Table()
-	return a.freq(*keep)
+	st.Moments, st.Freq = exec.ColumnFold(p, xs, valid, db.chunk, f.moments, f.freq)
+	return st
 }

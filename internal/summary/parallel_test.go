@@ -46,7 +46,9 @@ func TestParallelScalarMatchesSerial(t *testing.T) {
 }
 
 // TestParallelThresholdKeepsShortColumnsSerial: below the threshold the
-// pool is ignored and results equal the serial operators bit for bit.
+// pool is ignored — the fold runs inline — and results equal the serial
+// operators bit for bit, except the two second-moment rows, whose
+// Welford recurrence and the operators' two-pass sum agree to 1e-12.
 func TestParallelThresholdKeepsShortColumnsSerial(t *testing.T) {
 	c := newColumn(ParallelThreshold/4, 5)
 	db, _ := newDB()
@@ -56,13 +58,20 @@ func TestParallelThresholdKeepsShortColumnsSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := aggregateByName[fn].serial(c.xs, nil)
+		want, err := serialOracle[fn](c.xs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
+		if fn == "variance" || fn == "sd" {
+			if math.Abs(got-want) > 1e-12*math.Abs(want) {
+				t.Errorf("%s: %v != serial %v on a short column", fn, got, want)
+			}
+		} else if got != want {
 			t.Errorf("%s: %v != serial %v on a short column", fn, got, want)
 		}
+	}
+	if n := db.met.recomputeParallel.Value(); n != 0 {
+		t.Errorf("%d folds of a short column went to the pool", n)
 	}
 }
 

@@ -38,11 +38,12 @@ func (db *DB) readRunSource(runs RunSource) (exec.RunColumn, bool) {
 	return rc, true
 }
 
-// foldRuns evaluates a over the run column through the run-native
-// kernels, charging one cell cost per run — the compression dividend.
-// The fold span carries engine=runs so EXPLAIN shows which strategy won,
-// mirroring the serial/parallel split of foldRows.
-func (db *DB) foldRuns(a *aggregate, rc exec.RunColumn) (float64, error) {
+// foldRuns folds the run column into the state families f names through
+// the run-native kernels, charging one cell cost per run — the
+// compression dividend. The fold span carries engine=runs so EXPLAIN
+// shows which strategy won, mirroring the serial/parallel split of
+// foldRows.
+func (db *DB) foldRuns(a *aggregate, rc exec.RunColumn, f families) (State, error) {
 	cost := exec.DefaultCost()
 	nruns := len(rc.Vals)
 	ticks := cost.RunTicks(nruns)
@@ -55,13 +56,13 @@ func (db *DB) foldRuns(a *aggregate, rc exec.RunColumn) (float64, error) {
 	db.met.passTicks.Observe(ticks)
 	var st State
 	var err error
-	if a.moments != nil {
-		st.Moments, err = exec.FoldMomentsRuns(rc)
-	} else {
+	if f.moments {
+		if st.Moments, err = exec.FoldMomentsRuns(rc); err != nil {
+			return State{}, err
+		}
+	}
+	if f.freq {
 		st.Freq, err = exec.FoldFreqRuns(rc)
 	}
-	if err != nil {
-		return 0, err
-	}
-	return a.finalize(st)
+	return st, err
 }

@@ -109,7 +109,7 @@ func TestTableMergeMatchesRebuild(t *testing.T) {
 			db.OnUpdate("X", batch)
 			want := exec.FoldFreq(c.xs, c.valid).Table()
 			got := db.tables["X"]
-			if got == nil || !sameTable(*got, want) {
+			if got == nil || !sameTable(got.FreqTable, want) {
 				t.Fatalf("seed %d round %d: merged table %v, rebuilt %v", seed, round, got, want)
 			}
 			for _, fn := range []string{"mode", "unique"} {
@@ -160,16 +160,41 @@ func TestTableRetentionRule(t *testing.T) {
 		return c
 	}
 
-	// A first miss retains nothing, whichever function asks.
+	// A first miss keeps its table cold while another freq row of the
+	// attribute is uncached, serves those rows from it with no pass, and
+	// lets it go once the last of them is cached.
 	db, _ := newDB()
 	c := fresh()
 	ask(t, db, c, "mode")
-	ask(t, db, c, "unique")
-	if len(db.tables) != 0 {
-		t.Error("a first miss retained a table")
+	if k := db.tables["X"]; k == nil || k.maintained {
+		t.Fatalf("a first miss kept %v, want a cold table", k)
+	}
+	passes := c.passes
+	for _, fn := range []string{"unique", "median", "q1", "count", "sd"} {
+		ask(t, db, c, fn)
+	}
+	if c.passes != passes || db.tables["X"] == nil {
+		t.Errorf("fills beside a cold table read the column %d times", c.passes-passes)
+	}
+	ask(t, db, c, "q3")
+	if len(db.tables) != 0 || db.coldBytes != 0 {
+		t.Errorf("the last freq row left %d tables (%d cold bytes) behind", len(db.tables), db.coldBytes)
 	}
 
-	// Only the per-function policy maintains per-function state.
+	// An update drops a cold table no cached row reads: mean's read kept
+	// one, and mode is not cached to be kept current from it.
+	db, _ = newDB()
+	c = fresh()
+	ask(t, db, c, "mean")
+	if db.tables["X"] == nil {
+		t.Fatal("mean's read kept no cold table")
+	}
+	db.OnUpdate("X", []incr.Delta{c.set(1, 2, true)})
+	if len(db.tables) != 0 || db.coldBytes != 0 {
+		t.Errorf("an update maintained a table no cached row reads (%d cold bytes)", db.coldBytes)
+	}
+
+	// Only the per-function policy keeps states.
 	for _, p := range []Policy{PolicyInvalidateAll, PolicyRecomputeAll} {
 		db, _ := newDB()
 		db.SetPolicy(p)
@@ -177,18 +202,25 @@ func TestTableRetentionRule(t *testing.T) {
 		ask(t, db, c, "mode")
 		db.OnUpdate("X", []incr.Delta{c.set(1, 2, true)})
 		ask(t, db, c, "mode")
-		if len(db.tables) != 0 {
-			t.Errorf("%v retained a table", p)
+		if len(db.tables) != 0 || len(db.moments) != 0 {
+			t.Errorf("%v kept %d tables and %d moments", p, len(db.tables), len(db.moments))
 		}
 	}
 
-	// While the table lives every tabled fill is served from it: unique,
-	// never asked before, reads no column.
+	// An update makes the table maintained: every tabled fill is served
+	// from it — unique, never asked before, reads no column — and it
+	// outlives the last freq row's fill.
 	db, c = retained(t, 50, rng)
-	passes := c.passes
+	passes = c.passes
 	want, _ := aggregateByName["unique"].freq(exec.FoldFreq(c.xs, c.valid).Table())
 	if got := ask(t, db, c, "unique"); got != want || c.passes != passes {
 		t.Errorf("unique beside a live table = %v after %d passes, want %v after none", got, c.passes-passes, want)
+	}
+	for _, fn := range []string{"median", "q1", "q3"} {
+		ask(t, db, c, fn)
+	}
+	if k := db.tables["X"]; k == nil || !k.maintained || db.coldBytes != 0 {
+		t.Errorf("the maintained table became %v (%d cold bytes)", k, db.coldBytes)
 	}
 
 	// Invalidate drops it, so does leaving the per-function policy, and a
@@ -217,7 +249,9 @@ func TestTableRetentionRule(t *testing.T) {
 }
 
 // TestTableNotRetainedOverBudget: a refill whose fold runs the query over
-// budget installs neither its result nor the table it built.
+// budget installs neither its result nor the table it built. Every freq
+// row is cached first, so no cold table outlives the first fills and the
+// update leaves mode stale.
 func TestTableNotRetainedOverBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := &nullable{xs: make([]float64, 200), valid: make([]bool, 200)}
@@ -227,7 +261,9 @@ func TestTableNotRetainedOverBudget(t *testing.T) {
 	db, _ := newDB()
 	tr := obs.NewTracer()
 	db.SetTracer(tr)
-	ask(t, db, c, "mode")
+	for _, fn := range []string{"mode", "unique", "median", "q1", "q3"} {
+		ask(t, db, c, fn)
+	}
 	db.OnUpdate("X", []incr.Delta{c.set(0, 3, true)})
 
 	tr.SetBudget(obs.NewBudget(50, 0)) // the fold charges one tick a row
@@ -300,4 +336,44 @@ func BenchmarkOnUpdateFreq(b *testing.B) { benchOnUpdate(b, "mode", "unique") }
 // kept moments.
 func BenchmarkOnUpdateMoments(b *testing.B) {
 	benchOnUpdate(b, "count", "sum", "mean", "variance", "sd", "min", "max")
+}
+
+// TestColdTablesWithinBudget: cold tables share coldTableBudget, the
+// least recently used leaving first, and one larger than the budget is
+// not kept at all.
+func TestColdTablesWithinBudget(t *testing.T) {
+	distinct := func(n int) *nullable {
+		c := &nullable{xs: make([]float64, n), valid: make([]bool, n)}
+		for i := range c.xs {
+			c.xs[i], c.valid[i] = float64(i), true
+		}
+		return c
+	}
+	db, _ := newDB()
+	cols := map[string]*nullable{"X1": distinct(50_000), "X2": distinct(50_000), "X3": distinct(50_000)}
+	scalar := func(fn, attr string) {
+		t.Helper()
+		if _, err := db.Scalar(fn, attr, cols[attr].source()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scalar("mode", "X1")
+	scalar("mode", "X2")
+	scalar("unique", "X1") // served from X1's table, which is now the fresher
+	if p := cols["X1"].passes; p != 1 {
+		t.Errorf("unique beside X1's cold table read the column (%d passes)", p)
+	}
+	scalar("mode", "X3")
+	if db.tables["X1"] == nil || db.tables["X2"] != nil || db.tables["X3"] == nil {
+		t.Errorf("after a third table, X1 kept %v, X2 %v, X3 %v; want X2 evicted",
+			db.tables["X1"] != nil, db.tables["X2"] != nil, db.tables["X3"] != nil)
+	}
+	if want := db.tables["X1"].bytes() + db.tables["X3"].bytes(); db.coldBytes != want || want > coldTableBudget {
+		t.Errorf("cold bytes %d, want %d within %d", db.coldBytes, want, coldTableBudget)
+	}
+	cols["X4"] = distinct(coldTableBudget/16 + 1)
+	scalar("mode", "X4")
+	if db.tables["X4"] != nil {
+		t.Error("a table larger than the budget was kept")
+	}
 }

@@ -262,7 +262,9 @@ func (v *View) compute(fn, attr string, rep *shard.Report) (float64, error) {
 // Describe returns the standing descriptive summary of Section 3.2 —
 // mode, mean, median, quartiles, min & max, unique-value count, and
 // counts — computing each through the Summary Database so the values are
-// individually cached and individually maintained under updates.
+// individually cached and individually maintained under updates. On a
+// cold attribute the first of them reads the column once; the others
+// finalize from the states that read kept.
 func (v *View) Describe(attr string) (stats.Summary, error) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
@@ -279,11 +281,7 @@ func (v *View) Describe(attr string) (stats.Summary, error) {
 	if s.N == 0 {
 		return s, stats.ErrNoData
 	}
-	xs, _, err := v.data.NumericByName(attr)
-	if err != nil {
-		return s, err
-	}
-	s.Missing = len(xs) - s.N
+	s.Missing = v.data.Rows() - s.N
 	if s.Mean, err = get("mean"); err != nil {
 		return s, err
 	}
@@ -340,6 +338,20 @@ func (v *View) Cached(fn string, attrs []string, compute func() (summary.Result,
 	v.sdb.StoreCustom(fn, attrs, r)
 	sp.SetAttr("outcome", "miss")
 	return r, nil
+}
+
+// Histogram bins attr into bins equal-width bins spanning its range:
+// from the attribute's kept frequency table when the Summary Database
+// holds one, else from one read of the column.
+func (v *View) Histogram(attr string, bins int) (*stats.Histogram, error) {
+	if h, ok, err := v.sdb.Histogram(attr, bins); ok {
+		return h, err
+	}
+	xs, valid, err := v.Column(attr)
+	if err != nil {
+		return nil, err
+	}
+	return stats.NewHistogram(xs, valid, bins)
 }
 
 // StringFrequencies tabulates a string attribute's distinct values and
