@@ -99,7 +99,11 @@ func (e *Executor) execHistogram(c HistogramCmd) error {
 	}
 	fn := fmt.Sprintf("histogram%d", c.Bins)
 	res, err := v.Cached(fn, []string{c.Attr}, func() (summary.Result, error) {
-		h, err := v.Histogram(c.Attr, c.Bins)
+		xs, valid, err := v.Column(c.Attr)
+		if err != nil {
+			return summary.Result{}, err
+		}
+		h, err := stats.NewHistogram(xs, valid, c.Bins)
 		if err != nil {
 			return summary.Result{}, err
 		}

@@ -68,39 +68,6 @@ func NewHistogram(xs []float64, valid []bool, bins int) (*Histogram, error) {
 		return nil, err
 	}
 	hi, _ := Max(xs, valid) //lint:allow error-flow Min succeeded, so Max cannot fail
-	h := binsOver(lo, hi, bins)
-	for i, x := range xs {
-		if valid != nil && !valid[i] {
-			continue
-		}
-		h.Add(x)
-	}
-	return h, nil
-}
-
-// HistogramFreq is NewHistogram over a sorted frequency table — distinct
-// values ascending, none of them NaN, with their multiplicities: the same
-// edges, and each value binned once with all its copies, so the same
-// counts without a pass over the column.
-func HistogramFreq(values []float64, counts []int64, bins int) (*Histogram, error) {
-	if bins < 1 {
-		return nil, fmt.Errorf("stats: histogram needs >= 1 bin, got %d", bins)
-	}
-	if len(values) == 0 {
-		return nil, ErrNoData
-	}
-	h := binsOver(values[0], values[len(values)-1], bins)
-	for i, x := range values {
-		if b := h.Bin(x); b >= 0 {
-			h.Counts[b] += int(counts[i])
-		}
-	}
-	return h, nil
-}
-
-// binsOver returns an empty histogram of bins equal-width bins spanning
-// [lo, hi].
-func binsOver(lo, hi float64, bins int) *Histogram {
 	if lo == hi {
 		hi = lo + 1 // degenerate range: one unit-wide bin
 	}
@@ -110,7 +77,13 @@ func binsOver(lo, hi float64, bins int) *Histogram {
 		h.Edges[i] = lo + width*float64(i)
 	}
 	h.Edges[bins] = hi // avoid rounding drift at the top edge
-	return h
+	for i, x := range xs {
+		if valid != nil && !valid[i] {
+			continue
+		}
+		h.Add(x)
+	}
+	return h, nil
 }
 
 // RangeCheck is the data-checking primitive of Section 2.2: it returns

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -519,47 +518,5 @@ func TestTrimmedMeanBoundedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestHistogramFreqMatchesColumn: binning a column's frequency table
-// gives NewHistogram's edges and counts.
-func TestHistogramFreqMatchesColumn(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, distinct := range []int{1, 7, 1000} {
-		xs := make([]float64, 500)
-		valid := make([]bool, len(xs))
-		freq := map[float64]int64{}
-		for i := range xs {
-			xs[i], valid[i] = float64(rng.Intn(distinct))/3, rng.Intn(10) != 0
-			if valid[i] {
-				freq[xs[i]]++
-			}
-		}
-		var values []float64
-		for v := range freq {
-			values = append(values, v)
-		}
-		sort.Float64s(values)
-		counts := make([]int64, len(values))
-		for i, v := range values {
-			counts[i] = freq[v]
-		}
-		for _, bins := range []int{1, 8, 20} {
-			want, err := NewHistogram(xs, valid, bins)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := HistogramFreq(values, counts, bins)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("distinct=%d bins=%d: from the table %+v, from the column %+v", distinct, bins, got, want)
-			}
-		}
-	}
-	if _, err := HistogramFreq(nil, nil, 4); err != ErrNoData {
-		t.Errorf("empty table: %v, want ErrNoData", err)
 	}
 }

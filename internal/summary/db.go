@@ -12,7 +12,6 @@ import (
 	"statdb/internal/medwin"
 	"statdb/internal/obs"
 	"statdb/internal/rules"
-	"statdb/internal/stats"
 )
 
 // Source re-reads one column of the view for (re)computation — the only
@@ -129,10 +128,11 @@ type DB struct {
 	// cold while it only serves fills to come: it lives until every freq
 	// row of its attribute is cached, within coldTableBudget, least
 	// recently used out first. An update while a tabled row of the
-	// attribute is cached, or the refill of an entry an update left stale,
-	// makes it maintained: the delta form of the attribute's tabled rows,
-	// outside the budget, until Invalidate, SetPolicy or a delete it cannot
-	// account for drops it. An update drops a cold table no cached row reads.
+	// attribute is cached, or the refill of a tabled row an update left
+	// stale, makes it maintained: the delta form of the attribute's tabled
+	// rows, outside the budget, until Invalidate, SetPolicy or a delete it
+	// cannot account for drops it. An update drops a cold table no cached
+	// row reads.
 	tables    map[string]*keptTable // guarded by mu
 	coldBytes int64                 // guarded by mu; the cold tables' size
 	clock     uint64                // guarded by mu; orders the cold tables' uses
@@ -330,11 +330,11 @@ func (db *DB) ScalarFrom(fn, attr string, src Sources) (float64, error) {
 // fall behind between calls), e.runs, e.source — and records the result
 // on e as fresh. A read of runs or rows folds, besides e's own family,
 // each one the attribute lacks, and leaves behind what OnUpdate
-// maintains: the kept states and a window. A refill (retain) keeps its
-// table as maintained. Sources cannot return errors, so a budget breached
-// during the scan surfaces between scan and fold, before the fold spends
-// more; and neither a breach nor an incomplete gather leaves anything in
-// the cache. The caller holds db.mu.
+// maintains: the kept states and a window. The refill (retain) of a
+// tabled row keeps its table as maintained. Sources cannot return
+// errors, so a budget breached during the scan surfaces between scan and
+// fold, before the fold spends more; and neither a breach nor an
+// incomplete gather leaves anything in the cache. The caller holds db.mu.
 func (db *DB) fill(e *entry, gather GatherSource, retain bool, sp *obs.Span) (float64, error) {
 	a, err := lookup(e.fn)
 	if err != nil {
@@ -434,13 +434,14 @@ func (db *DB) families(a *aggregate, e *entry) families {
 // answer finalizes a from the states one read folded, installs the
 // answer on e, and keeps what the read folded for its attribute: the
 // moments (count counts their extremes' copies over the read), a table
-// the refill of a stale entry built as maintained, any other table cold
-// while a freq row of the attribute is still uncached. xs is the column
-// read, nil when the read was of runs. The caller holds db.mu.
+// the refill of a stale tabled row built as maintained, any other table
+// cold while a freq row of the attribute is still uncached. xs is the
+// column read, nil when the read was of runs. The caller holds db.mu.
 func (db *DB) answer(a *aggregate, e *entry, st State, f families, retain bool, count func(exec.Moments) exec.KeptMoments, xs []float64, valid []bool) (float64, error) {
 	attr := e.attrs[0]
 	keep := db.policy == PolicyStrategies
-	keepTable := f.freq && keep && (retain || db.coldFreq(attr, e.fn))
+	maintained := retain && a.tabled()
+	keepTable := f.freq && keep && (maintained || db.coldFreq(attr, e.fn))
 	var t *exec.FreqTable
 	if keepTable || a.freq != nil && a.unsorted == nil {
 		t = &exec.FreqTable{}
@@ -463,7 +464,7 @@ func (db *DB) answer(a *aggregate, e *entry, st State, f families, retain bool, 
 		db.moments[attr] = &keptMoments{KeptMoments: count(st.Moments), source: e.source}
 	}
 	if keepTable {
-		db.keepTable(attr, *t, retain)
+		db.keepTable(attr, *t, maintained)
 	}
 	db.installWindow(a, e, xs, valid, t)
 	return v, nil
@@ -599,22 +600,6 @@ func (db *DB) insert(e *entry) {
 	slot := int64(len(db.entries))
 	db.entries = append(db.entries, e)
 	db.idx.Put(e.key(), slot)
-}
-
-// Histogram bins attr's kept table into bins equal-width bins between
-// its extremes: what stats.NewHistogram makes of the column, with no
-// pass over it. ok is false when no table is kept, or the kept one holds
-// a NaN, which the column's own order decides the binning of.
-func (db *DB) Histogram(attr string, bins int) (h *stats.Histogram, ok bool, err error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t := db.tables[attr]
-	if t == nil || len(t.Values) > 0 && t.Values[0] != t.Values[0] {
-		return nil, false, nil
-	}
-	db.touch(t)
-	h, err = stats.HistogramFreq(t.Values, t.Counts, bins)
-	return h, true, err
 }
 
 // Lookup returns the cached result for (fn, attrs) without computing.

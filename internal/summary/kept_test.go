@@ -3,13 +3,11 @@ package summary
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"statdb/internal/exec"
 	"statdb/internal/incr"
 	"statdb/internal/obs"
-	"statdb/internal/stats"
 )
 
 // spans counts the spans named name in the trees under roots, and how
@@ -102,37 +100,6 @@ func TestColdAttributeOnePass(t *testing.T) {
 	}
 }
 
-// TestHistogramFromKeptTable: while a table is kept, Histogram bins it
-// into what stats.NewHistogram makes of the column; with no table kept,
-// or one holding a NaN, it declines.
-func TestHistogramFromKeptTable(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	c := &nullable{xs: make([]float64, 300), valid: make([]bool, 300)}
-	for i := range c.xs {
-		c.xs[i], c.valid[i] = float64(rng.Intn(50)), rng.Intn(10) != 0
-	}
-	db, _ := newDB()
-	if _, ok, _ := db.Histogram("X", 8); ok {
-		t.Fatal("a histogram without a kept table")
-	}
-	ask(t, db, c, "mean")
-	passes := c.passes
-	got, ok, err := db.Histogram("X", 8)
-	want, werr := stats.NewHistogram(c.xs, c.valid, 8)
-	if !ok || err != nil || werr != nil || !reflect.DeepEqual(got, want) {
-		t.Errorf("from the kept table %+v (%v, %v), from the column %+v (%v)", got, ok, err, want, werr)
-	}
-	if c.passes != passes {
-		t.Error("the histogram read the column beside a kept table")
-	}
-	c.xs[0], c.valid[0] = math.NaN(), true
-	db.Invalidate("X")
-	ask(t, db, c, "mean")
-	if _, ok, _ := db.Histogram("X", 8); ok {
-		t.Error("binned a table holding a NaN")
-	}
-}
-
 // sameAnswer holds a kept or maintained answer to a fresh fold's: order
 // statistics, counts and extremes bit for bit (NaN meeting NaN), moments
 // within 1e-9 of the column's scale. Over a column holding a NaN, min and
@@ -212,15 +179,8 @@ func TestKeptStatesMatchRecompute(t *testing.T) {
 					batch[j] = c.set(rng.Intn(len(c.xs)), x, ok)
 				}
 				db.OnUpdate("X", batch)
-			case k < 9:
-				db.Invalidate("X")
 			default:
-				if h, ok, err := db.Histogram("X", 4); ok {
-					want, werr := stats.NewHistogram(c.xs, c.valid, 4)
-					if (err == nil) != (werr == nil) || err == nil && !reflect.DeepEqual(h, want) {
-						t.Fatalf("seed %d step %d: histogram %+v (%v), from the column %+v (%v)", seed, step, h, err, want, werr)
-					}
-				}
+				db.Invalidate("X")
 			}
 			for _, fn := range fns {
 				if r, ok := db.Lookup(fn, "X"); ok {

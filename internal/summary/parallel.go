@@ -30,12 +30,12 @@ func (db *DB) SetExec(p *exec.Pool, chunk int) {
 
 // foldRows folds a row slice into the state families f names — long
 // columns chunk-parallel through the pool, short ones (or any, without a
-// pool) inline — in one pass for a, the function that asked. The fold is
-// profiled as one span charged with the engine cost model's ticks for
-// the chosen route (never wall time) however many families it folds, so
-// EXPLAIN output is deterministic and the serial-vs-parallel decision is
-// visible in both the span attrs and the
-// summary.recompute.{serial,parallel} counters.
+// pool) inline, with M2 the serial operators' two-pass sum — in one read
+// for a, the function that asked. The fold is profiled as one span
+// charged with the engine cost model's ticks for the chosen route (never
+// wall time) however many families it folds, so EXPLAIN output is
+// deterministic and the serial-vs-parallel decision is visible in both
+// the span attrs and the summary.recompute.{serial,parallel} counters.
 func (db *DB) foldRows(a *aggregate, xs []float64, valid []bool, f families) State {
 	cost := exec.DefaultCost()
 	p := db.pool
@@ -49,6 +49,7 @@ func (db *DB) foldRows(a *aggregate, xs []float64, valid []bool, f families) Sta
 		db.met.passTicks.Observe(ticks)
 		if f.moments {
 			st.Moments = exec.FoldMoments(xs, valid)
+			st.Moments.M2 = sumSquares(xs, valid, st.Moments)
 		}
 		if f.freq {
 			st.Freq = exec.FoldFreq(xs, valid)
@@ -69,4 +70,22 @@ func (db *DB) foldRows(a *aggregate, xs []float64, valid []bool, f families) Sta
 	db.met.passTicks.Observe(ticks)
 	st.Moments, st.Freq = exec.ColumnFold(p, xs, valid, db.chunk, f.moments, f.freq)
 	return st
+}
+
+// sumSquares is stats.Variance's two-pass sum over the column m was
+// folded from, Σ(x − Sum/N)² in row order: an inline fold's M2, so the
+// variance and sd of a short column, first answer and kept state alike,
+// equal the serial operators bit for bit.
+func sumSquares(xs []float64, valid []bool, m exec.Moments) float64 {
+	if m.N == 0 {
+		return 0
+	}
+	mean, ss := m.Sum/float64(m.N), 0.0
+	for i, x := range xs {
+		if valid == nil || valid[i] {
+			d := x - mean
+			ss += d * d
+		}
+	}
+	return ss
 }

@@ -47,8 +47,7 @@ func TestParallelScalarMatchesSerial(t *testing.T) {
 
 // TestParallelThresholdKeepsShortColumnsSerial: below the threshold the
 // pool is ignored — the fold runs inline — and results equal the serial
-// operators bit for bit, except the two second-moment rows, whose
-// Welford recurrence and the operators' two-pass sum agree to 1e-12.
+// operators bit for bit.
 func TestParallelThresholdKeepsShortColumnsSerial(t *testing.T) {
 	c := newColumn(ParallelThreshold/4, 5)
 	db, _ := newDB()
@@ -62,11 +61,7 @@ func TestParallelThresholdKeepsShortColumnsSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fn == "variance" || fn == "sd" {
-			if math.Abs(got-want) > 1e-12*math.Abs(want) {
-				t.Errorf("%s: %v != serial %v on a short column", fn, got, want)
-			}
-		} else if got != want {
+		if got != want {
 			t.Errorf("%s: %v != serial %v on a short column", fn, got, want)
 		}
 	}

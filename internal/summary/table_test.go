@@ -376,4 +376,30 @@ func TestColdTablesWithinBudget(t *testing.T) {
 	if db.tables["X4"] != nil {
 		t.Error("a table larger than the budget was kept")
 	}
+
+	// The stale refill of a row that does not finalize from the table
+	// (mean, median) keeps the table its read folded cold: inside the
+	// budget, and let go once every freq row is cached again.
+	cols["X5"] = distinct(1000)
+	for _, fn := range Functions() {
+		scalar(fn, "X5")
+	}
+	db.Invalidate("X5")
+	for _, fn := range []string{"mean", "median"} {
+		scalar(fn, "X5")
+		k := db.tables["X5"]
+		if k == nil || k.maintained {
+			t.Fatalf("after the refill of a stale %s, X5 kept a table %v, maintained %v; want one kept cold",
+				fn, k != nil, k != nil && k.maintained)
+		}
+		if want := db.tables["X1"].bytes() + db.tables["X3"].bytes() + k.bytes(); db.coldBytes != want || want > coldTableBudget {
+			t.Errorf("after the refill of a stale %s, cold bytes %d, want %d within %d", fn, db.coldBytes, want, coldTableBudget)
+		}
+	}
+	for _, fn := range []string{"q1", "q3", "mode", "unique"} {
+		scalar(fn, "X5")
+	}
+	if db.tables["X5"] != nil {
+		t.Error("X5's refilled table outlived the last freq row it serves")
+	}
 }

@@ -340,20 +340,6 @@ func (v *View) Cached(fn string, attrs []string, compute func() (summary.Result,
 	return r, nil
 }
 
-// Histogram bins attr into bins equal-width bins spanning its range:
-// from the attribute's kept frequency table when the Summary Database
-// holds one, else from one read of the column.
-func (v *View) Histogram(attr string, bins int) (*stats.Histogram, error) {
-	if h, ok, err := v.sdb.Histogram(attr, bins); ok {
-		return h, err
-	}
-	xs, valid, err := v.Column(attr)
-	if err != nil {
-		return nil, err
-	}
-	return stats.NewHistogram(xs, valid, bins)
-}
-
 // StringFrequencies tabulates a string attribute's distinct values and
 // counts — the categorical analogue of the numeric summaries, for the
 // attributes Compute refuses.
