@@ -8,7 +8,9 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -149,7 +151,9 @@ func Load(root string, patterns ...string) (*Tree, error) {
 		}
 	}
 	t.Pkgs = pkgs
-	t.check()
+	if err := t.check(); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
@@ -158,7 +162,20 @@ func Load(root string, patterns ...string) (*Tree, error) {
 // resolve and an expression with an error simply has no object, so it
 // yields no fact. The real tree is what `go build ./...` compiled; the
 // fixtures import packages they do not contain.
-func (t *Tree) check() {
+func (t *Tree) check() error {
+	var imports []string
+	for _, p := range t.Pkgs {
+		for _, f := range p.Files {
+			for _, imp := range f.Ast.Imports {
+				if path := importPath(imp); t.lookup(path) == nil {
+					imports = append(imports, path)
+				}
+			}
+		}
+	}
+	if err := listStdlib(imports); err != nil {
+		return fmt.Errorf("analysis: %w", err)
+	}
 	done := map[*Package]bool{}
 	var visit func(p *Package)
 	visit = func(p *Package) {
@@ -186,6 +203,7 @@ func (t *Tree) check() {
 	for _, p := range t.Pkgs {
 		visit(p)
 	}
+	return nil
 }
 
 // lookup returns the tree package an import path denotes: the one whose
@@ -218,23 +236,67 @@ func (i treeImporter) Import(path string) (*types.Package, error) {
 	return importStdlib(path)
 }
 
-// stdlib is the process's one standard-library importer. It type-checks
-// GOROOT sources on first use of each package and keeps the result, so
-// the cost (about two seconds, most of it net/http) is paid once per
-// process however many trees are loaded.
+// stdlib is the process's one standard-library importer. It reads each
+// package's compiler export data, which listStdlib located, instead of
+// type-checking GOROOT sources, and keeps the result, so the cost is
+// paid once per process however many trees are loaded.
 var stdlib struct {
 	sync.Mutex
-	imp types.Importer
+	imp     types.Importer
+	exports map[string]string // import path -> export data file
+}
+
+// listStdlib locates the export data of every standard-library package
+// in paths not located yet, in one `go list -export` run that builds
+// whatever the local build cache lacks. One run per package would cost
+// more than the source type-checking it replaces. A path that does not
+// list stays unlocated, and importing it fails like any unknown import.
+func listStdlib(paths []string) error {
+	stdlib.Lock()
+	defer stdlib.Unlock()
+	if stdlib.exports == nil {
+		stdlib.exports = map[string]string{}
+	}
+	goroot := build.Default.GOROOT
+	var todo []string
+	for _, path := range paths {
+		if _, ok := stdlib.exports[path]; ok || path == "unsafe" {
+			continue
+		}
+		if fi, err := os.Stat(filepath.Join(goroot, "src", filepath.FromSlash(path))); err == nil && fi.IsDir() {
+			todo = append(todo, path)
+		}
+	}
+	if len(todo) == 0 {
+		return nil
+	}
+	cmd := exec.Command(filepath.Join(goroot, "bin", "go"),
+		append([]string{"list", "-e", "-export", "-f", "{{.ImportPath}}\t{{.Export}}"}, todo...)...)
+	cmd.Dir = goroot
+	cmd.Env = append(os.Environ(), "PWD="+goroot, "GOROOT="+goroot)
+	out, err := cmd.Output()
+	if err != nil {
+		return fmt.Errorf("go list -export: %w", err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if path, file, ok := strings.Cut(line, "\t"); ok && file != "" {
+			stdlib.exports[path] = file
+		}
+	}
+	return nil
 }
 
 func importStdlib(path string) (*types.Package, error) {
-	if fi, err := os.Stat(filepath.Join(build.Default.GOROOT, "src", filepath.FromSlash(path))); err != nil || !fi.IsDir() {
-		return nil, fmt.Errorf("package %s is neither in the tree nor in the standard library", path)
-	}
 	stdlib.Lock()
 	defer stdlib.Unlock()
 	if stdlib.imp == nil {
-		stdlib.imp = importer.ForCompiler(token.NewFileSet(), "source", nil)
+		stdlib.imp = importer.ForCompiler(token.NewFileSet(), "gc", func(path string) (io.ReadCloser, error) {
+			file, ok := stdlib.exports[path]
+			if !ok {
+				return nil, fmt.Errorf("package %s is neither in the tree nor in the standard library", path)
+			}
+			return os.Open(file)
+		})
 	}
 	return stdlib.imp.Import(path)
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // RID identifies a record: page number plus slot within the page.
-// Stable across in-page updates and compaction.
+// Records are never moved, so a RID is stable for the file's life.
 type RID struct {
 	Page PageID
 	Slot int
@@ -18,7 +18,9 @@ func (r RID) String() string { return fmt.Sprintf("%d.%d", r.Page, r.Slot) }
 
 // HeapFile stores a data set's rows in slotted pages through a buffer
 // pool. It is the row-oriented ("normal file") layout the paper's
-// transposed-file discussion (Section 2.6) compares against.
+// transposed-file discussion (Section 2.6) compares against. The file is
+// append-only: a record is written once and never changed in place, so
+// a changed data set is a new file, written in one sequential Load.
 type HeapFile struct {
 	pool   *BufferPool
 	schema *dataset.Schema
@@ -31,7 +33,7 @@ func NewHeapFile(pool *BufferPool, schema *dataset.Schema) *HeapFile {
 	return &HeapFile{pool: pool, schema: schema}
 }
 
-// OpenHeapFile re-attaches a heap file whose page list and live count
+// OpenHeapFile re-attaches a heap file whose page list and record count
 // were persisted elsewhere (the Summary Database commit record does
 // this). The pages must exist on the pool's device.
 func OpenHeapFile(pool *BufferPool, schema *dataset.Schema, pages []PageID, count int) *HeapFile {
@@ -48,7 +50,7 @@ func (h *HeapFile) Schema() *dataset.Schema { return h.schema }
 func (h *HeapFile) NumPages() int { return len(h.pages) }
 
 // Insert appends row and returns its RID. Insertion tries the last page
-// first (append-mostly workload), allocating a new page when full.
+// first, allocating a new page when full.
 func (h *HeapFile) Insert(row dataset.Row) (RID, error) {
 	rec := EncodeRow(nil, row)
 	if len(h.pages) > 0 {
@@ -106,27 +108,7 @@ func (h *HeapFile) Get(rid RID) (dataset.Row, error) {
 	return row, err
 }
 
-// Update replaces the record at rid. If the new encoding no longer fits
-// in the page even after compaction, Update fails; the caller relocates.
-func (h *HeapFile) Update(rid RID, row dataset.Row) error {
-	rec := EncodeRow(nil, row)
-	p, err := h.pool.Fetch(rid.Page)
-	if err != nil {
-		return err
-	}
-	err = p.Update(rid.Slot, rec)
-	if err == ErrPageFull {
-		p.Compact()
-		err = p.Update(rid.Slot, rec)
-	}
-	dirty := err == nil
-	if uerr := h.pool.Unpin(rid.Page, dirty); uerr != nil && err == nil {
-		err = uerr
-	}
-	return err
-}
-
-// Scan calls fn for every live record in file order. fn returning false
+// Scan calls fn for every record in file order. fn returning false
 // stops the scan early. This is the full-file sequential access pattern
 // that dominates statistical operations (Section 2.2).
 func (h *HeapFile) Scan(fn func(rid RID, row dataset.Row) bool) error {
@@ -138,9 +120,6 @@ func (h *HeapFile) Scan(fn func(rid RID, row dataset.Row) bool) error {
 		stop := false
 		for s := 0; s < p.NumSlots(); s++ {
 			rec, err := p.Get(s)
-			if err == ErrRecordDeleted {
-				continue
-			}
 			if err != nil {
 				_ = h.pool.Unpin(id, false) //lint:allow error-flow unpin on the error path; the original error wins
 				return err
@@ -199,9 +178,6 @@ func (h *HeapFile) ScanTolerant(fn func(rid RID, row dataset.Row) bool, bad func
 		stop := false
 		for s := 0; s < p.NumSlots(); s++ {
 			rec, err := p.Get(s)
-			if err == ErrRecordDeleted {
-				continue
-			}
 			if err != nil {
 				report(Corruption{Page: id, Slot: s, Err: err})
 				continue

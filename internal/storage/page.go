@@ -12,15 +12,15 @@ import (
 //	offset 10: uint16 free-space pointer (offset of first free byte)
 //	offset 12: record area, growing upward
 //	end:       slot directory, growing downward; each slot is
-//	           uint16 offset, uint16 length. offset == 0xFFFF marks a
-//	           deleted slot (offset 0 is never a record start).
+//	           uint16 offset, uint16 length.
 //
 // Records are at most PageSize-16 bytes, so any record that fits in a
-// page fits with its slot.
+// page fits with its slot. Pages are append-only: a record is written
+// once, by Insert, and never changed or removed in place; a file that
+// changes is rewritten whole.
 const (
 	pageHeaderSize = PageEnvelopeSize + 4
 	slotSize       = 4
-	deletedOffset  = 0xFFFF
 )
 
 // MaxRecordSize is the largest record a page can hold.
@@ -90,12 +90,11 @@ func (p *Page) setSlot(slot, off, length int) {
 	binary.LittleEndian.PutUint16(p.buf[pos+2:pos+4], uint16(length))
 }
 
-// NumSlots returns the number of slots ever allocated in the page,
-// including deleted ones.
+// NumSlots returns the number of records in the page.
 func (p *Page) NumSlots() int { return p.slotCount() }
 
 // FreeSpace returns the bytes available for a new record (including its
-// slot entry). Deleted-slot reuse is not counted; Compact reclaims it.
+// slot entry).
 func (p *Page) FreeSpace() int {
 	free := PageSize - p.slotCount()*slotSize - p.freePtr() - slotSize
 	if free < 0 {
@@ -132,70 +131,5 @@ func (p *Page) Get(slot int) ([]byte, error) {
 		return nil, fmt.Errorf("storage: slot %d out of range [0,%d)", slot, p.slotCount())
 	}
 	off, length := p.slot(slot)
-	if off == deletedOffset {
-		return nil, ErrRecordDeleted
-	}
 	return p.buf[off : off+length], nil
-}
-
-// ErrRecordDeleted reports access to a deleted slot.
-var ErrRecordDeleted = fmt.Errorf("storage: record deleted")
-
-// Update replaces the record in slot. If the new record fits in the old
-// space it is updated in place; otherwise it is re-inserted at the free
-// pointer (the slot number is stable either way, which keeps RIDs valid —
-// the property the heap file and indexes rely on).
-func (p *Page) Update(slot int, rec []byte) error {
-	if slot < 0 || slot >= p.slotCount() {
-		return fmt.Errorf("storage: slot %d out of range [0,%d)", slot, p.slotCount())
-	}
-	off, length := p.slot(slot)
-	if off == deletedOffset {
-		return ErrRecordDeleted
-	}
-	if len(rec) <= length {
-		copy(p.buf[off:], rec)
-		p.setSlot(slot, off, len(rec))
-		return nil
-	}
-	// Needs more room: append at the free pointer. The old copy is not
-	// reclaimed until Compact, so the entire new record must fit between
-	// the free pointer and the slot directory.
-	avail := PageSize - p.slotCount()*slotSize - p.freePtr()
-	if len(rec) > avail {
-		return ErrPageFull
-	}
-	newOff := p.freePtr()
-	copy(p.buf[newOff:], rec)
-	p.setSlot(slot, newOff, len(rec))
-	p.setFreePtr(newOff + len(rec))
-	return nil
-}
-
-// Compact rewrites the record area dropping dead space from deletions and
-// oversized updates. Slot numbers are preserved.
-func (p *Page) Compact() {
-	type live struct {
-		slot, off, length int
-	}
-	var recs []live
-	for s := 0; s < p.slotCount(); s++ {
-		off, length := p.slot(s)
-		if off != deletedOffset {
-			recs = append(recs, live{s, off, length})
-		}
-	}
-	tmp := make([]byte, 0, PageSize)
-	offsets := make([]int, len(recs))
-	cur := pageHeaderSize
-	for i, r := range recs {
-		tmp = append(tmp, p.buf[r.off:r.off+r.length]...)
-		offsets[i] = cur
-		cur += r.length
-	}
-	copy(p.buf[pageHeaderSize:], tmp)
-	for i, r := range recs {
-		p.setSlot(r.slot, offsets[i], r.length)
-	}
-	p.setFreePtr(cur)
 }

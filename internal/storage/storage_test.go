@@ -84,17 +84,8 @@ func TestPageInsertGetDelete(t *testing.T) {
 	if got, _ := p.Get(s0); string(got) != "hello" {
 		t.Errorf("Get(s0) = %q", got)
 	}
-	if err := p.Delete(s0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Get(s0); err != ErrRecordDeleted {
-		t.Errorf("Get deleted = %v", err)
-	}
-	if err := p.Delete(s0); err != ErrRecordDeleted {
-		t.Errorf("double delete = %v", err)
-	}
 	if got, _ := p.Get(s1); string(got) != "world!!" {
-		t.Errorf("Get(s1) = %q after delete of s0", got)
+		t.Errorf("Get(s1) = %q", got)
 	}
 	if _, err := p.Get(99); err == nil {
 		t.Error("out-of-range slot accepted")
@@ -120,61 +111,6 @@ func TestPageFull(t *testing.T) {
 	}
 	if _, err := p.Insert(make([]byte, MaxRecordSize+1)); err == ErrPageFull {
 		t.Error("oversized record reported as page-full, want size error")
-	}
-}
-
-func TestPageUpdateInPlaceAndGrow(t *testing.T) {
-	p := NewPage(make([]byte, PageSize))
-	p.Init()
-	s, err := p.Insert([]byte("aaaa"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Update(s, []byte("bb")); err != nil { // shrink in place
-		t.Fatal(err)
-	}
-	if got, _ := p.Get(s); string(got) != "bb" {
-		t.Errorf("after shrink: %q", got)
-	}
-	if err := p.Update(s, []byte("cccccccc")); err != nil { // grow, relocates
-		t.Fatal(err)
-	}
-	if got, _ := p.Get(s); string(got) != "cccccccc" {
-		t.Errorf("after grow: %q", got)
-	}
-}
-
-func TestPageCompact(t *testing.T) {
-	p := NewPage(make([]byte, PageSize))
-	p.Init()
-	var slots []int
-	for i := 0; i < 8; i++ {
-		s, err := p.Insert(bytes.Repeat([]byte{byte('a' + i)}, 400))
-		if err != nil {
-			t.Fatal(err)
-		}
-		slots = append(slots, s)
-	}
-	// Delete every other record, compact, verify survivors intact.
-	for i := 0; i < 8; i += 2 {
-		if err := p.Delete(slots[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := p.FreeSpace()
-	p.Compact()
-	if p.FreeSpace() <= before {
-		t.Errorf("compact did not reclaim space: %d -> %d", before, p.FreeSpace())
-	}
-	for i := 1; i < 8; i += 2 {
-		got, err := p.Get(slots[i])
-		if err != nil {
-			t.Fatalf("slot %d: %v", slots[i], err)
-		}
-		want := bytes.Repeat([]byte{byte('a' + i)}, 400)
-		if !bytes.Equal(got, want) {
-			t.Errorf("slot %d corrupted after compact", slots[i])
-		}
 	}
 }
 
@@ -358,31 +294,6 @@ func TestHeapFileInsertScan(t *testing.T) {
 	}
 }
 
-func TestHeapFileUpdateDelete(t *testing.T) {
-	dev := NewMemDevice(DefaultDiskCost())
-	h := NewHeapFile(NewBufferPool(dev, 4), rowSchema(t))
-	rid, err := h.Insert(dataset.Row{dataset.String("a"), dataset.Int(1), dataset.Float(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Update(rid, dataset.Row{dataset.String("a-longer-key"), dataset.Int(2), dataset.Float(2)}); err != nil {
-		t.Fatal(err)
-	}
-	row, err := h.Get(rid)
-	if err != nil || !row[1].Equal(dataset.Int(2)) {
-		t.Fatalf("after update: %v, %v", row, err)
-	}
-	if err := h.Delete(rid); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Get(rid); err == nil {
-		t.Error("Get after Delete succeeded")
-	}
-	if h.count != 0 {
-		t.Errorf("Count = %d after delete", h.count)
-	}
-}
-
 func TestHeapFileScanEarlyStop(t *testing.T) {
 	dev := NewMemDevice(DefaultDiskCost())
 	h := NewHeapFile(NewBufferPool(dev, 4), rowSchema(t))
@@ -431,23 +342,6 @@ func TestHeapFileLoadMaterializeRoundTrip(t *testing.T) {
 	}
 }
 
-// Delete removes the record at rid.
-func (h *HeapFile) Delete(rid RID) error {
-	p, err := h.pool.Fetch(rid.Page)
-	if err != nil {
-		return err
-	}
-	err = p.Delete(rid.Slot)
-	dirty := err == nil
-	if uerr := h.pool.Unpin(rid.Page, dirty); uerr != nil && err == nil {
-		err = uerr
-	}
-	if err == nil {
-		h.count--
-	}
-	return err
-}
-
 // Materialize reads the whole file back into an in-memory data set in
 // file order. A decoded row the schema rejects means the stored bytes
 // were wrong despite decoding — reported as corruption, not a panic.
@@ -466,17 +360,4 @@ func (h *HeapFile) Materialize() (*dataset.Dataset, error) {
 		err = appendErr
 	}
 	return out, err
-}
-
-// Delete marks slot deleted. Its space is reclaimed by Compact.
-func (p *Page) Delete(slot int) error {
-	if slot < 0 || slot >= p.slotCount() {
-		return fmt.Errorf("storage: slot %d out of range [0,%d)", slot, p.slotCount())
-	}
-	off, _ := p.slot(slot)
-	if off == deletedOffset {
-		return ErrRecordDeleted
-	}
-	p.setSlot(slot, deletedOffset, 0)
-	return nil
 }

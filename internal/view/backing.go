@@ -15,7 +15,9 @@ import (
 // access, row files for informational access, with dynamic
 // reorganization between them (Section 2.7) — becomes operational here:
 // an attached store services the view's column and row reads through a
-// cost-accounted device, and view updates write through to it.
+// cost-accounted device. Statistical access and updates belong to the
+// transposed form, so only it takes updates write-through; a row file
+// is written once, and the first update detaches it (see writeRows).
 type Backing uint8
 
 const (
@@ -62,8 +64,9 @@ func (st *store) pageIDs() []storage.PageID {
 
 // AttachStore materializes the view's current contents into a storage
 // structure on a fresh cost-accounted device. Subsequent Column and
-// RowAt calls are serviced (and charged) through it, and updates write
-// through. Attaching replaces any previous store.
+// RowAt calls are serviced (and charged) through it. Updates write
+// through to a transposed store and detach a row file. Attaching
+// replaces any previous store.
 func (v *View) AttachStore(b Backing, cost storage.CostModel, poolFrames int) error {
 	return v.AttachStoreDevice(b, storage.NewMemDevice(cost), poolFrames)
 }
@@ -122,7 +125,8 @@ func (v *View) attachLocked(b Backing, dev storage.Device, poolFrames int) error
 // "intelligent access methods that interpret reference patterns to the
 // view and dynamically reorganize the storage structures". It returns
 // the backing now in effect; if the view is already stored that way,
-// nothing is rebuilt.
+// nothing is rebuilt. An update detaches a row file, so reorganizing to
+// rows after one rebuilds the file in one sequential load.
 //
 //lint:allow test-only paper-named: §2.7 dynamic reorganization from observed access patterns
 func (v *View) Reorganize(cost storage.CostModel, poolFrames int) (Backing, error) {
@@ -286,25 +290,4 @@ func (st *store) readRow(i int) (dataset.Row, error) {
 		return st.heap.Get(st.rids[i])
 	}
 	return nil, fmt.Errorf("view: memory backing has no store")
-}
-
-// writeRows mirrors a column update into the store: at(k) for record
-// rows[k], rows ascending. Transposed files take it as one batch; a row
-// file rewrites each changed record from data, which already holds the
-// new cells.
-func (st *store) writeRows(data *dataset.Dataset, attr string, rows []int32, at func(k int) dataset.Value) error {
-	switch st.backing {
-	case BackingTransposed:
-		return st.col.UpdateRows(attr, rows, at)
-	case BackingRow:
-		for _, r := range rows {
-			if r < 0 || int(r) >= len(st.rids) {
-				return fmt.Errorf("view: row %d out of store range", r)
-			}
-			if err := st.heap.Update(st.rids[r], data.RowAt(int(r))); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

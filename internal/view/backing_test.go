@@ -53,6 +53,8 @@ func TestAttachStoreServesReads(t *testing.T) {
 	}
 }
 
+// An update writes through to a transposed store and detaches a row
+// file; either way reads see it, and the undo too.
 func TestAttachStoreWriteThrough(t *testing.T) {
 	for _, b := range []Backing{BackingRow, BackingTransposed} {
 		v := newView(t, 500, Options{})
@@ -69,23 +71,29 @@ func TestAttachStoreWriteThrough(t *testing.T) {
 		if n != 50 {
 			t.Fatalf("%v: updated %d", b, n)
 		}
-		// Reads through the store see the update.
+		want := b
+		if b == BackingRow {
+			want = BackingMemory
+		}
+		if got := v.StoreBacking(); got != want {
+			t.Fatalf("%v: backing after update = %v, want %v", b, got, want)
+		}
 		row := v.RowAt(10)
 		if !row[1].Equal(dataset.Float(12345)) {
-			t.Errorf("%v: store row = %v", b, row[1])
+			t.Errorf("%v: row = %v", b, row[1])
 		}
 		xs, _, err := v.Column("SALARY")
 		if err != nil || xs[10] != 12345 {
-			t.Errorf("%v: store column = %g, %v", b, xs[10], err)
+			t.Errorf("%v: column = %g, %v", b, xs[10], err)
 		}
-		// Undo writes back through as well.
 		if err := v.Undo(); err != nil {
 			t.Fatal(err)
 		}
 		row = v.RowAt(10)
 		if row[1].Equal(dataset.Float(12345)) {
-			t.Errorf("%v: undo not mirrored to store", b)
+			t.Errorf("%v: undo not seen by reads", b)
 		}
+		storeMatchesData(t, v, b.String()+" after undo")
 	}
 }
 
@@ -182,6 +190,31 @@ func TestReorganizeFollowsAdvice(t *testing.T) {
 	xs, _, err := v.Column("SALARY")
 	if err != nil || len(xs) != 2000 {
 		t.Fatalf("post-migration column: %d, %v", len(xs), err)
+	}
+}
+
+// An update detaches a row file, so a row-heavy Reorganize afterwards is
+// not a no-op: it rebuilds the file from the updated record.
+func TestReorganizeRebuildsDetachedRowFile(t *testing.T) {
+	v := newView(t, 2000, Options{})
+	attach(t, v, BackingRow)
+	for i := 0; i < 500; i++ {
+		v.RowAt(i % v.Rows())
+	}
+	if _, err := v.InvalidateWhere("SALARY",
+		relalg.Cmp{Attr: "ID", Op: relalg.Lt, Val: dataset.Int(300)}); err != nil {
+		t.Fatal(err)
+	}
+	if v.StoreBacking() != BackingMemory {
+		t.Fatalf("row file still attached after an update: %v", v.StoreBacking())
+	}
+	b, err := v.Reorganize(storage.DefaultDiskCost(), 4)
+	if err != nil || b != BackingRow || v.StoreBacking() != BackingRow {
+		t.Fatalf("row-heavy reorganize = %v, %v; backing %v", b, err, v.StoreBacking())
+	}
+	storeMatchesData(t, v, "rebuilt row file")
+	if row := v.RowAt(10); !row[1].IsNull() {
+		t.Errorf("rebuilt row 10 = %v, want SALARY missing", row)
 	}
 }
 

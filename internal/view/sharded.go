@@ -7,10 +7,11 @@ package view
 // aggregate table as every other form, and the result is cached like
 // any other — so a repeat is a hit, not a second scatter. Losing a shard
 // degrades the answer (returned with its provenance, never cached)
-// instead of failing it. Unlike the transposed store, which receives
-// every update write-through, the sharded copy is read-only: the first
-// update marks it behind and the view stops offering it — the rows of
-// record answer — until ShardView/AttachShards installs a fresh copy.
+// instead of failing it. Like a row file, and unlike the transposed
+// store, which receives every update write-through, the sharded copy is
+// read-only: the first update marks it behind and the view stops
+// offering it — the rows of record answer — until ShardView/AttachShards
+// installs a fresh copy.
 
 import (
 	"statdb/internal/shard"

@@ -16,11 +16,8 @@ import (
 
 // updateFixture is a view with a predicate column G (0..19), a
 // high-cardinality float P (stored Plain) and a float R in long runs
-// (stored RLE). With holes, a few cells of each are missing. A heap page
-// that is full cannot grow a record (storage.ErrPageFull), so on the row
-// backing an update that fills a hole — or the undo of one that made it —
-// fails; tests of that backing start without holes and make none.
-func updateFixture(t testing.TB, n int, holes bool) *View {
+// (stored RLE). A few cells of each are missing.
+func updateFixture(t testing.TB, n int) *View {
 	t.Helper()
 	ds := dataset.New(dataset.MustSchema(
 		dataset.Attribute{Name: "ID", Kind: dataset.KindInt, Category: true},
@@ -36,10 +33,10 @@ func updateFixture(t testing.TB, n int, holes bool) *View {
 			dataset.Float(float64(g.next()%2000000)/1000 - 1000),
 			dataset.Float(float64(i / (n/12 + 1) * 5)),
 		}
-		if holes && i%97 == 13 {
+		if i%97 == 13 {
 			row[2] = dataset.Null
 		}
-		if holes && i%211 == 7 {
+		if i%211 == 7 {
 			row[3] = dataset.Null
 		}
 		if err := ds.Append(row); err != nil {
@@ -77,6 +74,8 @@ func storeMatchesData(t *testing.T, v *View, step string) {
 // → rollback sequence on every backing; after each step every built-in,
 // answered through the view's maintained cache, must equal a from-scratch
 // computation over the column, and the store must mirror the data set.
+// A row file is written once: the first update detaches it, and a
+// re-attach at the end rebuilds it from the rolled-back data set.
 // Once an update has been followed by a refill, mode and unique are
 // maintained from the retained frequency table: fresh the moment an
 // update, undo or rollback returns — on the RLE column too, whose
@@ -95,7 +94,7 @@ func TestUpdateSequenceMatchesRecompute(t *testing.T) {
 	}
 	for _, b := range backings {
 		t.Run(b.name, func(t *testing.T) {
-			v := updateFixture(t, 2500, b.backing != BackingRow)
+			v := updateFixture(t, 2500)
 			if b.backing != BackingMemory {
 				attach(t, v, b.backing)
 			}
@@ -104,7 +103,7 @@ func TestUpdateSequenceMatchesRecompute(t *testing.T) {
 					t.Fatalf("column %s is stored %v (%v), want %v", b.attr, enc, err, b.enc)
 				}
 			}
-			original := updateFixture(t, 2500, b.backing != BackingRow).Dataset()
+			original := updateFixture(t, 2500).Dataset()
 			verify := func(step string) {
 				t.Helper()
 				xs, valid, err := v.Dataset().NumericByName(b.attr)
@@ -149,6 +148,13 @@ func TestUpdateSequenceMatchesRecompute(t *testing.T) {
 
 			verify("initial") // installs every kept state and window
 			update("update 1", group(), dataset.Float(41.5))
+			want := b.backing
+			if want == BackingRow {
+				want = BackingMemory
+			}
+			if got := v.StoreBacking(); got != want {
+				t.Fatalf("after the first update the view is backed by %v, want %v", got, want)
+			}
 			if err := v.Undo(); err != nil {
 				t.Fatal(err)
 			}
@@ -156,11 +162,7 @@ func TestUpdateSequenceMatchesRecompute(t *testing.T) {
 			verify("undo 1")
 			update("update 2", group(), dataset.Float(-3))
 			mark, _ := v.History().Last()
-			hole := dataset.Null
-			if b.backing == BackingRow {
-				hole = dataset.Float(0.5) // see updateFixture
-			}
-			update("update 3", group(), hole)
+			update("update 3", group(), dataset.Null)
 			// The new value sits inside the quantile windows; the predicate
 			// reads the column being written.
 			update("update 4", relalg.Cmp{Attr: b.attr, Op: relalg.Gt, Val: dataset.Float(20)}, dataset.Float(20))
@@ -168,14 +170,14 @@ func TestUpdateSequenceMatchesRecompute(t *testing.T) {
 				relalg.IsNull{Attr: b.attr},
 				relalg.Cmp{Attr: b.attr, Op: relalg.Le, Val: dataset.Float(0.5)},
 			}, dataset.Int(7))
-			// Every copy of the current mode goes, then every value: on the
-			// row backing to 0.5, elsewhere to missing — an empty column.
+			// Every copy of the current mode goes, then every value: to
+			// missing — an empty column.
 			mode, err := v.Compute("mode", b.attr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			update("update 6", relalg.Cmp{Attr: b.attr, Op: relalg.Eq, Val: dataset.Float(mode)}, hole)
-			update("update 7", relalg.All{}, hole)
+			update("update 6", relalg.Cmp{Attr: b.attr, Op: relalg.Eq, Val: dataset.Float(mode)}, dataset.Null)
+			update("update 7", relalg.All{}, dataset.Null)
 			if err := v.RollbackTo(mark.Seq); err != nil {
 				t.Fatal(err)
 			}
@@ -194,6 +196,13 @@ func TestUpdateSequenceMatchesRecompute(t *testing.T) {
 					t.Fatalf("row %d after full rollback = %v, originally %v", r, got, want)
 				}
 			}
+			if b.backing == BackingRow {
+				attach(t, v, BackingRow)
+				if v.StoreBacking() != BackingRow {
+					t.Fatalf("re-attach left the view backed by %v", v.StoreBacking())
+				}
+				storeMatchesData(t, v, "re-attached row file")
+			}
 		})
 	}
 }
@@ -204,7 +213,7 @@ func TestUpdateSequenceMatchesRecompute(t *testing.T) {
 // live heap so slack capacity counts. Every round of updates stays live
 // until the view goes, so this is what bounds a long session's memory.
 func TestHistoryFootprint(t *testing.T) {
-	v := updateFixture(t, 2000, true)
+	v := updateFixture(t, 2000)
 	x := 0.5
 	update := func() {
 		t.Helper()
@@ -258,60 +267,59 @@ func (d *tripDevice) ReadPage(id storage.PageID, buf []byte) error {
 // A write-through that fails on its k-th page must leave no trace: the
 // statement is not recorded, and data set, stored image and every cached
 // summary are what they were before it. The device fails one fetch (all
-// four retries of it) and then heals, so the revert itself can run.
+// four retries of it) and then heals, so the revert itself can run. Only
+// a transposed store is written through; a row file is detached instead.
 func TestUpdateRevertsOnWriteThroughFault(t *testing.T) {
-	for _, backing := range []Backing{BackingTransposed, BackingRow} {
-		for _, k := range []int{1, 3, 6} {
-			t.Run(fmt.Sprintf("%s/page-%d", backing, k), func(t *testing.T) {
-				v := updateFixture(t, 3000, backing != BackingRow)
-				fd := storage.NewFaultDevice(storage.NewMemDevice(storage.DefaultDiskCost()),
-					storage.FaultConfig{Seed: 1, ReadTransientRate: 1, MaxFaults: 4})
-				fd.SetDisabled(true)
-				dev := &tripDevice{FaultDevice: fd}
-				// Four frames: the 3000-row column spans seven Plain pages
-				// (the row file more), so every page of the update is a miss.
-				if err := v.AttachStoreDevice(backing, dev, 4); err != nil {
+	for _, k := range []int{1, 3, 6} {
+		t.Run(fmt.Sprintf("transposed/page-%d", k), func(t *testing.T) {
+			v := updateFixture(t, 3000)
+			fd := storage.NewFaultDevice(storage.NewMemDevice(storage.DefaultDiskCost()),
+				storage.FaultConfig{Seed: 1, ReadTransientRate: 1, MaxFaults: 4})
+			fd.SetDisabled(true)
+			dev := &tripDevice{FaultDevice: fd}
+			// Four frames: the 3000-row column spans seven Plain pages,
+			// so every page of the update is a miss.
+			if err := v.AttachStoreDevice(BackingTransposed, dev, 4); err != nil {
+				t.Fatal(err)
+			}
+			for _, fn := range summary.Functions() {
+				if _, err := v.Compute(fn, "P"); err != nil {
 					t.Fatal(err)
 				}
-				for _, fn := range summary.Functions() {
-					if _, err := v.Compute(fn, "P"); err != nil {
-						t.Fatal(err)
-					}
-				}
-				data := updateFixture(t, 3000, backing != BackingRow).Dataset()
-				cache := v.Summary().Dump()
-				counters := v.Summary().Counters()
+			}
+			data := updateFixture(t, 3000).Dataset()
+			cache := v.Summary().Dump()
+			counters := v.Summary().Counters()
 
-				dev.tripAt = dev.reads + k
-				n, err := v.UpdateWhere("P", relalg.All{}, dataset.Float(1))
-				if err == nil {
-					t.Fatalf("update changed %d rows through a failing device", n)
+			dev.tripAt = dev.reads + k
+			n, err := v.UpdateWhere("P", relalg.All{}, dataset.Float(1))
+			if err == nil {
+				t.Fatalf("update changed %d rows through a failing device", n)
+			}
+			if fd.Faults().ReadTransient != 4 {
+				t.Fatalf("injected %d read faults, want one exhausted fetch (4)", fd.Faults().ReadTransient)
+			}
+			if v.History().Len() != 0 {
+				t.Errorf("failed update left %d history records", v.History().Len())
+			}
+			for r := 0; r < data.Rows(); r++ {
+				if got, want := v.Dataset().RowAt(r), data.RowAt(r); !reflect.DeepEqual(got, want) {
+					t.Fatalf("data set row %d = %v after the failed update, was %v", r, got, want)
 				}
-				if fd.Faults().ReadTransient != 4 {
-					t.Fatalf("injected %d read faults, want one exhausted fetch (4)", fd.Faults().ReadTransient)
-				}
-				if v.History().Len() != 0 {
-					t.Errorf("failed update left %d history records", v.History().Len())
-				}
-				for r := 0; r < data.Rows(); r++ {
-					if got, want := v.Dataset().RowAt(r), data.RowAt(r); !reflect.DeepEqual(got, want) {
-						t.Fatalf("data set row %d = %v after the failed update, was %v", r, got, want)
-					}
-				}
-				storeMatchesData(t, v, "after failed update")
-				if got := v.Summary().Dump(); !reflect.DeepEqual(got, cache) {
-					t.Errorf("cached summaries changed:\n got %v\nwant %v", got, cache)
-				}
-				if got := v.Summary().Counters(); got != counters {
-					t.Errorf("summary counters moved: %+v, were %+v", got, counters)
-				}
-			})
-		}
+			}
+			storeMatchesData(t, v, "after failed update")
+			if got := v.Summary().Dump(); !reflect.DeepEqual(got, cache) {
+				t.Errorf("cached summaries changed:\n got %v\nwant %v", got, cache)
+			}
+			if got := v.Summary().Counters(); got != counters {
+				t.Errorf("summary counters moved: %+v, were %+v", got, counters)
+			}
+		})
 	}
 }
 
 func BenchmarkUpdateWhere(b *testing.B) {
-	v := updateFixture(b, 200_000, true)
+	v := updateFixture(b, 200_000)
 	if err := v.AttachStore(BackingTransposed, storage.DefaultDiskCost(), 4096); err != nil {
 		b.Fatal(err) // the whole file fits the pool
 	}

@@ -47,8 +47,9 @@ type View struct {
 	cColScans *obs.Counter
 	cRowReads *obs.Counter
 	// store, when attached, services column/row reads through a
-	// cost-accounted storage structure and receives write-through
-	// updates (Sections 2.6-2.7).
+	// cost-accounted storage structure (Sections 2.6-2.7). A transposed
+	// store receives updates write-through; a row file is written once
+	// and detached by the first update.
 	store *store // guarded by mu
 	// shards, when attached, is the scatter-gather partitioned copy (see
 	// sharded.go). It receives no updates: shardsBehind is set by the
@@ -503,8 +504,15 @@ func (v *View) updateWhere(attr string, pred relalg.Predicate, value dataset.Val
 }
 
 // writeRows stores at(k) in column ci (attr) of record rows[k], rows
-// ascending, in the data set and through the attached store.
+// ascending, in the data set and through an attached transposed store.
+// A row file is written once: the first update detaches it, as a schema
+// change does, and reads go to the record until Reorganize or
+// AttachStore rebuilds it. Rewriting records in place would need a
+// relocator for every record that grows out of its page.
 func (v *View) writeRows(ci int, attr string, rows []int32, at func(k int) dataset.Value) error {
+	if v.store != nil && v.store.backing == BackingRow {
+		v.store = nil
+	}
 	for k, r := range rows {
 		if err := v.data.SetCell(int(r), ci, at(k)); err != nil {
 			return err
@@ -513,7 +521,7 @@ func (v *View) writeRows(ci int, attr string, rows []int32, at func(k int) datas
 	if v.store == nil {
 		return nil
 	}
-	if err := v.store.writeRows(v.data, attr, rows, at); err != nil {
+	if err := v.store.col.UpdateRows(attr, rows, at); err != nil {
 		return fmt.Errorf("view %s: store write-through: %w", v.name, err)
 	}
 	return nil
@@ -600,13 +608,14 @@ func (v *View) propagate(attr string, rows []int32, deltas []incr.Delta) {
 	}
 }
 
-// writeBehind mirrors derived cells the data set already holds into the
-// attached store, vals[k] for record rows[k].
+// writeBehind mirrors derived cells the data set already holds into an
+// attached transposed store, vals[k] for record rows[k]. It follows a
+// writeRows, which has detached any row file.
 func (v *View) writeBehind(attr string, rows []int32, vals []dataset.Value) {
 	if v.store == nil || len(rows) == 0 {
 		return
 	}
-	_ = v.store.writeRows(v.data, attr, rows, func(k int) dataset.Value { return vals[k] }) //lint:allow error-flow derived write-behind; summaries are invalidated regardless
+	_ = v.store.col.UpdateRows(attr, rows, func(k int) dataset.Value { return vals[k] }) //lint:allow error-flow derived write-behind; summaries are invalidated regardless
 }
 
 // AddDerived appends a derived attribute computed by rule and registers
