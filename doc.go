@@ -17,11 +17,12 @@
 // column-shaped work — whole-column statistics, relational select and
 // group-by, view materialization and Summary-Database recomputation —
 // as fixed-size row chunks folded by a worker pool and merged in chunk
-// order. Chunk boundaries depend only on the column length, so
-// order-insensitive results are bit-identical to the serial operators
-// at any worker count and floating-point moments are deterministic for
-// a given chunk size; core.DBMS.SetParallelism (default GOMAXPROCS,
-// 1 = serial) sizes the pool.
+// order. Every row fold of a column — inline, through the pool, gathered
+// from shards or run on the database machine — cuts it on one grid of
+// 4096-row chunks, so every answer, floating-point moments included, is
+// bit-identical at any worker count, and a column of at most one chunk
+// is the serial operators exactly; core.DBMS.SetParallelism (default
+// GOMAXPROCS, 1 = inline) sizes the pool.
 //
 // The engine's cross-package contracts — virtual-tick determinism,
 // sentinel-error handling, goroutine and observability confinement,

@@ -17,7 +17,10 @@
 // real goroutines (one per simulated processor) dispatched through the
 // shared chunked-execution pool (internal/exec — the goroutine-confine
 // contract keeps all fan-out inside that race-audited surface), so the
-// parallel merge logic is genuinely exercised.
+// parallel merge logic is genuinely exercised. They fold on exec's one
+// chunk grid, not on a range per processor, so a machine of any width
+// answers what the host's own fold answers, bit for bit; only the cost
+// model divides the rows by the processor count.
 package dbmachine
 
 import (
@@ -168,38 +171,22 @@ var kindFn = [...]string{AggSum: "sum", AggMin: "min", AggMax: "max", AggCount: 
 // Aggregate computes the aggregate over the valid values of xs on real
 // goroutines — one per simulated processor — and returns the value with
 // the parallel cost (use 3 of Section 4.3: recomputing summary functions
-// near the data). Each processor folds its partition into the engine's
-// mergeable moment state; the host merges in fixed processor order and
-// finalizes through the same table as every other execution strategy.
+// near the data). The processors fold the column's chunks on exec's one
+// grid into the engine's mergeable moment state, the host merges them in
+// grid order and finalizes through the same table as every other
+// execution strategy, so the answer is the host's fold bit for bit. The
+// cost model still divides the rows across the processors and charges
+// the host one merge per processor.
 func (m *Machine) Aggregate(kind AggregateKind, xs []float64, valid []bool) (float64, Stats, error) {
 	if int(kind) >= len(kindFn) {
 		return 0, Stats{}, fmt.Errorf("dbmachine: unknown aggregate %d", kind)
 	}
-	p := m.cfg.Processors
-	n := len(xs)
-	parts := make([]exec.Moments, p)
-	ranges := make([]exec.Range, p)
-	for w := 0; w < p; w++ {
-		ranges[w] = exec.Range{Lo: n * w / p, Hi: n * (w + 1) / p}
-	}
-	if err := m.pool.RunRanges(ranges, func(c int, r exec.Range) error {
-		if valid == nil {
-			parts[c] = exec.FoldMoments(xs[r.Lo:r.Hi], nil)
-		} else {
-			parts[c] = exec.FoldMoments(xs[r.Lo:r.Hi], valid[r.Lo:r.Hi])
-		}
-		return nil
-	}); err != nil {
-		return 0, Stats{}, err
-	}
-	var merged exec.Moments
-	for _, pt := range parts {
-		merged = exec.MergeMoments(merged, pt)
-	}
+	p, n := m.cfg.Processors, len(xs)
+	merged := exec.ColumnMoments(m.pool, xs, valid, exec.DefaultChunk)
 	st := Stats{
 		RowsScanned:  int64(n),
 		MachineTicks: ceilDiv(int64(n)*m.cfg.RowProcessCost, int64(p)),
-		HostTicks:    int64(p), // merging one partial per processor
+		HostTicks:    int64(p),
 	}
 	v, err := summary.Finalize(kindFn[kind], summary.State{Moments: merged})
 	return v, st, err

@@ -7,12 +7,13 @@
 //
 // Determinism contract: chunk boundaries depend only on (n, chunk size),
 // never on the worker count or scheduling, and callers merge partial
-// states in ascending chunk order. Order-insensitive aggregates (count,
-// min, max, frequencies) are therefore bit-identical to the serial path;
-// floating-point sums and moments are deterministic across runs for a
-// given chunk size, differing from the serial grouping only by ulps.
-// A pool of one worker runs every chunk inline on the caller's goroutine
-// — exactly the pre-engine serial behavior.
+// states in ascending chunk order. Every row fold of a column — inline,
+// through a pool of any width, gathered from shards or run on the
+// database machine — cuts it on one grid, Chunks(n, DefaultChunk), with
+// FoldMoments as the chunk kernel, so its moments are one answer, bit
+// for bit, however it is scheduled; a column of at most one chunk is the
+// serial operators of stats/desc.go exactly. A nil pool, or a pool of
+// one worker, runs the same chunks inline on the caller's goroutine.
 package exec
 
 import (

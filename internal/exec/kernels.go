@@ -13,8 +13,8 @@ import (
 // chunks — Koenig–Paige's f′ lifted from single-observation deltas to
 // whole-partition partial states — and Apply takes an update batch into
 // a state kept for the life of a view. Folding is serial within a chunk;
-// merging happens in ascending chunk order so results are deterministic
-// for any worker count.
+// merging happens in ascending chunk order, so a fold's answer depends on
+// the grid alone, never on the worker count.
 
 // ErrEmpty reports an aggregate over zero valid observations.
 var ErrEmpty = fmt.Errorf("exec: no valid observations")
@@ -34,8 +34,11 @@ type Moments struct {
 	Max     float64
 }
 
-// FoldMoments folds one chunk serially into a fresh partial state.
-// valid may be nil (all present).
+// FoldMoments folds one chunk into a fresh partial state: count, sum and
+// extremes in one pass, then M2 as stats.Variance's two-pass sum about
+// Mean = Sum/N. A column of at most one chunk is therefore the serial
+// operators of stats/desc.go bit for bit, and a longer one is its chunks
+// merged in grid order (ColumnFold). valid may be nil (all present).
 func FoldMoments(xs []float64, valid []bool) Moments {
 	var m Moments
 	for i, x := range xs {
@@ -45,14 +48,21 @@ func FoldMoments(xs []float64, valid []bool) Moments {
 		}
 		m.N++
 		m.Sum += x
-		d := x - m.Mean
-		m.Mean += d / float64(m.N)
-		m.M2 += d * (x - m.Mean)
 		if m.N == 1 || x < m.Min {
 			m.Min = x
 		}
 		if m.N == 1 || x > m.Max {
 			m.Max = x
+		}
+	}
+	if m.N == 0 {
+		return m
+	}
+	m.Mean = m.Sum / float64(m.N)
+	for i, x := range xs {
+		if valid == nil || valid[i] {
+			d := x - m.Mean
+			m.M2 += d * d
 		}
 	}
 	return m
@@ -111,10 +121,11 @@ type KeptMoments struct {
 	MinCopies, MaxCopies int64
 }
 
-// KeepMoments folds xs like FoldMoments and counts, over the same
-// column, the copies of its extremes.
+// KeepMoments folds xs inline on the chunk grid, as ColumnFold does at
+// any pool width, and counts, over the same column, the copies of its
+// extremes.
 func KeepMoments(xs []float64, valid []bool) KeptMoments {
-	return Keep(FoldMoments(xs, valid), xs, valid)
+	return Keep(ColumnMoments(nil, xs, valid, DefaultChunk), xs, valid)
 }
 
 // Keep counts the copies of m's extremes over xs, the column m was
@@ -258,17 +269,23 @@ func (m Moments) MeanValue() (float64, error) {
 	return m.Mean, nil
 }
 
-// ColumnMoments folds a whole column through the pool: chunk-parallel
-// FoldMoments, then an ordered MergeMoments reduction.
+// ColumnMoments folds a whole column through the pool: FoldMoments per
+// chunk, then an ordered MergeMoments reduction.
 func ColumnMoments(p *Pool, xs []float64, valid []bool, chunk int) Moments {
 	m, _ := ColumnFold(p, xs, valid, chunk, true, false)
 	return m
 }
 
+// inline runs the chunks of a fold given no pool on the caller's
+// goroutine.
+var inline = New(1)
+
 // ColumnFold folds a whole column into the state families asked for —
 // moments, a frequency table, or both — in one pass through the pool:
-// each chunk folds every family asked, and the partials merge in chunk
-// order. A family not asked comes back zero (a nil Freq).
+// each chunk of the grid folds every family asked, and the partials
+// merge in chunk order, so the answer is the same at every pool width. A
+// nil pool runs the same chunks inline. A family not asked comes back
+// zero (a nil Freq).
 func ColumnFold(p *Pool, xs []float64, valid []bool, chunk int, moments, freq bool) (Moments, Freq) {
 	fold := func(xs []float64, valid []bool) (m Moments, f Freq) {
 		if moments {
@@ -280,8 +297,11 @@ func ColumnFold(p *Pool, xs []float64, valid []bool, chunk int, moments, freq bo
 		return m, f
 	}
 	ranges := Chunks(len(xs), chunk)
-	if len(ranges) <= 1 || p.Workers() <= 1 {
-		return fold(xs, valid)
+	if len(ranges) == 0 {
+		return fold(nil, nil)
+	}
+	if p == nil {
+		p = inline
 	}
 	ms, fs := make([]Moments, len(ranges)), make([]Freq, len(ranges))
 	// Slicing can't fail; Run's error path is unused here.

@@ -214,7 +214,7 @@ func TestShardsCommand(t *testing.T) {
 	if err := e.Run("shards mv"); err == nil {
 		t.Error("shards on unsharded view accepted")
 	}
-	if _, err := d.ShardView("mv", shard.Config{Shards: 2, Chunk: 4}); err != nil {
+	if _, err := d.ShardView("mv", shard.Config{Shards: 2}); err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()

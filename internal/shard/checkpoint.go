@@ -119,7 +119,7 @@ func (s *Store) Checkpoint() error {
 	defer s.mu.Unlock()
 	gen := s.manStore.Generation() + 1
 	man := &Manifest{
-		View: s.name, Rows: s.rows, Chunk: s.chunk, Policy: s.policy,
+		View: s.name, Rows: s.rows, Chunk: exec.DefaultChunk, Policy: s.policy,
 		Shards: make([]ManifestShard, len(s.shards)),
 	}
 	for i, sh := range s.shards {

@@ -213,14 +213,14 @@ func (s *Store) gatherErr(rep *Report) error {
 // scatter-gather. Healthy path: every shard folds its global chunks in
 // parallel on its own pool, and the gather left-folds the per-chunk
 // partials in ascending global chunk order — the exact merge sequence
-// of exec.ColumnMoments, so the answer is bit-identical to the
-// unsharded parallel engine at the same chunk size. Degraded path:
+// of exec.ColumnFold, so the answer is bit-identical to the unsharded
+// fold of the column at any pool width. Degraded path:
 // chunks of failed shards drop out of the fold; each failed shard's
 // last checkpointed partial (when one exists) is merged afterward in
 // ascending shard order, recorded as stale provenance; shards with no
 // checkpoint contribute nothing and their rows are reported missing.
 func (s *Store) Moments(col string) (exec.Moments, Report, error) {
-	numChunks := len(exec.Chunks(s.rows, s.chunk))
+	numChunks := len(exec.Chunks(s.rows, exec.DefaultChunk))
 	parts := make([]exec.Moments, numChunks)
 	have := make([]bool, numChunks)
 	outs, rep := s.scatter("moments", col, func(sh *shardState, h exec.SpanHook) error {
@@ -279,7 +279,7 @@ func (s *Store) Moments(col string) (exec.Moments, Report, error) {
 // ascending global chunk order (bit-exact for any chunking: the merged
 // multiset is order-insensitive). Degraded semantics match Moments.
 func (s *Store) Freq(col string) (exec.Freq, Report, error) {
-	numChunks := len(exec.Chunks(s.rows, s.chunk))
+	numChunks := len(exec.Chunks(s.rows, exec.DefaultChunk))
 	parts := make([]exec.Freq, numChunks)
 	outs, rep := s.scatter("freq", col, func(sh *shardState, h exec.SpanHook) error {
 		return sh.foldColumn(h, col, func(global int, xs []float64, valid []bool) {
@@ -372,7 +372,7 @@ func (s *Store) Materialize() (*dataset.Dataset, Report, error) {
 		localLo int
 		length  int
 	}
-	numChunks := len(exec.Chunks(s.rows, s.chunk))
+	numChunks := len(exec.Chunks(s.rows, exec.DefaultChunk))
 	owners := make([]owner, numChunks)
 	for i, sh := range s.shards {
 		for _, ref := range sh.chunks {

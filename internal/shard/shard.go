@@ -3,9 +3,10 @@
 // internal/dbmachine to the system's actual scale-out story.
 //
 // A Store partitions a view's rows across N independent storage devices
-// on the global chunk grid of internal/exec: chunk boundaries are
-// exec.Chunks(rows, chunk), and a placement policy maps each global
-// chunk to exactly one shard. Each shard owns its own storage.Device
+// on the one chunk grid of internal/exec: chunk boundaries are
+// exec.Chunks(rows, exec.DefaultChunk), the grid every row fold of a
+// column cuts, and a placement policy maps each global chunk to exactly
+// one shard. Each shard owns its own storage.Device
 // (checksummed pages, retry-with-backoff through its BufferPool,
 // optionally wrapped in a FaultDevice), its own transposed colstore
 // image of the rows it owns, and its own exec.Pool.
@@ -13,9 +14,9 @@
 // Whole-column aggregates run as scatter-gather: every shard folds its
 // chunks into per-global-chunk partial states in parallel, and the
 // gather merges the partials in ascending global chunk order — exactly
-// the merge order of exec.ColumnMoments/ColumnFreq, so the healthy-path
-// answer is bit-identical to the unsharded parallel engine at the same
-// chunk size.
+// the merge order of exec.ColumnFold, so the healthy-path answer is
+// bit-identical to the unsharded fold at any pool width, inline
+// included.
 //
 // Failure is a first-class outcome, not an error. Each shard operation
 // is bounded (pool retry, one shard-level retry, a virtual-tick budget
@@ -106,9 +107,6 @@ func (p Policy) shardFor(c, numChunks, n int) int {
 // sensible default.
 type Config struct {
 	Shards int // number of shards; default 1
-	// Chunk is the global chunk size, shared with the exec grid; shard
-	// boundaries always align to it. Default exec.DefaultChunk.
-	Chunk  int
 	Policy Policy
 	// Workers sizes each shard's exec.Pool. Default 1 (serial folds per
 	// shard; the scatter itself is the parallelism).
@@ -171,7 +169,6 @@ type Store struct {
 	mu     sync.Mutex
 	name   string
 	rows   int
-	chunk  int
 	policy Policy
 	cols   []string // numeric column names, schema order
 	schema *dataset.Schema
@@ -208,9 +205,6 @@ func New(name string, ds *dataset.Dataset, cfg Config) (*Store, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	if cfg.Chunk <= 0 {
-		cfg.Chunk = exec.DefaultChunk
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
@@ -224,11 +218,10 @@ func New(name string, ds *dataset.Dataset, cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("shard: %d devices for %d shards", len(cfg.Devices), cfg.Shards)
 	}
 	rows := ds.Rows()
-	ranges := exec.Chunks(rows, cfg.Chunk)
+	ranges := exec.Chunks(rows, exec.DefaultChunk)
 	s := &Store{
 		name:   name,
 		rows:   rows,
-		chunk:  cfg.Chunk,
 		policy: cfg.Policy,
 		schema: ds.Schema(),
 		budget: cfg.OpTickBudget,
@@ -262,7 +255,7 @@ func New(name string, ds *dataset.Dataset, cfg Config) (*Store, error) {
 	manifest := &Manifest{
 		View:   name,
 		Rows:   rows,
-		Chunk:  cfg.Chunk,
+		Chunk:  exec.DefaultChunk,
 		Policy: cfg.Policy,
 		Shards: make([]ManifestShard, cfg.Shards),
 	}

@@ -39,18 +39,18 @@ func testDataset(t *testing.T, n int) *dataset.Dataset {
 }
 
 func TestHealthyPathBitIdentical(t *testing.T) {
-	const rows, chunk = 8000, 512
+	const rows = 64000
 	ds := testDataset(t, rows)
 	xs, valid, err := ds.NumericByName("x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := exec.ColumnMoments(exec.New(4), xs, valid, chunk)
-	refFreq := exec.ColumnFreq(exec.New(4), xs, valid, chunk)
+	ref := exec.ColumnMoments(exec.New(4), xs, valid, exec.DefaultChunk)
+	refFreq := exec.ColumnFreq(exec.New(4), xs, valid, exec.DefaultChunk)
 
 	for _, pol := range []Policy{PlaceRoundRobin, PlaceRange} {
 		for _, shards := range []int{1, 2, 4, 5} {
-			st, err := New("t", ds, Config{Shards: shards, Chunk: chunk, Policy: pol})
+			st, err := New("t", ds, Config{Shards: shards, Policy: pol})
 			if err != nil {
 				t.Fatalf("%v/%d: %v", pol, shards, err)
 			}
@@ -111,19 +111,19 @@ func faultedStore(t *testing.T, ds *dataset.Dataset, fcfg storage.FaultConfig, c
 }
 
 func TestDegradedFallsBackToStalePartials(t *testing.T) {
-	const rows, chunk = 6000, 512
+	const rows = 48000
 	ds := testDataset(t, rows)
 	reg := obs.NewRegistry()
 	obs.RegisterBaseline(reg)
 	st, fd := faultedStore(t, ds, storage.FaultConfig{Seed: 7, ReadTransientRate: 1},
-		Config{Chunk: chunk, PoolPages: 4, Registry: reg})
+		Config{PoolPages: 4, Registry: reg})
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	wantGen := st.Info()[1].CkptGen
 	fd.SetDisabled(false)
 
-	healthy, err := New("t", ds, Config{Shards: 1, Chunk: chunk})
+	healthy, err := New("t", ds, Config{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +162,10 @@ func TestDegradedFallsBackToStalePartials(t *testing.T) {
 }
 
 func TestDegradedWithoutCheckpointReportsRowsMissing(t *testing.T) {
-	const rows, chunk = 6000, 512
+	const rows = 48000
 	ds := testDataset(t, rows)
 	st, fd := faultedStore(t, ds, storage.FaultConfig{Seed: 7, ReadTransientRate: 1},
-		Config{Chunk: chunk, PoolPages: 4})
+		Config{PoolPages: 4})
 	fd.SetDisabled(false)
 
 	got, rep, err := st.Moments("x")
@@ -190,10 +190,10 @@ func TestDegradedWithoutCheckpointReportsRowsMissing(t *testing.T) {
 }
 
 func TestDownShardFastFails(t *testing.T) {
-	const rows, chunk = 4000, 512
+	const rows = 32000
 	ds := testDataset(t, rows)
 	st, fd := faultedStore(t, ds, storage.FaultConfig{Seed: 3, ReadTransientRate: 1},
-		Config{Chunk: chunk, PoolPages: 4, DownThreshold: 2})
+		Config{PoolPages: 4, DownThreshold: 2})
 	fd.SetDisabled(false)
 
 	for i := 0; i < 2; i++ {
@@ -223,9 +223,9 @@ func TestDownShardFastFails(t *testing.T) {
 }
 
 func TestOpTickBudgetTimesOut(t *testing.T) {
-	const rows, chunk = 4000, 512
+	const rows = 32000
 	ds := testDataset(t, rows)
-	st, err := New("t", ds, Config{Shards: 4, Chunk: chunk, PoolPages: 2, OpTickBudget: 1})
+	st, err := New("t", ds, Config{Shards: 4, PoolPages: 2, OpTickBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestOpTickBudgetTimesOut(t *testing.T) {
 	}
 
 	// With checkpointed partials the same total outage degrades instead.
-	st2, err := New("t", ds, Config{Shards: 4, Chunk: chunk, PoolPages: 2})
+	st2, err := New("t", ds, Config{Shards: 4, PoolPages: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,11 +259,11 @@ func TestOpTickBudgetTimesOut(t *testing.T) {
 }
 
 func TestConcurrentScatterGatherUnderFaults(t *testing.T) {
-	const rows, chunk = 6000, 512
+	const rows = 48000
 	ds := testDataset(t, rows)
 	reg := obs.NewRegistry()
 	st, fd := faultedStore(t, ds, storage.FaultConfig{Seed: 11, ReadTransientRate: 0.12},
-		Config{Chunk: chunk, PoolPages: 4, Workers: 2, Registry: reg, DownThreshold: 64})
+		Config{PoolPages: 4, Workers: 2, Registry: reg, DownThreshold: 64})
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -355,10 +355,10 @@ func TestConcurrentScatterGatherUnderFaults(t *testing.T) {
 // identically built stores render bit-identical trees regardless of
 // worker scheduling.
 func TestScatterStitchesShardSpans(t *testing.T) {
-	const rows, chunk = 6000, 512
+	const rows = 48000
 	ds := testDataset(t, rows)
 	run := func() (*obs.Span, string) {
-		st, err := New("t", ds, Config{Shards: 4, Chunk: chunk, PoolPages: 4})
+		st, err := New("t", ds, Config{Shards: 4, PoolPages: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -423,10 +423,10 @@ func TestScatterStitchesShardSpans(t *testing.T) {
 // attrs, and once Down the shard appears as a zero-tick fast-fail
 // child recorded by the coordinator.
 func TestScatterSpansUnderFaults(t *testing.T) {
-	const rows, chunk = 6000, 512
+	const rows = 48000
 	ds := testDataset(t, rows)
 	st, fd := faultedStore(t, ds, storage.FaultConfig{Seed: 17, ReadTransientRate: 1},
-		Config{Chunk: chunk, PoolPages: 4, DownThreshold: 1})
+		Config{PoolPages: 4, DownThreshold: 1})
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -473,10 +473,10 @@ func TestScatterSpansUnderFaults(t *testing.T) {
 }
 
 func TestCheckpointRestoreRoundTrip(t *testing.T) {
-	const rows, chunk = 4000, 512
+	const rows = 32000
 	ds := testDataset(t, rows)
 	manDev := storage.NewMemDevice(storage.DefaultDiskCost())
-	st, err := New("t", ds, Config{Shards: 3, Chunk: chunk, ManifestDevice: manDev})
+	st, err := New("t", ds, Config{Shards: 3, ManifestDevice: manDev})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,9 +145,8 @@ type DB struct {
 	met    dbMetrics
 	tracer *obs.Tracer
 	// Execution engine for whole-column recomputations (SetExec); nil
-	// means serial.
-	pool  *exec.Pool
-	chunk int
+	// runs every fold inline.
+	pool *exec.Pool
 	// WindowCapacity sizes quantile windows ("some number, say 100").
 	WindowCapacity int
 }

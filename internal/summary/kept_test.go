@@ -59,7 +59,7 @@ func TestColdAttributeOnePass(t *testing.T) {
 			fns := Functions()
 			rng.Shuffle(len(fns), func(i, j int) { fns[i], fns[j] = fns[j], fns[i] })
 			db, _ := newDB()
-			db.SetExec(exec.New(workers), 0)
+			db.SetExec(exec.New(workers))
 			tr := obs.NewTracer()
 			db.SetTracer(tr)
 			got := map[string]float64{}
@@ -87,7 +87,7 @@ func TestColdAttributeOnePass(t *testing.T) {
 			}
 			for _, fn := range fns {
 				alone, _ := newDB()
-				alone.SetExec(exec.New(workers), 0)
+				alone.SetExec(exec.New(workers))
 				want, err := ask(fn, alone)
 				if err != nil {
 					t.Fatal(err)
@@ -207,6 +207,53 @@ func TestKeptStatesMatchRecompute(t *testing.T) {
 				if k.N != m.N || k.Missing != m.Missing {
 					t.Fatalf("seed %d step %d: kept moments count %d/%d, refold %d/%d", seed, step, k.N, k.Missing, m.N, m.Missing)
 				}
+			}
+		}
+	}
+}
+
+// TestLostMaxRefoldsLikeAFirstFill: deleting the last copy of the max
+// while max and variance are cached makes OnUpdate refold the kept
+// moments. The refold cuts the column on the fold grid as a first fill
+// does, so the kept state and the variance re-finalized from it equal a
+// fresh cache's first fill bit for bit: the answer does not depend on
+// the history that led to the column.
+func TestLostMaxRefoldsLikeAFirstFill(t *testing.T) {
+	for _, n := range []int{ParallelThreshold / 4, 3*ParallelThreshold + 5} {
+		for _, workers := range []int{1, 4} {
+			rng := rand.New(rand.NewSource(int64(n)))
+			c := &nullable{xs: make([]float64, n), valid: make([]bool, n)}
+			top := 0
+			for i := range c.xs {
+				c.xs[i], c.valid[i] = rng.NormFloat64()*1e3+1e4, rng.Intn(25) != 0
+				if c.valid[i] && (!c.valid[top] || c.xs[i] > c.xs[top]) {
+					top = i
+				}
+			}
+			db, _ := newDB()
+			db.SetExec(exec.New(workers))
+			for _, fn := range []string{"variance", "max"} {
+				if _, err := db.Scalar(fn, "X", c.source()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			db.OnUpdate("X", []incr.Delta{c.set(top, 0, false)})
+			if r := db.Counters().Rebuilds; r != 1 {
+				t.Fatalf("%d rows, %d workers: %d rebuilds after the max went, want the refold", n, workers, r)
+			}
+			got, fresh := db.Lookup("variance", "X")
+			first, _ := newDB()
+			first.SetExec(exec.New(workers))
+			want, err := first.Scalar("variance", "X", c.source())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !fresh || math.Float64bits(got.Scalar) != math.Float64bits(want) {
+				t.Errorf("%d rows, %d workers: variance after the refold %v (fresh %v), first fill %v",
+					n, workers, got.Scalar, fresh, want)
+			}
+			if k, w := db.moments["X"].KeptMoments, first.moments["X"].KeptMoments; k != w {
+				t.Errorf("%d rows, %d workers: refolded kept state %+v, first fill's %+v", n, workers, k, w)
 			}
 		}
 	}

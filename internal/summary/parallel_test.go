@@ -11,14 +11,9 @@ import (
 var builtinFns = Functions()
 
 // TestParallelScalarMatchesSerial: a pool-backed Summary Database must
-// answer every built-in over a long column with the serial value —
-// bit-identical for the order-insensitive functions, 1e-12 relative for
-// the sum-based ones.
+// answer every built-in over a long column with the inline value, bit
+// for bit — the moments too, since both cut the column on one grid.
 func TestParallelScalarMatchesSerial(t *testing.T) {
-	exact := map[string]bool{
-		"count": true, "min": true, "max": true, "median": true,
-		"q1": true, "q3": true, "unique": true, "mode": true,
-	}
 	c := newColumn(3*ParallelThreshold, 77)
 	for _, fn := range builtinFns {
 		serial, _ := newDB()
@@ -27,20 +22,13 @@ func TestParallelScalarMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		par, _ := newDB()
-		par.SetExec(exec.New(4), 0)
+		par.SetExec(exec.New(4))
 		got, err := par.Scalar(fn, "X", c.source())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if exact[fn] {
-			if got != want {
-				t.Errorf("%s: parallel %v != serial %v (must be bit-identical)", fn, got, want)
-			}
-			continue
-		}
-		scale := math.Max(math.Abs(got), math.Abs(want))
-		if got != want && math.Abs(got-want) > 1e-12*scale {
-			t.Errorf("%s: parallel %v != serial %v", fn, got, want)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: parallel %v != serial %v (must be bit-identical)", fn, got, want)
 		}
 	}
 }
@@ -51,7 +39,7 @@ func TestParallelScalarMatchesSerial(t *testing.T) {
 func TestParallelThresholdKeepsShortColumnsSerial(t *testing.T) {
 	c := newColumn(ParallelThreshold/4, 5)
 	db, _ := newDB()
-	db.SetExec(exec.New(8), 0)
+	db.SetExec(exec.New(8))
 	for _, fn := range builtinFns {
 		got, err := db.Scalar(fn, "X", c.source())
 		if err != nil {
@@ -75,7 +63,7 @@ func TestParallelThresholdKeepsShortColumnsSerial(t *testing.T) {
 func TestParallelStaleRefillUsesEngine(t *testing.T) {
 	c := newColumn(2*ParallelThreshold+17, 13)
 	db, _ := newDB()
-	db.SetExec(exec.New(4), 0)
+	db.SetExec(exec.New(4))
 	if _, err := db.Scalar("median", "X", c.source()); err != nil {
 		t.Fatal(err)
 	}

@@ -296,7 +296,7 @@ func benchOnUpdate(b *testing.B, fns ...string) {
 		c.xs[i], c.valid[i] = math.Round(rng.NormFloat64()*15_000)/1000, true
 	}
 	db, _ := newDB()
-	db.SetExec(exec.New(2), 0)
+	db.SetExec(exec.New(2))
 	fwd, back := make([]incr.Delta, 2000), make([]incr.Delta, 2000)
 	for k := range fwd {
 		i := k * 100

@@ -12,29 +12,32 @@ import (
 	"statdb/internal/relalg"
 	"statdb/internal/rules"
 	"statdb/internal/shard"
+	"statdb/internal/stats"
 	"statdb/internal/summary"
 )
 
 // The differential harness for the aggregate table: every built-in ×
-// every input form × every column shape must agree with the serial
-// reference (the stats/desc.go operator the table row names) under the
-// engine's doctrine:
+// every input form × every column shape must agree with the reference —
+// a Summary Database with no pool, folding inline — under the engine's
+// doctrine:
 //
-//   - order-insensitive functions (count min max median q1 q3 mode
-//     unique) are bit-identical across forms;
-//   - moment functions (sum mean variance sd) fold the same observations
-//     in a different grouping, and must land within mergedUlps units in
-//     the last place of the column's scale (Σ|x| for sum, max|x| for
-//     mean, max|x|² for variance; sd is compared squared, as a variance)
-//     for the merged-state forms — pool, runs, shard gather, database
-//     machine — and within incrRel of it for incremental maintenance,
-//     whose retractions carry the rounding of every value that came and
-//     went; a NaN answer must meet a NaN;
+//   - every form that folds rows cuts the column on exec's one chunk
+//     grid and merges in grid order — a pool of any width, the shard
+//     gather, the database machine — so it answers every built-in it
+//     answers bit for bit as the reference does, and over a column of at
+//     most one chunk the reference is the stats/desc.go operator exactly;
+//   - two forms keep a bound on the moment functions (sum mean variance
+//     sd), in units in the last place of the column's scale (Σ|x| for
+//     sum, max|x| for mean, max|x|² for variance; sd is compared squared,
+//     as a variance): the run form, which folds each run in closed form,
+//     within runUlps, and incremental maintenance, whose retractions carry
+//     the rounding of every value that came and went, within incrRel; a
+//     NaN answer must meet a NaN;
 //   - a degenerate column fails or answers the same way through every
 //     form, with the same error text.
 const (
-	mergedUlps = 4096
-	incrRel    = 1e-9
+	runUlps = 4096
+	incrRel = 1e-9
 )
 
 var exactFns = map[string]bool{
@@ -90,11 +93,20 @@ type answer struct {
 	err error
 }
 
-// check compares got to the serial reference want under the doctrine.
+// same holds got to the reference want bit for bit, errors by text.
+func (s shape) same(t *testing.T, form, fn string, got, want answer) {
+	t.Helper()
+	if (got.err == nil) != (want.err == nil) || (got.err != nil && got.err.Error() != want.err.Error()) ||
+		math.Float64bits(got.v) != math.Float64bits(want.v) {
+		t.Errorf("%s/%s/%s: %v (%v), reference %v (%v) (must be bit-identical)", s.name, form, fn, got.v, got.err, want.v, want.err)
+	}
+}
+
+// check compares got to the reference want under the doctrine.
 func (s shape) check(t *testing.T, form, fn string, got, want answer, rel float64) {
 	t.Helper()
 	if (got.err == nil) != (want.err == nil) || (got.err != nil && got.err.Error() != want.err.Error()) {
-		t.Errorf("%s/%s/%s: err %v, serial err %v", s.name, form, fn, got.err, want.err)
+		t.Errorf("%s/%s/%s: err %v, reference err %v", s.name, form, fn, got.err, want.err)
 		return
 	}
 	if got.err != nil {
@@ -102,7 +114,7 @@ func (s shape) check(t *testing.T, form, fn string, got, want answer, rel float6
 	}
 	if exactFns[fn] {
 		if math.Float64bits(got.v) != math.Float64bits(want.v) {
-			t.Errorf("%s/%s/%s: %v != serial %v (must be bit-identical)", s.name, form, fn, got.v, want.v)
+			t.Errorf("%s/%s/%s: %v != reference %v (must be bit-identical)", s.name, form, fn, got.v, want.v)
 		}
 		return
 	}
@@ -123,7 +135,7 @@ func (s shape) check(t *testing.T, form, fn string, got, want answer, rel float6
 		g, w, scale = g*g, w*w, maxAbs*maxAbs
 	}
 	if math.IsNaN(g) != math.IsNaN(w) || math.Abs(g-w) > rel*scale {
-		t.Errorf("%s/%s/%s: %v vs serial %v: off by %g, bound %g", s.name, form, fn, got.v, want.v, math.Abs(g-w), rel*scale)
+		t.Errorf("%s/%s/%s: %v vs reference %v: off by %g, bound %g", s.name, form, fn, got.v, want.v, math.Abs(g-w), rel*scale)
 	}
 }
 
@@ -186,72 +198,98 @@ func all(ask func(fn string) (float64, error)) map[string]answer {
 	return out
 }
 
+// momentOracle is the stats/desc.go operator each moment function's row
+// names.
+var momentOracle = map[string]func(xs []float64, valid []bool) (float64, error){
+	"sum":      func(xs []float64, valid []bool) (float64, error) { return stats.Sum(xs, valid), nil },
+	"mean":     stats.Mean,
+	"variance": stats.Variance,
+	"sd":       stats.StdDev,
+}
+
 // TestAggregateForms drives each input form's real caller of the table
-// over columns long enough to engage the pool and give every shard
-// chunks of its own.
+// over columns of exactly one chunk, of between one and two, and long
+// enough to engage the pool and give every shard chunks of its own.
 func TestAggregateForms(t *testing.T) {
-	const rel = mergedUlps * 0x1p-52
-	for _, s := range shapes(2*summary.ParallelThreshold + 17) {
-		serial := summary.NewDB(rules.NewManagementDB())
-		want := all(func(fn string) (float64, error) { return serial.Scalar(fn, "X", s.source()) })
-		forms := map[string]map[string]answer{}
+	for _, n := range []int{exec.DefaultChunk, 6000, 2*summary.ParallelThreshold + 17} {
+		for _, s := range shapes(n) {
+			s.name = fmt.Sprintf("%s/%d rows", s.name, n)
+			inline := summary.NewDB(rules.NewManagementDB())
+			want := all(func(fn string) (float64, error) { return inline.Scalar(fn, "X", s.source()) })
+			if len(s.xs) <= exec.DefaultChunk {
+				for fn, op := range momentOracle {
+					v, err := op(s.xs, s.valid)
+					s.same(t, "inline vs stats", fn, want[fn], answer{v, err})
+				}
+			}
+			forms := map[string]map[string]answer{}
 
-		pool := summary.NewDB(rules.NewManagementDB())
-		reg := pool.Metrics()
-		pool.SetExec(exec.New(4), 0)
-		forms["pool"] = all(func(fn string) (float64, error) { return pool.Scalar(fn, "X", s.source()) })
-		if got := reg.Counter(obs.MSummaryRecomputeParallel).Value(); len(s.xs) > 0 && got != 1 {
-			t.Errorf("%s: %d parallel folds served the %d pool computes, want one", s.name, got, len(want))
-		}
+			for _, w := range []int{1, 2, 4} {
+				pool := summary.NewDB(rules.NewManagementDB())
+				reg := pool.Metrics()
+				pool.SetExec(exec.New(w))
+				form := fmt.Sprintf("%d-worker pool", w)
+				forms[form] = all(func(fn string) (float64, error) { return pool.Scalar(fn, "X", s.source()) })
+				fanned := int64(0)
+				if w > 1 && len(s.xs) >= summary.ParallelThreshold {
+					fanned = 1
+				}
+				if got := reg.Counter(obs.MSummaryRecomputeParallel).Value(); got != fanned {
+					t.Errorf("%s/%s: %d of the pool's folds fanned out, want %d", s.name, form, got, fanned)
+				}
+			}
 
-		runs := summary.NewDB(rules.NewManagementDB())
-		rc := s.runs()
-		forms["runs"] = all(func(fn string) (float64, error) {
-			return runs.ScalarFrom(fn, "X", summary.Sources{
-				Rows: func() ([]float64, []bool) { t.Errorf("%s/runs/%s read rows", s.name, fn); return nil, nil },
-				Runs: func() (exec.RunColumn, bool) { return rc, true },
-			})
-		})
+			for _, k := range []int{1, 2, 4} {
+				v := s.view(t, Options{})
+				sreg := obs.NewRegistry()
+				st, err := shard.New("agg", v.Dataset(), shard.Config{Shards: k, Registry: sreg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				v.AttachShards(st)
+				form := fmt.Sprintf("%d-shard gather", k)
+				forms[form] = all(func(fn string) (float64, error) {
+					val, rep, err := v.ComputeReport(fn, "X")
+					if rep.Shards != k || rep.Degraded() {
+						t.Errorf("%s/%s/%s: report %+v, want a healthy %d-shard gather", s.name, form, fn, rep, k)
+					}
+					return val, err
+				})
+				if got := sreg.Counter(obs.MShardScatters).Value(); got != int64(len(want)) {
+					t.Errorf("%s/%s: %d scatters for %d functions", s.name, form, got, len(want))
+				}
+				if p := v.Summary().Counters().Passes; p != int64(len(want)) {
+					t.Errorf("%s/%s: %d passes for %d functions", s.name, form, p, len(want))
+				}
+			}
 
-		for _, k := range []int{1, 2, 4} {
-			v := s.view(t, Options{})
-			sreg := obs.NewRegistry()
-			st, err := shard.New("agg", v.Dataset(), shard.Config{Shards: k, Registry: sreg})
+			m, err := dbmachine.New(dbmachine.Config{Processors: 3, RowProcessCost: 1, RowShipCost: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			v.AttachShards(st)
-			form := fmt.Sprintf("%d-shard gather", k)
-			forms[form] = all(func(fn string) (float64, error) {
-				val, rep, err := v.ComputeReport(fn, "X")
-				if rep.Shards != k || rep.Degraded() {
-					t.Errorf("%s/%s/%s: report %+v, want a healthy %d-shard gather", s.name, form, fn, rep, k)
+			forms["dbmachine"] = map[string]answer{}
+			for fn, kind := range map[string]dbmachine.AggregateKind{
+				"sum": dbmachine.AggSum, "min": dbmachine.AggMin, "max": dbmachine.AggMax, "count": dbmachine.AggCount,
+			} {
+				val, _, err := m.Aggregate(kind, s.xs, s.valid)
+				forms["dbmachine"][fn] = answer{val, err}
+			}
+
+			for form, answers := range forms {
+				for fn, got := range answers {
+					s.same(t, form, fn, got, want[fn])
 				}
-				return val, err
-			})
-			if got := sreg.Counter(obs.MShardScatters).Value(); got != int64(len(want)) {
-				t.Errorf("%s/%s: %d scatters for %d functions", s.name, form, got, len(want))
 			}
-			if p := v.Summary().Counters().Passes; p != int64(len(want)) {
-				t.Errorf("%s/%s: %d passes for %d functions", s.name, form, p, len(want))
-			}
-		}
 
-		m, err := dbmachine.New(dbmachine.Config{Processors: 3, RowProcessCost: 1, RowShipCost: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		forms["dbmachine"] = map[string]answer{}
-		for fn, kind := range map[string]dbmachine.AggregateKind{
-			"sum": dbmachine.AggSum, "min": dbmachine.AggMin, "max": dbmachine.AggMax, "count": dbmachine.AggCount,
-		} {
-			val, _, err := m.Aggregate(kind, s.xs, s.valid)
-			forms["dbmachine"][fn] = answer{val, err}
-		}
-
-		for form, answers := range forms {
-			for fn, got := range answers {
-				s.check(t, form, fn, got, want[fn], rel)
+			runs := summary.NewDB(rules.NewManagementDB())
+			rc := s.runs()
+			for fn, got := range all(func(fn string) (float64, error) {
+				return runs.ScalarFrom(fn, "X", summary.Sources{
+					Rows: func() ([]float64, []bool) { t.Errorf("%s/runs/%s read rows", s.name, fn); return nil, nil },
+					Runs: func() (exec.RunColumn, bool) { return rc, true },
+				})
+			}) {
+				s.check(t, "runs", fn, got, want[fn], runUlps*0x1p-52)
 			}
 		}
 	}

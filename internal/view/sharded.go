@@ -42,8 +42,8 @@ func (v *View) ShardStore() (st *shard.Store, behind bool) {
 // gatherSource binds attr as a summary.GatherSource over the sharded
 // copy (attached and current — computeReport checked), writing each
 // gather's provenance to rep. Healthy-path states are bit-identical to
-// the parallel unsharded engine's at the store's chunk size. Called with
-// v.mu held, like columnSource.
+// the unsharded fold's: both cut the column on exec's one chunk grid.
+// Called with v.mu held, like columnSource.
 func (v *View) gatherSource(attr string, rep *shard.Report) summary.GatherSource {
 	st := v.shards
 	return func(freq bool) (s summary.State, complete bool, err error) {

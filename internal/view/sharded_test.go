@@ -18,7 +18,7 @@ import (
 func shardedView(t *testing.T, v *View) *obs.Registry {
 	t.Helper()
 	reg := obs.NewRegistry()
-	st, err := shard.New(v.Name(), v.Dataset(), shard.Config{Shards: 4, Chunk: 64, Registry: reg})
+	st, err := shard.New(v.Name(), v.Dataset(), shard.Config{Shards: 4, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

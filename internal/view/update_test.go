@@ -94,6 +94,7 @@ func TestUpdateSequenceMatchesRecompute(t *testing.T) {
 	}
 	for _, b := range backings {
 		t.Run(b.name, func(t *testing.T) {
+			t.Parallel()
 			v := updateFixture(t, 2500)
 			if b.backing != BackingMemory {
 				attach(t, v, b.backing)

@@ -64,8 +64,9 @@ type View struct {
 // Options configure view construction.
 type Options struct {
 	// Parallelism sizes the execution pool for materialization steps and
-	// Summary Database recomputations. 0 or 1 keeps everything serial
-	// (the pre-engine behavior); core.DBMS defaults it to GOMAXPROCS.
+	// Summary Database recomputations. 0 or 1 runs every fold inline, on
+	// the same chunk grid and to the same answer; core.DBMS defaults it
+	// to GOMAXPROCS.
 	Parallelism int
 	// Metrics, when set, receives the view's access-pattern counters and
 	// its execution pool's scheduling counters (core.DBMS passes its own
@@ -114,7 +115,7 @@ func New(data *dataset.Dataset, mdb *rules.ManagementDB, def rules.ViewDef, opts
 	v.cRowReads = opts.Metrics.Counter(obs.MViewRowReads)
 	v.sdb.SetTracer(opts.Tracer)
 	if opts.Parallelism > 1 {
-		v.sdb.SetExec(exec.New(opts.Parallelism).WithMetrics(opts.Metrics), 0)
+		v.sdb.SetExec(exec.New(opts.Parallelism).WithMetrics(opts.Metrics))
 	}
 	v.data.SetName(def.Name)
 	return v, nil
