@@ -12,7 +12,10 @@
 // database machine — cuts it on one grid, Chunks(n, DefaultChunk), with
 // FoldMoments as the chunk kernel, so its moments are one answer, bit
 // for bit, however it is scheduled; a column of at most one chunk is the
-// serial operators of stats/desc.go exactly. A nil pool, or a pool of
+// serial operators of stats/desc.go exactly. Its frequency table is each
+// chunk's keys radix-sorted and run-length-encoded (FoldFreq), the chunk
+// tables merged as sorted runs (MergeFreq): counts add, so the table is
+// exact whatever the cut. A nil pool, or a pool of
 // one worker, runs the same chunks inline on the caller's goroutine.
 package exec
 

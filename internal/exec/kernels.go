@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -282,94 +283,64 @@ var inline = New(1)
 
 // ColumnFold folds a whole column into the state families asked for —
 // moments, a frequency table, or both — in one pass through the pool:
-// each chunk of the grid folds every family asked, and the partials
-// merge in chunk order, so the answer is the same at every pool width. A
-// nil pool runs the same chunks inline. A family not asked comes back
-// zero (a nil Freq).
-func ColumnFold(p *Pool, xs []float64, valid []bool, chunk int, moments, freq bool) (Moments, Freq) {
-	fold := func(xs []float64, valid []bool) (m Moments, f Freq) {
-		if moments {
-			m = FoldMoments(xs, valid)
-		}
-		if freq {
-			f = FoldFreq(xs, valid)
-		}
-		return m, f
-	}
+// each chunk of the grid folds every family asked, the moments merge in
+// chunk order and the chunk tables through MergeFreq, so the answer is
+// the same at every pool width. A nil pool runs the same chunks inline.
+// A family not asked comes back zero. The chunks one worker tabulates
+// share one chunk-sized sort scratch, which goes with the fold.
+func ColumnFold(p *Pool, xs []float64, valid []bool, chunk int, moments, freq bool) (Moments, FreqTable) {
 	ranges := Chunks(len(xs), chunk)
 	if len(ranges) == 0 {
-		return fold(nil, nil)
+		return Moments{}, FreqTable{}
 	}
 	if p == nil {
 		p = inline
 	}
-	ms, fs := make([]Moments, len(ranges)), make([]Freq, len(ranges))
+	ms := make([]Moments, len(ranges))
+	var fs []FreqTable
+	var scratch chan *sorter
+	if freq {
+		fs = make([]FreqTable, len(ranges))
+		// A free list of one sort scratch per worker the run fans out to.
+		scratch = make(chan *sorter, p.Fanout(len(ranges)))
+		for range cap(scratch) {
+			scratch <- new(sorter)
+		}
+	}
 	// Slicing can't fail; Run's error path is unused here.
 	//lint:allow error-flow the range kernel below never returns an error
 	_ = p.RunRanges(ranges, func(c int, r Range) error {
-		if valid == nil {
-			ms[c], fs[c] = fold(xs[r.Lo:r.Hi], nil)
-		} else {
-			ms[c], fs[c] = fold(xs[r.Lo:r.Hi], valid[r.Lo:r.Hi])
+		xs, valid := xs[r.Lo:r.Hi], valid
+		if valid != nil {
+			valid = valid[r.Lo:r.Hi]
+		}
+		if moments {
+			ms[c] = FoldMoments(xs, valid)
+		}
+		if freq {
+			s := <-scratch
+			fs[c] = s.fold(xs, valid)
+			scratch <- s
 		}
 		return nil
 	})
-	m, f := ms[0], fs[0]
-	for c := 1; c < len(ranges); c++ {
-		m = MergeMoments(m, ms[c])
-		if freq {
-			f = f.Merge(fs[c])
-		}
+	m := ms[0]
+	for _, part := range ms[1:] {
+		m = MergeMoments(m, part)
 	}
-	return m, f
+	if !freq {
+		return m, FreqTable{}
+	}
+	return m, MergeFreq(fs)
 }
 
-// Freq is the mergeable frequency-table state: value -> multiplicity of
-// the valid observations. It backs the parallel frequency, mode, unique
-// and quantile kernels (a frequency table is a compressed sort).
-type Freq map[float64]int64
-
-// FoldFreq tabulates one chunk.
-func FoldFreq(xs []float64, valid []bool) Freq {
-	f := make(Freq)
-	for i, x := range xs {
-		if valid != nil && !valid[i] {
-			continue
-		}
-		f[x]++
-	}
-	return f
-}
-
-// Merge folds src into f and returns f. Counts add, so the merge is
-// exact and order-insensitive.
-func (f Freq) Merge(src Freq) Freq {
-	for v, c := range src {
-		f[v] += c
-	}
-	return f
-}
-
-// Cardinality is the number of distinct values — len(f.Table().Values)
-// without the sort: every NaN key after the first is the same value.
-func (f Freq) Cardinality() int {
-	n, nans := len(f), 0
-	for v := range f {
-		if v != v {
-			nans++
-		}
-	}
-	if nans > 1 {
-		n -= nans - 1
-	}
-	return n
-}
-
-// FreqTable is a frequency table in sorted form — the compressed sort
-// the freq-family finalizers read, and the state the Summary Database
-// keeps current under updates: the distinct values ascending in
-// cmp.Compare order, so a NaN is one value (before every number), and
-// the positive multiplicity of each.
+// FreqTable is the frequency state — a frequency table is a compressed
+// sort (Section 4.2): the distinct values ascending in cmp.Compare order
+// with the positive multiplicity of each. It is what a fold tabulates,
+// what chunks merge, what the freq-family finalizers read and what the
+// Summary Database keeps current under updates. A table a fold, a merge
+// or an update builds holds every NaN as one value, math.NaN(), before
+// every number, and every zero as +0.
 type FreqTable struct {
 	Values []float64
 	Counts []int64
@@ -382,37 +353,234 @@ type Change struct {
 	N     int64
 }
 
-// Table sorts f. A map stores every NaN apart, under a key no lookup
-// can find again, so ranging sums them into the one value the table
-// holds (slices.Sort puts it first, where cmp.Compare does); every other
-// count is read back by key.
-func (f Freq) Table() FreqTable {
-	values := make([]float64, 0, len(f))
-	var nans int64
-	for v, c := range f {
-		if v != v {
-			if nans == 0 {
-				values = append(values, v)
-			}
-			nans += c
-			continue
-		}
-		values = append(values, v)
+// key maps x to a uint64 whose order is cmp.Compare's over the values a
+// table holds: a number's bits gain the sign bit when it is positive and
+// are inverted when it is negative, every NaN keys as 0, below −Inf, and
+// −0 keys as +0.
+func key(x float64) uint64 {
+	switch {
+	case x != x:
+		return 0
+	case x == 0:
+		return 1 << 63
 	}
-	slices.Sort(values)
-	counts := make([]int64, len(values))
-	for i, v := range values {
-		counts[i] = f[v]
-	}
-	if nans > 0 {
-		counts[0] = nans
-	}
-	return FreqTable{Values: values, Counts: counts}
+	b := math.Float64bits(x)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
 }
 
-// coalesce sorts batch by value in place and sums the changes of equal
-// values, dropping those that cancel.
+// value inverts key: the value a table holds for x is value(key(x)).
+func value(k uint64) float64 {
+	if k == 0 {
+		return math.NaN()
+	}
+	return math.Float64frombits(k ^ (uint64(int64(^k)>>63) | 1<<63))
+}
+
+// sorter is one worker's sort scratch: a chunk's keys, the buffer the
+// radix passes scatter them into, and the digit counters.
+type sorter struct {
+	keys, tmp []uint64
+	at        []uint32
+}
+
+// FoldFreq tabulates one chunk: its valid values' keys, radix-sorted and
+// run-length-encoded.
+func FoldFreq(xs []float64, valid []bool) FreqTable {
+	return new(sorter).fold(xs, valid)
+}
+
+// maxRadixBits bounds the width of one radix digit: 2^13 counters fill
+// an L1 cache.
+const maxRadixBits = 13
+
+// fold is FoldFreq on s's scratch, grown to the chunk as needed. The
+// keys sort least significant digit first, one stable counting pass per
+// digit. A digit has at most half as many counters as the chunk has
+// rows, and at most 2^maxRadixBits; a digit no key varies in is skipped,
+// so a chunk of small integer codes, whose keys differ in a handful of
+// exponent and leading mantissa bits, sorts in two passes, a chunk of a
+// float measure in six. The lowest digit is counted as the keys are
+// made, and each pass but the last counts the next digit as it scatters.
+func (s *sorter) fold(xs []float64, valid []bool) FreqTable {
+	if cap(s.keys) < len(xs) {
+		s.keys, s.tmp = make([]uint64, len(xs)), make([]uint64, len(xs))
+	}
+	width := min(max(bits.Len(uint(len(xs)))-2, 8), maxRadixBits)
+	mask := uint64(1)<<width - 1
+	if len(s.at) < 2<<width {
+		s.at = make([]uint32, 2<<width)
+	}
+	at, next := s.at[:mask+1], s.at[mask+1:2*(mask+1)]
+	clear(at)
+	keys := s.keys[:len(xs)]
+	n, or, and := 0, uint64(0), ^uint64(0)
+	for i, x := range xs {
+		if valid != nil && !valid[i] {
+			continue
+		}
+		k := key(x)
+		keys[n] = k
+		n++
+		or, and = or|k, and&k
+		at[k&mask]++
+	}
+	if n == 0 {
+		return FreqTable{}
+	}
+	keys, tmp := keys[:n], s.tmp[:n]
+	varies := or &^ and
+	// skip returns the first digit from shift up that some key varies in,
+	// 64 when none is left.
+	skip := func(shift int) int {
+		for shift < 64 && varies>>shift&mask == 0 {
+			shift += width
+		}
+		return shift
+	}
+	shift := skip(0)
+	if shift > 0 && shift < 64 {
+		clear(at)
+		for _, k := range keys {
+			at[k>>shift&mask]++
+		}
+	}
+	for shift < 64 {
+		sum := uint32(0)
+		for d, c := range at {
+			at[d], sum = sum, sum+c
+		}
+		following := skip(shift + width)
+		if following >= 64 {
+			for _, k := range keys {
+				d := k >> shift & mask
+				tmp[at[d]] = k
+				at[d]++
+			}
+			keys, tmp = tmp, keys
+			break
+		}
+		clear(next)
+		for _, k := range keys {
+			d := k >> shift & mask
+			tmp[at[d]] = k
+			at[d]++
+			next[k>>following&mask]++
+		}
+		keys, tmp = tmp, keys
+		at, next, shift = next, at, following
+	}
+	// Run-length encode in place, branch-free: the distinct keys to the
+	// front of keys, their counts to the front of tmp.
+	d, last := 0, ^keys[0]
+	for _, k := range keys {
+		step := 0
+		if k != last {
+			step = 1
+		}
+		d += step
+		keys[d-1], tmp[d-1] = k, tmp[d-1]&(uint64(step)-1)+1
+		last = k
+	}
+	t := FreqTable{Values: make([]float64, d), Counts: make([]int64, d)}
+	for i := range t.Values {
+		t.Values[i], t.Counts[i] = value(keys[i]), int64(tmp[i])
+	}
+	return t
+}
+
+// MergeFreq merges tables, counts added, so the merge is exact and a
+// column's table is the same however it was cut. The tables merge in
+// the order given, pairwise as a balanced tree — each level one pass
+// over every value held, not one pass per table — ping-ponging between
+// two buffers sized by the tables' summed length; the table returned is
+// sized to its own values.
+func MergeFreq(parts []FreqTable) FreqTable {
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	total := 0
+	for _, t := range parts {
+		total += len(t.Values)
+	}
+	if total == 0 {
+		return FreqTable{}
+	}
+	var buf [2]FreqTable
+	for i := range buf {
+		buf[i] = FreqTable{Values: make([]float64, total), Counts: make([]int64, total)}
+	}
+	level := slices.Clone(parts)
+	for l := 0; len(level) > 1; l++ {
+		dst, at := buf[l%2], 0
+		next := level[:0]
+		for i := 0; i < len(level); i += 2 {
+			var n int
+			if i+1 < len(level) {
+				n = mergeInto(dst.Values[at:], dst.Counts[at:], level[i], level[i+1])
+			} else {
+				n = copy(dst.Values[at:], level[i].Values)
+				copy(dst.Counts[at:], level[i].Counts)
+			}
+			next = append(next, FreqTable{Values: dst.Values[at : at+n : at+n], Counts: dst.Counts[at : at+n : at+n]})
+			at += n
+		}
+		level = next
+	}
+	t := level[0]
+	if len(t.Values) < total {
+		t = FreqTable{
+			Values: append(make([]float64, 0, len(t.Values)), t.Values...),
+			Counts: append(make([]int64, 0, len(t.Counts)), t.Counts...),
+		}
+	}
+	return t
+}
+
+// mergeInto writes a and b merged into vs and cs and returns the merged
+// length. A NaN is first in a table that holds one, so after it the
+// values compare by <.
+func mergeInto(vs []float64, cs []int64, a, b FreqTable) int {
+	i, j, k := 0, 0, 0
+	aNaN := len(a.Values) > 0 && a.Values[0] != a.Values[0]
+	bNaN := len(b.Values) > 0 && b.Values[0] != b.Values[0]
+	if aNaN || bNaN {
+		vs[0], cs[0], k = math.NaN(), 0, 1
+		if aNaN {
+			cs[0], i = cs[0]+a.Counts[0], 1
+		}
+		if bNaN {
+			cs[0], j = cs[0]+b.Counts[0], 1
+		}
+	}
+	// Branch-free: which side the next value comes from is data, not a
+	// prediction, so the smaller value is selected by masking its bits.
+	for i < len(a.Values) && j < len(b.Values) {
+		x, y := a.Values[i], b.Values[j]
+		var ta, tb int
+		if x <= y {
+			ta = 1
+		}
+		if y <= x {
+			tb = 1
+		}
+		xb, yb := math.Float64bits(x), math.Float64bits(y)
+		vs[k] = math.Float64frombits(yb ^ (xb^yb)&-uint64(ta))
+		cs[k] = a.Counts[i]&-int64(ta) + b.Counts[j]&-int64(tb)
+		i, j, k = i+ta, j+tb, k+1
+	}
+	copy(cs[k:], a.Counts[i:])
+	k += copy(vs[k:], a.Values[i:])
+	copy(cs[k:], b.Counts[j:])
+	k += copy(vs[k:], b.Values[j:])
+	return k
+}
+
+// coalesce sorts batch by value in place, each value as a table holds
+// it, and sums the changes of equal values, dropping those that cancel.
 func coalesce(batch []Change) []Change {
+	for i := range batch {
+		batch[i].Value = value(key(batch[i].Value))
+	}
 	slices.SortFunc(batch, func(a, b Change) int { return cmp.Compare(a.Value, b.Value) })
 	out := batch[:0]
 	for i := 0; i < len(batch); {
@@ -428,7 +596,9 @@ func coalesce(batch []Change) []Change {
 }
 
 // Apply merges an update batch into t in place — O(d log d + distinct),
-// the delta form of FoldFreq — sorting batch in place. It reports false,
+// the delta form of FoldFreq — sorting batch in place and holding each
+// value it inserts as a fold would: every NaN as math.NaN() and −0 as
+// +0. It reports false,
 // leaving t as it was, when the batch takes away a copy t does not hold:
 // the table no longer describes the column, and the caller drops it.
 func (t *FreqTable) Apply(batch []Change) bool {
@@ -502,12 +672,4 @@ func (t *FreqTable) Apply(batch []Change) bool {
 		t.Values[end], t.Counts[end] = batch[j].Value, batch[j].N
 	}
 	return true
-}
-
-// ColumnFreq tabulates a whole column through the pool: chunk-parallel
-// FoldFreq, merged in chunk order (the merged multiset is identical for
-// any chunking, so this kernel is bit-exact vs the serial path).
-func ColumnFreq(p *Pool, xs []float64, valid []bool, chunk int) Freq {
-	_, f := ColumnFold(p, xs, valid, chunk, false, true)
-	return f
 }

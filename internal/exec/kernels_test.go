@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -56,43 +57,74 @@ func TestMergeMomentsEmptySides(t *testing.T) {
 	}
 }
 
-// TestFreqParallelBitExact: frequency tables are order-insensitive, so
-// the parallel kernel must match a serial tabulation exactly.
+// TestFreqParallelBitExact: a merge adds counts, so a column's table
+// is the same tabulated whole, or cut into chunks and merged at any
+// pool width, as in the reference — the sorted column run-length
+// encoded.
 func TestFreqParallelBitExact(t *testing.T) {
 	xs, valid := testColumn(30011, 3)
-	serial := FoldFreq(xs, valid)
-	par := ColumnFreq(New(4), xs, valid, 777)
-	if len(serial) != len(par) {
-		t.Fatalf("distinct %d != %d", len(par), len(serial))
-	}
-	for v, c := range serial {
-		if par[v] != c {
-			t.Errorf("value %g: parallel %d != serial %d", v, par[v], c)
+	var sorted []float64
+	for i, x := range xs {
+		if valid[i] {
+			sorted = append(sorted, x)
 		}
 	}
-	st, pt := serial.Table(), par.Table()
-	if !slices.Equal(st.Values, pt.Values) || !slices.Equal(st.Counts, pt.Counts) {
-		t.Fatal("sorted tables differ")
+	slices.Sort(sorted)
+	var want FreqTable
+	for i, x := range sorted {
+		if i > 0 && x == sorted[i-1] {
+			want.Counts[len(want.Counts)-1]++
+			continue
+		}
+		want.Values, want.Counts = append(want.Values, x), append(want.Counts, 1)
+	}
+	serial := FoldFreq(xs, valid)
+	if !slices.Equal(serial.Values, want.Values) || !slices.Equal(serial.Counts, want.Counts) {
+		t.Fatal("FoldFreq differs from the sorted column run-length encoded")
+	}
+	for _, workers := range []int{1, 4} {
+		_, par := ColumnFold(New(workers), xs, valid, 777, false, true)
+		if !slices.Equal(par.Values, want.Values) || !slices.Equal(par.Counts, want.Counts) {
+			t.Fatalf("workers=%d: merged chunk tables differ from the whole column's", workers)
+		}
+		if cap(par.Values) != len(par.Values) || cap(par.Counts) != len(par.Counts) {
+			t.Errorf("workers=%d: %d values held in room for %d and %d", workers, len(par.Values), cap(par.Values), cap(par.Counts))
+		}
 	}
 }
 
-// TestFreqTableNaN: a map gives every NaN its own key; the sorted table
-// counts them as one value, first in order, and merges changes to it like
-// any other. A batch that takes away a copy the table does not hold is
-// refused and leaves the table as it was.
+// TestFreqTableNaN: the table holds every NaN as one value, math.NaN(),
+// first in order, and every zero as +0, whatever bits the column held,
+// through a fold, a merge, a run fold and an update batch; it merges
+// changes to the NaN like any other. A batch that takes away a copy the
+// table does not hold is refused and leaves the table as it was.
 func TestFreqTableNaN(t *testing.T) {
 	nan := math.NaN()
+	payload := math.Float64frombits(0xfff0000000000123) // a negative NaN
 	same := func(tab FreqTable, values []float64, counts []int64) bool {
 		return slices.EqualFunc(tab.Values, values, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) &&
 			slices.Equal(tab.Counts, counts)
 	}
-	f := FoldFreq([]float64{2, nan, 2, nan, nan, -1}, nil)
-	tab := f.Table()
-	if !same(tab, []float64{nan, -1, 2}, []int64{3, 1, 2}) {
-		t.Fatalf("table = %v %v, want [NaN -1 2] [3 1 2]", tab.Values, tab.Counts)
+	xs := []float64{2, payload, 2, math.Copysign(0, -1), nan, 0, -1, nan}
+	tab := FoldFreq(xs, nil)
+	if !same(tab, []float64{nan, -1, 0, 2}, []int64{3, 1, 2, 2}) {
+		t.Fatalf("table = %v %v, want [NaN -1 0 2] [3 1 2 2]", tab.Values, tab.Counts)
 	}
-	if f.Cardinality() != 3 || FoldFreq([]float64{2, 2, -1}, nil).Cardinality() != 2 {
-		t.Errorf("Cardinality = %d with NaNs, want 3", f.Cardinality())
+	if merged := MergeFreq([]FreqTable{FoldFreq(xs[:3], nil), FoldFreq(xs[3:5], nil), FoldFreq(xs[5:], nil)}); !same(merged, tab.Values, tab.Counts) {
+		t.Fatalf("merged chunk tables = %v %v, want %v %v", merged.Values, merged.Counts, tab.Values, tab.Counts)
+	}
+	rc := RunColumn{Vals: xs, Nulls: make([]bool, len(xs)), Counts: []int64{1, 1, 1, 1, 1, 1, 1, 1}, Rows: len(xs)}
+	if runs, err := FoldFreqRuns(rc); err != nil || !same(runs, tab.Values, tab.Counts) {
+		t.Fatalf("run fold = %v %v (%v), want %v %v", runs.Values, runs.Counts, err, tab.Values, tab.Counts)
+	}
+	if !tab.Apply([]Change{{payload, -1}, {math.Copysign(0, -1), 1}, {0, -3}}) || !same(tab, []float64{nan, -1, 2}, []int64{2, 1, 2}) {
+		t.Fatalf("after the zeros: %v %v, want [NaN -1 2] [2 1 2]", tab.Values, tab.Counts)
+	}
+	if !tab.Apply([]Change{{math.Copysign(0, -1), 1}}) || !same(tab, []float64{nan, -1, 0, 2}, []int64{2, 1, 1, 2}) {
+		t.Fatalf("after inserting -0: %v %v, want [NaN -1 0 2] [2 1 1 2]", tab.Values, tab.Counts)
+	}
+	if !tab.Apply([]Change{{0, -1}, {nan, 1}}) || !same(tab, []float64{nan, -1, 2}, []int64{3, 1, 2}) {
+		t.Fatalf("table = %v %v, want [NaN -1 2] [3 1 2]", tab.Values, tab.Counts)
 	}
 	if !tab.Apply([]Change{{nan, -1}, {5, 1}, {2, -1}, {nan, -2}, {2, 1}, {-1, -1}}) || !same(tab, []float64{2, 5}, []int64{2, 1}) {
 		t.Fatalf("after the batch: %v %v, want [2 5] [2 1]", tab.Values, tab.Counts)
@@ -110,10 +142,10 @@ func TestFreqTableSizedToItsValues(t *testing.T) {
 	for i := range xs {
 		xs[i] = float64(i % 200)
 	}
-	tab := FoldFreq(xs, nil).Table()
+	tab := FoldFreq(xs, nil)
 	check := func(step string) {
 		t.Helper()
-		want := FoldFreq(xs, nil).Table()
+		want := FoldFreq(xs, nil)
 		if !slices.Equal(tab.Values, want.Values) || !slices.Equal(tab.Counts, want.Counts) {
 			t.Fatalf("%s: merged table differs from the rebuilt one", step)
 		}
@@ -138,7 +170,7 @@ func TestFreqTableSizedToItsValues(t *testing.T) {
 }
 
 // TestColumnFoldOnePass: asked for both families, ColumnFold returns what
-// ColumnMoments and ColumnFreq return apart, in one pass over the chunks;
+// ColumnMoments and a frequency-only fold return apart, in one pass over the chunks;
 // a family not asked comes back zero.
 func TestColumnFoldOnePass(t *testing.T) {
 	xs, valid := testColumn(30011, 5)
@@ -152,12 +184,40 @@ func TestColumnFoldOnePass(t *testing.T) {
 		if want := ColumnMoments(p, xs, valid, 777); m != want {
 			t.Errorf("workers=%d: moments %+v, ColumnMoments %+v", workers, m, want)
 		}
-		st, wt := f.Table(), ColumnFreq(p, xs, valid, 777).Table()
-		if !slices.Equal(st.Values, wt.Values) || !slices.Equal(st.Counts, wt.Counts) {
-			t.Errorf("workers=%d: frequency table differs from ColumnFreq's", workers)
+		if _, wt := ColumnFold(p, xs, valid, 777, false, true); !slices.Equal(f.Values, wt.Values) || !slices.Equal(f.Counts, wt.Counts) {
+			t.Errorf("workers=%d: frequency table differs from a frequency-only fold's", workers)
 		}
-		if m, f := ColumnFold(p, xs, valid, 777, false, false); m != (Moments{}) || f != nil {
-			t.Errorf("workers=%d: no family asked, got %+v and %d values", workers, m, len(f))
+		if m, f := ColumnFold(p, xs, valid, 777, false, false); m != (Moments{}) || f.Values != nil {
+			t.Errorf("workers=%d: no family asked, got %+v and %d values", workers, m, len(f.Values))
+		}
+	}
+}
+
+// BenchmarkColumnFoldFreq times a frequency fold of a 200 000-row
+// column — a float measure of ~60 000 distinct values and a code of
+// 100 — inline and at two workers: sort, run-length encoding and merge.
+func BenchmarkColumnFoldFreq(b *testing.B) {
+	const rows = 200000
+	rng := rand.New(rand.NewSource(1))
+	float, code := make([]float64, rows), make([]float64, rows)
+	valid := make([]bool, rows)
+	for i := range float {
+		float[i] = math.Round(rng.NormFloat64()*15000) / 100
+		code[i] = float64(rng.Intn(100))
+		valid[i] = rng.Intn(100) != 0
+	}
+	for _, col := range []struct {
+		name string
+		xs   []float64
+	}{{"float", float}, {"code", code}} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", col.name, workers), func(b *testing.B) {
+				p := New(workers)
+				b.ReportAllocs()
+				for range b.N {
+					ColumnFold(p, col.xs, valid, DefaultChunk, false, true)
+				}
+			})
 		}
 	}
 }

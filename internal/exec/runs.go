@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"statdb/internal/storage"
 )
@@ -81,21 +83,40 @@ func FoldMomentsRuns(rc RunColumn) (Moments, error) {
 	return out, nil
 }
 
-// FoldFreqRuns tabulates a run column in O(runs): each run adds its
-// whole count to its value's multiplicity. Counts are integers, so the
-// result is bit-identical to FoldFreq over the expansion.
-func FoldFreqRuns(rc RunColumn) (Freq, error) {
+// FoldFreqRuns tabulates a run column in O(runs log runs): the valid
+// runs' (key, count) pairs sort by FoldFreq's key and equal keys
+// coalesce, their counts added. Counts are integers, so the table is
+// bit-identical to FoldFreq over the expansion.
+func FoldFreqRuns(rc RunColumn) (FreqTable, error) {
 	if err := rc.Validate(); err != nil {
-		return nil, err
+		return FreqTable{}, err
 	}
-	f := make(Freq)
+	type run struct {
+		key uint64
+		n   int64
+	}
+	runs := make([]run, 0, len(rc.Vals))
 	for i, x := range rc.Vals {
-		if rc.Nulls[i] {
+		if !rc.Nulls[i] {
+			runs = append(runs, run{key(x), rc.Counts[i]})
+		}
+	}
+	slices.SortFunc(runs, func(a, b run) int { return cmp.Compare(a.key, b.key) })
+	d := 0
+	for i, r := range runs {
+		if i == 0 || r.key != runs[i-1].key {
+			d++
+		}
+	}
+	t := FreqTable{Values: make([]float64, 0, d), Counts: make([]int64, 0, d)}
+	for i, r := range runs {
+		if i > 0 && r.key == runs[i-1].key {
+			t.Counts[len(t.Counts)-1] += r.n
 			continue
 		}
-		f[x] += rc.Counts[i]
+		t.Values, t.Counts = append(t.Values, value(r.key)), append(t.Counts, r.n)
 	}
-	return f, nil
+	return t, nil
 }
 
 // RunTicks is the virtual cost of a run-native fold: one cell cost per

@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"statdb/internal/storage"
@@ -95,13 +96,8 @@ func TestFoldRunsMatchesExpandThenFold(t *testing.T) {
 			t.Fatal(err)
 		}
 		wf := FoldFreq(xs, valid)
-		if len(gf) != len(wf) {
-			t.Fatalf("trial %d: %d distinct values, want %d", trial, len(gf), len(wf))
-		}
-		for v, c := range wf {
-			if gf[v] != c {
-				t.Fatalf("trial %d: freq[%g] = %d, want %d", trial, v, gf[v], c)
-			}
+		if !slices.Equal(gf.Values, wf.Values) || !slices.Equal(gf.Counts, wf.Counts) {
+			t.Fatalf("trial %d: run table %v %v, want %v %v", trial, gf.Values, gf.Counts, wf.Values, wf.Counts)
 		}
 	}
 }

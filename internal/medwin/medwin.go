@@ -122,8 +122,13 @@ func (w *Window) SetCounters(slides, rebuilds *obs.Counter) {
 	w.cSlides, w.cRebuilds = slides, rebuilds
 }
 
-// Insert records a new value. O(log window) plus a bounded shift.
+// Insert records a new value. O(log window) plus a bounded shift. A
+// zero is held as +0, as a frequency table holds it, so a window answers
+// what a table seeded anew from the same column answers.
 func (w *Window) Insert(x float64) {
+	if x == 0 {
+		x = 0
+	}
 	w.slides++
 	w.cSlides.Inc()
 	if w.degenerate {
@@ -218,11 +223,15 @@ func (w *Window) trim() {
 // the data: the Section 4.2 regeneration. The new window is centered on
 // the quantile pointer. Only the window's own order statistics are put in
 // place and sorted (selectRange); the values outside it are counted, not
-// ordered, so a regeneration is linear in the column.
+// ordered, so a regeneration is linear in the column. Every zero is
+// held as +0, as Insert holds it.
 func (w *Window) Rebuild(xs []float64, valid []bool) {
 	vals := make([]float64, 0, len(xs))
 	for i, x := range xs {
 		if valid == nil || valid[i] {
+			if x == 0 {
+				x = 0
+			}
 			vals = append(vals, x)
 		}
 	}

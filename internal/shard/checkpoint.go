@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"strconv"
 
 	"statdb/internal/exec"
@@ -40,9 +42,9 @@ func decodeMoments(v []float64) (exec.Moments, error) {
 }
 
 // encodeFreq flattens a frequency table as [v1, c1, v2, c2, ...] in
-// ascending value order (deterministic bytes for a deterministic table).
-func encodeFreq(f exec.Freq) []float64 {
-	t := f.Table()
+// its ascending value order (deterministic bytes for a deterministic
+// table).
+func encodeFreq(t exec.FreqTable) []float64 {
 	out := make([]float64, 0, 2*len(t.Values))
 	for i, v := range t.Values {
 		out = append(out, v, float64(t.Counts[i]))
@@ -50,16 +52,27 @@ func encodeFreq(f exec.Freq) []float64 {
 	return out
 }
 
-// decodeFreq parses encodeFreq's layout.
-func decodeFreq(v []float64) (exec.Freq, error) {
+// decodeFreq parses encodeFreq's layout back into the table. A vector
+// no table encodes to — values not strictly ascending in cmp.Compare
+// order, a count that is not a positive integer — is corrupt: the merge
+// it would enter needs ascending input, and a count a fold never makes
+// would skew every answer the degraded gather gives.
+func decodeFreq(v []float64) (exec.FreqTable, error) {
 	if len(v)%2 != 0 {
-		return nil, corruptf("freq vector of odd length %d", len(v))
+		return exec.FreqTable{}, corruptf("freq vector of odd length %d", len(v))
 	}
-	f := make(exec.Freq, len(v)/2)
-	for i := 0; i < len(v); i += 2 {
-		f[v[i]] += int64(v[i+1])
+	t := exec.FreqTable{Values: make([]float64, len(v)/2), Counts: make([]int64, len(v)/2)}
+	for i := range t.Values {
+		x, c := v[2*i], v[2*i+1]
+		if i > 0 && cmp.Compare(t.Values[i-1], x) >= 0 {
+			return exec.FreqTable{}, corruptf("freq vector value %d (%g) not above %g", i, x, t.Values[i-1])
+		}
+		if !(c >= 1 && c <= 1<<53 && c == math.Trunc(c)) {
+			return exec.FreqTable{}, corruptf("freq vector count %d is %g, not a positive integer", i, c)
+		}
+		t.Values[i], t.Counts[i] = x, int64(c)
 	}
-	return f, nil
+	return t, nil
 }
 
 // shardAttr keys a (column, shard) partial in the partials DB.
@@ -70,10 +83,10 @@ func shardAttr(col string, shard int) []string {
 // shardPartials folds every chunk the shard owns for column col,
 // merging in ascending global chunk order, and tabulates the frequency
 // table. Runs on the shard's own pool and device stack.
-func (sh *shardState) shardPartials(col string) (exec.Moments, exec.Freq, error) {
+func (sh *shardState) shardPartials(col string) (exec.Moments, exec.FreqTable, error) {
 	xs, valid, err := sh.file.NumericColumn(col)
 	if err != nil {
-		return exec.Moments{}, nil, err
+		return exec.Moments{}, exec.FreqTable{}, err
 	}
 	var m exec.Moments
 	for i, ref := range sh.chunks {
@@ -109,7 +122,7 @@ func (s *Store) Checkpoint() error {
 				return fmt.Errorf("shard: checkpoint %s %q: %w", sh.label, col, err)
 			}
 			s.partials.StoreCustom(fnMoments, shardAttr(col, sh.index), summary.VectorOf(encodeMoments(m)))
-			if len(f) <= maxFreqCheckpoint {
+			if len(f.Values) <= maxFreqCheckpoint {
 				s.partials.StoreCustom(fnFreq, shardAttr(col, sh.index), summary.VectorOf(encodeFreq(f)))
 			}
 		}

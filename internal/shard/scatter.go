@@ -275,12 +275,15 @@ func (s *Store) Moments(col string) (exec.Moments, Report, error) {
 	return out, *rep, s.gatherErr(rep)
 }
 
-// Freq tabulates col's frequency table by scatter-gather, merged in
-// ascending global chunk order (bit-exact for any chunking: the merged
-// multiset is order-insensitive). Degraded semantics match Moments.
-func (s *Store) Freq(col string) (exec.Freq, Report, error) {
+// Freq tabulates col's frequency table by scatter-gather: each shard
+// tabulates its global chunks (exec.FoldFreq) and the gather merges the
+// chunk tables, then each failed shard's checkpointed table, with
+// exec.MergeFreq — the merge of exec.ColumnFold, so the healthy-path
+// table is bit-identical to the unsharded fold's. Degraded semantics
+// match Moments.
+func (s *Store) Freq(col string) (exec.FreqTable, Report, error) {
 	numChunks := len(exec.Chunks(s.rows, exec.DefaultChunk))
-	parts := make([]exec.Freq, numChunks)
+	parts := make([]exec.FreqTable, numChunks)
 	outs, rep := s.scatter("freq", col, func(sh *shardState, h exec.SpanHook) error {
 		return sh.foldColumn(h, col, func(global int, xs []float64, valid []bool) {
 			parts[global] = exec.FoldFreq(xs, valid)
@@ -290,14 +293,8 @@ func (s *Store) Freq(col string) (exec.Freq, Report, error) {
 	for i, sh := range s.shards {
 		if outs[i].err != nil {
 			for _, ref := range sh.chunks {
-				parts[ref.global] = nil
+				parts[ref.global] = exec.FreqTable{}
 			}
-		}
-	}
-	out := make(exec.Freq)
-	for c := 0; c < numChunks; c++ {
-		if parts[c] != nil {
-			out = out.Merge(parts[c])
 		}
 	}
 	for i, sh := range s.shards {
@@ -305,8 +302,8 @@ func (s *Store) Freq(col string) (exec.Freq, Report, error) {
 			continue
 		}
 		if v, gen, ok := s.stalePartial(fnFreq, col, i); ok {
-			if f, err := decodeFreq(v); err == nil {
-				out = out.Merge(f)
+			if t, err := decodeFreq(v); err == nil {
+				parts = append(parts, t)
 				rep.Stale = append(rep.Stale, i)
 				rep.StaleGens[i] = gen
 				continue
@@ -316,7 +313,7 @@ func (s *Store) Freq(col string) (exec.Freq, Report, error) {
 		rep.RowsMissing += sh.rows
 	}
 	s.finishReport("freq", col, rep)
-	return out, *rep, s.gatherErr(rep)
+	return exec.MergeFreq(parts), *rep, s.gatherErr(rep)
 }
 
 // foldColumn reads the shard's image of col and hands each owned global

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"statdb/internal/exec"
 	"statdb/internal/obs"
 	"statdb/internal/storage"
+	"statdb/internal/summary"
 )
 
 // testDataset builds rows of one float and one int column with a few
@@ -46,7 +49,7 @@ func TestHealthyPathBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := exec.ColumnMoments(exec.New(4), xs, valid, exec.DefaultChunk)
-	refFreq := exec.ColumnFreq(exec.New(4), xs, valid, exec.DefaultChunk)
+	_, refFreq := exec.ColumnFold(exec.New(4), xs, valid, exec.DefaultChunk, false, true)
 
 	for _, pol := range []Policy{PlaceRoundRobin, PlaceRange} {
 		for _, shards := range []int{1, 2, 4, 5} {
@@ -68,13 +71,8 @@ func TestHealthyPathBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(f) != len(refFreq) {
-				t.Fatalf("freq has %d values, want %d", len(f), len(refFreq))
-			}
-			for v, c := range refFreq {
-				if f[v] != c {
-					t.Fatalf("freq[%v] = %d, want %d", v, f[v], c)
-				}
+			if !slices.Equal(f.Values, refFreq.Values) || !slices.Equal(f.Counts, refFreq.Counts) {
+				t.Fatalf("freq has %d values, want the unsharded fold's %d bit for bit", len(f.Values), len(refFreq.Values))
 			}
 			mat, mrep, err := st.Materialize()
 			if err != nil || mrep.Degraded() {
@@ -158,6 +156,53 @@ func TestDegradedFallsBackToStalePartials(t *testing.T) {
 	}
 	if v := reg.Counter(obs.MShardStalePartials).Value(); v == 0 {
 		t.Fatal("shard.stale_partials counter did not move")
+	}
+}
+
+// TestDecodeFreqRejectsBadVectors: a checkpointed frequency table
+// decodes only as a table encodes — values strictly ascending in
+// cmp.Compare order, each with a positive integral count. Anything else
+// is corrupt, and a down shard whose checkpointed table is corrupt counts
+// as missing, not stale.
+func TestDecodeFreqRejectsBadVectors(t *testing.T) {
+	nan := math.NaN()
+	good := exec.FoldFreq([]float64{2, nan, math.Inf(1), -1, 0, math.Inf(-1), 0}, nil)
+	if got, err := decodeFreq(encodeFreq(good)); err != nil || !slices.Equal(got.Counts, good.Counts) ||
+		!slices.EqualFunc(got.Values, good.Values, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+		t.Fatalf("round trip = %v %v (%v), want %v %v", got.Values, got.Counts, err, good.Values, good.Counts)
+	}
+	for _, tc := range []struct {
+		name string
+		v    []float64
+	}{
+		{"odd length", []float64{1, 2, 3}},
+		{"descending", []float64{2, 1, 1, 1}},
+		{"repeated value", []float64{1, 1, 1, 2}},
+		{"zero after zero", []float64{0, 1, math.Copysign(0, -1), 1}},
+		{"NaN after a number", []float64{1, 1, nan, 1}},
+		{"two NaNs", []float64{nan, 1, nan, 1}},
+		{"zero count", []float64{1, 0}},
+		{"negative count", []float64{1, -2}},
+		{"fractional count", []float64{1, 1.5}},
+		{"NaN count", []float64{1, nan}},
+		{"infinite count", []float64{1, math.Inf(1)}},
+	} {
+		if got, err := decodeFreq(tc.v); !errors.Is(err, storage.ErrCorrupt) {
+			t.Errorf("%s: decodeFreq = %v %v (%v), want storage.ErrCorrupt", tc.name, got.Values, got.Counts, err)
+		}
+	}
+
+	st, fd := faultedStore(t, testDataset(t, 48000), storage.FaultConfig{Seed: 7, ReadTransientRate: 1}, Config{PoolPages: 4})
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	fd.SetDisabled(false)
+	if _, rep, err := st.Freq("g"); err != nil || len(rep.Stale) != 1 || rep.Stale[0] != 1 || len(rep.Missing) != 0 {
+		t.Fatalf("report = %s (%v), want shard 1 stale", rep, err)
+	}
+	st.partials.StoreCustom(fnFreq, shardAttr("g", 1), summary.VectorOf([]float64{3, 1, 2, 1}))
+	if _, rep, err := st.Freq("g"); err != nil || len(rep.Stale) != 0 || len(rep.Missing) != 1 || rep.Missing[0] != 1 {
+		t.Fatalf("report = %s (%v), want shard 1 missing behind its corrupt checkpoint", rep, err)
 	}
 }
 

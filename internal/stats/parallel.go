@@ -44,7 +44,7 @@ func SummarizeChunks(p *exec.Pool, xs []float64, valid []bool, chunk int) (Summa
 	} else {
 		s.SD = math.NaN()
 	}
-	t := exec.ColumnFreq(p, xs, valid, chunk).Table()
+	_, t := exec.ColumnFold(p, xs, valid, chunk, false, true)
 	s.Median = quantileFreq(t.Values, t.Counts, m.N, 0.5)
 	s.Q1 = quantileFreq(t.Values, t.Counts, m.N, 0.25)
 	s.Q3 = quantileFreq(t.Values, t.Counts, m.N, 0.75)
@@ -61,7 +61,7 @@ func QuantileChunks(p *exec.Pool, xs []float64, valid []bool, chunk int, q float
 	if serialEnough(p, len(xs), chunk) {
 		return Quantile(xs, valid, q)
 	}
-	t := exec.ColumnFreq(p, xs, valid, chunk).Table()
+	_, t := exec.ColumnFold(p, xs, valid, chunk, false, true)
 	return QuantileFreq(t.Values, t.Counts, q)
 }
 

@@ -20,12 +20,8 @@ import (
 // runFreq tabulates the run column's valid observations as a sorted
 // frequency table, the compressed sort every order statistic reads.
 func runFreq(rc exec.RunColumn) (values []float64, counts []int64, err error) {
-	f, err := exec.FoldFreqRuns(rc)
-	if err != nil {
-		return nil, nil, err
-	}
-	t := f.Table()
-	return t.Values, t.Counts, nil
+	t, err := exec.FoldFreqRuns(rc)
+	return t.Values, t.Counts, err
 }
 
 // SummarizeRuns computes the same Summary as Summarize from runs: the

@@ -15,7 +15,7 @@ import (
 // statistics. Which field a function reads is fixed by its table row.
 type State struct {
 	Moments exec.Moments
-	Freq    exec.Freq
+	Freq    exec.FreqTable
 }
 
 // aggregate is one built-in scalar function, declared once: every input
@@ -25,12 +25,9 @@ type State struct {
 type aggregate struct {
 	name string
 	// Exactly one finalizer is set, and it names the state family: moments
-	// over exec.Moments, freq over the sorted frequency table. A freq row
-	// that does not need the order may also set unsorted, which answers
-	// from the map a fold leaves and spares a miss the sort.
-	moments  func(m exec.Moments) (float64, error)
-	freq     func(t exec.FreqTable) (float64, error)
-	unsorted func(f exec.Freq) (float64, error)
+	// over exec.Moments, freq over the frequency table.
+	moments func(m exec.Moments) (float64, error)
+	freq    func(t exec.FreqTable) (float64, error)
 	// A fill finalizes from the attribute's kept state of the row's family
 	// (DB.moments, DB.tables) whenever one is kept. Each family has its
 	// delta form too: a moments row re-finalizes from the kept moments
@@ -88,9 +85,8 @@ var aggregates = []aggregate{
 		freq: func(t exec.FreqTable) (float64, error) { return stats.ModeFreq(t.Values, t.Counts) },
 	},
 	{
-		name:     "unique",
-		freq:     func(t exec.FreqTable) (float64, error) { return float64(len(t.Values)), nil },
-		unsorted: func(f exec.Freq) (float64, error) { return float64(f.Cardinality()), nil },
+		name: "unique",
+		freq: func(t exec.FreqTable) (float64, error) { return float64(len(t.Values)), nil },
 	},
 }
 
@@ -153,10 +149,7 @@ func (a *aggregate) finalize(st State) (float64, error) {
 	if a.moments != nil {
 		return a.moments(st.Moments)
 	}
-	if a.unsorted != nil {
-		return a.unsorted(st.Freq)
-	}
-	return a.freq(st.Freq.Table())
+	return a.freq(st.Freq)
 }
 
 // Finalize evaluates built-in fn over an already merged state — the

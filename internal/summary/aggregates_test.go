@@ -50,9 +50,6 @@ func TestAggregateTableMatchesManagementDB(t *testing.T) {
 		if got, want := a.moments != nil || a.tabled(), st == rules.StrategyIncremental; got != want {
 			t.Errorf("%s: strategy %s but re-finalized from a kept state = %v", a.name, st, got)
 		}
-		if a.unsorted != nil && a.freq == nil {
-			t.Errorf("%s: an unsorted finalizer without the table one it shortcuts", a.name)
-		}
 		if got, want := a.windowed, st == rules.StrategyWindow; got != want {
 			t.Errorf("%s: strategy %s but windowed = %v", a.name, st, got)
 		}

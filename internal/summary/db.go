@@ -346,7 +346,7 @@ func (db *DB) fill(e *entry, gather GatherSource, retain bool, sp *obs.Span) (fl
 		}
 		sp.SetAttr("strategy", "kept")
 		if v, err = db.install(e, v); err == nil && a.freq != nil {
-			db.installWindow(a, e, nil, nil, &db.tables[attr].FreqTable)
+			db.installWindow(a, e, db.tables[attr].FreqTable)
 		}
 		return v, err
 	}
@@ -373,7 +373,7 @@ func (db *DB) fill(e *entry, gather GatherSource, retain bool, sp *obs.Span) (fl
 			if err != nil {
 				return 0, err
 			}
-			return db.answer(a, e, st, f, retain, func(m exec.Moments) exec.KeptMoments { return exec.KeepRuns(m, rc) }, nil, nil)
+			return db.answer(a, e, st, f, retain, func(m exec.Moments) exec.KeptMoments { return exec.KeepRuns(m, rc) })
 		}
 	}
 	if e.source == nil {
@@ -388,7 +388,7 @@ func (db *DB) fill(e *entry, gather GatherSource, retain bool, sp *obs.Span) (fl
 		return 0, err
 	}
 	st := db.foldRows(a, xs, valid, f)
-	return db.answer(a, e, st, f, retain, func(m exec.Moments) exec.KeptMoments { return exec.Keep(m, xs, valid) }, xs, valid)
+	return db.answer(a, e, st, f, retain, func(m exec.Moments) exec.KeptMoments { return exec.Keep(m, xs, valid) })
 }
 
 // fromKept finalizes a from attr's kept state of a's family; ok is false
@@ -434,25 +434,14 @@ func (db *DB) families(a *aggregate, e *entry) families {
 // answer on e, and keeps what the read folded for its attribute: the
 // moments (count counts their extremes' copies over the read), a table
 // the refill of a stale tabled row built as maintained, any other table
-// cold while a freq row of the attribute is still uncached. xs is the
-// column read, nil when the read was of runs. The caller holds db.mu.
-func (db *DB) answer(a *aggregate, e *entry, st State, f families, retain bool, count func(exec.Moments) exec.KeptMoments, xs []float64, valid []bool) (float64, error) {
+// cold while a freq row of the attribute is still uncached. The caller
+// holds db.mu.
+func (db *DB) answer(a *aggregate, e *entry, st State, f families, retain bool, count func(exec.Moments) exec.KeptMoments) (float64, error) {
 	attr := e.attrs[0]
 	keep := db.policy == PolicyStrategies
 	maintained := retain && a.tabled()
 	keepTable := f.freq && keep && (maintained || db.coldFreq(attr, e.fn))
-	var t *exec.FreqTable
-	if keepTable || a.freq != nil && a.unsorted == nil {
-		t = &exec.FreqTable{}
-		*t = st.Freq.Table()
-	}
-	var v float64
-	var err error
-	if t != nil && a.freq != nil {
-		v, err = a.freq(*t)
-	} else {
-		v, err = a.finalize(st)
-	}
+	v, err := a.finalize(st)
 	if err != nil {
 		return 0, err
 	}
@@ -463,9 +452,9 @@ func (db *DB) answer(a *aggregate, e *entry, st State, f families, retain bool, 
 		db.moments[attr] = &keptMoments{KeptMoments: count(st.Moments), source: e.source}
 	}
 	if keepTable {
-		db.keepTable(attr, *t, maintained)
+		db.keepTable(attr, st.Freq, maintained)
 	}
-	db.installWindow(a, e, xs, valid, t)
+	db.installWindow(a, e, st.Freq)
 	return v, nil
 }
 
@@ -572,24 +561,13 @@ func (db *DB) readGather(gather GatherSource, freq bool) (State, bool, error) {
 
 // installWindow attaches a windowed row's sliding window when the
 // function's strategy asks for one, seeded from the frequency table its
-// fill finalized from, or else from the column the fill read (xs; nil
-// when it read none). Policy benches manage freshness, not per-function
+// fill finalized from. Policy benches manage freshness, not per-function
 // state.
-func (db *DB) installWindow(a *aggregate, e *entry, xs []float64, valid []bool, t *exec.FreqTable) {
+func (db *DB) installWindow(a *aggregate, e *entry, t exec.FreqTable) {
 	if !a.windowed || db.policy != PolicyStrategies || db.mdb.StrategyFor(e.fn) != rules.StrategyWindow {
 		return
 	}
-	var w *medwin.Window
-	var err error
-	switch {
-	case t != nil:
-		w, err = medwin.NewQuantileFreq(t.Values, t.Counts, a.quantile, db.WindowCapacity)
-	case xs != nil:
-		w, err = medwin.NewQuantile(xs, valid, a.quantile, db.WindowCapacity)
-	default:
-		return
-	}
-	if err == nil {
+	if w, err := medwin.NewQuantileFreq(t.Values, t.Counts, a.quantile, db.WindowCapacity); err == nil {
 		w.SetCounters(db.met.medSlides, db.met.medRebuilds)
 		e.win = w
 	}

@@ -192,7 +192,7 @@ func TestKeptStatesMatchRecompute(t *testing.T) {
 			}
 			var cold int64
 			for attr, k := range db.tables {
-				if !sameTable(k.FreqTable, exec.FoldFreq(c.xs, c.valid).Table()) {
+				if !sameTable(k.FreqTable, exec.FoldFreq(c.xs, c.valid)) {
 					t.Fatalf("seed %d step %d: %s's kept table no longer describes the column", seed, step, attr)
 				}
 				if !k.maintained {

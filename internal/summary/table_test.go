@@ -107,7 +107,7 @@ func TestTableMergeMatchesRebuild(t *testing.T) {
 				batch[k] = c.set(rng.Intn(len(c.xs)), x, ok)
 			}
 			db.OnUpdate("X", batch)
-			want := exec.FoldFreq(c.xs, c.valid).Table()
+			want := exec.FoldFreq(c.xs, c.valid)
 			got := db.tables["X"]
 			if got == nil || !sameTable(got.FreqTable, want) {
 				t.Fatalf("seed %d round %d: merged table %v, rebuilt %v", seed, round, got, want)
@@ -122,6 +122,40 @@ func TestTableMergeMatchesRebuild(t *testing.T) {
 		}
 		if c.passes != passes {
 			t.Fatalf("seed %d: maintenance read the column %d times", seed, c.passes-passes)
+		}
+	}
+}
+
+// TestZeroSignMaintainedAsRecomputed: the sign of a zero answer does
+// not depend on the column's history. Filling the missing cells of a
+// column with −0, then turning its +0s to −0 one batch at a time, leaves
+// mode (from the maintained table) and median, q1 and q3 (from their
+// windows) answering what a fresh DB's fill over the updated column
+// answers — +0, the zero a table holds — bit for bit.
+func TestZeroSignMaintainedAsRecomputed(t *testing.T) {
+	fns := []string{"mode", "median", "q1", "q3"}
+	c := &nullable{
+		xs:    []float64{0, 0, 0, 0, 0, 0, 0, 5, 7},
+		valid: []bool{true, true, true, false, false, false, false, true, true},
+	}
+	db, _ := newDB()
+	for _, fn := range fns {
+		ask(t, db, c, fn)
+	}
+	for _, rows := range [][]int{{3, 4, 5, 6}, {0}, {1, 2}} {
+		batch := make([]incr.Delta, len(rows))
+		for k, i := range rows {
+			batch[k] = c.set(i, math.Copysign(0, -1), true)
+		}
+		db.OnUpdate("X", batch)
+		fresh, _ := newDB()
+		for _, fn := range fns {
+			want := ask(t, fresh, &nullable{xs: c.xs, valid: c.valid}, fn)
+			r, ok := db.Lookup(fn, "X")
+			if !ok || math.Float64bits(r.Scalar) != math.Float64bits(want) || math.Signbit(want) {
+				t.Errorf("after −0 in rows %v: %s maintained %v (signbit %v, fresh %v), recomputed %v (signbit %v)",
+					rows, fn, r.Scalar, math.Signbit(r.Scalar), ok, want, math.Signbit(want))
+			}
 		}
 	}
 }
@@ -212,7 +246,7 @@ func TestTableRetentionRule(t *testing.T) {
 	// outlives the last freq row's fill.
 	db, c = retained(t, 50, rng)
 	passes = c.passes
-	want, _ := aggregateByName["unique"].freq(exec.FoldFreq(c.xs, c.valid).Table())
+	want, _ := aggregateByName["unique"].freq(exec.FoldFreq(c.xs, c.valid))
 	if got := ask(t, db, c, "unique"); got != want || c.passes != passes {
 		t.Errorf("unique beside a live table = %v after %d passes, want %v after none", got, c.passes-passes, want)
 	}
