@@ -34,28 +34,28 @@ var serialOracle = map[string]func(xs []float64, valid []bool) (float64, error){
 // TestAggregateTableMatchesManagementDB: the Management Database's
 // default strategy table and the aggregate table must name the same
 // things — a function the rules maintain incrementally is re-finalized
-// from its attribute's kept moments or frequency table, one they
-// maintain by window has a quantile to slide, and no row carries
-// maintenance the rules would never install.
+// from its attribute's kept state, one they maintain by window has a
+// quantile to slide, and no row carries maintenance the rules would
+// never install.
 func TestAggregateTableMatchesManagementDB(t *testing.T) {
 	mdb := rules.NewManagementDB()
 	for _, a := range aggregates {
-		if (a.moments == nil) == (a.freq == nil) {
-			t.Errorf("%s: exactly one of the moments and freq finalizers must be set", a.name)
+		if a.final == nil || int(a.state) >= len(states) {
+			t.Errorf("%s: a row needs a finalizer over a row of the state table", a.name)
 		}
 		if serialOracle[a.name] == nil {
 			t.Errorf("%s: no serial reference operator", a.name)
 		}
 		st := mdb.StrategyFor(a.name)
-		if got, want := a.moments != nil || a.tabled(), st == rules.StrategyIncremental; got != want {
+		if got, want := !a.windowed, st == rules.StrategyIncremental; got != want {
 			t.Errorf("%s: strategy %s but re-finalized from a kept state = %v", a.name, st, got)
 		}
 		if got, want := a.windowed, st == rules.StrategyWindow; got != want {
 			t.Errorf("%s: strategy %s but windowed = %v", a.name, st, got)
 		}
 	}
-	if len(aggregateByName) != len(aggregates) {
-		t.Errorf("%d names for %d rows: a name is declared twice", len(aggregateByName), len(aggregates))
+	if len(aggregateRow) != len(aggregates) {
+		t.Errorf("%d names for %d rows: a name is declared twice", len(aggregateRow), len(aggregates))
 	}
 }
 

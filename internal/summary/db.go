@@ -20,13 +20,13 @@ import (
 type Source func() (xs []float64, valid []bool)
 
 // GatherSource returns one column's merged State from partials held
-// outside the view (the sharded copy): freq selects the frequency-table
-// family, otherwise moments. complete is false when the gather
-// substituted or lost partials; such an answer is handed to the caller
-// but never enters the cache — the rule a budget breach already follows
-// — so the next access gathers again and a healed shard needs no
-// invalidation protocol.
-type GatherSource func(freq bool) (st State, complete bool, err error)
+// outside the view (the sharded copy), folding what the flags name — a
+// state row's fold flags, as exec.ColumnFold takes them. complete is
+// false when the gather substituted or lost partials; such an answer is
+// handed to the caller but never enters the cache — the rule a budget
+// breach already follows — so the next access gathers again and a healed
+// shard needs no invalidation protocol.
+type GatherSource func(moments, freq bool) (st State, complete bool, err error)
 
 // Sources are the input forms a caller offers for one column. A miss or
 // refill takes the first that is on offer: Gather, then Runs, then Rows.
@@ -81,8 +81,9 @@ type entry struct {
 	attrs  []string
 	result Result
 	fresh  bool
-	// win is a windowed row's maintenance state (StrategyWindow); moments
-	// and tabled rows re-finalize from their attribute's kept state.
+	// win is a windowed row's maintenance state (StrategyWindow); every
+	// other built-in re-finalizes from its attribute's kept state. A stale
+	// entry holds none (stale).
 	win *medwin.Window
 	// source re-reads the column for rebuilds (built-in functions).
 	source Source
@@ -91,15 +92,20 @@ type entry struct {
 	runs RunSource
 }
 
-func (e *entry) key() []byte {
-	parts := append(append([]string{}, e.attrs...), e.fn)
-	return index.Key(parts...)
-}
-
 func entryKey(fn string, attrs []string) []byte {
 	parts := append(append([]string{}, attrs...), fn)
 	return index.Key(parts...)
 }
+
+// attrPrefix is the index prefix of the entries whose first attribute is
+// attr: its key part and the separator after it, so that an attribute
+// whose name extends attr's (X, XY) falls outside it.
+func attrPrefix(attr string) []byte { return index.Key(attr, "") }
+
+// stale marks e stale. A stale entry holds no window: whatever it slid
+// before, it missed the change that made it stale, so the next fill
+// installs a window of its own.
+func (e *entry) stale() { e.fresh, e.win = false, nil }
 
 // DB is one view's Summary Database. Safe for concurrent use: a view may
 // be shared by "a group of users" (Section 3.2), and a published view's
@@ -111,31 +117,20 @@ type DB struct {
 	policy  Policy       // guarded by mu
 	idx     *index.BTree // guarded by mu; (attr..., fn) -> slot
 	entries []*entry     // guarded by mu
-	// An attribute's kept states are what one read of its column folded,
-	// kept so that every later fill of the attribute finalizes from them
-	// and every update merges into them. A read under the per-function
-	// policy folds each family the attribute lacks, so a cold attribute
-	// costs one column pass however many functions are asked of it.
-	// Invalidate, SetPolicy and the cache-wide policies keep none.
-	//
-	// moments holds the KeptMoments every moments row (count … max)
-	// finalizes from. It is 80 B, so every read keeps it; OnUpdate merges
-	// each batch into it once, refolding it when the batch leaves it unable
-	// to answer a cached row.
-	moments map[string]*keptMoments // guarded by mu
-	// tables holds the sorted frequency table every freq row (mode, unique
-	// and the quantiles) finalizes from — 16 B a distinct value. A table is
-	// cold while it only serves fills to come: it lives until every freq
-	// row of its attribute is cached, within coldTableBudget, least
-	// recently used out first. An update while a tabled row of the
-	// attribute is cached, or the refill of a tabled row an update left
-	// stale, makes it maintained: the delta form of the attribute's tabled
-	// rows, outside the budget, until Invalidate, SetPolicy or a delete it
-	// cannot account for drops it. An update drops a cold table no cached
-	// row reads.
-	tables    map[string]*keptTable // guarded by mu
-	coldBytes int64                 // guarded by mu; the cold tables' size
-	clock     uint64                // guarded by mu; orders the cold tables' uses
+	// kept holds the attributes' kept states, one record per (attribute,
+	// row of the state table): what one read of a column folded, kept so
+	// that every later fill of the attribute finalizes from it and every
+	// update merges into it. A read under the per-function policy folds
+	// each state the attribute lacks and would keep, so a cold attribute
+	// costs one column pass however many functions are asked of it. One
+	// retention rule covers every state: a record is maintained — kept
+	// until Invalidate or SetPolicy drops it, or an update leaves it unable
+	// to serve any cached row — or cold, kept while a row not yet cached
+	// would fill from it, within coldTableBudget, least recently used out
+	// first. The cache-wide policies keep none.
+	kept      map[keptKey]*kept // guarded by mu
+	coldBytes int64             // guarded by mu; the cold states' size
+	clock     uint64            // guarded by mu; orders the kept states' uses
 	// Every count lives once, in the DB's own registry (the pattern of
 	// storage.BufferPool): met caches its handles, Counters reads them and
 	// core.DBMS.Metrics merges the registry into the system snapshot. What
@@ -154,31 +149,29 @@ type DB struct {
 // NewDB creates an empty Summary Database driven by mdb's strategies.
 func NewDB(mdb *rules.ManagementDB) *DB {
 	reg := obs.NewRegistry()
-	return &DB{mdb: mdb, idx: index.New(), tables: map[string]*keptTable{}, moments: map[string]*keptMoments{},
+	return &DB{mdb: mdb, idx: index.New(), kept: map[keptKey]*kept{},
 		WindowCapacity: 100, reg: reg, met: newDBMetrics(reg)}
 }
 
-// coldTableBudget bounds the bytes of a view's cold tables: room for the
+// coldTableBudget bounds the bytes of a view's cold states: room for the
 // table of one high-cardinality column of a few hundred thousand rows
 // beside the low-cardinality ones an analyst works through with it. A
-// cold table larger than the budget is not kept.
+// cold state larger than the budget is not kept.
 const coldTableBudget = 2 << 20
 
-// keptMoments is one attribute's kept moments state and the source that
-// refolds it.
-type keptMoments struct {
-	exec.KeptMoments
-	source Source
+// keptKey names one kept state: an attribute and a row of the state table.
+type keptKey struct {
+	attr  string
+	state stateKind
 }
 
-// keptTable is one attribute's kept frequency table.
-type keptTable struct {
-	exec.FreqTable
+// kept is one kept state, under the retention rule every state shares.
+type kept struct {
+	val        any    // the state's kept form (stateRow)
+	source     Source // the row source that refolds it
 	maintained bool   // outside the budget, kept until dropped
 	used       uint64 // the clock at its last use
 }
-
-func (t *keptTable) bytes() int64 { return 16 * int64(len(t.Values)) }
 
 // SetPolicy switches the cache-wide update policy. Kept states are
 // per-function state only PolicyStrategies keeps: none outlives it.
@@ -186,8 +179,7 @@ func (db *DB) SetPolicy(p Policy) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.policy = p
-	clear(db.tables)
-	clear(db.moments)
+	clear(db.kept)
 	db.coldBytes = 0
 }
 
@@ -324,56 +316,52 @@ func (db *DB) ScalarFrom(fn, attr string, src Sources) (float64, error) {
 }
 
 // fill computes built-in entry e from the first input form on offer —
-// the attribute's kept state of e's family (no column is read; sp says
-// strategy=kept), gather (the caller's, never stored: an attachment can
-// fall behind between calls), e.runs, e.source — and records the result
-// on e as fresh. A read of runs or rows folds, besides e's own family,
-// each one the attribute lacks, and leaves behind what OnUpdate
-// maintains: the kept states and a window. The refill (retain) of a
-// tabled row keeps its table as maintained. Sources cannot return
-// errors, so a budget breached during the scan surfaces between scan and
-// fold, before the fold spends more; and neither a breach nor an
-// incomplete gather leaves anything in the cache. The caller holds db.mu.
+// the attribute's kept state of e's row, unless the row refuses it (no
+// column is read; sp says strategy=kept), gather (the caller's, never
+// stored: an attachment can fall behind between calls), e.runs,
+// e.source — and records the result on e as fresh. A read of runs or rows
+// leaves behind what OnUpdate maintains: the states its plan keeps and a
+// window. Sources cannot return errors, so a budget breached during the
+// scan surfaces between scan and fold, before the fold spends more; and
+// neither a breach nor an incomplete gather leaves anything in the cache.
+// The caller holds db.mu.
 func (db *DB) fill(e *entry, gather GatherSource, retain bool, sp *obs.Span) (float64, error) {
 	a, err := lookup(e.fn)
 	if err != nil {
 		return 0, err
 	}
-	attr := e.attrs[0]
-	if v, ok, err := db.fromKept(a, attr); ok {
-		if err != nil {
-			return 0, err
-		}
-		sp.SetAttr("strategy", "kept")
-		if v, err = db.install(e, v); err == nil && a.freq != nil {
-			db.installWindow(a, e, db.tables[attr].FreqTable)
+	if k := db.kept[keptKey{e.attrs[0], a.state}]; k != nil && a.answers(k.val) {
+		db.touch(k)
+		v, err := db.answer(a, e, states[a.state].state(k.val), plan{}, nil)
+		if err == nil {
+			sp.SetAttr("strategy", "kept")
 		}
 		return v, err
 	}
 	if gather != nil {
-		st, complete, err := db.readGather(gather, a.freq != nil)
+		st, complete, err := db.readGather(gather, &states[a.state])
 		if err != nil {
 			return 0, err
 		}
 		// Finalizing merged partials is free: the shards already paid for
 		// the fold, so per-shard totals still sum exactly to the query root.
-		v, err := a.finalize(st)
+		v, err := a.final(st)
 		if err != nil || !complete {
 			return v, err
 		}
 		return db.install(e, v)
 	}
-	f := db.families(a, e)
+	p := db.plan(a, e, retain)
 	if e.runs != nil {
 		if rc, ok := db.readRunSource(e.runs); ok {
 			if err := db.tracer.BudgetErr(); err != nil {
 				return 0, err
 			}
-			st, err := db.foldRuns(a, rc, f)
+			st, err := db.foldRuns(a, rc, p.moments, p.freq)
 			if err != nil {
 				return 0, err
 			}
-			return db.answer(a, e, st, f, retain, func(m exec.Moments) exec.KeptMoments { return exec.KeepRuns(m, rc) })
+			return db.answer(a, e, st, p, func(m exec.Moments) exec.KeptMoments { return exec.KeepRuns(m, rc) })
 		}
 	}
 	if e.source == nil {
@@ -387,137 +375,138 @@ func (db *DB) fill(e *entry, gather GatherSource, retain bool, sp *obs.Span) (fl
 	if err := db.tracer.BudgetErr(); err != nil {
 		return 0, err
 	}
-	st := db.foldRows(a, xs, valid, f)
-	return db.answer(a, e, st, f, retain, func(m exec.Moments) exec.KeptMoments { return exec.Keep(m, xs, valid) })
+	st := db.foldRows(a, xs, valid, p.moments, p.freq)
+	return db.answer(a, e, st, p, func(m exec.Moments) exec.KeptMoments { return exec.Keep(m, xs, valid) })
 }
 
-// fromKept finalizes a from attr's kept state of a's family; ok is false
-// when none is kept, or the kept moments lost the extremum a answers.
-// The caller holds db.mu.
-func (db *DB) fromKept(a *aggregate, attr string) (v float64, ok bool, err error) {
-	if a.moments != nil {
-		k := db.moments[attr]
-		if k == nil {
-			return 0, false, nil
+// plan is what one read does with each row of the state table: whether
+// it keeps the state, maintained or cold, and the fold kernels' flags for
+// the states it folds.
+type plan struct {
+	keep, maintained [len(states)]bool
+	moments, freq    bool
+}
+
+// plan decides what a read for entry e, of row a, does with each state of
+// its attribute. It folds a's own state, to answer. Under the per-function
+// policy it keeps every state it folds that the state's retention allows,
+// and folds each state the attribute lacks only to keep it. A state is
+// kept maintained when its row says so or the read is the refill (retain)
+// of a row an update re-finalizes from it; otherwise it is kept cold while
+// a row not yet cached, other than a, would fill from it.
+func (db *DB) plan(a *aggregate, e *entry, retain bool) plan {
+	p := plan{moments: states[a.state].moments, freq: states[a.state].freq}
+	if db.policy != PolicyStrategies {
+		return p
+	}
+	// served are the rows no kept state would fill next: the fresh ones, and a.
+	served := db.rows(attrPrefix(e.attrs[0]), true) | 1<<aggregateRow[a.name]
+	for s, row := range states {
+		own := stateKind(s) == a.state
+		p.maintained[s] = row.maintained || retain && own && !a.windowed
+		lacks := db.kept[keptKey{e.attrs[0], stateKind(s)}] == nil
+		p.keep[s] = (own || lacks) && (p.maintained[s] || stateRows[s]&^served != 0)
+		if p.keep[s] {
+			p.moments, p.freq = p.moments || row.moments, p.freq || row.freq
 		}
-		if lostMin, lostMax := k.Lost(); a.name == "min" && lostMin || a.name == "max" && lostMax {
-			return 0, false, nil
-		}
-		v, err = a.moments(k.Moments)
-		return v, true, err
 	}
-	t := db.tables[attr]
-	if t == nil {
-		return 0, false, nil
-	}
-	db.touch(t)
-	v, err = a.freq(t.FreqTable)
-	return v, true, err
+	return p
 }
 
-// families is which state families a read for entry e folds: e's own
-// and, under the per-function policy, each the attribute lacks — its
-// moments always, a table while some other freq row of it is uncached.
-type families struct{ moments, freq bool }
-
-func (db *DB) families(a *aggregate, e *entry) families {
-	f := families{moments: a.moments != nil, freq: a.freq != nil}
-	if db.policy == PolicyStrategies {
-		attr := e.attrs[0]
-		f.moments = f.moments || db.moments[attr] == nil
-		f.freq = f.freq || db.tables[attr] == nil && db.coldFreq(attr, e.fn)
-	}
-	return f
-}
-
-// answer finalizes a from the states one read folded, installs the
-// answer on e, and keeps what the read folded for its attribute: the
-// moments (count counts their extremes' copies over the read), a table
-// the refill of a stale tabled row built as maintained, any other table
-// cold while a freq row of the attribute is still uncached. The caller
-// holds db.mu.
-func (db *DB) answer(a *aggregate, e *entry, st State, f families, retain bool, count func(exec.Moments) exec.KeptMoments) (float64, error) {
-	attr := e.attrs[0]
-	keep := db.policy == PolicyStrategies
-	maintained := retain && a.tabled()
-	keepTable := f.freq && keep && (maintained || db.coldFreq(attr, e.fn))
-	v, err := a.finalize(st)
+// answer finalizes a from st — the states one read folded, or the kept
+// state a fill finalizes from — installs the answer on e with its window,
+// and keeps what plan p says (count counts the moments' extremes' copies
+// over the read). The caller holds db.mu.
+func (db *DB) answer(a *aggregate, e *entry, st State, p plan, count func(exec.Moments) exec.KeptMoments) (float64, error) {
+	v, err := a.final(st)
 	if err != nil {
 		return 0, err
 	}
 	if v, err = db.install(e, v); err != nil {
 		return 0, err
 	}
-	if keep && f.moments {
-		db.moments[attr] = &keptMoments{KeptMoments: count(st.Moments), source: e.source}
-	}
-	if keepTable {
-		db.keepTable(attr, st.Freq, maintained)
+	for s := range states {
+		if p.keep[s] {
+			db.keep(keptKey{e.attrs[0], stateKind(s)}, states[s].keep(st, count), e.source, p.maintained[s])
+		}
 	}
 	db.installWindow(a, e, st.Freq)
 	return v, nil
 }
 
-// coldFreq reports whether a freq row of attr other than except has no
-// fresh entry — a fill a kept table would still serve.
-func (db *DB) coldFreq(attr, except string) bool {
-	for i := range aggregates {
-		a := &aggregates[i]
-		if a.freq == nil || a.name == except {
-			continue
+// rows returns the built-in rows with an entry under prefix (attrPrefix):
+// fresh ones only, or fresh and stale.
+func (db *DB) rows(prefix []byte, freshOnly bool) rowSet {
+	var set rowSet
+	db.idx.ScanPrefix(prefix, func(_ []byte, slot int64) bool {
+		e := db.entries[slot]
+		if i, ok := aggregateRow[e.fn]; ok && (e.fresh || !freshOnly) {
+			set |= 1 << i
 		}
-		slot, ok := db.idx.Get(entryKey(a.name, []string{attr}))
-		if !ok || !db.entries[slot].fresh {
-			return true
-		}
-	}
-	return false
+		return true
+	})
+	return set
 }
 
-// keepTable keeps t as attr's table, maintained or cold; a cold table
-// makes room for itself by dropping the least recently used cold tables.
-func (db *DB) keepTable(attr string, t exec.FreqTable, maintained bool) {
-	db.dropTable(attr)
-	k := &keptTable{FreqTable: t, maintained: maintained}
+// keep keeps val as the state key names, maintained or cold; a cold state
+// makes room for itself by dropping the least recently used cold states,
+// and one larger than coldTableBudget is not kept.
+func (db *DB) keep(key keptKey, val any, source Source, maintained bool) {
+	db.drop(key)
+	k := &kept{val: val, source: source, maintained: maintained}
 	db.touch(k)
 	if !maintained {
-		if k.bytes() > coldTableBudget {
+		n := states[key.state].bytes(val)
+		if n > coldTableBudget {
 			return
 		}
-		for db.coldBytes+k.bytes() > coldTableBudget {
-			var lru *keptTable
-			victim := ""
-			for a, c := range db.tables {
+		for db.coldBytes+n > coldTableBudget {
+			var lru *kept
+			var victim keptKey
+			for key, c := range db.kept {
 				if !c.maintained && (lru == nil || c.used < lru.used) {
-					lru, victim = c, a
+					lru, victim = c, key
 				}
 			}
-			db.dropTable(victim)
+			db.drop(victim)
 		}
-		db.coldBytes += k.bytes()
+		db.coldBytes += n
 	}
-	db.tables[attr] = k
+	db.kept[key] = k
 }
 
-// touch marks t as used now.
-func (db *DB) touch(t *keptTable) {
+// touch marks k as used now.
+func (db *DB) touch(k *kept) {
 	db.clock++
-	t.used = db.clock
+	k.used = db.clock
 }
 
-// dropTable forgets attr's table, if any.
-func (db *DB) dropTable(attr string) {
-	if t := db.tables[attr]; t != nil && !t.maintained {
-		db.coldBytes -= t.bytes()
+// maintain takes the state key names out of the cold budget: it is kept
+// until dropped.
+func (db *DB) maintain(key keptKey, k *kept) {
+	if !k.maintained {
+		db.coldBytes -= states[key.state].bytes(k.val)
+		k.maintained = true
 	}
-	delete(db.tables, attr)
 }
 
-// settle drops attr's cold table once every freq row it would serve is
-// cached. The caller holds db.mu.
+// drop forgets the state key names, if kept: out of the budget, then out
+// of the map.
+func (db *DB) drop(key keptKey) {
+	if k := db.kept[key]; k != nil {
+		db.maintain(key, k)
+		delete(db.kept, key)
+	}
+}
+
+// settle drops attr's cold states once no row still to be cached would
+// fill from them. The caller holds db.mu.
 func (db *DB) settle(attr string) {
-	if t := db.tables[attr]; t != nil && !t.maintained && !db.coldFreq(attr, "") {
-		db.dropTable(attr)
+	for s := range states {
+		key := keptKey{attr, stateKind(s)}
+		if k := db.kept[key]; k != nil && !k.maintained && stateRows[s]&^db.rows(attrPrefix(attr), true) == 0 {
+			db.drop(key)
+		}
 	}
 }
 
@@ -550,9 +539,9 @@ func (db *DB) readSource(source Source) ([]float64, []bool) {
 // readGather runs one scatter-gather pass under a "scan" span; the
 // per-shard spans the gather stitches in carry the device charges.
 // Counts the pass. The caller holds db.mu.
-func (db *DB) readGather(gather GatherSource, freq bool) (State, bool, error) {
+func (db *DB) readGather(gather GatherSource, row *stateRow) (State, bool, error) {
 	sp := db.tracer.Begin("scan")
-	st, complete, err := gather(freq)
+	st, complete, err := gather(row.moments, row.freq)
 	sp.SetAttr("strategy", "gather")
 	sp.End()
 	db.met.passes.Inc()
@@ -576,7 +565,7 @@ func (db *DB) installWindow(a *aggregate, e *entry, t exec.FreqTable) {
 func (db *DB) insert(e *entry) {
 	slot := int64(len(db.entries))
 	db.entries = append(db.entries, e)
-	db.idx.Put(e.key(), slot)
+	db.idx.Put(entryKey(e.fn, e.attrs), slot)
 }
 
 // Lookup returns the cached result for (fn, attrs) without computing.
@@ -622,15 +611,16 @@ func (db *DB) StoreCustom(fn string, attrs []string, r Result) {
 func (db *DB) Invalidate(attr string) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.dropTable(attr)
-	delete(db.moments, attr)
+	for s := range states {
+		db.drop(keptKey{attr, stateKind(s)})
+	}
 	n := 0
-	db.idx.ScanPrefix(index.Key(attr), func(_ []byte, slot int64) bool {
+	db.idx.ScanPrefix(attrPrefix(attr), func(_ []byte, slot int64) bool {
 		e := db.entries[slot]
 		if e.fresh {
-			e.fresh = false
 			n++
 		}
+		e.stale()
 		return true
 	})
 	return n
@@ -651,38 +641,10 @@ func (db *DB) OnUpdate(attr string, deltas []incr.Delta) {
 	sp := db.tracer.Begin("summary.update", obs.A("attr", attr))
 	defer sp.End()
 	u := batchUpdate{deltas: deltas}
-	prefix := index.Key(attr)
-	readsMoments, readsTable := db.readers(prefix)
-	if kept := db.moments[attr]; kept != nil {
-		u.absorbed = int64(len(deltas))
-		u.moments = &kept.Moments
-		switch {
-		case kept.Apply(deltas) && !db.lostAnswer(attr, &kept.KeptMoments):
-		case readsMoments:
-			// A delete the state cannot retract, or the last copy of an
-			// extremum a cached entry reads: refold from the data (Section 4.3).
-			xs, valid := db.readSource(kept.source)
-			kept.KeptMoments = exec.KeepMoments(xs, valid)
-			u.rebuilds++
-			u.absorbed = 0
-		default:
-			// No cached row reads it: the next read keeps a new one.
-			delete(db.moments, attr)
-			u.moments = nil
-		}
-	}
-	if t := db.tables[attr]; t != nil {
-		// An updated attribute's table becomes the delta form of its tabled
-		// rows and leaves the cold budget — if it has tabled rows to keep
-		// current: a cold table none reads is dropped, not maintained. A
-		// delete of a value it does not hold drops it too; its entries go
-		// stale and the next access refills.
-		db.dropTable(attr)
-		if readsTable && t.Apply(changes(deltas)) {
-			t.maintained = true
-			db.tables[attr] = t
-			u.table = &t.FreqTable
-		}
+	prefix := attrPrefix(attr)
+	cached := db.rows(prefix, false)
+	for s := range states {
+		db.update(keptKey{attr, stateKind(s)}, cached, &u)
 	}
 	db.idx.ScanPrefix(prefix, func(_ []byte, slot int64) bool {
 		db.applyUpdate(db.entries[slot], &u)
@@ -700,68 +662,61 @@ func (db *DB) OnUpdate(attr string, deltas []incr.Delta) {
 	publish(db.met.recomputes, "recomputes", u.recomputes)
 }
 
-// lostAnswer reports whether attr caches an extremum k has lost.
-func (db *DB) lostAnswer(attr string, k *exec.KeptMoments) bool {
-	cached := func(fn string) bool {
-		_, ok := db.idx.Get(entryKey(fn, []string{attr}))
-		return ok
+// update merges u's batch into the state key names, if kept, once for
+// every entry of the attribute; cached is the attribute's rows with an entry, fresh or
+// stale. A cold state no cached row re-finalizes from is dropped, not
+// maintained. A state the batch leaves unable to describe the column (a
+// delete it cannot account for) or to answer a cached row is refolded
+// from its source if a cached row re-finalizes from it — one pass, a
+// rebuild (Section 4.3) — and dropped otherwise: the next read keeps a new
+// one.
+func (db *DB) update(key keptKey, cached rowSet, u *batchUpdate) {
+	row := &states[key.state]
+	readers := cached & stateRows[key.state] &^ windowedRows
+	k := db.kept[key]
+	if k == nil || !k.maintained && readers == 0 {
+		db.drop(key)
+		return
 	}
-	lostMin, lostMax := k.Lost()
-	return lostMin && cached("min") || lostMax && cached("max")
-}
-
-// readers reports which kept states the cached entries under an
-// attribute's prefix, fresh or stale, are re-finalized from: the
-// moments, the table.
-func (db *DB) readers(prefix []byte) (moments, table bool) {
-	db.idx.ScanPrefix(prefix, func(_ []byte, slot int64) bool {
-		if a := aggregateByName[db.entries[slot].fn]; a != nil {
-			moments = moments || a.moments != nil
-			table = table || a.tabled()
+	db.maintain(key, k)
+	u.absorbed[key.state] = int64(len(u.deltas))
+	if !row.apply(k.val, u.deltas) || refused(k.val, cached&stateRows[key.state]) {
+		if readers == 0 {
+			db.drop(key)
+			return
 		}
-		return true
-	})
-	return moments, table
+		xs, valid := db.readSource(k.source)
+		var st State
+		st.Moments, st.Freq = exec.ColumnFold(nil, xs, valid, exec.DefaultChunk, row.moments, row.freq)
+		k.val = row.keep(st, func(m exec.Moments) exec.KeptMoments { return exec.Keep(m, xs, valid) })
+		u.rebuilds++
+		u.absorbed[key.state] = 0
+	}
+	u.kept[key.state] = k
 }
 
-// batchUpdate is one OnUpdate pass: the batch, the attribute's kept
-// states with it merged in (nil where none lives), the deltas the moments
-// state absorbed without a refold, and what the pass did across the
-// entries it touched — deltas folded into kept states, deltas slid
-// through windows, state rebuilt from the column, entries recomputed by
-// policy.
+// batchUpdate is one OnUpdate pass: the batch; per state, the
+// attribute's kept state with the batch merged in (nil where none lives)
+// and the deltas it absorbed without a refold; and
+// what the pass did across the entries it touched — deltas folded into
+// kept states, deltas slid through windows, state rebuilt from the
+// column, entries recomputed by policy.
 type batchUpdate struct {
 	deltas   []incr.Delta
-	moments  *exec.Moments
-	table    *exec.FreqTable
-	absorbed int64
+	kept     [len(states)]*kept
+	absorbed [len(states)]int64
 
 	incremental, slides, rebuilds, recomputes int64
-}
-
-// changes restates a delta batch as the signed multiplicity changes the
-// frequency table merges.
-func changes(deltas []incr.Delta) []exec.Change {
-	out := make([]exec.Change, 0, 2*len(deltas))
-	for _, d := range deltas {
-		if d.Delete {
-			out = append(out, exec.Change{Value: d.Old, N: -1})
-		}
-		if d.Insert {
-			out = append(out, exec.Change{Value: d.New, N: 1})
-		}
-	}
-	return out
 }
 
 // applyUpdate is one entry's reaction to the batch u carries.
 func (db *DB) applyUpdate(e *entry, u *batchUpdate) {
 	switch db.policy {
 	case PolicyInvalidateAll:
-		e.fresh = false
+		e.stale()
 		return
 	case PolicyRecomputeAll:
-		e.fresh = false
+		e.stale()
 		if e.source != nil {
 			if _, err := db.fill(e, nil, false, nil); err == nil {
 				u.recomputes++
@@ -775,7 +730,7 @@ func (db *DB) applyUpdate(e *entry, u *batchUpdate) {
 		for _, d := range u.deltas {
 			if d.Delete {
 				if err := e.win.Delete(d.Old); err != nil {
-					e.fresh = false
+					e.stale()
 					return
 				}
 			}
@@ -793,32 +748,24 @@ func (db *DB) applyUpdate(e *entry, u *batchUpdate) {
 		if v, err := e.win.Value(); err == nil {
 			e.result, e.fresh = ScalarOf(v), true
 		} else {
-			e.fresh = false
+			e.stale()
 		}
 		return
 	}
-	// A moments or tabled row re-finalizes from its attribute's kept state.
-	// Everything else goes stale: StrategyInvalidate, custom entries, a row
-	// whose state is gone.
-	e.fresh = false
-	a := aggregateByName[e.fn]
-	var v float64
-	var err error
-	switch {
-	case a == nil:
-		return
-	case a.moments != nil && u.moments != nil:
-		u.incremental += u.absorbed
-		v, err = a.moments(*u.moments)
-	case a.tabled() && u.table != nil:
-		if v, err = a.freq(*u.table); err == nil {
-			u.incremental += int64(len(u.deltas))
-		}
-	default:
+	// Any other built-in re-finalizes from its attribute's kept state.
+	// Everything else goes stale: a windowed row without a window, custom
+	// entries, a row whose state is gone.
+	i, ok := aggregateRow[e.fn]
+	if !ok || aggregates[i].windowed || u.kept[aggregates[i].state] == nil {
+		e.stale()
 		return
 	}
-	if err == nil {
+	a := &aggregates[i]
+	u.incremental += u.absorbed[a.state]
+	if v, err := a.final(states[a.state].state(u.kept[a.state].val)); err == nil {
 		e.result, e.fresh = ScalarOf(v), true
+	} else {
+		e.stale()
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"statdb/internal/exec"
 	"statdb/internal/incr"
 	"statdb/internal/obs"
+	"statdb/internal/stats"
 )
 
 // spans counts the spans named name in the trees under roots, and how
@@ -131,83 +132,99 @@ func sameAnswer(fn string, got, want float64, xs []float64, valid []bool) bool {
 	return math.Abs(got-want) <= 1e-9*math.Max(scale, 1)
 }
 
-// TestKeptStatesMatchRecompute drives random sequences of fills (by rows
-// and by runs), update batches and invalidations over a small column with
-// NaNs and holes. Every answer must equal a fresh cache's, every fresh
-// entry must too after every step, and the kept states must describe the
-// column: each table equal to a refold, the moments' counts exact, and
-// the cold tables' bytes accounted within the budget.
+// TestKeptStatesMatchRecompute drives keptStatesMachine over 200 seeds.
 func TestKeptStatesMatchRecompute(t *testing.T) {
-	fns := Functions()
 	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 30 + rng.Intn(40)
-		c := &nullable{xs: make([]float64, n), valid: make([]bool, n)}
-		for i := range c.xs {
-			c.xs[i], c.valid[i] = draw(rng)
-		}
-		db, _ := newDB()
-		fresh := func(fn string) (float64, error) {
-			ref, _ := newDB()
-			return ref.Scalar(fn, "X", func() ([]float64, []bool) { return c.xs, c.valid })
-		}
-		for step := 0; step < 40; step++ {
-			switch k := rng.Intn(10); {
-			case k < 5:
-				fn := fns[rng.Intn(len(fns))]
-				src := Sources{Rows: c.source()}
-				if rng.Intn(3) == 0 {
-					// Like a view's, the run source reads the column as it is
-					// when called: a refill reuses the entry's source.
-					src.Runs = func() (exec.RunColumn, bool) {
-						rc := exec.RunColumn{Rows: len(c.xs)}
-						for i, x := range c.xs {
-							rc.Vals, rc.Nulls, rc.Counts = append(rc.Vals, x), append(rc.Nulls, !c.valid[i]), append(rc.Counts, 1)
-						}
-						return rc, true
+		keptStatesMachine(t, seed)
+	}
+}
+
+// FuzzKeptStates drives keptStatesMachine over any seed.
+func FuzzKeptStates(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(keptStatesMachine)
+}
+
+// keptStatesMachine drives a random sequence of fills (by rows and by
+// runs), update batches and invalidations over a small column with NaNs,
+// ±0 and holes. An invalidation first rewrites the column wholesale, as a
+// global derived rule regenerates one. Every answer must equal a fresh
+// cache's, every fresh entry must too after every step, and every kept
+// state must describe the column — a table equal to a refold, the moments'
+// counts exact — with the cold states' bytes accounted within the budget.
+func keptStatesMachine(t *testing.T, seed int64) {
+	fns := Functions()
+	rng := rand.New(rand.NewSource(seed))
+	n := 30 + rng.Intn(40)
+	c := &nullable{xs: make([]float64, n), valid: make([]bool, n)}
+	for i := range c.xs {
+		c.xs[i], c.valid[i] = draw(rng)
+	}
+	db, _ := newDB()
+	fresh := func(fn string) (float64, error) {
+		ref, _ := newDB()
+		return ref.Scalar(fn, "X", func() ([]float64, []bool) { return c.xs, c.valid })
+	}
+	for step := 0; step < 40; step++ {
+		switch k := rng.Intn(10); {
+		case k < 5:
+			fn := fns[rng.Intn(len(fns))]
+			src := Sources{Rows: c.source()}
+			if rng.Intn(3) == 0 {
+				// Like a view's, the run source reads the column as it is
+				// when called: a refill reuses the entry's source.
+				src.Runs = func() (exec.RunColumn, bool) {
+					rc := exec.RunColumn{Rows: len(c.xs)}
+					for i, x := range c.xs {
+						rc.Vals, rc.Nulls, rc.Counts = append(rc.Vals, x), append(rc.Nulls, !c.valid[i]), append(rc.Counts, 1)
 					}
+					return rc, true
 				}
-				got, gerr := db.ScalarFrom(fn, "X", src)
+			}
+			got, gerr := db.ScalarFrom(fn, "X", src)
+			want, werr := fresh(fn)
+			if (gerr == nil) != (werr == nil) || gerr == nil && !sameAnswer(fn, got, want, c.xs, c.valid) {
+				t.Fatalf("seed %d step %d: %s = %v (%v), fresh %v (%v)", seed, step, fn, got, gerr, want, werr)
+			}
+		case k < 8:
+			batch := make([]incr.Delta, 1+rng.Intn(8))
+			for j := range batch {
+				x, ok := draw(rng)
+				batch[j] = c.set(rng.Intn(len(c.xs)), x, ok)
+			}
+			db.OnUpdate("X", batch)
+		default:
+			for i := range c.xs {
+				c.xs[i], c.valid[i] = draw(rng)
+			}
+			db.Invalidate("X")
+		}
+		for _, fn := range fns {
+			if r, ok := db.Lookup(fn, "X"); ok {
 				want, werr := fresh(fn)
-				if (gerr == nil) != (werr == nil) || gerr == nil && !sameAnswer(fn, got, want, c.xs, c.valid) {
-					t.Fatalf("seed %d step %d: %s = %v (%v), fresh %v (%v)", seed, step, fn, got, gerr, want, werr)
-				}
-			case k < 8:
-				batch := make([]incr.Delta, 1+rng.Intn(8))
-				for j := range batch {
-					x, ok := draw(rng)
-					batch[j] = c.set(rng.Intn(len(c.xs)), x, ok)
-				}
-				db.OnUpdate("X", batch)
-			default:
-				db.Invalidate("X")
-			}
-			for _, fn := range fns {
-				if r, ok := db.Lookup(fn, "X"); ok {
-					want, werr := fresh(fn)
-					if werr != nil || !sameAnswer(fn, r.Scalar, want, c.xs, c.valid) {
-						t.Fatalf("seed %d step %d: cached %s = %v, fresh %v (%v)", seed, step, fn, r.Scalar, want, werr)
-					}
+				if werr != nil || !sameAnswer(fn, r.Scalar, want, c.xs, c.valid) {
+					t.Fatalf("seed %d step %d: cached %s = %v, fresh %v (%v)", seed, step, fn, r.Scalar, want, werr)
 				}
 			}
-			var cold int64
-			for attr, k := range db.tables {
-				if !sameTable(k.FreqTable, exec.FoldFreq(c.xs, c.valid)) {
-					t.Fatalf("seed %d step %d: %s's kept table no longer describes the column", seed, step, attr)
+		}
+		var cold int64
+		for s, row := range states {
+			var refold State
+			refold.Moments, refold.Freq = exec.ColumnFold(nil, c.xs, c.valid, exec.DefaultChunk, row.moments, row.freq)
+			for attr, k := range keptStates(db, stateKind(s)) {
+				got := row.state(k.val)
+				if !sameTable(got.Freq, refold.Freq) || got.Moments.N != refold.Moments.N || got.Moments.Missing != refold.Moments.Missing {
+					t.Fatalf("seed %d step %d: %s's kept state %d no longer describes the column", seed, step, attr, s)
 				}
 				if !k.maintained {
-					cold += k.bytes()
+					cold += row.bytes(k.val)
 				}
 			}
-			if cold != db.coldBytes || cold > coldTableBudget {
-				t.Fatalf("seed %d step %d: cold bytes %d accounted as %d", seed, step, cold, db.coldBytes)
-			}
-			if k := db.moments["X"]; k != nil {
-				m := exec.FoldMoments(c.xs, c.valid)
-				if k.N != m.N || k.Missing != m.Missing {
-					t.Fatalf("seed %d step %d: kept moments count %d/%d, refold %d/%d", seed, step, k.N, k.Missing, m.N, m.Missing)
-				}
-			}
+		}
+		if cold != db.coldBytes || cold > coldTableBudget {
+			t.Fatalf("seed %d step %d: cold bytes %d accounted as %d", seed, step, cold, db.coldBytes)
 		}
 	}
 }
@@ -252,9 +269,57 @@ func TestLostMaxRefoldsLikeAFirstFill(t *testing.T) {
 				t.Errorf("%d rows, %d workers: variance after the refold %v (fresh %v), first fill %v",
 					n, workers, got.Scalar, fresh, want)
 			}
-			if k, w := db.moments["X"].KeptMoments, first.moments["X"].KeptMoments; k != w {
+			if k, w := keptStates(db, momentsState)["X"].val, keptStates(first, momentsState)["X"].val; *k.(*exec.KeptMoments) != *w.(*exec.KeptMoments) {
 				t.Errorf("%d rows, %d workers: refolded kept state %+v, first fill's %+v", n, workers, k, w)
 			}
+		}
+	}
+}
+
+// TestStaleEntryHoldsNoWindow: an entry that goes stale holds no window,
+// so no later update slides it back to fresh with an answer the change
+// that made it stale never reached. It goes stale four ways: a global
+// derived rule rewrites its column and invalidates it; a batch whose
+// delete the window cannot find, before a delta it never slid; and an
+// update under either cache-wide policy, which slides no window.
+func TestStaleEntryHoldsNoWindow(t *testing.T) {
+	underPolicy := func(p Policy) func(db *DB, c *nullable) {
+		return func(db *DB, c *nullable) {
+			db.SetPolicy(p)
+			db.OnUpdate("X", []incr.Delta{c.set(0, 2000, true)})
+			db.SetPolicy(PolicyStrategies)
+		}
+	}
+	for name, goStale := range map[string]func(db *DB, c *nullable){
+		"rewrite and invalidate": func(db *DB, c *nullable) {
+			for i := range c.xs {
+				c.xs[i]++
+			}
+			db.Invalidate("X")
+		},
+		"failed delete": func(db *DB, c *nullable) {
+			db.OnUpdate("X", []incr.Delta{{Delete: true, Old: 499.25}, c.set(10, 1000.5, true)})
+		},
+		"invalidate-all": underPolicy(PolicyInvalidateAll),
+		"recompute-all":  underPolicy(PolicyRecomputeAll),
+	} {
+		c := &nullable{xs: make([]float64, 1000), valid: make([]bool, 1000)}
+		for i := range c.xs {
+			c.xs[i], c.valid[i] = float64(i), true
+		}
+		db, _ := newDB()
+		ask(t, db, c, "median")
+		goStale(db, c)
+		db.OnUpdate("X", []incr.Delta{c.set(500, c.xs[500]+0.5, true)})
+		want, err := stats.Median(c.xs, c.valid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r, ok := db.Lookup("median", "X"); ok && r.Scalar != want {
+			t.Errorf("%s: median fresh at %v, a recompute answers %v", name, r.Scalar, want)
+		}
+		if got := ask(t, db, c, "median"); got != want {
+			t.Errorf("%s: median refilled to %v, want %v", name, got, want)
 		}
 	}
 }

@@ -22,15 +22,15 @@ func (db *DB) SetExec(p *exec.Pool) {
 	db.pool = p
 }
 
-// foldRows folds a row slice into the state families f names on the
+// foldRows folds a row slice into the states the flags name on the
 // chunk grid, in one read for a, the function that asked: long columns
 // fan out through the pool, short ones (or any, without a pool) run the
 // same chunks inline. The fold is profiled as one span charged with the
 // engine cost model's ticks for the chosen route (never wall time)
-// however many families it folds, so EXPLAIN output is deterministic and
+// however many states it folds, so EXPLAIN output is deterministic and
 // the serial-vs-parallel decision is visible in both the span attrs and
 // the summary.recompute.{serial,parallel} counters.
-func (db *DB) foldRows(a *aggregate, xs []float64, valid []bool, f families) State {
+func (db *DB) foldRows(a *aggregate, xs []float64, valid []bool, moments, freq bool) State {
 	cost := exec.DefaultCost()
 	p := db.pool
 	var sp *obs.Span
@@ -51,6 +51,6 @@ func (db *DB) foldRows(a *aggregate, xs []float64, valid []bool, f families) Sta
 	defer sp.End()
 	db.met.passTicks.Observe(ticks)
 	var st State
-	st.Moments, st.Freq = exec.ColumnFold(p, xs, valid, exec.DefaultChunk, f.moments, f.freq)
+	st.Moments, st.Freq = exec.ColumnFold(p, xs, valid, exec.DefaultChunk, moments, freq)
 	return st
 }

@@ -219,7 +219,7 @@ func Load(db *DB, h *storage.HeapFile) (LoadReport, error) {
 			fn:    row[1].AsString(),
 			attrs: attrs,
 		}
-		if _, dup := db.idx.Get(e.key()); dup {
+		if _, dup := db.idx.Get(entryKey(e.fn, e.attrs)); dup {
 			rep.Dropped++ // a damaged record that aliases a live key
 			return true
 		}

@@ -38,12 +38,12 @@ func (db *DB) readRunSource(runs RunSource) (exec.RunColumn, bool) {
 	return rc, true
 }
 
-// foldRuns folds the run column into the state families f names through
+// foldRuns folds the run column into the states the flags name through
 // the run-native kernels, charging one cell cost per run — the
 // compression dividend. The fold span carries engine=runs so EXPLAIN
 // shows which strategy won, mirroring the serial/parallel split of
 // foldRows.
-func (db *DB) foldRuns(a *aggregate, rc exec.RunColumn, f families) (State, error) {
+func (db *DB) foldRuns(a *aggregate, rc exec.RunColumn, moments, freq bool) (State, error) {
 	cost := exec.DefaultCost()
 	nruns := len(rc.Vals)
 	ticks := cost.RunTicks(nruns)
@@ -56,12 +56,12 @@ func (db *DB) foldRuns(a *aggregate, rc exec.RunColumn, f families) (State, erro
 	db.met.passTicks.Observe(ticks)
 	var st State
 	var err error
-	if f.moments {
+	if moments {
 		if st.Moments, err = exec.FoldMomentsRuns(rc); err != nil {
 			return State{}, err
 		}
 	}
-	if f.freq {
+	if freq {
 		st.Freq, err = exec.FoldFreqRuns(rc)
 	}
 	return st, err

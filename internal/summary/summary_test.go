@@ -207,7 +207,7 @@ func TestInvalidateStrategyIsLazy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if db.tables["X"] != nil {
+	if keptStates(db, freqState)["X"] != nil {
 		t.Fatal("the cold table outlived the last freq row it serves")
 	}
 	base := c.passes
@@ -424,4 +424,34 @@ func TestResultStrings(t *testing.T) {
 			t.Errorf("kind %d renders %q", k, k.String())
 		}
 	}
+}
+
+// TestUpdateTouchesOnlyItsAttribute: an update or an invalidation of X
+// reaches X's entries and no entry of XY, an attribute whose name
+// extends X's.
+func TestUpdateTouchesOnlyItsAttribute(t *testing.T) {
+	db, _ := newDB()
+	x, xy := newColumn(100, 1), newColumn(100, 2)
+	for _, fn := range []string{"mean", "median", "mode"} {
+		for attr, c := range map[string]*column{"X": x, "XY": xy} {
+			if _, err := db.Scalar(fn, attr, c.source()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := db.Dump()
+	check := func(after string) {
+		t.Helper()
+		for _, r := range db.Dump() {
+			for _, w := range want {
+				if r.Attribute == "XY" && w.Attribute == "XY" && r.Function == w.Function && r != w {
+					t.Errorf("%s of X changed %s(XY) from %+v to %+v", after, r.Function, w, r)
+				}
+			}
+		}
+	}
+	db.OnUpdate("X", []incr.Delta{x.update(0, x.xs[0]+1000)})
+	check("an update")
+	db.Invalidate("X")
+	check("Invalidate")
 }

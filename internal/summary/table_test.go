@@ -11,9 +11,10 @@ import (
 	"statdb/internal/storage"
 )
 
-// Tests of the freq family's delta form: the retained frequency table.
-// They read db.tables directly — the probe the retention rule is stated
-// in — rather than through an exported accessor.
+// Tests of the frequency table's delta form and of the retention rule
+// every kept state follows. They read the kept-state map through
+// keptStates — the probe the retention rule is stated in — rather than
+// through an exported accessor.
 
 // nullable is a column with missing cells whose updates are deltas.
 type nullable struct {
@@ -49,19 +50,36 @@ func retained(t *testing.T, n int, rng *rand.Rand) (*DB, *nullable) {
 	ask(t, db, c, "mode")
 	db.OnUpdate("X", []incr.Delta{c.set(0, 3, true)})
 	ask(t, db, c, "mode")
-	if db.tables["X"] == nil {
+	if keptStates(db, freqState)["X"] == nil {
 		t.Fatal("the refill of an entry an update left stale retained no table")
 	}
 	return db, c
 }
 
-// draw picks a cell: one of 12 numbers, a NaN, or missing.
+// keptStates is the one probe of the kept-state map: the states of kind s
+// the DB keeps, by attribute.
+func keptStates(db *DB, s stateKind) map[string]*kept {
+	out := map[string]*kept{}
+	for key, k := range db.kept {
+		if key.state == s {
+			out[key.attr] = k
+		}
+	}
+	return out
+}
+
+// tableOf is a kept table's kept form.
+func tableOf(k *kept) exec.FreqTable { return *k.val.(*exec.FreqTable) }
+
+// draw picks a cell: one of 12 numbers, −0, a NaN, or missing.
 func draw(rng *rand.Rand) (float64, bool) {
-	switch k := rng.Intn(14); k {
+	switch k := rng.Intn(15); k {
 	case 12:
 		return math.NaN(), true
 	case 13:
 		return 0, false
+	case 14:
+		return math.Copysign(0, -1), true
 	default:
 		return float64(k) / 4, true
 	}
@@ -108,12 +126,12 @@ func TestTableMergeMatchesRebuild(t *testing.T) {
 			}
 			db.OnUpdate("X", batch)
 			want := exec.FoldFreq(c.xs, c.valid)
-			got := db.tables["X"]
-			if got == nil || !sameTable(got.FreqTable, want) {
+			got := keptStates(db, freqState)["X"]
+			if got == nil || !sameTable(tableOf(got), want) {
 				t.Fatalf("seed %d round %d: merged table %v, rebuilt %v", seed, round, got, want)
 			}
 			for _, fn := range []string{"mode", "unique"} {
-				wantV, werr := aggregateByName[fn].freq(want)
+				wantV, werr := Finalize(fn, State{Freq: want})
 				r, fresh := db.Lookup(fn, "X")
 				if fresh != (werr == nil) || (fresh && math.Float64bits(r.Scalar) != math.Float64bits(wantV)) {
 					t.Fatalf("seed %d round %d: %s maintained %v (fresh %v), recomputed %v (%v)", seed, round, fn, r.Scalar, fresh, wantV, werr)
@@ -129,57 +147,69 @@ func TestTableMergeMatchesRebuild(t *testing.T) {
 // TestZeroSignMaintainedAsRecomputed: the sign of a zero answer does
 // not depend on the column's history. Filling the missing cells of a
 // column with −0, then turning its +0s to −0 one batch at a time, leaves
-// mode (from the maintained table) and median, q1 and q3 (from their
-// windows) answering what a fresh DB's fill over the updated column
-// answers — +0, the zero a table holds — bit for bit.
+// mode (from the maintained table), median, q1 and q3 (from their
+// windows) and min and max (from the kept moments) answering what a
+// fresh DB's fill over the updated column answers — +0, the zero a table
+// holds — bit for bit. The column runs once upward and once mirrored, so
+// that the zero is its min once and its max once.
 func TestZeroSignMaintainedAsRecomputed(t *testing.T) {
-	fns := []string{"mode", "median", "q1", "q3"}
-	c := &nullable{
-		xs:    []float64{0, 0, 0, 0, 0, 0, 0, 5, 7},
-		valid: []bool{true, true, true, false, false, false, false, true, true},
-	}
-	db, _ := newDB()
-	for _, fn := range fns {
-		ask(t, db, c, fn)
-	}
-	for _, rows := range [][]int{{3, 4, 5, 6}, {0}, {1, 2}} {
-		batch := make([]incr.Delta, len(rows))
-		for k, i := range rows {
-			batch[k] = c.set(i, math.Copysign(0, -1), true)
+	fns := []string{"mode", "median", "q1", "q3", "min", "max"}
+	for _, dir := range []float64{1, -1} {
+		c := &nullable{
+			xs:    []float64{0, 0, 0, 0, 0, 0, 0, 5 * dir, 7 * dir},
+			valid: []bool{true, true, true, false, false, false, false, true, true},
 		}
-		db.OnUpdate("X", batch)
-		fresh, _ := newDB()
+		db, _ := newDB()
 		for _, fn := range fns {
-			want := ask(t, fresh, &nullable{xs: c.xs, valid: c.valid}, fn)
-			r, ok := db.Lookup(fn, "X")
-			if !ok || math.Float64bits(r.Scalar) != math.Float64bits(want) || math.Signbit(want) {
-				t.Errorf("after −0 in rows %v: %s maintained %v (signbit %v, fresh %v), recomputed %v (signbit %v)",
-					rows, fn, r.Scalar, math.Signbit(r.Scalar), ok, want, math.Signbit(want))
+			ask(t, db, c, fn)
+		}
+		for _, rows := range [][]int{{3, 4, 5, 6}, {0}, {1, 2}} {
+			batch := make([]incr.Delta, len(rows))
+			for k, i := range rows {
+				batch[k] = c.set(i, math.Copysign(0, -1), true)
+			}
+			db.OnUpdate("X", batch)
+			fresh, _ := newDB()
+			for _, fn := range fns {
+				want := ask(t, fresh, &nullable{xs: c.xs, valid: c.valid}, fn)
+				r, ok := db.Lookup(fn, "X")
+				if !ok || math.Float64bits(r.Scalar) != math.Float64bits(want) || want == 0 && math.Signbit(want) {
+					t.Errorf("column ×%v, after −0 in rows %v: %s maintained %v (signbit %v, fresh %v), recomputed %v (signbit %v)",
+						dir, rows, fn, r.Scalar, math.Signbit(r.Scalar), ok, want, math.Signbit(want))
+				}
 			}
 		}
 	}
 }
 
-// TestTableDeleteOfAbsent: a delete the table cannot account for drops it
-// and leaves its entries stale; the next access refills from the column
-// and retains again.
+// TestTableDeleteOfAbsent: a delete the table cannot account for leaves
+// it unable to describe the column. While mode and unique read it, the
+// update refolds it from the column — one pass, counted as a rebuild — as
+// it refolds kept moments a batch defeats, and the entries stay fresh:
+// the next access is a hit that reads no column.
 func TestTableDeleteOfAbsent(t *testing.T) {
 	db, c := retained(t, 60, rand.New(rand.NewSource(1)))
 	ask(t, db, c, "unique")
+	passes, rebuilds := c.passes, db.Counters().Rebuilds
 	db.OnUpdate("X", []incr.Delta{{Delete: true, Old: 12345}})
-	if db.tables["X"] != nil {
-		t.Error("a delete of an absent value left the table in place")
+	k := keptStates(db, freqState)["X"]
+	if k == nil || !k.maintained || !sameTable(tableOf(k), exec.FoldFreq(c.xs, c.valid)) {
+		t.Fatalf("a delete of an absent value left table %v, want the column's refold, maintained", k)
 	}
+	if c.passes != passes+1 || db.Counters().Rebuilds != rebuilds+1 {
+		t.Errorf("the refold took %d passes and %d rebuilds, want one of each",
+			c.passes-passes, db.Counters().Rebuilds-rebuilds)
+	}
+	hits := db.Counters().Hits
 	for _, fn := range []string{"mode", "unique"} {
-		if _, ok := db.Lookup(fn, "X"); ok {
-			t.Errorf("%s still fresh after its table was dropped", fn)
+		want, _ := Finalize(fn, State{Freq: exec.FoldFreq(c.xs, c.valid)})
+		if got := ask(t, db, c, fn); got != want {
+			t.Errorf("%s after the refold = %v, want %v", fn, got, want)
 		}
 	}
-	passes := c.passes
-	ask(t, db, c, "unique")
-	ask(t, db, c, "mode")
-	if c.passes != passes+1 || db.tables["X"] == nil {
-		t.Errorf("refill after the drop: %d passes, table %v; want one pass that retains", c.passes-passes, db.tables["X"])
+	if c.passes != passes+1 || db.Counters().Hits != hits+2 {
+		t.Errorf("mode and unique after the refold: %d more passes, %d hits; want none and two",
+			c.passes-passes-1, db.Counters().Hits-hits)
 	}
 }
 
@@ -200,19 +230,19 @@ func TestTableRetentionRule(t *testing.T) {
 	db, _ := newDB()
 	c := fresh()
 	ask(t, db, c, "mode")
-	if k := db.tables["X"]; k == nil || k.maintained {
+	if k := keptStates(db, freqState)["X"]; k == nil || k.maintained {
 		t.Fatalf("a first miss kept %v, want a cold table", k)
 	}
 	passes := c.passes
 	for _, fn := range []string{"unique", "median", "q1", "count", "sd"} {
 		ask(t, db, c, fn)
 	}
-	if c.passes != passes || db.tables["X"] == nil {
+	if c.passes != passes || keptStates(db, freqState)["X"] == nil {
 		t.Errorf("fills beside a cold table read the column %d times", c.passes-passes)
 	}
 	ask(t, db, c, "q3")
-	if len(db.tables) != 0 || db.coldBytes != 0 {
-		t.Errorf("the last freq row left %d tables (%d cold bytes) behind", len(db.tables), db.coldBytes)
+	if len(keptStates(db, freqState)) != 0 || db.coldBytes != 0 {
+		t.Errorf("the last freq row left %d tables (%d cold bytes) behind", len(keptStates(db, freqState)), db.coldBytes)
 	}
 
 	// An update drops a cold table no cached row reads: mean's read kept
@@ -220,11 +250,11 @@ func TestTableRetentionRule(t *testing.T) {
 	db, _ = newDB()
 	c = fresh()
 	ask(t, db, c, "mean")
-	if db.tables["X"] == nil {
+	if keptStates(db, freqState)["X"] == nil {
 		t.Fatal("mean's read kept no cold table")
 	}
 	db.OnUpdate("X", []incr.Delta{c.set(1, 2, true)})
-	if len(db.tables) != 0 || db.coldBytes != 0 {
+	if len(keptStates(db, freqState)) != 0 || db.coldBytes != 0 {
 		t.Errorf("an update maintained a table no cached row reads (%d cold bytes)", db.coldBytes)
 	}
 
@@ -236,8 +266,8 @@ func TestTableRetentionRule(t *testing.T) {
 		ask(t, db, c, "mode")
 		db.OnUpdate("X", []incr.Delta{c.set(1, 2, true)})
 		ask(t, db, c, "mode")
-		if len(db.tables) != 0 || len(db.moments) != 0 {
-			t.Errorf("%v kept %d tables and %d moments", p, len(db.tables), len(db.moments))
+		if len(keptStates(db, freqState)) != 0 || len(keptStates(db, momentsState)) != 0 {
+			t.Errorf("%v kept %d tables and %d moments", p, len(keptStates(db, freqState)), len(keptStates(db, momentsState)))
 		}
 	}
 
@@ -246,26 +276,26 @@ func TestTableRetentionRule(t *testing.T) {
 	// outlives the last freq row's fill.
 	db, c = retained(t, 50, rng)
 	passes = c.passes
-	want, _ := aggregateByName["unique"].freq(exec.FoldFreq(c.xs, c.valid))
+	want, _ := Finalize("unique", State{Freq: exec.FoldFreq(c.xs, c.valid)})
 	if got := ask(t, db, c, "unique"); got != want || c.passes != passes {
 		t.Errorf("unique beside a live table = %v after %d passes, want %v after none", got, c.passes-passes, want)
 	}
 	for _, fn := range []string{"median", "q1", "q3"} {
 		ask(t, db, c, fn)
 	}
-	if k := db.tables["X"]; k == nil || !k.maintained || db.coldBytes != 0 {
+	if k := keptStates(db, freqState)["X"]; k == nil || !k.maintained || db.coldBytes != 0 {
 		t.Errorf("the maintained table became %v (%d cold bytes)", k, db.coldBytes)
 	}
 
 	// Invalidate drops it, so does leaving the per-function policy, and a
 	// Save → Load round trip carries none over.
 	db.Invalidate("X")
-	if len(db.tables) != 0 {
+	if len(keptStates(db, freqState)) != 0 {
 		t.Error("Invalidate left the table behind")
 	}
 	db, _ = retained(t, 50, rng)
 	db.SetPolicy(PolicyInvalidateAll)
-	if len(db.tables) != 0 {
+	if len(keptStates(db, freqState)) != 0 {
 		t.Error("SetPolicy left the table behind")
 	}
 	db, _ = retained(t, 50, rng)
@@ -277,8 +307,8 @@ func TestTableRetentionRule(t *testing.T) {
 	if _, err := Load(restored, heap); err != nil {
 		t.Fatal(err)
 	}
-	if restored.Len() != db.Len() || len(restored.tables) != 0 {
-		t.Errorf("Load restored %d of %d entries and %d tables, want none", restored.Len(), db.Len(), len(restored.tables))
+	if restored.Len() != db.Len() || len(keptStates(restored, freqState)) != 0 {
+		t.Errorf("Load restored %d of %d entries and %d tables, want none", restored.Len(), db.Len(), len(keptStates(restored, freqState)))
 	}
 }
 
@@ -307,28 +337,58 @@ func TestTableNotRetainedOverBudget(t *testing.T) {
 	if err == nil {
 		t.Fatal("refill over budget answered")
 	}
-	if _, ok := db.Lookup("mode", "X"); ok || len(db.tables) != 0 {
-		t.Errorf("breached refill left a fresh entry (%v) or %d tables", ok, len(db.tables))
+	if _, ok := db.Lookup("mode", "X"); ok || len(keptStates(db, freqState)) != 0 {
+		t.Errorf("breached refill left a fresh entry (%v) or %d tables", ok, len(keptStates(db, freqState)))
 	}
 	tr.SetBudget(nil)
 	ask(t, db, c, "mode")
-	if db.tables["X"] == nil {
+	if keptStates(db, freqState)["X"] == nil {
 		t.Error("the refill within budget retained nothing")
 	}
 }
 
-// benchOnUpdate times one update's maintenance of fns at the statement
-// benchmark's shape: 200 000 rows of 3-decimal floats (≈70 000
-// distinct), a 2 000-delta batch applied forward, then back. The set-up
-// asks each function, updates forth and back, and asks again, so every
-// state fns are maintained from is in place before the clock starts; the
-// timed updates must then leave every entry fresh without a column pass.
-func benchOnUpdate(b *testing.B, fns ...string) {
+// benchColumn is the statement benchmark's shape: 200 000 rows of
+// 3-decimal floats, ≈70 000 distinct.
+func benchColumn() *nullable {
 	rng := rand.New(rand.NewSource(1))
 	c := &nullable{xs: make([]float64, 200_000), valid: make([]bool, 200_000)}
 	for i := range c.xs {
 		c.xs[i], c.valid[i] = math.Round(rng.NormFloat64()*15_000)/1000, true
 	}
+	return c
+}
+
+// BenchmarkColdAttributeFill times all twelve built-ins asked of a fresh
+// attribute of benchColumn's shape on a two-worker pool: one read that
+// folds and keeps the moments and the table, then eleven fills finalized
+// from the kept states.
+func BenchmarkColdAttributeFill(b *testing.B) {
+	c := benchColumn()
+	pool := exec.New(2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db, _ := newDB()
+		db.SetExec(pool)
+		for _, fn := range Functions() {
+			if _, err := db.Scalar(fn, "X", c.source()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	if c.passes != b.N {
+		b.Fatalf("%d column passes for %d cold attributes, want one each", c.passes, b.N)
+	}
+}
+
+// benchOnUpdate times one update's maintenance of fns over benchColumn:
+// a 2 000-delta batch applied forward, then back. The set-up
+// asks each function, updates forth and back, and asks again, so every
+// state fns are maintained from is in place before the clock starts; the
+// timed updates must then leave every entry fresh without a column pass.
+func benchOnUpdate(b *testing.B, fns ...string) {
+	c := benchColumn()
 	db, _ := newDB()
 	db.SetExec(exec.New(2))
 	fwd, back := make([]incr.Delta, 2000), make([]incr.Delta, 2000)
@@ -398,16 +458,16 @@ func TestColdTablesWithinBudget(t *testing.T) {
 		t.Errorf("unique beside X1's cold table read the column (%d passes)", p)
 	}
 	scalar("mode", "X3")
-	if db.tables["X1"] == nil || db.tables["X2"] != nil || db.tables["X3"] == nil {
+	if keptStates(db, freqState)["X1"] == nil || keptStates(db, freqState)["X2"] != nil || keptStates(db, freqState)["X3"] == nil {
 		t.Errorf("after a third table, X1 kept %v, X2 %v, X3 %v; want X2 evicted",
-			db.tables["X1"] != nil, db.tables["X2"] != nil, db.tables["X3"] != nil)
+			keptStates(db, freqState)["X1"] != nil, keptStates(db, freqState)["X2"] != nil, keptStates(db, freqState)["X3"] != nil)
 	}
-	if want := db.tables["X1"].bytes() + db.tables["X3"].bytes(); db.coldBytes != want || want > coldTableBudget {
+	if want := states[freqState].bytes(keptStates(db, freqState)["X1"].val) + states[freqState].bytes(keptStates(db, freqState)["X3"].val); db.coldBytes != want || want > coldTableBudget {
 		t.Errorf("cold bytes %d, want %d within %d", db.coldBytes, want, coldTableBudget)
 	}
 	cols["X4"] = distinct(coldTableBudget/16 + 1)
 	scalar("mode", "X4")
-	if db.tables["X4"] != nil {
+	if keptStates(db, freqState)["X4"] != nil {
 		t.Error("a table larger than the budget was kept")
 	}
 
@@ -421,19 +481,19 @@ func TestColdTablesWithinBudget(t *testing.T) {
 	db.Invalidate("X5")
 	for _, fn := range []string{"mean", "median"} {
 		scalar(fn, "X5")
-		k := db.tables["X5"]
+		k := keptStates(db, freqState)["X5"]
 		if k == nil || k.maintained {
 			t.Fatalf("after the refill of a stale %s, X5 kept a table %v, maintained %v; want one kept cold",
 				fn, k != nil, k != nil && k.maintained)
 		}
-		if want := db.tables["X1"].bytes() + db.tables["X3"].bytes() + k.bytes(); db.coldBytes != want || want > coldTableBudget {
+		if want := states[freqState].bytes(keptStates(db, freqState)["X1"].val) + states[freqState].bytes(keptStates(db, freqState)["X3"].val) + states[freqState].bytes(k.val); db.coldBytes != want || want > coldTableBudget {
 			t.Errorf("after the refill of a stale %s, cold bytes %d, want %d within %d", fn, db.coldBytes, want, coldTableBudget)
 		}
 	}
 	for _, fn := range []string{"q1", "q3", "mode", "unique"} {
 		scalar(fn, "X5")
 	}
-	if db.tables["X5"] != nil {
+	if keptStates(db, freqState)["X5"] != nil {
 		t.Error("X5's refilled table outlived the last freq row it serves")
 	}
 }

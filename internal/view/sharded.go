@@ -46,13 +46,17 @@ func (v *View) ShardStore() (st *shard.Store, behind bool) {
 // Called with v.mu held, like columnSource.
 func (v *View) gatherSource(attr string, rep *shard.Report) summary.GatherSource {
 	st := v.shards
-	return func(freq bool) (s summary.State, complete bool, err error) {
+	return func(moments, freq bool) (s summary.State, complete bool, err error) {
 		v.countScan(attr)
-		if freq {
-			s.Freq, *rep, err = st.Freq(attr)
-		} else {
+		complete = true
+		if moments {
 			s.Moments, *rep, err = st.Moments(attr)
+			complete = !rep.Degraded()
 		}
-		return s, !rep.Degraded(), err
+		if freq && err == nil {
+			s.Freq, *rep, err = st.Freq(attr)
+			complete = complete && !rep.Degraded()
+		}
+		return s, complete, err
 	}
 }
