@@ -57,7 +57,9 @@ func E12ViewBacking() (*Table, error) {
 		}},
 		{"informational: 100 record lookups", func(v *view.View) error {
 			for i := 0; i < 100; i++ {
-				v.RowAt(i * 97 % v.Rows())
+				if _, err := v.RowAt(i * 97 % v.Rows()); err != nil {
+					return err
+				}
 			}
 			return nil
 		}},

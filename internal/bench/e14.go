@@ -43,7 +43,7 @@ func E14RecoveryCost() (*Table, error) {
 			for k := range cols {
 				cols[k] = syntheticColumn(rows, uint64(entries*1000+k))
 			}
-			source := func(k int) summary.Source {
+			source := func(k int) func() ([]float64, []bool) {
 				return func() ([]float64, []bool) {
 					passes++
 					valid := make([]bool, rows)

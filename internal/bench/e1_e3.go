@@ -20,7 +20,7 @@ type passCountingColumn struct {
 	passes int
 }
 
-func (c *passCountingColumn) source() summary.Source {
+func (c *passCountingColumn) source() func() ([]float64, []bool) {
 	return func() ([]float64, []bool) {
 		c.passes++
 		return append([]float64(nil), c.xs...), nil

@@ -141,7 +141,10 @@ func TestSharedViewConcurrentReadersAndWriter(t *testing.T) {
 					errs <- err
 					return
 				}
-				_ = sv.RowAt(i % sv.Rows())
+				if _, err := sv.RowAt(i % sv.Rows()); err != nil {
+					errs <- err
+					return
+				}
 				if _, err := sv.Describe("SALARY"); err != nil {
 					errs <- err
 					return

@@ -114,17 +114,12 @@ func (s *Span) total() int64 {
 
 // End closes the span, popping it (and any still-open descendants) off
 // the tracer's stack. Ending a root span delivers the finished tree to
-// the tracer's ring and sink.
+// the tracer's ring.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
 	s.t.end(s)
-}
-
-// Sink receives completed root spans.
-type Sink interface {
-	Emit(root *Span)
 }
 
 // RingSink keeps the last N completed roots in memory — the test sink.
@@ -142,7 +137,7 @@ func NewRingSink(n int) *RingSink {
 	return &RingSink{cap: n}
 }
 
-// Emit implements Sink.
+// Emit keeps root, dropping the oldest root past the ring's capacity.
 func (r *RingSink) Emit(root *Span) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -158,15 +153,6 @@ func (r *RingSink) Roots() []*Span {
 	defer r.mu.Unlock()
 	return append([]*Span(nil), r.roots...)
 }
-
-// TextSink renders each completed root as a span tree to W — the
-// CLI-style exporter.
-type TextSink struct {
-	W io.Writer
-}
-
-// Emit implements Sink.
-func (t TextSink) Emit(root *Span) { _ = WriteTree(t.W, root) } //lint:allow error-flow sink writes are best-effort by contract
 
 // Tracer builds span trees. Begin pushes onto an internal stack, so
 // nesting follows call structure without threading span handles through
@@ -186,7 +172,6 @@ type Tracer struct {
 	seq   int64
 	stack []*Span
 	ring  *RingSink
-	sink  Sink
 	// budget, when set, meters every tick charged through this tracer
 	// (and page reads via ChargePages) against the current query's
 	// resource ceiling. Installed per query by the executor, like the
@@ -202,18 +187,6 @@ type Tracer struct {
 // NewTracer creates a tracer retaining the 16 most recent root trees.
 func NewTracer() *Tracer {
 	return &Tracer{ring: NewRingSink(16)}
-}
-
-// SetSink attaches an additional sink receiving every completed root.
-//
-//lint:allow test-only test sink: suites attach a RingSink to capture completed span trees
-func (t *Tracer) SetSink(s Sink) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.sink = s
 }
 
 // SetBudget installs (or, with nil, removes) the budget metering charges
@@ -240,9 +213,9 @@ func (t *Tracer) ChargePages(n int64) {
 }
 
 // BudgetErr reports the installed budget's latched error, nil when no
-// budget is installed or nothing has been exceeded. Layers that cannot
-// return errors from their charge sites (Sources, workers) rely on the
-// next error-capable layer checking this.
+// budget is installed or nothing has been exceeded. A read returns it as
+// its own error; layers that cannot return errors from their charge
+// sites (pool workers) rely on the next error-capable layer checking this.
 func (t *Tracer) BudgetErr() error {
 	if t == nil {
 		return nil
@@ -400,7 +373,6 @@ func (t *Tracer) end(s *Span) {
 		t.done = append(t.done, emit)
 		emit = nil
 	}
-	sink := t.sink
 	ring := t.ring
 	t.mu.Unlock()
 	if emit == nil {
@@ -408,9 +380,6 @@ func (t *Tracer) end(s *Span) {
 	}
 	if ring != nil {
 		ring.Emit(emit)
-	}
-	if sink != nil {
-		sink.Emit(emit)
 	}
 }
 

@@ -99,30 +99,6 @@ func TestEndPopsAbandonedChildren(t *testing.T) {
 	}
 }
 
-func TestSinksReceiveRoots(t *testing.T) {
-	tr := NewTracer()
-	ring := NewRingSink(2)
-	tr.SetSink(ring)
-	for i := 0; i < 3; i++ {
-		sp := tr.Begin("q")
-		sp.Charge(int64(i))
-		sp.End()
-	}
-	roots := ring.Roots()
-	if len(roots) != 2 {
-		t.Fatalf("ring kept %d roots, want 2", len(roots))
-	}
-	if roots[0].Node().Self != 1 || roots[1].Node().Self != 2 {
-		t.Errorf("ring kept wrong roots: %d %d", roots[0].Node().Self, roots[1].Node().Self)
-	}
-	var b strings.Builder
-	ts := TextSink{W: &b}
-	ts.Emit(roots[1])
-	if !strings.Contains(b.String(), "total charge = 2 ticks") {
-		t.Errorf("text sink output: %q", b.String())
-	}
-}
-
 // TestRingSinkWraparound pushes several multiples of the capacity
 // through the ring and checks the window slides correctly — including
 // the degenerate capacity-1 ring that NewRingSink clamps to.

@@ -117,20 +117,6 @@ func FitMultiple(ys []float64, yvalid []bool, predictors [][]float64, pvalid [][
 	return reg, nil
 }
 
-// Predict evaluates the fitted model at the predictor values.
-//
-//lint:allow test-only leaf statistical operator: evaluating the fitted model
-func (r *MultipleRegression) Predict(xs ...float64) (float64, error) {
-	if len(xs) != len(r.Coef)-1 {
-		return 0, fmt.Errorf("stats: model has %d predictors, got %d values", len(r.Coef)-1, len(xs))
-	}
-	y := r.Coef[0]
-	for i, x := range xs {
-		y += r.Coef[i+1] * x
-	}
-	return y, nil
-}
-
 // solveLinear solves A·x = b in place by Gaussian elimination with
 // partial pivoting. A must be square and non-singular.
 func solveLinear(a [][]float64, b []float64) ([]float64, error) {

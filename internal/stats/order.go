@@ -34,25 +34,6 @@ func Quantile(xs []float64, valid []bool, p float64) (float64, error) {
 	return quantileSorted(vals, p), nil
 }
 
-// Quantiles returns the quantiles at each of ps with a single sort.
-//
-//lint:allow test-only leaf statistical operator: several quantiles from one sort
-func Quantiles(xs []float64, valid []bool, ps []float64) ([]float64, error) {
-	vals := collect(xs, valid)
-	if len(vals) == 0 {
-		return nil, ErrNoData
-	}
-	sort.Float64s(vals)
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		if p < 0 || p > 1 {
-			return nil, fmt.Errorf("stats: quantile p=%g out of [0,1]", p)
-		}
-		out[i] = quantileSorted(vals, p)
-	}
-	return out, nil
-}
-
 // Median returns the 0.5 quantile.
 func Median(xs []float64, valid []bool) (float64, error) {
 	return Quantile(xs, valid, 0.5)

@@ -150,13 +150,6 @@ func TestFitMultipleExact(t *testing.T) {
 	if !almostEq(reg.R2, 1, 1e-9) {
 		t.Errorf("R2 = %g", reg.R2)
 	}
-	pred, err := reg.Predict(1, 1)
-	if err != nil || !almostEq(pred, 4, 1e-8) {
-		t.Errorf("Predict = %g, %v", pred, err)
-	}
-	if _, err := reg.Predict(1); err == nil {
-		t.Error("wrong arity accepted")
-	}
 }
 
 func TestFitMultipleMatchesSimple(t *testing.T) {

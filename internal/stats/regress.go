@@ -110,8 +110,3 @@ func LinearRegression(xs, ys []float64, xvalid, yvalid []bool) (*Regression, err
 	}
 	return reg, nil
 }
-
-// Predict evaluates the fitted model at x.
-//
-//lint:allow test-only leaf statistical operator: evaluating the fitted model
-func (r *Regression) Predict(x float64) float64 { return r.Intercept + r.Slope*x }

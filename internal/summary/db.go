@@ -14,10 +14,12 @@ import (
 	"statdb/internal/rules"
 )
 
-// Source re-reads one column of the view for (re)computation — the only
+// Source reads one column of the view for (re)computation — the only
 // path by which the Summary Database touches the data, so counting calls
-// to it counts full column passes.
-type Source func() (xs []float64, valid []bool)
+// to it counts full column passes. A read that fails returns its error,
+// and nothing it produced enters the cache: a fill fails, a kept state it
+// was to refold is dropped, a window it was to rebuild goes stale.
+type Source func() (xs []float64, valid []bool, err error)
 
 // GatherSource returns one column's merged State from partials held
 // outside the view (the sharded copy), folding what the flags name — a
@@ -28,10 +30,14 @@ type Source func() (xs []float64, valid []bool)
 // shard needs no invalidation protocol.
 type GatherSource func(moments, freq bool) (st State, complete bool, err error)
 
-// Sources are the input forms a caller offers for one column. A miss or
-// refill takes the first that is on offer: Gather, then Runs, then Rows.
+// Sources are the input forms a caller offers for one column, bound to
+// the store the view has at the call. A miss or refill reads the first
+// that is on offer — Gather, then Runs, then Rows — and no other: a form
+// that fails fails the call. Only Rows outlives it, on the entry and the
+// kept states, because OnUpdate refolds and rebuilds through it; Rows
+// reads the view as it is when called.
 type Sources struct {
-	Rows   Source       // required; it refolds kept moments and rebuilds windows
+	Rows   Source       // required; it refolds kept states and rebuilds windows
 	Runs   RunSource    // the column as RLE runs (runs.go)
 	Gather GatherSource // per-shard partials, already merged; keeps no state
 }
@@ -85,11 +91,9 @@ type entry struct {
 	// other built-in re-finalizes from its attribute's kept state. A stale
 	// entry holds none (stale).
 	win *medwin.Window
-	// source re-reads the column for rebuilds (built-in functions).
+	// source is the row source of the entry's last fill, which a window
+	// rebuild and a recompute-all update read (built-in functions).
 	source Source
-	// runs, when set, re-reads the column as a run column; refreshes
-	// prefer it over source (runs.go).
-	runs RunSource
 }
 
 func entryKey(fn string, attrs []string) []byte {
@@ -255,17 +259,22 @@ func (db *DB) Len() int {
 // search-then-insert protocol of Section 3.2: "if the desired pair is
 // found, the corresponding result will be returned; otherwise, after the
 // function has been applied ... the new information will be inserted".
-func (db *DB) Scalar(fn, attr string, source Source) (float64, error) {
-	return db.ScalarFrom(fn, attr, Sources{Rows: source})
+// Its source cannot fail: a column held in memory.
+func (db *DB) Scalar(fn, attr string, source func() ([]float64, []bool)) (float64, error) {
+	return db.ScalarFrom(fn, attr, Sources{Rows: func() ([]float64, []bool, error) {
+		xs, valid := source()
+		return xs, valid, nil
+	}})
 }
 
-// ScalarFrom is Scalar with every input form the caller can offer. A
-// non-nil Runs or Gather is a decision, not a hint: the view layer has
-// already judged the column run-eligible, or its sharded copy current.
-// A fill served from a gather keeps no state and installs no window:
-// updates invalidate its entry unless a read kept the attribute's
+// ScalarFrom is Scalar with every input form the caller can offer for
+// this call. A non-nil Runs or Gather is a decision, not a hint: the view
+// layer has already judged the column run-eligible, or its sharded copy
+// current. A fill served from a gather keeps no state and installs no
+// window: updates invalidate its entry unless a read kept the attribute's
 // states, and the next access refills. A fill from runs keeps what a row
-// read keeps. A run read that fails falls back to the row source.
+// read keeps. A read that fails fails the call and leaves the cache as it
+// was.
 func (db *DB) ScalarFrom(fn, attr string, src Sources) (float64, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -279,22 +288,15 @@ func (db *DB) ScalarFrom(fn, attr string, src Sources) (float64, error) {
 			sp.SetAttr("outcome", "hit")
 			return e.result.Scalar, nil
 		}
-		// Stale entry: regenerate in place. Entries restored from disk
-		// carry no maintenance state and no source (persist.go); adopt the
-		// caller's source so recovered entries recompute like misses.
-		if e.source == nil {
-			e.source = src.Rows
-		}
-		if e.runs == nil {
-			e.runs = src.Runs
-		}
-		v, err := db.fill(e, src.Gather, true, sp)
+		// Stale entry: regenerate in place from this call's sources, as a
+		// miss would (entries restored from disk carry none, persist.go).
+		v, err := db.fill(e, src, true, sp)
 		if err != nil {
 			return 0, err
 		}
 		// The counters and the span's outcome are written together, once the
-		// refill has answered: one that failed (a budget breach mid-scan) is
-		// neither counted nor given an outcome, and the entry stays stale.
+		// refill has answered: one that failed (a read error, a budget breach)
+		// is neither counted nor given an outcome, and the entry stays stale.
 		db.met.staleRefill.Inc()
 		db.met.recomputes.Inc()
 		sp.SetAttr("outcome", "stale-refill")
@@ -303,8 +305,8 @@ func (db *DB) ScalarFrom(fn, attr string, src Sources) (float64, error) {
 	}
 	db.met.misses.Inc()
 	sp.SetAttr("outcome", "miss")
-	e := &entry{fn: fn, attrs: []string{attr}, source: src.Rows, runs: src.Runs}
-	v, err := db.fill(e, src.Gather, false, sp)
+	e := &entry{fn: fn, attrs: []string{attr}}
+	v, err := db.fill(e, src, false, sp)
 	if err != nil {
 		return 0, err
 	}
@@ -317,19 +319,19 @@ func (db *DB) ScalarFrom(fn, attr string, src Sources) (float64, error) {
 
 // fill computes built-in entry e from the first input form on offer —
 // the attribute's kept state of e's row, unless the row refuses it (no
-// column is read; sp says strategy=kept), gather (the caller's, never
-// stored: an attachment can fall behind between calls), e.runs,
-// e.source — and records the result on e as fresh. A read of runs or rows
-// leaves behind what OnUpdate maintains: the states its plan keeps and a
-// window. Sources cannot return errors, so a budget breached during the
-// scan surfaces between scan and fold, before the fold spends more; and
-// neither a breach nor an incomplete gather leaves anything in the cache.
+// column is read; sp says strategy=kept), then src's Gather, Runs, Rows —
+// and records the result on e as fresh, with src.Rows as its source. A
+// read of runs or rows leaves behind what OnUpdate maintains: the states
+// its plan keeps and a window. A read that fails — a device error, or a
+// budget the read breached — returns its error before anything is folded,
+// and neither it nor an incomplete gather leaves anything in the cache.
 // The caller holds db.mu.
-func (db *DB) fill(e *entry, gather GatherSource, retain bool, sp *obs.Span) (float64, error) {
+func (db *DB) fill(e *entry, src Sources, retain bool, sp *obs.Span) (float64, error) {
 	a, err := lookup(e.fn)
 	if err != nil {
 		return 0, err
 	}
+	e.source = src.Rows
 	if k := db.kept[keptKey{e.attrs[0], a.state}]; k != nil && a.answers(k.val) {
 		db.touch(k)
 		v, err := db.answer(a, e, states[a.state].state(k.val), plan{}, nil)
@@ -338,8 +340,8 @@ func (db *DB) fill(e *entry, gather GatherSource, retain bool, sp *obs.Span) (fl
 		}
 		return v, err
 	}
-	if gather != nil {
-		st, complete, err := db.readGather(gather, &states[a.state])
+	if src.Gather != nil {
+		st, complete, err := db.readGather(src.Gather, &states[a.state])
 		if err != nil {
 			return 0, err
 		}
@@ -352,27 +354,19 @@ func (db *DB) fill(e *entry, gather GatherSource, retain bool, sp *obs.Span) (fl
 		return db.install(e, v)
 	}
 	p := db.plan(a, e, retain)
-	if e.runs != nil {
-		if rc, ok := db.readRunSource(e.runs); ok {
-			if err := db.tracer.BudgetErr(); err != nil {
-				return 0, err
-			}
-			st, err := db.foldRuns(a, rc, p.moments, p.freq)
-			if err != nil {
-				return 0, err
-			}
-			return db.answer(a, e, st, p, func(m exec.Moments) exec.KeptMoments { return exec.KeepRuns(m, rc) })
+	if src.Runs != nil {
+		rc, err := db.readRunSource(src.Runs)
+		if err != nil {
+			return 0, err
 		}
+		st, err := db.foldRuns(a, rc, p.moments, p.freq)
+		if err != nil {
+			return 0, err
+		}
+		return db.answer(a, e, st, p, func(m exec.Moments) exec.KeptMoments { return exec.KeepRuns(m, rc) })
 	}
-	if e.source == nil {
-		// A loaded entry whose source has not been re-adopted yet (a lookup
-		// path that cannot supply one). Degrade explicitly instead of
-		// dereferencing nil.
-		return 0, fmt.Errorf("summary: stale entry %s(%s) has no source to recompute from",
-			e.fn, strings.Join(e.attrs, ","))
-	}
-	xs, valid := db.readSource(e.source)
-	if err := db.tracer.BudgetErr(); err != nil {
+	xs, valid, err := db.readSource(src.Rows)
+	if err != nil {
 		return 0, err
 	}
 	st := db.foldRows(a, xs, valid, p.moments, p.freq)
@@ -523,17 +517,20 @@ func (db *DB) install(e *entry, v float64) (float64, error) {
 // readSource runs one full column pass through source under a "scan"
 // span, so whatever the reader charges through the tracer (device ticks
 // for store-backed views, cell costs for memory columns) lands on the
-// scan node of the query's profile. Counts the pass. The caller holds
-// db.mu.
-func (db *DB) readSource(source Source) ([]float64, []bool) {
+// scan node of the query's profile. Counts the pass that answers; one
+// that fails returns its error. The caller holds db.mu.
+func (db *DB) readSource(source Source) ([]float64, []bool, error) {
 	sp := db.tracer.Begin("scan")
-	xs, valid := source()
+	defer sp.End()
+	xs, valid, err := source()
+	if err != nil {
+		return nil, nil, err
+	}
 	sp.SetAttr("rows", fmt.Sprintf("%d", len(xs)))
 	sp.SetAttr("strategy", "rows")
-	sp.End()
 	db.met.passes.Inc()
 	db.met.rowsDecoded.Add(int64(len(xs)))
-	return xs, valid
+	return xs, valid, nil
 }
 
 // readGather runs one scatter-gather pass under a "scan" span; the
@@ -668,8 +665,8 @@ func (db *DB) OnUpdate(attr string, deltas []incr.Delta) {
 // maintained. A state the batch leaves unable to describe the column (a
 // delete it cannot account for) or to answer a cached row is refolded
 // from its source if a cached row re-finalizes from it — one pass, a
-// rebuild (Section 4.3) — and dropped otherwise: the next read keeps a new
-// one.
+// rebuild (Section 4.3) — and dropped otherwise, or when the refold's
+// read fails: its entries go stale, and the next read keeps a new one.
 func (db *DB) update(key keptKey, cached rowSet, u *batchUpdate) {
 	row := &states[key.state]
 	readers := cached & stateRows[key.state] &^ windowedRows
@@ -685,7 +682,11 @@ func (db *DB) update(key keptKey, cached rowSet, u *batchUpdate) {
 			db.drop(key)
 			return
 		}
-		xs, valid := db.readSource(k.source)
+		xs, valid, err := db.readSource(k.source)
+		if err != nil {
+			db.drop(key)
+			return
+		}
 		var st State
 		st.Moments, st.Freq = exec.ColumnFold(nil, xs, valid, exec.DefaultChunk, row.moments, row.freq)
 		k.val = row.keep(st, func(m exec.Moments) exec.KeptMoments { return exec.Keep(m, xs, valid) })
@@ -718,7 +719,7 @@ func (db *DB) applyUpdate(e *entry, u *batchUpdate) {
 	case PolicyRecomputeAll:
 		e.stale()
 		if e.source != nil {
-			if _, err := db.fill(e, nil, false, nil); err == nil {
+			if _, err := db.fill(e, Sources{Rows: e.source}, false, nil); err == nil {
 				u.recomputes++
 			}
 		}
@@ -740,8 +741,13 @@ func (db *DB) applyUpdate(e *entry, u *batchUpdate) {
 			u.slides++
 		}
 		if e.win.NeedsRebuild() {
-			// The pointer ran off: regenerate with one pass (Section 4.2).
-			xs, valid := db.readSource(e.source)
+			// The pointer ran off: regenerate with one pass (Section 4.2),
+			// or go stale if the pass fails.
+			xs, valid, err := db.readSource(e.source)
+			if err != nil {
+				e.stale()
+				return
+			}
 			u.rebuilds++
 			e.win.Rebuild(xs, valid)
 		}

@@ -1,6 +1,8 @@
 package summary
 
 import (
+	"errors"
+	"maps"
 	"math"
 	"math/rand"
 	"testing"
@@ -45,14 +47,10 @@ func TestColdAttributeOnePass(t *testing.T) {
 	for i := range c.xs {
 		c.xs[i], c.valid[i] = float64(rng.Intn(40))/4, rng.Intn(30) != 0
 	}
-	rc := exec.RunColumn{Rows: len(c.xs)}
-	for i, x := range c.xs {
-		rc.Vals, rc.Nulls, rc.Counts = append(rc.Vals, x), append(rc.Nulls, !c.valid[i]), append(rc.Counts, 1)
-	}
 	forms := map[string]func(fn string, db *DB) (float64, error){
 		"rows": func(fn string, db *DB) (float64, error) { return db.Scalar(fn, "X", c.source()) },
 		"runs": func(fn string, db *DB) (float64, error) {
-			return db.ScalarFrom(fn, "X", Sources{Rows: c.source(), Runs: func() (exec.RunColumn, bool) { return rc, true }})
+			return db.ScalarFrom(fn, "X", Sources{Rows: c.rows(), Runs: c.runs})
 		},
 	}
 	for form, ask := range forms {
@@ -149,11 +147,15 @@ func FuzzKeptStates(f *testing.F) {
 
 // keptStatesMachine drives a random sequence of fills (by rows and by
 // runs), update batches and invalidations over a small column with NaNs,
-// ±0 and holes. An invalidation first rewrites the column wholesale, as a
-// global derived rule regenerates one. Every answer must equal a fresh
-// cache's, every fresh entry must too after every step, and every kept
-// state must describe the column — a table equal to a refold, the moments'
-// counts exact — with the cold states' bytes accounted within the budget.
+// ±0 and holes, under a window small enough that updates rebuild it. An
+// invalidation first rewrites the column wholesale, as a global derived
+// rule regenerates one. A quarter of the steps break the column's reads:
+// a fill's, or an update's refolds and window rebuilds. A failed fill must
+// return the read's error and leave every lookup as it was; every other
+// answer must equal a fresh cache's, every fresh entry must too after
+// every step, and every kept state must describe the column — a table
+// equal to a refold, the moments' counts exact — with the cold states'
+// bytes accounted within the budget.
 func keptStatesMachine(t *testing.T, seed int64) {
 	fns := Functions()
 	rng := rand.New(rand.NewSource(seed))
@@ -163,27 +165,40 @@ func keptStatesMachine(t *testing.T, seed int64) {
 		c.xs[i], c.valid[i] = draw(rng)
 	}
 	db, _ := newDB()
+	db.WindowCapacity = 4 + rng.Intn(8)
 	fresh := func(fn string) (float64, error) {
 		ref, _ := newDB()
 		return ref.Scalar(fn, "X", func() ([]float64, []bool) { return c.xs, c.valid })
 	}
+	lookups := func() map[string]uint64 {
+		out := map[string]uint64{}
+		for _, fn := range fns {
+			if r, ok := db.Lookup(fn, "X"); ok {
+				out[fn] = math.Float64bits(r.Scalar)
+			}
+		}
+		return out
+	}
 	for step := 0; step < 40; step++ {
+		c.broken = rng.Intn(4) == 0
 		switch k := rng.Intn(10); {
 		case k < 5:
 			fn := fns[rng.Intn(len(fns))]
-			src := Sources{Rows: c.source()}
+			// Like a view's, both sources read the column as it is when
+			// called.
+			src := Sources{Rows: c.rows()}
 			if rng.Intn(3) == 0 {
-				// Like a view's, the run source reads the column as it is
-				// when called: a refill reuses the entry's source.
-				src.Runs = func() (exec.RunColumn, bool) {
-					rc := exec.RunColumn{Rows: len(c.xs)}
-					for i, x := range c.xs {
-						rc.Vals, rc.Nulls, rc.Counts = append(rc.Vals, x), append(rc.Nulls, !c.valid[i]), append(rc.Counts, 1)
-					}
-					return rc, true
-				}
+				src.Runs = c.runs
 			}
+			before := lookups()
 			got, gerr := db.ScalarFrom(fn, "X", src)
+			if errors.Is(gerr, errRead) {
+				if after := lookups(); !c.broken || !maps.Equal(after, before) {
+					t.Fatalf("seed %d step %d: %s failed (%v) on a read broken %v; lookups %v, were %v",
+						seed, step, fn, gerr, c.broken, after, before)
+				}
+				break
+			}
 			want, werr := fresh(fn)
 			if (gerr == nil) != (werr == nil) || gerr == nil && !sameAnswer(fn, got, want, c.xs, c.valid) {
 				t.Fatalf("seed %d step %d: %s = %v (%v), fresh %v (%v)", seed, step, fn, got, gerr, want, werr)
@@ -201,6 +216,7 @@ func keptStatesMachine(t *testing.T, seed int64) {
 			}
 			db.Invalidate("X")
 		}
+		c.broken = false
 		for _, fn := range fns {
 			if r, ok := db.Lookup(fn, "X"); ok {
 				want, werr := fresh(fn)

@@ -7,25 +7,23 @@ import (
 	"statdb/internal/obs"
 )
 
-// RunSource re-reads one column of the view as a run column. The second
-// return is false when the run form is unavailable (read error, store
-// detached mid-flight); callers then fall back to the row Source. The
-// view layer hands the Summary Database a RunSource only for columns the
+// RunSource reads one column of the view as a run column. The view
+// layer hands the Summary Database a RunSource only for columns the
 // planner heuristic already judged run-eligible, so a non-nil RunSource
-// is a decision, not a hint.
-type RunSource func() (exec.RunColumn, bool)
+// is a decision, not a hint: a read that fails fails the call, as a row
+// Source's does, and never falls back to rows.
+type RunSource func() (exec.RunColumn, error)
 
 // readRunSource runs one compressed column pass under a "scan" span,
 // tagging it with the strategy, run count and runs/rows ratio that
 // EXPLAIN surfaces. Device charges land on the span exactly as in
 // readSource. The caller holds db.mu.
-func (db *DB) readRunSource(runs RunSource) (exec.RunColumn, bool) {
+func (db *DB) readRunSource(runs RunSource) (exec.RunColumn, error) {
 	sp := db.tracer.Begin("scan")
-	rc, ok := runs()
-	if !ok {
-		sp.SetAttr("strategy", "runs-unavailable")
-		sp.End()
-		return exec.RunColumn{}, false
+	defer sp.End()
+	rc, err := runs()
+	if err != nil {
+		return exec.RunColumn{}, err
 	}
 	sp.SetAttr("rows", fmt.Sprintf("%d", rc.Rows))
 	sp.SetAttr("runs", fmt.Sprintf("%d", len(rc.Vals)))
@@ -33,9 +31,8 @@ func (db *DB) readRunSource(runs RunSource) (exec.RunColumn, bool) {
 		sp.SetAttr("ratio", fmt.Sprintf("%.3f", float64(len(rc.Vals))/float64(rc.Rows)))
 	}
 	sp.SetAttr("strategy", "runs")
-	sp.End()
 	db.met.passes.Inc()
-	return rc, true
+	return rc, nil
 }
 
 // foldRuns folds the run column into the states the flags name through

@@ -15,7 +15,7 @@ type column struct {
 	passes int
 }
 
-func (c *column) source() Source {
+func (c *column) source() func() ([]float64, []bool) {
 	return func() ([]float64, []bool) {
 		c.passes++
 		return append([]float64(nil), c.xs...), nil

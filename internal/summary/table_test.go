@@ -1,6 +1,7 @@
 package summary
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -21,13 +22,41 @@ type nullable struct {
 	xs     []float64
 	valid  []bool
 	passes int
+	broken bool // while set, every read through rows or runs fails
 }
 
-func (c *nullable) source() Source {
+func (c *nullable) source() func() ([]float64, []bool) {
 	return func() ([]float64, []bool) {
 		c.passes++
 		return c.xs, c.valid
 	}
+}
+
+// errRead is what a broken column's reads return.
+var errRead = errors.New("summary test: column read failed")
+
+// rows is source as a Source that fails while c is broken.
+func (c *nullable) rows() Source {
+	return func() ([]float64, []bool, error) {
+		if c.broken {
+			return nil, nil, errRead
+		}
+		c.passes++
+		return c.xs, c.valid, nil
+	}
+}
+
+// runs reads the column as it is when called as a run column of one-row
+// runs, failing while c is broken.
+func (c *nullable) runs() (exec.RunColumn, error) {
+	if c.broken {
+		return exec.RunColumn{}, errRead
+	}
+	rc := exec.RunColumn{Rows: len(c.xs)}
+	for i, x := range c.xs {
+		rc.Vals, rc.Nulls, rc.Counts = append(rc.Vals, x), append(rc.Nulls, !c.valid[i]), append(rc.Counts, 1)
+	}
+	return rc, nil
 }
 
 // set writes (x, ok) to row i and returns the delta that did it.

@@ -139,7 +139,7 @@ func (s shape) check(t *testing.T, form, fn string, got, want answer, rel float6
 	}
 }
 
-func (s shape) source() summary.Source {
+func (s shape) source() func() ([]float64, []bool) {
 	return func() ([]float64, []bool) { return s.xs, s.valid }
 }
 
@@ -285,8 +285,8 @@ func TestAggregateForms(t *testing.T) {
 			rc := s.runs()
 			for fn, got := range all(func(fn string) (float64, error) {
 				return runs.ScalarFrom(fn, "X", summary.Sources{
-					Rows: func() ([]float64, []bool) { t.Errorf("%s/runs/%s read rows", s.name, fn); return nil, nil },
-					Runs: func() (exec.RunColumn, bool) { return rc, true },
+					Rows: func() ([]float64, []bool, error) { t.Errorf("%s/runs/%s read rows", s.name, fn); return nil, nil, nil },
+					Runs: func() (exec.RunColumn, error) { return rc, nil },
 				})
 			}) {
 				s.check(t, "runs", fn, got, want[fn], runUlps*0x1p-52)

@@ -17,6 +17,16 @@ func attach(t *testing.T, v *View, b Backing) {
 	}
 }
 
+// rowAt reads record i through v, failing the test if the read fails.
+func rowAt(t *testing.T, v *View, i int) dataset.Row {
+	t.Helper()
+	row, err := v.RowAt(i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return row
+}
+
 func TestAttachStoreServesReads(t *testing.T) {
 	for _, b := range []Backing{BackingRow, BackingTransposed} {
 		v := newView(t, 3000, Options{})
@@ -46,7 +56,7 @@ func TestAttachStoreServesReads(t *testing.T) {
 			t.Errorf("%v: store stats = %+v, %v", b, st, err)
 		}
 		// Row reads too.
-		row := v.RowAt(123)
+		row := rowAt(t, v, 123)
 		if !row[0].Equal(dataset.Int(123)) {
 			t.Errorf("%v: RowAt = %v", b, row)
 		}
@@ -78,7 +88,7 @@ func TestAttachStoreWriteThrough(t *testing.T) {
 		if got := v.StoreBacking(); got != want {
 			t.Fatalf("%v: backing after update = %v, want %v", b, got, want)
 		}
-		row := v.RowAt(10)
+		row := rowAt(t, v, 10)
 		if !row[1].Equal(dataset.Float(12345)) {
 			t.Errorf("%v: row = %v", b, row[1])
 		}
@@ -89,7 +99,7 @@ func TestAttachStoreWriteThrough(t *testing.T) {
 		if err := v.Undo(); err != nil {
 			t.Fatal(err)
 		}
-		row = v.RowAt(10)
+		row = rowAt(t, v, 10)
 		if row[1].Equal(dataset.Float(12345)) {
 			t.Errorf("%v: undo not seen by reads", b)
 		}
@@ -114,7 +124,7 @@ func TestAttachStoreIOAsymmetry(t *testing.T) {
 	}
 	rowTicks := func(v *View) int64 {
 		for i := 0; i < 20; i++ {
-			v.RowAt(i * 97)
+			rowAt(t, v, i*97)
 		}
 		st, _ := v.StoreStats()
 		return st.Ticks
@@ -177,7 +187,7 @@ func TestReorganizeFollowsAdvice(t *testing.T) {
 	}
 	// Row-heavy usage flips the layout.
 	for i := 0; i < 500; i++ {
-		v.RowAt(i % v.Rows())
+		rowAt(t, v, i%v.Rows())
 	}
 	b, err = v.Reorganize(storage.DefaultDiskCost(), 4)
 	if err != nil {
@@ -199,7 +209,7 @@ func TestReorganizeRebuildsDetachedRowFile(t *testing.T) {
 	v := newView(t, 2000, Options{})
 	attach(t, v, BackingRow)
 	for i := 0; i < 500; i++ {
-		v.RowAt(i % v.Rows())
+		rowAt(t, v, i%v.Rows())
 	}
 	if _, err := v.InvalidateWhere("SALARY",
 		relalg.Cmp{Attr: "ID", Op: relalg.Lt, Val: dataset.Int(300)}); err != nil {
@@ -213,7 +223,7 @@ func TestReorganizeRebuildsDetachedRowFile(t *testing.T) {
 		t.Fatalf("row-heavy reorganize = %v, %v; backing %v", b, err, v.StoreBacking())
 	}
 	storeMatchesData(t, v, "rebuilt row file")
-	if row := v.RowAt(10); !row[1].IsNull() {
+	if row := rowAt(t, v, 10); !row[1].IsNull() {
 		t.Errorf("rebuilt row 10 = %v, want SALARY missing", row)
 	}
 }

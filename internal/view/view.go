@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 
-	"statdb/internal/colstore"
 	"statdb/internal/dataset"
 	"statdb/internal/exec"
 	"statdb/internal/incr"
@@ -141,51 +140,25 @@ func (v *View) Rows() int {
 	return v.data.Rows()
 }
 
-// columnSource binds attr as a summary.Source, counting the pass as a
-// column scan for layout advice and charging the read's cost-model ticks
-// to the innermost open span (summary wraps sources in a "scan" span):
-// store-backed reads charge the device's actual tick delta, memory reads
-// charge one cell cost per row — so EXPLAIN shows where I/O beat RAM.
+// columnSource binds attr as a summary.Source: each call is one read of
+// the column by column. It is called with v.mu held — the read side for
+// cache fills, the write side for update-driven refolds and rebuilds — so
+// it reads whatever store the view has then.
 func (v *View) columnSource(attr string) summary.Source {
-	return func() ([]float64, []bool) {
-		// Called with v.mu held (read side for cache fills, write side
-		// for update-driven rebuilds); only the counter needs its lock.
-		v.countScan(attr)
-		if v.store != nil {
-			before := v.store.dev.Stats()
-			xs, valid, err := v.store.readColumn(v.data, attr)
-			after := v.store.dev.Stats()
-			v.tracer.Charge(after.Ticks - before.Ticks)
-			// Page reads are metered against the query budget only; spans
-			// account ticks.
-			v.tracer.ChargePages(after.Reads - before.Reads)
-			if err != nil {
-				return nil, nil
-			}
-			return xs, valid
-		}
-		xs, valid, err := v.data.NumericByName(attr)
-		if err != nil {
-			return nil, nil
-		}
-		v.tracer.Charge(exec.DefaultCost().SerialTicks(len(xs)))
-		return xs, valid
-	}
+	return func() ([]float64, []bool, error) { return v.column(attr) }
 }
 
 // runSource is the planner heuristic for run-aware compressed
-// execution. It binds attr as a summary.RunSource when a whole-column
-// fold can run over RLE runs instead of decoded rows: the view must be
-// backed by a transposed store, the column must be RLE-encoded, and its
-// runs/rows ratio must clear runThreshold. Any miss returns nil and the
-// Summary Database stays on the row path — so the strategy decision is
-// made here, where the storage metadata lives, not in the cache layer.
+// execution. It binds attr as a summary.RunSource, one read by
+// runColumn, when a whole-column fold can run over RLE runs instead of
+// decoded rows: the view must be backed by a transposed store and the
+// column's runs/rows ratio must clear runThreshold (a Plain column
+// reports a run a row, so it never does). Otherwise it returns nil and
+// the Summary Database stays on the row path — so the strategy decision
+// is made here, where the storage metadata lives, not in the cache layer.
+// The source is bound for one call: the store may be gone by the next.
 func (v *View) runSource(attr string) summary.RunSource {
 	if v.store == nil || v.store.backing != BackingTransposed {
-		return nil
-	}
-	enc, err := v.store.col.ColumnEncoding(attr)
-	if err != nil || enc != colstore.RLE {
 		return nil
 	}
 	runs, err := v.store.col.ColumnRuns(attr)
@@ -196,20 +169,7 @@ func (v *View) runSource(attr string) summary.RunSource {
 	if rows == 0 || float64(runs) > v.runThreshold*float64(rows) {
 		return nil
 	}
-	st := v.store
-	return func() (exec.RunColumn, bool) {
-		// Called with v.mu held, like columnSource.
-		v.countScan(attr)
-		before := st.dev.Stats()
-		vals, nulls, counts, err := st.col.NumericRunColumn(attr)
-		after := st.dev.Stats()
-		v.tracer.Charge(after.Ticks - before.Ticks)
-		v.tracer.ChargePages(after.Reads - before.Reads)
-		if err != nil {
-			return exec.RunColumn{}, false
-		}
-		return exec.RunColumn{Vals: vals, Nulls: nulls, Counts: counts, Rows: rows}, true
-	}
+	return func() (exec.RunColumn, error) { return v.runColumn(attr) }
 }
 
 // Compute evaluates a built-in scalar function over attr through the
@@ -402,20 +362,58 @@ func (v *View) Column(attr string) ([]float64, []bool, error) {
 	return v.column(attr)
 }
 
+// column is the view's one read of a column as rows, for the Summary
+// Database and the analysis verbs alike. It counts the scan for layout
+// advice and charges the read to the innermost open span (summary wraps
+// sources in a "scan" span): a store read charges the device's tick delta
+// and meters its pages against the query budget, a read of the record one
+// cell cost a row — so EXPLAIN shows where I/O beat RAM. A read that fails
+// returns an error naming the view and the attribute; one that ran the
+// query over budget returns the budget's error.
 func (v *View) column(attr string) ([]float64, []bool, error) {
 	v.countScan(attr)
-	if v.store != nil {
-		// Charge the device's measured cost like columnSource does:
-		// analysis verbs read through here, and an unmetered store read
-		// is invisible to EXPLAIN and the query budget.
+	var xs []float64
+	var valid []bool
+	var err error
+	if v.store == nil {
+		xs, valid, err = v.data.NumericByName(attr)
+		v.tracer.Charge(exec.DefaultCost().SerialTicks(len(xs)))
+	} else {
 		before := v.store.dev.Stats()
-		xs, valid, err := v.store.readColumn(v.data, attr)
+		xs, valid, err = v.store.readColumn(v.data, attr)
 		after := v.store.dev.Stats()
 		v.tracer.Charge(after.Ticks - before.Ticks)
 		v.tracer.ChargePages(after.Reads - before.Reads)
-		return xs, valid, err
 	}
-	return v.data.NumericByName(attr)
+	if err = v.readErr(attr, err); err != nil {
+		return nil, nil, err
+	}
+	return xs, valid, nil
+}
+
+// runColumn is the view's one read of a column as RLE runs, off the
+// attached transposed store, counted and charged as column charges a
+// store read.
+func (v *View) runColumn(attr string) (exec.RunColumn, error) {
+	v.countScan(attr)
+	before := v.store.dev.Stats()
+	vals, nulls, counts, err := v.store.col.NumericRunColumn(attr)
+	after := v.store.dev.Stats()
+	v.tracer.Charge(after.Ticks - before.Ticks)
+	v.tracer.ChargePages(after.Reads - before.Reads)
+	if err = v.readErr(attr, err); err != nil {
+		return exec.RunColumn{}, err
+	}
+	return exec.RunColumn{Vals: vals, Nulls: nulls, Counts: counts, Rows: v.data.Rows()}, nil
+}
+
+// readErr is a read's outcome as its error: the read's own, naming the
+// view and the attribute, or a budget the read breached.
+func (v *View) readErr(attr string, err error) error {
+	if err != nil {
+		return fmt.Errorf("view %s: read %s: %w", v.name, attr, err)
+	}
+	return v.tracer.BudgetErr()
 }
 
 func (v *View) countScan(attr string) {
@@ -425,20 +423,25 @@ func (v *View) countScan(attr string) {
 	v.cColScans.Inc()
 }
 
-// RowAt reads one full record, counting the informational access.
-func (v *View) RowAt(i int) dataset.Row {
+// RowAt reads one full record, counting the informational access:
+// through the attached store, or from the record when none is attached.
+// A store read that fails returns its error; the record does not stand
+// in for the store.
+func (v *View) RowAt(i int) (dataset.Row, error) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	v.scanMu.Lock()
 	v.rowReads++
 	v.scanMu.Unlock()
 	v.cRowReads.Inc()
-	if v.store != nil {
-		if row, err := v.store.readRow(i); err == nil {
-			return row
-		}
+	if v.store == nil {
+		return v.data.RowAt(i), nil
 	}
-	return v.data.RowAt(i)
+	row, err := v.store.readRow(i)
+	if err != nil {
+		return nil, fmt.Errorf("view %s: read row %d: %w", v.name, i, err)
+	}
+	return row, nil
 }
 
 // UpdateWhere sets attr to value on every row satisfying pred. It records
@@ -611,12 +614,16 @@ func (v *View) propagate(attr string, rows []int32, deltas []incr.Delta) {
 
 // writeBehind mirrors derived cells the data set already holds into an
 // attached transposed store, vals[k] for record rows[k]. It follows a
-// writeRows, which has detached any row file.
+// writeRows, which has detached any row file. A store the write fails on
+// has fallen behind the record, so it is detached, as a schema change
+// detaches it: the record answers until AttachStore rebuilds the store.
 func (v *View) writeBehind(attr string, rows []int32, vals []dataset.Value) {
 	if v.store == nil || len(rows) == 0 {
 		return
 	}
-	_ = v.store.col.UpdateRows(attr, rows, func(k int) dataset.Value { return vals[k] }) //lint:allow error-flow derived write-behind; summaries are invalidated regardless
+	if err := v.store.col.UpdateRows(attr, rows, func(k int) dataset.Value { return vals[k] }); err != nil {
+		v.store = nil
+	}
 }
 
 // AddDerived appends a derived attribute computed by rule and registers

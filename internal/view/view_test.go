@@ -361,7 +361,7 @@ func TestAdvice(t *testing.T) {
 	// Row-heavy workload flips the advice.
 	v2 := newView(t, 100, Options{})
 	for i := 0; i < 50; i++ {
-		v2.RowAt(i % 100)
+		rowAt(t, v2, i%100)
 	}
 	if v2.Advice().Transpose {
 		t.Errorf("row-heavy advice = %+v", v2.Advice())
