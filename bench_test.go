@@ -186,9 +186,7 @@ func BenchmarkSummarizeParallel(b *testing.B) {
 	p := exec.New(4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := stats.SummarizeChunks(p, xs, nil, 0); err != nil {
-			b.Fatal(err)
-		}
+		exec.ColumnFold(p, xs, nil, exec.DefaultChunk, true, true)
 	}
 }
 

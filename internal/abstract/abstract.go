@@ -125,35 +125,3 @@ func (a *Abstract) modeFromHistogram() (float64, float64) {
 	lo, hi := a.hist.Edges[best], a.hist.Edges[best+1]
 	return (lo + hi) / 2, (hi - lo) / 2
 }
-
-// EstimateCountInRange estimates how many observations fall in [lo, hi]
-// by interpolating within histogram bins — the selectivity-style
-// inference a Database Abstract uses to answer range queries without
-// touching the data. The bound is the mass of the two partially-covered
-// edge bins.
-//
-//lint:allow test-only leaf inference of the Rowe-style abstract (§5.1 baseline): range selectivity from the stored histogram
-func (a *Abstract) EstimateCountInRange(lo, hi float64) (Estimate, error) {
-	if lo > hi {
-		return Estimate{}, fmt.Errorf("abstract: range [%g, %g] inverted", lo, hi)
-	}
-	var est, bound float64
-	for i, c := range a.hist.Counts {
-		bLo, bHi := a.hist.Edges[i], a.hist.Edges[i+1]
-		if bHi < lo || bLo > hi {
-			continue
-		}
-		overlapLo := math.Max(bLo, lo)
-		overlapHi := math.Min(bHi, hi)
-		width := bHi - bLo
-		if width <= 0 {
-			continue
-		}
-		frac := (overlapHi - overlapLo) / width
-		est += frac * float64(c)
-		if frac < 1 {
-			bound += float64(c) // a partially-covered bin is all uncertainty
-		}
-	}
-	return Estimate{Value: est, Bound: bound, Rule: "histogram mass interpolation"}, nil
-}

@@ -138,43 +138,6 @@ func TestUnknownFunction(t *testing.T) {
 	}
 }
 
-func TestEstimateCountInRange(t *testing.T) {
-	xs := normalData(20000, 6)
-	a, err := Build(xs, nil, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// True count in [85, 115].
-	trueCount := 0.0
-	for _, x := range xs {
-		if x >= 85 && x <= 115 {
-			trueCount++
-		}
-	}
-	e, err := a.EstimateCountInRange(85, 115)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(e.Value-trueCount) > e.Bound+trueCount*0.02 {
-		t.Errorf("estimate %g vs true %g (bound %g)", e.Value, trueCount, e.Bound)
-	}
-	// Whole-range estimate equals n exactly.
-	mn, _ := stats.Min(xs, nil)
-	mx, _ := stats.Max(xs, nil)
-	e, _ = a.EstimateCountInRange(mn, mx)
-	if math.Abs(e.Value-20000) > 1e-6 {
-		t.Errorf("full-range estimate = %g", e.Value)
-	}
-	// Empty and inverted ranges.
-	e, _ = a.EstimateCountInRange(mx+10, mx+20)
-	if e.Value != 0 {
-		t.Errorf("out-of-range estimate = %g", e.Value)
-	}
-	if _, err := a.EstimateCountInRange(10, 5); err == nil {
-		t.Error("inverted range accepted")
-	}
-}
-
 func TestBuildErrors(t *testing.T) {
 	if _, err := Build(nil, nil, 10); err == nil {
 		t.Error("empty build accepted")

@@ -6,6 +6,7 @@ import (
 
 	"statdb/internal/exec"
 	"statdb/internal/stats"
+	"statdb/internal/summary"
 	"statdb/internal/workload"
 )
 
@@ -15,7 +16,8 @@ import (
 // and merges in chunk order. Ticks come from the deterministic engine
 // cost model (exec.Cost), mirroring the virtual-device accounting of
 // E4/E11, so the table is stable across machines; every grid point is
-// also executed for real through stats.SummarizeChunks and checked
+// also executed for real — one exec.ColumnFold on a w-worker pool,
+// finalized through the Summary Database's aggregate table — and checked
 // against the serial Summarize.
 func E13ParallelEngine() (*Table, error) {
 	t := &Table{
@@ -39,7 +41,8 @@ func E13ParallelEngine() (*Table, error) {
 		serial := cost.SerialTicks(n)
 		for _, w := range widths {
 			par := cost.ParallelTicks(n, exec.DefaultChunk, w)
-			got, err := stats.SummarizeChunks(exec.New(w), xs, valid, 0)
+			m, freq := exec.ColumnFold(exec.New(w), xs, valid, exec.DefaultChunk, true, true)
+			got, err := finalized(summary.State{Moments: m, Freq: freq})
 			if err != nil {
 				return nil, err
 			}
@@ -65,6 +68,33 @@ func E13ParallelEngine() (*Table, error) {
 // file as a numeric column.
 func salaryColumn(n int) ([]float64, []bool, error) {
 	return workload.Microdata(n, 12).NumericByName("SALARY")
+}
+
+// finalized turns a folded state into the Summary that summariesAgree
+// compares with stats.Summarize, every statistic through the Summary
+// Database's finalizer (summary.Finalize). The SD of fewer than two
+// observations is NaN, as Summarize reports it.
+func finalized(st summary.State) (stats.Summary, error) {
+	s := stats.Summary{N: int(st.Moments.N), Missing: int(st.Moments.Missing), SD: math.NaN()}
+	if sd, err := summary.Finalize("sd", st); err == nil {
+		s.SD = sd
+	}
+	var unique float64
+	for _, f := range []struct {
+		fn  string
+		dst *float64
+	}{
+		{"mean", &s.Mean}, {"min", &s.Min}, {"max", &s.Max}, {"median", &s.Median},
+		{"q1", &s.Q1}, {"q3", &s.Q3}, {"mode", &s.Mode}, {"unique", &unique},
+	} {
+		v, err := summary.Finalize(f.fn, st)
+		if err != nil {
+			return stats.Summary{}, err
+		}
+		*f.dst = v
+	}
+	s.Unique = int(unique)
+	return s, nil
 }
 
 // summariesAgree checks the engine's Summary against the serial one:

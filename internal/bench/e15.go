@@ -5,17 +5,18 @@ import (
 
 	"statdb/internal/exec"
 	"statdb/internal/obs"
-	"statdb/internal/stats"
 )
 
 // E15ObsOverhead counts what the observability layer records on the hot
-// path. The workload is E13's whole-column Summarize over the SALARY
-// column with 4 workers — the case where per-row instrumentation would
-// show up — run once per column size on a pool wired to a live
-// registry. Every counter event the fold records is tallied and checked
-// against the engine's own schedule: per pool run, one event per chunk
-// (exec.Chunks), one for the run, and one per worker spawned
-// (Pool.Fanout). The events therefore grow with chunks, never with rows.
+// path. The workload is E13's whole-column fold over the SALARY column
+// with 4 workers — one exec.ColumnFold of the moments and the frequency
+// table, the fold a Summary Database fill runs, and the case where
+// per-row instrumentation would show up — run once per column size on a
+// pool wired to a live registry. Every counter event the fold records is
+// tallied and checked against the engine's own schedule: per pool run,
+// one event per chunk (exec.Chunks), one for the run, and one per worker
+// spawned (Pool.Fanout). The events therefore grow with chunks, never
+// with rows.
 func E15ObsOverhead() (*Table, error) {
 	t := &Table{
 		ID:     "E15",
@@ -34,9 +35,7 @@ func E15ObsOverhead() (*Table, error) {
 		}
 		reg := obs.NewRegistry()
 		p := exec.New(workers).WithMetrics(reg)
-		if _, err := stats.SummarizeChunks(p, xs, valid, 0); err != nil {
-			return nil, err
-		}
+		exec.ColumnFold(p, xs, valid, exec.DefaultChunk, true, true)
 		snap := reg.Snapshot()
 		for _, v := range snap.Counters {
 			events[i] += v

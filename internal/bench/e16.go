@@ -7,6 +7,7 @@ import (
 	"statdb/internal/exec"
 	"statdb/internal/stats"
 	"statdb/internal/storage"
+	"statdb/internal/summary"
 	"statdb/internal/workload"
 )
 
@@ -68,11 +69,15 @@ func E16RunStrategy() (*Table, error) {
 			return nil, err
 		}
 		rc := exec.RunColumn{Vals: vals, Nulls: nulls, Counts: counts, Rows: rows}
-		runSum, err := stats.SummarizeRuns(rc)
+		m, err := exec.FoldMomentsRuns(rc)
 		if err != nil {
 			return nil, err
 		}
-		runFV, runFC, err := stats.FrequenciesRuns(rc)
+		freq, err := exec.FoldFreqRuns(rc)
+		if err != nil {
+			return nil, err
+		}
+		runSum, err := finalized(summary.State{Moments: m, Freq: freq})
 		if err != nil {
 			return nil, err
 		}
@@ -84,11 +89,11 @@ func E16RunStrategy() (*Table, error) {
 		if !summariesAgree(runSum, rowSum) {
 			match = "NO"
 		}
-		if len(runFV) != len(rowFV) {
+		if len(freq.Values) != len(rowFV) {
 			match = "NO"
 		} else {
 			for i := range rowFV {
-				if runFV[i] != rowFV[i] || runFC[i] != rowFC[i] {
+				if freq.Values[i] != rowFV[i] || freq.Counts[i] != int64(rowFC[i]) {
 					match = "NO"
 				}
 			}

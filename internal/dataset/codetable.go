@@ -75,24 +75,3 @@ func (t *CodeTable) Codes() []int64 {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// Diff reports labels that differ between two code tables for the same
-// code — the cross-vintage inconsistency check the paper motivates with
-// the 1970-vs-1980 census example.
-//
-//lint:allow test-only paper-named: the 1970-vs-1980 code-table inconsistency check
-func (t *CodeTable) Diff(o *CodeTable) []CodeConflict {
-	var out []CodeConflict
-	for _, c := range t.Codes() {
-		if other, ok := o.labels[c]; ok && other != t.labels[c] {
-			out = append(out, CodeConflict{Code: c, A: t.labels[c], B: other})
-		}
-	}
-	return out
-}
-
-// CodeConflict is one code bound to different labels in two tables.
-type CodeConflict struct {
-	Code int64
-	A, B string
-}

@@ -371,18 +371,6 @@ func (d *Dataset) AddColumn(attr Attribute, values []Value) error {
 	return nil
 }
 
-// MarkMissing nulls the cell at (row, named column) — invalidating a
-// suspicious value found during data checking (Section 2.2).
-//
-//lint:allow test-only paper-named: invalidating a suspicious measurement during data checking (§2.2)
-func (d *Dataset) MarkMissing(row int, name string) error {
-	i := d.schema.Index(name)
-	if i < 0 {
-		return fmt.Errorf("dataset: no attribute %q", name)
-	}
-	return d.SetCell(row, i, Null)
-}
-
 // MissingCount returns the number of missing cells in the named column.
 func (d *Dataset) MissingCount(name string) (int, error) {
 	i := d.schema.Index(name)

@@ -137,11 +137,11 @@ func TestMissingValues(t *testing.T) {
 	if got := d.Cell(0, 3); !got.IsNull() {
 		t.Errorf("Cell(0,3) = %v, want null", got)
 	}
-	if err := d.MarkMissing(0, "AVE_SALARY"); err != nil {
-		t.Fatalf("MarkMissing: %v", err)
+	if err := d.SetCell(0, 4, Null); err != nil {
+		t.Fatalf("SetCell: %v", err)
 	}
 	if got := d.Cell(0, 4); !got.IsNull() {
-		t.Errorf("after MarkMissing Cell(0,4) = %v", got)
+		t.Errorf("after SetCell Cell(0,4) = %v", got)
 	}
 	n, err := d.MissingCount("AVE_SALARY")
 	if err != nil || n != 1 {
@@ -253,15 +253,6 @@ func TestCodeTable(t *testing.T) {
 	}
 	if _, ok := ct.codes["over 60"]; ok {
 		t.Error("stale label still encodable")
-	}
-}
-
-func TestCodeTableDiff(t *testing.T) {
-	c70 := NewCodeTable("RACE").MustDefine(1, "White").MustDefine(2, "Negro")
-	c80 := NewCodeTable("RACE").MustDefine(1, "White").MustDefine(2, "Black")
-	diffs := c70.Diff(c80)
-	if len(diffs) != 1 || diffs[0].Code != 2 {
-		t.Fatalf("Diff = %+v", diffs)
 	}
 }
 

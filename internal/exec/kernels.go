@@ -253,15 +253,6 @@ func (m Moments) Variance() (float64, error) {
 	return v, nil
 }
 
-// SD returns the sample standard deviation.
-func (m Moments) SD() (float64, error) {
-	v, err := m.Variance()
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
-}
-
 // MeanValue returns the mean, erroring on an empty state.
 func (m Moments) MeanValue() (float64, error) {
 	if m.N == 0 {

@@ -74,15 +74,16 @@ func TestVarianceMatchesBatch(t *testing.T) {
 
 func TestStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	got, err := NewVariance(xs, nil).Moments().SD()
+	v, err := NewVariance(xs, nil).Moments().Variance()
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := math.Sqrt(v)
 	want, _ := stats.StdDev(xs, nil)
 	if !almostEq(got, want, 1e-12) {
 		t.Errorf("sd = %g, want %g", got, want)
 	}
-	if _, err := NewVariance([]float64{1}, nil).Moments().SD(); err == nil {
+	if _, err := NewVariance([]float64{1}, nil).Moments().Variance(); err == nil {
 		t.Error("sd of single value accepted")
 	}
 }

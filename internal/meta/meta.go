@@ -34,7 +34,6 @@ type Node struct {
 	File      string
 	Attribute string
 
-	parents  map[string]*Node
 	children map[string]*Node
 }
 
@@ -69,7 +68,6 @@ func (g *Graph) add(n *Node) (*Node, error) {
 	if _, dup := g.nodes[n.Name]; dup {
 		return nil, fmt.Errorf("meta: node %q already exists", n.Name)
 	}
-	n.parents = make(map[string]*Node)
 	n.children = make(map[string]*Node)
 	g.nodes[n.Name] = n
 	g.roots[n.Name] = n
@@ -94,29 +92,7 @@ func (g *Graph) Link(parent, child string) error {
 		return fmt.Errorf("meta: linking %q under %q would create a cycle", child, parent)
 	}
 	p.children[child] = c
-	c.parents[parent] = p
 	delete(g.roots, child)
-	return nil
-}
-
-// Unlink removes the parent-child edge — the "primitive operations that
-// enable management of the graph" of [CHAN81].
-//
-//lint:allow test-only paper-named: meta-data graph management primitive of [CHAN81]
-func (g *Graph) Unlink(parent, child string) error {
-	p, ok := g.nodes[parent]
-	if !ok {
-		return fmt.Errorf("meta: no node %q", parent)
-	}
-	c, ok := p.children[child]
-	if !ok {
-		return fmt.Errorf("meta: %q is not a child of %q", child, parent)
-	}
-	delete(p.children, child)
-	delete(c.parents, parent)
-	if len(c.parents) == 0 {
-		g.roots[child] = c
-	}
 	return nil
 }
 
@@ -130,22 +106,6 @@ func (g *Graph) reaches(from, to *Node) bool {
 		}
 	}
 	return false
-}
-
-// Children lists the refinements of a node.
-//
-//lint:allow test-only paper-named: meta-data navigation (SUBJECT-style descent lists a node's refinements)
-func (g *Graph) Children(name string) ([]string, error) {
-	n, ok := g.nodes[name]
-	if !ok {
-		return nil, fmt.Errorf("meta: no node %q", name)
-	}
-	out := make([]string, 0, len(n.children))
-	for c := range n.children {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 // LeavesUnder returns all attribute nodes reachable from name.
@@ -173,43 +133,6 @@ func (g *Graph) LeavesUnder(name string) ([]*Node, error) {
 	walk(n)
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
-}
-
-// DOT renders the graph in Graphviz format (generalization nodes as
-// ellipses, attribute leaves as boxes labelled with their physical
-// binding), so the meta-database can be visualized the way SUBJECT's
-// users navigated it.
-//
-//lint:allow test-only paper-named: meta-data navigation, rendered the way SUBJECT's users saw it
-func (g *Graph) DOT() string {
-	var b strings.Builder
-	b.WriteString("digraph meta {\n  rankdir=TB;\n")
-	names := make([]string, 0, len(g.nodes))
-	for n := range g.nodes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		n := g.nodes[name]
-		if n.Kind == AttributeNode {
-			fmt.Fprintf(&b, "  %q [shape=box, label=\"%s\\n%s.%s\"];\n", n.Name, n.Name, n.File, n.Attribute)
-		} else {
-			fmt.Fprintf(&b, "  %q [shape=ellipse];\n", n.Name)
-		}
-	}
-	for _, name := range names {
-		n := g.nodes[name]
-		kids := make([]string, 0, len(n.children))
-		for c := range n.children {
-			kids = append(kids, c)
-		}
-		sort.Strings(kids)
-		for _, c := range kids {
-			fmt.Fprintf(&b, "  %q -> %q;\n", n.Name, c)
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
 }
 
 // Session is one navigation through the graph. SUBJECT "keeps track of
@@ -244,17 +167,6 @@ func (s *Session) Descend(child string) error {
 		return fmt.Errorf("meta: %q is not a refinement of %q", child, s.Current().Name)
 	}
 	s.path = append(s.path, c)
-	return nil
-}
-
-// Ascend moves back up one level.
-//
-//lint:allow test-only paper-named: meta-data navigation, the inverse of Descend
-func (s *Session) Ascend() error {
-	if len(s.path) <= 1 {
-		return fmt.Errorf("meta: already at the entry point")
-	}
-	s.path = s.path[:len(s.path)-1]
 	return nil
 }
 

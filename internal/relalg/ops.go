@@ -3,7 +3,6 @@ package relalg
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"statdb/internal/dataset"
 )
@@ -102,59 +101,6 @@ func Decode(ds *dataset.Dataset, attr string) (*dataset.Dataset, error) {
 			row[i] = dataset.String(label)
 		}
 		if err := out.Append(row); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// Union appends the rows of b to those of a. Schemas must match in
-// names, kinds and order (the category flags may differ: unions of
-// extracts lose key-ness).
-//
-//lint:allow test-only paper-named: one of the traditional relational operations of §2.3; serial reference operator
-func Union(a, b *dataset.Dataset) (*dataset.Dataset, error) {
-	if !a.Schema().Equal(b.Schema()) {
-		return nil, fmt.Errorf("relalg: union of incompatible schemas [%s] and [%s]", a.Schema(), b.Schema())
-	}
-	out := dataset.New(a.Schema())
-	for i := 0; i < a.Rows(); i++ {
-		if err := out.Append(a.RowAt(i)); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < b.Rows(); i++ {
-		if err := out.Append(b.RowAt(i)); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// Distinct removes duplicate rows, keeping first occurrences in order.
-//
-//lint:allow test-only paper-named: one of the traditional relational operations of §2.3; serial reference operator
-func Distinct(ds *dataset.Dataset) (*dataset.Dataset, error) {
-	out := dataset.New(ds.Schema())
-	seen := make(map[string]bool, ds.Rows())
-	var kb strings.Builder
-	for i := 0; i < ds.Rows(); i++ {
-		kb.Reset()
-		for c := 0; c < ds.Schema().Len(); c++ {
-			v := ds.Cell(i, c)
-			if v.IsNull() {
-				kb.WriteString("\x00N")
-			} else {
-				kb.WriteString(v.String())
-			}
-			kb.WriteByte(0)
-		}
-		k := kb.String()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		if err := out.Append(ds.RowAt(i)); err != nil {
 			return nil, err
 		}
 	}

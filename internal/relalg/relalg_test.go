@@ -95,7 +95,7 @@ func TestSelect(t *testing.T) {
 
 func TestSelectNullSemantics(t *testing.T) {
 	ds := figure1(t)
-	if err := ds.MarkMissing(0, "AVE_SALARY"); err != nil {
+	if err := ds.SetCell(0, 4, dataset.Null); err != nil {
 		t.Fatal(err)
 	}
 	// Null never satisfies a comparison, even Ne.
@@ -178,7 +178,7 @@ func TestJoinErrorsAndNulls(t *testing.T) {
 		t.Error("missing right attribute accepted")
 	}
 	// Null join keys produce no matches.
-	if err := ds.MarkMissing(0, "AGE_GROUP"); err != nil {
+	if err := ds.SetCell(0, 2, dataset.Null); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Join(ds, code, "AGE_GROUP", "CATEGORY")
@@ -242,7 +242,7 @@ func TestDecode(t *testing.T) {
 	}
 	// Null codes pass through.
 	withNull := figure1(t)
-	if err := withNull.MarkMissing(0, "AGE_GROUP"); err != nil {
+	if err := withNull.SetCell(0, 2, dataset.Null); err != nil {
 		t.Fatal(err)
 	}
 	got, err = Decode(withNull, "AGE_GROUP")
@@ -324,7 +324,7 @@ func TestGroupByAggregates(t *testing.T) {
 
 func TestGroupByNullHandling(t *testing.T) {
 	ds := figure1(t)
-	if err := ds.MarkMissing(0, "AVE_SALARY"); err != nil {
+	if err := ds.SetCell(0, 4, dataset.Null); err != nil {
 		t.Fatal(err)
 	}
 	got, err := GroupBy(ds, []string{"SEX"}, []Agg{
@@ -412,56 +412,6 @@ func TestExtend(t *testing.T) {
 	}
 	if ds.Schema().Len() != 5 {
 		t.Error("Extend mutated source")
-	}
-}
-
-func TestUnion(t *testing.T) {
-	ds := figure1(t)
-	males, _ := Select(ds, Cmp{Attr: "SEX", Op: Eq, Val: dataset.String("M")})
-	females, _ := Select(ds, Cmp{Attr: "SEX", Op: Eq, Val: dataset.String("F")})
-	got, err := Union(males, females)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rows() != 9 {
-		t.Fatalf("rows = %d", got.Rows())
-	}
-	// Incompatible schemas rejected.
-	proj, _ := Project(ds, "SEX")
-	if _, err := Union(ds, proj); err == nil {
-		t.Error("incompatible union accepted")
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	ds := figure1(t)
-	doubled, err := Union(ds, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Distinct(doubled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rows() != 9 {
-		t.Fatalf("rows = %d, want 9", got.Rows())
-	}
-	// Order preserved: first row still M/W/1.
-	if !got.Cell(0, 0).Equal(dataset.String("M")) || !got.Cell(0, 2).Equal(dataset.Int(1)) {
-		t.Errorf("first row = %v", got.RowAt(0))
-	}
-	// Nulls are distinct-able and do not collide with the string "NA".
-	sch := dataset.MustSchema(dataset.Attribute{Name: "X", Kind: dataset.KindString})
-	tricky := dataset.New(sch)
-	_ = tricky.Append(dataset.Row{dataset.Null})
-	_ = tricky.Append(dataset.Row{dataset.String("NA")})
-	_ = tricky.Append(dataset.Row{dataset.Null})
-	d2, err := Distinct(tricky)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.Rows() != 2 {
-		t.Errorf("null/NA distinct rows = %d, want 2", d2.Rows())
 	}
 }
 

@@ -33,7 +33,7 @@ func testDataset(t *testing.T, n int) *dataset.Dataset {
 			t.Fatal(err)
 		}
 		if i%101 == 0 {
-			if err := ds.MarkMissing(i, "x"); err != nil {
+			if err := ds.SetCell(i, 0, dataset.Null); err != nil {
 				t.Fatal(err)
 			}
 		}

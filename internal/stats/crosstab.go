@@ -68,48 +68,6 @@ func NewCrossTab(ds *dataset.Dataset, rowAttr, colAttr string) (*CrossTab, error
 	return ct, nil
 }
 
-// WeightedCrossTab tabulates summed weights instead of row counts — the
-// natural form for pre-aggregated census data where each record carries a
-// POPULATION weight.
-//
-//lint:allow test-only leaf statistical operator: cross-tabulation of pre-aggregated (weighted) census records
-func WeightedCrossTab(ds *dataset.Dataset, rowAttr, colAttr, weightAttr string) (*CrossTab, error) {
-	ct, err := NewCrossTab(ds, rowAttr, colAttr)
-	if err != nil {
-		return nil, err
-	}
-	wi := ds.Schema().Index(weightAttr)
-	if wi < 0 {
-		return nil, fmt.Errorf("stats: crosstab: no weight attribute %q", weightAttr)
-	}
-	ri := ds.Schema().Index(rowAttr)
-	ci := ds.Schema().Index(colAttr)
-	rowIdx := make(map[string]int, len(ct.RowLabels))
-	for i, l := range ct.RowLabels {
-		rowIdx[l] = i
-	}
-	colIdx := make(map[string]int, len(ct.ColLabels))
-	for j, l := range ct.ColLabels {
-		colIdx[l] = j
-	}
-	for i := range ct.Counts {
-		for j := range ct.Counts[i] {
-			ct.Counts[i][j] = 0
-		}
-	}
-	ct.total = 0
-	for r := 0; r < ds.Rows(); r++ {
-		rv, cv, wv := ds.Cell(r, ri), ds.Cell(r, ci), ds.Cell(r, wi)
-		if rv.IsNull() || cv.IsNull() || wv.IsNull() {
-			continue
-		}
-		w := int(wv.AsFloat())
-		ct.Counts[rowIdx[rv.String()]][colIdx[cv.String()]] += w
-		ct.total += w
-	}
-	return ct, nil
-}
-
 // Total returns the table's grand total.
 func (ct *CrossTab) Total() int { return ct.total }
 

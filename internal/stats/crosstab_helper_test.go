@@ -21,46 +21,9 @@ func twoColDataset(t *testing.T, rows [][2]string) *dataset.Dataset {
 	return ds
 }
 
-func TestWeightedCrossTab(t *testing.T) {
-	sch := dataset.MustSchema(
-		dataset.Attribute{Name: "SEX", Kind: dataset.KindString, Category: true},
-		dataset.Attribute{Name: "RACE", Kind: dataset.KindString, Category: true},
-		dataset.Attribute{Name: "POPULATION", Kind: dataset.KindInt},
-	)
-	ds := dataset.New(sch)
-	rows := []struct {
-		s, r string
-		p    int64
-	}{
-		{"M", "W", 100}, {"M", "B", 50}, {"F", "W", 120}, {"F", "B", 60},
-	}
-	for _, r := range rows {
-		if err := ds.Append(dataset.Row{dataset.String(r.s), dataset.String(r.r), dataset.Int(r.p)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ct, err := WeightedCrossTab(ds, "SEX", "RACE", "POPULATION")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct.Total() != 330 {
-		t.Errorf("total = %d", ct.Total())
-	}
-	// Rows sorted: F then M; cols: B then W.
-	if ct.Counts[0][0] != 60 || ct.Counts[0][1] != 120 {
-		t.Errorf("F row = %v", ct.Counts[0])
-	}
-	if ct.Counts[1][0] != 50 || ct.Counts[1][1] != 100 {
-		t.Errorf("M row = %v", ct.Counts[1])
-	}
-	if _, err := WeightedCrossTab(ds, "SEX", "RACE", "NOPE"); err == nil {
-		t.Error("missing weight attribute accepted")
-	}
-}
-
 func TestCrossTabSkipsNulls(t *testing.T) {
 	ds := twoColDataset(t, [][2]string{{"W", "young"}, {"B", "old"}})
-	if err := ds.MarkMissing(0, "AGE"); err != nil {
+	if err := ds.SetCell(0, 1, dataset.Null); err != nil {
 		t.Fatal(err)
 	}
 	ct, err := NewCrossTab(ds, "RACE", "AGE")

@@ -102,25 +102,9 @@ func RangeCheck(xs []float64, valid []bool, lo, hi float64) []int {
 	return out
 }
 
-// OutsideKSigma returns the indices of valid observations outside
-// mean ± k·sd — the Section 3.1 example of a later query reusing the
-// cached mean and standard deviation.
-//
-//lint:allow test-only paper-named: the §3.1 outlier example; serial reference for OutsideKSigmaWith
-func OutsideKSigma(xs []float64, valid []bool, k float64) ([]int, error) {
-	m, err := Mean(xs, valid)
-	if err != nil {
-		return nil, err
-	}
-	sd, err := StdDev(xs, valid)
-	if err != nil {
-		return nil, err
-	}
-	return RangeCheck(xs, valid, m-k*sd, m+k*sd), nil
-}
-
-// OutsideKSigmaWith is OutsideKSigma reusing previously computed mean and
-// sd — the cached-summary fast path.
+// OutsideKSigmaWith returns the indices of valid observations outside
+// mean ± k·sd, given the mean and sd — the Section 3.1 example of a later
+// query reusing the cached mean and standard deviation.
 func OutsideKSigmaWith(xs []float64, valid []bool, mean, sd, k float64) []int {
 	return RangeCheck(xs, valid, mean-k*sd, mean+k*sd)
 }

@@ -2,55 +2,21 @@ package stats
 
 import (
 	"fmt"
-	"math"
 
 	"statdb/internal/exec"
 )
 
-// This file is the chunked/parallel face of the package: the same
-// operators as desc.go, computed by folding fixed-size chunks through an
-// exec.Pool and merging partial states in chunk order. Order-insensitive
-// results (count, min, max, mode, unique, quantiles) are bit-identical
-// to the serial operators; mean and standard deviation are deterministic
-// for any worker count but may differ from the serial two-pass formulas
-// in the last units of precision, since the parallel form groups the
-// sums differently.
+// This file is the frequency-table face of the package: the order
+// statistics read off a sorted frequency table (a compressed sort), which
+// the Summary Database's aggregate table finalizes every input form with,
+// and QuantileChunks, which folds that table through an exec.Pool. Every
+// result is bit-identical to the serial operator over the expanded
+// observations.
 
 // serialEnough reports whether the column is too small (or the pool too
 // narrow) for fan-out to pay; callers then take the exact serial path.
 func serialEnough(p *exec.Pool, n, chunk int) bool {
 	return p == nil || p.Workers() <= 1 || len(exec.Chunks(n, chunk)) <= 1
-}
-
-// SummarizeChunks computes the same Summary as Summarize by partitioned
-// fold-and-merge: moments and extrema via Welford partials with the
-// Chan–Golub–LeVeque merge, and the order statistics (median,
-// quartiles, mode, unique count) read off a merged frequency table —
-// a frequency table is a compressed sort, so the quantile arithmetic of
-// quantileSorted applies to it exactly. With one worker or a single
-// chunk it falls back to Summarize itself.
-func SummarizeChunks(p *exec.Pool, xs []float64, valid []bool, chunk int) (Summary, error) {
-	if serialEnough(p, len(xs), chunk) {
-		return Summarize(xs, valid)
-	}
-	m := exec.ColumnMoments(p, xs, valid, chunk)
-	if m.N == 0 {
-		return Summary{}, ErrNoData
-	}
-	s := Summary{N: int(m.N), Missing: int(m.Missing), Min: m.Min, Max: m.Max}
-	s.Mean, _ = m.MeanValue() //lint:allow error-flow m.N > 0 was checked above
-	if sd, err := m.SD(); err == nil {
-		s.SD = sd
-	} else {
-		s.SD = math.NaN()
-	}
-	_, t := exec.ColumnFold(p, xs, valid, chunk, false, true)
-	s.Median = quantileFreq(t.Values, t.Counts, m.N, 0.5)
-	s.Q1 = quantileFreq(t.Values, t.Counts, m.N, 0.25)
-	s.Q3 = quantileFreq(t.Values, t.Counts, m.N, 0.75)
-	s.Mode = modeFreq(t.Values, t.Counts)
-	s.Unique = len(t.Values)
-	return s, nil
 }
 
 // QuantileChunks is Quantile from a merged frequency table: cumulative

@@ -225,18 +225,10 @@ func TestRangeCheckAndKSigma(t *testing.T) {
 	if len(bad) != 1 || bad[0] != 3 {
 		t.Errorf("RangeCheck = %v", bad)
 	}
-	out, err := OutsideKSigma(ages, nil, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0] != 3 {
-		t.Errorf("OutsideKSigma = %v", out)
-	}
 	m, _ := Mean(ages, nil)
 	sd, _ := StdDev(ages, nil)
-	out2 := OutsideKSigmaWith(ages, nil, m, sd, 2)
-	if len(out2) != len(out) || out2[0] != out[0] {
-		t.Errorf("cached-path result differs: %v vs %v", out2, out)
+	if out := OutsideKSigmaWith(ages, nil, m, sd, 2); len(out) != 1 || out[0] != 3 {
+		t.Errorf("OutsideKSigmaWith = %v", out)
 	}
 }
 

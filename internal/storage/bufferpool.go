@@ -145,8 +145,9 @@ func (bp *BufferPool) Device() Device { return bp.dev }
 
 // withRetry runs op, retrying while it fails with ErrTransient, up to
 // the policy's attempt budget, charging doubling backoff through the
-// device's TickCharger. Non-transient errors return immediately.
-// The caller holds bp.mu.
+// device's TickCharger. Non-transient errors return immediately; once the
+// budget is spent, the last error returns wrapped with the number of
+// attempts it took. The caller holds bp.mu.
 func (bp *BufferPool) withRetry(op func() error) error {
 	attempts := bp.retry.MaxAttempts
 	if attempts < 1 {
@@ -179,7 +180,7 @@ func (bp *BufferPool) withRetry(op func() error) error {
 	}
 	bp.met.exhausted.Inc()
 	bp.lab.exhausted.Inc()
-	return err
+	return fmt.Errorf("%w (gave up after %d attempts)", err, attempts)
 }
 
 // readPage reads id into buf with retry and checksum verification.

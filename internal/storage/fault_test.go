@@ -110,6 +110,9 @@ func TestPoolRetryExhausts(t *testing.T) {
 	if !errors.Is(err, ErrTransient) {
 		t.Fatalf("fetch error = %v, want ErrTransient", err)
 	}
+	if want := fmt.Sprintf("storage: transient read fault on page %d (gave up after 4 attempts)", id); err.Error() != want {
+		t.Fatalf("fetch error = %q, want %q", err, want)
+	}
 	if r, ex := counter(t, pool, obs.MStorageRetryAttempts), counter(t, pool, obs.MStorageRetryExhausted); ex != 1 || r != 3 {
 		t.Fatalf("retries=%d exhausted=%d, want 3 retries and 1 exhausted", r, ex)
 	}

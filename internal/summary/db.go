@@ -259,23 +259,27 @@ func (db *DB) Len() int {
 // search-then-insert protocol of Section 3.2: "if the desired pair is
 // found, the corresponding result will be returned; otherwise, after the
 // function has been applied ... the new information will be inserted".
-// Its source cannot fail: a column held in memory.
+// Its source cannot fail: a column held in memory. A fill wraps it as the
+// fallible Source an entry keeps; a hit binds nothing.
 func (db *DB) Scalar(fn, attr string, source func() ([]float64, []bool)) (float64, error) {
-	return db.ScalarFrom(fn, attr, Sources{Rows: func() ([]float64, []bool, error) {
-		xs, valid := source()
-		return xs, valid, nil
-	}})
+	return db.ScalarFrom(fn, attr, func() Sources {
+		return Sources{Rows: func() ([]float64, []bool, error) {
+			xs, valid := source()
+			return xs, valid, nil
+		}}
+	})
 }
 
 // ScalarFrom is Scalar with every input form the caller can offer for
-// this call. A non-nil Runs or Gather is a decision, not a hint: the view
-// layer has already judged the column run-eligible, or its sharded copy
-// current. A fill served from a gather keeps no state and installs no
-// window: updates invalidate its entry unless a read kept the attribute's
-// states, and the next access refills. A fill from runs keeps what a row
-// read keeps. A read that fails fails the call and leaves the cache as it
-// was.
-func (db *DB) ScalarFrom(fn, attr string, src Sources) (float64, error) {
+// this call, bound by bind only on a miss or a stale refill, so a hit
+// builds no source. A non-nil Runs or Gather is a decision, not a hint:
+// the view layer has already judged the column run-eligible, or its
+// sharded copy current. A fill served from a gather keeps no state and
+// installs no window: updates invalidate its entry unless a read kept the
+// attribute's states, and the next access refills. A fill from runs keeps
+// what a row read keeps. A read that fails fails the call and leaves the
+// cache as it was.
+func (db *DB) ScalarFrom(fn, attr string, bind func() Sources) (float64, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	sp := db.tracer.Begin("summary.scalar", obs.A("fn", fn), obs.A("attr", attr))
@@ -290,7 +294,7 @@ func (db *DB) ScalarFrom(fn, attr string, src Sources) (float64, error) {
 		}
 		// Stale entry: regenerate in place from this call's sources, as a
 		// miss would (entries restored from disk carry none, persist.go).
-		v, err := db.fill(e, src, true, sp)
+		v, err := db.fill(e, bind(), true, sp)
 		if err != nil {
 			return 0, err
 		}
@@ -306,7 +310,7 @@ func (db *DB) ScalarFrom(fn, attr string, src Sources) (float64, error) {
 	db.met.misses.Inc()
 	sp.SetAttr("outcome", "miss")
 	e := &entry{fn: fn, attrs: []string{attr}}
-	v, err := db.fill(e, src, false, sp)
+	v, err := db.fill(e, bind(), false, sp)
 	if err != nil {
 		return 0, err
 	}

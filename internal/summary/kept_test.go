@@ -50,7 +50,7 @@ func TestColdAttributeOnePass(t *testing.T) {
 	forms := map[string]func(fn string, db *DB) (float64, error){
 		"rows": func(fn string, db *DB) (float64, error) { return db.Scalar(fn, "X", c.source()) },
 		"runs": func(fn string, db *DB) (float64, error) {
-			return db.ScalarFrom(fn, "X", Sources{Rows: c.rows(), Runs: c.runs})
+			return db.ScalarFrom(fn, "X", func() Sources { return Sources{Rows: c.rows(), Runs: c.runs} })
 		},
 	}
 	for form, ask := range forms {
@@ -191,7 +191,7 @@ func keptStatesMachine(t *testing.T, seed int64) {
 				src.Runs = c.runs
 			}
 			before := lookups()
-			got, gerr := db.ScalarFrom(fn, "X", src)
+			got, gerr := db.ScalarFrom(fn, "X", func() Sources { return src })
 			if errors.Is(gerr, errRead) {
 				if after := lookups(); !c.broken || !maps.Equal(after, before) {
 					t.Fatalf("seed %d step %d: %s failed (%v) on a read broken %v; lookups %v, were %v",

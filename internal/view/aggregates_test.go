@@ -284,9 +284,11 @@ func TestAggregateForms(t *testing.T) {
 			runs := summary.NewDB(rules.NewManagementDB())
 			rc := s.runs()
 			for fn, got := range all(func(fn string) (float64, error) {
-				return runs.ScalarFrom(fn, "X", summary.Sources{
-					Rows: func() ([]float64, []bool, error) { t.Errorf("%s/runs/%s read rows", s.name, fn); return nil, nil, nil },
-					Runs: func() (exec.RunColumn, error) { return rc, nil },
+				return runs.ScalarFrom(fn, "X", func() summary.Sources {
+					return summary.Sources{
+						Rows: func() ([]float64, []bool, error) { t.Errorf("%s/runs/%s read rows", s.name, fn); return nil, nil, nil },
+						Runs: func() (exec.RunColumn, error) { return rc, nil },
+					}
 				})
 			}) {
 				s.check(t, "runs", fn, got, want[fn], runUlps*0x1p-52)

@@ -1,6 +1,7 @@
 package view
 
 import (
+	"errors"
 	"testing"
 
 	"statdb/internal/dataset"
@@ -294,5 +295,33 @@ func mustLocalRule(t *testing.T, v *View, input string) rules.DerivedRule {
 			}
 			return dataset.Float(row[si].AsFloat() / 2)
 		},
+	}
+}
+
+// TestRowAtChargesItsRead: a record read through a row store is charged
+// as a column read is — its device ticks reach the open span and its
+// pages are metered against the query budget — so the read that crosses
+// the budget's page ceiling fails with the budget's error.
+func TestRowAtChargesItsRead(t *testing.T) {
+	tr := obs.NewTracer()
+	v, err := New(runsData(t, 4000), rules.NewManagementDB(), rules.ViewDef{
+		Name: "rows", Analyst: "a", Source: "raw", Ops: []string{"all"},
+	}, Options{Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	attach(t, v, BackingRow)
+	tr.SetBudget(obs.NewBudget(0, 1))
+	sp := tr.Begin("query")
+	defer sp.End()
+	if _, err := v.RowAt(0); err != nil {
+		t.Fatal(err)
+	}
+	if sp.Total() <= 0 {
+		t.Errorf("a store row read charged %d ticks to its span", sp.Total())
+	}
+	var be *obs.BudgetError
+	if _, err := v.RowAt(2000); !errors.As(err, &be) || be.Resource != "pages" {
+		t.Errorf("a row read past the page ceiling returned %v, want the budget's *obs.BudgetError", err)
 	}
 }

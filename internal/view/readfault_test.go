@@ -57,12 +57,12 @@ func (p faultPair) update(t *testing.T, attr string, pred relalg.Predicate, val 
 }
 
 // failed checks that err is the armed device's: a transient read error
-// naming the view and the attribute.
+// naming the view, the attribute and the attempts the pool made.
 func failed(t *testing.T, step string, attr string, err error) {
 	t.Helper()
 	if !errors.Is(err, storage.ErrTransient) || !strings.Contains(err.Error(), "view upd") ||
-		!strings.Contains(err.Error(), "read "+attr) {
-		t.Errorf("%s: err %v, want a transient read error naming view upd and %s", step, err, attr)
+		!strings.Contains(err.Error(), "read "+attr) || !strings.Contains(err.Error(), "(gave up after 4 attempts)") {
+		t.Errorf("%s: err %v, want a transient read error naming view upd, %s and 4 attempts", step, err, attr)
 	}
 }
 

@@ -138,3 +138,35 @@ func TestComputeRunStrategyThreshold(t *testing.T) {
 		t.Errorf("storeless view routed to run kernels %d times", hits)
 	}
 }
+
+// TestHitBindsNoSource: a cache hit reads no column, so it binds none of
+// the input forms a miss would read. A hit on a transposed RLE column,
+// whose run form costs a run-count probe and a closure to bind, allocates
+// no more than a hit on a memory-backed view.
+func TestHitBindsNoSource(t *testing.T) {
+	mem, rle := newRunsView(t, 4000), newRunsView(t, 4000)
+	attach(t, rle, BackingTransposed)
+	if rle.runSource("GRADE") == nil {
+		t.Fatal("GRADE is not run-eligible on the transposed view")
+	}
+	hit := func(v *View) float64 {
+		if _, err := v.Compute("mean", "GRADE"); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, e := v.Compute("mean", "GRADE"); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return allocs
+	}
+	m, r := hit(mem), hit(rle)
+	t.Logf("allocations per hit: memory %v, transposed RLE %v", m, r)
+	if r > m {
+		t.Errorf("a hit allocates %v times on a transposed RLE column, %v on a memory view", r, m)
+	}
+}

@@ -8,6 +8,7 @@ package view
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -214,11 +215,13 @@ func (v *View) compute(fn, attr string, rep *shard.Report) (float64, error) {
 	if a.Kind == dataset.KindString {
 		return 0, fmt.Errorf("view %s: attribute %q is a string; use StringFrequencies", v.name, attr)
 	}
-	src := summary.Sources{Rows: v.columnSource(attr), Runs: v.runSource(attr)}
-	if rep != nil {
-		src.Gather = v.gatherSource(attr, rep)
-	}
-	return v.sdb.ScalarFrom(fn, attr, src)
+	return v.sdb.ScalarFrom(fn, attr, func() summary.Sources {
+		src := summary.Sources{Rows: v.columnSource(attr), Runs: v.runSource(attr)}
+		if rep != nil {
+			src.Gather = v.gatherSource(attr, rep)
+		}
+		return src
+	})
 }
 
 // Describe returns the standing descriptive summary of Section 3.2 —
@@ -322,39 +325,6 @@ func (v *View) StringFrequencies(attr string) (values []string, counts []int, er
 	return fv, fc, nil
 }
 
-// InconsistentPairs returns the row indices where a known relationship
-// between two attributes fails to hold — the pairwise data checking of
-// Section 2.2 ("for those cases in which a known relationship exists
-// between pairs of values, the data checker must also examine all pairs
-// of values"). Rows with a missing value in either attribute are skipped.
-//
-//lint:allow test-only paper-named: the pairwise data checking of §2.2
-func (v *View) InconsistentPairs(attrA, attrB string, holds func(a, b dataset.Value) bool) ([]int, error) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	ia := v.data.Schema().Index(attrA)
-	if ia < 0 {
-		return nil, fmt.Errorf("view %s: no attribute %q", v.name, attrA)
-	}
-	ib := v.data.Schema().Index(attrB)
-	if ib < 0 {
-		return nil, fmt.Errorf("view %s: no attribute %q", v.name, attrB)
-	}
-	v.countScan(attrA)
-	v.countScan(attrB)
-	var out []int
-	for r := 0; r < v.data.Rows(); r++ {
-		a, b := v.data.Cell(r, ia), v.data.Cell(r, ib)
-		if a.IsNull() || b.IsNull() {
-			continue
-		}
-		if !holds(a, b) {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
 // Column reads attr widened to float64 with validity, counting the scan.
 func (v *View) Column(attr string) ([]float64, []bool, error) {
 	v.mu.RLock()
@@ -365,11 +335,11 @@ func (v *View) Column(attr string) ([]float64, []bool, error) {
 // column is the view's one read of a column as rows, for the Summary
 // Database and the analysis verbs alike. It counts the scan for layout
 // advice and charges the read to the innermost open span (summary wraps
-// sources in a "scan" span): a store read charges the device's tick delta
-// and meters its pages against the query budget, a read of the record one
-// cell cost a row — so EXPLAIN shows where I/O beat RAM. A read that fails
-// returns an error naming the view and the attribute; one that ran the
-// query over budget returns the budget's error.
+// sources in a "scan" span): a store read as storeRead charges it, a read
+// of the record one cell cost a row — so EXPLAIN shows where I/O beat
+// RAM. A read that fails returns an error naming the view and the
+// attribute; one that ran the query over budget returns the budget's
+// error.
 func (v *View) column(attr string) ([]float64, []bool, error) {
 	v.countScan(attr)
 	var xs []float64
@@ -378,40 +348,52 @@ func (v *View) column(attr string) ([]float64, []bool, error) {
 	if v.store == nil {
 		xs, valid, err = v.data.NumericByName(attr)
 		v.tracer.Charge(exec.DefaultCost().SerialTicks(len(xs)))
+		err = v.readErr(attr, err)
 	} else {
-		before := v.store.dev.Stats()
-		xs, valid, err = v.store.readColumn(v.data, attr)
-		after := v.store.dev.Stats()
-		v.tracer.Charge(after.Ticks - before.Ticks)
-		v.tracer.ChargePages(after.Reads - before.Reads)
+		err = v.storeRead(attr, func() (err error) {
+			xs, valid, err = v.store.readColumn(v.data, attr)
+			return err
+		})
 	}
-	if err = v.readErr(attr, err); err != nil {
+	if err != nil {
 		return nil, nil, err
 	}
 	return xs, valid, nil
 }
 
 // runColumn is the view's one read of a column as RLE runs, off the
-// attached transposed store, counted and charged as column charges a
-// store read.
+// attached transposed store, counted as column counts a scan.
 func (v *View) runColumn(attr string) (exec.RunColumn, error) {
 	v.countScan(attr)
+	var rc exec.RunColumn
+	err := v.storeRead(attr, func() (err error) {
+		rc.Vals, rc.Nulls, rc.Counts, err = v.store.col.NumericRunColumn(attr) //lint:allow charge-tracking storeRead charges the device's deltas around this read
+		return err
+	})
+	if err != nil {
+		return exec.RunColumn{}, err
+	}
+	rc.Rows = v.data.Rows()
+	return rc, nil
+}
+
+// storeRead runs read against the attached store and charges it to the
+// innermost open span: the device's tick delta, and its page reads
+// metered against the query budget. It returns readErr of what it read.
+func (v *View) storeRead(what string, read func() error) error {
 	before := v.store.dev.Stats()
-	vals, nulls, counts, err := v.store.col.NumericRunColumn(attr)
+	err := read()
 	after := v.store.dev.Stats()
 	v.tracer.Charge(after.Ticks - before.Ticks)
 	v.tracer.ChargePages(after.Reads - before.Reads)
-	if err = v.readErr(attr, err); err != nil {
-		return exec.RunColumn{}, err
-	}
-	return exec.RunColumn{Vals: vals, Nulls: nulls, Counts: counts, Rows: v.data.Rows()}, nil
+	return v.readErr(what, err)
 }
 
 // readErr is a read's outcome as its error: the read's own, naming the
-// view and the attribute, or a budget the read breached.
-func (v *View) readErr(attr string, err error) error {
+// view and what it read, or a budget the read breached.
+func (v *View) readErr(what string, err error) error {
 	if err != nil {
-		return fmt.Errorf("view %s: read %s: %w", v.name, attr, err)
+		return fmt.Errorf("view %s: read %s: %w", v.name, what, err)
 	}
 	return v.tracer.BudgetErr()
 }
@@ -424,9 +406,10 @@ func (v *View) countScan(attr string) {
 }
 
 // RowAt reads one full record, counting the informational access:
-// through the attached store, or from the record when none is attached.
-// A store read that fails returns its error; the record does not stand
-// in for the store.
+// through the attached store, charged as column charges a store read, or
+// from the record when none is attached. A store read that fails returns
+// its error, and one that ran the query over budget the budget's; the
+// record does not stand in for the store.
 func (v *View) RowAt(i int) (dataset.Row, error) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
@@ -437,9 +420,13 @@ func (v *View) RowAt(i int) (dataset.Row, error) {
 	if v.store == nil {
 		return v.data.RowAt(i), nil
 	}
-	row, err := v.store.readRow(i)
+	var row dataset.Row
+	err := v.storeRead("row "+strconv.Itoa(i), func() (err error) {
+		row, err = v.store.readRow(i)
+		return err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("view %s: read row %d: %w", v.name, i, err)
+		return nil, err
 	}
 	return row, nil
 }
