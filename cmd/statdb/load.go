@@ -80,13 +80,8 @@ func runLoad(args []string, out, errw io.Writer) int {
 			Wall:  wallClockUs(),
 		}))
 		cfg.NewSession = load.InProcess(d, "analyst")
-		cfg.Reg = d.MetricsRegistry()
 	} else {
-		base := strings.TrimRight(*target, "/")
-		reg := obs.NewRegistry()
-		obs.RegisterBaseline(reg)
-		cfg.NewSession = httpSessions(base)
-		cfg.Reg = reg
+		cfg.NewSession = httpSessions(strings.TrimRight(*target, "/"))
 	}
 
 	drv, err := load.New(cfg)

@@ -104,9 +104,10 @@ func TestLoadAgainstServe(t *testing.T) {
 		t.Errorf("load report: %q", loadOut.String())
 	}
 
-	// Server-side evidence: sessions counted, wall percentiles live.
-	if _, metrics := httpGet(t, base+"/metrics"); !regexp.MustCompile(`statdb_load_sessions [1-9]`).MatchString(metrics) {
-		t.Errorf("/metrics missing live load.sessions counter")
+	// Server-side evidence: every session counted once (boot and the
+	// three load sessions), wall percentiles live.
+	if _, metrics := httpGet(t, base+"/metrics"); !regexp.MustCompile(`(?m)^statdb_load_sessions 4$`).MatchString(metrics) {
+		t.Errorf("/metrics load.sessions is not 4 (boot + 3 sessions):\n%s", metrics)
 	}
 	deadline = time.Now().Add(10 * time.Second)
 	for {

@@ -93,7 +93,7 @@ func TestStatsSubcommand(t *testing.T) {
 		"counter query.statements 3",
 		"counter view.column_scans 1",
 		"gauge exec.inflight 0",
-		"histogram summary.pass_ticks count=1",
+		"histogram query.ticks.compute count=1",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("stats output missing %q:\n%s", want, s)

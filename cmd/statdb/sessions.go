@@ -64,9 +64,9 @@ func (h *sessionHub) session(id string) *serveSession {
 		s.e.SetEventLog(h.elog)
 		s.e.SetSessionBudget(obs.NewBudget(h.sessionTicks, 0))
 		h.sessions[id] = s
-		// The server counts sessions it has observed under the same
-		// load.sessions family the driver uses, so a remote load run is
-		// visible on the server's own /metrics.
+		// The server counts the sessions it has observed under
+		// load.sessions, so a remote load run is visible on the
+		// server's own /metrics.
 		h.cSessions.Inc()
 	}
 	return s

@@ -64,6 +64,10 @@ type CallSite struct {
 	Targets  []FuncKey
 	Go       bool // lexically inside a go statement (runs on a new goroutine)
 	Deferred bool
+	// Within is the call a function literal enclosing this call is
+	// passed to as an argument (the nearest such literal), nil outside
+	// one: the helper the literal runs under.
+	Within *CallSite
 }
 
 // LockOp is a call to Lock/RLock/Unlock/RUnlock on a `<base>.<field>`
@@ -207,7 +211,7 @@ func buildGraph(t *Tree) *Graph {
 			for _, decl := range f.Ast.Decls {
 				if d, ok := decl.(*ast.FuncDecl); ok && d.Body != nil {
 					w := &funcWalk{g: g, info: pkg.Info, fi: g.Funcs[funcKey(pkg, d)], fresh: freshLocals(pkg.Info, d.Body)}
-					w.walk(d.Body, nil, false)
+					w.walk(d.Body, nil, false, nil)
 				}
 			}
 		}
@@ -394,22 +398,31 @@ type funcWalk struct {
 
 // walk records call sites, lock ops, field accesses and charges,
 // carrying the enclosing go statement (if any) so rules can tell
-// goroutine-spawned execution from the main path. Nested function
+// goroutine-spawned execution from the main path, and the call a
+// function literal argument is handed to (within). Nested function
 // literals belong to the enclosing function.
-func (w *funcWalk) walk(n ast.Node, goStmt ast.Node, deferred bool) {
+func (w *funcWalk) walk(n ast.Node, goStmt ast.Node, deferred bool, within *CallSite) {
 	if n == nil {
 		return
 	}
 	switch st := n.(type) {
 	case *ast.GoStmt:
-		w.walk(st.Call, st, deferred)
+		w.walk(st.Call, st, deferred, within)
 		return
 	case *ast.DeferStmt:
-		w.walk(st.Call, goStmt, true)
+		w.walk(st.Call, goStmt, true, within)
 		return
 	case *ast.CallExpr:
-		w.recordCall(st, goStmt, deferred)
-		// Children (args, nested calls, func literals) keep walking.
+		cs := w.recordCall(st, goStmt, deferred, within)
+		w.walk(st.Fun, goStmt, deferred, within)
+		for _, arg := range st.Args {
+			if _, lit := arg.(*ast.FuncLit); lit {
+				w.walk(arg, goStmt, deferred, cs)
+			} else {
+				w.walk(arg, goStmt, deferred, within)
+			}
+		}
+		return
 	case *ast.SelectorExpr:
 		if owner, ok := w.g.fieldOwner(w.info, st); ok {
 			w.fi.Accesses = append(w.fi.Accesses, FieldAccess{
@@ -422,7 +435,7 @@ func (w *funcWalk) walk(n ast.Node, goStmt ast.Node, deferred bool) {
 		}
 	}
 	for _, child := range childNodes(n) {
-		w.walk(child, goStmt, deferred)
+		w.walk(child, goStmt, deferred, within)
 	}
 }
 
@@ -443,7 +456,7 @@ func childNodes(n ast.Node) []ast.Node {
 	return out
 }
 
-func (w *funcWalk) recordCall(call *ast.CallExpr, goStmt ast.Node, deferred bool) {
+func (w *funcWalk) recordCall(call *ast.CallExpr, goStmt ast.Node, deferred bool, within *CallSite) *CallSite {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if chargeNames[sel.Sel.Name] {
 			w.fi.Charges = append(w.fi.Charges, call.Pos())
@@ -463,7 +476,7 @@ func (w *funcWalk) recordCall(call *ast.CallExpr, goStmt ast.Node, deferred bool
 			}
 		}
 	}
-	cs := &CallSite{Caller: w.fi.Key, Call: call, Go: goStmt != nil, Deferred: deferred}
+	cs := &CallSite{Caller: w.fi.Key, Call: call, Go: goStmt != nil, Deferred: deferred, Within: within}
 	if fn := callee(w.info, call); fn != nil {
 		sig := fn.Type().(*types.Signature)
 		if sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
@@ -478,6 +491,7 @@ func (w *funcWalk) recordCall(call *ast.CallExpr, goStmt ast.Node, deferred bool
 	}
 	w.fi.Calls = append(w.fi.Calls, cs)
 	w.g.sites[call] = cs
+	return cs
 }
 
 // rootIdent returns the identifier at the base of a selector/index

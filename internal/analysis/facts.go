@@ -112,8 +112,9 @@ func (g *Graph) Reachable(roots []FuncKey) map[FuncKey]bool {
 // Charged computes, over the subgraph reachable from roots, whether
 // every call path from a root into the function passes a charge site.
 // A function charging in its own body is charged; otherwise it needs
-// every reachable caller to be charged. Call edges from outside the
-// reachable set are ignored — those paths do not start at a verb.
+// every reachable call site of it to be charged: in a charged caller, or
+// chargedAround. Call edges from outside the reachable set are ignored —
+// those paths do not start at a verb.
 func (g *Graph) Charged(roots []FuncKey) (reachable, charged map[FuncKey]bool) {
 	reachable = g.Reachable(roots)
 	charged = make(map[FuncKey]bool, len(reachable))
@@ -136,7 +137,7 @@ func (g *Graph) Charged(roots []FuncKey) (reachable, charged map[FuncKey]bool) {
 						continue
 					}
 					considered++
-					if !charged[cs.Caller] {
+					if !charged[cs.Caller] && !g.chargedAround(cs) {
 						ok = false
 						break
 					}
@@ -150,6 +151,18 @@ func (g *Graph) Charged(roots []FuncKey) (reachable, charged map[FuncKey]bool) {
 		}
 	}
 	return reachable, charged
+}
+
+// chargedAround reports whether cs runs inside a function literal handed
+// to a callee whose own body charges: a helper that charges around the
+// closure it runs, as view.View.storeRead does around a store read.
+func (g *Graph) chargedAround(cs *CallSite) bool {
+	for w := cs.Within; w != nil; w = w.Within {
+		if fi := g.Funcs[w.Callee]; w.Resolved && fi != nil && len(fi.Charges) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // spanSlot addresses one parameter position of a function: slot 0 is

@@ -14,3 +14,13 @@ func execHist(v *view.View) error {
 	_, _, err := v.ColdColumn("AGE")
 	return err
 }
+
+// execRuns is a query verb reading through closures: RunColumn's is
+// charged by the helper it runs under, LoggedColumn's is not.
+func execRuns(v *view.View) error {
+	if _, err := v.RunColumn("GRADE"); err != nil {
+		return err
+	}
+	_, err := v.LoggedColumn("GRADE")
+	return err
+}

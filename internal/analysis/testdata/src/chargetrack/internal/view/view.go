@@ -1,6 +1,8 @@
 // Package view is the charge-tracking fixture's read path: one charged
-// read, one uncharged read on a verb path (the finding), and one
-// uncharged read no verb reaches.
+// read, one uncharged read on a verb path (the finding), one uncharged
+// read no verb reaches, and two reads inside closures — one handed to a
+// helper that charges around it, one to a helper that does not (the
+// second finding).
 package view
 
 import "statdb/internal/colstore"
@@ -38,4 +40,38 @@ func (v *View) ColdColumn(attr string) ([]float64, []bool, error) {
 func Audit(v *View) ([]float64, error) {
 	xs, _, err := v.file.NumericColumn("AGE")
 	return xs, err
+}
+
+// RunColumn reads inside a closure it hands to metered, which charges
+// around whatever it runs; no finding.
+func (v *View) RunColumn(attr string) ([]float64, error) {
+	var xs []float64
+	err := v.metered(func() (err error) {
+		xs, _, err = v.file.NumericColumn(attr)
+		return err
+	})
+	return xs, err
+}
+
+// LoggedColumn reads inside a closure it hands to logged, which charges
+// nothing — the finding lands on the read inside the closure.
+func (v *View) LoggedColumn(attr string) ([]float64, error) {
+	var xs []float64
+	err := v.logged(func() (err error) {
+		xs, _, err = v.file.NumericColumn(attr)
+		return err
+	})
+	return xs, err
+}
+
+// metered runs read and charges its pages.
+func (v *View) metered(read func() error) error {
+	err := read()
+	v.tracer.ChargePages(1)
+	return err
+}
+
+// logged runs read without charging it.
+func (v *View) logged(read func() error) error {
+	return read()
 }

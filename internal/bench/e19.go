@@ -48,7 +48,6 @@ func e19Cfg(d *core.DBMS, sessions int) load.Config {
 		Attrs:      []string{"AGE", "SALARY"},
 		RepeatBias: 0.5,
 		NewSession: load.InProcess(d, "analyst"),
-		Reg:        d.MetricsRegistry(),
 		Clock:      load.NewClock(),
 	}
 }

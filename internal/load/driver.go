@@ -72,8 +72,6 @@ type Config struct {
 	// is the session's quota, which the driver charges with every
 	// statement's measured ticks and the gate charges with queue waits.
 	NewSession func(id string, budget *obs.Budget) Exec
-	// Reg receives the load.* telemetry; nil leaves the run unobserved.
-	Reg *obs.Registry
 	// Clock is the wall shim: nil disables think times, sleeps, and wall
 	// latency measurement — the deterministic configuration.
 	Clock *Clock
@@ -193,13 +191,6 @@ func (cfg Config) Trace(i int) ([]string, error) {
 // Driver runs one configured load. Create with New, run with Run.
 type Driver struct {
 	cfg Config
-
-	cSessions   *obs.Counter
-	cStatements *obs.Counter
-	cErrors     *obs.Counter
-	cShed       *obs.Counter
-	gInflight   *obs.Gauge
-	hLatency    *obs.Histogram
 }
 
 // New validates cfg and builds a driver.
@@ -221,16 +212,7 @@ func New(cfg Config) (*Driver, error) {
 	default:
 		return nil, fmt.Errorf("load: arrival %q (want closed or open)", cfg.Arrival)
 	}
-	d := &Driver{cfg: cfg}
-	if cfg.Reg != nil {
-		d.cSessions = cfg.Reg.Counter(obs.MLoadSessions)
-		d.cStatements = cfg.Reg.Counter(obs.MLoadStatements)
-		d.cErrors = cfg.Reg.Counter(obs.MLoadErrors)
-		d.cShed = cfg.Reg.Counter(obs.MLoadShed)
-		d.gInflight = cfg.Reg.Gauge(obs.MLoadInflight)
-		d.hLatency = cfg.Reg.Histogram(obs.MLoadLatency, obs.WallUsBounds())
-	}
-	return d, nil
+	return &Driver{cfg: cfg}, nil
 }
 
 // sessionState is one session's working set inside Run.
@@ -263,12 +245,9 @@ func (d *Driver) Run() (*Report, error) {
 		if exec == nil {
 			return nil, fmt.Errorf("load: NewSession(%s) returned nil", id)
 		}
-		d.cSessions.Inc()
 		wg.Add(1)
 		go func(i int, st *sessionState) {
 			defer wg.Done()
-			d.gInflight.Add(1)
-			defer d.gInflight.Add(-1)
 			d.runSession(i, st, stmts, budget, exec)
 		}(i, st)
 	}
@@ -341,10 +320,8 @@ func (d *Driver) runSession(i int, st *sessionState, stmts []string, budget *obs
 		out, m, err := exec(stmt)
 		lat := cfg.Clock.NowUs() - t0
 		st.res.Statements++
-		d.cStatements.Inc()
 		if cfg.Clock != nil {
 			st.latencies = append(st.latencies, lat)
-			d.hLatency.Observe(lat)
 		}
 		name := m.Verb
 		if name == "" {
@@ -358,10 +335,8 @@ func (d *Driver) runSession(i int, st *sessionState, stmts []string, budget *obs
 		if err != nil {
 			if isShed(err) {
 				st.res.Shed++
-				d.cShed.Inc()
 			} else {
 				st.res.Errors++
-				d.cErrors.Inc()
 			}
 		}
 		digestStmt(h, stmt, out, err)

@@ -31,7 +31,7 @@ func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("query.statements").Add(7)
 	r.Gauge("exec.inflight").Set(2)
-	h := r.Histogram("summary.pass_ticks", []int64{10, 100})
+	h := r.Histogram("query.wait_ticks", []int64{10, 100})
 	h.Observe(5)
 	h.Observe(50)
 	h.Observe(5000)
@@ -44,12 +44,12 @@ func TestWritePrometheus(t *testing.T) {
 		"statdb_query_statements 7\n" +
 		"# TYPE statdb_exec_inflight gauge\n" +
 		"statdb_exec_inflight 2\n" +
-		"# TYPE statdb_summary_pass_ticks histogram\n" +
-		"statdb_summary_pass_ticks_bucket{le=\"10\"} 1\n" +
-		"statdb_summary_pass_ticks_bucket{le=\"100\"} 2\n" +
-		"statdb_summary_pass_ticks_bucket{le=\"+Inf\"} 3\n" +
-		"statdb_summary_pass_ticks_sum 5055\n" +
-		"statdb_summary_pass_ticks_count 3\n"
+		"# TYPE statdb_query_wait_ticks histogram\n" +
+		"statdb_query_wait_ticks_bucket{le=\"10\"} 1\n" +
+		"statdb_query_wait_ticks_bucket{le=\"100\"} 2\n" +
+		"statdb_query_wait_ticks_bucket{le=\"+Inf\"} 3\n" +
+		"statdb_query_wait_ticks_sum 5055\n" +
+		"statdb_query_wait_ticks_count 3\n"
 	if b.String() != want {
 		t.Errorf("prometheus text:\n%s\nwant:\n%s", b.String(), want)
 	}
@@ -127,7 +127,7 @@ func TestHandlerScrapeUnderLoad(t *testing.T) {
 	go func() { // query-shaped workload: spans + counters + samples
 		defer writers.Done()
 		c := r.Counter("query.statements")
-		h := r.Histogram("summary.pass_ticks", PassTicksBounds())
+		h := r.Histogram("query.wait_ticks", WaitTicksBounds())
 		for i := int64(0); ; i++ {
 			select {
 			case <-stop:

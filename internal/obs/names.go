@@ -12,8 +12,7 @@ const (
 	MExecWorkersSpawned = "exec.workers.spawned" // worker goroutines dispatched
 	MExecInflight       = "exec.inflight"        // gauge: workers currently running
 	// Run-aware compressed execution: the run-vs-row strategy decision
-	// and the work each path did, measured at the fold.
-	MExecRunsFolded      = "exec.runs_folded"       // RLE runs folded without expansion
+	// and the rows the row path decoded, measured at the fold.
 	MExecRowsDecoded     = "exec.rows_decoded"      // rows decoded through the row path
 	MExecRunStrategyHits = "exec.run_strategy_hits" // folds routed to the run kernels
 
@@ -24,10 +23,6 @@ const (
 	// Query layer (internal/query).
 	MQueryStatements = "query.statements" // statements parsed and executed
 	MQueryErrors     = "query.errors"     // statements that failed
-
-	// Continuous profiler (internal/obs profile + query executor).
-	MProfileQueries = "profile.queries"       // span trees folded into the profile ring
-	MProfileSlow    = "profile.slow_captures" // slow/breached queries with profile attached
 
 	// Per-verb SLO families (LabeledName with the query verb): the
 	// rolling p50/p90/p99 and burn rates on /healthz derive from the
@@ -50,13 +45,9 @@ const (
 	MGateWaitTicks = "query.wait_ticks"    // histogram: virtual ticks spent queued
 	MGateWaitWall  = "query.wait_wall_us"  // histogram: wall µs spent queued
 
-	// Load driver (internal/load): the multi-session replay harness.
-	MLoadSessions   = "load.sessions"   // simulated sessions started
-	MLoadStatements = "load.statements" // statements issued by the driver
-	MLoadErrors     = "load.errors"     // statements that failed (shed included)
-	MLoadShed       = "load.shed"       // statements rejected at admission
-	MLoadInflight   = "load.inflight"   // gauge: sessions currently live
-	MLoadLatency    = "load.latency_us" // histogram: end-to-end statement wall latency (µs)
+	// Remote load sessions: `statdb serve` counts each session id its
+	// POST /query endpoint sees first.
+	MLoadSessions = "load.sessions"
 
 	// Storage layer (internal/storage). Each buffer pool keeps these in
 	// its own registry; core.DBMS merges them.
@@ -76,21 +67,17 @@ const (
 	MStorageFlushFailed     = "storage.flush.failed"
 
 	// Summary Database (internal/summary).
-	MSummaryHits              = "summary.hits"
-	MSummaryMisses            = "summary.misses"
-	MSummaryStaleRefill       = "summary.stale_refill"
-	MSummaryIncremental       = "summary.incremental"
-	MSummarySlides            = "summary.slides"
-	MSummaryRebuilds          = "summary.rebuilds"
-	MSummaryRecomputes        = "summary.recomputes"
-	MSummaryPasses            = "summary.passes"
-	MSummaryRecomputeSerial   = "summary.recompute.serial"   // cost model chose the serial fold
-	MSummaryRecomputeParallel = "summary.recompute.parallel" // cost model chose the pool
-	MSummaryPassTicks         = "summary.pass_ticks"         // histogram: fold cost per recompute
+	MSummaryHits        = "summary.hits"
+	MSummaryMisses      = "summary.misses"
+	MSummaryStaleRefill = "summary.stale_refill"
+	MSummaryIncremental = "summary.incremental"
+	MSummarySlides      = "summary.slides"
+	MSummaryRebuilds    = "summary.rebuilds"
+	MSummaryRecomputes  = "summary.recomputes"
+	MSummaryPasses      = "summary.passes"
 
 	// View layer (internal/view).
 	MViewColumnScans = "view.column_scans"
-	MViewRowReads    = "view.row_reads"
 
 	// Sharded scatter-gather backend (internal/shard). Counters are
 	// engine-wide; per-shard attribution comes from the labeled
@@ -131,15 +118,10 @@ func LabeledName(family, label string) string {
 	return family + "." + string(b)
 }
 
-// PassTicksBounds are the fixed bucket bounds of the summary.pass_ticks
-// histogram (virtual ticks per whole-column recompute).
-func PassTicksBounds() []int64 { return []int64{1_000, 10_000, 100_000, 1_000_000} }
-
 // QueryTicksBounds are the fixed bucket bounds of the per-verb
-// query.ticks histograms (total virtual ticks per statement). A decade
-// wider than PassTicksBounds at the bottom: cache hits land in the
-// first bucket, whole-column recomputes in the middle, sharded scans at
-// the top.
+// query.ticks histograms (total virtual ticks per statement): cache hits
+// land in the first bucket, whole-column recomputes in the middle,
+// sharded scans at the top.
 func QueryTicksBounds() []int64 { return []int64{100, 1_000, 10_000, 100_000, 1_000_000} }
 
 // WaitTicksBounds are the fixed bucket bounds of the query.wait_ticks
@@ -149,8 +131,8 @@ func QueryTicksBounds() []int64 { return []int64{100, 1_000, 10_000, 100_000, 1_
 func WaitTicksBounds() []int64 { return []int64{0, 1_000, 10_000, 100_000, 1_000_000, 10_000_000} }
 
 // WallUsBounds are the fixed bucket bounds of the wall-microsecond
-// histograms (query.wall_us.<verb>, query.wait_wall_us,
-// load.latency_us): 100µs cache hits through multi-second stalls.
+// histograms (query.wall_us.<verb>, query.wait_wall_us): 100µs cache
+// hits through multi-second stalls.
 func WallUsBounds() []int64 {
 	return []int64{100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000}
 }
@@ -160,12 +142,11 @@ func WallUsBounds() []int64 {
 // does not depend on which subsystems happened to run.
 var baselineCounters = []string{
 	MExecChunks, MExecRunsParallel, MExecRunsSerial, MExecWorkersSpawned,
-	MExecRunsFolded, MExecRowsDecoded, MExecRunStrategyHits,
+	MExecRowsDecoded, MExecRunStrategyHits,
 	MMedwinSlides, MMedwinRebuilds,
 	MQueryStatements, MQueryErrors,
 	MGateAdmitted, MGateShed,
-	MLoadSessions, MLoadStatements, MLoadErrors, MLoadShed,
-	MProfileQueries, MProfileSlow,
+	MLoadSessions,
 	MStoragePoolHits, MStoragePoolMisses, MStoragePoolEvictions,
 	MStoragePoolEvictDirty, MStoragePoolEvictFailed,
 	MStoragePageReads, MStoragePageWrites, MStorageChecksumFailed,
@@ -173,8 +154,7 @@ var baselineCounters = []string{
 	MStorageRetryBackoff, MStorageFlushPages, MStorageFlushFailed,
 	MSummaryHits, MSummaryMisses, MSummaryStaleRefill, MSummaryIncremental,
 	MSummarySlides, MSummaryRebuilds, MSummaryRecomputes, MSummaryPasses,
-	MSummaryRecomputeSerial, MSummaryRecomputeParallel,
-	MViewColumnScans, MViewRowReads,
+	MViewColumnScans,
 	MShardScatters, MShardDegraded, MShardStalePartials, MShardRowsMissing,
 	MShardFailures, MShardRetries, MShardTimeouts,
 }
@@ -193,9 +173,6 @@ func RegisterBaseline(r *Registry) {
 	r.Gauge(MShardDown)
 	r.Gauge(MGateQueue)
 	r.Gauge(MGateInflight)
-	r.Gauge(MLoadInflight)
-	r.Histogram(MSummaryPassTicks, PassTicksBounds())
 	r.Histogram(MGateWaitTicks, WaitTicksBounds())
 	r.Histogram(MGateWaitWall, WallUsBounds())
-	r.Histogram(MLoadLatency, WallUsBounds())
 }

@@ -332,7 +332,7 @@ func (s *Snapshot) Merge(o Snapshot) {
 //
 //	counter summary.hits 12
 //	gauge exec.inflight 0
-//	histogram summary.pass_ticks count=3 sum=1234 le1000=2 le10000=1 inf=0 p50=750 p90=8200 p99=9820
+//	histogram query.ticks.compute count=2 sum=5396 le100=1 le1000=0 le10000=1 le100000=0 le1000000=0 inf=0 p50=100 p90=8200 p99=9820
 //
 // Non-empty histograms carry interpolated p50/p90/p99 estimates (see
 // HistValue.Quantile).

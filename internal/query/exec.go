@@ -20,12 +20,10 @@ type Executor struct {
 	Analyst *core.Analyst
 	Out     io.Writer
 	// Cached observability handles (query.* counters, system tracer,
-	// continuous-profile ring and its counters; reg registers the
-	// per-verb SLO families lazily as verbs run).
+	// continuous-profile ring; reg registers the per-verb SLO families
+	// lazily as verbs run).
 	cStatements *obs.Counter
 	cErrors     *obs.Counter
-	cProfiled   *obs.Counter
-	cSlow       *obs.Counter
 	reg         *obs.Registry
 	profiles    *obs.ProfileRing
 	tracer      *obs.Tracer
@@ -56,8 +54,6 @@ func NewExecutor(d *core.DBMS, analyst string, out io.Writer) *Executor {
 		Out:         out,
 		cStatements: reg.Counter(obs.MQueryStatements),
 		cErrors:     reg.Counter(obs.MQueryErrors),
-		cProfiled:   reg.Counter(obs.MProfileQueries),
-		cSlow:       reg.Counter(obs.MProfileSlow),
 		reg:         reg,
 		profiles:    d.Profiles(),
 		tracer:      d.Tracer(),
@@ -223,7 +219,6 @@ func (e *Executor) observeVerb(cmd Command, root *obs.Span, err error) *obs.Prof
 	prof := obs.FoldSpan(root)
 	verb := verbOf(cmd)
 	e.profiles.Add(verb, prof)
-	e.cProfiled.Inc()
 	e.reg.Histogram(obs.LabeledName(obs.MQueryTicks, verb), obs.QueryTicksBounds()).Observe(prof.Ticks)
 	if err != nil {
 		e.reg.Counter(obs.LabeledName(obs.MQueryVerbErrors, verb)).Inc()
@@ -331,7 +326,6 @@ func (e *Executor) logQuery(text string, root *obs.Span, prof *obs.Profile, page
 		_ = obs.WriteTree(&xb, root) //lint:allow error-flow writes to a bytes.Buffer cannot fail
 		rec.Profile = pb.String()
 		rec.Explain = xb.String()
-		e.cSlow.Inc()
 	}
 	e.events.Log(obs.Event{Tick: e.clock, Kind: "query", Query: rec})
 }

@@ -168,7 +168,9 @@ func TestExplainChargesSumToTotal(t *testing.T) {
 
 // TestStatsReflectsStaleRefill closes the loop with the update path: an
 // update invalidates the cached mean, the next compute is a stale
-// refill, and the counters say so.
+// refill, and the counters say so. Then a statement that does not parse
+// and one that parses and fails each count one query.errors; only the
+// second counts as a statement.
 func TestStatsReflectsStaleRefill(t *testing.T) {
 	d, e, _ := obsFixture(t)
 	for _, stmt := range []string{
@@ -187,5 +189,25 @@ func TestStatsReflectsStaleRefill(t *testing.T) {
 	}
 	if got := s.Counters[obs.MQueryStatements]; got != 5 {
 		t.Errorf("query.statements = %d, want 5", got)
+	}
+	for _, tc := range []struct {
+		stmt       string
+		statements int64
+	}{
+		{"frobnicate mv", 0},
+		{"compute mean NOPE on mv", 1},
+	} {
+		before := d.Metrics()
+		if err := e.Run(tc.stmt); err == nil {
+			t.Fatalf("%q succeeded", tc.stmt)
+		}
+		after := d.Metrics()
+		delta := func(name string) int64 { return after.Counters[name] - before.Counters[name] }
+		if got := delta(obs.MQueryErrors); got != 1 {
+			t.Errorf("%q moved query.errors by %d, want 1", tc.stmt, got)
+		}
+		if got := delta(obs.MQueryStatements); got != tc.statements {
+			t.Errorf("%q moved query.statements by %d, want %d", tc.stmt, got, tc.statements)
+		}
 	}
 }

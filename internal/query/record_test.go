@@ -63,10 +63,12 @@ func referenceRecord(text, session string, seq int64, root *obs.Span, pages int6
 	case rec.CacheHits > 0:
 		rec.Strategy = "cached"
 	}
+	// A fold below the parallel threshold runs inline and schedules no
+	// pool run: its registry trace is the rows a fill decoded.
 	switch {
-	case delta(obs.MSummaryRecomputeParallel) > 0 || delta(obs.MExecRunsParallel) > 0:
+	case delta(obs.MExecRunsParallel) > 0:
 		rec.Engine = "parallel"
-	case delta(obs.MSummaryRecomputeSerial) > 0 || delta(obs.MExecRunsSerial) > 0:
+	case delta(obs.MExecRunsSerial) > 0 || rec.CacheMiss > 0 && delta(obs.MExecRowsDecoded) > 0:
 		rec.Engine = "serial"
 	}
 	var be *obs.BudgetError

@@ -151,11 +151,15 @@ func TestDegradedFallsBackToStalePartials(t *testing.T) {
 	if st.Health(1) == Healthy {
 		t.Fatal("shard 1 still healthy after failing")
 	}
-	if v := reg.Counter(obs.MShardDegraded).Value(); v == 0 {
-		t.Fatal("shard.degraded counter did not move")
+	if v := reg.Counter(obs.MShardDegraded).Value(); v != 1 {
+		t.Fatalf("shard.degraded = %d, want 1 (one degraded answer)", v)
 	}
-	if v := reg.Counter(obs.MShardStalePartials).Value(); v == 0 {
-		t.Fatal("shard.stale_partials counter did not move")
+	if v := reg.Counter(obs.MShardStalePartials).Value(); v != 1 {
+		t.Fatalf("shard.stale_partials = %d, want 1 (shard 1's partial)", v)
+	}
+	// Every read of shard 1 fails, so its op was retried once.
+	if v := reg.Counter(obs.MShardRetries).Value(); v != int64(rep.Retries) || v != 1 {
+		t.Fatalf("shard.retries = %d, report says %d, want 1", v, rep.Retries)
 	}
 }
 
@@ -209,8 +213,9 @@ func TestDecodeFreqRejectsBadVectors(t *testing.T) {
 func TestDegradedWithoutCheckpointReportsRowsMissing(t *testing.T) {
 	const rows = 48000
 	ds := testDataset(t, rows)
+	reg := obs.NewRegistry()
 	st, fd := faultedStore(t, ds, storage.FaultConfig{Seed: 7, ReadTransientRate: 1},
-		Config{PoolPages: 4})
+		Config{PoolPages: 4, Registry: reg})
 	fd.SetDisabled(false)
 
 	got, rep, err := st.Moments("x")
@@ -224,6 +229,9 @@ func TestDegradedWithoutCheckpointReportsRowsMissing(t *testing.T) {
 	if got.N+got.Missing != int64(rows-wantMissing) {
 		t.Fatalf("partial answer covers %d rows, want %d", got.N+got.Missing, rows-wantMissing)
 	}
+	if v := reg.Counter(obs.MShardRowsMissing).Value(); v != int64(rep.RowsMissing) {
+		t.Fatalf("shard.rows_missing = %d, report says %d", v, rep.RowsMissing)
+	}
 
 	mat, mrep, err := st.Materialize()
 	if err != nil {
@@ -232,14 +240,20 @@ func TestDegradedWithoutCheckpointReportsRowsMissing(t *testing.T) {
 	if mat.Rows() != rows-wantMissing || mrep.RowsMissing != wantMissing {
 		t.Fatalf("materialized %d rows (report %s), want %d", mat.Rows(), mrep, rows-wantMissing)
 	}
+	if v := reg.Counter(obs.MShardRowsMissing).Value(); v != int64(rep.RowsMissing+mrep.RowsMissing) {
+		t.Fatalf("shard.rows_missing = %d after both reads, reports say %d", v, rep.RowsMissing+mrep.RowsMissing)
+	}
 }
 
 func TestDownShardFastFails(t *testing.T) {
 	const rows = 32000
 	ds := testDataset(t, rows)
+	reg := obs.NewRegistry()
 	st, fd := faultedStore(t, ds, storage.FaultConfig{Seed: 3, ReadTransientRate: 1},
-		Config{PoolPages: 4, DownThreshold: 2})
+		Config{PoolPages: 4, DownThreshold: 2, Registry: reg})
 	fd.SetDisabled(false)
+	failures := reg.Counter(obs.MShardFailures)
+	down := reg.Gauge(obs.MShardDown)
 
 	for i := 0; i < 2; i++ {
 		if _, _, err := st.Moments("x"); err != nil {
@@ -249,12 +263,18 @@ func TestDownShardFastFails(t *testing.T) {
 	if h := st.Health(1); h != Down {
 		t.Fatalf("health after 2 failures = %v, want down", h)
 	}
+	if f, d := failures.Value(), down.Value(); f != 2 || d != 1 {
+		t.Fatalf("shard.failures = %d, shard.down = %d after 2 failed ops; want 2 and 1", f, d)
+	}
 	before := st.Info()[1].DevTicks
 	if _, rep, err := st.Moments("x"); err != nil || len(rep.Missing) != 1 {
 		t.Fatalf("down read: %v (%s)", err, rep)
 	}
 	if after := st.Info()[1].DevTicks; after != before {
 		t.Fatalf("down shard did %d ticks of I/O; fast-fail must skip the device", after-before)
+	}
+	if f := failures.Value(); f != 2 {
+		t.Fatalf("shard.failures = %d after a fast-fail, want 2: a skipped shard is not a failed op", f)
 	}
 
 	fd.SetDisabled(true)
@@ -265,12 +285,16 @@ func TestDownShardFastFails(t *testing.T) {
 	if h := st.Health(1); h != Healthy {
 		t.Fatalf("health after revive = %v", h)
 	}
+	if f, d := failures.Value(), down.Value(); f != 2 || d != 0 {
+		t.Fatalf("shard.failures = %d, shard.down = %d after revive; want 2 and 0", f, d)
+	}
 }
 
 func TestOpTickBudgetTimesOut(t *testing.T) {
 	const rows = 32000
 	ds := testDataset(t, rows)
-	st, err := New("t", ds, Config{Shards: 4, PoolPages: 2, OpTickBudget: 1})
+	reg := obs.NewRegistry()
+	st, err := New("t", ds, Config{Shards: 4, PoolPages: 2, OpTickBudget: 1, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,6 +304,10 @@ func TestOpTickBudgetTimesOut(t *testing.T) {
 	}
 	if rep.Timeouts != 4 || len(rep.Answered) != 0 {
 		t.Fatalf("report = %s, want 4 timeouts", rep)
+	}
+	// One count per timed-out shard, as the report's.
+	if v := reg.Counter(obs.MShardTimeouts).Value(); v != 4 {
+		t.Fatalf("shard.timeouts = %d, want 4", v)
 	}
 
 	// With checkpointed partials the same total outage degrades instead.

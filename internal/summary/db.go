@@ -188,36 +188,30 @@ func (db *DB) SetPolicy(p Policy) {
 }
 
 // dbMetrics caches the registry handles: the Counters families plus the
-// engine routing and pass-cost instruments.
+// window and run-strategy counts.
 type dbMetrics struct {
-	hits, misses, staleRefill          *obs.Counter
-	incremental, slides, rebuilds      *obs.Counter
-	recomputes, passes                 *obs.Counter
-	recomputeSerial, recomputeParallel *obs.Counter
-	passTicks                          *obs.Histogram
-	medSlides, medRebuilds             *obs.Counter
+	hits, misses, staleRefill     *obs.Counter
+	incremental, slides, rebuilds *obs.Counter
+	recomputes, passes            *obs.Counter
+	medSlides, medRebuilds        *obs.Counter
 	// Run-aware strategy accounting (exec.* family; see runs.go).
-	runsFolded, rowsDecoded, runStrategyHits *obs.Counter
+	rowsDecoded, runStrategyHits *obs.Counter
 }
 
 func newDBMetrics(reg *obs.Registry) dbMetrics {
 	return dbMetrics{
-		hits:              reg.Counter(obs.MSummaryHits),
-		misses:            reg.Counter(obs.MSummaryMisses),
-		staleRefill:       reg.Counter(obs.MSummaryStaleRefill),
-		incremental:       reg.Counter(obs.MSummaryIncremental),
-		slides:            reg.Counter(obs.MSummarySlides),
-		rebuilds:          reg.Counter(obs.MSummaryRebuilds),
-		recomputes:        reg.Counter(obs.MSummaryRecomputes),
-		passes:            reg.Counter(obs.MSummaryPasses),
-		recomputeSerial:   reg.Counter(obs.MSummaryRecomputeSerial),
-		recomputeParallel: reg.Counter(obs.MSummaryRecomputeParallel),
-		passTicks:         reg.Histogram(obs.MSummaryPassTicks, obs.PassTicksBounds()),
-		medSlides:         reg.Counter(obs.MMedwinSlides),
-		medRebuilds:       reg.Counter(obs.MMedwinRebuilds),
-		runsFolded:        reg.Counter(obs.MExecRunsFolded),
-		rowsDecoded:       reg.Counter(obs.MExecRowsDecoded),
-		runStrategyHits:   reg.Counter(obs.MExecRunStrategyHits),
+		hits:            reg.Counter(obs.MSummaryHits),
+		misses:          reg.Counter(obs.MSummaryMisses),
+		staleRefill:     reg.Counter(obs.MSummaryStaleRefill),
+		incremental:     reg.Counter(obs.MSummaryIncremental),
+		slides:          reg.Counter(obs.MSummarySlides),
+		rebuilds:        reg.Counter(obs.MSummaryRebuilds),
+		recomputes:      reg.Counter(obs.MSummaryRecomputes),
+		passes:          reg.Counter(obs.MSummaryPasses),
+		medSlides:       reg.Counter(obs.MMedwinSlides),
+		medRebuilds:     reg.Counter(obs.MMedwinRebuilds),
+		rowsDecoded:     reg.Counter(obs.MExecRowsDecoded),
+		runStrategyHits: reg.Counter(obs.MExecRunStrategyHits),
 	}
 }
 

@@ -28,8 +28,7 @@ func (db *DB) SetExec(p *exec.Pool) {
 // same chunks inline. The fold is profiled as one span charged with the
 // engine cost model's ticks for the chosen route (never wall time)
 // however many states it folds, so EXPLAIN output is deterministic and
-// the serial-vs-parallel decision is visible in both the span attrs and
-// the summary.recompute.{serial,parallel} counters.
+// the serial-vs-parallel decision is the span's engine attribute.
 func (db *DB) foldRows(a *aggregate, xs []float64, valid []bool, moments, freq bool) State {
 	cost := exec.DefaultCost()
 	p := db.pool
@@ -39,17 +38,14 @@ func (db *DB) foldRows(a *aggregate, xs []float64, valid []bool, moments, freq b
 		p = nil
 		ticks = cost.SerialTicks(len(xs))
 		sp = db.tracer.Begin("fold", obs.A("fn", a.name), obs.A("engine", "serial"))
-		db.met.recomputeSerial.Inc()
 	} else {
 		chunks := len(exec.Chunks(len(xs), exec.DefaultChunk))
 		ticks = cost.ParallelTicks(len(xs), exec.DefaultChunk, p.Workers())
 		sp = db.tracer.Begin("fold", obs.A("fn", a.name), obs.A("engine", "parallel"),
 			obs.AI("chunks", int64(chunks)), obs.AI("workers", int64(p.Fanout(chunks))))
-		db.met.recomputeParallel.Inc()
 	}
 	sp.Charge(ticks)
 	defer sp.End()
-	db.met.passTicks.Observe(ticks)
 	var st State
 	st.Moments, st.Freq = exec.ColumnFold(p, xs, valid, exec.DefaultChunk, moments, freq)
 	return st

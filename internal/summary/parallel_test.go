@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"statdb/internal/exec"
+	"statdb/internal/obs"
 	"statdb/internal/stats"
 )
 
@@ -39,7 +40,8 @@ func TestParallelScalarMatchesSerial(t *testing.T) {
 func TestParallelThresholdKeepsShortColumnsSerial(t *testing.T) {
 	c := newColumn(ParallelThreshold/4, 5)
 	db, _ := newDB()
-	db.SetExec(exec.New(8))
+	reg := obs.NewRegistry()
+	db.SetExec(exec.New(8).WithMetrics(reg))
 	for _, fn := range builtinFns {
 		got, err := db.Scalar(fn, "X", c.source())
 		if err != nil {
@@ -53,7 +55,7 @@ func TestParallelThresholdKeepsShortColumnsSerial(t *testing.T) {
 			t.Errorf("%s: %v != serial %v on a short column", fn, got, want)
 		}
 	}
-	if n := db.met.recomputeParallel.Value(); n != 0 {
+	if n := reg.Counter(obs.MExecRunsParallel).Value() + reg.Counter(obs.MExecRunsSerial).Value(); n != 0 {
 		t.Errorf("%d folds of a short column went to the pool", n)
 	}
 }

@@ -49,8 +49,6 @@ func (db *DB) foldRuns(a *aggregate, rc exec.RunColumn, moments, freq bool) (Sta
 	sp.Charge(ticks)
 	defer sp.End()
 	db.met.runStrategyHits.Inc()
-	db.met.runsFolded.Add(int64(nruns))
-	db.met.passTicks.Observe(ticks)
 	var st State
 	var err error
 	if moments {

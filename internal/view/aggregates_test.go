@@ -226,15 +226,15 @@ func TestAggregateForms(t *testing.T) {
 
 			for _, w := range []int{1, 2, 4} {
 				pool := summary.NewDB(rules.NewManagementDB())
-				reg := pool.Metrics()
-				pool.SetExec(exec.New(w))
+				reg := obs.NewRegistry()
+				pool.SetExec(exec.New(w).WithMetrics(reg))
 				form := fmt.Sprintf("%d-worker pool", w)
 				forms[form] = all(func(fn string) (float64, error) { return pool.Scalar(fn, "X", s.source()) })
 				fanned := int64(0)
 				if w > 1 && len(s.xs) >= summary.ParallelThreshold {
 					fanned = 1
 				}
-				if got := reg.Counter(obs.MSummaryRecomputeParallel).Value(); got != fanned {
+				if got := reg.Counter(obs.MExecRunsParallel).Value(); got != fanned {
 					t.Errorf("%s/%s: %d of the pool's folds fanned out, want %d", s.name, form, got, fanned)
 				}
 			}

@@ -325,3 +325,26 @@ func TestRowAtChargesItsRead(t *testing.T) {
 		t.Errorf("a row read past the page ceiling returned %v, want the budget's *obs.BudgetError", err)
 	}
 }
+
+// TestRowAtAllocatesOnlyItsRead: a store-backed RowAt that succeeds
+// allocates what the store's row read allocates and nothing more; its
+// error label is built only for a read that fails.
+func TestRowAtAllocatesOnlyItsRead(t *testing.T) {
+	v := newRunsView(t, 4000)
+	attach(t, v, BackingRow)
+	i := 0
+	next := func() int { i = (i + 7) % 3000; return 1000 + i }
+	read := testing.AllocsPerRun(100, func() {
+		if _, err := v.store.readRow(next()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	rowAt := testing.AllocsPerRun(100, func() {
+		if _, err := v.RowAt(next()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if rowAt != read {
+		t.Errorf("RowAt allocates %v per read, the store's read %v", rowAt, read)
+	}
+}

@@ -83,9 +83,6 @@ func TestComputeRunStrategyMatchesRowPath(t *testing.T) {
 	if hits := regRun.Counter(obs.MExecRunStrategyHits).Value(); hits == 0 {
 		t.Error("enabled view never took the run strategy")
 	}
-	if folded := regRun.Counter(obs.MExecRunsFolded).Value(); folded == 0 {
-		t.Error("enabled view folded no runs")
-	}
 	if hits := regRow.Counter(obs.MExecRunStrategyHits).Value(); hits != 0 {
 		t.Errorf("disabled view took the run strategy %d times", hits)
 	}

@@ -41,11 +41,10 @@ type View struct {
 	columnScans map[string]int64 // guarded by scanMu
 	rowReads    int64            // guarded by scanMu
 	// System-wide observability (nil handles no-op): tracer receives
-	// view.compute spans and scan charges; the counters mirror the
-	// access-pattern tallies into the shared registry.
+	// view.compute spans and scan charges; cColScans mirrors the column
+	// scan tally into the shared registry.
 	tracer    *obs.Tracer
 	cColScans *obs.Counter
-	cRowReads *obs.Counter
 	// store, when attached, services column/row reads through a
 	// cost-accounted storage structure (Sections 2.6-2.7). A transposed
 	// store receives updates write-through; a row file is written once
@@ -112,7 +111,6 @@ func New(data *dataset.Dataset, mdb *rules.ManagementDB, def rules.ViewDef, opts
 	}
 	v.tracer = opts.Tracer
 	v.cColScans = opts.Metrics.Counter(obs.MViewColumnScans)
-	v.cRowReads = opts.Metrics.Counter(obs.MViewRowReads)
 	v.sdb.SetTracer(opts.Tracer)
 	if opts.Parallelism > 1 {
 		v.sdb.SetExec(exec.New(opts.Parallelism).WithMetrics(opts.Metrics))
@@ -350,10 +348,10 @@ func (v *View) column(attr string) ([]float64, []bool, error) {
 		v.tracer.Charge(exec.DefaultCost().SerialTicks(len(xs)))
 		err = v.readErr(attr, err)
 	} else {
-		err = v.storeRead(attr, func() (err error) {
+		err = v.readErr(attr, v.storeRead(func() (err error) {
 			xs, valid, err = v.store.readColumn(v.data, attr)
 			return err
-		})
+		}))
 	}
 	if err != nil {
 		return nil, nil, err
@@ -366,10 +364,10 @@ func (v *View) column(attr string) ([]float64, []bool, error) {
 func (v *View) runColumn(attr string) (exec.RunColumn, error) {
 	v.countScan(attr)
 	var rc exec.RunColumn
-	err := v.storeRead(attr, func() (err error) {
-		rc.Vals, rc.Nulls, rc.Counts, err = v.store.col.NumericRunColumn(attr) //lint:allow charge-tracking storeRead charges the device's deltas around this read
+	err := v.readErr(attr, v.storeRead(func() (err error) {
+		rc.Vals, rc.Nulls, rc.Counts, err = v.store.col.NumericRunColumn(attr)
 		return err
-	})
+	}))
 	if err != nil {
 		return exec.RunColumn{}, err
 	}
@@ -379,14 +377,15 @@ func (v *View) runColumn(attr string) (exec.RunColumn, error) {
 
 // storeRead runs read against the attached store and charges it to the
 // innermost open span: the device's tick delta, and its page reads
-// metered against the query budget. It returns readErr of what it read.
-func (v *View) storeRead(what string, read func() error) error {
+// metered against the query budget. It returns read's own error, which
+// the caller labels with readErr.
+func (v *View) storeRead(read func() error) error {
 	before := v.store.dev.Stats()
 	err := read()
 	after := v.store.dev.Stats()
 	v.tracer.Charge(after.Ticks - before.Ticks)
 	v.tracer.ChargePages(after.Reads - before.Reads)
-	return v.readErr(what, err)
+	return err
 }
 
 // readErr is a read's outcome as its error: the read's own, naming the
@@ -408,27 +407,28 @@ func (v *View) countScan(attr string) {
 // RowAt reads one full record, counting the informational access:
 // through the attached store, charged as column charges a store read, or
 // from the record when none is attached. A store read that fails returns
-// its error, and one that ran the query over budget the budget's; the
-// record does not stand in for the store.
+// its error, and one that ran the query over budget returns the row it
+// read with the budget's error; the record does not stand in for the
+// store.
 func (v *View) RowAt(i int) (dataset.Row, error) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	v.scanMu.Lock()
 	v.rowReads++
 	v.scanMu.Unlock()
-	v.cRowReads.Inc()
 	if v.store == nil {
 		return v.data.RowAt(i), nil
 	}
 	var row dataset.Row
-	err := v.storeRead("row "+strconv.Itoa(i), func() (err error) {
+	err := v.storeRead(func() (err error) {
 		row, err = v.store.readRow(i)
 		return err
 	})
 	if err != nil {
-		return nil, err
+		// The label is built only for a failed read.
+		return nil, v.readErr("row "+strconv.Itoa(i), err)
 	}
-	return row, nil
+	return row, v.tracer.BudgetErr()
 }
 
 // UpdateWhere sets attr to value on every row satisfying pred. It records
