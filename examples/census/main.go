@@ -54,16 +54,9 @@ func main() {
 		math.Abs(ssum.Mean-mean)/mean*100, math.Abs(ssum.Median-med)/med*100)
 
 	// 3. A histogram, cached as a custom summary result.
-	hres, err := v.Cached("histogram20", []string{"SALARY"}, func() (summary.Result, error) {
-		xs, valid, err := v.Column("SALARY")
-		if err != nil {
-			return summary.Result{}, err
-		}
-		h, err := stats.NewHistogram(xs, valid, 20)
-		if err != nil {
-			return summary.Result{}, err
-		}
-		return summary.HistogramOf(h), nil
+	hres, err := v.Result("histogram20", []string{"SALARY"}, func(xs [][]float64, valid [][]bool) (summary.Result, error) {
+		h, err := stats.NewHistogram(xs[0], valid[0], 20)
+		return summary.HistogramOf(h), err
 	})
 	if err != nil {
 		log.Fatal(err)

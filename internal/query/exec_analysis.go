@@ -98,16 +98,9 @@ func (e *Executor) execHistogram(c HistogramCmd) error {
 		return err
 	}
 	fn := fmt.Sprintf("histogram%d", c.Bins)
-	res, err := v.Cached(fn, []string{c.Attr}, func() (summary.Result, error) {
-		xs, valid, err := v.Column(c.Attr)
-		if err != nil {
-			return summary.Result{}, err
-		}
-		h, err := stats.NewHistogram(xs, valid, c.Bins)
-		if err != nil {
-			return summary.Result{}, err
-		}
-		return summary.HistogramOf(h), nil
+	res, err := v.Result(fn, []string{c.Attr}, func(xs [][]float64, valid [][]bool) (summary.Result, error) {
+		h, err := stats.NewHistogram(xs[0], valid[0], c.Bins)
+		return summary.HistogramOf(h), err
 	})
 	if err != nil {
 		return err
@@ -179,25 +172,13 @@ func (e *Executor) execCorrelate(c CorrelateCmd) error {
 	if c.Rank {
 		fn = "spearman"
 	}
-	res, err := v.Cached(fn, []string{c.X, c.Y}, func() (summary.Result, error) {
-		xs, xv, err := v.Column(c.X)
-		if err != nil {
-			return summary.Result{}, err
-		}
-		ys, yv, err := v.Column(c.Y)
-		if err != nil {
-			return summary.Result{}, err
-		}
-		var r float64
+	res, err := v.Result(fn, []string{c.X, c.Y}, func(xs [][]float64, valid [][]bool) (summary.Result, error) {
+		corr := stats.Correlation
 		if c.Rank {
-			r, err = stats.SpearmanCorrelation(xs, ys, xv, yv)
-		} else {
-			r, err = stats.Correlation(xs, ys, xv, yv)
+			corr = stats.SpearmanCorrelation
 		}
-		if err != nil {
-			return summary.Result{}, err
-		}
-		return summary.ScalarOf(r), nil
+		r, err := corr(xs[0], xs[1], valid[0], valid[1])
+		return summary.ScalarOf(r), err
 	})
 	if err != nil {
 		return err
@@ -211,28 +192,25 @@ func (e *Executor) execRegress(c RegressCmd) error {
 	if err != nil {
 		return err
 	}
-	ys, yv, err := v.Column(c.Y)
-	if err != nil {
-		return err
-	}
-	preds := make([][]float64, len(c.Xs))
-	pvalid := make([][]bool, len(c.Xs))
-	for i, x := range c.Xs {
-		preds[i], pvalid[i], err = v.Column(x)
+	// Keyed (Y, X1…Xk), held as [coef0 … coefk, R2, n].
+	res, err := v.Result("regress", append([]string{c.Y}, c.Xs...), func(xs [][]float64, valid [][]bool) (summary.Result, error) {
+		reg, err := stats.FitMultiple(xs[0], valid[0], xs[1:], valid[1:])
 		if err != nil {
-			return err
+			return summary.Result{}, err
 		}
-	}
-	reg, err := stats.FitMultiple(ys, yv, preds, pvalid)
+		return summary.VectorOf(append(reg.Coef, reg.R2, float64(reg.N))), nil
+	})
 	if err != nil {
 		return err
 	}
+	k := len(c.Xs)
+	coef, r2, n := res.Vector[:k+1], res.Vector[k+1], int(res.Vector[k+2])
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s = %.4g", c.Y, reg.Coef[0])
+	fmt.Fprintf(&b, "%s = %.4g", c.Y, coef[0])
 	for i, x := range c.Xs {
-		fmt.Fprintf(&b, " + %.4g*%s", reg.Coef[i+1], x)
+		fmt.Fprintf(&b, " + %.4g*%s", coef[i+1], x)
 	}
-	fmt.Fprintf(e.Out, "%s   (R2=%.4f, n=%d)\n", b.String(), reg.R2, reg.N)
+	fmt.Fprintf(e.Out, "%s   (R2=%.4f, n=%d)\n", b.String(), r2, n)
 	return nil
 }
 

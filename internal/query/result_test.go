@@ -1,0 +1,142 @@
+package query
+
+import (
+	"bytes"
+	"fmt"
+	"sync"
+	"testing"
+
+	"statdb/internal/obs"
+	"statdb/internal/stats"
+)
+
+// TestResultsFollowEveryAttribute: a cached correlation or regression
+// answers, after an update of an attribute other than its first, what a
+// view that never cached it answers after the same update.
+func TestResultsFollowEveryAttribute(t *testing.T) {
+	for _, tc := range []struct{ stmt, update string }{
+		{"correlate AGE SALARY on work", "update work set SALARY = 1000000 where AGE > 50"},
+		{"correlate AGE SALARY on work rank", "update work set SALARY = 1000000 where AGE > 50"},
+		{"correlate SALARY AGE on work", "update work set AGE = 1 where SALARY > 40000"},
+		{"regress SALARY on AGE over work", "update work set AGE = 1 where SALARY > 40000"},
+		{"regress SALARY on AGE,RACE over work", "update work set RACE = 9 where AGE > 40"},
+	} {
+		cached, out := analysisDBMS(t)
+		if err := cached.Run(tc.stmt); err != nil {
+			t.Fatal(err)
+		}
+		before := out.String()
+		if err := cached.Run(tc.update); err != nil {
+			t.Fatal(err)
+		}
+		out.Reset()
+		if err := cached.Run(tc.stmt); err != nil {
+			t.Fatal(err)
+		}
+		fresh, want := analysisDBMS(t)
+		if err := fresh.Run(tc.update); err != nil {
+			t.Fatal(err)
+		}
+		want.Reset()
+		if err := fresh.Run(tc.stmt); err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != want.String() {
+			t.Errorf("%s after %s: %q, a fresh view answers %q (before the update %q)", tc.stmt, tc.update, out, want, before)
+		}
+		if out.String() == before {
+			t.Errorf("%s: the update left the answer %q unchanged", tc.stmt, before)
+		}
+	}
+}
+
+// TestResultStaleRefillCounts: the refill of a result an update left
+// stale is counted as a stale refill, not as a miss.
+func TestResultStaleRefillCounts(t *testing.T) {
+	e, _ := analysisDBMS(t)
+	for _, stmt := range []string{"histogram SALARY on work bins 5", "update work set SALARY = 1 where AGE > 60"} {
+		if err := e.Run(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := e.DBMS.Metrics()
+	if err := e.Run("histogram SALARY on work bins 5"); err != nil {
+		t.Fatal(err)
+	}
+	after := e.DBMS.Metrics()
+	for name, want := range map[string]int64{obs.MSummaryStaleRefill: 1, obs.MSummaryMisses: 0, obs.MSummaryHits: 0} {
+		if got := after.Counters[name] - before.Counters[name]; got != want {
+			t.Errorf("%s moved by %d, want %d", name, got, want)
+		}
+	}
+}
+
+// TestCorrelateRacesUpdates runs correlate in one session while another
+// updates its second attribute; once both are done, the cached answer
+// equals a recompute from the columns. Run it under -race.
+func TestCorrelateRacesUpdates(t *testing.T) {
+	reader, _ := analysisDBMS(t)
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 40; i++ {
+			if err := reader.Run("correlate AGE SALARY on work"); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		writer := NewExecutor(reader.DBMS, "analyst", &bytes.Buffer{})
+		for i := 0; i < 40; i++ {
+			if err := writer.Run(fmt.Sprintf("update work set SALARY = %d where AGE > %d", 1000*i, 20+i)); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := reader.Run("correlate AGE SALARY on work"); err != nil {
+		t.Fatal(err)
+	}
+	v, err := reader.Analyst.View("work")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := v.Summary().Lookup("correlation", "AGE", "SALARY")
+	xs, xv, _ := v.Column("AGE")
+	ys, yv, _ := v.Column("SALARY")
+	want, _ := stats.Correlation(xs, ys, xv, yv)
+	if !ok || got.Scalar != want {
+		t.Errorf("cached correlation %v (fresh %v), recompute %v", got.Scalar, ok, want)
+	}
+}
+
+// TestResultHitAllocatesAsAScalarHit: a repeated correlate, answered
+// from the Summary Database, allocates no more than a repeated compute.
+func TestResultHitAllocatesAsAScalarHit(t *testing.T) {
+	e, out := analysisDBMS(t)
+	allocs := func(stmt string) float64 {
+		if err := e.Run(stmt); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(100, func() {
+			out.Reset()
+			if err := e.Run(stmt); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	corr, mean := allocs("correlate AGE SALARY on work"), allocs("compute mean SALARY on work")
+	t.Logf("allocations per repeat: correlate %v, compute %v", corr, mean)
+	if corr > mean {
+		t.Errorf("a repeated correlate allocates %v times, a repeated compute %v", corr, mean)
+	}
+}

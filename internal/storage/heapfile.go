@@ -110,39 +110,10 @@ func (h *HeapFile) Get(rid RID) (dataset.Row, error) {
 
 // Scan calls fn for every record in file order. fn returning false
 // stops the scan early. This is the full-file sequential access pattern
-// that dominates statistical operations (Section 2.2).
+// that dominates statistical operations (Section 2.2). It aborts at the
+// first page or record that fails to read or decode.
 func (h *HeapFile) Scan(fn func(rid RID, row dataset.Row) bool) error {
-	for _, id := range h.pages {
-		p, err := h.pool.Fetch(id)
-		if err != nil {
-			return err
-		}
-		stop := false
-		for s := 0; s < p.NumSlots(); s++ {
-			rec, err := p.Get(s)
-			if err != nil {
-				_ = h.pool.Unpin(id, false) //lint:allow error-flow unpin on the error path; the original error wins
-				return err
-			}
-			row, err := DecodeRow(rec, h.schema.Len())
-			if err != nil {
-				_ = h.pool.Unpin(id, false) //lint:allow error-flow unpin on the error path; the original error wins
-				return &CorruptError{Page: id, Slot: s, Off: -1,
-					Detail: "row codec", Cause: err}
-			}
-			if !fn(RID{id, s}, row) {
-				stop = true
-				break
-			}
-		}
-		if err := h.pool.Unpin(id, false); err != nil {
-			return err
-		}
-		if stop {
-			return nil
-		}
-	}
-	return nil
+	return h.ScanTolerant(fn, nil)
 }
 
 // Corruption describes one unit (a page or a record) that a tolerant
@@ -153,44 +124,41 @@ type Corruption struct {
 	Err  error
 }
 
-// ScanTolerant is Scan for recovery paths: instead of aborting at the
-// first corrupt page or record, it reports each corruption through bad
-// (when non-nil) and continues with the rest of the file. Only
-// ErrCorrupt-class failures are tolerated; device errors that are not
-// corruption (unknown page, exhausted transient retries) still abort.
-// The Summary Database uses this to degrade — drop what cannot be read,
-// recompute it from the concrete view (Section 3.2's cache semantics).
+// ScanTolerant is Scan for recovery paths: with a non-nil bad, instead of
+// aborting at the first corrupt page or record, it reports each
+// corruption through bad and continues with the rest of the file. Only
+// ErrCorrupt-class page failures are tolerated; device errors that are
+// not corruption (unknown page, exhausted transient retries) still abort.
+// With a nil bad it is Scan. The Summary Database uses it to degrade —
+// drop what cannot be read, recompute it from the concrete view (Section
+// 3.2's cache semantics).
 func (h *HeapFile) ScanTolerant(fn func(rid RID, row dataset.Row) bool, bad func(Corruption)) error {
-	report := func(c Corruption) {
-		if bad != nil {
-			bad(c)
-		}
-	}
 	for _, id := range h.pages {
 		p, err := h.pool.Fetch(id)
 		if err != nil {
-			if errors.Is(err, ErrCorrupt) {
-				report(Corruption{Page: id, Slot: -1, Err: err})
-				continue
+			if bad == nil || !errors.Is(err, ErrCorrupt) {
+				return err
 			}
-			return err
+			bad(Corruption{Page: id, Slot: -1, Err: err})
+			continue
 		}
 		stop := false
-		for s := 0; s < p.NumSlots(); s++ {
+		for s := 0; s < p.NumSlots() && !stop; s++ {
 			rec, err := p.Get(s)
-			if err != nil {
-				report(Corruption{Page: id, Slot: s, Err: err})
-				continue
+			var row dataset.Row
+			if err == nil {
+				if row, err = DecodeRow(rec, h.schema.Len()); err != nil {
+					err = &CorruptError{Page: id, Slot: s, Off: -1, Detail: "row codec", Cause: err}
+				}
 			}
-			row, err := DecodeRow(rec, h.schema.Len())
-			if err != nil {
-				report(Corruption{Page: id, Slot: s,
-					Err: &CorruptError{Page: id, Slot: s, Off: -1, Detail: "row codec", Cause: err}})
-				continue
-			}
-			if !fn(RID{id, s}, row) {
-				stop = true
-				break
+			switch {
+			case err == nil:
+				stop = !fn(RID{id, s}, row)
+			case bad != nil:
+				bad(Corruption{Page: id, Slot: s, Err: err})
+			default:
+				_ = h.pool.Unpin(id, false) //lint:allow error-flow unpin on the error path; the original error wins
+				return err
 			}
 		}
 		if err := h.pool.Unpin(id, false); err != nil {

@@ -1,7 +1,9 @@
 package summary
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -96,14 +98,26 @@ type entry struct {
 	source Source
 }
 
+// entryKey is the primary key of entry (fn, attrs): the attributes, then
+// the function, so the index is clustered on the first attribute.
 func entryKey(fn string, attrs []string) []byte {
 	parts := append(append([]string{}, attrs...), fn)
 	return index.Key(parts...)
 }
 
-// attrPrefix is the index prefix of the entries whose first attribute is
-// attr: its key part and the separator after it, so that an attribute
-// whose name extends attr's (X, XY) falls outside it.
+// reachKey is the secondary key by which the entry (fn, attrs) is reached
+// through attr, a further attribute of its tuple: attr's prefix, an empty
+// part — which no attribute or function name is, so it is no other
+// entry's primary key — and the entry's primary key.
+func reachKey(attr, fn string, attrs []string) []byte {
+	return append(append(attrPrefix(attr), 0), entryKey(fn, attrs)...)
+}
+
+// attrPrefix is the index prefix of the entries that name attr: its key
+// part and the separator after it, so that an attribute whose name
+// extends attr's (X, XY) falls outside it. It covers the primary keys of
+// the entries attr leads and the reach keys of those it is a further
+// attribute of, each entry once.
 func attrPrefix(attr string) []byte { return index.Key(attr, "") }
 
 // stale marks e stale. A stale entry holds no window: whatever it slid
@@ -119,7 +133,7 @@ type DB struct {
 	mu      sync.Mutex
 	mdb     *rules.ManagementDB
 	policy  Policy       // guarded by mu
-	idx     *index.BTree // guarded by mu; (attr..., fn) -> slot
+	idx     *index.BTree // guarded by mu; (attr..., fn) and reach keys -> slot
 	entries []*entry     // guarded by mu
 	// kept holds the attributes' kept states, one record per (attribute,
 	// row of the state table): what one read of a column folded, kept so
@@ -249,12 +263,9 @@ func (db *DB) Len() int {
 }
 
 // Scalar returns fn(attr), serving from the cache when fresh and
-// computing (and installing maintenance state) on a miss. This is the
-// search-then-insert protocol of Section 3.2: "if the desired pair is
-// found, the corresponding result will be returned; otherwise, after the
-// function has been applied ... the new information will be inserted".
-// Its source cannot fail: a column held in memory. A fill wraps it as the
-// fallible Source an entry keeps; a hit binds nothing.
+// computing (and installing maintenance state) on a miss or a stale
+// refill. Its source cannot fail: a column held in memory. A fill wraps
+// it as the fallible Source an entry keeps; a hit binds nothing.
 func (db *DB) Scalar(fn, attr string, source func() ([]float64, []bool)) (float64, error) {
 	return db.ScalarFrom(fn, attr, func() Sources {
 		return Sources{Rows: func() ([]float64, []bool, error) {
@@ -278,19 +289,71 @@ func (db *DB) ScalarFrom(fn, attr string, bind func() Sources) (float64, error) 
 	defer db.mu.Unlock()
 	sp := db.tracer.Begin("summary.scalar", obs.A("fn", fn), obs.A("attr", attr))
 	defer sp.End()
-	key := entryKey(fn, []string{attr})
-	if slot, ok := db.idx.Get(key); ok {
+	r, err := db.serve(sp, fn, []string{attr}, func(e *entry, refill bool) (Result, error) {
+		v, err := db.fill(e, bind(), refill, sp)
+		return ScalarOf(v), err
+	})
+	return r.Scalar, err
+}
+
+// ResultFrom is ScalarFrom for a result of any kind over a tuple of
+// attributes — a histogram, a correlation, a regression: fn(attrs) from
+// the cache when fresh, and otherwise computed by final from the tuple's
+// columns, each read once, in tuple order, through the Source bind binds
+// for it. bind is called only on a miss or a stale refill, and final runs
+// under the cache's lock, so it must not call back into the DB. A read or
+// a final that fails fails the call and leaves the cache as it was. The
+// entry keeps no source: under every policy an update of any attribute of
+// its tuple marks it stale, and the next call refills it. fn must not be
+// a built-in function, whose entries ScalarFrom maintains.
+func (db *DB) ResultFrom(fn string, attrs []string, bind func(attr string) Source, final func(xs [][]float64, valid [][]bool) (Result, error)) (Result, error) {
+	if _, builtin := aggregateRow[fn]; builtin {
+		return Result{}, fmt.Errorf("summary: %s is a built-in function, filled by ScalarFrom", fn)
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	sp := db.tracer.Begin("summary.result", obs.A("fn", fn), obs.A("attrs", strings.Join(attrs, ",")))
+	defer sp.End()
+	return db.serve(sp, fn, attrs, func(e *entry, _ bool) (Result, error) {
+		xs, valid := make([][]float64, len(attrs)), make([][]bool, len(attrs))
+		for i, attr := range attrs {
+			var err error
+			if xs[i], valid[i], err = db.readSource(bind(attr)); err != nil {
+				return Result{}, err
+			}
+		}
+		// final folds the columns inline, under a fold span that charges
+		// nothing: a result's fill costs in ticks what its reads charge.
+		fold := db.tracer.Begin("fold", obs.A("fn", fn), obs.A("engine", "serial"))
+		r, err := final(xs, valid)
+		fold.End()
+		if err != nil {
+			return Result{}, err
+		}
+		return r, db.install(e, r)
+	})
+}
+
+// serve is the search-then-insert protocol of Section 3.2, one for every
+// result: "if the desired pair is found, the corresponding result will be
+// returned; otherwise, after the function has been applied ... the new
+// information will be inserted". A fresh entry is a hit; a stale one is
+// refilled in place by fill (entries restored from disk carry no source,
+// persist.go); a missing one is filled and inserted if fill left it
+// fresh. fill returns the answer, which it installs on e unless the
+// answer may not be cached (a degraded gather); one that fails leaves the
+// cache as it was. sp states the outcome. The caller holds db.mu.
+func (db *DB) serve(sp *obs.Span, fn string, attrs []string, fill func(e *entry, refill bool) (Result, error)) (Result, error) {
+	if slot, ok := db.idx.Get(entryKey(fn, attrs)); ok {
 		e := db.entries[slot]
 		if e.fresh {
 			db.met.hits.Inc()
 			sp.SetAttr("outcome", "hit")
-			return e.result.Scalar, nil
+			return e.result, nil
 		}
-		// Stale entry: regenerate in place from this call's sources, as a
-		// miss would (entries restored from disk carry none, persist.go).
-		v, err := db.fill(e, bind(), true, sp)
+		r, err := fill(e, true)
 		if err != nil {
-			return 0, err
+			return Result{}, err
 		}
 		// The counters and the span's outcome are written together, once the
 		// refill has answered: one that failed (a read error, a budget breach)
@@ -298,21 +361,21 @@ func (db *DB) ScalarFrom(fn, attr string, bind func() Sources) (float64, error) 
 		db.met.staleRefill.Inc()
 		db.met.recomputes.Inc()
 		sp.SetAttr("outcome", "stale-refill")
-		db.settle(attr)
-		return v, nil
+		db.settle(attrs[0])
+		return r, nil
 	}
 	db.met.misses.Inc()
 	sp.SetAttr("outcome", "miss")
-	e := &entry{fn: fn, attrs: []string{attr}}
-	v, err := db.fill(e, bind(), false, sp)
+	e := &entry{fn: fn, attrs: append([]string(nil), attrs...)}
+	r, err := fill(e, false)
 	if err != nil {
-		return 0, err
+		return Result{}, err
 	}
 	if e.fresh {
 		db.insert(e)
-		db.settle(attr)
+		db.settle(attrs[0])
 	}
-	return v, nil
+	return r, nil
 }
 
 // fill computes built-in entry e from the first input form on offer —
@@ -349,7 +412,7 @@ func (db *DB) fill(e *entry, src Sources, retain bool, sp *obs.Span) (float64, e
 		if err != nil || !complete {
 			return v, err
 		}
-		return db.install(e, v)
+		return v, db.install(e, ScalarOf(v))
 	}
 	p := db.plan(a, e, retain)
 	if src.Runs != nil {
@@ -414,7 +477,7 @@ func (db *DB) answer(a *aggregate, e *entry, st State, p plan, count func(exec.M
 	if err != nil {
 		return 0, err
 	}
-	if v, err = db.install(e, v); err != nil {
+	if err := db.install(e, ScalarOf(v)); err != nil {
 		return 0, err
 	}
 	for s := range states {
@@ -502,14 +565,14 @@ func (db *DB) settle(attr string) {
 	}
 }
 
-// install records v on e as its fresh result, unless the fold that
-// produced it ran the query over budget.
-func (db *DB) install(e *entry, v float64) (float64, error) {
+// install records r on e as its fresh result, unless the reads and the
+// fold that produced it ran the query over budget.
+func (db *DB) install(e *entry, r Result) error {
 	if err := db.tracer.BudgetErr(); err != nil {
-		return 0, err
+		return err
 	}
-	e.result, e.fresh = ScalarOf(v), true
-	return v, nil
+	e.result, e.fresh = r, true
+	return nil
 }
 
 // readSource runs one full column pass through source under a "scan"
@@ -557,14 +620,24 @@ func (db *DB) installWindow(a *aggregate, e *entry, t exec.FreqTable) {
 	}
 }
 
+// insert adds e under its primary key and a reach key for each further
+// attribute of its tuple, once per distinct attribute.
 func (db *DB) insert(e *entry) {
 	slot := int64(len(db.entries))
 	db.entries = append(db.entries, e)
 	db.idx.Put(entryKey(e.fn, e.attrs), slot)
+	for i := 1; i < len(e.attrs); i++ {
+		if !slices.Contains(e.attrs[:i], e.attrs[i]) {
+			db.idx.Put(reachKey(e.attrs[i], e.fn, e.attrs), slot)
+		}
+	}
 }
 
 // Lookup returns the cached result for (fn, attrs) without computing.
-// Stale entries report !ok.
+// Stale entries report !ok. Its callers are the sharded copy, which reads
+// the partials it checkpointed with StoreCustom, and the tests and
+// experiments that inspect a cache; a view reads through ScalarFrom and
+// ResultFrom.
 func (db *DB) Lookup(fn string, attrs ...string) (Result, bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -580,12 +653,12 @@ func (db *DB) Lookup(fn string, attrs ...string) (Result, bool) {
 	return e.result, true
 }
 
-// StoreCustom inserts or overwrites a custom result computed by the
-// caller, marking it fresh. Lookup then StoreCustom is the protocol for
-// every result that is not a built-in scalar: the cache never calls back
-// into the caller (the view layer's computations take the view lock), so
-// after invalidation the entry stays stale until the caller recomputes
-// and stores again.
+// StoreCustom inserts or overwrites a result computed by the caller,
+// marking it fresh. Its one caller outside tests is the sharded copy
+// (internal/shard), which checkpoints per-shard partials and its manifest
+// here and reads them back with Lookup; a view's results fill through
+// ResultFrom. After invalidation the entry stays stale until the caller
+// stores again.
 func (db *DB) StoreCustom(fn string, attrs []string, r Result) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -599,10 +672,11 @@ func (db *DB) StoreCustom(fn string, attrs []string, r Result) {
 	db.insert(&entry{fn: fn, attrs: attrs, result: r, fresh: true})
 }
 
-// Invalidate marks every entry touching attr stale — the bulk
+// Invalidate marks every entry naming attr stale — the bulk
 // invalidation of Section 4.3 — and drops attr's kept states. It uses
 // the attribute-clustered index scan, which experiment "ablation:
-// clustering" measures.
+// clustering" measures, and reaches a multi-attribute entry through
+// whichever attribute of its tuple attr is.
 func (db *DB) Invalidate(attr string) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -625,6 +699,8 @@ func (db *DB) Invalidate(attr string) int {
 // into the cache. Each affected entry reacts per the active policy and
 // its function's strategy, exactly the flow of Section 4.1: retrieve all
 // values clustered on the attribute, then apply each function's rules.
+// An entry over a tuple of attributes is reached by an update of any of
+// them, and goes stale: it keeps no state an update could maintain.
 //
 // The pass runs under a "summary.update" span: rebuild scans nest (and
 // charge) under it, and what the pass did is published once it is over —
@@ -783,13 +859,17 @@ type Row struct {
 
 // Dump renders the cache as the Figure 4 three-column table, clustered by
 // attribute (the physical order of Section 4.1) and alphabetical by
-// function within an attribute.
+// function within an attribute. An entry is listed once, under the first
+// attribute of its tuple.
 func (db *DB) Dump() []Row {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	var rows []Row
-	db.idx.Scan(nil, nil, func(_ []byte, slot int64) bool {
+	db.idx.Scan(nil, nil, func(key []byte, slot int64) bool {
 		e := db.entries[slot]
+		if !bytes.Equal(key, entryKey(e.fn, e.attrs)) {
+			return true // a reach key
+		}
 		rows = append(rows, Row{
 			Function:  e.fn,
 			Attribute: strings.Join(e.attrs, ","),

@@ -2,6 +2,7 @@ package summary
 
 import (
 	"errors"
+	"fmt"
 	"maps"
 	"math"
 	"math/rand"
@@ -145,30 +146,68 @@ func FuzzKeptStates(f *testing.F) {
 	f.Fuzz(keptStatesMachine)
 }
 
+// pairFinal is the fuzzed pair result: over the rows valid in both
+// columns, their count and the sum of the products.
+func pairFinal(xs [][]float64, valid [][]bool) (Result, error) {
+	var n, sum float64
+	for i := range xs[0] {
+		if valid[0][i] && valid[1][i] {
+			n, sum = n+1, sum+xs[0][i]*xs[1][i]
+		}
+	}
+	return VectorOf([]float64{n, sum}), nil
+}
+
 // keptStatesMachine drives a random sequence of fills (by rows and by
-// runs), update batches and invalidations over a small column with NaNs,
-// ±0 and holes, under a window small enough that updates rebuild it. An
-// invalidation first rewrites the column wholesale, as a global derived
-// rule regenerates one. A quarter of the steps break the column's reads:
-// a fill's, or an update's refolds and window rebuilds. A failed fill must
-// return the read's error and leave every lookup as it was; every other
-// answer must equal a fresh cache's, every fresh entry must too after
-// every step, and every kept state must describe the column — a table
-// equal to a refold, the moments' counts exact — with the cold states'
-// bytes accounted within the budget.
+// runs), update batches and invalidations over a small column X with
+// NaNs, ±0 and holes, under a window small enough that updates rebuild
+// it, beside a second column Y and a pair result over both, filled
+// through ResultFrom in either order. Updates and invalidations go to
+// either column; an invalidation first rewrites its column wholesale, as
+// a global derived rule regenerates one. A quarter of the steps break
+// each column's reads: a fill's, or an update's refolds and window
+// rebuilds. A failed fill must return the read's error and leave every
+// lookup as it was; every other answer must equal a fresh cache's, every
+// fresh entry — scalar or pair — must too after every step, and every
+// kept state must describe X — a table equal to a refold, the moments'
+// counts exact — with the cold states' bytes accounted within the budget.
 func keptStatesMachine(t *testing.T, seed int64) {
 	fns := Functions()
 	rng := rand.New(rand.NewSource(seed))
 	n := 30 + rng.Intn(40)
-	c := &nullable{xs: make([]float64, n), valid: make([]bool, n)}
-	for i := range c.xs {
-		c.xs[i], c.valid[i] = draw(rng)
+	cols := map[string]*nullable{}
+	for _, attr := range []string{"X", "Y"} {
+		cols[attr] = &nullable{xs: make([]float64, n), valid: make([]bool, n)}
+		for i := range cols[attr].xs {
+			cols[attr].xs[i], cols[attr].valid[i] = draw(rng)
+		}
 	}
+	c := cols["X"]
+	tuples := [][]string{{"X", "Y"}, {"Y", "X"}}
+	bind := func(attr string) Source { return cols[attr].rows() }
 	db, _ := newDB()
 	db.WindowCapacity = 4 + rng.Intn(8)
 	fresh := func(fn string) (float64, error) {
 		ref, _ := newDB()
 		return ref.Scalar(fn, "X", func() ([]float64, []bool) { return c.xs, c.valid })
+	}
+	freshPair := func(attrs []string) Result {
+		ref, _ := newDB()
+		r, err := ref.ResultFrom("pair", attrs, func(attr string) Source {
+			return func() ([]float64, []bool, error) { return cols[attr].xs, cols[attr].valid, nil }
+		}, pairFinal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	samePair := func(got, want Result) bool {
+		for i, w := range want.Vector {
+			if g := got.Vector[i]; math.Float64bits(g) != math.Float64bits(w) && (g == g || w == w) {
+				return false
+			}
+		}
+		return true
 	}
 	lookups := func() map[string]uint64 {
 		out := map[string]uint64{}
@@ -177,11 +216,21 @@ func keptStatesMachine(t *testing.T, seed int64) {
 				out[fn] = math.Float64bits(r.Scalar)
 			}
 		}
+		for _, attrs := range tuples {
+			if r, ok := db.Lookup("pair", attrs...); ok {
+				for i, v := range r.Vector {
+					out[fmt.Sprint(attrs, i)] = math.Float64bits(v)
+				}
+			}
+		}
 		return out
 	}
 	for step := 0; step < 40; step++ {
-		c.broken = rng.Intn(4) == 0
-		switch k := rng.Intn(10); {
+		for _, col := range cols {
+			col.broken = rng.Intn(4) == 0
+		}
+		attr := []string{"X", "Y"}[rng.Intn(2)]
+		switch k := rng.Intn(12); {
 		case k < 5:
 			fn := fns[rng.Intn(len(fns))]
 			// Like a view's, both sources read the column as it is when
@@ -203,25 +252,48 @@ func keptStatesMachine(t *testing.T, seed int64) {
 			if (gerr == nil) != (werr == nil) || gerr == nil && !sameAnswer(fn, got, want, c.xs, c.valid) {
 				t.Fatalf("seed %d step %d: %s = %v (%v), fresh %v (%v)", seed, step, fn, got, gerr, want, werr)
 			}
-		case k < 8:
+		case k < 7:
+			attrs := tuples[rng.Intn(2)]
+			before := lookups()
+			got, gerr := db.ResultFrom("pair", attrs, bind, pairFinal)
+			if errors.Is(gerr, errRead) {
+				if after := lookups(); !c.broken && !cols["Y"].broken || !maps.Equal(after, before) {
+					t.Fatalf("seed %d step %d: pair%v failed (%v) on reads broken %v, %v; lookups %v, were %v",
+						seed, step, attrs, gerr, c.broken, cols["Y"].broken, after, before)
+				}
+				break
+			}
+			if want := freshPair(attrs); gerr != nil || !samePair(got, want) {
+				t.Fatalf("seed %d step %d: pair%v = %v (%v), fresh %v", seed, step, attrs, got, gerr, want)
+			}
+		case k < 10:
 			batch := make([]incr.Delta, 1+rng.Intn(8))
 			for j := range batch {
 				x, ok := draw(rng)
-				batch[j] = c.set(rng.Intn(len(c.xs)), x, ok)
+				batch[j] = cols[attr].set(rng.Intn(n), x, ok)
 			}
-			db.OnUpdate("X", batch)
+			db.OnUpdate(attr, batch)
 		default:
-			for i := range c.xs {
-				c.xs[i], c.valid[i] = draw(rng)
+			for i := range cols[attr].xs {
+				cols[attr].xs[i], cols[attr].valid[i] = draw(rng)
 			}
-			db.Invalidate("X")
+			db.Invalidate(attr)
 		}
-		c.broken = false
+		for _, col := range cols {
+			col.broken = false
+		}
 		for _, fn := range fns {
 			if r, ok := db.Lookup(fn, "X"); ok {
 				want, werr := fresh(fn)
 				if werr != nil || !sameAnswer(fn, r.Scalar, want, c.xs, c.valid) {
 					t.Fatalf("seed %d step %d: cached %s = %v, fresh %v (%v)", seed, step, fn, r.Scalar, want, werr)
+				}
+			}
+		}
+		for _, attrs := range tuples {
+			if r, ok := db.Lookup("pair", attrs...); ok {
+				if want := freshPair(attrs); !samePair(r, want) {
+					t.Fatalf("seed %d step %d: cached pair%v = %v, fresh %v", seed, step, attrs, r, want)
 				}
 			}
 		}

@@ -13,9 +13,10 @@ import (
 
 // Persistence: the Summary Database "may itself become relatively large"
 // (Section 3.2), so it is storable: entries go to a heap file of
-// (function, attributes, freshness, result) records; Load rebuilds the
-// in-memory (attributes..., function) index — the paper's clustering and
-// index choice — by scanning it. Maintenance state (kept states, windows)
+// (function, attributes, freshness, result) records, one per entry; Load
+// rebuilds the in-memory (attributes..., function) index, with each
+// entry's reach keys — the paper's clustering and index choice — by
+// scanning it. Maintenance state (kept states, windows)
 // is rebuilt lazily after Load, exactly like the invalidate-fallback of
 // Section 4.3.
 

@@ -3,9 +3,12 @@
 // statistics. Each entry maps a (function name, attribute names) pair to
 // a result of varying type — scalar, vector, histogram or text — exactly
 // the three-column logical layout of Figure 4. Entries are clustered on
-// attribute name and reached through a secondary index on
-// (attribute, function), so an update to one attribute finds all its
-// cached functions with one clustered scan (Section 4.1).
+// their first attribute and reached through a secondary index on
+// (attribute, function), an entry over several attributes by each of
+// them, so an update to one attribute finds all its cached functions with
+// one clustered scan (Section 4.1). Every result fills through one
+// protocol: ScalarFrom for the built-in functions, ResultFrom for any
+// other over a tuple of attributes.
 //
 // Updates to the view propagate into the cache according to the
 // Management Database's per-function strategy: the Koenig–Paige

@@ -1,12 +1,15 @@
 package summary
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"statdb/internal/incr"
+	"statdb/internal/obs"
 	"statdb/internal/rules"
 	"statdb/internal/stats"
+	"statdb/internal/storage"
 )
 
 // column simulates a view column with update support and a pass counter.
@@ -234,59 +237,138 @@ func TestInvalidateStrategyIsLazy(t *testing.T) {
 	}
 }
 
-// TestCustomResultProtocol is Lookup-then-StoreCustom, the one way a
-// result that is not a built-in scalar enters the cache: a fresh entry
-// answers Lookup, an update invalidates it, and it stays stale until the
-// caller stores again.
+// TestCustomResultProtocol is ResultFrom, the one way a result that is
+// not a built-in scalar fills from a view: a miss reads each column of
+// the tuple once and binds nothing on a hit; an update of either
+// attribute makes the next call a stale refill, counted as one; a read or
+// a final that fails fails the call and leaves the entry as it was; and
+// a built-in function is refused. The summary.result span states each
+// outcome.
 func TestCustomResultProtocol(t *testing.T) {
 	db, _ := newDB()
-	c := newColumn(100, 6)
-	calls := 0
-	cached := func() Result {
-		if r, ok := db.Lookup("histogram10", "X"); ok {
-			return r
-		}
-		calls++
-		h, err := stats.NewHistogram(c.xs, nil, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := HistogramOf(h)
-		db.StoreCustom("histogram10", []string{"X"}, r)
+	tr := obs.NewTracer()
+	db.SetTracer(tr)
+	cols := map[string]*nullable{"X": {xs: []float64{1, 2, 3, 4}, valid: []bool{true, true, true, true}},
+		"Y": {xs: []float64{2, 4, 5, 9}, valid: []bool{true, true, true, true}}}
+	binds := 0
+	bind := func(attr string) Source { binds++; return cols[attr].rows() }
+	var finalErr error
+	corr := func() (Result, error) {
+		return db.ResultFrom("correlation", []string{"X", "Y"}, bind, func(xs [][]float64, valid [][]bool) (Result, error) {
+			if finalErr != nil {
+				return Result{}, finalErr
+			}
+			r, err := stats.Correlation(xs[0], xs[1], valid[0], valid[1])
+			return ScalarOf(r), err
+		})
+	}
+	want := func() float64 {
+		r, _ := stats.Correlation(cols["X"].xs, cols["Y"].xs, nil, nil)
 		return r
 	}
-	if r1 := cached(); r1.Kind != HistogramResult {
-		t.Fatalf("first read: %v", r1)
+	step := func(what, outcome string, binding int, c Counters) {
+		t.Helper()
+		binds = 0
+		root := tr.Begin("query")
+		r, err := corr()
+		root.End()
+		if err != nil || r.Scalar != want() {
+			t.Fatalf("%s: %v, %v; want %v", what, r, err, want())
+		}
+		if n, with := spans(tr.Recent()[len(tr.Recent())-1:], "summary.result", "outcome", outcome); n != 1 || with != 1 {
+			t.Errorf("%s: outcome is not %s", what, outcome)
+		}
+		if got := db.Counters(); binds != binding || got.Hits != c.Hits || got.Misses != c.Misses || got.StaleRefill != c.StaleRefill || got.Passes != c.Passes {
+			t.Errorf("%s: %d binds, counters %+v; want %d, %+v", what, binds, got, binding, c)
+		}
 	}
-	r2 := cached()
-	if calls != 1 {
-		t.Errorf("second read recomputed (calls=%d)", calls)
+	step("first", "miss", 2, Counters{Misses: 1, Passes: 2})
+	step("repeat", "hit", 0, Counters{Hits: 1, Misses: 1, Passes: 2})
+	for i, attr := range []string{"Y", "X"} {
+		db.OnUpdate(attr, []incr.Delta{cols[attr].set(0, 7, true)})
+		if _, ok := db.Lookup("correlation", "X", "Y"); ok {
+			t.Fatalf("an update of %s left the pair fresh", attr)
+		}
+		cols["X"].broken = true
+		if _, err := corr(); !errors.Is(err, errRead) {
+			t.Fatalf("a broken read answered %v", err)
+		}
+		cols["X"].broken, finalErr = false, errors.New("final failed")
+		if _, err := corr(); !errors.Is(err, finalErr) {
+			t.Fatalf("a failed final answered %v", err)
+		}
+		finalErr = nil
+		if _, ok := db.Lookup("correlation", "X", "Y"); ok {
+			t.Fatal("a failed refill left the pair fresh")
+		}
+		step("refill after "+attr, "stale-refill", 2, Counters{Hits: 1, Misses: 1, StaleRefill: 1 + int64(i), Passes: 6 + 4*int64(i)})
 	}
-	if r2.Hist.Total() != 100 {
-		t.Errorf("histogram total = %d", r2.Hist.Total())
-	}
-	// Updates invalidate custom entries; the next read recomputes.
-	db.OnUpdate("X", []incr.Delta{incr.UpdateOf(c.xs[0], 5)})
-	c.xs[0] = 5
-	if _, ok := db.Lookup("histogram10", "X"); ok {
-		t.Error("stale custom entry served")
-	}
-	cached()
-	if calls != 2 {
-		t.Errorf("calls = %d", calls)
+	if _, err := db.ResultFrom("mean", []string{"X"}, bind, nil); err == nil {
+		t.Error("ResultFrom filled a built-in function")
 	}
 }
 
+// TestMultiAttributeEntries: an entry over a tuple of attributes is
+// reached by an update or an invalidation of any of them — before and
+// after a Save and Load — and by no attribute whose name merely extends
+// one of them; Dump, Save and Len count it once.
 func TestMultiAttributeEntries(t *testing.T) {
+	pairs := func(db *DB) {
+		db.StoreCustom("correlation", []string{"X", "Y"}, ScalarOf(0.9))
+		db.StoreCustom("correlation", []string{"XY", "Z"}, ScalarOf(0.5))
+		db.StoreCustom("correlation", []string{"X", "X"}, ScalarOf(1))
+	}
+	fresh := func(db *DB, attrs ...string) bool {
+		_, ok := db.Lookup("correlation", attrs...)
+		return ok
+	}
 	db, _ := newDB()
-	db.StoreCustom("correlation", []string{"X", "Y"}, ScalarOf(0.9))
+	pairs(db)
 	if r, ok := db.Lookup("correlation", "X", "Y"); !ok || r.Scalar != 0.9 {
 		t.Fatalf("pair entry = %v, %v", r, ok)
 	}
-	// Updates to either attribute invalidate the pair entry.
-	db.OnUpdate("X", []incr.Delta{{Insert: true, New: 1}})
-	if _, ok := db.Lookup("correlation", "X", "Y"); ok {
-		t.Error("pair entry survived update of first attribute")
+	if rows := db.Dump(); db.Len() != 3 || len(rows) != 3 {
+		t.Fatalf("three pairs: Len %d, Dump %+v", db.Len(), rows)
+	}
+	heap := NewSummaryHeapFile(storage.NewBufferPool(storage.NewMemDevice(storage.DefaultDiskCost()), 16))
+	if err := db.Save(heap); err != nil {
+		t.Fatal(err)
+	}
+	restored, _ := newDB()
+	if rep, err := Load(restored, heap); err != nil || rep.Loaded != 3 || restored.Len() != 3 || len(restored.Dump()) != 3 {
+		t.Fatalf("Save and Load: %v, %v, Len %d, Dump %+v", rep, err, restored.Len(), restored.Dump())
+	}
+	for _, db := range []*DB{db, restored} {
+		db.OnUpdate("X", []incr.Delta{{Insert: true, New: 1}})
+		if fresh(db, "X", "Y") || fresh(db, "X", "X") || !fresh(db, "XY", "Z") {
+			t.Errorf("an update of X: (X, Y) fresh %v, (X, X) fresh %v, (XY, Z) fresh %v; want false, false, true",
+				fresh(db, "X", "Y"), fresh(db, "X", "X"), fresh(db, "XY", "Z"))
+		}
+	}
+	for _, reach := range []func(db *DB){
+		func(db *DB) { db.OnUpdate("Y", []incr.Delta{{Insert: true, New: 1}}) },
+		func(db *DB) { db.Invalidate("Y") },
+	} {
+		db, _ := newDB()
+		pairs(db)
+		restored, _ := newDB()
+		heap := NewSummaryHeapFile(storage.NewBufferPool(storage.NewMemDevice(storage.DefaultDiskCost()), 16))
+		if err := db.Save(heap); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(restored, heap); err != nil {
+			t.Fatal(err)
+		}
+		for _, db := range []*DB{db, restored} {
+			reach(db)
+			if fresh(db, "X", "Y") || !fresh(db, "X", "X") || !fresh(db, "XY", "Z") {
+				t.Errorf("Y reached (X, Y) %v, (X, X) %v, (XY, Z) %v; want only (X, Y)",
+					!fresh(db, "X", "Y"), !fresh(db, "X", "X"), !fresh(db, "XY", "Z"))
+			}
+		}
+	}
+	if n := db.Invalidate("Z"); n != 1 || fresh(db, "XY", "Z") {
+		t.Errorf("Invalidate(Z) = %d, want 1 stale (XY, Z)", n)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 	"sync"
 
 	"statdb/internal/dataset"
@@ -24,7 +23,7 @@ import (
 )
 
 // View is one analyst's concrete view. It is safe for concurrent use:
-// readers (Compute, Column, RowAt, Describe, Cached) share the view while
+// readers (Compute, Result, Column, RowAt, Describe) share the view while
 // updates (UpdateWhere, Undo, AddDerived) exclude everyone — the "group
 // of users" sharing of Section 3.2. Lock order is view before Summary
 // Database; Dataset() escapes the lock and must not be mutated.
@@ -279,28 +278,17 @@ func (v *View) Describe(attr string) (stats.Summary, error) {
 	return s, nil
 }
 
-// Cached retrieves or computes a custom cached result (histograms,
-// correlations, test statistics) under (fn, attrs). The compute closure
-// runs with no view or cache lock held, so it may freely use Column,
-// RowAt and Dataset; if the entry was invalidated by an update, the next
-// Cached call recomputes and refreshes it. Two racing misses may both
-// compute; the cache keeps one result. The "view.cached" span states the
-// outcome the way summary.scalar does for built-ins, and carries what
-// compute's column reads charge.
-func (v *View) Cached(fn string, attrs []string, compute func() (summary.Result, error)) (summary.Result, error) {
-	sp := v.tracer.Begin("view.cached", obs.A("fn", fn), obs.A("attrs", strings.Join(attrs, ",")))
-	defer sp.End()
-	if r, ok := v.sdb.Lookup(fn, attrs...); ok {
-		sp.SetAttr("outcome", "hit")
-		return r, nil
-	}
-	r, err := compute()
-	if err != nil {
-		return summary.Result{}, err
-	}
-	v.sdb.StoreCustom(fn, attrs, r)
-	sp.SetAttr("outcome", "miss")
-	return r, nil
+// Result is Compute for a result of any kind over a tuple of attributes
+// — a histogram, a correlation, a regression: fn(attrs) through the
+// Summary Database, which on a miss or a stale refill reads each column
+// of the tuple once and computes the result by final. The view's read
+// lock is held throughout, as Compute holds it, so no update falls
+// between the reads and the install; an update of any attribute of the
+// tuple marks the entry stale.
+func (v *View) Result(fn string, attrs []string, final func(xs [][]float64, valid [][]bool) (summary.Result, error)) (summary.Result, error) {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	return v.sdb.ResultFrom(fn, attrs, v.columnSource, final)
 }
 
 // StringFrequencies tabulates a string attribute's distinct values and

@@ -317,29 +317,44 @@ func TestAddDerivedValidation(t *testing.T) {
 	}
 }
 
+// TestCachedCustomResults: a result over a tuple fills through the
+// Summary Database once, is a hit until an update of either attribute,
+// and then refills from the updated columns.
 func TestCachedCustomResults(t *testing.T) {
 	v := newView(t, 200, Options{})
 	calls := 0
-	r, err := v.Cached("histogram", []string{"SALARY"}, func() (summary.Result, error) {
-		calls++
-		xs, valid, err := v.Dataset().NumericByName("SALARY")
+	corr := func() float64 {
+		t.Helper()
+		r, err := v.Result("correlation", []string{"SALARY", "AGE"}, func(xs [][]float64, valid [][]bool) (summary.Result, error) {
+			calls++
+			r, err := stats.Correlation(xs[0], xs[1], valid[0], valid[1])
+			return summary.ScalarOf(r), err
+		})
 		if err != nil {
-			return summary.Result{}, err
+			t.Fatal(err)
 		}
-		h, err := stats.NewHistogram(xs, valid, 10)
-		if err != nil {
-			return summary.Result{}, err
-		}
-		return summary.HistogramOf(h), nil
-	})
-	if err != nil || r.Hist.Total() != 200 {
-		t.Fatalf("Cached: %v, %v", r, err)
+		return r.Scalar
 	}
-	if _, err := v.Cached("histogram", []string{"SALARY"}, nil); err != nil {
-		t.Fatal(err) // hit: compute not called
+	fresh := func() float64 {
+		xs, xv, _ := v.Column("SALARY")
+		ys, yv, _ := v.Column("AGE")
+		r, _ := stats.Correlation(xs, ys, xv, yv)
+		return r
 	}
+	if got, want := corr(), fresh(); got != want {
+		t.Fatalf("correlation = %v, want %v", got, want)
+	}
+	corr() // a hit: final is not called
 	if calls != 1 {
-		t.Errorf("calls = %d", calls)
+		t.Errorf("calls = %d after a miss and a hit", calls)
+	}
+	for i, attr := range []string{"AGE", "SALARY"} {
+		if _, err := v.UpdateWhere(attr, relalg.Cmp{Attr: "ID", Op: relalg.Lt, Val: dataset.Int(50)}, dataset.Int(int64(7+i))); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := corr(), fresh(); got != want || calls != 2+i {
+			t.Errorf("after an update of %s: correlation = %v (%d computations), want %v", attr, got, calls, want)
+		}
 	}
 }
 
