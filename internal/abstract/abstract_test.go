@@ -24,8 +24,7 @@ func TestExactStoredValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantMean, _ := stats.Mean(xs, nil)
-	wantMin, _ := stats.Min(xs, nil)
-	wantMax, _ := stats.Max(xs, nil)
+	wantMin, wantMax, _ := stats.Extremes(xs, nil)
 	cases := map[string]float64{
 		"count": 5000,
 		"mean":  wantMean,

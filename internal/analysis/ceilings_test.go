@@ -19,7 +19,7 @@ import (
 var allowCeilings = map[string]int{
 	"charge-tracking":   1,
 	"determinism":       1,
-	"error-flow":        29,
+	"error-flow":        28,
 	"goroutine-confine": 2,
 	"no-panic":          11,
 	"test-only":         13,

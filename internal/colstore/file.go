@@ -1,7 +1,6 @@
 package colstore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -30,14 +29,6 @@ func (e Encoding) String() string {
 	}
 	return "plain"
 }
-
-// Plain page layout: uint16 count, validity bitmap (plainCap bits), then
-// count 8-byte little-endian payloads, all within the page payload
-// behind the checksum envelope. plainCap chosen so a full page fits:
-// 2 + 60 + 480*8 = 3902 <= storage.PagePayloadSize (4088).
-const plainCap = 480
-
-// RLE page layout: uint16 logical count, uint16 run count, runs.
 
 type columnMeta struct {
 	name     string
@@ -155,38 +146,6 @@ func writePlainPages(pool *storage.BufferPool, meta *columnMeta, vals []int64, n
 	return nil
 }
 
-func encodePlainPage(buf []byte, vals []int64, nulls []bool) {
-	for i := range buf {
-		buf[i] = 0
-	}
-	buf[0] = byte(len(vals))
-	buf[1] = byte(len(vals) >> 8)
-	bitmap := buf[2 : 2+plainCap/8]
-	data := buf[2+plainCap/8:]
-	for i, v := range vals {
-		if !nulls[i] {
-			bitmap[i/8] |= 1 << (i % 8)
-		}
-		binary.LittleEndian.PutUint64(data[i*8:], uint64(v))
-	}
-}
-
-// decodePlainPageInto decodes a Plain page into the caller's scratch
-// slices (grown as needed) — the per-page allocation is the dominant
-// cost of a column read over a hot buffer pool (BenchmarkNumericColumn).
-func decodePlainPageInto(buf []byte, vals []int64, nulls []bool) ([]int64, []bool) {
-	n := int(buf[0]) | int(buf[1])<<8
-	bitmap := buf[2 : 2+plainCap/8]
-	data := buf[2+plainCap/8:]
-	vals = growInt64(vals, n)
-	nulls = growBool(nulls, n)
-	for i := 0; i < n; i++ {
-		vals[i] = int64(binary.LittleEndian.Uint64(data[i*8:]))
-		nulls[i] = bitmap[i/8]&(1<<(i%8)) == 0
-	}
-	return vals, nulls
-}
-
 // writeRLEPages encodes the column into meta's own page run, in order —
 // live pages first, then spares — and allocates only past its end; pages
 // the new encoding does not need stay on the column as spares. A failed
@@ -204,7 +163,6 @@ func writeRLEPages(pool *storage.BufferPool, meta *columnMeta, vals []int64, nul
 	// boundary. The header stores the page's logical row count in 16
 	// bits, so a page also closes at 65535 logical rows no matter how
 	// few bytes its runs occupy (a constant column is one 21-byte run).
-	const header = 4
 	const maxPageLogical = 0xFFFF
 	flush := func(pageRuns []run, logical, firstRow int) error {
 		var id storage.PageID
@@ -221,15 +179,10 @@ func writeRLEPages(pool *storage.BufferPool, meta *columnMeta, vals []int64, nul
 		if err != nil {
 			return err
 		}
-		buf := page.Payload()
-		for i := range buf {
-			buf[i] = 0
-		}
-		buf[0] = byte(logical)
-		buf[1] = byte(logical >> 8)
-		buf[2] = byte(len(pageRuns))
-		buf[3] = byte(len(pageRuns) >> 8)
-		out := buf[header:header]
+		pg := rlePage(page.Payload())
+		clear(pg)
+		pg.setHeader(logical, len(pageRuns))
+		out := pg[rleHeader:rleHeader]
 		for _, r := range pageRuns {
 			out = r.encode(out)
 		}
@@ -239,7 +192,7 @@ func writeRLEPages(pool *storage.BufferPool, meta *columnMeta, vals []int64, nul
 	}
 	var (
 		pageRuns []run
-		used     = header
+		used     = rleHeader
 		logical  = 0
 		firstRow = 0
 		rowCur   = 0
@@ -251,7 +204,7 @@ func writeRLEPages(pool *storage.BufferPool, meta *columnMeta, vals []int64, nul
 				if err := flush(pageRuns, logical, firstRow); err != nil {
 					return err
 				}
-				pageRuns, used, logical, firstRow = nil, header, 0, rowCur
+				pageRuns, used, logical, firstRow = nil, rleHeader, 0, rowCur
 				continue
 			}
 			// Take as much of the run as the logical cap allows; a
@@ -275,49 +228,6 @@ func writeRLEPages(pool *storage.BufferPool, meta *columnMeta, vals []int64, nul
 		}
 	}
 	return nil
-}
-
-// decodeRLEPageInto expands an RLE page's runs to one value per row,
-// reusing the caller's scratch slices.
-func decodeRLEPageInto(buf []byte, vals []int64, nulls []bool) ([]int64, []bool, error) {
-	logical := int(buf[0]) | int(buf[1])<<8
-	nruns := int(buf[2]) | int(buf[3])<<8
-	vals = growInt64(vals, 0)
-	nulls = growBool(nulls, 0)
-	rest := buf[4:]
-	for i := 0; i < nruns; i++ {
-		var r run
-		var err error
-		r, rest, err = decodeRun(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		for j := 0; j < r.count; j++ {
-			vals = append(vals, r.value)
-			nulls = append(nulls, r.null)
-		}
-	}
-	if len(vals) != logical {
-		return nil, nil, fmt.Errorf("colstore: page holds %d values, header says %d: %w",
-			len(vals), logical, storage.ErrCorrupt)
-	}
-	return vals, nulls, nil
-}
-
-// growInt64 returns s truncated/extended to length n, reallocating only
-// when capacity is short.
-func growInt64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	return s[:n]
-}
-
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
 }
 
 // ColumnPages returns the page count of the named column (for the
@@ -451,7 +361,9 @@ func (f *File) ScanColumn(name string, fn func(row int, v dataset.Value) bool) e
 }
 
 // NumericColumn reads the named column widened to float64 with a validity
-// mask — the bulk interface the statistical operators consume.
+// mask — the bulk interface the statistical operators consume. Each page
+// decodes straight into the result: the two slices returned are all a
+// read allocates.
 func (f *File) NumericColumn(name string) ([]float64, []bool, error) {
 	m, err := f.meta(name)
 	if err != nil {
@@ -462,25 +374,23 @@ func (f *File) NumericColumn(name string) ([]float64, []bool, error) {
 	}
 	out := make([]float64, f.rows)
 	valid := make([]bool, f.rows)
-	var vals []int64
-	var nulls []bool
-	for p := range m.pages {
-		var err error
-		vals, nulls, err = f.pageValuesInto(m, p, vals, nulls)
+	decode := decodePlainNumeric
+	if m.enc == RLE {
+		decode = decodeRLENumeric
+	}
+	float := m.kind == dataset.KindFloat
+	for p, id := range m.pages {
+		page, err := f.pool.Fetch(id)
 		if err != nil {
 			return nil, nil, err
 		}
 		base := m.rowStart[p]
-		for i := range vals {
-			if nulls[i] {
-				continue
-			}
-			if m.kind == dataset.KindFloat {
-				out[base+i] = math.Float64frombits(uint64(vals[i]))
-			} else {
-				out[base+i] = float64(vals[i])
-			}
-			valid[base+i] = true
+		err = decode(page.Payload(), float, out[base:], valid[base:])
+		if uerr := f.pool.Unpin(id, false); uerr != nil && err == nil {
+			err = uerr
+		}
+		if err != nil {
+			return nil, nil, err
 		}
 	}
 	return out, valid, nil
@@ -576,17 +486,9 @@ func (f *File) patchPlain(m *columnMeta, rows []int32, payloads []int64, nulls [
 		if err != nil {
 			return err
 		}
-		buf := page.Payload()
-		bitmap := buf[2 : 2+plainCap/8]
-		data := buf[2+plainCap/8:]
+		pg := plainPage(page.Payload())
 		for ; k < len(rows) && int(rows[k])/plainCap == p; k++ {
-			off := int(rows[k]) - m.rowStart[p]
-			binary.LittleEndian.PutUint64(data[off*8:], uint64(payloads[k]))
-			if nulls[k] {
-				bitmap[off/8] &^= 1 << (off % 8)
-			} else {
-				bitmap[off/8] |= 1 << (off % 8)
-			}
+			pg.set(int(rows[k])-m.rowStart[p], payloads[k], nulls[k])
 		}
 		if err := f.pool.Unpin(id, true); err != nil {
 			return err

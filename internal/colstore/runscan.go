@@ -139,30 +139,6 @@ func (f *File) pageRuns(m *columnMeta, pageIdx int, sc *runScratch) ([]run, erro
 	return sc.runs, err
 }
 
-// decodeRLEPageRuns parses an RLE page's runs without expansion,
-// appending to dst. The header's logical count is validated against the
-// run-count sum — a mismatch is corruption, not a usage error.
-func decodeRLEPageRuns(buf []byte, dst []run) ([]run, error) {
-	logical := int(buf[0]) | int(buf[1])<<8
-	nruns := int(buf[2]) | int(buf[3])<<8
-	rest := buf[4:]
-	covered := 0
-	for i := 0; i < nruns; i++ {
-		r, tail, err := decodeRun(rest)
-		if err != nil {
-			return dst, fmt.Errorf("%w: %w", storage.ErrCorrupt, err)
-		}
-		rest = tail
-		covered += r.count
-		dst = append(dst, r)
-	}
-	if covered != logical {
-		return dst, fmt.Errorf("colstore: page runs cover %d rows, header says %d: %w",
-			covered, logical, storage.ErrCorrupt)
-	}
-	return dst, nil
-}
-
 // NumericRunColumn reads the named numeric column as whole-column runs
 // widened to float64 — the bulk form of ScanRunChunks for run-native
 // kernels that want one contiguous (vals, nulls, counts) triple. Memory

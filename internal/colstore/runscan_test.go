@@ -287,8 +287,9 @@ func TestSuggestEncodings(t *testing.T) {
 	}
 }
 
-// BenchmarkNumericColumn measures the bulk row read; the per-page scratch
-// buffers must hold allocations flat regardless of page count.
+// BenchmarkNumericColumn measures the bulk row read, which allocates its
+// two result slices and nothing per page
+// (TestNumericColumnAllocatesOnlyItsResult).
 func BenchmarkNumericColumn(b *testing.B) {
 	ds := censusLike(b, 20000)
 	_, pool := newPool()

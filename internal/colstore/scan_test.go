@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"math"
 	"testing"
 
 	"statdb/internal/dataset"
@@ -182,10 +183,13 @@ func TestRLEOversizeRunMovesWholeToNextPage(t *testing.T) {
 	}
 }
 
-// TestNumericColumnMatchesScanColumn: the bulk path must decode the same
-// rows with the same values as the per-value path — both encodings,
-// columns spanning several pages, int and float payloads. (The run path
-// is held to this column by TestNumericRunColumnMatchesNumericColumn.)
+// TestNumericColumnMatchesScanColumn: the bulk path, which decodes each
+// page straight into the column, must decode the same rows with the same
+// values as the per-value path — both encodings, columns spanning several
+// pages, int and float payloads. (The run path is held to this column by
+// TestNumericRunColumnMatchesNumericColumn.) The second half covers
+// nulls, special floats, a partial last page and the pages an update
+// leaves: Plain pages patched in place, RLE columns re-encoded.
 func TestNumericColumnMatchesScanColumn(t *testing.T) {
 	ds := censusLike(t, 2000)
 	for _, enc := range []Encoding{Plain, RLE} {
@@ -207,25 +211,115 @@ func TestNumericColumnMatchesScanColumn(t *testing.T) {
 			if pages, err := f.ColumnPages(name); err != nil || (enc == Plain && pages < 2) {
 				t.Fatalf("%s/%s: %d pages (err %v), want a page boundary", enc, name, pages, err)
 			}
-			var ref []dataset.Value
-			if err := f.ScanColumn(name, func(row int, v dataset.Value) bool {
-				ref = append(ref, v)
-				return true
-			}); err != nil {
+			checkFusedMatchesScan(t, f, name, enc.String())
+		}
+	}
+
+	const n = 3*plainCap + 17
+	sch := dataset.MustSchema(
+		dataset.Attribute{Name: "I", Kind: dataset.KindInt},
+		dataset.Attribute{Name: "F", Kind: dataset.KindFloat},
+	)
+	special := []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.NaN(), -1.5e300, 5e-324}
+	ds = dataset.New(sch)
+	for i := 0; i < n; i++ {
+		iv, fv := dataset.Int(int64(i/7)-200), dataset.Float(special[i%len(special)])
+		if i%11 == 0 {
+			iv = dataset.Null
+		}
+		if i%5 != 0 {
+			fv = dataset.Float(float64(i/13) * 0.25)
+		}
+		if i%17 == 3 {
+			fv = dataset.Null
+		}
+		if err := ds.Append(dataset.Row{iv, fv}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, enc := range []Encoding{Plain, RLE} {
+		_, pool := newPool()
+		f, err := Load(pool, ds, Options{Encode: map[string]Encoding{"I": enc, "F": enc}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"I", "F"} {
+			checkFusedMatchesScan(t, f, name, enc.String())
+		}
+		rows := []int32{0, 1, 3, plainCap - 1, plainCap, 2*plainCap + 5, n - 1}
+		at := func(k int) dataset.Value {
+			if k%3 == 0 {
+				return dataset.Null
+			}
+			return dataset.Int(int64(-k))
+		}
+		if err := f.UpdateRows("I", rows, at); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.UpdateRows("F", rows, func(k int) dataset.Value {
+			if v := at(k); !v.IsNull() {
+				return dataset.Float(math.Inf(-k % 2))
+			}
+			return dataset.Null
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"I", "F"} {
+			checkFusedMatchesScan(t, f, name, enc.String()+" updated")
+		}
+	}
+}
+
+// checkFusedMatchesScan holds NumericColumn to the per-value ScanColumn
+// path bit for bit: the same rows, the same nulls, the same float64 bits.
+func checkFusedMatchesScan(t *testing.T, f *File, name, stage string) {
+	t.Helper()
+	var ref []dataset.Value
+	if err := f.ScanColumn(name, func(_ int, v dataset.Value) bool {
+		ref = append(ref, v)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	xs, valid, err := f.NumericColumn(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(xs) != len(ref) || len(valid) != len(ref) {
+		t.Fatalf("%s %s: column has %d/%d rows, scan saw %d", stage, name, len(xs), len(valid), len(ref))
+	}
+	for row, v := range ref {
+		want := 0.0
+		if !v.IsNull() {
+			want = v.AsFloat()
+		}
+		if valid[row] == v.IsNull() || math.Float64bits(xs[row]) != math.Float64bits(want) {
+			t.Fatalf("%s %s row %d: column (%g, %v), scan %v", stage, name, row, xs[row], valid[row], v)
+		}
+	}
+}
+
+// TestNumericColumnAllocatesOnlyItsResult: a read of 20 000 rows through
+// a pool far smaller than the column allocates the two slices it returns
+// and nothing per page.
+func TestNumericColumnAllocatesOnlyItsResult(t *testing.T) {
+	ds := censusLike(t, 20000)
+	_, pool := newPool()
+	f, err := Load(pool, ds, Options{Encode: map[string]Encoding{"POPULATION": RLE}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"POPULATION", "AVE_SALARY"} {
+		if pages, _ := f.ColumnPages(name); pages <= 16 {
+			t.Fatalf("%s spans %d pages; the 16-frame pool holds it", name, pages)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, _, err := f.NumericColumn(name); err != nil {
 				t.Fatal(err)
 			}
-			xs, valid, err := f.NumericColumn(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(xs) != len(ref) {
-				t.Fatalf("%s/%s: column has %d rows, scan saw %d", enc, name, len(xs), len(ref))
-			}
-			for row, v := range ref {
-				if valid[row] == v.IsNull() || (valid[row] && xs[row] != v.AsFloat()) {
-					t.Fatalf("%s/%s row %d: column (%g,%v) != scan %v", enc, name, row, xs[row], valid[row], v)
-				}
-			}
+		})
+		if allocs != 2 {
+			t.Errorf("NumericColumn(%s) allocates %v times, want 2", name, allocs)
 		}
 	}
 }

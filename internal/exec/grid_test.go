@@ -174,8 +174,7 @@ func FuzzGridFold(f *testing.F) {
 		if s, serr := stats.Variance(xs, valid); (err == nil) != (serr == nil) || err == nil && !same(v, s) {
 			t.Fatalf("%d rows: Variance %v (%v), stats.Variance %v (%v)", rows, v, err, s, serr)
 		}
-		mn, err := stats.Min(xs, valid)
-		mx, _ := stats.Max(xs, valid)
+		mn, mx, err := stats.Extremes(xs, valid)
 		if err == nil && (!same(want.Min, mn) || !same(want.Max, mx)) {
 			t.Fatalf("%d rows: extremes [%v, %v], stats [%v, %v]", rows, want.Min, want.Max, mn, mx)
 		}

@@ -214,7 +214,7 @@ func TestMaintainersAgreeWithBatchProperty(t *testing.T) {
 			if got, err := m.MeanValue(); err != nil || !almostEq(got, want, 1e-6) {
 				return false
 			}
-			if wantMin, _ := stats.Min(cur, nil); m.Min != wantMin {
+			if wantMin, _, _ := stats.Extremes(cur, nil); m.Min != wantMin {
 				return false
 			}
 		}

@@ -3,11 +3,14 @@ package query
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
+	"statdb/internal/core"
 	"statdb/internal/obs"
 	"statdb/internal/stats"
+	"statdb/internal/workload"
 )
 
 // TestResultsFollowEveryAttribute: a cached correlation or regression
@@ -138,5 +141,47 @@ func TestResultHitAllocatesAsAScalarHit(t *testing.T) {
 	t.Logf("allocations per repeat: correlate %v, compute %v", corr, mean)
 	if corr > mean {
 		t.Errorf("a repeated correlate allocates %v times, a repeated compute %v", corr, mean)
+	}
+}
+
+// TestResultReadsEachAttributeOnce: a tuple that names an attribute twice
+// (correlate A A, a regress naming Y among its predictors) reads that
+// column once and answers as if it had read it at every position.
+func TestResultReadsEachAttributeOnce(t *testing.T) {
+	d := core.New()
+	census, err := workload.Census(workload.DefaultCensusSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.LoadRaw("census80", census); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	e := NewExecutor(d, "analyst", &out)
+	if err := e.Run("materialize mv from census80 project POPULATION,AVE_SALARY"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		stmt, answer string
+		reads        int64
+	}{
+		{"correlate POPULATION POPULATION on mv", "correlation(POPULATION, POPULATION) = 1.0000", 1},
+		{"regress POPULATION on POPULATION over mv", "(R2=1.0000, n=2160)", 1},
+		{"regress POPULATION on POPULATION,AVE_SALARY over mv", "(R2=1.0000, n=2160)", 2},
+		{"regress AVE_SALARY on POPULATION,AVE_SALARY over mv", "(R2=1.0000, n=2160)", 2},
+	} {
+		before := d.Metrics()
+		out.Reset()
+		if err := e.Run("explain " + tc.stmt); err != nil {
+			t.Fatal(err)
+		}
+		passes := d.Metrics().Counters[obs.MSummaryPasses] - before.Counters[obs.MSummaryPasses]
+		scans := int64(strings.Count(out.String(), " scan [rows="))
+		if passes != tc.reads || scans != tc.reads {
+			t.Errorf("%s: %d passes and %d scan spans, want %d of each:\n%s", tc.stmt, passes, scans, tc.reads, out.String())
+		}
+		if !strings.Contains(out.String(), tc.answer) {
+			t.Errorf("%s: answer lacks %q:\n%s", tc.stmt, tc.answer, out.String())
+		}
 	}
 }

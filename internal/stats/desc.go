@@ -95,42 +95,27 @@ func StdDev(xs []float64, valid []bool) (float64, error) {
 	return math.Sqrt(v), nil
 }
 
-// Min returns the smallest valid observation.
-func Min(xs []float64, valid []bool) (float64, error) {
-	first := true
-	m := 0.0
+// Extremes returns the smallest and the largest valid observation, in
+// one pass. The first valid observation starts both, and only a strictly
+// smaller or larger one replaces it, so a NaN met first stays.
+func Extremes(xs []float64, valid []bool) (lo, hi float64, err error) {
+	seen := false
 	for i, x := range xs {
 		if valid != nil && !valid[i] {
 			continue
 		}
-		if first || x < m {
-			m = x
-			first = false
+		if !seen || x < lo {
+			lo = x
 		}
-	}
-	if first {
-		return 0, ErrNoData
-	}
-	return m, nil
-}
-
-// Max returns the largest valid observation.
-func Max(xs []float64, valid []bool) (float64, error) {
-	first := true
-	m := 0.0
-	for i, x := range xs {
-		if valid != nil && !valid[i] {
-			continue
+		if !seen || x > hi {
+			hi = x
 		}
-		if first || x > m {
-			m = x
-			first = false
-		}
+		seen = true
 	}
-	if first {
-		return 0, ErrNoData
+	if !seen {
+		return 0, 0, ErrNoData
 	}
-	return m, nil
+	return lo, hi, nil
 }
 
 // Mode returns the most frequent valid observation and its count; ties

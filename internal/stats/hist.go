@@ -26,12 +26,43 @@ func (h *Histogram) Total() int {
 	return n
 }
 
-// Bin returns the bin index for x, or -1 when x is outside the range.
+// Bin returns the bin index for x, or -1 when x is outside the range:
+// the rightmost of Edges[0..Bins()-1] that is <= x, counting Edges[0]
+// once x passed the range check. Bin first guesses the bin by arithmetic,
+// as if the edges were evenly spaced, and then corrects the guess by at
+// most one step against Edges; a guess still wrong after that, which
+// ascending but uneven edges can give, is settled by binary search. The
+// answer is the binary search's, bit for bit, for every histogram
+// NewHistogram builds (restored ones included) and every other whose
+// edges ascend.
 func (h *Histogram) Bin(x float64) int {
-	if len(h.Edges) < 2 || x < h.Edges[0] || x > h.Edges[len(h.Edges)-1] {
+	n := len(h.Edges) - 1
+	if n < 1 || x < h.Edges[0] || x > h.Edges[n] {
 		return -1
 	}
-	// Binary search for the rightmost edge <= x.
+	// A NaN guess (a NaN edge or x) or a negative one lands on bin 0.
+	g := 0
+	if f := (x - h.Edges[0]) / (h.Edges[n] - h.Edges[0]) * float64(n); f >= float64(n) {
+		g = n - 1
+	} else if f > 0 {
+		g = int(f)
+	}
+	if g > 0 && !(h.Edges[g] <= x) {
+		g--
+	} else if g+1 < n && h.Edges[g+1] <= x {
+		g++
+	}
+	if (g > 0 && !(h.Edges[g] <= x)) || (g+1 < n && h.Edges[g+1] <= x) {
+		g = h.search(x)
+	}
+	if g == len(h.Counts) { // x == last edge: closed right bin
+		g--
+	}
+	return g
+}
+
+// search is Bin's binary search for the rightmost edge <= x.
+func (h *Histogram) search(x float64) int {
 	lo, hi := 0, len(h.Edges)-1
 	for lo+1 < hi {
 		mid := (lo + hi) / 2
@@ -40,9 +71,6 @@ func (h *Histogram) Bin(x float64) int {
 		} else {
 			hi = mid
 		}
-	}
-	if lo == len(h.Counts) { // x == last edge: closed right bin
-		lo--
 	}
 	return lo
 }
@@ -63,11 +91,10 @@ func NewHistogram(xs []float64, valid []bool, bins int) (*Histogram, error) {
 	if bins < 1 {
 		return nil, fmt.Errorf("stats: histogram needs >= 1 bin, got %d", bins)
 	}
-	lo, err := Min(xs, valid)
+	lo, hi, err := Extremes(xs, valid)
 	if err != nil {
 		return nil, err
 	}
-	hi, _ := Max(xs, valid) //lint:allow error-flow Min succeeded, so Max cannot fail
 	if lo == hi {
 		hi = lo + 1 // degenerate range: one unit-wide bin
 	}

@@ -30,8 +30,7 @@ func TestDescriptiveBasics(t *testing.T) {
 	if !almostEq(sd, math.Sqrt(32.0/7), 1e-12) {
 		t.Errorf("StdDev = %g", sd)
 	}
-	mn, _ := Min(xs, nil)
-	mx, _ := Max(xs, nil)
+	mn, mx, _ := Extremes(xs, nil)
 	if mn != 2 || mx != 9 {
 		t.Errorf("min/max = %g/%g", mn, mx)
 	}
@@ -54,7 +53,7 @@ func TestValidityMaskSkipsMissing(t *testing.T) {
 	if m != 2 {
 		t.Errorf("Mean = %g", m)
 	}
-	mx, _ := Max(xs, valid)
+	_, mx, _ := Extremes(xs, valid)
 	if mx != 3 {
 		t.Errorf("Max = %g", mx)
 	}
@@ -64,8 +63,8 @@ func TestEmptyAndDegenerateErrors(t *testing.T) {
 	if _, err := Mean(nil, nil); err == nil {
 		t.Error("Mean of empty accepted")
 	}
-	if _, err := Min([]float64{1}, []bool{false}); err == nil {
-		t.Error("Min of all-missing accepted")
+	if _, _, err := Extremes([]float64{1}, []bool{false}); err == nil {
+		t.Error("Extremes of all-missing accepted")
 	}
 	if _, err := Variance([]float64{1}, nil); err == nil {
 		t.Error("Variance of single value accepted")
@@ -497,8 +496,7 @@ func TestTrimmedMeanBoundedProperty(t *testing.T) {
 		if err != nil {
 			return true
 		}
-		lo, _ := Min(xs, nil)
-		hi, _ := Max(xs, nil)
+		lo, hi, _ := Extremes(xs, nil)
 		return tm >= lo && tm <= hi
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sync"
@@ -28,6 +27,13 @@ import (
 //     device's TickCharger so recovery cost lands in the same ledger as
 //     the I/O it recovers.
 //
+// The pool owns at most capacity frames, each with one PageSize buffer,
+// resident and free together. A miss into a full pool reads into the
+// victim's buffer, and a read that fails puts its frame on the free list,
+// so after warm-up neither a hit nor a miss allocates. The Page a Fetch
+// or NewPage returns is held in its frame: its bytes are the page's only
+// until the matching Unpin, after which the frame may hold another page.
+//
 // The pool serializes its own state with a mutex so the parallel
 // execution engine may fetch through one pool from several goroutines;
 // per-page latching is still the caller's concern (pages returned by
@@ -36,8 +42,9 @@ type BufferPool struct {
 	mu       sync.Mutex
 	dev      Device
 	capacity int
-	frames   map[PageID]*list.Element
-	lru      *list.List // front = most recent
+	frames   map[PageID]*frame // resident frames
+	lru      frame             // sentinel of the resident ring: lru.next is the most recent
+	free     []*frame          // frames with a buffer and no page
 	retry    RetryPolicy
 	// Metrics live in a per-pool obs registry under the canonical
 	// storage.* names, so per-pool accounting stays exact and pools roll
@@ -84,10 +91,23 @@ func newPoolMetrics(reg *obs.Registry) poolMetrics {
 }
 
 type frame struct {
-	id    PageID
-	buf   []byte
-	pins  int
-	dirty bool
+	id         PageID
+	page       Page // wraps the frame's one PageSize buffer
+	pins       int
+	dirty      bool
+	prev, next *frame // links in the pool's LRU ring
+}
+
+// unlink takes f out of the LRU ring.
+func (f *frame) unlink() {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
+}
+
+// pushFront makes f the most recently used resident frame.
+func (bp *BufferPool) pushFront(f *frame) {
+	f.prev, f.next = &bp.lru, bp.lru.next
+	f.prev.next, f.next.prev = f, f
 }
 
 // RetryPolicy bounds transient-error retries. An operation is attempted
@@ -109,15 +129,16 @@ func NewBufferPool(dev Device, capacity int) *BufferPool {
 		capacity = 1
 	}
 	reg := obs.NewRegistry()
-	return &BufferPool{
+	bp := &BufferPool{
 		dev:      dev,
 		capacity: capacity,
-		frames:   make(map[PageID]*list.Element, capacity),
-		lru:      list.New(),
+		frames:   make(map[PageID]*frame, capacity),
 		retry:    DefaultRetryPolicy(),
 		reg:      reg,
 		met:      newPoolMetrics(reg),
 	}
+	bp.lru.prev, bp.lru.next = &bp.lru, &bp.lru
+	return bp
 }
 
 // Metrics exposes the pool's metrics registry (storage.* families).
@@ -216,34 +237,34 @@ func (bp *BufferPool) writePage(id PageID, buf []byte) error {
 	return nil
 }
 
-// Fetch pins page id and returns it. The caller must Unpin it. A page
-// whose image fails checksum verification is not cached; the
-// CorruptError identifies it.
+// Fetch pins page id and returns it. The caller must Unpin it, and may
+// use the page only until then. A page whose image fails checksum
+// verification is not cached; the CorruptError identifies it.
 func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	if e, ok := bp.frames[id]; ok {
+	if f, ok := bp.frames[id]; ok {
 		bp.met.hits.Inc()
-		bp.lru.MoveToFront(e)
-		f := e.Value.(*frame)
+		f.unlink()
+		bp.pushFront(f)
 		f.pins++
-		return NewPage(f.buf), nil
+		return &f.page, nil
 	}
 	bp.met.misses.Inc()
-	if err := bp.evictIfFull(); err != nil {
+	f, err := bp.grab()
+	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, PageSize)
-	if err := bp.readPage(id, buf); err != nil {
+	if err := bp.readPage(id, f.page.buf); err != nil {
+		bp.free = append(bp.free, f)
 		return nil, err
 	}
-	f := &frame{id: id, buf: buf, pins: 1}
-	bp.frames[id] = bp.lru.PushFront(f)
-	return NewPage(f.buf), nil
+	bp.install(f, id, false)
+	return &f.page, nil
 }
 
 // NewPage allocates a fresh device page, pins it, and returns it
-// initialized and marked dirty.
+// initialized and marked dirty, on the same terms as Fetch.
 func (bp *BufferPool) NewPage() (PageID, *Page, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
@@ -251,45 +272,57 @@ func (bp *BufferPool) NewPage() (PageID, *Page, error) {
 	if err != nil {
 		return InvalidPage, nil, err
 	}
-	if err := bp.evictIfFull(); err != nil {
+	f, err := bp.grab()
+	if err != nil {
 		return InvalidPage, nil, err
 	}
-	f := &frame{id: id, buf: make([]byte, PageSize), pins: 1, dirty: true}
-	bp.frames[id] = bp.lru.PushFront(f)
-	p := NewPage(f.buf)
-	p.Init()
-	return id, p, nil
+	f.page.Init()
+	bp.install(f, id, true)
+	return id, &f.page, nil
 }
 
-// evictIfFull makes room for one more frame. The caller holds bp.mu.
-func (bp *BufferPool) evictIfFull() error {
-	for len(bp.frames) >= bp.capacity {
-		victim := (*frame)(nil)
-		var elem *list.Element
-		for e := bp.lru.Back(); e != nil; e = e.Prev() {
-			f := e.Value.(*frame)
-			if f.pins == 0 {
-				victim, elem = f, e
-				break
-			}
-		}
-		if victim == nil {
-			return fmt.Errorf("storage: buffer pool of %d frames has no unpinned page", bp.capacity)
-		}
-		if victim.dirty {
-			bp.met.evictDirty.Inc()
-			if err := bp.writePage(victim.id, victim.buf); err != nil {
-				// The frame stays resident and dirty; the metric records
-				// the page identity the error string reports.
-				bp.met.evictFailed.Inc()
-				return fmt.Errorf("storage: evict page %d: %w", victim.id, err)
-			}
-		}
-		bp.met.evictions.Inc()
-		bp.lru.Remove(elem)
-		delete(bp.frames, victim.id)
+// install makes f the resident, pinned, most recent frame of page id.
+// The caller holds bp.mu.
+func (bp *BufferPool) install(f *frame, id PageID, dirty bool) {
+	f.id, f.pins, f.dirty = id, 1, dirty
+	bp.frames[id] = f
+	bp.pushFront(f)
+}
+
+// grab returns a frame to hold a page that is not resident: a free one,
+// a new one while the pool owns fewer than capacity, or else the least
+// recently used unpinned frame, evicted — written back first if dirty.
+// The frame is on no list; the caller installs it or frees it. The
+// caller holds bp.mu.
+func (bp *BufferPool) grab() (*frame, error) {
+	if n := len(bp.free); n > 0 {
+		f := bp.free[n-1]
+		bp.free = bp.free[:n-1]
+		return f, nil
 	}
-	return nil
+	if len(bp.frames) < bp.capacity {
+		return &frame{page: Page{buf: make([]byte, PageSize)}}, nil
+	}
+	victim := bp.lru.prev
+	for victim != &bp.lru && victim.pins > 0 {
+		victim = victim.prev
+	}
+	if victim == &bp.lru {
+		return nil, fmt.Errorf("storage: buffer pool of %d frames has no unpinned page", bp.capacity)
+	}
+	if victim.dirty {
+		bp.met.evictDirty.Inc()
+		if err := bp.writePage(victim.id, victim.page.buf); err != nil {
+			// The frame stays resident and dirty; the metric records
+			// the page identity the error string reports.
+			bp.met.evictFailed.Inc()
+			return nil, fmt.Errorf("storage: evict page %d: %w", victim.id, err)
+		}
+	}
+	bp.met.evictions.Inc()
+	victim.unlink()
+	delete(bp.frames, victim.id)
+	return victim, nil
 }
 
 // Unpin releases one pin on page id; dirty records that the caller
@@ -297,11 +330,10 @@ func (bp *BufferPool) evictIfFull() error {
 func (bp *BufferPool) Unpin(id PageID, dirty bool) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	e, ok := bp.frames[id]
+	f, ok := bp.frames[id]
 	if !ok {
 		return fmt.Errorf("storage: unpin of unbuffered page %d", id)
 	}
-	f := e.Value.(*frame)
 	if f.pins == 0 {
 		return fmt.Errorf("storage: unpin of unpinned page %d", id)
 	}
@@ -323,12 +355,11 @@ func (bp *BufferPool) FlushAll() error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	var errs []error
-	for e := bp.lru.Front(); e != nil; e = e.Next() {
-		f := e.Value.(*frame)
+	for f := bp.lru.next; f != &bp.lru; f = f.next {
 		if !f.dirty {
 			continue
 		}
-		if err := bp.writePage(f.id, f.buf); err != nil {
+		if err := bp.writePage(f.id, f.page.buf); err != nil {
 			bp.met.flushFail.Inc()
 			errs = append(errs, fmt.Errorf("storage: flush page %d: %w", f.id, err))
 			continue

@@ -49,23 +49,40 @@ func EncodeRow(dst []byte, r dataset.Row) []byte {
 // DecodeRow parses a record of n values from buf, requiring buf to be
 // fully consumed.
 func DecodeRow(buf []byte, n int) (dataset.Row, error) {
-	row, rest, err := DecodeRowPrefix(buf, n)
+	row, err := decodeRowInto(make(dataset.Row, 0, n), buf, n)
 	if err != nil {
 		return nil, err
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("storage: %d trailing bytes after %d values", len(rest), n)
-	}
 	return row, nil
+}
+
+// decodeRowInto is DecodeRow decoding into dst's storage: the row it
+// returns, on failure too, reuses dst's array whenever it holds n values.
+func decodeRowInto(dst dataset.Row, buf []byte, n int) (dataset.Row, error) {
+	row, rest, err := appendRow(dst[:0], buf, n)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("storage: %d trailing bytes after %d values", len(rest), n)
+	}
+	return row, err
 }
 
 // DecodeRowPrefix parses a record of n values from the front of buf and
 // returns the unconsumed tail, for block formats that concatenate rows.
 func DecodeRowPrefix(buf []byte, n int) (dataset.Row, []byte, error) {
-	r := make(dataset.Row, 0, n)
+	row, rest, err := appendRow(make(dataset.Row, 0, n), buf, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	return row, rest, nil
+}
+
+// appendRow appends the n values at the front of buf to r and returns
+// it with the unconsumed tail; on failure r holds the values before the
+// bad one.
+func appendRow(r dataset.Row, buf []byte, n int) (dataset.Row, []byte, error) {
 	for i := 0; i < n; i++ {
 		if len(buf) == 0 {
-			return nil, nil, fmt.Errorf("storage: record truncated at value %d of %d", i, n)
+			return r, nil, fmt.Errorf("storage: record truncated at value %d of %d", i, n)
 		}
 		tag := buf[0]
 		buf = buf[1:]
@@ -75,13 +92,13 @@ func DecodeRowPrefix(buf []byte, n int) (dataset.Row, []byte, error) {
 		case tagInt:
 			v, sz := binary.Varint(buf)
 			if sz <= 0 {
-				return nil, nil, fmt.Errorf("storage: bad varint at value %d", i)
+				return r, nil, fmt.Errorf("storage: bad varint at value %d", i)
 			}
 			buf = buf[sz:]
 			r = append(r, dataset.Int(v))
 		case tagFloat:
 			if len(buf) < 8 {
-				return nil, nil, fmt.Errorf("storage: truncated float at value %d", i)
+				return r, nil, fmt.Errorf("storage: truncated float at value %d", i)
 			}
 			bits := binary.LittleEndian.Uint64(buf[:8])
 			buf = buf[8:]
@@ -89,13 +106,13 @@ func DecodeRowPrefix(buf []byte, n int) (dataset.Row, []byte, error) {
 		case tagString:
 			l, sz := binary.Uvarint(buf)
 			if sz <= 0 || uint64(len(buf)-sz) < l {
-				return nil, nil, fmt.Errorf("storage: truncated string at value %d", i)
+				return r, nil, fmt.Errorf("storage: truncated string at value %d", i)
 			}
 			buf = buf[sz:]
 			r = append(r, dataset.String(string(buf[:l])))
 			buf = buf[l:]
 		default:
-			return nil, nil, fmt.Errorf("storage: unknown value tag 0x%02x at value %d", tag, i)
+			return r, nil, fmt.Errorf("storage: unknown value tag 0x%02x at value %d", tag, i)
 		}
 	}
 	return r, buf, nil

@@ -111,7 +111,9 @@ func (h *HeapFile) Get(rid RID) (dataset.Row, error) {
 // Scan calls fn for every record in file order. fn returning false
 // stops the scan early. This is the full-file sequential access pattern
 // that dominates statistical operations (Section 2.2). It aborts at the
-// first page or record that fails to read or decode.
+// first page or record that fails to read or decode. Every record is
+// decoded into the same row, so fn must not keep the row (its values
+// it may keep) past its return.
 func (h *HeapFile) Scan(fn func(rid RID, row dataset.Row) bool) error {
 	return h.ScanTolerant(fn, nil)
 }
@@ -129,10 +131,12 @@ type Corruption struct {
 // corruption through bad and continues with the rest of the file. Only
 // ErrCorrupt-class page failures are tolerated; device errors that are
 // not corruption (unknown page, exhausted transient retries) still abort.
-// With a nil bad it is Scan. The Summary Database uses it to degrade —
-// drop what cannot be read, recompute it from the concrete view (Section
-// 3.2's cache semantics).
+// With a nil bad it is Scan, and its fn, like Scan's, must not keep the
+// row. The Summary Database uses it to degrade — drop what cannot be
+// read, recompute it from the concrete view (Section 3.2's cache
+// semantics).
 func (h *HeapFile) ScanTolerant(fn func(rid RID, row dataset.Row) bool, bad func(Corruption)) error {
+	row := make(dataset.Row, 0, h.schema.Len())
 	for _, id := range h.pages {
 		p, err := h.pool.Fetch(id)
 		if err != nil {
@@ -145,9 +149,8 @@ func (h *HeapFile) ScanTolerant(fn func(rid RID, row dataset.Row) bool, bad func
 		stop := false
 		for s := 0; s < p.NumSlots() && !stop; s++ {
 			rec, err := p.Get(s)
-			var row dataset.Row
 			if err == nil {
-				if row, err = DecodeRow(rec, h.schema.Len()); err != nil {
+				if row, err = decodeRowInto(row, rec, h.schema.Len()); err != nil {
 					err = &CorruptError{Page: id, Slot: s, Off: -1, Detail: "row codec", Cause: err}
 				}
 			}

@@ -19,11 +19,17 @@ var serialOracle = map[string]func(xs []float64, valid []bool) (float64, error){
 	"mean":     stats.Mean,
 	"variance": stats.Variance,
 	"sd":       stats.StdDev,
-	"min":      stats.Min,
-	"max":      stats.Max,
-	"median":   stats.Median,
-	"q1":       func(xs []float64, valid []bool) (float64, error) { return stats.Quantile(xs, valid, 0.25) },
-	"q3":       func(xs []float64, valid []bool) (float64, error) { return stats.Quantile(xs, valid, 0.75) },
+	"min": func(xs []float64, valid []bool) (float64, error) {
+		lo, _, err := stats.Extremes(xs, valid)
+		return lo, err
+	},
+	"max": func(xs []float64, valid []bool) (float64, error) {
+		_, hi, err := stats.Extremes(xs, valid)
+		return hi, err
+	},
+	"median": stats.Median,
+	"q1":     func(xs []float64, valid []bool) (float64, error) { return stats.Quantile(xs, valid, 0.25) },
+	"q3":     func(xs []float64, valid []bool) (float64, error) { return stats.Quantile(xs, valid, 0.75) },
 	"mode": func(xs []float64, valid []bool) (float64, error) {
 		m, _, err := stats.Mode(xs, valid)
 		return m, err

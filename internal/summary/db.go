@@ -299,13 +299,15 @@ func (db *DB) ScalarFrom(fn, attr string, bind func() Sources) (float64, error) 
 // ResultFrom is ScalarFrom for a result of any kind over a tuple of
 // attributes — a histogram, a correlation, a regression: fn(attrs) from
 // the cache when fresh, and otherwise computed by final from the tuple's
-// columns, each read once, in tuple order, through the Source bind binds
-// for it. bind is called only on a miss or a stale refill, and final runs
-// under the cache's lock, so it must not call back into the DB. A read or
-// a final that fails fails the call and leaves the cache as it was. The
-// entry keeps no source: under every policy an update of any attribute of
-// its tuple marks it stale, and the next call refills it. fn must not be
-// a built-in function, whose entries ScalarFrom maintains.
+// columns, each distinct attribute read once, in tuple order, through the
+// Source bind binds for it; an attribute named twice hands final the same
+// column at both positions. bind is called only on a miss or a stale
+// refill, and final runs under the cache's lock, so it must not call back
+// into the DB. A read or a final that fails fails the call and leaves the
+// cache as it was. The entry keeps no source: under every policy an update
+// of any attribute of its tuple marks it stale, and the next call refills
+// it. fn must not be a built-in function, whose entries ScalarFrom
+// maintains.
 func (db *DB) ResultFrom(fn string, attrs []string, bind func(attr string) Source, final func(xs [][]float64, valid [][]bool) (Result, error)) (Result, error) {
 	if _, builtin := aggregateRow[fn]; builtin {
 		return Result{}, fmt.Errorf("summary: %s is a built-in function, filled by ScalarFrom", fn)
@@ -317,6 +319,10 @@ func (db *DB) ResultFrom(fn string, attrs []string, bind func(attr string) Sourc
 	return db.serve(sp, fn, attrs, func(e *entry, _ bool) (Result, error) {
 		xs, valid := make([][]float64, len(attrs)), make([][]bool, len(attrs))
 		for i, attr := range attrs {
+			if j := slices.Index(attrs[:i], attr); j >= 0 {
+				xs[i], valid[i] = xs[j], valid[j]
+				continue
+			}
 			var err error
 			if xs[i], valid[i], err = db.readSource(bind(attr)); err != nil {
 				return Result{}, err
