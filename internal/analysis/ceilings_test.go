@@ -21,7 +21,7 @@ var allowCeilings = map[string]int{
 	"determinism":       1,
 	"error-flow":        28,
 	"goroutine-confine": 2,
-	"no-panic":          11,
+	"no-panic":          10,
 	"test-only":         13,
 }
 

@@ -114,7 +114,7 @@ func roundTrip(t *testing.T, enc Encoding, n int) {
 	}
 	for i := 0; i < n; i++ {
 		for c := 0; c < ds.Schema().Len(); c++ {
-			if !got.Cell(i, c).Equal(ds.Cell(i, c)) {
+			if got.Cell(i, c) != ds.Cell(i, c) {
 				t.Fatalf("%s: cell (%d,%d): got %v want %v", enc, i, c, got.Cell(i, c), ds.Cell(i, c))
 			}
 		}
@@ -161,7 +161,7 @@ func TestNullsRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 600; i++ {
-			if !got.Cell(i, 0).Equal(ds.Cell(i, 0)) {
+			if got.Cell(i, 0) != ds.Cell(i, 0) {
 				t.Fatalf("%v: cell %d: %v != %v", enc, i, got.Cell(i, 0), ds.Cell(i, 0))
 			}
 		}
@@ -238,7 +238,7 @@ func TestRowAt(t *testing.T) {
 			}
 			want := ds.RowAt(i)
 			for c := range want {
-				if !row[c].Equal(want[c]) {
+				if row[c] != want[c] {
 					t.Errorf("enc=%v row %d col %d: %v != %v", enc, i, c, row[c], want[c])
 				}
 			}
@@ -263,7 +263,7 @@ func TestUpdateValuePlain(t *testing.T) {
 		t.Fatal(err)
 	}
 	row, err := f.RowAt(500)
-	if err != nil || !row[2].Equal(dataset.Int(-1)) {
+	if err != nil || row[2] != dataset.Int(-1) {
 		t.Fatalf("after update: %v, %v", row, err)
 	}
 	// Null update.
@@ -294,13 +294,13 @@ func TestUpdateValueRLERewritesColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	row, err := f.RowAt(300)
-	if err != nil || !row[0].Equal(dataset.String("X")) {
+	if err != nil || row[0] != dataset.String("X") {
 		t.Fatalf("after RLE update: %v, %v", row, err)
 	}
 	// Neighbours untouched.
 	for _, i := range []int{299, 301} {
 		row, _ := f.RowAt(i)
-		if !row[0].Equal(ds.Cell(i, 0)) {
+		if row[0] != ds.Cell(i, 0) {
 			t.Errorf("row %d disturbed: %v", i, row[0])
 		}
 	}
@@ -379,7 +379,7 @@ func TestEncodingsAgreeProperty(t *testing.T) {
 			return false
 		}
 		for i := 0; i < a.Rows(); i++ {
-			if !a.Cell(i, 0).Equal(b.Cell(i, 0)) {
+			if a.Cell(i, 0) != b.Cell(i, 0) {
 				return false
 			}
 		}
@@ -509,7 +509,7 @@ func TestUpdateRowsMatchesUpdateValue(t *testing.T) {
 		}
 		for r := 0; r < ds.Rows(); r++ {
 			for c := 0; c < ds.Schema().Len(); c++ {
-				if !ma.Cell(r, c).Equal(mb.Cell(r, c)) {
+				if ma.Cell(r, c) != mb.Cell(r, c) {
 					t.Fatalf("%s: cell (%d,%d): batch %v, cell-at-a-time %v", enc, r, c, ma.Cell(r, c), mb.Cell(r, c))
 				}
 			}
@@ -569,7 +569,7 @@ func TestUpdateRowsRejectsBadBatches(t *testing.T) {
 		t.Error("type-mismatched batch accepted")
 	}
 	row, err := f.RowAt(3)
-	if err != nil || !row[2].Equal(ds.Cell(3, 2)) {
+	if err != nil || row[2] != ds.Cell(3, 2) {
 		t.Errorf("rejected batch changed row 3: %v, %v", row, err)
 	}
 }
@@ -598,7 +598,7 @@ func TestRLERewritesReuseTheirPages(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := dataset.Int(int64(100000 + i))
-		if row, err := f.RowAt((i * 61) % n); err != nil || !row[0].Equal(want) {
+		if row, err := f.RowAt((i * 61) % n); err != nil || row[0] != want {
 			t.Fatalf("rewrite %d: row reads %v, %v", i, row, err)
 		}
 	}
@@ -630,7 +630,7 @@ func TestRLERewritesReuseTheirPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range vals {
-		if !m.Cell(i, 0).Equal(vals[i]) {
+		if m.Cell(i, 0) != vals[i] {
 			t.Fatalf("row %d reads %v after the rewrites, want %v", i, m.Cell(i, 0), vals[i])
 		}
 	}

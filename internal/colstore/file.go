@@ -79,25 +79,36 @@ func Load(pool *storage.BufferPool, ds *dataset.Dataset, opts Options) (*File, e
 	return f, nil
 }
 
-// columnValues extracts column c of ds as (payload, null) pairs, building
-// the dictionary for string columns.
+// columnValues extracts column c of ds as (payload, null) pairs from its
+// typed vector, building the dictionary for string columns.
 func columnValues(ds *dataset.Dataset, c int, meta *columnMeta) ([]int64, []bool) {
-	n := ds.Rows()
-	vals := make([]int64, n)
-	nulls := make([]bool, n)
-	for i := 0; i < n; i++ {
-		v := ds.Cell(i, c)
-		if v.IsNull() {
-			nulls[i] = true
-			continue
+	valid := ds.Valid(c)
+	vals := make([]int64, len(valid))
+	nulls := make([]bool, len(valid))
+	for i, ok := range valid {
+		nulls[i] = !ok
+	}
+	switch meta.kind {
+	case dataset.KindInt:
+		xs, _ := ds.Ints(c)
+		for i, x := range xs {
+			if valid[i] {
+				vals[i] = x
+			}
 		}
-		switch meta.kind {
-		case dataset.KindInt:
-			vals[i] = v.AsInt()
-		case dataset.KindFloat:
-			vals[i] = int64(math.Float64bits(v.AsFloat()))
-		case dataset.KindString:
-			s := v.AsString()
+	case dataset.KindFloat:
+		xs, _ := ds.Floats(c)
+		for i, x := range xs {
+			if valid[i] {
+				vals[i] = int64(math.Float64bits(x))
+			}
+		}
+	case dataset.KindString:
+		xs, _ := ds.Strings(c)
+		for i, s := range xs {
+			if !valid[i] {
+				continue
+			}
 			id, ok := meta.dictIdx[s]
 			if !ok {
 				id = int64(len(meta.dict))
@@ -497,41 +508,63 @@ func (f *File) patchPlain(m *columnMeta, rows []int32, payloads []int64, nulls [
 	return nil
 }
 
-// Materialize reads the whole file back into an in-memory data set.
+// Materialize reads the whole file back into an in-memory data set, a
+// column at a time: each page decodes into typed scratch appended to
+// its column.
 func (f *File) Materialize() (*dataset.Dataset, error) {
 	out := dataset.New(f.schema)
-	cols := make([][]dataset.Value, len(f.cols))
-	var vals []int64
-	var nulls []bool
+	out.Grow(f.rows)
+	var (
+		vals  []int64
+		nulls []bool
+		valid []bool
+		flts  []float64
+		strs  []string
+	)
 	for c, m := range f.cols {
-		cols[c] = make([]dataset.Value, f.rows)
 		filled := 0
 		for p := range m.pages {
 			var err error
-			vals, nulls, err = f.pageValuesInto(m, p, vals, nulls)
-			if err != nil {
+			if vals, nulls, err = f.pageValuesInto(m, p, vals, nulls); err != nil {
 				return nil, err
 			}
-			base := m.rowStart[p]
-			if base+len(vals) > f.rows {
+			if filled+len(vals) > f.rows {
 				return nil, fmt.Errorf("colstore: column %q overflows %d rows", m.name, f.rows)
 			}
-			for i := range vals {
-				cols[c][base+i] = m.toValue(vals[i], nulls[i])
+			if m.rowStart[p] != filled {
+				return nil, fmt.Errorf("colstore: column %q page %d starts at row %d after %d rows", m.name, p, m.rowStart[p], filled)
+			}
+			valid = valid[:0]
+			for _, null := range nulls {
+				valid = append(valid, !null)
+			}
+			switch m.kind {
+			case dataset.KindInt:
+				err = dataset.AppendColumn(out, c, vals, valid)
+			case dataset.KindFloat:
+				flts = flts[:0]
+				for _, v := range vals {
+					flts = append(flts, math.Float64frombits(uint64(v)))
+				}
+				err = dataset.AppendColumn(out, c, flts, valid)
+			case dataset.KindString:
+				strs = strs[:0]
+				for i, v := range vals {
+					s := ""
+					if !nulls[i] {
+						s = m.dict[v]
+					}
+					strs = append(strs, s)
+				}
+				err = dataset.AppendColumn(out, c, strs, valid)
+			}
+			if err != nil {
+				return nil, err
 			}
 			filled += len(vals)
 		}
 		if filled != f.rows {
 			return nil, fmt.Errorf("colstore: column %q has %d values, want %d", m.name, filled, f.rows)
-		}
-	}
-	for i := 0; i < f.rows; i++ {
-		row := make(dataset.Row, len(f.cols))
-		for c := range f.cols {
-			row[c] = cols[c][i]
-		}
-		if err := out.Append(row); err != nil {
-			return nil, err
 		}
 	}
 	return out, nil

@@ -210,15 +210,17 @@ func SuggestEncodings(ds *dataset.Dataset) map[string]Encoding {
 			out[attr.Name] = Plain
 			continue
 		}
-		runs := 1
-		prev := ds.Cell(0, c)
-		for r := 1; r < rows; r++ {
-			v := ds.Cell(r, c)
-			same := (v.IsNull() && prev.IsNull()) || (!v.IsNull() && !prev.IsNull() && v.Equal(prev))
-			if !same {
-				runs++
-				prev = v
-			}
+		var runs int
+		switch valid := ds.Valid(c); attr.Kind {
+		case dataset.KindInt:
+			xs, _ := ds.Ints(c)
+			runs = countRuns(xs, valid)
+		case dataset.KindFloat:
+			xs, _ := ds.Floats(c)
+			runs = countRuns(xs, valid)
+		default:
+			xs, _ := ds.Strings(c)
+			runs = countRuns(xs, valid)
 		}
 		if runs*4 <= rows {
 			out[attr.Name] = RLE
@@ -227,4 +229,18 @@ func SuggestEncodings(ds *dataset.Dataset) map[string]Encoding {
 		}
 	}
 	return out
+}
+
+// countRuns counts the runs of equal neighbouring cells of a non-empty
+// column: a missing cell equals a missing cell, -0 equals +0, and a NaN
+// equals nothing, so each NaN is a run of its own.
+func countRuns[T comparable](xs []T, valid []bool) int {
+	runs, head := 1, 0
+	for r := 1; r < len(xs); r++ {
+		if valid[r] != valid[head] || valid[r] && xs[r] != xs[head] {
+			runs++
+			head = r
+		}
+	}
+	return runs
 }

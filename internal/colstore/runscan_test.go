@@ -1,7 +1,9 @@
 package colstore
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"statdb/internal/dataset"
@@ -284,6 +286,139 @@ func TestSuggestEncodings(t *testing.T) {
 		if e != Plain {
 			t.Errorf("empty data set: %s = %v, want Plain", name, e)
 		}
+	}
+}
+
+// refRuns and refColumnValues are SuggestEncodings' run count and
+// Load's column extraction as they read boxed cells, compared by Value
+// equality: null equals null, -0 equals +0, NaN equals nothing.
+func refRuns(ds *dataset.Dataset, c int) int {
+	runs, prev := 1, ds.Cell(0, c)
+	for r := 1; r < ds.Rows(); r++ {
+		if v := ds.Cell(r, c); v != prev {
+			runs++
+			prev = v
+		}
+	}
+	return runs
+}
+
+func refColumnValues(ds *dataset.Dataset, c int, meta *columnMeta) ([]int64, []bool) {
+	vals, nulls := make([]int64, ds.Rows()), make([]bool, ds.Rows())
+	for i := range vals {
+		v := ds.Cell(i, c)
+		if v.IsNull() {
+			nulls[i] = true
+			continue
+		}
+		switch meta.kind {
+		case dataset.KindInt:
+			vals[i] = v.AsInt()
+		case dataset.KindFloat:
+			vals[i] = int64(math.Float64bits(v.AsFloat()))
+		case dataset.KindString:
+			id, ok := meta.dictIdx[v.AsString()]
+			if !ok {
+				id = int64(len(meta.dict))
+				meta.dict = append(meta.dict, v.AsString())
+				meta.dictIdx[v.AsString()] = id
+			}
+			vals[i] = id
+		}
+	}
+	return vals, nulls
+}
+
+// The typed run count, column extraction and Materialize equal their
+// boxed references on columns written in runs of NaN, ±0, nulls (a stale
+// payload under some), repeated ints and strings: the same encodings are
+// chosen, the same pages written and the same cells read back.
+func TestTypedLoadMatchesBoxedReference(t *testing.T) {
+	state := uint64(45)
+	rnd := func(n int) int {
+		state = state*6364136223846793005 + 1442695040888963407
+		return int(state>>33) % n
+	}
+	sch := dataset.MustSchema(
+		dataset.Attribute{Name: "F", Kind: dataset.KindFloat},
+		dataset.Attribute{Name: "I", Kind: dataset.KindInt},
+		dataset.Attribute{Name: "S", Kind: dataset.KindString},
+	)
+	floats := []float64{math.NaN(), 0, math.Copysign(0, -1), 1.5}
+	labels := []string{"", "a", "b"}
+	chosen := map[Encoding]int{}
+	for trial := 0; trial < 60; trial++ {
+		n, maxRun := 1+rnd(700), 1+rnd(12)
+		ds := dataset.New(sch)
+		row := dataset.Row{dataset.Null, dataset.Null, dataset.Null}
+		for i := 0; i < n; i++ {
+			for c := range row {
+				if i > 0 && rnd(maxRun) != 0 {
+					continue // the run goes on
+				}
+				switch k := rnd(5); {
+				case k == 0:
+					row[c] = dataset.Null
+				case c == 0:
+					row[c] = dataset.Float(floats[k-1])
+				case c == 1:
+					row[c] = dataset.Int(int64(k % 3))
+				default:
+					row[c] = dataset.String(labels[k%3])
+				}
+			}
+			if err := ds.Append(row); err != nil {
+				t.Fatal(err)
+			}
+			if rnd(40) == 0 {
+				if err := ds.SetCell(i, rnd(3), dataset.Null); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want := map[string]Encoding{}
+		for c := 0; c < sch.Len(); c++ {
+			if refRuns(ds, c)*4 <= n {
+				want[sch.At(c).Name] = RLE
+			} else {
+				want[sch.At(c).Name] = Plain
+			}
+			got := &columnMeta{kind: sch.At(c).Kind, dictIdx: map[string]int64{}}
+			ref := &columnMeta{kind: sch.At(c).Kind, dictIdx: map[string]int64{}}
+			gv, gn := columnValues(ds, c, got)
+			rv, rn := refColumnValues(ds, c, ref)
+			if !slices.Equal(gv, rv) || !slices.Equal(gn, rn) || !slices.Equal(got.dict, ref.dict) {
+				t.Fatalf("trial %d column %s: typed extraction differs from the boxed one", trial, sch.At(c).Name)
+			}
+		}
+		enc := SuggestEncodings(ds)
+		if !maps.Equal(enc, want) {
+			t.Fatalf("trial %d: SuggestEncodings = %v, boxed reference %v", trial, enc, want)
+		}
+		for _, e := range enc {
+			chosen[e]++
+		}
+		_, pool := newPool()
+		f, err := Load(pool, ds, Options{Encode: enc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := f.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			for c := 0; c < sch.Len(); c++ {
+				g, w := back.Cell(i, c), ds.Cell(i, c)
+				if g.Kind() != w.Kind() || g.String() != w.String() ||
+					w.Kind() == dataset.KindFloat && math.Float64bits(g.AsFloat()) != math.Float64bits(w.AsFloat()) {
+					t.Fatalf("trial %d cell (%d,%d) = %v, want %v", trial, i, c, g, w)
+				}
+			}
+		}
+	}
+	if chosen[RLE] == 0 || chosen[Plain] == 0 {
+		t.Fatalf("trials chose %v: both encodings must be exercised", chosen)
 	}
 }
 

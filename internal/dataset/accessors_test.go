@@ -5,15 +5,6 @@ import (
 	"testing"
 )
 
-func TestRowClone(t *testing.T) {
-	r := Row{Int(1), String("x")}
-	c := r.Clone()
-	c[0] = Int(99)
-	if !r[0].Equal(Int(1)) {
-		t.Error("clone aliases original")
-	}
-}
-
 func TestDatasetNameAndString(t *testing.T) {
 	d := New(exampleSchema(t))
 	if d.name != "" {
@@ -41,7 +32,7 @@ func TestRowAtAndTypedAccessors(t *testing.T) {
 	d := New(exampleSchema(t))
 	_ = d.Append(Row{String("M"), String("W"), Int(3), Int(10), Null})
 	row := d.RowAt(0)
-	if !row[2].Equal(Int(3)) || !row[4].IsNull() {
+	if row[2] != Int(3) || !row[4].IsNull() {
 		t.Errorf("RowAt = %v", row)
 	}
 	ints, valid := d.Ints(2)
@@ -71,7 +62,6 @@ func TestValueAccessorPanics(t *testing.T) {
 	assertPanics(t, func() { String("x").AsInt() }, "AsInt on string")
 	assertPanics(t, func() { Int(1).AsString() }, "AsString on int")
 	assertPanics(t, func() { Null.AsFloat() }, "AsFloat on null")
-	assertPanics(t, func() { String("x").Compare(Int(1)) }, "Compare string/int")
 	if Int(1).Kind() != KindInt || Float(1).Kind() != KindFloat || String("").Kind() != KindString {
 		t.Error("Kind accessors wrong")
 	}

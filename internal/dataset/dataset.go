@@ -2,20 +2,12 @@ package dataset
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 )
 
 // Row is one record of a data set, with one Value per attribute in schema
 // order.
 type Row []Value
-
-// Clone returns a copy of the row.
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
 
 // Vector is a typed vector plus a validity mask: the in-memory columnar
 // storage of one attribute, and (see Gather) the before-image of an
@@ -48,15 +40,24 @@ func (c *Vector) Len() int {
 
 // grow reserves room for n more cells.
 func (c *Vector) grow(n int) {
-	c.valid = slices.Grow(c.valid, n)
+	c.valid = reserve(c.valid, n)
 	switch c.kind {
 	case KindInt:
-		c.ints = slices.Grow(c.ints, n)
+		c.ints = reserve(c.ints, n)
 	case KindFloat:
-		c.flts = slices.Grow(c.flts, n)
+		c.flts = reserve(c.flts, n)
 	case KindString:
-		c.strs = slices.Grow(c.strs, n)
+		c.strs = reserve(c.strs, n)
 	}
+}
+
+// reserve returns s with room for n more elements, in one allocation
+// (slices.Grow takes two when the race detector instruments it).
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, len(s)+n), s...)
 }
 
 func (c *Vector) append(v Value) error {
@@ -291,22 +292,112 @@ func (d *Dataset) Gather(col int, rows []int32) *Vector {
 	}
 	switch c.kind {
 	case KindInt:
-		out.ints = make([]int64, len(rows))
-		for k, r := range rows {
-			out.ints[k] = c.ints[r]
-		}
+		out.ints = take(c.ints, rows, nil)
 	case KindFloat:
-		out.flts = make([]float64, len(rows))
-		for k, r := range rows {
-			out.flts[k] = c.flts[r]
-		}
+		out.flts = take(c.flts, rows, nil)
 	case KindString:
-		out.strs = make([]string, len(rows))
-		for k, r := range rows {
-			out.strs[k] = c.strs[r]
+		out.strs = take(c.strs, rows, nil)
+	}
+	return out
+}
+
+// Take builds a data set of schema sch from d a column at a time — the
+// one gather every operator that derives a data set runs: attribute j
+// of the result holds column cols[j] of d at rows, cell k from row
+// rows[k]. A nil cols takes every column in order, a nil rows every row
+// (an empty non-nil rows takes none). Cells are copied, never aliased,
+// since a view is updated in place; a missing cell's payload is zero, as
+// Append stores it. Attribute j must have its column's kind, except that
+// a string attribute taken from a coded int column holds each code's
+// label (relalg.Decode).
+func (d *Dataset) Take(sch *Schema, cols []int, rows []int) (*Dataset, error) {
+	if cols == nil {
+		cols = make([]int, len(d.cols))
+		for c := range cols {
+			cols[c] = c
+		}
+	}
+	if len(cols) != sch.Len() {
+		return nil, fmt.Errorf("dataset: take: %d columns for %d attributes", len(cols), sch.Len())
+	}
+	out := &Dataset{schema: sch, cols: make([]*Vector, len(cols))}
+	for j, c := range cols {
+		src, attr := d.cols[c], d.schema.At(c)
+		v := &Vector{kind: sch.At(j).Kind, valid: take(src.valid, rows, nil)}
+		switch {
+		case v.kind == KindInt && src.kind == KindInt:
+			v.ints = take(src.ints, rows, v.valid)
+		case v.kind == KindFloat && src.kind == KindFloat:
+			v.flts = take(src.flts, rows, v.valid)
+		case v.kind == KindString && src.kind == KindString:
+			v.strs = take(src.strs, rows, v.valid)
+		case v.kind == KindString && src.kind == KindInt && attr.Code != nil:
+			codes := take(src.ints, rows, v.valid)
+			v.strs = make([]string, len(codes))
+			for k, code := range codes {
+				if !v.valid[k] {
+					continue
+				}
+				label, ok := attr.Code.Decode(code)
+				if !ok {
+					return nil, fmt.Errorf("dataset: attribute %q code %d not in table %s", attr.Name, code, attr.Code.Name())
+				}
+				v.strs[k] = label
+			}
+		default:
+			return nil, fmt.Errorf("dataset: take: %s attribute %q from %s column %q", v.kind, sch.At(j).Name, src.kind, attr.Name)
+		}
+		out.cols[j] = v
+	}
+	return out, nil
+}
+
+// take copies xs at rows (all of xs, in order, when rows is nil), leaving
+// the zero value where a non-nil valid marks the cell missing.
+func take[T any, I int | int32](xs []T, rows []I, valid []bool) []T {
+	n := len(xs)
+	if rows != nil {
+		n = len(rows)
+	}
+	out := make([]T, n)
+	for k := range out {
+		r := k
+		if rows != nil {
+			r = int(rows[k])
+		}
+		if valid == nil || valid[k] {
+			out[k] = xs[r]
 		}
 	}
 	return out
+}
+
+// AppendColumn appends xs, present where valid says so, to column col of
+// d, whose kind must be T's: the typed fill of a data set built a column
+// at a time from decoded pages or from other data sets' columns. The
+// columns disagree in length until each has had the same number of cells
+// appended, and d must not be read in between.
+func AppendColumn[T int64 | float64 | string](d *Dataset, col int, xs []T, valid []bool) error {
+	c := d.cols[col]
+	cells, ok := c.cells().(*[]T)
+	if !ok || len(xs) != len(valid) {
+		return fmt.Errorf("dataset: append column %q: %d %T cells and %d validity flags to a %s column",
+			d.schema.At(col).Name, len(xs), xs, len(valid), c.kind)
+	}
+	*cells = append(*cells, xs...)
+	c.valid = append(c.valid, valid...)
+	return nil
+}
+
+// cells returns a pointer to the vector's typed slice.
+func (c *Vector) cells() any {
+	switch c.kind {
+	case KindInt:
+		return &c.ints
+	case KindFloat:
+		return &c.flts
+	}
+	return &c.strs
 }
 
 // Strings returns the raw string vector and validity mask of column col.

@@ -91,11 +91,11 @@ func TestAppendAndCell(t *testing.T) {
 	if d.Rows() != 1 {
 		t.Fatalf("Rows = %d, want 1", d.Rows())
 	}
-	if got := d.Cell(0, 3); !got.Equal(Int(12300347)) {
+	if got := d.Cell(0, 3); got != Int(12300347) {
 		t.Errorf("Cell(0,3) = %v", got)
 	}
 	got, err := d.CellByName(0, "AVE_SALARY")
-	if err != nil || !got.Equal(Int(33122)) {
+	if err != nil || got != Int(33122) {
 		t.Errorf("CellByName = %v, %v", got, err)
 	}
 	if _, err := d.CellByName(0, "X"); err == nil {
@@ -157,7 +157,7 @@ func TestSetCell(t *testing.T) {
 	if err := d.SetCell(0, 3, Int(99)); err != nil {
 		t.Fatalf("SetCell: %v", err)
 	}
-	if got := d.Cell(0, 3); !got.Equal(Int(99)) {
+	if got := d.Cell(0, 3); got != Int(99) {
 		t.Errorf("Cell = %v", got)
 	}
 	if err := d.SetCell(5, 0, Int(1)); err == nil {
@@ -177,7 +177,7 @@ func TestIntWideningIntoFloatColumn(t *testing.T) {
 	if err := d.Append(Row{Int(7)}); err != nil {
 		t.Fatalf("Append int into float column: %v", err)
 	}
-	if got := d.Cell(0, 0); !got.Equal(Float(7)) {
+	if got := d.Cell(0, 0); got != Float(7) {
 		t.Errorf("Cell = %v, want 7.0", got)
 	}
 }
@@ -256,29 +256,6 @@ func TestCodeTable(t *testing.T) {
 	}
 }
 
-func TestValueCompare(t *testing.T) {
-	cases := []struct {
-		a, b Value
-		want int
-	}{
-		{Int(1), Int(2), -1},
-		{Int(2), Int(2), 0},
-		{Int(3), Int(2), 1},
-		{Float(1.5), Float(2.5), -1},
-		{String("a"), String("b"), -1},
-		{Null, Int(1), -1},
-		{Int(1), Null, 1},
-		{Null, Null, 0},
-		{Int(1), Float(1.5), -1}, // cross-kind numeric
-		{Float(2.5), Int(2), 1},
-	}
-	for _, c := range cases {
-		if got := c.a.Compare(c.b); got != c.want {
-			t.Errorf("Compare(%v,%v) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestValueStringRendering(t *testing.T) {
 	if Null.String() != "NA" {
 		t.Errorf("Null renders as %q", Null.String())
@@ -305,21 +282,11 @@ func TestAppendReadbackProperty(t *testing.T) {
 			return false
 		}
 		for i, v := range vals {
-			if !d.Cell(i, 0).Equal(Int(v)) {
+			if d.Cell(i, 0) != Int(v) {
 				return false
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Compare is antisymmetric over int values.
-func TestCompareAntisymmetryProperty(t *testing.T) {
-	f := func(a, b int64) bool {
-		return Int(a).Compare(Int(b)) == -Int(b).Compare(Int(a))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 	for i := range rows {
 		for c := range rows[i] {
-			if !got.Cell(i, c).Equal(rows[i][c]) {
+			if got.Cell(i, c) != rows[i][c] {
 				t.Errorf("cell (%d,%d): %v != %v", i, c, got.Cell(i, c), rows[i][c])
 			}
 		}
@@ -47,7 +47,7 @@ func TestReadCSVColumnReordering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Cell(0, 0).Equal(Int(42)) || !got.Cell(0, 1).Equal(String("hello")) {
+	if got.Cell(0, 0) != Int(42) || got.Cell(0, 1) != String("hello") {
 		t.Errorf("row = %v", got.RowAt(0))
 	}
 }
@@ -78,7 +78,7 @@ func TestReadCSVMissingValues(t *testing.T) {
 	if !got.Cell(0, 0).IsNull() || !got.Cell(0, 1).IsNull() {
 		t.Errorf("row 0 = %v", got.RowAt(0))
 	}
-	if !got.Cell(1, 1).Equal(Float(1.5)) {
+	if got.Cell(1, 1) != Float(1.5) {
 		t.Errorf("row 1 = %v", got.RowAt(1))
 	}
 }

@@ -48,7 +48,9 @@ func (k Kind) String() string {
 // exactly one of the three physical types. The zero Value is null.
 //
 // Values are small and passed by value everywhere; bulk access paths use
-// the typed column vectors instead.
+// the typed column vectors instead. Two Values are equal under == when
+// they have the same kind and contents: nulls equal each other, -0
+// equals +0, and NaN equals nothing.
 type Value struct {
 	kind Kind
 	i    int64
@@ -76,7 +78,7 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindInvalid }
 
 // Accessor panics are intentional API invariants, not error handling:
-// AsInt, AsFloat, AsString and Compare panic only on a programming error
+// AsInt, AsFloat and AsString panic only on a programming error
 // in the caller (asking a value for a type it does not hold). Code that
 // handles bytes of unknown provenance — the storage row codec, the
 // Summary Database result codec, tape blocks — must therefore never call
@@ -120,84 +122,6 @@ func (v Value) AsString() string {
 		panic(fmt.Sprintf("dataset: AsString on %s value", v.kind))
 	}
 	return v.s
-}
-
-// Equal reports whether two values have the same kind and contents.
-// Nulls compare equal to each other, which suits cache keys and tests;
-// predicate evaluation handles null semantics separately.
-func (v Value) Equal(o Value) bool {
-	if v.kind != o.kind {
-		return false
-	}
-	switch v.kind {
-	case KindInt:
-		return v.i == o.i
-	case KindFloat:
-		return v.f == o.f
-	case KindString:
-		return v.s == o.s
-	default:
-		return true // both null
-	}
-}
-
-// Compare orders two non-null values of the same kind: -1 if v < o,
-// 0 if equal, +1 if v > o. Nulls sort before everything, mirroring the
-// treatment of missing values in the statistical operators (they are
-// excluded before ordering matters). Comparing a string with a number
-// panics — an API invariant (see AsInt): operands reaching Compare have
-// already been schema-checked.
-func (v Value) Compare(o Value) int {
-	if v.kind == KindInvalid || o.kind == KindInvalid {
-		switch {
-		case v.kind == o.kind:
-			return 0
-		case v.kind == KindInvalid:
-			return -1
-		default:
-			return 1
-		}
-	}
-	if v.kind != o.kind {
-		// Numeric cross-kind comparison widens to float.
-		if (v.kind == KindInt || v.kind == KindFloat) && (o.kind == KindInt || o.kind == KindFloat) {
-			a, b := v.AsFloat(), o.AsFloat()
-			switch {
-			case a < b:
-				return -1
-			case a > b:
-				return 1
-			default:
-				return 0
-			}
-		}
-		//lint:allow no-panic documented contract (see AsInt): comparing incompatible kinds is a caller bug
-		panic(fmt.Sprintf("dataset: Compare %s with %s", v.kind, o.kind))
-	}
-	switch v.kind {
-	case KindInt:
-		switch {
-		case v.i < o.i:
-			return -1
-		case v.i > o.i:
-			return 1
-		}
-	case KindFloat:
-		switch {
-		case v.f < o.f:
-			return -1
-		case v.f > o.f:
-			return 1
-		}
-	case KindString:
-		switch {
-		case v.s < o.s:
-			return -1
-		case v.s > o.s:
-			return 1
-		}
-	}
-	return 0
 }
 
 // String renders the value for display; nulls render as "NA", matching

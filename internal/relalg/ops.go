@@ -1,11 +1,16 @@
 package relalg
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
 	"statdb/internal/dataset"
 )
+
+// Every operator below computes the rows (or columns) of its result,
+// then builds it with one dataset.Take: columns move as typed slices,
+// and no cell is boxed into a Value.
 
 // Select returns the rows of ds satisfying p.
 func Select(ds *dataset.Dataset, p Predicate) (*dataset.Dataset, error) {
@@ -18,26 +23,16 @@ func Select(ds *dataset.Dataset, p Predicate) (*dataset.Dataset, error) {
 	return matched(ds, mask)
 }
 
-// matched copies the masked rows of ds, in row order, into a new data
+// matched gathers the masked rows of ds, in row order, into a new data
 // set.
 func matched(ds *dataset.Dataset, mask []bool) (*dataset.Dataset, error) {
-	n := 0
-	for _, ok := range mask {
-		if ok {
-			n++
-		}
-	}
-	out := dataset.New(ds.Schema())
-	out.Grow(n)
+	rows := make([]int, 0, len(mask))
 	for i, ok := range mask {
-		if !ok {
-			continue
-		}
-		if err := out.Append(ds.RowAt(i)); err != nil {
-			return nil, err
+		if ok {
+			rows = append(rows, i)
 		}
 	}
-	return out, nil
+	return ds.Take(ds.Schema(), nil, rows)
 }
 
 // Project returns ds restricted to the named attributes, in order.
@@ -50,18 +45,7 @@ func Project(ds *dataset.Dataset, names ...string) (*dataset.Dataset, error) {
 	for i, n := range names {
 		idx[i] = ds.Schema().Index(n)
 	}
-	out := dataset.New(sch)
-	out.Grow(ds.Rows())
-	for r := 0; r < ds.Rows(); r++ {
-		row := make(dataset.Row, len(idx))
-		for i, c := range idx {
-			row[i] = ds.Cell(r, c)
-		}
-		if err := out.Append(row); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return ds.Take(sch, idx, nil)
 }
 
 // Decode replaces the coded attribute attr of ds with its label from the
@@ -90,19 +74,9 @@ func Decode(ds *dataset.Dataset, attr string) (*dataset.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := dataset.New(sch)
-	for r := 0; r < ds.Rows(); r++ {
-		row := ds.RowAt(r)
-		if !row[i].IsNull() {
-			label, ok := a.Code.Decode(row[i].AsInt())
-			if !ok {
-				return nil, fmt.Errorf("relalg: decode: attribute %q code %d not in table %s", attr, row[i].AsInt(), a.Code.Name())
-			}
-			row[i] = dataset.String(label)
-		}
-		if err := out.Append(row); err != nil {
-			return nil, err
-		}
+	out, err := ds.Take(sch, nil, nil)
+	if err != nil {
+		return nil, fmt.Errorf("relalg: decode: %w", err)
 	}
 	return out, nil
 }
@@ -115,20 +89,24 @@ type SortKey struct {
 
 // Sort returns ds ordered by the given keys (stable).
 func Sort(ds *dataset.Dataset, keys ...SortKey) (*dataset.Dataset, error) {
-	idx := make([]int, len(keys))
+	cmps := make([]func(a, b int) int, len(keys))
 	for i, k := range keys {
-		idx[i] = ds.Schema().Index(k.Attr)
-		if idx[i] < 0 {
+		c := ds.Schema().Index(k.Attr)
+		if c < 0 {
 			return nil, fmt.Errorf("relalg: sort: no attribute %q", k.Attr)
 		}
+		cmps[i] = keyOrder(ds, c)
 	}
 	order := make([]int, ds.Rows())
 	for i := range order {
 		order[i] = i
 	}
+	// Stable, and sort.SliceStable itself: a NaN key compares equal to
+	// every value, so the order is not a strict weak order, and only the
+	// same algorithm fed the same answers reproduces it.
 	sort.SliceStable(order, func(a, b int) bool {
 		for i, k := range keys {
-			cmp := ds.Cell(order[a], idx[i]).Compare(ds.Cell(order[b], idx[i]))
+			cmp := cmps[i](order[a], order[b])
 			if cmp == 0 {
 				continue
 			}
@@ -139,12 +117,42 @@ func Sort(ds *dataset.Dataset, keys ...SortKey) (*dataset.Dataset, error) {
 		}
 		return false
 	})
-	out := dataset.New(ds.Schema())
-	out.Grow(len(order))
-	for _, r := range order {
-		if err := out.Append(ds.RowAt(r)); err != nil {
-			return nil, err
-		}
+	return ds.Take(ds.Schema(), nil, order)
+}
+
+// keyOrder returns the three-way order of column c's rows a and b read
+// from its typed vector: missing cells first and equal to each other,
+// ints, floats and strings by their native order, and a NaN equal to
+// everything.
+func keyOrder(ds *dataset.Dataset, c int) func(a, b int) int {
+	valid := ds.Valid(c)
+	switch ds.Schema().At(c).Kind {
+	case dataset.KindInt:
+		xs, _ := ds.Ints(c)
+		return cellOrder(xs, valid)
+	case dataset.KindFloat:
+		xs, _ := ds.Floats(c)
+		return cellOrder(xs, valid)
+	default:
+		xs, _ := ds.Strings(c)
+		return cellOrder(xs, valid)
 	}
-	return out, nil
+}
+
+func cellOrder[T cmp.Ordered](xs []T, valid []bool) func(a, b int) int {
+	return func(a, b int) int {
+		switch {
+		case !valid[a] && !valid[b]:
+			return 0
+		case !valid[a]:
+			return -1
+		case !valid[b]:
+			return 1
+		case xs[a] < xs[b]:
+			return -1
+		case xs[a] > xs[b]:
+			return 1
+		}
+		return 0
+	}
 }

@@ -62,7 +62,7 @@ func sameDataset(t *testing.T, label string, got, want *dataset.Dataset) {
 	for r := 0; r < want.Rows(); r++ {
 		for c := 0; c < want.Schema().Len(); c++ {
 			g, w := got.Cell(r, c), want.Cell(r, c)
-			if g.Equal(w) {
+			if g == w {
 				continue
 			}
 			t.Fatalf("%s: cell (%d,%s) = %v, want %v", label, r, want.Schema().At(c).Name, g, w)

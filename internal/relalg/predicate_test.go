@@ -80,7 +80,7 @@ func randomPredicate(g *testLCG, depth int) Predicate {
 
 // rowEval is the row-at-a-time reference evaluator the column-wise Bind
 // is checked against: it resolves attributes against sch and tests one
-// row at a time through Value.IsNull and Value.Compare.
+// row at a time through Value.IsNull and compareValues.
 func rowEval(p Predicate, sch *dataset.Schema) (func(dataset.Row) bool, error) {
 	switch p := p.(type) {
 	case Cmp:
@@ -92,7 +92,7 @@ func rowEval(p Predicate, sch *dataset.Schema) (func(dataset.Row) bool, error) {
 			if row[i].IsNull() {
 				return false
 			}
-			cmp := row[i].Compare(p.Val)
+			cmp := compareValues(row[i], p.Val)
 			switch p.Op {
 			case Eq:
 				return cmp == 0

@@ -136,7 +136,7 @@ func TestProject(t *testing.T) {
 	if got.Schema().Len() != 2 || got.Rows() != 9 {
 		t.Fatalf("shape = %dx%d", got.Rows(), got.Schema().Len())
 	}
-	if !got.Cell(0, 0).Equal(dataset.Int(33122)) || !got.Cell(0, 1).Equal(dataset.String("M")) {
+	if got.Cell(0, 0) != dataset.Int(33122) || got.Cell(0, 1) != dataset.String("M") {
 		t.Errorf("row 0 = %v %v", got.Cell(0, 0), got.Cell(0, 1))
 	}
 	if _, err := Project(ds, "NOPE"); err == nil {
@@ -159,11 +159,11 @@ func TestJoinDecodesFigure2(t *testing.T) {
 		t.Fatalf("no VALUE column: %s", got.Schema())
 	}
 	v, _ := got.CellByName(0, "VALUE")
-	if !v.Equal(dataset.String("0 to 20")) {
+	if v != dataset.String("0 to 20") {
 		t.Errorf("decoded value = %v", v)
 	}
 	v, _ = got.CellByName(3, "VALUE")
-	if !v.Equal(dataset.String("over 60")) {
+	if v != dataset.String("over 60") {
 		t.Errorf("decoded value = %v", v)
 	}
 }
@@ -209,7 +209,7 @@ func TestJoinNameCollision(t *testing.T) {
 		t.Errorf("collision not renamed: %s", got.Schema())
 	}
 	v, _ := got.CellByName(0, "right_V")
-	if !v.Equal(dataset.Int(20)) {
+	if v != dataset.Int(20) {
 		t.Errorf("right_V = %v", v)
 	}
 }
@@ -223,7 +223,7 @@ func TestDecode(t *testing.T) {
 	if got.Schema().At(2).Kind != dataset.KindString {
 		t.Fatalf("decoded kind = %s", got.Schema().At(2).Kind)
 	}
-	if !got.Cell(3, 2).Equal(dataset.String("over 60")) {
+	if got.Cell(3, 2) != dataset.String("over 60") {
 		t.Errorf("cell = %v", got.Cell(3, 2))
 	}
 	if _, err := Decode(ds, "SEX"); err == nil {
@@ -283,7 +283,7 @@ func TestGroupByPaperExample(t *testing.T) {
 	}
 	// (B,1) group has the single male row.
 	race, _ := got.CellByName(0, "RACE")
-	if !race.Equal(dataset.String("B")) {
+	if race != dataset.String("B") {
 		t.Errorf("first group race = %v", race)
 	}
 }
@@ -304,15 +304,15 @@ func TestGroupByAggregates(t *testing.T) {
 	}
 	// F group first (sorted), 4 rows.
 	cnt, _ := got.CellByName(0, "count")
-	if !cnt.Equal(dataset.Int(4)) {
+	if cnt != dataset.Int(4) {
 		t.Errorf("F count = %v", cnt)
 	}
 	mn, _ := got.CellByName(0, "min_AVE_SALARY")
-	if !mn.Equal(dataset.Int(17498)) {
+	if mn != dataset.Int(17498) {
 		t.Errorf("F min = %v", mn)
 	}
 	mx, _ := got.CellByName(1, "max_AVE_SALARY")
-	if !mx.Equal(dataset.Int(42919)) {
+	if mx != dataset.Int(42919) {
 		t.Errorf("M max = %v", mx)
 	}
 	mean, _ := got.CellByName(1, "mean_AVE_SALARY")
@@ -341,7 +341,7 @@ func TestGroupByNullHandling(t *testing.T) {
 		t.Errorf("mean = %v, want %v", mean, want)
 	}
 	cnt, _ := got.CellByName(1, "count")
-	if !cnt.Equal(dataset.Int(5)) {
+	if cnt != dataset.Int(5) {
 		t.Errorf("count = %v", cnt)
 	}
 }
@@ -382,7 +382,7 @@ func TestSort(t *testing.T) {
 	}
 	// First row: F with highest salary among F = 31762.
 	v, _ := got.CellByName(0, "AVE_SALARY")
-	if !v.Equal(dataset.Int(31762)) {
+	if v != dataset.Int(31762) {
 		t.Errorf("first = %v", v)
 	}
 	if _, err := Sort(ds, SortKey{Attr: "NOPE"}); err == nil {
@@ -425,7 +425,7 @@ func TestRename(t *testing.T) {
 		t.Errorf("schema = %s", got.Schema())
 	}
 	v, _ := got.CellByName(0, "SALARY")
-	if !v.Equal(dataset.Int(33122)) {
+	if v != dataset.Int(33122) {
 		t.Errorf("renamed column data = %v", v)
 	}
 	if _, err := Rename(ds, "NOPE", "X"); err == nil {
@@ -538,7 +538,7 @@ func Join(left, right *dataset.Dataset, leftAttr, rightAttr string) (*dataset.Da
 			continue
 		}
 		for _, r := range build[k.String()] {
-			if !left.Cell(l, li).Equal(right.Cell(r, ri)) {
+			if left.Cell(l, li) != right.Cell(r, ri) {
 				continue // hash collision across numeric kinds
 			}
 			row := make(dataset.Row, 0, sch.Len())
@@ -743,11 +743,11 @@ func updateAggStates(ds *dataset.Dataset, r int, cols []aggCol, states []aggStat
 			st.wsum += v.AsFloat() * w.AsFloat()
 			st.wtot += w.AsFloat()
 		case AggMin:
-			if st.min.IsNull() || v.Compare(st.min) < 0 {
+			if st.min.IsNull() || compareValues(v, st.min) < 0 {
 				st.min = v
 			}
 		case AggMax:
-			if st.max.IsNull() || v.Compare(st.max) > 0 {
+			if st.max.IsNull() || compareValues(v, st.max) > 0 {
 				st.max = v
 			}
 		}

@@ -384,13 +384,34 @@ func (s *Store) Materialize() (*dataset.Dataset, Report, error) {
 		if sub == nil {
 			continue // rows lost with their shard
 		}
-		for r := ow.localLo; r < ow.localLo+ow.length; r++ {
-			if err := out.Append(sub.RowAt(r)); err != nil {
-				return nil, *rep, fmt.Errorf("shard: gather row: %w", err)
-			}
+		if err := appendRows(out, sub, ow.localLo, ow.localLo+ow.length); err != nil {
+			return nil, *rep, fmt.Errorf("shard: gather chunk %d: %w", c, err)
 		}
 	}
 	sort.Ints(rep.Missing)
 	s.finishReport("materialize", "*", rep)
 	return out, *rep, s.gatherErr(rep)
+}
+
+// appendRows appends rows [lo, hi) of src to out, a column at a time.
+func appendRows(out, src *dataset.Dataset, lo, hi int) error {
+	for c := 0; c < src.Schema().Len(); c++ {
+		valid := src.Valid(c)[lo:hi]
+		var err error
+		switch src.Schema().At(c).Kind {
+		case dataset.KindInt:
+			xs, _ := src.Ints(c)
+			err = dataset.AppendColumn(out, c, xs[lo:hi], valid)
+		case dataset.KindFloat:
+			xs, _ := src.Floats(c)
+			err = dataset.AppendColumn(out, c, xs[lo:hi], valid)
+		default:
+			xs, _ := src.Strings(c)
+			err = dataset.AppendColumn(out, c, xs[lo:hi], valid)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -278,20 +278,20 @@ func New(name string, ds *dataset.Dataset, cfg Config) (*Store, error) {
 		sh.pool = storage.NewBufferPool(dev, cfg.PoolPages)
 		sh.pool.SetLabel(sh.label)
 
-		sub := dataset.New(ds.Schema())
-		sub.SetName(fmt.Sprintf("%s/%s", name, sh.label))
-		lo := 0
+		// Never nil, so a shard that owns no chunk takes no row.
+		rows := make([]int, 0, len(perShard[i])*exec.DefaultChunk)
 		for _, c := range perShard[i] {
-			r := ranges[c]
-			for row := r.Lo; row < r.Hi; row++ {
-				if err := sub.Append(ds.RowAt(row).Clone()); err != nil {
-					return nil, fmt.Errorf("shard: building %s: %w", sh.label, err)
-				}
+			sh.chunks = append(sh.chunks, chunkRef{global: c, localLo: len(rows), localLen: ranges[c].Len()})
+			for row := ranges[c].Lo; row < ranges[c].Hi; row++ {
+				rows = append(rows, row)
 			}
-			sh.chunks = append(sh.chunks, chunkRef{global: c, localLo: lo, localLen: r.Len()})
-			lo += r.Len()
 		}
-		sh.rows = lo
+		sh.rows = len(rows)
+		sub, err := ds.Take(ds.Schema(), nil, rows)
+		if err != nil {
+			return nil, fmt.Errorf("shard: building %s: %w", sh.label, err)
+		}
+		sub.SetName(fmt.Sprintf("%s/%s", name, sh.label))
 		file, err := colstore.Load(sh.pool, sub, colstore.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("shard: loading %s: %w", sh.label, err)
@@ -299,7 +299,7 @@ func New(name string, ds *dataset.Dataset, cfg Config) (*Store, error) {
 		sh.file = file
 		s.shards = append(s.shards, sh)
 		manifest.Shards[i] = ManifestShard{
-			Rows:   lo,
+			Rows:   sh.rows,
 			Chunks: append([]int(nil), perShard[i]...),
 		}
 	}

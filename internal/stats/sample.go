@@ -48,13 +48,7 @@ func SampleDataset(ds *dataset.Dataset, k int, seed int64) (*dataset.Dataset, er
 	if err != nil {
 		return nil, err
 	}
-	out := dataset.New(ds.Schema())
-	for _, i := range idx {
-		if err := out.Append(ds.RowAt(i)); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return ds.Take(ds.Schema(), nil, idx)
 }
 
 // SampleValues returns k randomly chosen valid observations of xs.

@@ -1,11 +1,14 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"statdb/internal/dataset"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -501,5 +504,45 @@ func TestTrimmedMeanBoundedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// SampleDataset gathers the sampled rows in one pass: the same rows, in
+// the same order, as appending RowAt of each sampled index.
+func TestSampleDatasetGathersSampledRows(t *testing.T) {
+	ds := dataset.New(dataset.MustSchema(
+		dataset.Attribute{Name: "I", Kind: dataset.KindInt},
+		dataset.Attribute{Name: "F", Kind: dataset.KindFloat},
+		dataset.Attribute{Name: "S", Kind: dataset.KindString},
+	))
+	for i := 0; i < 500; i++ {
+		row := dataset.Row{dataset.Int(int64(i)), dataset.Float(math.NaN()), dataset.String(fmt.Sprint(i % 7))}
+		if i%3 == 0 {
+			row[1] = dataset.Float(float64(i) / 4)
+		}
+		if i%17 == 0 {
+			row[i%3] = dataset.Null
+		}
+		if err := ds.Append(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range []int{0, 1, 37, 500, 900} {
+		got, err := SampleDataset(ds, k, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, _ := SampleIndices(ds.Rows(), k, 11)
+		if got.Rows() != len(idx) || !got.Schema().Equal(ds.Schema()) {
+			t.Fatalf("k=%d: %d rows, want %d", k, got.Rows(), len(idx))
+		}
+		for r, i := range idx {
+			for c := 0; c < 3; c++ {
+				g, w := got.Cell(r, c), ds.Cell(i, c)
+				if g.Kind() != w.Kind() || g.String() != w.String() {
+					t.Fatalf("k=%d row %d col %d = %v, want row %d's %v", k, r, c, g, i, w)
+				}
+			}
+		}
 	}
 }

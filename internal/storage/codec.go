@@ -29,21 +29,69 @@ func EncodeRow(dst []byte, r dataset.Row) []byte {
 		case dataset.KindInvalid:
 			dst = append(dst, tagNull)
 		case dataset.KindInt:
-			dst = append(dst, tagInt)
-			dst = binary.AppendVarint(dst, v.AsInt())
+			dst = appendInt(dst, v.AsInt())
 		case dataset.KindFloat:
-			dst = append(dst, tagFloat)
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.AsFloat()))
-			dst = append(dst, b[:]...)
+			dst = appendFloat(dst, v.AsFloat())
 		case dataset.KindString:
-			s := v.AsString()
-			dst = append(dst, tagString)
-			dst = binary.AppendUvarint(dst, uint64(len(s)))
-			dst = append(dst, s...)
+			dst = appendString(dst, v.AsString())
 		}
 	}
 	return dst
+}
+
+// RecordEncoder returns the encoder of ds's records: enc(dst, i) appends
+// the bytes EncodeRow(dst, ds.RowAt(i)) appends, read straight from ds's
+// typed columns, so no cell is boxed into a Value.
+func RecordEncoder(ds *dataset.Dataset) func(dst []byte, i int) []byte {
+	type column struct {
+		kind  dataset.Kind
+		ints  []int64
+		flts  []float64
+		strs  []string
+		valid []bool
+	}
+	cols := make([]column, ds.Schema().Len())
+	for c := range cols {
+		col := &cols[c]
+		col.kind, col.valid = ds.Schema().At(c).Kind, ds.Valid(c)
+		switch col.kind {
+		case dataset.KindInt:
+			col.ints, _ = ds.Ints(c)
+		case dataset.KindFloat:
+			col.flts, _ = ds.Floats(c)
+		case dataset.KindString:
+			col.strs, _ = ds.Strings(c)
+		}
+	}
+	return func(dst []byte, i int) []byte {
+		for c := range cols {
+			col := &cols[c]
+			switch {
+			case !col.valid[i]:
+				dst = append(dst, tagNull)
+			case col.kind == dataset.KindInt:
+				dst = appendInt(dst, col.ints[i])
+			case col.kind == dataset.KindFloat:
+				dst = appendFloat(dst, col.flts[i])
+			default:
+				dst = appendString(dst, col.strs[i])
+			}
+		}
+		return dst
+	}
+}
+
+func appendInt(dst []byte, v int64) []byte {
+	return binary.AppendVarint(append(dst, tagInt), v)
+}
+
+func appendFloat(dst []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(append(dst, tagFloat), math.Float64bits(v))
+}
+
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(append(dst, tagString), uint64(len(s)))
+	return append(dst, s...)
 }
 
 // DecodeRow parses a record of n values from buf, requiring buf to be
@@ -66,10 +114,12 @@ func decodeRowInto(dst dataset.Row, buf []byte, n int) (dataset.Row, error) {
 	return row, err
 }
 
-// DecodeRowPrefix parses a record of n values from the front of buf and
-// returns the unconsumed tail, for block formats that concatenate rows.
-func DecodeRowPrefix(buf []byte, n int) (dataset.Row, []byte, error) {
-	row, rest, err := appendRow(make(dataset.Row, 0, n), buf, n)
+// DecodeRowPrefix parses a record of n values from the front of buf
+// into dst's storage and returns it with the unconsumed tail, for block
+// formats that concatenate rows: a reader that decodes record after
+// record into one row allocates nothing per record but its strings.
+func DecodeRowPrefix(dst dataset.Row, buf []byte, n int) (dataset.Row, []byte, error) {
+	row, rest, err := appendRow(dst[:0], buf, n)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -52,7 +52,11 @@ func (h *HeapFile) NumPages() int { return len(h.pages) }
 // Insert appends row and returns its RID. Insertion tries the last page
 // first, allocating a new page when full.
 func (h *HeapFile) Insert(row dataset.Row) (RID, error) {
-	rec := EncodeRow(nil, row)
+	return h.insert(EncodeRow(nil, row))
+}
+
+// insert stores one encoded record; the page copies it.
+func (h *HeapFile) insert(rec []byte) (RID, error) {
 	if len(h.pages) > 0 {
 		last := h.pages[len(h.pages)-1]
 		p, err := h.pool.Fetch(last)
@@ -174,11 +178,15 @@ func (h *HeapFile) ScanTolerant(fn func(rid RID, row dataset.Row) bool, bad func
 	return nil
 }
 
-// Load bulk-inserts every row of ds and returns the RIDs in row order.
+// Load bulk-inserts every row of ds, encoded from its typed columns, and
+// returns the RIDs in row order.
 func (h *HeapFile) Load(ds *dataset.Dataset) ([]RID, error) {
 	rids := make([]RID, 0, ds.Rows())
+	enc := RecordEncoder(ds)
+	var rec []byte
 	for i := 0; i < ds.Rows(); i++ {
-		rid, err := h.Insert(ds.RowAt(i))
+		rec = enc(rec[:0], i)
+		rid, err := h.insert(rec)
 		if err != nil {
 			return nil, fmt.Errorf("storage: load row %d: %w", i, err)
 		}

@@ -209,7 +209,7 @@ func TestRowCodecRoundTrip(t *testing.T) {
 			t.Fatalf("row %d: %v", i, err)
 		}
 		for j := range r {
-			if !dec[j].Equal(r[j]) {
+			if dec[j] != r[j] {
 				t.Errorf("row %d value %d: %v != %v", i, j, dec[j], r[j])
 			}
 		}
@@ -243,7 +243,7 @@ func TestRowCodecProperty(t *testing.T) {
 			return false
 		}
 		for i := range r {
-			if !dec[i].Equal(r[i]) {
+			if dec[i] != r[i] {
 				return false
 			}
 		}
@@ -278,7 +278,7 @@ func TestHeapFileInsertScan(t *testing.T) {
 	}
 	var seen int
 	err := h.Scan(func(_ RID, row dataset.Row) bool {
-		if !row[1].Equal(dataset.Int(int64(seen))) {
+		if row[1] != dataset.Int(int64(seen)) {
 			t.Errorf("row %d out of order: %v", seen, row[1])
 		}
 		seen++
@@ -289,7 +289,7 @@ func TestHeapFileInsertScan(t *testing.T) {
 	}
 	// Random access through RIDs.
 	row, err := h.Get(rids[123])
-	if err != nil || !row[1].Equal(dataset.Int(123)) {
+	if err != nil || row[1] != dataset.Int(123) {
 		t.Errorf("Get(rids[123]) = %v, %v", row, err)
 	}
 }
@@ -335,7 +335,7 @@ func TestHeapFileLoadMaterializeRoundTrip(t *testing.T) {
 	}
 	for i := 0; i < src.Rows(); i++ {
 		for c := 0; c < sch.Len(); c++ {
-			if !got.Cell(i, c).Equal(src.Cell(i, c)) {
+			if got.Cell(i, c) != src.Cell(i, c) {
 				t.Fatalf("cell (%d,%d) differs", i, c)
 			}
 		}

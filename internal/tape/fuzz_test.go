@@ -7,8 +7,9 @@ import (
 	"statdb/internal/storage"
 )
 
-// FuzzTapeDecodeBlock mutates valid block encodings: decodeBlock must
-// return rows or an error for any input, never panic — a damaged tape
+// FuzzTapeDecodeBlock mutates valid block encodings through the block
+// decoder Read runs: for any input it must hand fn only rows of the
+// record width and return or fail, never panic — a damaged tape
 // surfaces as a CorruptError in Read, not a crash.
 func FuzzTapeDecodeBlock(f *testing.F) {
 	var blk []byte
@@ -24,6 +25,16 @@ func FuzzTapeDecodeBlock(f *testing.F) {
 		if width < 0 || width > 64 || n < 0 || n > BlockRows {
 			return
 		}
-		_, _ = decodeBlock(data, width, n)
+		seen := 0
+		_, _ = decodeBlock(data, make(dataset.Row, 0, width), n, func(row dataset.Row) bool {
+			if len(row) != width {
+				t.Fatalf("row %d has %d values, want %d", seen, len(row), width)
+			}
+			seen++
+			return true
+		})
+		if seen > n {
+			t.Fatalf("%d rows handed on from a block of %d", seen, n)
+		}
 	})
 }

@@ -111,14 +111,11 @@ func (a *Archive) Write(name string, ds *dataset.Dataset) error {
 		return fmt.Errorf("tape: file %q already archived", name)
 	}
 	f := &file{name: name, schema: ds.Schema(), startBlock: a.blocks, rows: ds.Rows()}
+	enc := storage.RecordEncoder(ds)
 	for base := 0; base < ds.Rows(); base += BlockRows {
-		end := base + BlockRows
-		if end > ds.Rows() {
-			end = ds.Rows()
-		}
 		var blk []byte
-		for i := base; i < end; i++ {
-			blk = storage.EncodeRow(blk, ds.RowAt(i))
+		for i := base; i < min(base+BlockRows, ds.Rows()); i++ {
+			blk = enc(blk, i)
 		}
 		f.blocks = append(f.blocks, blk)
 	}
@@ -173,7 +170,9 @@ func (a *Archive) Rows(name string) (int, error) {
 // Read streams every record of the named file through fn in order,
 // charging positioning plus one transfer per block. fn returning false
 // stops the read early (the remaining blocks are not charged — the drive
-// stops transferring).
+// stops transferring). Every record is decoded into one reused row, so
+// fn must not keep the row it is handed; a record of a damaged block may
+// reach fn before the block's corruption is found.
 func (a *Archive) Read(name string, fn func(row dataset.Row) bool) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -182,7 +181,7 @@ func (a *Archive) Read(name string, fn func(row dataset.Row) bool) error {
 		return fmt.Errorf("tape: no file %q", name)
 	}
 	a.seekTo(f.startBlock)
-	width := f.schema.Len()
+	row := make(dataset.Row, 0, f.schema.Len())
 	remaining := f.rows
 	for _, blk := range f.blocks {
 		a.stats.Transfers++
@@ -193,16 +192,14 @@ func (a *Archive) Read(name string, fn func(row dataset.Row) bool) error {
 			n = remaining
 		}
 		remaining -= n
-		rows, err := decodeBlock(blk, width, n)
+		more, err := decodeBlock(blk, row, n, fn)
 		if err != nil {
 			return fmt.Errorf("tape: file %q block %d: %w", name, a.head-f.startBlock-1,
 				&storage.CorruptError{Page: storage.InvalidPage, Slot: -1, Off: -1,
 					Detail: "tape block decode", Cause: err})
 		}
-		for _, r := range rows {
-			if !fn(r) {
-				return nil
-			}
+		if !more {
+			return nil
 		}
 	}
 	return nil
@@ -243,22 +240,23 @@ func (a *Archive) Materialize(name string) (*dataset.Dataset, error) {
 	return out, nil
 }
 
-func decodeBlock(blk []byte, width, n int) ([]dataset.Row, error) {
-	// Rows are concatenated; decode one at a time by re-slicing. The row
-	// codec needs explicit lengths, so walk values manually via a
-	// consuming decoder.
-	rows := make([]dataset.Row, 0, n)
+// decodeBlock decodes the n records of blk in turn into row's storage,
+// whose capacity is the record width, and hands each to fn; it reports
+// false once fn does. Records are concatenated, so each decode consumes
+// its record's bytes, and bytes left after the n-th are corruption.
+func decodeBlock(blk []byte, row dataset.Row, n int, fn func(dataset.Row) bool) (bool, error) {
 	rest := blk
 	for i := 0; i < n; i++ {
-		row, tail, err := storage.DecodeRowPrefix(rest, width)
-		if err != nil {
-			return nil, fmt.Errorf("block row %d: %w", i, err)
+		var err error
+		if row, rest, err = storage.DecodeRowPrefix(row, rest, cap(row)); err != nil {
+			return false, fmt.Errorf("block row %d: %w", i, err)
 		}
-		rows = append(rows, row)
-		rest = tail
+		if !fn(row) {
+			return false, nil
+		}
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes in block", len(rest))
+		return false, fmt.Errorf("%d trailing bytes in block", len(rest))
 	}
-	return rows, nil
+	return true, nil
 }

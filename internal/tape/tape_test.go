@@ -1,10 +1,15 @@
 package tape
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"math"
+	"runtime/debug"
 	"testing"
 
 	"statdb/internal/dataset"
+	"statdb/internal/storage"
 )
 
 func makeDS(t *testing.T, n int) *dataset.Dataset {
@@ -40,7 +45,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		for c := 0; c < 3; c++ {
-			if !got.Cell(i, c).Equal(ds.Cell(i, c)) {
+			if got.Cell(i, c) != ds.Cell(i, c) {
 				t.Fatalf("cell (%d,%d) differs", i, c)
 			}
 		}
@@ -182,5 +187,119 @@ func TestEmptyDataset(t *testing.T) {
 	got, err := a.Materialize("empty")
 	if err != nil || got.Rows() != 0 {
 		t.Fatalf("empty: rows=%d err=%v", got.Rows(), err)
+	}
+}
+
+// Write encodes from the typed columns the very bytes EncodeRow writes
+// for RowAt, block for block: negative and large ints, NaN, ±0, ±Inf and
+// subnormal floats, empty and multi-byte strings, nulls (a stale payload
+// under one included) and a partial last block.
+func TestWriteBlocksMatchEncodeRow(t *testing.T) {
+	ds := dataset.New(dataset.MustSchema(
+		dataset.Attribute{Name: "I", Kind: dataset.KindInt},
+		dataset.Attribute{Name: "F", Kind: dataset.KindFloat},
+		dataset.Attribute{Name: "S", Kind: dataset.KindString},
+	))
+	ints := []int64{0, -1, 1 << 40, math.MinInt64, math.MaxInt64}
+	floats := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(-1), 5e-324, 1.5}
+	strs := []string{"", "x", "überall", string(make([]byte, 300))}
+	n := 3*BlockRows + 5
+	for i := 0; i < n; i++ {
+		row := dataset.Row{dataset.Int(ints[i%len(ints)]), dataset.Float(floats[i%len(floats)]), dataset.String(strs[i%len(strs)])}
+		if i%7 == 3 {
+			row[i%3] = dataset.Null
+		}
+		if err := ds.Append(row); err != nil {
+			t.Fatal(err)
+		}
+		if i%11 == 5 {
+			if err := ds.SetCell(i, (i+1)%3, dataset.Null); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	a := NewArchive(DefaultCost())
+	if err := a.Write("f", ds); err != nil {
+		t.Fatal(err)
+	}
+	blocks := a.byName["f"].blocks
+	if len(blocks) != 4 {
+		t.Fatalf("%d blocks, want 4", len(blocks))
+	}
+	for b, blk := range blocks {
+		var want []byte
+		for i := b * BlockRows; i < min((b+1)*BlockRows, n); i++ {
+			want = storage.EncodeRow(want, ds.RowAt(i))
+		}
+		if !bytes.Equal(blk, want) {
+			t.Fatalf("block %d differs from EncodeRow(RowAt(i))", b)
+		}
+	}
+}
+
+// A block that decodes but that the schema rejects, and a block with
+// bytes after its last record, both fail Materialize as corruption.
+func TestMaterializeReportsCorruptBlocks(t *testing.T) {
+	for _, c := range []struct {
+		detail string
+		damage func(blk []byte) []byte
+	}{
+		{"archived row rejected by schema", func(blk []byte) []byte {
+			// A string where ID, an int, should be.
+			_, rest, err := storage.DecodeRowPrefix(nil, blk, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := storage.EncodeRow(nil, dataset.Row{dataset.String("x"), dataset.String("y"), dataset.Float(1)})
+			return append(bad, rest...)
+		}},
+		{"tape block decode", func(blk []byte) []byte { return append(blk, 0) }},
+	} {
+		a := NewArchive(DefaultCost())
+		if err := a.Write("f", makeDS(t, 2*BlockRows)); err != nil {
+			t.Fatal(err)
+		}
+		blocks := a.byName["f"].blocks
+		blocks[1] = c.damage(blocks[1])
+		_, err := a.Materialize("f")
+		var ce *storage.CorruptError
+		if !errors.As(err, &ce) || ce.Detail != c.detail {
+			t.Errorf("damaged block: %v, want a CorruptError %q", err, c.detail)
+		}
+	}
+}
+
+// Materialize allocates per column, not per row: the same exact count
+// for a numeric file of 10 and of 100 blocks. Collection is off while
+// counting, because a GC cycle that the column allocations start adds a
+// runtime allocation of its own.
+func TestMaterializeAllocations(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, n := range []int{10 * BlockRows, 100 * BlockRows} {
+		ds := dataset.New(dataset.MustSchema(
+			dataset.Attribute{Name: "ID", Kind: dataset.KindInt},
+			dataset.Attribute{Name: "X", Kind: dataset.KindFloat},
+			dataset.Attribute{Name: "Y", Kind: dataset.KindFloat},
+			dataset.Attribute{Name: "G", Kind: dataset.KindInt},
+			dataset.Attribute{Name: "Z", Kind: dataset.KindFloat},
+		))
+		for i := 0; i < n; i++ {
+			row := dataset.Row{dataset.Int(int64(i)), dataset.Float(float64(i) / 4), dataset.Float(-float64(i)), dataset.Int(int64(i % 9)), dataset.Null}
+			if err := ds.Append(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a := NewArchive(DefaultCost())
+		if err := a.Write("f", ds); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := a.Materialize("f"); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 18 {
+			t.Errorf("Materialize of %d rows: %v allocations, want 18", n, allocs)
+		}
 	}
 }

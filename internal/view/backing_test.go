@@ -58,7 +58,7 @@ func TestAttachStoreServesReads(t *testing.T) {
 		}
 		// Row reads too.
 		row := rowAt(t, v, 123)
-		if !row[0].Equal(dataset.Int(123)) {
+		if row[0] != dataset.Int(123) {
 			t.Errorf("%v: RowAt = %v", b, row)
 		}
 	}
@@ -90,7 +90,7 @@ func TestAttachStoreWriteThrough(t *testing.T) {
 			t.Fatalf("%v: backing after update = %v, want %v", b, got, want)
 		}
 		row := rowAt(t, v, 10)
-		if !row[1].Equal(dataset.Float(12345)) {
+		if row[1] != dataset.Float(12345) {
 			t.Errorf("%v: row = %v", b, row[1])
 		}
 		xs, _, err := v.Column("SALARY")
@@ -101,7 +101,7 @@ func TestAttachStoreWriteThrough(t *testing.T) {
 			t.Fatal(err)
 		}
 		row = rowAt(t, v, 10)
-		if row[1].Equal(dataset.Float(12345)) {
+		if row[1] == dataset.Float(12345) {
 			t.Errorf("%v: undo not seen by reads", b)
 		}
 		storeMatchesData(t, v, b.String()+" after undo")

@@ -33,7 +33,7 @@ func TestBuilderDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cell.Equal(dataset.String("over 60")) {
+		if cell == dataset.String("over 60") {
 			found = true
 		}
 	}

@@ -446,7 +446,7 @@ func (v *View) updateWhere(attr string, pred relalg.Predicate, value dataset.Val
 	eval(0, len(mask), mask)
 	changed := 0
 	for r, ok := range mask {
-		if ok && v.data.Cell(r, ci).Equal(value) {
+		if ok && v.data.Cell(r, ci) == value {
 			mask[r] = false
 		} else if ok {
 			changed++
@@ -552,7 +552,7 @@ func (v *View) propagate(attr string, rows []int32, deltas []incr.Delta) {
 				r := int(r32)
 				old := v.data.Cell(r, di)
 				nv := rule.Row(v.data.Schema(), v.data.RowAt(r))
-				if old.Equal(nv) {
+				if old == nv {
 					continue
 				}
 				if err := v.data.SetCell(r, di, nv); err != nil {

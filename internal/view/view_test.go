@@ -148,7 +148,7 @@ func TestUndoPhysical(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		for c := 0; c < 3; c++ {
-			if !v.Dataset().Cell(i, c).Equal(orig.Cell(i, c)) {
+			if v.Dataset().Cell(i, c) != orig.Cell(i, c) {
 				t.Fatalf("cell (%d,%d) differs after undo", i, c)
 			}
 		}
@@ -189,11 +189,11 @@ func TestRollbackTo(t *testing.T) {
 		t.Fatalf("history len = %d", v.History().Len())
 	}
 	got, _ := v.Dataset().CellByName(1, "SALARY")
-	if !got.Equal(dataset.Float(2000)) {
+	if got != dataset.Float(2000) {
 		t.Errorf("update 2 lost: %v", got)
 	}
 	got, _ = v.Dataset().CellByName(2, "SALARY")
-	if !got.Equal(orig.Cell(2, 1)) {
+	if got != orig.Cell(2, 1) {
 		t.Errorf("update 3 not undone: %v", got)
 	}
 	// Roll back everything.
@@ -204,7 +204,7 @@ func TestRollbackTo(t *testing.T) {
 		t.Errorf("history len = %d after full rollback", v.History().Len())
 	}
 	got, _ = v.Dataset().CellByName(0, "SALARY")
-	if !got.Equal(orig.Cell(0, 1)) {
+	if got != orig.Cell(0, 1) {
 		t.Errorf("full rollback incomplete: %v", got)
 	}
 	// Idempotent on empty history.
@@ -291,7 +291,7 @@ func TestDerivedGlobalRuleResiduals(t *testing.T) {
 		t.Fatal(err)
 	}
 	r0b, _ := v.Dataset().CellByName(0, "RESIDUAL")
-	if r0b.Equal(r0) {
+	if r0b == r0 {
 		t.Error("residuals not regenerated after input update")
 	}
 	// Residuals must match a fresh regression on current data.
@@ -301,7 +301,7 @@ func TestDerivedGlobalRuleResiduals(t *testing.T) {
 	}
 	for i := 0; i < v.Rows(); i++ {
 		got, _ := v.Dataset().CellByName(i, "RESIDUAL")
-		if !got.Equal(want[i]) {
+		if got != want[i] {
 			t.Fatalf("residual %d stale: %v vs %v", i, got, want[i])
 		}
 	}

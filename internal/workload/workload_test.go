@@ -24,11 +24,11 @@ func TestFigure1Reproduction(t *testing.T) {
 	}
 	// Spot-check the printed rows.
 	first := ds.RowAt(0)
-	if !first[0].Equal(dataset.String("M")) || !first[3].Equal(dataset.Int(12300347)) || !first[4].Equal(dataset.Int(33122)) {
+	if first[0] != dataset.String("M") || first[3] != dataset.Int(12300347) || first[4] != dataset.Int(33122) {
 		t.Errorf("row 0 = %v", first)
 	}
 	last := ds.RowAt(8)
-	if !last[1].Equal(dataset.String("B")) || !last[3].Equal(dataset.Int(2143924)) {
+	if last[1] != dataset.String("B") || last[3] != dataset.Int(2143924) {
 		t.Errorf("row 8 = %v", last)
 	}
 	// Composite key is unique across rows.
@@ -67,7 +67,7 @@ func TestCensusGenerator(t *testing.T) {
 	ds2, _ := Census(spec)
 	for i := 0; i < 50; i++ {
 		for c := 0; c < ds.Schema().Len(); c++ {
-			if !ds.Cell(i, c).Equal(ds2.Cell(i, c)) {
+			if ds.Cell(i, c) != ds2.Cell(i, c) {
 				t.Fatalf("non-deterministic at (%d,%d)", i, c)
 			}
 		}
@@ -77,7 +77,7 @@ func TestCensusGenerator(t *testing.T) {
 	ds3, _ := Census(spec2)
 	same := true
 	for i := 0; i < 50 && same; i++ {
-		if !ds.Cell(i, 5).Equal(ds3.Cell(i, 5)) {
+		if ds.Cell(i, 5) != ds3.Cell(i, 5) {
 			same = false
 		}
 	}
@@ -109,7 +109,7 @@ func TestCensusCategoryRuns(t *testing.T) {
 	}
 	transitions := 0
 	for i := 1; i < ds.Rows(); i++ {
-		if !ds.Cell(i, 0).Equal(ds.Cell(i-1, 0)) {
+		if ds.Cell(i, 0) != ds.Cell(i-1, 0) {
 			transitions++
 		}
 	}
