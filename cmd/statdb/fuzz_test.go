@@ -42,14 +42,19 @@ func FuzzQueryBody(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, line := range strings.Split(help.String(), "\n")[1:] {
-		if form, _, _ := strings.Cut(strings.TrimSpace(line), "  "); form != "" {
-			f.Add([]byte(form), "s1")
+		form, _, _ := strings.Cut(strings.TrimSpace(line), "  ")
+		// A form that names a file would only be skipped below.
+		if cmd, err := query.Parse(form); form == "" || err == nil && touchesFiles(cmd) {
+			continue
 		}
+		f.Add([]byte(form), "s1")
 	}
 	f.Add([]byte("materialize mv from census80 project POPULATION,AVE_SALARY"), "boot")
 	f.Add([]byte("compute median AVE_SALARY on mv"), "")
 	f.Add([]byte("histogram POPULATION on mv bins 99999999999"), "a b&c=d")
 	f.Add([]byte{0xff, 0x00, '\''}, "\x00")
+	f.Add([]byte("explain compute median AVE_SALARY on mv"), "s1")
+	f.Add([]byte("profile histogram POPULATION on mv bins 3"), "s1")
 	f.Fuzz(func(t *testing.T, body []byte, session string) {
 		if cmd, err := query.Parse(string(body)); err == nil && touchesFiles(cmd) {
 			t.Skip("statement names a file path")

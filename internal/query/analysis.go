@@ -88,21 +88,6 @@ type TTestCmd struct {
 	View  string
 }
 
-func (ImportCmd) cmd()      {}
-func (DescribeCmd) cmd()    {}
-func (FrequenciesCmd) cmd() {}
-func (TTestCmd) cmd()       {}
-func (ExportCmd) cmd()      {}
-func (SaveCmd) cmd()        {}
-
-func (HistogramCmd) cmd() {}
-func (CrosstabCmd) cmd()  {}
-func (CorrelateCmd) cmd() {}
-func (RegressCmd) cmd()   {}
-func (SampleCmd) cmd()    {}
-func (RollbackCmd) cmd()  {}
-func (AdviceCmd) cmd()    {}
-
 // maxHistogramBins bounds what one statement may ask the histogram to
 // allocate and print: the bin count arrives from outside the program
 // (the REPL, POST /query), and every bin is an edge, a count and a line.
@@ -110,14 +95,7 @@ const maxHistogramBins = 10000
 
 // histogram ATTR on VIEW [bins N]
 func (p *parser) parseHistogram() (Command, error) {
-	attr, err := p.expectWord("attribute")
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("on"); err != nil {
-		return nil, err
-	}
-	v, err := p.expectWord("view name")
+	attr, v, err := p.attrOnView()
 	if err != nil {
 		return nil, err
 	}
@@ -159,14 +137,7 @@ func (p *parser) parseCorrelate() (Command, error) {
 	if err != nil {
 		return nil, err
 	}
-	y, err := p.expectWord("attribute")
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("on"); err != nil {
-		return nil, err
-	}
-	v, err := p.expectWord("view name")
+	y, v, err := p.attrOnView()
 	if err != nil {
 		return nil, err
 	}

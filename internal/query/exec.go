@@ -10,7 +10,6 @@ import (
 
 	"statdb/internal/core"
 	"statdb/internal/obs"
-	"statdb/internal/summary"
 )
 
 // Executor runs parsed commands against a DBMS on behalf of one analyst,
@@ -21,10 +20,11 @@ type Executor struct {
 	Out     io.Writer
 	// Cached observability handles (query.* counters, system tracer,
 	// continuous-profile ring; reg registers the per-verb SLO families
-	// lazily as verbs run).
+	// lazily as verbs run, into perVerb, indexed by the verb's row).
 	cStatements *obs.Counter
 	cErrors     *obs.Counter
 	reg         *obs.Registry
+	perVerb     []verbInstruments
 	profiles    *obs.ProfileRing
 	tracer      *obs.Tracer
 	// events, when set, receives one structured record per profiled
@@ -39,10 +39,18 @@ type Executor struct {
 	session       string
 	sessionSeq    int64
 	sessionBudget *obs.Budget
-	// lastProfile/lastPages capture the most recent statement's folded
-	// profile and page charge for RunMeasured callers.
-	lastProfile *obs.Profile
-	lastPages   int64
+	// last is what the statement being run measured, for RunMeasured.
+	last Measured
+}
+
+// verbInstruments are one verb's SLO families: the query.ticks.<verb>
+// histogram, registered on the verb's first statement, and the
+// query.verb_errors.<verb> and query.budget_breaches.<verb> counters,
+// registered on its first error and first breach, so only verbs that
+// ran appear in exports.
+type verbInstruments struct {
+	ticks            *obs.Histogram
+	errors, breaches *obs.Counter
 }
 
 // NewExecutor creates an executor for the named analyst.
@@ -55,6 +63,7 @@ func NewExecutor(d *core.DBMS, analyst string, out io.Writer) *Executor {
 		cStatements: reg.Counter(obs.MQueryStatements),
 		cErrors:     reg.Counter(obs.MQueryErrors),
 		reg:         reg,
+		perVerb:     make([]verbInstruments, len(verbs)),
 		profiles:    d.Profiles(),
 		tracer:      d.Tracer(),
 	}
@@ -80,8 +89,9 @@ func (e *Executor) SetSessionBudget(b *obs.Budget) { e.sessionBudget = b }
 
 // Measured summarizes one statement for callers that need exact
 // per-statement attribution (the load driver's conservation checks):
-// the verb it dispatched as, the cost-model ticks its folded profile
-// charged, and the buffer-pool pages its budget recorded.
+// the verb it ran as (explain and profile report the verb they wrap),
+// the cost-model ticks its folded profile charged, and the buffer-pool
+// pages its budget recorded.
 type Measured struct {
 	Verb  string
 	Ticks int64
@@ -96,82 +106,28 @@ func (e *Executor) RunMeasured(input string) (Measured, error) {
 	if input == "" {
 		return Measured{}, nil
 	}
-	cmd, err := Parse(input)
+	v, cmd, err := parseStatement(input)
 	if err != nil {
 		e.cErrors.Inc()
 		return Measured{}, err
 	}
 	e.cStatements.Inc()
-	e.lastProfile = nil
-	e.lastPages = 0
-	err = e.dispatch(cmd, input)
+	e.last = Measured{Verb: v.keyword}
+	if v.run != nil {
+		err = v.run(e, cmd, input)
+	} else {
+		_, err = e.runProfiled(v, cmd, input)
+	}
 	if err != nil {
 		e.cErrors.Inc()
 	}
-	m := Measured{Verb: verbOf(cmd), Pages: e.lastPages}
-	if e.lastProfile != nil {
-		m.Ticks = e.lastProfile.Ticks
-	}
-	return m, err
+	return e.last, err
 }
 
 // Run parses and executes one statement, counting it (and any failure)
 // in the query.* metric family.
 func (e *Executor) Run(input string) error {
 	_, err := e.RunMeasured(input)
-	return err
-}
-
-var helpText = `commands:
-  files                                       list raw archive files
-  views                                       list views
-  materialize V from FILE [where P] [project A,B] [decode A] [sort A [desc]]
-  compute FN ATTR on V                        fn: ` + strings.Join(summary.Functions(), " ") + `
-  summary V                                   dump V's summary database (Figure 4)
-  describe A on V                             standing summary info (Section 3.2)
-  frequencies A on V                          value counts for a string attribute
-  update V set ATTR = VALUE where P           VALUE may be null
-  undo V                                      undo V's most recent update
-  history V                                   show V's update history
-  publish V                                   share V with other analysts
-  show V [limit N]                            print rows
-  histogram A on V [bins N]                   binned frequencies with bars
-  crosstab A B on V                           contingency table + chi-square
-  correlate A B on V [rank]                   Pearson (or Spearman) correlation
-  ttest A by G on V                           Welch two-sample t-test between G's two groups
-  regress Y on X1,X2 over V                   OLS fit
-  sample N from V as NEW [seed S]             random-sample view
-  rollback V to SEQ                           undo updates after history #SEQ
-  advice V                                    storage-layout recommendation
-  import 'file.csv' as NAME                   CSV -> raw archive (schema inferred)
-  export V to 'file.csv'                      view -> CSV
-  shards V                                    per-shard health for V's sharded backing
-  stats                                       dump system metrics (counters, gauges, histograms)
-  explain CMD                                 run CMD and print its cost-charged span tree
-  profile CMD                                 run CMD and print its folded profile (top sites by self ticks)
-  help
-`
-
-// dispatch routes one parsed command; text is the statement as typed,
-// carried into the event-log record.
-func (e *Executor) dispatch(cmd Command, text string) error {
-	switch c := cmd.(type) {
-	case StatsCmd:
-		return e.DBMS.Metrics().WriteText(e.Out)
-	case ExplainCmd:
-		root, err := e.runProfiled(c.Inner, text)
-		if err != nil {
-			return err
-		}
-		return obs.WriteTree(e.Out, root)
-	case ProfileCmd:
-		root, err := e.runProfiled(c.Inner, text)
-		if err != nil {
-			return err
-		}
-		return obs.FoldSpan(root).WriteTop(e.Out, 0)
-	}
-	_, err := e.runProfiled(cmd, text)
 	return err
 }
 
@@ -182,7 +138,8 @@ func (e *Executor) dispatch(cmd Command, text string) error {
 // — either surfaced by a budget-aware layer mid-flight or latched here
 // after commands that bypass those layers — and the statement lands in
 // the event log either way.
-func (e *Executor) runProfiled(cmd Command, text string) (*obs.Span, error) {
+func (e *Executor) runProfiled(v *verb, cmd Command, text string) (*obs.Span, error) {
+	e.last = Measured{Verb: v.keyword}
 	// Admission first: the DBMS gate bounds how many statements hold the
 	// engine at once and sheds when its queue overflows or this
 	// session's quota is spent. Everything below — budget, span tree,
@@ -197,96 +154,45 @@ func (e *Executor) runProfiled(cmd Command, text string) (*obs.Span, error) {
 	budget := obs.NewBudget(maxTicks, maxPages)
 	e.tracer.SetBudget(budget)
 	root := e.tracer.Begin("query")
-	err = e.exec(cmd)
+	err = v.exec(e, cmd)
 	root.End()
 	e.tracer.SetBudget(nil)
 	if err == nil {
 		err = budget.Err()
 	}
-	prof := e.observeVerb(cmd, root, err)
-	e.lastProfile = prof
-	_, e.lastPages = budget.Used()
-	e.logQuery(text, root, prof, e.lastPages, err)
+	prof := e.observeVerb(v, root, err)
+	_, pages := budget.Used()
+	e.last = Measured{Verb: v.keyword, Ticks: prof.Ticks, Pages: pages}
+	e.logQuery(text, root, prof, pages, err)
 	return root, err
 }
 
 // observeVerb folds the finished statement's span tree into the
-// continuous-profile ring under its verb and feeds the per-verb SLO
-// families: the query.ticks.<verb> histogram (total cost-model ticks),
-// and error/budget-breach counters. These labeled instruments register
-// lazily, so only verbs that actually ran appear in exports.
-func (e *Executor) observeVerb(cmd Command, root *obs.Span, err error) *obs.Profile {
+// continuous-profile ring under its verb and feeds the verb's SLO
+// families: the tick histogram (total cost-model ticks), and the error
+// and budget-breach counters.
+func (e *Executor) observeVerb(v *verb, root *obs.Span, err error) *obs.Profile {
 	prof := obs.FoldSpan(root)
-	verb := verbOf(cmd)
-	e.profiles.Add(verb, prof)
-	e.reg.Histogram(obs.LabeledName(obs.MQueryTicks, verb), obs.QueryTicksBounds()).Observe(prof.Ticks)
+	e.profiles.Add(v.keyword, prof)
+	in := &e.perVerb[v.id]
+	if in.ticks == nil {
+		in.ticks = e.reg.Histogram(obs.LabeledName(obs.MQueryTicks, v.keyword), obs.QueryTicksBounds())
+	}
+	in.ticks.Observe(prof.Ticks)
 	if err != nil {
-		e.reg.Counter(obs.LabeledName(obs.MQueryVerbErrors, verb)).Inc()
+		if in.errors == nil {
+			in.errors = e.reg.Counter(obs.LabeledName(obs.MQueryVerbErrors, v.keyword))
+		}
+		in.errors.Inc()
 		var be *obs.BudgetError
 		if errors.As(err, &be) {
-			e.reg.Counter(obs.LabeledName(obs.MQueryBreaches, verb)).Inc()
+			if in.breaches == nil {
+				in.breaches = e.reg.Counter(obs.LabeledName(obs.MQueryBreaches, v.keyword))
+			}
+			in.breaches.Inc()
 		}
 	}
 	return prof
-}
-
-// verbOf names the statement's verb for per-verb profiles and SLOs —
-// the keyword that would have invoked it (explain/profile report as
-// their wrapped verb, since dispatch unwraps before profiling).
-func verbOf(cmd Command) string {
-	switch cmd.(type) {
-	case Files:
-		return "files"
-	case Views:
-		return "views"
-	case Help:
-		return "help"
-	case Materialize:
-		return "materialize"
-	case Compute:
-		return "compute"
-	case SummaryDump:
-		return "summary"
-	case Update:
-		return "update"
-	case Undo:
-		return "undo"
-	case HistoryCmd:
-		return "history"
-	case Publish:
-		return "publish"
-	case Show:
-		return "show"
-	case ShardsCmd:
-		return "shards"
-	case HistogramCmd:
-		return "histogram"
-	case CrosstabCmd:
-		return "crosstab"
-	case CorrelateCmd:
-		return "correlate"
-	case RegressCmd:
-		return "regress"
-	case SampleCmd:
-		return "sample"
-	case RollbackCmd:
-		return "rollback"
-	case ImportCmd:
-		return "import"
-	case ExportCmd:
-		return "export"
-	case DescribeCmd:
-		return "describe"
-	case FrequenciesCmd:
-		return "frequencies"
-	case TTestCmd:
-		return "ttest"
-	case SaveCmd:
-		return "save"
-	case AdviceCmd:
-		return "advice"
-	}
-	return "other"
 }
 
 // logQuery emits one structured record for a finished statement, read
@@ -330,152 +236,189 @@ func (e *Executor) logQuery(text string, root *obs.Span, prof *obs.Profile, page
 	e.events.Log(obs.Event{Tick: e.clock, Kind: "query", Query: rec})
 }
 
-// exec dispatches one parsed command inside the caller's span.
-func (e *Executor) exec(cmd Command) error {
-	if handled, err := e.execAnalysis(cmd); handled {
-		return err
-	}
-	switch c := cmd.(type) {
-	case Help:
-		fmt.Fprint(e.Out, helpText)
-		return nil
-	case Files:
-		for _, f := range e.DBMS.Archive().Files() {
-			rows, _ := e.DBMS.Archive().Rows(f) //lint:allow error-flow a file that vanished mid-listing shows 0 rows
-			fmt.Fprintf(e.Out, "%s\t%d rows\n", f, rows)
-		}
-		return nil
-	case Views:
-		for _, n := range e.DBMS.Management().Views() {
-			def, _ := e.DBMS.Management().View(n)
-			vis := "private"
-			if def.Public {
-				vis = "public"
-			}
-			fmt.Fprintf(e.Out, "%s\tanalyst=%s\tsource=%s\t%s\n", n, def.Analyst, def.Source, vis)
-		}
-		return nil
-	case Materialize:
-		return e.execMaterialize(c)
-	case Compute:
-		v, err := e.Analyst.View(c.View)
-		if err != nil {
-			return err
-		}
-		val, rep, err := v.ComputeReport(c.Fn, c.Attr)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(e.Out, "%s(%s) = %g\n", c.Fn, c.Attr, val)
-		// A gather that lost shards still answers, with its provenance.
-		if rep.Degraded() {
-			fmt.Fprintf(e.Out, "degraded answer: %s\n", rep)
-		}
-		return nil
-	case SummaryDump:
-		v, err := e.Analyst.View(c.View)
-		if err != nil {
-			return err
-		}
-		w := tabwriter.NewWriter(e.Out, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(w, "FUNCTION_NAME\tATTRIBUTE_NAME\tRESULT\tSTATE")
-		for _, row := range v.Summary().Dump() {
-			state := "fresh"
-			if !row.Fresh {
-				state = "stale"
-			}
-			fmt.Fprintf(w, "%s\t%s\t%s\t%s\n", row.Function, row.Attribute, row.Result, state)
-		}
-		return w.Flush()
-	case Update:
-		v, err := e.Analyst.View(c.View)
-		if err != nil {
-			return err
-		}
-		n, err := v.UpdateWhere(c.Attr, c.Where, c.Value)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(e.Out, "%d rows updated\n", n)
-		return nil
-	case Undo:
-		v, err := e.Analyst.View(c.View)
-		if err != nil {
-			return err
-		}
-		if err := v.Undo(); err != nil {
-			return err
-		}
-		fmt.Fprintln(e.Out, "undone")
-		return nil
-	case HistoryCmd:
-		v, err := e.Analyst.View(c.View)
-		if err != nil {
-			return err
-		}
-		for _, rec := range v.History().Records() {
-			fmt.Fprintf(e.Out, "#%d\t%s\t%s\t(%d cells)\n", rec.Seq, rec.Analyst, rec.Description, len(rec.Rows))
-		}
-		return nil
-	case Publish:
-		if err := e.Analyst.Publish(c.View); err != nil {
-			return err
-		}
-		fmt.Fprintf(e.Out, "view %s published\n", c.View)
-		return nil
-	case ShardsCmd:
-		v, err := e.Analyst.View(c.View)
-		if err != nil {
-			return err
-		}
-		st, behind := v.ShardStore()
-		if st == nil {
-			return fmt.Errorf("query: view %s has no sharded backing", c.View)
-		}
-		if behind {
-			fmt.Fprintf(e.Out, "sharded copy is behind view %s (updated since it was built): compute reads the view's rows until it is re-sharded\n", c.View)
-		}
-		w := tabwriter.NewWriter(e.Out, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(w, "SHARD\tHEALTH\tROWS\tCHUNKS\tGEN\tFAULTS\tRETRIES\tEXHAUSTED\tTICKS")
-		retry := st.Metrics().Counters
-		for _, si := range st.Info() {
-			fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
-				si.Label, si.Health, si.Rows, si.Chunks, si.CkptGen, si.Faults.Injected(),
-				retry[obs.LabeledName(obs.MStorageRetryAttempts, si.Label)],
-				retry[obs.LabeledName(obs.MStorageRetryExhausted, si.Label)], si.DevTicks)
-		}
-		return w.Flush()
-	case Show:
-		v, err := e.Analyst.View(c.View)
-		if err != nil {
-			return err
-		}
-		ds := v.Dataset()
-		w := tabwriter.NewWriter(e.Out, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(w, strings.Join(ds.Schema().Names(), "\t"))
-		n := ds.Rows()
-		if n > c.Limit {
-			n = c.Limit
-		}
-		for i := 0; i < n; i++ {
-			cells := make([]string, ds.Schema().Len())
-			for j := range cells {
-				cells[j] = ds.Cell(i, j).String()
-			}
-			fmt.Fprintln(w, strings.Join(cells, "\t"))
-		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-		if ds.Rows() > c.Limit {
-			fmt.Fprintf(e.Out, "... (%d more rows)\n", ds.Rows()-c.Limit)
-		}
-		return nil
-	}
-	return fmt.Errorf("query: unhandled command %T", cmd)
+// execStats dumps the registry. It runs unprofiled: a gate admission,
+// a span and a tick histogram of its own would move what it prints.
+func (e *Executor) execStats(Command, string) error {
+	return e.DBMS.Metrics().WriteText(e.Out)
 }
 
-func (e *Executor) execMaterialize(c Materialize) error {
+// execExplain runs the wrapped statement and prints its span tree.
+func (e *Executor) execExplain(cmd Command, text string) error {
+	c := cmd.(ExplainCmd)
+	root, err := e.runProfiled(c.verb, c.Inner, text)
+	if err != nil {
+		return err
+	}
+	return obs.WriteTree(e.Out, root)
+}
+
+// execProfile runs the wrapped statement and prints its folded profile.
+func (e *Executor) execProfile(cmd Command, text string) error {
+	c := cmd.(ProfileCmd)
+	root, err := e.runProfiled(c.verb, c.Inner, text)
+	if err != nil {
+		return err
+	}
+	return obs.FoldSpan(root).WriteTop(e.Out, 0)
+}
+
+func (e *Executor) execFiles(Command) error {
+	for _, f := range e.DBMS.Archive().Files() {
+		rows, _ := e.DBMS.Archive().Rows(f) //lint:allow error-flow a file that vanished mid-listing shows 0 rows
+		fmt.Fprintf(e.Out, "%s\t%d rows\n", f, rows)
+	}
+	return nil
+}
+
+func (e *Executor) execViews(Command) error {
+	for _, n := range e.DBMS.Management().Views() {
+		def, _ := e.DBMS.Management().View(n)
+		vis := "private"
+		if def.Public {
+			vis = "public"
+		}
+		fmt.Fprintf(e.Out, "%s\tanalyst=%s\tsource=%s\t%s\n", n, def.Analyst, def.Source, vis)
+	}
+	return nil
+}
+
+func (e *Executor) execCompute(cmd Command) error {
+	c := cmd.(Compute)
+	v, err := e.Analyst.View(c.View)
+	if err != nil {
+		return err
+	}
+	val, rep, err := v.ComputeReport(c.Fn, c.Attr)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(e.Out, "%s(%s) = %g\n", c.Fn, c.Attr, val)
+	// A gather that lost shards still answers, with its provenance.
+	if rep.Degraded() {
+		fmt.Fprintf(e.Out, "degraded answer: %s\n", rep)
+	}
+	return nil
+}
+
+func (e *Executor) execSummary(cmd Command) error {
+	v, err := e.Analyst.View(cmd.(SummaryDump).View)
+	if err != nil {
+		return err
+	}
+	w := tabwriter.NewWriter(e.Out, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(w, "FUNCTION_NAME\tATTRIBUTE_NAME\tRESULT\tSTATE")
+	for _, row := range v.Summary().Dump() {
+		state := "fresh"
+		if !row.Fresh {
+			state = "stale"
+		}
+		fmt.Fprintf(w, "%s\t%s\t%s\t%s\n", row.Function, row.Attribute, row.Result, state)
+	}
+	return w.Flush()
+}
+
+func (e *Executor) execUpdate(cmd Command) error {
+	c := cmd.(Update)
+	v, err := e.Analyst.View(c.View)
+	if err != nil {
+		return err
+	}
+	n, err := v.UpdateWhere(c.Attr, c.Where, c.Value)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(e.Out, "%d rows updated\n", n)
+	return nil
+}
+
+func (e *Executor) execUndo(cmd Command) error {
+	v, err := e.Analyst.View(cmd.(Undo).View)
+	if err != nil {
+		return err
+	}
+	if err := v.Undo(); err != nil {
+		return err
+	}
+	fmt.Fprintln(e.Out, "undone")
+	return nil
+}
+
+func (e *Executor) execHistory(cmd Command) error {
+	v, err := e.Analyst.View(cmd.(HistoryCmd).View)
+	if err != nil {
+		return err
+	}
+	for _, rec := range v.History().Records() {
+		fmt.Fprintf(e.Out, "#%d\t%s\t%s\t(%d cells)\n", rec.Seq, rec.Analyst, rec.Description, len(rec.Rows))
+	}
+	return nil
+}
+
+func (e *Executor) execPublish(cmd Command) error {
+	c := cmd.(Publish)
+	if err := e.Analyst.Publish(c.View); err != nil {
+		return err
+	}
+	fmt.Fprintf(e.Out, "view %s published\n", c.View)
+	return nil
+}
+
+func (e *Executor) execShards(cmd Command) error {
+	c := cmd.(ShardsCmd)
+	v, err := e.Analyst.View(c.View)
+	if err != nil {
+		return err
+	}
+	st, behind := v.ShardStore()
+	if st == nil {
+		return fmt.Errorf("query: view %s has no sharded backing", c.View)
+	}
+	if behind {
+		fmt.Fprintf(e.Out, "sharded copy is behind view %s (updated since it was built): compute reads the view's rows until it is re-sharded\n", c.View)
+	}
+	w := tabwriter.NewWriter(e.Out, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(w, "SHARD\tHEALTH\tROWS\tCHUNKS\tGEN\tFAULTS\tRETRIES\tEXHAUSTED\tTICKS")
+	retry := st.Metrics().Counters
+	for _, si := range st.Info() {
+		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
+			si.Label, si.Health, si.Rows, si.Chunks, si.CkptGen, si.Faults.Injected(),
+			retry[obs.LabeledName(obs.MStorageRetryAttempts, si.Label)],
+			retry[obs.LabeledName(obs.MStorageRetryExhausted, si.Label)], si.DevTicks)
+	}
+	return w.Flush()
+}
+
+func (e *Executor) execShow(cmd Command) error {
+	c := cmd.(Show)
+	v, err := e.Analyst.View(c.View)
+	if err != nil {
+		return err
+	}
+	ds := v.Dataset()
+	w := tabwriter.NewWriter(e.Out, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(w, strings.Join(ds.Schema().Names(), "\t"))
+	n := ds.Rows()
+	if n > c.Limit {
+		n = c.Limit
+	}
+	for i := 0; i < n; i++ {
+		cells := make([]string, ds.Schema().Len())
+		for j := range cells {
+			cells[j] = ds.Cell(i, j).String()
+		}
+		fmt.Fprintln(w, strings.Join(cells, "\t"))
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	if ds.Rows() > c.Limit {
+		fmt.Fprintf(e.Out, "... (%d more rows)\n", ds.Rows()-c.Limit)
+	}
+	return nil
+}
+
+func (e *Executor) execMaterialize(cmd Command) error {
+	c := cmd.(Materialize)
 	mb := e.Analyst.Materialize(c.Source)
 	b := mb.Builder()
 	if c.Where != nil {

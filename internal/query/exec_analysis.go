@@ -13,86 +13,78 @@ import (
 	"statdb/internal/summary"
 )
 
-// execAnalysis handles the analysis commands; returns (handled, error).
-func (e *Executor) execAnalysis(cmd Command) (bool, error) {
-	switch c := cmd.(type) {
-	case HistogramCmd:
-		return true, e.execHistogram(c)
-	case CrosstabCmd:
-		return true, e.execCrosstab(c)
-	case CorrelateCmd:
-		return true, e.execCorrelate(c)
-	case RegressCmd:
-		return true, e.execRegress(c)
-	case SampleCmd:
-		return true, e.execSample(c)
-	case RollbackCmd:
-		v, err := e.Analyst.View(c.View)
-		if err != nil {
-			return true, err
-		}
-		before := v.History().Len()
-		if err := v.RollbackTo(c.Seq); err != nil {
-			return true, err
-		}
-		fmt.Fprintf(e.Out, "rolled back %d update(s)\n", before-v.History().Len())
-		return true, nil
-	case ImportCmd:
-		return true, e.execImport(c)
-	case ExportCmd:
-		return true, e.execExport(c)
-	case DescribeCmd:
-		v, err := e.Analyst.View(c.View)
-		if err != nil {
-			return true, err
-		}
-		sum, err := v.Describe(c.Attr)
-		if err != nil {
-			return true, err
-		}
-		fmt.Fprintf(e.Out,
-			"%s: n=%d missing=%d mean=%.6g sd=%.6g min=%.6g q1=%.6g median=%.6g q3=%.6g max=%.6g mode=%.6g unique=%d\n",
-			c.Attr, sum.N, sum.Missing, sum.Mean, sum.SD, sum.Min, sum.Q1, sum.Median, sum.Q3, sum.Max, sum.Mode, sum.Unique)
-		return true, nil
-	case FrequenciesCmd:
-		v, err := e.Analyst.View(c.View)
-		if err != nil {
-			return true, err
-		}
-		values, counts, err := v.StringFrequencies(c.Attr)
-		if err != nil {
-			return true, err
-		}
-		for i, val := range values {
-			fmt.Fprintf(e.Out, "%-20s %d\n", val, counts[i])
-		}
-		return true, nil
-	case TTestCmd:
-		return true, e.execTTest(c)
-	case SaveCmd:
-		if err := catalog.Save(e.DBMS, c.Path); err != nil {
-			return true, err
-		}
-		fmt.Fprintf(e.Out, "database saved to %s\n", c.Path)
-		return true, nil
-	case AdviceCmd:
-		v, err := e.Analyst.View(c.View)
-		if err != nil {
-			return true, err
-		}
-		adv := v.Advice()
-		layout := "row file"
-		if adv.Transpose {
-			layout = "transposed"
-		}
-		fmt.Fprintf(e.Out, "column scans=%d row reads=%d -> recommended layout: %s (hot: %s)\n",
-			adv.ColumnScans, adv.RowReads, layout, strings.Join(adv.HotAttrs, ","))
-		return true, nil
+func (e *Executor) execRollback(cmd Command) error {
+	c := cmd.(RollbackCmd)
+	v, err := e.Analyst.View(c.View)
+	if err != nil {
+		return err
 	}
-	return false, nil
+	before := v.History().Len()
+	if err := v.RollbackTo(c.Seq); err != nil {
+		return err
+	}
+	fmt.Fprintf(e.Out, "rolled back %d update(s)\n", before-v.History().Len())
+	return nil
 }
 
-func (e *Executor) execHistogram(c HistogramCmd) error {
+func (e *Executor) execDescribe(cmd Command) error {
+	c := cmd.(DescribeCmd)
+	v, err := e.Analyst.View(c.View)
+	if err != nil {
+		return err
+	}
+	sum, err := v.Describe(c.Attr)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(e.Out,
+		"%s: n=%d missing=%d mean=%.6g sd=%.6g min=%.6g q1=%.6g median=%.6g q3=%.6g max=%.6g mode=%.6g unique=%d\n",
+		c.Attr, sum.N, sum.Missing, sum.Mean, sum.SD, sum.Min, sum.Q1, sum.Median, sum.Q3, sum.Max, sum.Mode, sum.Unique)
+	return nil
+}
+
+func (e *Executor) execFrequencies(cmd Command) error {
+	c := cmd.(FrequenciesCmd)
+	v, err := e.Analyst.View(c.View)
+	if err != nil {
+		return err
+	}
+	values, counts, err := v.StringFrequencies(c.Attr)
+	if err != nil {
+		return err
+	}
+	for i, val := range values {
+		fmt.Fprintf(e.Out, "%-20s %d\n", val, counts[i])
+	}
+	return nil
+}
+
+func (e *Executor) execSave(cmd Command) error {
+	c := cmd.(SaveCmd)
+	if err := catalog.Save(e.DBMS, c.Path); err != nil {
+		return err
+	}
+	fmt.Fprintf(e.Out, "database saved to %s\n", c.Path)
+	return nil
+}
+
+func (e *Executor) execAdvice(cmd Command) error {
+	v, err := e.Analyst.View(cmd.(AdviceCmd).View)
+	if err != nil {
+		return err
+	}
+	adv := v.Advice()
+	layout := "row file"
+	if adv.Transpose {
+		layout = "transposed"
+	}
+	fmt.Fprintf(e.Out, "column scans=%d row reads=%d -> recommended layout: %s (hot: %s)\n",
+		adv.ColumnScans, adv.RowReads, layout, strings.Join(adv.HotAttrs, ","))
+	return nil
+}
+
+func (e *Executor) execHistogram(cmd Command) error {
+	c := cmd.(HistogramCmd)
 	v, err := e.Analyst.View(c.View)
 	if err != nil {
 		return err
@@ -119,7 +111,8 @@ func (e *Executor) execHistogram(c HistogramCmd) error {
 	return nil
 }
 
-func (e *Executor) execCrosstab(c CrosstabCmd) error {
+func (e *Executor) execCrosstab(cmd Command) error {
+	c := cmd.(CrosstabCmd)
 	v, err := e.Analyst.View(c.View)
 	if err != nil {
 		return err
@@ -163,7 +156,8 @@ func (e *Executor) execCrosstab(c CrosstabCmd) error {
 	return nil
 }
 
-func (e *Executor) execCorrelate(c CorrelateCmd) error {
+func (e *Executor) execCorrelate(cmd Command) error {
+	c := cmd.(CorrelateCmd)
 	v, err := e.Analyst.View(c.View)
 	if err != nil {
 		return err
@@ -187,7 +181,8 @@ func (e *Executor) execCorrelate(c CorrelateCmd) error {
 	return nil
 }
 
-func (e *Executor) execRegress(c RegressCmd) error {
+func (e *Executor) execRegress(cmd Command) error {
+	c := cmd.(RegressCmd)
 	v, err := e.Analyst.View(c.View)
 	if err != nil {
 		return err
@@ -214,7 +209,8 @@ func (e *Executor) execRegress(c RegressCmd) error {
 	return nil
 }
 
-func (e *Executor) execImport(c ImportCmd) error {
+func (e *Executor) execImport(cmd Command) error {
+	c := cmd.(ImportCmd)
 	f, err := os.Open(c.Path)
 	if err != nil {
 		return err
@@ -245,7 +241,8 @@ func (e *Executor) execImport(c ImportCmd) error {
 	return nil
 }
 
-func (e *Executor) execExport(c ExportCmd) error {
+func (e *Executor) execExport(cmd Command) error {
+	c := cmd.(ExportCmd)
 	v, err := e.Analyst.View(c.View)
 	if err != nil {
 		return err
@@ -265,7 +262,8 @@ func (e *Executor) execExport(c ExportCmd) error {
 	return nil
 }
 
-func (e *Executor) execTTest(c TTestCmd) error {
+func (e *Executor) execTTest(cmd Command) error {
+	c := cmd.(TTestCmd)
 	v, err := e.Analyst.View(c.View)
 	if err != nil {
 		return err
@@ -309,7 +307,8 @@ func (e *Executor) execTTest(c TTestCmd) error {
 	return nil
 }
 
-func (e *Executor) execSample(c SampleCmd) error {
+func (e *Executor) execSample(cmd Command) error {
+	c := cmd.(SampleCmd)
 	v, err := e.Analyst.View(c.View)
 	if err != nil {
 		return err

@@ -7,14 +7,12 @@ import (
 	"testing/quick"
 )
 
-// helpExamples returns the statement forms helpText lists — the left
-// column of each line — as seed corpus for the front-door fuzz targets.
+// helpExamples returns every verb's statement form — help's left
+// column — as seed corpus for the front-door fuzz targets.
 func helpExamples() []string {
 	var out []string
-	for _, line := range strings.Split(helpText, "\n")[1:] {
-		if form, _, _ := strings.Cut(strings.TrimSpace(line), "  "); form != "" {
-			out = append(out, form)
-		}
+	for _, v := range verbs {
+		out = append(out, v.form)
 	}
 	return out
 }

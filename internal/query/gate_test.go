@@ -77,6 +77,26 @@ func TestRunMeasured(t *testing.T) {
 		t.Errorf("histogram delta %d != measured ticks %d: attribution leak", after-before, m.Ticks)
 	}
 
+	// explain and profile report the verb they wrap, whose histogram
+	// their ticks land in (each runs on a fresh fixture, as a first read
+	// that charges ticks); stats reports itself.
+	for _, stmt := range []string{"explain compute mean SALARY on mv", "profile compute mean SALARY on mv"} {
+		d, e, _ := obsFixture(t)
+		m, err := e.RunMeasured(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Verb != "compute" {
+			t.Errorf("%s: verb = %q, want compute", stmt, m.Verb)
+		}
+		if sum := d.Metrics().Histograms[histName].Sum; m.Ticks <= 0 || sum != m.Ticks {
+			t.Errorf("%s: histogram sum %d, measured ticks %d", stmt, sum, m.Ticks)
+		}
+	}
+	if m, err := e.RunMeasured("stats"); err != nil || m.Verb != "stats" {
+		t.Errorf("stats: verb = %q, err %v; want stats", m.Verb, err)
+	}
+
 	// A shed statement measures zero ticks: nothing ran.
 	d.SetGate(core.NewGate(core.GateConfig{Slots: 1, Queue: 0, Reg: d.MetricsRegistry()}))
 	spent := obs.NewBudget(1, 0)

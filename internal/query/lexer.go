@@ -38,7 +38,8 @@ func (t token) String() string {
 // lex splits input into tokens. Errors carry byte positions for
 // diagnostics.
 func lex(input string) ([]token, error) {
-	var out []token
+	// Most statements are at most eight tokens: one allocation holds them.
+	out := make([]token, 0, 8)
 	i := 0
 	for i < len(input) {
 		c := rune(input[i])

@@ -9,8 +9,9 @@ import (
 	"statdb/internal/relalg"
 )
 
-// Command is a parsed statement.
-type Command interface{ cmd() }
+// Command is a parsed statement: a value of one of the command types
+// below or in analysis.go, as its verb's parse function returns it.
+type Command any
 
 // Files lists the raw archive.
 type Files struct{}
@@ -74,29 +75,19 @@ type StatsCmd struct{}
 
 // ExplainCmd runs the wrapped statement and prints its EXPLAIN-style
 // profile: the span tree with each node's cost-model charge.
-type ExplainCmd struct{ Inner Command }
+type ExplainCmd struct {
+	Inner Command
+	verb  *verb // the row that parsed Inner
+}
 
 // ProfileCmd runs the wrapped statement and prints its folded profile —
 // per-site calls/self/total/pages/rows ranked by self ticks — the
 // profiling sibling of explain (tree-shaped account vs. site-ranked
 // account of the same span tree).
-type ProfileCmd struct{ Inner Command }
-
-func (Files) cmd()       {}
-func (Views) cmd()       {}
-func (Help) cmd()        {}
-func (Materialize) cmd() {}
-func (Compute) cmd()     {}
-func (SummaryDump) cmd() {}
-func (Update) cmd()      {}
-func (Undo) cmd()        {}
-func (HistoryCmd) cmd()  {}
-func (Publish) cmd()     {}
-func (Show) cmd()        {}
-func (ShardsCmd) cmd()   {}
-func (StatsCmd) cmd()    {}
-func (ExplainCmd) cmd()  {}
-func (ProfileCmd) cmd()  {}
+type ProfileCmd struct {
+	Inner Command
+	verb  *verb // the row that parsed Inner
+}
 
 type parser struct {
 	toks []token
@@ -152,135 +143,44 @@ func (p *parser) expectEOF() error {
 
 // Parse parses one statement.
 func Parse(input string) (Command, error) {
-	toks, err := lex(input)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	cmd, err := p.parseCommand()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectEOF(); err != nil {
-		return nil, err
-	}
-	return cmd, nil
+	_, cmd, err := parseStatement(input)
+	return cmd, err
 }
 
-// parseCommand parses one statement's keyword dispatch. Factored out of
-// Parse so `explain`/`profile` can recursively parse their wrapped
-// statement.
-func (p *parser) parseCommand() (Command, error) {
-	kw, ok := p.keyword("files", "views", "help", "materialize", "compute",
-		"summary", "update", "undo", "history", "publish", "show",
-		"histogram", "crosstab", "correlate", "regress", "sample",
-		"rollback", "advice", "import", "export", "save", "describe", "frequencies", "ttest",
-		"shards", "stats", "explain", "profile")
-	if !ok {
-		return nil, fmt.Errorf("query: unknown command %s (try 'help')", p.peek())
-	}
-	var cmd Command
-	var err error
-	switch kw {
-	case "files":
-		cmd = Files{}
-	case "views":
-		cmd = Views{}
-	case "help":
-		cmd = Help{}
-	case "materialize":
-		cmd, err = p.parseMaterialize()
-	case "compute":
-		cmd, err = p.parseCompute()
-	case "summary":
-		var v string
-		v, err = p.expectWord("view name")
-		cmd = SummaryDump{View: v}
-	case "update":
-		cmd, err = p.parseUpdate()
-	case "undo":
-		var v string
-		v, err = p.expectWord("view name")
-		cmd = Undo{View: v}
-	case "history":
-		var v string
-		v, err = p.expectWord("view name")
-		cmd = HistoryCmd{View: v}
-	case "publish":
-		var v string
-		v, err = p.expectWord("view name")
-		cmd = Publish{View: v}
-	case "show":
-		cmd, err = p.parseShow()
-	case "histogram":
-		cmd, err = p.parseHistogram()
-	case "crosstab":
-		cmd, err = p.parseCrosstab()
-	case "correlate":
-		cmd, err = p.parseCorrelate()
-	case "regress":
-		cmd, err = p.parseRegress()
-	case "sample":
-		cmd, err = p.parseSample()
-	case "rollback":
-		cmd, err = p.parseRollback()
-	case "advice":
-		var v string
-		v, err = p.expectWord("view name")
-		cmd = AdviceCmd{View: v}
-	case "import":
-		cmd, err = p.parseImport()
-	case "export":
-		cmd, err = p.parseExport()
-	case "save":
-		cmd, err = p.parseSave()
-	case "ttest":
-		cmd, err = p.parseTTest()
-	case "describe":
-		var attr, v string
-		attr, err = p.expectWord("attribute")
-		if err == nil {
-			err = p.expectKeyword("on")
-		}
-		if err == nil {
-			v, err = p.expectWord("view name")
-		}
-		cmd = DescribeCmd{Attr: attr, View: v}
-	case "frequencies":
-		var attr, v string
-		attr, err = p.expectWord("attribute")
-		if err == nil {
-			err = p.expectKeyword("on")
-		}
-		if err == nil {
-			v, err = p.expectWord("view name")
-		}
-		cmd = FrequenciesCmd{Attr: attr, View: v}
-	case "shards":
-		var v string
-		v, err = p.expectWord("view name")
-		cmd = ShardsCmd{View: v}
-	case "stats":
-		cmd = StatsCmd{}
-	case "explain", "profile":
-		var inner Command
-		inner, err = p.parseCommand()
-		if err == nil {
-			switch inner.(type) {
-			case ExplainCmd, ProfileCmd:
-				return nil, fmt.Errorf("query: %s cannot wrap another explain/profile", kw)
-			}
-			if kw == "explain" {
-				cmd = ExplainCmd{Inner: inner}
-			} else {
-				cmd = ProfileCmd{Inner: inner}
-			}
-		}
-	}
+// parseStatement parses one statement and returns its verb's row.
+func parseStatement(input string) (*verb, Command, error) {
+	toks, err := lex(input)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return cmd, nil
+	p := &parser{toks: toks}
+	v, cmd, err := p.parseCommand()
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := p.expectEOF(); err != nil {
+		return nil, nil, err
+	}
+	return v, cmd, nil
+}
+
+// parseCommand parses one statement by its verb's row, and returns
+// the row with the command. Factored out of Parse so `explain`/`profile`
+// can recursively parse their wrapped statement.
+func (p *parser) parseCommand() (*verb, Command, error) {
+	if t := p.peek(); t.kind == tokWord {
+		for i := range verbs {
+			if v := &verbs[i]; strings.EqualFold(t.text, v.keyword) {
+				p.next()
+				cmd, err := v.parse(p)
+				if err != nil {
+					return nil, nil, err
+				}
+				return v, cmd, nil
+			}
+		}
+	}
+	return nil, nil, fmt.Errorf("query: unknown command %s (try 'help')", p.peek())
 }
 
 // materialize V from FILE [where P] [project a,b] [decode a] [sort a [desc]]
@@ -342,18 +242,23 @@ func (p *parser) parseCompute() (Command, error) {
 	if err != nil {
 		return nil, err
 	}
-	attr, err := p.expectWord("attribute")
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("on"); err != nil {
-		return nil, err
-	}
-	v, err := p.expectWord("view name")
+	attr, v, err := p.attrOnView()
 	if err != nil {
 		return nil, err
 	}
 	return Compute{Fn: strings.ToLower(fn), Attr: attr, View: v}, nil
+}
+
+// attrOnView reads "ATTR on VIEW".
+func (p *parser) attrOnView() (attr, view string, err error) {
+	if attr, err = p.expectWord("attribute"); err != nil {
+		return "", "", err
+	}
+	if err = p.expectKeyword("on"); err != nil {
+		return "", "", err
+	}
+	view, err = p.expectWord("view name")
+	return attr, view, err
 }
 
 // update VIEW set ATTR = VALUE where P

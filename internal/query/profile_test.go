@@ -27,6 +27,7 @@ func TestParseProfile(t *testing.T) {
 		"profile profile files",
 		"profile explain files",
 		"explain profile files",
+		"explain stats",
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
