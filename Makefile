@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race check lint bench bench-check experiments fmt
+.PHONY: build test race check lint bench bench-check experiments fmt lines
 
 build:
 	$(GO) build ./...
@@ -46,3 +46,12 @@ experiments:
 
 fmt:
 	gofmt -l -w .
+
+# Non-test Go lines by ROADMAP's rule — not blank, not a // comment line,
+# outside benchmark/ and testdata — per package, then the tree's total.
+lines:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' | \
+		xargs awk '{ s = $$0; gsub(/^[ \t]+|[ \t]+$$/, "", s) } \
+			s != "" && s !~ /^\/\// { d = FILENAME; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); \
+			n[d == "" ? "." : d]++; t++ } \
+			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | LC_ALL=C sort -k2

@@ -29,7 +29,6 @@ var chargeReadPkgs = map[string]bool{
 // packages. Metadata accessors (Rows, Schema, ColumnRuns) stay free:
 // they read cached headers, not pages.
 var chargeReadNames = map[string]bool{
-	"ScanRunChunks":    true,
 	"ScanColumn":       true,
 	"NumericColumn":    true,
 	"NumericRunColumn": true,

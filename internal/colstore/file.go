@@ -220,7 +220,7 @@ func writeRLEPages(pool *storage.BufferPool, meta *columnMeta, vals []int64, nul
 			}
 			// Take as much of the run as the logical cap allows; a
 			// single run encodes in <= 21 bytes, so byte space never
-			// blocks an empty page. ScanRunChunks coalesces the split
+			// blocks an empty page. NumericRunColumn coalesces the split
 			// back together on read.
 			part := r
 			if logical+part.count > maxPageLogical {

@@ -8,105 +8,12 @@ import (
 	"statdb/internal/storage"
 )
 
-// This file is the run-native scan path: RLE pages stream out as decoded
-// (value, null, count) runs without ever expanding to one entry per row,
+// This file is the run-native scan path: RLE pages decode to (value,
+// null, count) runs without ever expanding to one entry per row,
 // so downstream kernels (exec.FoldMomentsRuns and friends) do O(runs)
 // work where the row path does O(rows). Plain pages synthesize runs by
 // coalescing adjacent equal values, so every column answers the same API
 // and callers choose per column by the runs/rows ratio (ColumnRuns).
-
-// RunChunk is one batch of decoded runs: parallel slices of payload,
-// null flag and repetition count, plus the first logical row the batch
-// covers. Payloads are the stored form (raw int64 for int
-// columns, Float64bits for float, dictionary ids for string). The slices
-// are scratch owned by the scan — valid only during the callback.
-type RunChunk struct {
-	Start  int // first logical row of the chunk
-	Vals   []int64
-	Nulls  []bool
-	Counts []int
-}
-
-// runChunkCap bounds the runs buffered per callback. Big enough that the
-// per-callback overhead vanishes, small enough to stay cache-resident.
-const runChunkCap = 1024
-
-// ScanRunChunks streams the named column as coalesced runs in row order.
-// Runs that span page boundaries (the tail run of one page continuing as
-// the head run of the next) are merged before delivery, so the stream is
-// maximally coalesced regardless of page packing. fn returning an error
-// stops the scan. The chunk's slices are reused across callbacks.
-func (f *File) ScanRunChunks(name string, fn func(RunChunk) error) error {
-	m, err := f.meta(name)
-	if err != nil {
-		return err
-	}
-	var (
-		chunk   RunChunk
-		pending run
-		havePen bool
-		penRow  int // logical row where pending starts
-		rowCur  int
-		scratch runScratch
-	)
-	emit := func() error {
-		if len(chunk.Vals) == 0 {
-			return nil
-		}
-		err := fn(chunk)
-		chunk.Vals = chunk.Vals[:0]
-		chunk.Nulls = chunk.Nulls[:0]
-		chunk.Counts = chunk.Counts[:0]
-		return err
-	}
-	push := func(r run) error {
-		if havePen {
-			if pending.null == r.null && (r.null || pending.value == r.value) {
-				pending.count += r.count
-				rowCur += r.count
-				return nil
-			}
-			if len(chunk.Vals) == 0 {
-				chunk.Start = penRow
-			}
-			chunk.Vals = append(chunk.Vals, pending.value)
-			chunk.Nulls = append(chunk.Nulls, pending.null)
-			chunk.Counts = append(chunk.Counts, pending.count)
-			if len(chunk.Vals) >= runChunkCap {
-				if err := emit(); err != nil {
-					return err
-				}
-			}
-		}
-		pending, havePen, penRow = r, true, rowCur
-		rowCur += r.count
-		return nil
-	}
-	for p := range m.pages {
-		runs, err := f.pageRuns(m, p, &scratch)
-		if err != nil {
-			return err
-		}
-		for _, r := range runs {
-			if err := push(r); err != nil {
-				return err
-			}
-		}
-	}
-	if havePen {
-		if len(chunk.Vals) == 0 {
-			chunk.Start = penRow
-		}
-		chunk.Vals = append(chunk.Vals, pending.value)
-		chunk.Nulls = append(chunk.Nulls, pending.null)
-		chunk.Counts = append(chunk.Counts, pending.count)
-	}
-	if rowCur != m.rows {
-		return fmt.Errorf("colstore: column %q runs cover %d rows, meta says %d: %w",
-			name, rowCur, m.rows, storage.ErrCorrupt)
-	}
-	return emit()
-}
 
 // runScratch is the per-scan reusable decode state.
 type runScratch struct {
@@ -140,9 +47,12 @@ func (f *File) pageRuns(m *columnMeta, pageIdx int, sc *runScratch) ([]run, erro
 }
 
 // NumericRunColumn reads the named numeric column as whole-column runs
-// widened to float64 — the bulk form of ScanRunChunks for run-native
-// kernels that want one contiguous (vals, nulls, counts) triple. Memory
-// is O(runs), not O(rows).
+// widened to float64, in row order — one contiguous (vals, nulls,
+// counts) triple for run-native kernels. Memory is O(runs), not O(rows).
+// Runs that span page boundaries (the tail run of one page continuing as
+// the head run of the next) are merged, so the runs are maximally
+// coalesced regardless of page packing. They coalesce on the stored
+// payload: -0 and +0 stay apart, NaNs of one bit pattern merge.
 func (f *File) NumericRunColumn(name string) (vals []float64, nulls []bool, counts []int64, err error) {
 	m, err := f.meta(name)
 	if err != nil {
@@ -151,22 +61,35 @@ func (f *File) NumericRunColumn(name string) (vals []float64, nulls []bool, coun
 	if m.kind == dataset.KindString {
 		return nil, nil, nil, fmt.Errorf("colstore: column %q is string, not numeric", name)
 	}
-	err = f.ScanRunChunks(name, func(c RunChunk) error {
-		for i, v := range c.Vals {
-			if c.Nulls[i] {
-				vals = append(vals, 0)
-			} else if m.kind == dataset.KindFloat {
-				vals = append(vals, math.Float64frombits(uint64(v)))
-			} else {
-				vals = append(vals, float64(v))
-			}
-			nulls = append(nulls, c.Nulls[i])
-			counts = append(counts, int64(c.Counts[i]))
+	var (
+		scratch runScratch
+		last    int64 // stored payload of the last run appended
+		rows    int
+	)
+	for p := range m.pages {
+		runs, err := f.pageRuns(m, p, &scratch)
+		if err != nil {
+			return nil, nil, nil, err
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, nil, err
+		for _, r := range runs {
+			rows += r.count
+			if n := len(counts); n > 0 && nulls[n-1] == r.null && (r.null || last == r.value) {
+				counts[n-1] += int64(r.count)
+				continue
+			}
+			x := float64(r.value)
+			if r.null {
+				x = 0
+			} else if m.kind == dataset.KindFloat {
+				x = math.Float64frombits(uint64(r.value))
+			}
+			vals, nulls, counts = append(vals, x), append(nulls, r.null), append(counts, int64(r.count))
+			last = r.value
+		}
+	}
+	if rows != m.rows {
+		return nil, nil, nil, fmt.Errorf("colstore: column %q runs cover %d rows, meta says %d: %w",
+			name, rows, m.rows, storage.ErrCorrupt)
 	}
 	return vals, nulls, counts, nil
 }

@@ -10,31 +10,21 @@ import (
 	"statdb/internal/storage"
 )
 
-// collectRuns drains ScanRunChunks into owned slices.
-func collectRuns(t *testing.T, f *File, name string) (vals []int64, nulls []bool, counts []int) {
+// collectRuns reads the column's runs through NumericRunColumn.
+func collectRuns(t *testing.T, f *File, name string) (vals []float64, nulls []bool, counts []int64) {
 	t.Helper()
-	row := 0
-	err := f.ScanRunChunks(name, func(c RunChunk) error {
-		if c.Start != row {
-			t.Fatalf("%s: chunk starts at %d, expected %d", name, c.Start, row)
-		}
-		vals = append(vals, c.Vals...)
-		nulls = append(nulls, c.Nulls...)
-		counts = append(counts, c.Counts...)
-		row += c.Rows()
-		return nil
-	})
+	vals, nulls, counts, err := f.NumericRunColumn(name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return vals, nulls, counts
 }
 
-// TestScanRunChunksSingleRunColumn: a constant column is one run however
+// TestNumericRunColumnSingleRun: a constant column is one run however
 // it is encoded — and under Plain the run spans every page boundary, so
 // this is also the cross-page coalescing test (each Plain page decodes
-// to its own run; the scan's pending-run merge must stitch them).
-func TestScanRunChunksSingleRunColumn(t *testing.T) {
+// to its own run; the read must stitch them).
+func TestNumericRunColumnSingleRun(t *testing.T) {
 	const n = 1700 // several Plain pages
 	vs := make([]dataset.Value, n)
 	for i := range vs {
@@ -53,9 +43,9 @@ func TestScanRunChunksSingleRunColumn(t *testing.T) {
 	}
 }
 
-// TestScanRunChunksAllNull: null runs coalesce regardless of the stored
-// payload, so an all-null column is one null run.
-func TestScanRunChunksAllNull(t *testing.T) {
+// TestNumericRunColumnAllNull: null runs coalesce regardless of the
+// stored payload, so an all-null column is one null run.
+func TestNumericRunColumnAllNull(t *testing.T) {
 	const n = 1500
 	vs := make([]dataset.Value, n)
 	for i := range vs {
@@ -74,20 +64,13 @@ func TestScanRunChunksAllNull(t *testing.T) {
 	}
 }
 
-// TestScanRunChunksEmptyColumn: the zero-row sentinel page yields no
-// chunks and no error from every run-path entry point.
-func TestScanRunChunksEmptyColumn(t *testing.T) {
+// TestNumericRunColumnEmptyColumn: the zero-row sentinel page yields no
+// runs and no error from every run-path entry point.
+func TestNumericRunColumnEmptyColumn(t *testing.T) {
 	_, pool := newPool()
 	f, err := Load(pool, intOnly(t, nil), Options{Encode: map[string]Encoding{"X": RLE}})
 	if err != nil {
 		t.Fatal(err)
-	}
-	chunks := 0
-	if err := f.ScanRunChunks("X", func(RunChunk) error { chunks++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if chunks != 0 {
-		t.Errorf("empty column yielded %d run chunks, want 0", chunks)
 	}
 	vals, nulls, counts, err := f.NumericRunColumn("X")
 	if err != nil {
@@ -136,11 +119,11 @@ func TestRLEPageLogicalCap(t *testing.T) {
 	}
 }
 
-// TestScanRunChunksSpanningPages: alternating single-row runs overflow
-// one RLE page; the scan must keep row accounting continuous across the
-// page break, stay maximally coalesced (no two adjacent runs mergeable),
-// and cover exactly the column.
-func TestScanRunChunksSpanningPages(t *testing.T) {
+// TestNumericRunColumnSpanningPages: alternating single-row runs
+// overflow one RLE page; the read must keep row accounting continuous
+// across the page break, stay maximally coalesced (no two adjacent runs
+// mergeable), and cover exactly the column.
+func TestNumericRunColumnSpanningPages(t *testing.T) {
 	const perPage = (storage.PagePayloadSize - 4) / 3
 	const n = perPage + 321
 	vs := make([]dataset.Value, n)
@@ -158,16 +141,44 @@ func TestScanRunChunksSpanningPages(t *testing.T) {
 	vals, nulls, counts := collectRuns(t, f, "X")
 	total := 0
 	for i, c := range counts {
-		if c != 1 || nulls[i] || vals[i] != int64(i%2) {
-			t.Fatalf("run %d = (%d, %v, %d), want single-row run of %d", i, vals[i], nulls[i], c, i%2)
+		if c != 1 || nulls[i] || vals[i] != float64(i%2) {
+			t.Fatalf("run %d = (%g, %v, %d), want single-row run of %d", i, vals[i], nulls[i], c, i%2)
 		}
 		if i > 0 && vals[i] == vals[i-1] {
 			t.Fatalf("runs %d and %d not coalesced", i-1, i)
 		}
-		total += c
+		total += int(c)
 	}
 	if total != n || len(vals) != n {
 		t.Fatalf("runs cover %d rows in %d runs, want %d", total, len(vals), n)
+	}
+}
+
+// TestNumericRunColumnCoalescesOnPayload: runs coalesce on the stored
+// payload, under both encodings and across a page break — -0 and +0
+// stay separate runs, and NaNs of one bit pattern merge into one.
+func TestNumericRunColumnCoalescesOnPayload(t *testing.T) {
+	const k = 700 // several Plain pages per run
+	negZero := math.Copysign(0, -1)
+	ds := dataset.New(dataset.MustSchema(dataset.Attribute{Name: "X", Kind: dataset.KindFloat}))
+	for _, x := range []float64{negZero, 0, math.NaN()} {
+		for range k {
+			if err := ds.Append(dataset.Row{dataset.Float(x)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, enc := range []Encoding{Plain, RLE} {
+		_, pool := newPool()
+		f, err := Load(pool, ds, Options{Encode: map[string]Encoding{"X": enc}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals, _, counts := collectRuns(t, f, "X")
+		if len(vals) != 3 || !slices.Equal(counts, []int64{k, k, k}) ||
+			!math.Signbit(vals[0]) || vals[1] != 0 || math.Signbit(vals[1]) || !math.IsNaN(vals[2]) {
+			t.Fatalf("%v: runs = (%v, %v), want -0, +0 and NaN runs of %d", enc, vals, counts, k)
+		}
 	}
 }
 
@@ -445,9 +456,9 @@ func BenchmarkNumericColumn(b *testing.B) {
 	}
 }
 
-// BenchmarkScanRunChunks measures the run-native scan against the same
-// column; on the RLE column it touches O(runs) memory.
-func BenchmarkScanRunChunks(b *testing.B) {
+// BenchmarkNumericRunColumn measures the run-native read against the
+// same column; on the RLE column it touches O(runs) memory.
+func BenchmarkNumericRunColumn(b *testing.B) {
 	ds := censusLike(b, 20000)
 	_, pool := newPool()
 	f, err := Load(pool, ds, Options{Encode: map[string]Encoding{"POPULATION": RLE}})
@@ -456,22 +467,13 @@ func BenchmarkScanRunChunks(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var rows int
-		err := f.ScanRunChunks("POPULATION", func(c RunChunk) error {
-			rows += c.Rows()
-			return nil
-		})
-		if err != nil || rows != ds.Rows() {
+		var rows int64
+		_, _, counts, err := f.NumericRunColumn("POPULATION")
+		for _, c := range counts {
+			rows += c
+		}
+		if err != nil || rows != int64(ds.Rows()) {
 			b.Fatalf("runs cover %d rows, err %v", rows, err)
 		}
 	}
-}
-
-// Rows returns the number of logical rows the chunk spans.
-func (c RunChunk) Rows() int {
-	n := 0
-	for _, k := range c.Counts {
-		n += k
-	}
-	return n
 }

@@ -173,45 +173,6 @@ func (p *Pool) RunRanges(ranges []Range, fn func(c int, r Range) error) error {
 	return nil
 }
 
-// SpanHook opts a RunRanges call into per-range trace spans. Each range
-// runs under its own span — begun on a child tracer adopted from Tracer
-// (see obs.Tracer.Adopt), so worker goroutines never share a span stack
-// — and after the run the spans are stitched under Parent in ascending
-// range order, making the stitched tree independent of scheduling. The
-// zero hook disables spanning: RunRangesSpanned degenerates to
-// RunRanges with no per-range allocation.
-type SpanHook struct {
-	Tracer *obs.Tracer // the owning query's tracer
-	Parent *obs.Span   // span the per-range spans stitch under
-	Name   string      // name given to every range span
-}
-
-// RunRangesSpanned is RunRanges with per-range span attribution: fn
-// additionally receives the range's span (nil when the hook is unset or
-// tracing is disabled) and may Charge and SetAttr it from the worker
-// goroutine. Every range span carries lo/hi/rows attrs.
-func (p *Pool) RunRangesSpanned(ranges []Range, h SpanHook, fn func(c int, r Range, sp *obs.Span) error) error {
-	if h.Tracer == nil || h.Parent == nil {
-		return p.RunRanges(ranges, func(c int, r Range) error { return fn(c, r, nil) })
-	}
-	adopted := make([]*obs.Tracer, len(ranges))
-	for c := range ranges {
-		adopted[c] = h.Tracer.Adopt(h.Parent)
-	}
-	err := p.RunRanges(ranges, func(c int, r Range) error {
-		sp := adopted[c].Begin(h.Name,
-			obs.AI("lo", int64(r.Lo)), obs.AI("hi", int64(r.Hi)), obs.AI("rows", int64(r.Len())))
-		defer sp.End()
-		return fn(c, r, sp)
-	})
-	// Ascending range order, regardless of completion order: the
-	// deterministic half of the stitching contract.
-	for _, ad := range adopted {
-		ad.Join()
-	}
-	return err
-}
-
 // Cost models the engine's virtual-tick economics, mirroring the storage
 // and tape cost models so experiment E13 is deterministic across
 // machines: folding a cell costs CellCost, dispatching one worker costs

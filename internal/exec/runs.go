@@ -25,8 +25,8 @@ var ErrCorruptRuns = fmt.Errorf("exec: run counts overflow chunk bounds: %w", st
 
 // RunColumn is a run-compressed column: parallel slices of value, null
 // flag and repetition count, spanning Rows logical rows. Null runs carry
-// an unspecified value. The representation mirrors colstore.RunChunk
-// widened to float64 (what NumericRunColumn produces).
+// an unspecified value. It is what colstore's NumericRunColumn reads:
+// a column's coalesced runs widened to float64.
 type RunColumn struct {
 	Vals   []float64
 	Nulls  []bool

@@ -88,7 +88,6 @@ const (
 	MShardRowsMissing   = "shard.rows_missing"   // rows absent from degraded answers
 	MShardFailures      = "shard.failures"       // per-shard operation failures
 	MShardRetries       = "shard.retries"        // shard-level operation retries
-	MShardTimeouts      = "shard.timeouts"       // tick-budget timeouts
 	MShardDown          = "shard.down"           // gauge: shards currently down
 )
 
@@ -156,7 +155,7 @@ var baselineCounters = []string{
 	MSummarySlides, MSummaryRebuilds, MSummaryRecomputes, MSummaryPasses,
 	MViewColumnScans,
 	MShardScatters, MShardDegraded, MShardStalePartials, MShardRowsMissing,
-	MShardFailures, MShardRetries, MShardTimeouts,
+	MShardFailures, MShardRetries,
 }
 
 // RegisterBaseline pre-registers the canonical metric families in r, so

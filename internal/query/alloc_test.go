@@ -11,14 +11,16 @@ import (
 	"testing"
 
 	"statdb/internal/core"
+	"statdb/internal/shard"
 	"statdb/internal/workload"
 )
 
 // TestExecutorAllocations holds a statement's allocations through
 // Executor.Run to exact counts: a repeated compute on a memory-backed
 // view (a Summary DB hit, so nearly all of it is the executor's own
-// bookkeeping), and the same statement under explain. Collection is off
-// while counting, as in the other exact allocation checks.
+// bookkeeping), the same statement under explain, and the same hit on a
+// view sharded 4 ways. Collection is off while counting, as in the other
+// exact allocation checks.
 func TestExecutorAllocations(t *testing.T) {
 	d := core.New()
 	if err := d.LoadRaw("micro", workload.Microdata(10240, 12)); err != nil {
@@ -29,6 +31,12 @@ func TestExecutorAllocations(t *testing.T) {
 	if err := e.Run("materialize mv from micro project AGE,SALARY"); err != nil {
 		t.Fatal(err)
 	}
+	if err := e.Run("materialize sv from micro project SALARY,AGE"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.ShardView("sv", shard.Config{Shards: 4}); err != nil {
+		t.Fatal(err)
+	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, c := range []struct {
 		stmt string
@@ -36,6 +44,9 @@ func TestExecutorAllocations(t *testing.T) {
 	}{
 		{"compute mean SALARY on mv", 29},
 		{"explain compute mean SALARY on mv", 47},
+		// The same hit as on mv: measured first, it reads 29 too. Third,
+		// it also pays one amortized growth of the executor's rings.
+		{"compute mean SALARY on sv", 30},
 	} {
 		if err := e.Run(c.stmt); err != nil {
 			t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strconv"
 
+	"statdb/internal/dataset"
 	"statdb/internal/exec"
 	"statdb/internal/storage"
 	"statdb/internal/summary"
@@ -80,31 +81,13 @@ func shardAttr(col string, shard int) []string {
 	return []string{col, "shard" + strconv.Itoa(shard)}
 }
 
-// shardPartials folds every chunk the shard owns for column col,
-// merging in ascending global chunk order, and tabulates the frequency
-// table. Runs on the shard's own pool and device stack.
-func (sh *shardState) shardPartials(col string) (exec.Moments, exec.FreqTable, error) {
-	xs, valid, err := sh.file.NumericColumn(col)
-	if err != nil {
-		return exec.Moments{}, exec.FreqTable{}, err
-	}
-	var m exec.Moments
-	for i, ref := range sh.chunks {
-		part := exec.FoldMoments(xs[ref.localLo:ref.localLo+ref.localLen], valid[ref.localLo:ref.localLo+ref.localLen])
-		if i == 0 {
-			m = part
-		} else {
-			m = exec.MergeMoments(m, part)
-		}
-	}
-	return m, exec.FoldFreq(xs, valid), nil
-}
-
 // Checkpoint recomputes every healthy shard's per-column partials,
 // stores them (and the refreshed manifest) in the partials DB, and
-// commits the whole set under the next shadow generation. Down shards
-// keep their previous entries and generations — that is the point: the
-// last good checkpoint is what a degraded read falls back to.
+// commits the whole set under the next shadow generation. A shard's
+// partial is its chunks folded by the gather's own fold and merged in
+// chunk order. Down shards keep their previous entries and generations —
+// that is the point: the last good checkpoint is what a degraded read
+// falls back to.
 func (s *Store) Checkpoint() error {
 	s.mu.Lock()
 	live := make([]*shardState, 0, len(s.shards))
@@ -115,15 +98,17 @@ func (s *Store) Checkpoint() error {
 	}
 	s.mu.Unlock()
 
+	numChunks, cols := len(exec.Chunks(s.rows, exec.DefaultChunk)), s.numericCols()
 	for _, sh := range live {
-		for _, col := range s.numericCols() {
-			m, f, err := sh.shardPartials(col)
-			if err != nil {
+		for _, col := range cols {
+			parts := make([]summary.State, numChunks)
+			if err := sh.fold(nil, col, true, true, parts); err != nil {
 				return fmt.Errorf("shard: checkpoint %s %q: %w", sh.label, col, err)
 			}
-			s.partials.StoreCustom(fnMoments, shardAttr(col, sh.index), summary.VectorOf(encodeMoments(m)))
-			if len(f.Values) <= maxFreqCheckpoint {
-				s.partials.StoreCustom(fnFreq, shardAttr(col, sh.index), summary.VectorOf(encodeFreq(f)))
+			st := merge(parts, true)
+			s.partials.StoreCustom(fnMoments, shardAttr(col, sh.index), summary.VectorOf(encodeMoments(st.Moments)))
+			if len(st.Freq.Values) <= maxFreqCheckpoint {
+				s.partials.StoreCustom(fnFreq, shardAttr(col, sh.index), summary.VectorOf(encodeFreq(st.Freq)))
 			}
 		}
 	}
@@ -132,7 +117,7 @@ func (s *Store) Checkpoint() error {
 	defer s.mu.Unlock()
 	gen := s.manStore.Generation() + 1
 	man := &Manifest{
-		View: s.name, Rows: s.rows, Chunk: exec.DefaultChunk, Policy: s.policy,
+		View: s.name, Rows: s.rows, Chunk: exec.DefaultChunk,
 		Shards: make([]ManifestShard, len(s.shards)),
 	}
 	for i, sh := range s.shards {
@@ -158,28 +143,46 @@ func (s *Store) Checkpoint() error {
 	return nil
 }
 
-// numericCols lists the column names usable as numeric aggregates.
+// numericCols lists the schema's numeric columns, the ones a partial
+// aggregates.
 func (s *Store) numericCols() []string {
-	out := make([]string, 0, len(s.cols))
-	for _, col := range s.cols {
-		if _, _, err := s.shards[0].file.NumericColumn(col); err == nil {
-			out = append(out, col)
+	var out []string
+	for c := 0; c < s.schema.Len(); c++ {
+		if a := s.schema.At(c); a.Kind != dataset.KindString {
+			out = append(out, a.Name)
 		}
 	}
 	return out
 }
 
-// stalePartial fetches shard i's checkpointed partial for (fn, col).
-// ok=false when none was ever checkpointed (or it was too large).
-func (s *Store) stalePartial(fn, col string, i int) ([]float64, uint64, bool) {
-	r, ok := s.partials.Lookup(fn, shardAttr(col, i)...)
-	if !ok || r.Kind != summary.VectorResult {
-		return nil, 0, false
+// stalePartial fetches shard i's checkpointed partial of col in the
+// families asked for. ok=false when one of them was never checkpointed
+// (or was too large) or does not decode.
+func (s *Store) stalePartial(col string, i int, moments, freq bool) (st summary.State, gen uint64, ok bool) {
+	if moments {
+		v, ok := s.partial(fnMoments, col, i)
+		var err error
+		if st.Moments, err = decodeMoments(v); !ok || err != nil {
+			return st, 0, false
+		}
+	}
+	if freq {
+		v, ok := s.partial(fnFreq, col, i)
+		var err error
+		if st.Freq, err = decodeFreq(v); !ok || err != nil {
+			return st, 0, false
+		}
 	}
 	s.mu.Lock()
-	gen := s.shards[i].ckptGen
+	gen = s.shards[i].ckptGen
 	s.mu.Unlock()
-	return r.Vector, gen, true
+	return st, gen, true
+}
+
+// partial is shard i's checkpointed vector for (fn, col).
+func (s *Store) partial(fn, col string, i int) ([]float64, bool) {
+	r, ok := s.partials.Lookup(fn, shardAttr(col, i)...)
+	return r.Vector, ok && r.Kind == summary.VectorResult
 }
 
 // RestorePartials re-opens the manifest device's checkpoint store and

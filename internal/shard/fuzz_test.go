@@ -12,7 +12,7 @@ import (
 // storage.ErrCorrupt, and must round-trip anything it accepts.
 func FuzzDecodeShardManifest(f *testing.F) {
 	valid := EncodeManifest(&Manifest{
-		View: "census", Rows: 2048, Chunk: 512, Policy: PlaceRoundRobin,
+		View: "census", Rows: 2048, Chunk: 512,
 		Shards: []ManifestShard{
 			{Rows: 1024, Gen: 3, Chunks: []int{0, 2}},
 			{Rows: 1024, Gen: 2, Chunks: []int{1, 3}},

@@ -9,11 +9,11 @@ import (
 )
 
 // The shard manifest is the authoritative record of a view's placement:
-// which chunks live on which shard, under what policy, and each shard's
-// last checkpoint generation. It is persisted as an entry in the
-// manifest store's summary.DB and committed through PR 2's ping-pong
-// shadow-generation protocol, so a torn manifest write leaves the
-// previous generation readable.
+// which chunks live on which shard, and each shard's last checkpoint
+// generation. It is persisted as an entry in the manifest store's
+// summary.DB and committed through PR 2's ping-pong shadow-generation
+// protocol, so a torn manifest write leaves the previous generation
+// readable.
 //
 // The wire format is length-prefixed and CRC32C-sealed. Nothing reads
 // it back yet; the tests' DecodeManifest is its reference reader.
@@ -37,7 +37,6 @@ type Manifest struct {
 	View   string
 	Rows   int
 	Chunk  int
-	Policy Policy
 	Shards []ManifestShard
 }
 
@@ -57,7 +56,6 @@ func EncodeManifest(m *Manifest) []byte {
 	out = append(out, m.View...)
 	out = binary.AppendUvarint(out, uint64(m.Rows))
 	out = binary.AppendUvarint(out, uint64(m.Chunk))
-	out = append(out, byte(m.Policy))
 	out = binary.AppendUvarint(out, uint64(len(m.Shards)))
 	for _, sh := range m.Shards {
 		out = binary.AppendUvarint(out, uint64(sh.Rows))

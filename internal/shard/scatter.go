@@ -9,6 +9,7 @@ import (
 	"statdb/internal/dataset"
 	"statdb/internal/exec"
 	"statdb/internal/obs"
+	"statdb/internal/summary"
 )
 
 // Report is the provenance of one scatter-gather answer — the sharded
@@ -28,7 +29,6 @@ type Report struct {
 	// checkpoint its partial came from.
 	StaleGens map[int]uint64
 	Retries   int   // shard-level retries spent
-	Timeouts  int   // shards discarded for exceeding the op tick budget
 	Ticks     int64 // critical path: the slowest shard's virtual ticks
 }
 
@@ -49,55 +49,37 @@ func (r Report) String() string {
 	if len(r.Missing) > 0 {
 		fmt.Fprintf(&b, " missing=%v rows_missing=%d", r.Missing, r.RowsMissing)
 	}
-	if r.Timeouts > 0 {
-		fmt.Fprintf(&b, " timeouts=%d", r.Timeouts)
-	}
 	fmt.Fprintf(&b, " ticks=%d", r.Ticks)
 	return b.String()
 }
 
 // outcome is one shard's result of one scatter operation.
 type outcome struct {
-	skipped  bool // down before the op: fast-failed without I/O
-	retried  bool
-	timedOut bool
-	err      error
-	ticks    int64
+	skipped bool // down before the op: fast-failed without I/O
+	retried bool
+	err     error
+	ticks   int64
 }
 
 // runShardOp executes op against sh with the bounded failure protocol:
 // the pool's own transient retry underneath, one shard-level retry on
-// top, and the virtual-tick budget as a deterministic timeout — an op
-// that ran past the budget is discarded even if it succeeded, because
-// the gather will not wait for it. The whole protocol (both attempts)
-// runs inside one span on tr — the shard's adopted child tracer — so
-// the shard's device ticks are charged where the work happened and
-// metered against the owning query's budget live; the span carries the
-// shard's ticks/pages/retries attrs. The returned span is the handle
-// the coordinator decorates post-join (health, err).
-func (s *Store) runShardOp(tr *obs.Tracer, sh *shardState, op func(h exec.SpanHook) error) (outcome, *obs.Span) {
+// top. The whole protocol (both attempts) runs inside one span on tr —
+// the shard's adopted child tracer — so the shard's device ticks are
+// charged where the work happened and metered against the owning
+// query's budget live; op begins its own spans on tr, under this one.
+// The span carries the shard's ticks/pages/retries attrs; the returned
+// span is the handle the coordinator decorates post-join (health, err).
+func runShardOp(tr *obs.Tracer, sh *shardState, op func() error) (outcome, *obs.Span) {
 	var o outcome
 	sp := tr.Begin(sh.label)
-	// Ops that fan ranges across the shard's own pool stitch per-range
-	// spans under the shard span through this hook.
-	h := exec.SpanHook{Tracer: tr, Parent: sp, Name: "range"}
 	start := sh.dev.Stats()
-	err := op(h)
-	o.ticks = sh.dev.Stats().Ticks - start.Ticks
-	over := s.budget > 0 && o.ticks > s.budget
-	if err != nil && !over {
+	err := op()
+	if err != nil {
 		o.retried = true
-		err = op(h)
-		o.ticks = sh.dev.Stats().Ticks - start.Ticks
-		over = s.budget > 0 && o.ticks > s.budget
-	}
-	if over {
-		o.timedOut = true
-		if err == nil {
-			err = fmt.Errorf("shard: %s exceeded op budget of %d ticks (spent %d)", sh.label, s.budget, o.ticks)
-		}
+		err = op()
 	}
 	o.err = err
+	o.ticks = sh.dev.Stats().Ticks - start.Ticks
 	sp.Charge(o.ticks)
 	sp.SetAttr("ticks", fmt.Sprintf("%d", o.ticks))
 	sp.SetAttr("pages", fmt.Sprintf("%d", sh.dev.Stats().Reads-start.Reads))
@@ -112,11 +94,12 @@ func (s *Store) runShardOp(tr *obs.Tracer, sh *shardState, op func(h exec.SpanHo
 // package is on the statdb-vet goroutine allowlist), skipping Down
 // shards without I/O, then applies health transitions and metric/trace
 // bookkeeping in shard order. Each worker runs under its own adopted
-// child tracer; the gather joins them in ascending shard order, so the
-// stitched tree under "shard.scatter" — one child per shard, carrying
-// its ticks/pages/retries/health — is identical regardless of worker
-// scheduling. The returned outcomes are indexed by shard.
-func (s *Store) scatter(name, col string, op func(sh *shardState, h exec.SpanHook) error) ([]outcome, *Report) {
+// child tracer, which op receives; the gather joins them in ascending
+// shard order, so the stitched tree under "shard.scatter" — one child
+// per shard, carrying its ticks/pages/retries/health — is identical
+// regardless of worker scheduling. The returned outcomes are indexed by
+// shard.
+func (s *Store) scatter(name, col string, op func(sh *shardState, tr *obs.Tracer) error) ([]outcome, *Report) {
 	s.met.scatters.Inc()
 	outs := make([]outcome, len(s.shards))
 	span := s.tracer.Begin("shard.scatter",
@@ -133,7 +116,7 @@ func (s *Store) scatter(name, col string, op func(sh *shardState, h exec.SpanHoo
 		wg.Add(1)
 		go func(i int, sh *shardState) {
 			defer wg.Done()
-			outs[i], spans[i] = s.runShardOp(adopted[i], sh, func(h exec.SpanHook) error { return op(sh, h) })
+			outs[i], spans[i] = runShardOp(adopted[i], sh, func() error { return op(sh, adopted[i]) })
 		}(i, sh)
 	}
 	wg.Wait()
@@ -147,10 +130,6 @@ func (s *Store) scatter(name, col string, op func(sh *shardState, h exec.SpanHoo
 		if o.retried {
 			rep.Retries++
 			s.met.retries.Inc()
-		}
-		if o.timedOut {
-			rep.Timeouts++
-			s.met.timeouts.Inc()
 		}
 		if o.err == nil {
 			rep.Answered = append(rep.Answered, i)
@@ -183,157 +162,121 @@ func (s *Store) scatter(name, col string, op func(sh *shardState, h exec.SpanHoo
 	return outs, rep
 }
 
-// finishReport applies the degraded-answer bookkeeping shared by every
-// gather: metrics, event log. Call once the report is final.
-func (s *Store) finishReport(name, col string, rep *Report) {
-	if !rep.Degraded() {
-		return
+// finish counts a degraded answer and decides the error contract: a
+// scatter that produced nothing at all (no live shard, no stale partial)
+// over a non-empty view is ErrShardDown; anything partial is a degraded
+// answer, not an error. Call once the report is final.
+func (s *Store) finish(rep *Report) error {
+	if rep.Degraded() {
+		s.met.degraded.Inc()
+		s.met.stale.Add(int64(len(rep.Stale)))
+		s.met.rowsMissing.Add(int64(rep.RowsMissing))
 	}
-	s.met.degraded.Inc()
-	s.met.stale.Add(int64(len(rep.Stale)))
-	s.met.rowsMissing.Add(int64(rep.RowsMissing))
-	s.events.Log(obs.Event{
-		Sev:  obs.SevWarn,
-		Kind: "shard",
-		Msg:  fmt.Sprintf("view %s degraded %s(%s): %s", s.name, name, col, rep),
-	})
-}
-
-// gatherErr decides the error contract: a scatter that produced nothing
-// at all (no live shard, no stale partial) over a non-empty view is
-// ErrShardDown; anything partial is a degraded answer, not an error.
-func (s *Store) gatherErr(rep *Report) error {
 	if s.rows > 0 && len(rep.Answered) == 0 && len(rep.Stale) == 0 {
 		return fmt.Errorf("shard: view %q: no shard answered: %w", s.name, ErrShardDown)
 	}
 	return nil
 }
 
-// Moments computes the whole-column moment aggregate for col by
-// scatter-gather. Healthy path: every shard folds its global chunks in
-// parallel on its own pool, and the gather left-folds the per-chunk
-// partials in ascending global chunk order — the exact merge sequence
-// of exec.ColumnFold, so the answer is bit-identical to the unsharded
-// fold of the column at any pool width. Degraded path:
-// chunks of failed shards drop out of the fold; each failed shard's
-// last checkpointed partial (when one exists) is merged afterward in
-// ascending shard order, recorded as stale provenance; shards with no
-// checkpoint contribute nothing and their rows are reported missing.
+// Gather folds col into the state families asked for — a summary state
+// row's fold flags, as exec.ColumnFold takes them — by scatter-gather.
+// Healthy path: every shard folds its global chunks in parallel, and the
+// gather merges the per-chunk states in ascending global chunk order —
+// the merge of exec.ColumnFold, so the state is bit-identical to the
+// unsharded fold of the column. Degraded path: each failed shard's last
+// checkpointed partial (when one holds every family asked) is merged
+// afterward in ascending shard order, recorded as stale provenance; a
+// shard with none contributes nothing and its rows are reported missing.
+func (s *Store) Gather(col string, moments, freq bool) (summary.State, Report, error) {
+	op := "moments"
+	switch {
+	case moments && freq:
+		op = "moments+freq"
+	case freq:
+		op = "freq"
+	}
+	parts := make([]summary.State, len(exec.Chunks(s.rows, exec.DefaultChunk)))
+	outs, rep := s.scatter(op, col, func(sh *shardState, tr *obs.Tracer) error {
+		return sh.fold(tr, col, moments, freq, parts)
+	})
+	// A failed shard's slots are still zero (fold writes only once its
+	// read succeeded), so its chunks merge as nothing and its stale
+	// partial cannot double-count them.
+	for i, sh := range s.shards {
+		if outs[i].err == nil || sh.rows == 0 {
+			continue
+		}
+		if st, gen, ok := s.stalePartial(col, i, moments, freq); ok {
+			parts = append(parts, st)
+			rep.Stale = append(rep.Stale, i)
+			rep.StaleGens[i] = gen
+			continue
+		}
+		rep.Missing = append(rep.Missing, i)
+		rep.RowsMissing += sh.rows
+	}
+	err := s.finish(rep)
+	return merge(parts, freq), *rep, err
+}
+
+// Moments is the moments family of Gather.
 func (s *Store) Moments(col string) (exec.Moments, Report, error) {
-	numChunks := len(exec.Chunks(s.rows, exec.DefaultChunk))
-	parts := make([]exec.Moments, numChunks)
-	have := make([]bool, numChunks)
-	outs, rep := s.scatter("moments", col, func(sh *shardState, h exec.SpanHook) error {
-		return sh.foldColumn(h, col, func(global int, xs []float64, valid []bool) {
-			parts[global] = exec.FoldMoments(xs, valid)
-			have[global] = true
-		})
-	})
-
-	// A failed shard's folds are void even when its op partially ran (a
-	// timeout fires after the work): only successful shards' chunks may
-	// enter the fold, or a stale fallback would double-count them.
-	for i, sh := range s.shards {
-		if outs[i].err != nil {
-			for _, ref := range sh.chunks {
-				have[ref.global] = false
-			}
-		}
-	}
-	var out exec.Moments
-	first := true
-	for c := 0; c < numChunks; c++ {
-		if !have[c] {
-			continue
-		}
-		if first {
-			out, first = parts[c], false
-		} else {
-			out = exec.MergeMoments(out, parts[c])
-		}
-	}
-	for i, sh := range s.shards {
-		if outs[i].err == nil || sh.rows == 0 {
-			continue
-		}
-		if v, gen, ok := s.stalePartial(fnMoments, col, i); ok {
-			if m, err := decodeMoments(v); err == nil {
-				if first {
-					out, first = m, false
-				} else {
-					out = exec.MergeMoments(out, m)
-				}
-				rep.Stale = append(rep.Stale, i)
-				rep.StaleGens[i] = gen
-				continue
-			}
-		}
-		rep.Missing = append(rep.Missing, i)
-		rep.RowsMissing += sh.rows
-	}
-	s.finishReport("moments", col, rep)
-	return out, *rep, s.gatherErr(rep)
+	st, rep, err := s.Gather(col, true, false)
+	return st.Moments, rep, err
 }
 
-// Freq tabulates col's frequency table by scatter-gather: each shard
-// tabulates its global chunks (exec.FoldFreq) and the gather merges the
-// chunk tables, then each failed shard's checkpointed table, with
-// exec.MergeFreq — the merge of exec.ColumnFold, so the healthy-path
-// table is bit-identical to the unsharded fold's. Degraded semantics
-// match Moments.
+// Freq is the frequency-table family of Gather.
 func (s *Store) Freq(col string) (exec.FreqTable, Report, error) {
-	numChunks := len(exec.Chunks(s.rows, exec.DefaultChunk))
-	parts := make([]exec.FreqTable, numChunks)
-	outs, rep := s.scatter("freq", col, func(sh *shardState, h exec.SpanHook) error {
-		return sh.foldColumn(h, col, func(global int, xs []float64, valid []bool) {
-			parts[global] = exec.FoldFreq(xs, valid)
-		})
-	})
-
-	for i, sh := range s.shards {
-		if outs[i].err != nil {
-			for _, ref := range sh.chunks {
-				parts[ref.global] = exec.FreqTable{}
-			}
-		}
-	}
-	for i, sh := range s.shards {
-		if outs[i].err == nil || sh.rows == 0 {
-			continue
-		}
-		if v, gen, ok := s.stalePartial(fnFreq, col, i); ok {
-			if t, err := decodeFreq(v); err == nil {
-				parts = append(parts, t)
-				rep.Stale = append(rep.Stale, i)
-				rep.StaleGens[i] = gen
-				continue
-			}
-		}
-		rep.Missing = append(rep.Missing, i)
-		rep.RowsMissing += sh.rows
-	}
-	s.finishReport("freq", col, rep)
-	return exec.MergeFreq(parts), *rep, s.gatherErr(rep)
+	st, rep, err := s.Gather(col, false, true)
+	return st.Freq, rep, err
 }
 
-// foldColumn reads the shard's image of col and hands each owned global
-// chunk's slice to fn, fanning chunks across the shard's own pool with
-// per-range spans stitched under the shard's span via h. fn must only
-// write state owned by the chunk (the scatter contract).
-func (sh *shardState) foldColumn(h exec.SpanHook, col string, fn func(global int, xs []float64, valid []bool)) error {
+// merge combines states in the order given: the moments left to right,
+// as exec.ColumnFold merges its chunks, and the tables (when freq) in
+// one exec.MergeFreq. A zero state merges as nothing.
+func merge(parts []summary.State, freq bool) summary.State {
+	var st summary.State
+	var tables []exec.FreqTable
+	if freq {
+		tables = make([]exec.FreqTable, len(parts))
+	}
+	for i, p := range parts {
+		st.Moments = exec.MergeMoments(st.Moments, p.Moments)
+		if freq {
+			tables[i] = p.Freq
+		}
+	}
+	if freq {
+		st.Freq = exec.MergeFreq(tables)
+	}
+	return st
+}
+
+// fold reads the shard's image of col and folds each global chunk it
+// owns into parts[global] — the families moments and freq ask for —
+// under one "range" span per chunk on tr. It writes only its own chunks'
+// slots, so every shard folds into one parts slice at once, and none
+// when the read fails.
+func (sh *shardState) fold(tr *obs.Tracer, col string, moments, freq bool, parts []summary.State) error {
 	xs, valid, err := sh.file.NumericColumn(col) //lint:allow charge-tracking runShardOp charges the measured ticks around the whole op
 	if err != nil {
 		return err
 	}
-	ranges := make([]exec.Range, len(sh.chunks))
-	for i, ref := range sh.chunks {
-		ranges[i] = exec.Range{Lo: ref.localLo, Hi: ref.localLo + ref.localLen}
+	for _, ref := range sh.chunks {
+		lo, hi := ref.localLo, ref.localLo+ref.localLen
+		sp := tr.Begin("range", obs.AI("lo", int64(lo)), obs.AI("hi", int64(hi)),
+			obs.AI("rows", int64(ref.localLen)), obs.AI("chunk", int64(ref.global)))
+		var st summary.State
+		if moments {
+			st.Moments = exec.FoldMoments(xs[lo:hi], valid[lo:hi])
+		}
+		if freq {
+			st.Freq = exec.FoldFreq(xs[lo:hi], valid[lo:hi])
+		}
+		parts[ref.global] = st
+		sp.End()
 	}
-	return sh.epool.RunRangesSpanned(ranges, h, func(c int, r exec.Range, sp *obs.Span) error {
-		sp.SetAttr("chunk", fmt.Sprintf("%d", sh.chunks[c].global))
-		fn(sh.chunks[c].global, xs[r.Lo:r.Hi], valid[r.Lo:r.Hi])
-		return nil
-	})
+	return nil
 }
 
 // Materialize rebuilds the view's rows by scatter-gather, in global row
@@ -343,7 +286,7 @@ func (sh *shardState) foldColumn(h exec.SpanHook, col string, fn func(global int
 // dataset.
 func (s *Store) Materialize() (*dataset.Dataset, Report, error) {
 	subs := make([]*dataset.Dataset, len(s.shards))
-	outs, rep := s.scatter("materialize", "*", func(sh *shardState, _ exec.SpanHook) error {
+	outs, rep := s.scatter("materialize", "*", func(sh *shardState, _ *obs.Tracer) error {
 		sub, err := sh.file.Materialize()
 		if err != nil {
 			return err
@@ -356,7 +299,6 @@ func (s *Store) Materialize() (*dataset.Dataset, Report, error) {
 		if outs[i].err == nil {
 			continue
 		}
-		subs[i] = nil // a timed-out shard's rows are void even if produced
 		if sh.rows > 0 {
 			rep.Missing = append(rep.Missing, i)
 			rep.RowsMissing += sh.rows
@@ -389,8 +331,8 @@ func (s *Store) Materialize() (*dataset.Dataset, Report, error) {
 		}
 	}
 	sort.Ints(rep.Missing)
-	s.finishReport("materialize", "*", rep)
-	return out, *rep, s.gatherErr(rep)
+	err := s.finish(rep)
+	return out, *rep, err
 }
 
 // appendRows appends rows [lo, hi) of src to out, a column at a time.

@@ -5,11 +5,10 @@
 // A Store partitions a view's rows across N independent storage devices
 // on the one chunk grid of internal/exec: chunk boundaries are
 // exec.Chunks(rows, exec.DefaultChunk), the grid every row fold of a
-// column cuts, and a placement policy maps each global chunk to exactly
-// one shard. Each shard owns its own storage.Device
-// (checksummed pages, retry-with-backoff through its BufferPool,
-// optionally wrapped in a FaultDevice), its own transposed colstore
-// image of the rows it owns, and its own exec.Pool.
+// column cuts, and global chunk c lives on shard c % N. Each shard owns
+// its own storage.Device (checksummed pages, retry-with-backoff through
+// its BufferPool, optionally wrapped in a FaultDevice) and its own
+// transposed colstore image of the rows it owns.
 //
 // Whole-column aggregates run as scatter-gather: every shard folds its
 // chunks into per-global-chunk partial states in parallel, and the
@@ -19,15 +18,14 @@
 // included.
 //
 // Failure is a first-class outcome, not an error. Each shard operation
-// is bounded (pool retry, one shard-level retry, a virtual-tick budget
-// standing in for a timeout); a shard that keeps failing transitions
-// Healthy → Degraded → Down, and Down shards are skipped without I/O so
-// degraded latency stays bounded. A lost shard degrades the answer: the
-// gather substitutes the shard's last checkpointed partial aggregate
-// (stale, with its shadow generation recorded — PR 2's checkpoint
-// machinery) or, when none exists, reports the shard's rows missing.
-// Either way the query completes with a Report carrying LoadReport-style
-// provenance instead of failing.
+// is bounded (pool retry, one shard-level retry); a shard that keeps
+// failing transitions Healthy → Degraded → Down, and Down shards are
+// skipped without I/O so degraded latency stays bounded. A lost shard
+// degrades the answer: the gather substitutes the shard's last
+// checkpointed partial aggregate (stale, with its shadow generation
+// recorded — PR 2's checkpoint machinery) or, when none exists, reports
+// the shard's rows missing. Either way the query completes with a Report
+// carrying LoadReport-style provenance instead of failing.
 package shard
 
 import (
@@ -54,9 +52,13 @@ type Health int
 
 const (
 	Healthy  Health = iota // answering normally
-	Degraded               // recent failures below the down threshold
-	Down                   // failed DownThreshold consecutive ops; skipped without I/O
+	Degraded               // recent failures, fewer than downAt
+	Down                   // failed downAt consecutive ops; skipped without I/O
 )
+
+// downAt is the number of consecutive failed operations that turns a
+// shard Down (fast-fail).
+const downAt = 2
 
 func (h Health) String() string {
 	switch h {
@@ -70,47 +72,10 @@ func (h Health) String() string {
 	return fmt.Sprintf("health(%d)", int(h))
 }
 
-// Policy maps global chunks to shards.
-type Policy uint8
-
-const (
-	// PlaceRoundRobin deals chunk c to shard c % N — interleaved, so a
-	// lost shard thins the whole row range evenly.
-	PlaceRoundRobin Policy = iota
-	// PlaceRange gives each shard one contiguous block of chunks — a
-	// lost shard removes one contiguous row interval.
-	PlaceRange
-)
-
-func (p Policy) String() string {
-	switch p {
-	case PlaceRoundRobin:
-		return "round-robin"
-	case PlaceRange:
-		return "range"
-	}
-	return fmt.Sprintf("policy(%d)", int(p))
-}
-
-// shardFor places global chunk c of numChunks onto one of n shards.
-func (p Policy) shardFor(c, numChunks, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	if p == PlaceRange {
-		return c * n / numChunks
-	}
-	return c % n
-}
-
 // Config sizes a sharded store. The zero value of every field has a
 // sensible default.
 type Config struct {
 	Shards int // number of shards; default 1
-	Policy Policy
-	// Workers sizes each shard's exec.Pool. Default 1 (serial folds per
-	// shard; the scatter itself is the parallelism).
-	Workers int
 	// PoolPages is each shard's buffer-pool capacity. Default 64.
 	PoolPages int
 	// Devices supplies one device per shard (len must equal Shards when
@@ -120,21 +85,11 @@ type Config struct {
 	// ManifestDevice holds the manifest + checkpointed partials (shadow
 	// generations). Nil defaults to a fresh MemDevice.
 	ManifestDevice storage.Device
-	// DownThreshold is the number of consecutive failed operations that
-	// turns a shard Down (fast-fail). Default 2; minimum 1.
-	DownThreshold int
-	// OpTickBudget bounds the virtual ticks one shard may spend on one
-	// scatter operation — the deterministic stand-in for a timeout. An
-	// operation that runs past it is discarded as timed out even if it
-	// eventually succeeded. 0 = unlimited.
-	OpTickBudget int64
 	// Registry receives the shard.* counters. Nil disables.
 	Registry *obs.Registry
-	// Events receives health transitions and degraded-answer events.
-	Events *obs.EventLog
 }
 
-// shardState is one shard: its device stack, colstore image, pool, and
+// shardState is one shard: its device stack, colstore image and
 // health. Health fields are guarded by Store.mu; the device/pool/file
 // are internally synchronized and safe for concurrent scatters.
 type shardState struct {
@@ -144,7 +99,6 @@ type shardState struct {
 	fault *storage.FaultDevice // non-nil when dev is fault-wrapped
 	pool  *storage.BufferPool
 	file  *colstore.File
-	epool *exec.Pool
 	// chunks are the global chunk ranges this shard owns, ascending;
 	// the shard's rows are their concatenation in that order.
 	chunks []chunkRef
@@ -169,12 +123,8 @@ type Store struct {
 	mu     sync.Mutex
 	name   string
 	rows   int
-	policy Policy
-	cols   []string // numeric column names, schema order
 	schema *dataset.Schema
 	shards []*shardState
-	budget int64
-	downAt int
 
 	// Checkpointed partial aggregates + manifest, on the manifest device
 	// with PR 2's shadow-generation commit protocol.
@@ -183,7 +133,6 @@ type Store struct {
 	partials *summary.DB
 
 	met    storeMetrics
-	events *obs.EventLog
 	tracer *obs.Tracer
 	reg    *obs.Registry
 }
@@ -192,7 +141,7 @@ type Store struct {
 type storeMetrics struct {
 	scatters, degraded, stale *obs.Counter
 	rowsMissing, failures     *obs.Counter
-	retries, timeouts         *obs.Counter
+	retries                   *obs.Counter
 	down                      *obs.Gauge
 }
 
@@ -205,14 +154,8 @@ func New(name string, ds *dataset.Dataset, cfg Config) (*Store, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	if cfg.PoolPages <= 0 {
 		cfg.PoolPages = 64
-	}
-	if cfg.DownThreshold <= 0 {
-		cfg.DownThreshold = 2
 	}
 	if cfg.Devices != nil && len(cfg.Devices) != cfg.Shards {
 		return nil, fmt.Errorf("shard: %d devices for %d shards", len(cfg.Devices), cfg.Shards)
@@ -222,15 +165,8 @@ func New(name string, ds *dataset.Dataset, cfg Config) (*Store, error) {
 	s := &Store{
 		name:   name,
 		rows:   rows,
-		policy: cfg.Policy,
 		schema: ds.Schema(),
-		budget: cfg.OpTickBudget,
-		downAt: cfg.DownThreshold,
-		events: cfg.Events,
 		reg:    cfg.Registry,
-	}
-	for c := 0; c < ds.Schema().Len(); c++ {
-		s.cols = append(s.cols, ds.Schema().At(c).Name)
 	}
 	if cfg.Registry != nil {
 		s.met = storeMetrics{
@@ -240,7 +176,6 @@ func New(name string, ds *dataset.Dataset, cfg Config) (*Store, error) {
 			rowsMissing: cfg.Registry.Counter(obs.MShardRowsMissing),
 			failures:    cfg.Registry.Counter(obs.MShardFailures),
 			retries:     cfg.Registry.Counter(obs.MShardRetries),
-			timeouts:    cfg.Registry.Counter(obs.MShardTimeouts),
 			down:        cfg.Registry.Gauge(obs.MShardDown),
 		}
 	}
@@ -249,14 +184,12 @@ func New(name string, ds *dataset.Dataset, cfg Config) (*Store, error) {
 	// global chunk order so local offsets recover global positions.
 	perShard := make([][]int, cfg.Shards)
 	for c := range ranges {
-		i := cfg.Policy.shardFor(c, len(ranges), cfg.Shards)
-		perShard[i] = append(perShard[i], c)
+		perShard[c%cfg.Shards] = append(perShard[c%cfg.Shards], c)
 	}
 	manifest := &Manifest{
 		View:   name,
 		Rows:   rows,
 		Chunk:  exec.DefaultChunk,
-		Policy: cfg.Policy,
 		Shards: make([]ManifestShard, cfg.Shards),
 	}
 	for i := 0; i < cfg.Shards; i++ {
@@ -270,7 +203,6 @@ func New(name string, ds *dataset.Dataset, cfg Config) (*Store, error) {
 			index: i,
 			label: fmt.Sprintf("shard%d", i),
 			dev:   dev,
-			epool: exec.New(cfg.Workers),
 		}
 		if fd, ok := dev.(*storage.FaultDevice); ok {
 			sh.fault = fd
@@ -409,13 +341,12 @@ func (s *Store) SetDown(i int, down bool) {
 	sh := s.shards[i]
 	if down {
 		sh.health = Down
-		sh.fails = s.downAt
+		sh.fails = downAt
 	} else {
 		sh.health = Healthy
 		sh.fails = 0
 	}
 	s.updateDownGaugeLocked()
-	s.logHealth(sh)
 }
 
 // recordOutcome applies one operation outcome to shard health. Caller
@@ -429,7 +360,7 @@ func (s *Store) recordOutcome(sh *shardState, ok bool) {
 		sh.health = Healthy
 	} else {
 		sh.fails++
-		if sh.fails >= s.downAt {
+		if sh.fails >= downAt {
 			sh.health = Down
 		} else {
 			sh.health = Degraded
@@ -437,7 +368,6 @@ func (s *Store) recordOutcome(sh *shardState, ok bool) {
 	}
 	if sh.health != prev {
 		s.updateDownGaugeLocked()
-		s.logHealth(sh)
 	}
 }
 
@@ -450,17 +380,4 @@ func (s *Store) updateDownGaugeLocked() {
 		}
 	}
 	s.met.down.Set(n)
-}
-
-// logHealth emits a health-transition event. Caller holds mu.
-func (s *Store) logHealth(sh *shardState) {
-	sev := obs.SevInfo
-	if sh.health != Healthy {
-		sev = obs.SevWarn
-	}
-	s.events.Log(obs.Event{
-		Sev:  sev,
-		Kind: "shard",
-		Msg:  fmt.Sprintf("view %s %s -> %s (fails=%d)", s.name, sh.label, sh.health, sh.fails),
-	})
 }

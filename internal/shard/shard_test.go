@@ -51,42 +51,40 @@ func TestHealthyPathBitIdentical(t *testing.T) {
 	ref := exec.ColumnMoments(exec.New(4), xs, valid, exec.DefaultChunk)
 	_, refFreq := exec.ColumnFold(exec.New(4), xs, valid, exec.DefaultChunk, false, true)
 
-	for _, pol := range []Policy{PlaceRoundRobin, PlaceRange} {
-		for _, shards := range []int{1, 2, 4, 5} {
-			st, err := New("t", ds, Config{Shards: shards, Policy: pol})
-			if err != nil {
-				t.Fatalf("%v/%d: %v", pol, shards, err)
-			}
-			got, rep, err := st.Moments("x")
-			if err != nil {
-				t.Fatalf("%v/%d moments: %v", pol, shards, err)
-			}
-			if rep.Degraded() || len(rep.Answered) != shards {
-				t.Fatalf("%v/%d healthy report = %s", pol, shards, rep)
-			}
-			if got != ref {
-				t.Fatalf("%v/%d moments = %+v, want bit-identical %+v", pol, shards, got, ref)
-			}
-			f, _, err := st.Freq("x")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(f.Values, refFreq.Values) || !slices.Equal(f.Counts, refFreq.Counts) {
-				t.Fatalf("freq has %d values, want the unsharded fold's %d bit for bit", len(f.Values), len(refFreq.Values))
-			}
-			mat, mrep, err := st.Materialize()
-			if err != nil || mrep.Degraded() {
-				t.Fatalf("materialize: %v (%s)", err, mrep)
-			}
-			if mat.Rows() != rows {
-				t.Fatalf("materialized %d rows, want %d", mat.Rows(), rows)
-			}
-			for i := 0; i < rows; i += 379 {
-				for c := 0; c < 2; c++ {
-					a, b := mat.Cell(i, c), ds.Cell(i, c)
-					if a.String() != b.String() {
-						t.Fatalf("row %d col %d = %v, want %v", i, c, a, b)
-					}
+	for _, shards := range []int{1, 2, 4, 5} {
+		st, err := New("t", ds, Config{Shards: shards})
+		if err != nil {
+			t.Fatalf("%d: %v", shards, err)
+		}
+		got, rep, err := st.Moments("x")
+		if err != nil {
+			t.Fatalf("%d moments: %v", shards, err)
+		}
+		if rep.Degraded() || len(rep.Answered) != shards {
+			t.Fatalf("%d healthy report = %s", shards, rep)
+		}
+		if got != ref {
+			t.Fatalf("%d moments = %+v, want bit-identical %+v", shards, got, ref)
+		}
+		f, _, err := st.Freq("x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(f.Values, refFreq.Values) || !slices.Equal(f.Counts, refFreq.Counts) {
+			t.Fatalf("freq has %d values, want the unsharded fold's %d bit for bit", len(f.Values), len(refFreq.Values))
+		}
+		mat, mrep, err := st.Materialize()
+		if err != nil || mrep.Degraded() {
+			t.Fatalf("materialize: %v (%s)", err, mrep)
+		}
+		if mat.Rows() != rows {
+			t.Fatalf("materialized %d rows, want %d", mat.Rows(), rows)
+		}
+		for i := 0; i < rows; i += 379 {
+			for c := 0; c < 2; c++ {
+				a, b := mat.Cell(i, c), ds.Cell(i, c)
+				if a.String() != b.String() {
+					t.Fatalf("row %d col %d = %v, want %v", i, c, a, b)
 				}
 			}
 		}
@@ -250,7 +248,7 @@ func TestDownShardFastFails(t *testing.T) {
 	ds := testDataset(t, rows)
 	reg := obs.NewRegistry()
 	st, fd := faultedStore(t, ds, storage.FaultConfig{Seed: 3, ReadTransientRate: 1},
-		Config{PoolPages: 4, DownThreshold: 2, Registry: reg})
+		Config{PoolPages: 4, Registry: reg})
 	fd.SetDisabled(false)
 	failures := reg.Counter(obs.MShardFailures)
 	down := reg.Gauge(obs.MShardDown)
@@ -290,36 +288,37 @@ func TestDownShardFastFails(t *testing.T) {
 	}
 }
 
-func TestOpTickBudgetTimesOut(t *testing.T) {
+// TestTotalOutageFallsBackToCheckpoint: with every shard down and no
+// checkpoint, nothing can answer, so the gather returns ErrShardDown;
+// with checkpointed partials the same outage answers stale from every
+// shard, covering every row.
+func TestTotalOutageFallsBackToCheckpoint(t *testing.T) {
 	const rows = 32000
 	ds := testDataset(t, rows)
-	reg := obs.NewRegistry()
-	st, err := New("t", ds, Config{Shards: 4, PoolPages: 2, OpTickBudget: 1, Registry: reg})
-	if err != nil {
-		t.Fatal(err)
+	outage := func(checkpoint bool) (exec.Moments, Report, error) {
+		st, err := New("t", ds, Config{Shards: 4, PoolPages: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if checkpoint {
+			if err := st.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 4; i++ {
+			st.SetDown(i, true)
+		}
+		return st.Moments("x")
 	}
-	_, rep, err := st.Moments("x")
+	_, rep, err := outage(false)
 	if !errors.Is(err, ErrShardDown) {
-		t.Fatalf("all-timeout scatter error = %v, want ErrShardDown", err)
+		t.Fatalf("total outage error = %v, want ErrShardDown", err)
 	}
-	if rep.Timeouts != 4 || len(rep.Answered) != 0 {
-		t.Fatalf("report = %s, want 4 timeouts", rep)
-	}
-	// One count per timed-out shard, as the report's.
-	if v := reg.Counter(obs.MShardTimeouts).Value(); v != 4 {
-		t.Fatalf("shard.timeouts = %d, want 4", v)
+	if len(rep.Answered) != 0 || len(rep.Missing) != 4 || rep.RowsMissing != rows {
+		t.Fatalf("report = %s, want 4 shards missing every row", rep)
 	}
 
-	// With checkpointed partials the same total outage degrades instead.
-	st2, err := New("t", ds, Config{Shards: 4, PoolPages: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st2.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	st2.budget = 1
-	got, rep, err := st2.Moments("x")
+	got, rep, err := outage(true)
 	if err != nil {
 		t.Fatalf("stale fallback errored: %v", err)
 	}
@@ -336,7 +335,7 @@ func TestConcurrentScatterGatherUnderFaults(t *testing.T) {
 	ds := testDataset(t, rows)
 	reg := obs.NewRegistry()
 	st, fd := faultedStore(t, ds, storage.FaultConfig{Seed: 11, ReadTransientRate: 0.12},
-		Config{PoolPages: 4, Workers: 2, Registry: reg, DownThreshold: 64})
+		Config{PoolPages: 4, Registry: reg})
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -493,13 +492,13 @@ func TestScatterStitchesShardSpans(t *testing.T) {
 
 // TestScatterSpansUnderFaults checks the stitched tree's fault
 // vocabulary: a faulted shard's span carries its retry and error
-// attrs, and once Down the shard appears as a zero-tick fast-fail
-// child recorded by the coordinator.
+// attrs, and once Down (its second failed op) the shard appears as a
+// zero-tick fast-fail child recorded by the coordinator.
 func TestScatterSpansUnderFaults(t *testing.T) {
 	const rows = 48000
 	ds := testDataset(t, rows)
 	st, fd := faultedStore(t, ds, storage.FaultConfig{Seed: 17, ReadTransientRate: 1},
-		Config{PoolPages: 4, DownThreshold: 1})
+		Config{PoolPages: 4})
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -522,6 +521,9 @@ func TestScatterSpansUnderFaults(t *testing.T) {
 	a1 := attrsOf(first, 1)
 	if a1["retries"] != "1" || a1["err"] == "" {
 		t.Errorf("faulted shard attrs = %v, want retries=1 and err", a1)
+	}
+	if _, _, err := st.Moments("x"); err != nil || st.Health(1) != Down {
+		t.Fatalf("second faulted query: %v, shard 1 %v", err, st.Health(1))
 	}
 
 	if _, rep, err := st.Moments("x"); err != nil || !rep.Degraded() {
@@ -592,9 +594,82 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointSkipsADownShard0: which columns a checkpoint aggregates
+// comes from the schema, not from reading shard 0. With shard 0 down on
+// a faulting device, the checkpoint touches none of its pages and still
+// stores every other shard's partials, so a later outage of shard 1
+// answers from its stale partial.
+func TestCheckpointSkipsADownShard0(t *testing.T) {
+	const rows = 48000
+	ds := testDataset(t, rows)
+	fd := storage.NewFaultDevice(storage.NewMemDevice(storage.DefaultDiskCost()),
+		storage.FaultConfig{Seed: 7, ReadTransientRate: 1})
+	fd.SetDisabled(true)
+	st, err := New("t", ds, Config{Shards: 4, PoolPages: 4, Devices: []storage.Device{fd, nil, nil, nil}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd.SetDisabled(false)
+	st.SetDown(0, true)
+	before := st.Info()[0].DevTicks
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if after := st.Info()[0].DevTicks; after != before {
+		t.Fatalf("checkpoint spent %d ticks on down shard 0", after-before)
+	}
+	for i := 1; i < 4; i++ {
+		for _, col := range []string{"x", "g"} {
+			if _, ok := st.partials.Lookup(fnMoments, shardAttr(col, i)...); !ok {
+				t.Fatalf("no moments partial of %s for shard %d", col, i)
+			}
+		}
+	}
+	st.SetDown(1, true)
+	_, rep, err := st.Moments("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Stale) != 1 || rep.Stale[0] != 1 || len(rep.Missing) != 1 || rep.Missing[0] != 0 ||
+		rep.RowsMissing != st.Info()[0].Rows {
+		t.Fatalf("report = %s, want shard 1 stale and only shard 0 missing", rep)
+	}
+}
+
+// TestCheckpointPartialsAreShardFolds: a shard's checkpointed partials
+// are its chunk states merged in chunk order — the moments bit for bit
+// the fold of the shard's rows on exec's grid, and the table the one
+// exec.FoldFreq tabulates over them.
+func TestCheckpointPartialsAreShardFolds(t *testing.T) {
+	st, err := New("t", testDataset(t, 48000), Config{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i, sh := range st.shards {
+		xs, valid, err := sh.file.NumericColumn("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, ok := st.stalePartial("g", i, true, true)
+		if !ok {
+			t.Fatalf("shard %d has no partial of g", i)
+		}
+		if want := exec.ColumnMoments(nil, xs, valid, exec.DefaultChunk); got.Moments != want {
+			t.Errorf("shard %d moments partial = %+v, want %+v", i, got.Moments, want)
+		}
+		want := exec.FoldFreq(xs, valid)
+		if !slices.Equal(got.Freq.Values, want.Values) || !slices.Equal(got.Freq.Counts, want.Counts) {
+			t.Errorf("shard %d freq partial = %v %v, want %v %v", i, got.Freq.Values, got.Freq.Counts, want.Values, want.Counts)
+		}
+	}
+}
+
 func TestManifestRoundTrip(t *testing.T) {
 	m := &Manifest{
-		View: "census", Rows: 10000, Chunk: 512, Policy: PlaceRange,
+		View: "census", Rows: 10000, Chunk: 512,
 		Shards: []ManifestShard{
 			{Rows: 5120, Gen: 4, Chunks: []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}},
 			{Rows: 4880, Gen: 7, Chunks: []int{10, 11, 12, 13, 14, 15, 16, 17, 18, 19}},
@@ -605,7 +680,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.View != m.View || got.Rows != m.Rows || got.Chunk != m.Chunk || got.Policy != m.Policy {
+	if got.View != m.View || got.Rows != m.Rows || got.Chunk != m.Chunk {
 		t.Fatalf("decoded = %+v", got)
 	}
 	for i := range m.Shards {
@@ -690,14 +765,6 @@ func DecodeManifest(buf []byte) (*Manifest, error) {
 		return nil, corruptf("zero chunk size")
 	}
 	m.Chunk = int(chunk)
-	if len(rest) == 0 {
-		return nil, corruptf("truncated policy")
-	}
-	m.Policy = Policy(rest[0])
-	if m.Policy != PlaceRoundRobin && m.Policy != PlaceRange {
-		return nil, corruptf("unknown policy %d", rest[0])
-	}
-	rest = rest[1:]
 	numChunks := (m.Rows + m.Chunk - 1) / m.Chunk
 	nShards, rest, err := takeUvarint(rest, uint64(len(rest))+1, "shard count")
 	if err != nil {
@@ -751,8 +818,8 @@ func DecodeManifest(buf []byte) (*Manifest, error) {
 
 // New gathers each shard's chunk rows and Materialize appends them back
 // a column at a time in chunk order: the view round-trips exactly —
-// NaN, ±0, nulls and strings, on every placement and shard count, empty
-// shards included.
+// NaN, ±0, nulls and strings, at every shard count, empty shards
+// included.
 func TestNewMaterializeRoundTrip(t *testing.T) {
 	ds := dataset.New(dataset.MustSchema(
 		dataset.Attribute{Name: "x", Kind: dataset.KindFloat},
@@ -779,31 +846,29 @@ func TestNewMaterializeRoundTrip(t *testing.T) {
 		return out
 	}
 	want := encode(ds)
-	for _, pol := range []Policy{PlaceRoundRobin, PlaceRange} {
-		for _, shards := range []int{1, 3, 6} {
-			st, err := New("rt", ds, Config{Shards: shards, Policy: pol})
+	for _, shards := range []int{1, 3, 6} {
+		st, err := New("rt", ds, Config{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored := 0
+		for _, sh := range st.shards {
+			g, _, err := sh.file.NumericColumn("g")
 			if err != nil {
 				t.Fatal(err)
 			}
-			stored := 0
-			for _, sh := range st.shards {
-				g, _, err := sh.file.NumericColumn("g")
-				if err != nil {
-					t.Fatal(err)
-				}
-				stored += len(g)
-			}
-			if stored != rows {
-				t.Fatalf("%v/%d: shards store %d rows, want %d", pol, shards, stored, rows)
-			}
-			got, rep, err := st.Materialize()
-			if err != nil || rep.Degraded() {
-				t.Fatalf("%v/%d: %v (%s)", pol, shards, err, rep)
-			}
-			if !got.Schema().Equal(ds.Schema()) || got.Rows() != rows ||
-				!slices.Equal(encode(got), want) {
-				t.Fatalf("%v/%d: materialized view differs from the source", pol, shards)
-			}
+			stored += len(g)
+		}
+		if stored != rows {
+			t.Fatalf("%d: shards store %d rows, want %d", shards, stored, rows)
+		}
+		got, rep, err := st.Materialize()
+		if err != nil || rep.Degraded() {
+			t.Fatalf("%d: %v (%s)", shards, err, rep)
+		}
+		if !got.Schema().Equal(ds.Schema()) || got.Rows() != rows ||
+			!slices.Equal(encode(got), want) {
+			t.Fatalf("%d: materialized view differs from the source", shards)
 		}
 	}
 }

@@ -48,15 +48,7 @@ func (v *View) gatherSource(attr string, rep *shard.Report) summary.GatherSource
 	st := v.shards
 	return func(moments, freq bool) (s summary.State, complete bool, err error) {
 		v.countScan(attr)
-		complete = true
-		if moments {
-			s.Moments, *rep, err = st.Moments(attr)
-			complete = !rep.Degraded()
-		}
-		if freq && err == nil {
-			s.Freq, *rep, err = st.Freq(attr)
-			complete = complete && !rep.Degraded()
-		}
-		return s, complete, err
+		s, *rep, err = st.Gather(attr, moments, freq)
+		return s, !rep.Degraded(), err
 	}
 }

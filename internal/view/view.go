@@ -185,14 +185,12 @@ func (v *View) Compute(fn, attr string) (float64, error) {
 func (v *View) ComputeReport(fn, attr string) (float64, shard.Report, error) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	// rep escapes into the gather closure; declaring it only past this
-	// branch keeps cache hits on unsharded views free of that allocation.
-	if v.shards == nil || v.shardsBehind {
-		val, err := v.compute(fn, attr, nil)
-		return val, shard.Report{}, err
-	}
 	var rep shard.Report
-	val, err := v.compute(fn, attr, &rep)
+	into := &rep
+	if v.shards == nil || v.shardsBehind {
+		into = nil
+	}
+	val, err := v.compute(fn, attr, into)
 	return val, rep, err
 }
 
@@ -212,13 +210,19 @@ func (v *View) compute(fn, attr string, rep *shard.Report) (float64, error) {
 	if a.Kind == dataset.KindString {
 		return 0, fmt.Errorf("view %s: attribute %q is a string; use StringFrequencies", v.name, attr)
 	}
-	return v.sdb.ScalarFrom(fn, attr, func() summary.Sources {
+	var gathered *shard.Report // allocated by a miss, so a hit allocates no report
+	val, err := v.sdb.ScalarFrom(fn, attr, func() summary.Sources {
 		src := summary.Sources{Rows: v.columnSource(attr), Runs: v.runSource(attr)}
 		if rep != nil {
-			src.Gather = v.gatherSource(attr, rep)
+			gathered = new(shard.Report)
+			src.Gather = v.gatherSource(attr, gathered)
 		}
 		return src
 	})
+	if gathered != nil {
+		*rep = *gathered
+	}
+	return val, err
 }
 
 // Describe returns the standing descriptive summary of Section 3.2 —
